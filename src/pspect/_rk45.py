@@ -9,7 +9,16 @@ resampling run on.
 
 The stepping loop deliberately avoids numpy in the hot path; shots in
 this package are ~1e2..1e3 steps of trivially cheap arithmetic, where
-array machinery costs more than the math.
+array machinery costs more than the math.  For the same reason the
+dense coefficients are kept in flat lists of floats (two start values
+and eight theta-polynomial coefficients per step, u before v) rather
+than in per-step tuples: appending floats allocates no container the
+garbage collector has to track.
+
+The right-hand side stays a callable argument instead of being inlined
+into the loop: the nonlinear, perturbed and source problems of
+``radial_ivp`` share this stepper with the linear one, and a caller can
+wrap ``f`` to count or time its evaluations without touching the loop.
 """
 
 from __future__ import annotations
@@ -47,15 +56,31 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     -1 / 40,
 )
 
-# dense-output polynomial, columns are theta^1..theta^4 coefficients
-_P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+# dense-output polynomial: the theta^j coefficient of a step is h times a
+# fixed combination of the stages; theta^1 is h * k1, k2 enters no power
+_D21, _D23, _D24, _D25, _D26, _D27 = (
+    -8048581381 / 2820520608,
+    131558114200 / 32700410799,
+    -1754552775 / 470086768,
+    127303824393 / 49829197408,
+    -282668133 / 205662961,
+    40617522 / 29380423,
+)
+_D31, _D33, _D34, _D35, _D36, _D37 = (
+    8663915743 / 2820520608,
+    -68118460800 / 10900136933,
+    14199869525 / 1410260304,
+    -318862633887 / 49829197408,
+    2019193451 / 616988883,
+    -110615467 / 29380423,
+)
+_D41, _D43, _D44, _D45, _D46, _D47 = (
+    -12715105075 / 11282082432,
+    87487479700 / 32700410799,
+    -10690763975 / 1880347072,
+    701980252875 / 199316789632,
+    -1453857185 / 822651844,
+    69997945 / 29380423,
 )
 
 _SAFETY = 0.9
@@ -72,18 +97,18 @@ class DenseOutput:
         self.t0 = t0
         self.t_end = t_end
         self.ts = ts  # left nodes of the steps, ascending
-        self.y0s = y0s  # (n_steps, 2)
+        self.y0s = y0s  # flat: u0, v0 of step 0, u0, v0 of step 1, ...
         self.hs = hs
-        self.coef = coef  # (n_steps, 2, 4) theta-polynomial coefficients
+        self.coef = coef  # flat: theta^1..theta^4 coefficients of u, then of v, per step
         self._np = None
 
     def _as_arrays(self):
         if self._np is None:
             self._np = (
                 np.asarray(self.ts),
-                np.asarray(self.y0s),
+                np.asarray(self.y0s).reshape(-1, 2),
                 np.asarray(self.hs),
-                np.asarray(self.coef),
+                np.asarray(self.coef).reshape(-1, 2, 4),
             )
         return self._np
 
@@ -98,16 +123,18 @@ class DenseOutput:
     def eval_scalar(self, t: float):
         i = self._segment(t)
         th = (t - self.ts[i]) / self.hs[i]
-        c = self.coef[i]
-        u = self.y0s[i][0] + th * (c[0][0] + th * (c[0][1] + th * (c[0][2] + th * c[0][3])))
-        v = self.y0s[i][1] + th * (c[1][0] + th * (c[1][1] + th * (c[1][2] + th * c[1][3])))
+        c, j = self.coef, 8 * i
+        u = self.y0s[2 * i] + th * (c[j] + th * (c[j + 1] + th * (c[j + 2] + th * c[j + 3])))
+        v = self.y0s[2 * i + 1] + th * (
+            c[j + 4] + th * (c[j + 5] + th * (c[j + 6] + th * c[j + 7]))
+        )
         return u, v
 
     def u_scalar(self, t: float) -> float:
         i = self._segment(t)
         th = (t - self.ts[i]) / self.hs[i]
-        c = self.coef[i][0]
-        return self.y0s[i][0] + th * (c[0] + th * (c[1] + th * (c[2] + th * c[3])))
+        c, j = self.coef, 8 * i
+        return self.y0s[2 * i] + th * (c[j] + th * (c[j + 1] + th * (c[j + 2] + th * c[j + 3])))
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -146,12 +173,11 @@ def _initial_step(f, t0, y0, f0, t_end, rtol, atol_u, atol_v):
 
 
 def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None):
-    """March from t0 to t_end; returns (ts, ys, dense, blowup_t).
+    """March from t0 to t_end; returns (ts, dense, blowup_t).
 
-    ts, ys: accepted nodes and states (arrays).  blowup_t is the radius
-    where |u| first exceeded blowup_limit (integration stops there), or
-    None if t_end was reached.  Raises IntegrationError on step-size
-    underflow.
+    ts: the accepted nodes (an array).  blowup_t is the radius where |u|
+    first exceeded blowup_limit (integration stops there), or None if
+    t_end was reached.  Raises IntegrationError on step-size underflow.
     """
     span = t_end - t0
     u, v = float(y0[0]), float(y0[1])
@@ -165,8 +191,6 @@ def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None):
     h = _initial_step(f, t0, (u, v), (fu, fv), t_end, rtol, atol_u, atol_v)
     h_min = 16 * abs(span) * 2.3e-16 + 1e-300
 
-    ts = [t0]
-    ys = [(u, v)]
     seg_t, seg_y0, seg_h, seg_coef = [], [], [], []
     blowup_t = None
 
@@ -218,29 +242,23 @@ def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None):
             h *= max(_MIN_FACTOR, _SAFETY * norm ** (-0.2))
             continue
 
-        # accept: store the dense quartic for this step
-        ku = (k1u, k2u, k3u, k4u, k5u, k6u, k7u)
-        kv = (k1v, k2v, k3v, k4v, k5v, k6v, k7v)
-        cu = [0.0, 0.0, 0.0, 0.0]
-        cv = [0.0, 0.0, 0.0, 0.0]
-        for j in range(4):
-            su = 0.0
-            sv = 0.0
-            for i in range(7):
-                pij = _P[i][j]
-                if pij != 0.0:
-                    su += pij * ku[i]
-                    sv += pij * kv[i]
-            cu[j] = h * su
-            cv[j] = h * sv
+        # accept: store the dense quartic for this step; each sum starts
+        # from 0.0 and adds the stage terms in stage order
         seg_t.append(t)
-        seg_y0.append((u, v))
+        seg_y0 += (u, v)
         seg_h.append(h)
-        seg_coef.append((tuple(cu), tuple(cv)))
+        seg_coef += (
+            h * (0.0 + k1u),
+            h * (0.0 + _D21 * k1u + _D23 * k3u + _D24 * k4u + _D25 * k5u + _D26 * k6u + _D27 * k7u),
+            h * (0.0 + _D31 * k1u + _D33 * k3u + _D34 * k4u + _D35 * k5u + _D36 * k6u + _D37 * k7u),
+            h * (0.0 + _D41 * k1u + _D43 * k3u + _D44 * k4u + _D45 * k5u + _D46 * k6u + _D47 * k7u),
+            h * (0.0 + k1v),
+            h * (0.0 + _D21 * k1v + _D23 * k3v + _D24 * k4v + _D25 * k5v + _D26 * k6v + _D27 * k7v),
+            h * (0.0 + _D31 * k1v + _D33 * k3v + _D34 * k4v + _D35 * k5v + _D36 * k6v + _D37 * k7v),
+            h * (0.0 + _D41 * k1v + _D43 * k3v + _D44 * k4v + _D45 * k5v + _D46 * k6v + _D47 * k7v),
+        )
 
         t_new = t + h
-        ts.append(t_new)
-        ys.append((u1, v1))
 
         if blowup_limit is not None and abs(u1) >= blowup_limit:
             blowup_t = t_new
@@ -255,7 +273,5 @@ def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None):
         factor = _MAX_FACTOR if norm == 0.0 else min(_MAX_FACTOR, _SAFETY * norm ** (-0.2))
         h *= factor
 
-    dense = DenseOutput(
-        t0, t, seg_t, seg_y0, seg_h, seg_coef
-    )
-    return np.asarray(ts), np.asarray(ys), dense, blowup_t
+    dense = DenseOutput(t0, t, seg_t, seg_y0, seg_h, seg_coef)
+    return np.asarray(seg_t + [t]), dense, blowup_t

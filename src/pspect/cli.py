@@ -73,6 +73,7 @@ from .nodal import (
 )
 from .greens import apply_Gp
 from .radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL, Problem
+from .report import CheckReport
 from .spectrum import (
     compute_spectrum,
     crossing_index,
@@ -593,8 +594,6 @@ def _run_check(name, chk, p, n_dim, m, tols):
 
 
 def _check_spectrum_structure(p, n_dim, m, K, nus, kw):
-    from .report import CheckReport
-
     rep = CheckReport("spectrum_structure", True)
     for nu in nus:
         if nu == "-" and not m.negated().in_M():
@@ -627,19 +626,13 @@ def _check_spectrum_structure(p, n_dim, m, K, nus, kw):
 
 
 def _check_crossing_index(p, n_dim, m, K, kw):
-    from .report import CheckReport
-
     rep = CheckReport("crossing_index", True)
     nus = ["+"] + (["-"] if m.negated().in_M() else [])
     spec = compute_spectrum(p, n_dim, m, K + 1, nus=tuple(nus), **kw)
     for nu in nus:
         vals = spec.values(nu)
         prev = None
-        gaps = []
-        if nu == "+":
-            gaps.append(0.5 * vals[0])
-        else:
-            gaps.append(0.5 * vals[0])
+        gaps = [0.5 * vals[0]]
         for a, b in zip(vals, vals[1:]):
             gaps.append(0.5 * (a + b))
         for i, mu in enumerate(gaps[: K + 1]):
@@ -657,8 +650,6 @@ def _check_crossing_index(p, n_dim, m, K, kw):
 
 
 def _check_nodal_intervals(p, n_dim, m, f, k, kw):
-    from .report import CheckReport
-
     rep = CheckReport("nodal_intervals", True)
     nus = ["+"] + (["-"] if m.negated().in_M() else [])
     spec = compute_spectrum(p, n_dim, m, k, nus=tuple(nus), **kw)

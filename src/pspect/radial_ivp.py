@@ -22,8 +22,11 @@ radius eps from the two-term series
     v(eps) = -W(0, alpha) * eps^N / N,
 
 whose error is O(eps^{p'+1}); with the default eps = 1e-6 the startup is
-far below integrator tolerance.  Stepping is adaptive embedded
-Runge-Kutta 5(4) with dense output (scipy's RK45).  Sign changes of u are
+far below integrator tolerance.  Stepping is the package's own adaptive
+Dormand-Prince 5(4) with quartic dense output (``_rk45``); the linear
+problem, which every eigenvalue search shoots, gets one fused right-hand
+side per dimension case that evaluates exactly the operations of the
+generic closure, so both give the same bits.  Sign changes of u are
 located on the dense output by bracketed root finding to 1e-12 in r;
 each zero is checked against the simplicity threshold
 |u'(r_z)| >= 1e-8 * max|u'| and the trajectory is flagged, not repaired,
@@ -218,9 +221,6 @@ class Trajectory:
     def last_u(self) -> float:
         return float(self.u[-1])
 
-    def zero_radii(self) -> np.ndarray:
-        return np.array([z.r for z in self.zeros])
-
     def interior_zero_count(self, boundary_margin: float = 1e-6) -> int:
         return sum(1 for z in self.zeros if z.r < 1.0 - boundary_margin)
 
@@ -244,6 +244,96 @@ def origin_startup(problem: Problem, alpha: float, eps: float):
     return u_eps, v_eps
 
 
+def _system(p, n_dim, w):
+    """First-order system (u', v') for any right-hand side W = w(r, u)."""
+    e_inv = 1.0 / (p - 1.0)
+
+    if n_dim == 1:
+
+        def f(r, u, v):
+            return _sgnpow(v, e_inv), -w(r, u)
+
+    elif n_dim == 2:
+
+        def f(r, u, v):
+            return _sgnpow(v / r, e_inv), -r * w(r, u)
+
+    else:
+
+        def f(r, u, v):
+            rn = r ** (n_dim - 1)
+            return _sgnpow(v / rn, e_inv), -rn * w(r, u)
+
+    return f
+
+
+def _linear_system(p, n_dim, mu, m_eval):
+    """``_system`` for W = mu m(r) phi_p(u) with ``_sgnpow`` and w inlined.
+
+    Every closure performs the operations of
+    ``_system(p, n_dim, LinearRHS(mu).make(p, m_eval))`` in the same
+    order, so it returns the same bits with two fewer Python calls per
+    evaluation; the tests compare the two with ``==``.
+    """
+    e, e_inv = p - 1.0, 1.0 / (p - 1.0)
+
+    if n_dim == 1:
+
+        def f(r, u, v):
+            if v > 0.0:
+                du = v**e_inv
+            elif v < 0.0:
+                du = -((-v) ** e_inv)
+            else:
+                du = 0.0
+            if u > 0.0:
+                s = u**e
+            elif u < 0.0:
+                s = -((-u) ** e)
+            else:
+                s = 0.0
+            return du, -(mu * m_eval(r) * s)
+
+    elif n_dim == 2:
+
+        def f(r, u, v):
+            x = v / r
+            if x > 0.0:
+                du = x**e_inv
+            elif x < 0.0:
+                du = -((-x) ** e_inv)
+            else:
+                du = 0.0
+            if u > 0.0:
+                s = u**e
+            elif u < 0.0:
+                s = -((-u) ** e)
+            else:
+                s = 0.0
+            return du, -r * (mu * m_eval(r) * s)
+
+    else:
+
+        def f(r, u, v):
+            rn = r ** (n_dim - 1)
+            x = v / rn
+            if x > 0.0:
+                du = x**e_inv
+            elif x < 0.0:
+                du = -((-x) ** e_inv)
+            else:
+                du = 0.0
+            if u > 0.0:
+                s = u**e
+            elif u < 0.0:
+                s = -((-u) ** e)
+            else:
+                s = 0.0
+            return du, -rn * (mu * m_eval(r) * s)
+
+    return f
+
+
 def shoot(
     problem: Problem,
     alpha: float,
@@ -264,26 +354,14 @@ def shoot(
 
     p, n_dim = problem.p, problem.N
     e_inv = 1.0 / (p - 1.0)
-    w = problem.rhs.make(p, problem.m.scalar_fn())
-
-    if n_dim == 1:
-
-        def f(r, u, v):
-            return _sgnpow(v, e_inv), -w(r, u)
-
-    elif n_dim == 2:
-
-        def f(r, u, v):
-            return _sgnpow(v / r, e_inv), -r * w(r, u)
-
+    m_eval = problem.m.scalar_fn()
+    if isinstance(problem.rhs, LinearRHS):
+        f = _linear_system(p, n_dim, problem.rhs.mu, m_eval)
     else:
-
-        def f(r, u, v):
-            rn = r ** (n_dim - 1)
-            return _sgnpow(v / rn, e_inv), -rn * w(r, u)
+        f = _system(p, n_dim, problem.rhs.make(p, m_eval))
 
     y0 = origin_startup(problem, alpha, eps)
-    ts, _, dense, blowup_radius = integrate(
+    ts, dense, blowup_radius = integrate(
         f, eps, 1.0, y0, rtol=rtol, atol=atol, blowup_limit=blowup_limit
     )
     r_end = blowup_radius if blowup_radius is not None else 1.0
@@ -329,29 +407,39 @@ def _locate_zeros(dense, ts, p, n_dim, sup_uprime, r_end):
     nodes = np.union1d(ts, 0.5 * (ts[:-1] + ts[1:]))
     nodes = nodes[nodes <= r_end]
     uu = dense(nodes)[0]
+    # u vanishes at the left node, or changes sign across the interval
+    candidates = np.flatnonzero((uu[:-1] == 0.0) | (uu[:-1] * uu[1:] < 0.0))
 
     e_inv = 1.0 / (p - 1.0)
     threshold = SIMPLICITY_FACTOR * sup_uprime
 
+    # brentq wraps its function in a closure that refers to itself; handed
+    # dense.u_scalar directly, that cycle would keep the whole dense output
+    # alive until the cyclic garbage collector runs
+    holder = [dense]
+
+    def u_at(t):
+        return holder[0].u_scalar(t)
+
     zeros = []
     degenerate = False
-    for i in range(len(nodes) - 1):
-        a, b = nodes[i], nodes[i + 1]
-        ua, ub = uu[i], uu[i + 1]
-        if ua == 0.0:
-            rz = a
-        elif ua * ub < 0.0:
-            rz = brentq(dense.u_scalar, a, b, xtol=ZERO_XTOL, rtol=8.9e-16)
-        else:
-            continue
-        vz = dense.eval_scalar(rz)[1]
-        rn = max(rz, 1e-300) ** (n_dim - 1)
-        upz = _sgnpow(vz / rn, e_inv)
-        degen = abs(upz) < threshold
-        degenerate = degenerate or degen
-        if zeros and abs(rz - zeros[-1].r) < 10 * ZERO_XTOL:
-            continue
-        zeros.append(ZeroCrossing(r=float(rz), uprime=float(upz), degenerate=degen))
+    try:
+        for i in candidates:
+            a = nodes[i]
+            if uu[i] == 0.0:
+                rz = a
+            else:
+                rz = brentq(u_at, a, nodes[i + 1], xtol=ZERO_XTOL, rtol=8.9e-16)
+            vz = dense.eval_scalar(rz)[1]
+            rn = max(rz, 1e-300) ** (n_dim - 1)
+            upz = _sgnpow(vz / rn, e_inv)
+            degen = abs(upz) < threshold
+            degenerate = degenerate or degen
+            if zeros and abs(rz - zeros[-1].r) < 10 * ZERO_XTOL:
+                continue
+            zeros.append(ZeroCrossing(r=float(rz), uprime=float(upz), degenerate=degen))
+    finally:
+        holder.clear()
     return tuple(zeros), degenerate
 
 

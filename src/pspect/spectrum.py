@@ -193,7 +193,7 @@ class _Prober:
     def _shoot(self, x, rtol, atol, n_samples=65):
         self.count += 1
         if self.count > self.budget:
-            raise _BudgetExhausted()
+            raise _ScanStopped(f"scan budget of {self.budget} probes exhausted")
         return shoot(
             self.problem.with_mu(self.sgn * x),
             1.0,
@@ -229,8 +229,8 @@ class _Prober:
         return d
 
 
-class _BudgetExhausted(Exception):
-    pass
+class _ScanStopped(Exception):
+    """The probe budget or the scan ceiling ended a search; str() says which."""
 
 
 def _seed_scale(problem: Problem, sgn: int) -> float:
@@ -258,8 +258,10 @@ def find_eigenvalues(
     """First K eigenvalues of one sign, with eigenfunctions and nodal classes.
 
     Raises NegativeSequenceAbsent when nu='-' is requested but the weight
-    has no negative part.  On scan-budget exhaustion the result is
-    returned partial, the message naming the largest validated index.
+    has no negative part.  When the probe budget or the scan ceiling
+    stops the search, or refinement leaves an index unbracketed, the
+    result is returned partial, the message naming that stop reason and
+    the largest validated index.
     """
     if K < 1:
         raise PreconditionError("K must be >= 1")
@@ -279,6 +281,8 @@ def find_eigenvalues(
     message = ""
     complete = True
     found: dict[int, tuple[float, Trajectory]] = {}
+    stop = ""
+    rounds = 0
 
     try:
         nodes = _scan(prober, K, _seed_scale(problem, sgn), scan_ratio)
@@ -286,7 +290,6 @@ def find_eigenvalues(
             nodes, prober, found, K, tol_rel, tol_abs, boundary_tol
         )
         # targeted refinement for any missing index
-        rounds = 0
         while len([k for k in found if k <= K]) < K and rounds < 12:
             rounds += 1
             missing = [k for k in range(1, K + 1) if k not in found]
@@ -294,8 +297,9 @@ def find_eigenvalues(
             _classify_brackets(
                 nodes, prober, found, K, tol_rel, tol_abs, boundary_tol
             )
-    except _BudgetExhausted:
+    except _ScanStopped as exc:
         complete = False
+        stop = str(exc)
 
     ks = sorted(k for k in found if k <= K)
     if ks != list(range(1, K + 1)):
@@ -306,10 +310,12 @@ def find_eigenvalues(
                 largest = k
             else:
                 break
-        message = (
-            f"scan budget exhausted after {prober.count} probes; "
-            f"largest validated index {largest}"
-        )
+        if not stop:
+            stop = (
+                f"index {largest + 1} still unbracketed after {rounds} "
+                f"refinement rounds ({prober.count} probes)"
+            )
+        message = f"{stop}; largest validated index {largest}"
         ks = [k for k in ks if k <= largest]
 
     pairs = []
@@ -351,7 +357,10 @@ def _scan(prober: _Prober, K: int, seed: float, ratio: float = 1.8):
         if nodes[-1].z >= K:
             break
         if x > ceiling:
-            raise _BudgetExhausted()
+            raise _ScanStopped(
+                f"scan ceiling |mu| = {ceiling:.6g} reached after {prober.count} "
+                f"probes (largest |mu| probed {x:.6g})"
+            )
         x *= ratio
         ceiling = 1e4 * (1.0 + _first_root_scale(nodes, seed))
     return _split_gaps(nodes, prober)

@@ -160,6 +160,9 @@ class Weight:
             if len(piece) == 3:
                 c0, c1, c2 = piece
                 return lambda r: c0 + r * (c1 + r * c2)
+            if len(piece) == 4:
+                c0, c1, c2, c3 = piece
+                return lambda r: c0 + r * (c1 + r * (c2 + r * c3))
             return lambda r: _poly_eval(piece, r)
         return self.eval_scalar
 
@@ -188,9 +191,6 @@ class Weight:
     def positive_measure(self) -> float:
         return sum(b - a for a, b in self.positive_intervals)
 
-    def negative_measure(self) -> float:
-        return sum(b - a for a, b in self.negative_intervals)
-
     def in_M(self, n_samples: int = 10_000) -> bool:
         """Admissibility: meas{r : m(r) > 0} > 0, checked by sampling."""
         rs = np.linspace(0.0, 1.0, n_samples)
@@ -199,10 +199,6 @@ class Weight:
     def min_on(self, a: float, b: float, n_samples: int = 4096) -> float:
         rs = np.linspace(a, b, n_samples)
         return float(np.min(self(rs)))
-
-    def max_abs(self, n_samples: int = 4096) -> float:
-        rs = np.linspace(0.0, 1.0, n_samples)
-        return float(np.max(np.abs(self(rs))))
 
     def fingerprint(self) -> str:
         hasher = hashlib.sha256()

@@ -57,6 +57,18 @@ def test_eig_negative_sequence_absent_exit_2(tmp_path, capsys):
     assert "negative sequence absent" in capsys.readouterr().err
 
 
+def test_eig_partial_names_scan_ceiling(tmp_path, capsys):
+    cfg_dict = json.loads(json.dumps(UNIT_EIG))
+    cfg_dict["problem"]["p"] = 5.0
+    cfg_dict["task"]["K"] = 6
+    cfg = write_cfg(tmp_path, cfg_dict)
+    out = str(tmp_path / "out")
+    assert cli.main(["eig", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "partial spectrum for nu=+: scan ceiling |mu| = " in err
+    assert "largest |mu| probed" in err and "budget" not in err
+
+
 def test_eig_golden_file_and_rayleigh_cross_check(tmp_path):
     out = str(tmp_path / "out")
     code = cli.main(

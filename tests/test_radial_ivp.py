@@ -1,11 +1,21 @@
+import gc
 import math
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from pspect.errors import PreconditionError
 from pspect.pfuncs import pi_p, sin_p
-from pspect.radial_ivp import Problem, origin_startup, shoot
+from pspect.radial_ivp import (
+    LinearRHS,
+    Problem,
+    _linear_system,
+    _system,
+    origin_startup,
+    shoot,
+)
 from pspect.weights import Weight
 
 from oracles import rk4_shot
@@ -174,3 +184,94 @@ def test_trajectory_uprime_consistency():
     rs = np.linspace(0.1, 0.9, 17)
     up = traj.uprime(rs)
     assert np.max(np.abs(up + 2 * np.sin(2 * rs))) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# fused linear right-hand side: same bits as the generic closure
+
+FUSED_WEIGHTS = {
+    "constant": Weight.constant(0.7),
+    "linear": M_LIN,
+    "quadratic": Weight.poly([0.5, 1.0, -3.0]),
+    "cubic": Weight.poly([0.86, -0.18, 0.10, -0.94]),
+    "quartic": Weight.poly([1.0, -0.5, -2.0, 0.3, 0.2]),
+    "piecewise": Weight.from_function(lambda r: math.cos(3 * math.pi * r), n_pieces=16),
+}
+
+
+@dataclass(frozen=True)
+class _GenericLinearRHS:
+    """LinearRHS under another type, so that shoot takes the generic path."""
+
+    mu: float
+
+    def make(self, p, m_eval):
+        return LinearRHS(self.mu).make(p, m_eval)
+
+
+def _bits(values):
+    return tuple(float(x).hex() for x in values)
+
+
+@pytest.mark.parametrize("weight", sorted(FUSED_WEIGHTS))
+@pytest.mark.parametrize("n_dim", [1, 2, 3, 5])
+@pytest.mark.parametrize("p", [1.2, 2.0, 2.5, 6.0])
+def test_fused_linear_rhs_matches_generic(p, n_dim, weight):
+    m = FUSED_WEIGHTS[weight]
+    for mu in (37.5, -0.3):
+        fused = _linear_system(p, n_dim, mu, m.scalar_fn())
+        generic = _system(p, n_dim, LinearRHS(mu).make(p, m.scalar_fn()))
+        for r in (1e-6, 0.013, 0.31, 0.5, 0.77, 1.0):
+            for u in (0.83, -2.9e-3, 0.0):
+                for v in (1.7, -4.1e-5, 0.0):
+                    assert _bits(fused(r, u, v)) == _bits(generic(r, u, v)), (r, u, v)
+
+
+@pytest.mark.parametrize(
+    "p,n_dim,weight,mu",
+    [
+        (2.0, 1, "constant", 120.0),
+        (1.2, 2, "linear", 90.0),
+        (2.5, 3, "cubic", 400.0),
+        (6.0, 5, "quartic", 3.0e4),
+        (2.5, 2, "piecewise", -250.0),
+        (3.0, 1, "quadratic", 60.0),
+    ],
+)
+def test_fused_shoot_matches_generic(p, n_dim, weight, mu):
+    m = FUSED_WEIGHTS[weight]
+    fused = shoot(Problem.linear(p, n_dim, m, mu), 1.0)
+    generic = shoot(Problem(p, n_dim, m, _GenericLinearRHS(mu)), 1.0)
+    assert np.array_equal(fused.r, generic.r)
+    assert np.array_equal(fused.u, generic.u)
+    assert np.array_equal(fused.v, generic.v)
+    assert fused.terminal == generic.terminal
+    assert [z.r for z in fused.zeros] == [z.r for z in generic.zeros]
+    assert fused.blowup_radius == generic.blowup_radius
+
+
+def test_discarded_shots_release_their_dense_output():
+    # scipy's brentq wrapper refers to itself through a closure cell; a
+    # shot must not leave its dense output reachable from such a cycle,
+    # or it lives until the cyclic collector runs
+    prob = Problem.linear(2.0, 1, M1, (9 * math.pi / 2) ** 2)  # 4 interior zeros
+    kw = dict(rtol=1e-6, atol=1e-8, n_samples=65)  # fewer steps: tracing is slow
+    assert shoot(prob, 1.0, **kw).interior_zero_count() == 4
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept = shoot(prob, 1.0, **kw)
+        one_shot = tracemalloc.get_traced_memory()[0] - base
+        del kept
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            shoot(prob, 1.0, **kw)
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert grown < 2 * one_shot, (grown, one_shot)

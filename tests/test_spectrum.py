@@ -170,6 +170,24 @@ def test_budget_exhaustion_reports_partial():
     assert "budget" in res.message or len(res.eigenpairs) < 6
 
 
+def test_budget_stop_named_in_message():
+    res = find_eigenvalues(eig_problem(2.0, 1, M_LIN), 6, "+", budget=30)
+    assert not res.complete
+    assert res.message.startswith("scan budget of 30 probes exhausted")
+    assert "ceiling" not in res.message
+
+
+def test_scan_ceiling_stop_named_in_message():
+    # m = 1, N = 1, p = 5: the scan passes its ceiling 1e4 (1 + seed)
+    # long before mu_6 (about 9e5), with the probe budget barely touched
+    res = find_eigenvalues(eig_problem(5.0, 1, M1), 6, "+")
+    assert not res.complete
+    assert res.probes_used < 100
+    assert res.message.startswith("scan ceiling |mu| = ")
+    assert "largest |mu| probed" in res.message
+    assert "budget" not in res.message
+
+
 # ---------------------------------------------------------------------------
 # Rayleigh quotient oracle
 

@@ -97,12 +97,16 @@ def test_fingerprint_deterministic_and_distinct():
 
 
 def test_scalar_fn_matches_eval():
+    # the specialised evaluators run Horner in _poly_eval's order: same bits
     for m in (
         Weight.constant(0.7),
         Weight.poly([1.0, -2.0]),
+        Weight.poly([0.5, 1.0, -3.0]),
         Weight.poly([0.3, 0.0, 2.0, -1.0]),
+        Weight.poly([0.86, -0.18, 0.10, -0.94]),
+        Weight.poly([1.0, -0.5, -2.0, 0.3, 0.2]),
         Weight.from_function(lambda r: math.cos(3 * math.pi * r), n_pieces=16),
     ):
         fn = m.scalar_fn()
         for r in np.linspace(0, 1, 37):
-            assert abs(fn(float(r)) - m.eval_scalar(float(r))) < 1e-15
+            assert fn(float(r)) == m.eval_scalar(float(r))
