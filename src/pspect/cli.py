@@ -1,7 +1,7 @@
 """Command-line front end.
 
     pspect eig|nodal|branch|verify|gp --config <path> [--out <dir>]
-           [--tol-rel <x>] [--threads <n>]
+           [--tol-rel <x>]
 
 A run is described by one JSON config file (schema below, strictly
 validated, unknown keys rejected).  CSV is the canonical output (17
@@ -11,8 +11,8 @@ polyline convenience.  Output files are written atomically (temp file
 plus rename) and repeated runs with the same config and version produce
 byte-identical bytes.
 
-Exit codes: 0 ok, 1 config error, 2 partial result, 3 verification
-failure.  PSPECT_THREADS mirrors --threads.
+Exit codes: 0 ok, 1 config or usage error, 2 partial result,
+3 verification failure.
 
 Config schema::
 
@@ -328,7 +328,7 @@ def _tols(cfg, tol_rel_override=None):
     return float(tol_rel), float(tol_abs)
 
 
-def cmd_eig(cfg, out_dir, tols, threads: int = 1) -> int:
+def cmd_eig(cfg, out_dir, tols) -> int:
     p, n_dim, m = _problem_bits(cfg)
     task = cfg["task"]
     K = int(task["K"])
@@ -336,41 +336,19 @@ def cmd_eig(cfg, out_dir, tols, threads: int = 1) -> int:
     profiles = task.get("profiles", True)
     cfg_hash = config_hash(cfg)
 
-    def run_one(nu):
-        return find_eigenvalues(
-            Problem.linear(p, n_dim, m, math.nan),
-            K,
-            nu,
-            tol_rel=tols[0],
-            tol_abs=tols[1],
-        )
-
-    # the sequences are independent pure computations; results are merged
-    # in config order, so the output does not depend on scheduling
-    results = {}
-    if threads > 1 and len(nus) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(threads, len(nus))) as pool:
-            futures = {nu: pool.submit(run_one, nu) for nu in nus}
-        for nu, fut in futures.items():
-            try:
-                results[nu] = fut.result()
-            except NegativeSequenceAbsent as exc:
-                results[nu] = exc
-    else:
-        for nu in nus:
-            try:
-                results[nu] = run_one(nu)
-            except NegativeSequenceAbsent as exc:
-                results[nu] = exc
-
     exit_code = EXIT_OK
     rows = []
     pairs = []
     for nu in nus:
-        res = results[nu]
-        if isinstance(res, NegativeSequenceAbsent):
+        try:
+            res = find_eigenvalues(
+                Problem.linear(p, n_dim, m, math.nan),
+                K,
+                nu,
+                tol_rel=tols[0],
+                tol_abs=tols[1],
+            )
+        except NegativeSequenceAbsent:
             print("negative sequence absent", file=sys.stderr)
             exit_code = EXIT_PARTIAL
             continue
@@ -707,12 +685,13 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
         sp.add_argument("--tol-rel", type=float, default=None)
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=int(os.environ.get("PSPECT_THREADS", "1")),
-        )
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # --help
+            raise
+        # argparse has printed its message; exit 2 would read "partial result"
+        return EXIT_CONFIG
 
     try:
         cfg = load_config(args.config)
@@ -729,8 +708,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        if args.command == "eig":
-            return cmd_eig(cfg, out_dir, tols, threads=max(1, args.threads))
         return _COMMANDS[args.command](cfg, out_dir, tols)
     except NegativeSequenceAbsent as exc:
         print(str(exc), file=sys.stderr)

@@ -46,9 +46,10 @@ from scipy.optimize import brentq
 from .errors import PreconditionError
 from .greens import apply_Gp
 from .pfuncs import _pval
-from .radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL, Problem, Trajectory, shoot
+from .radial_ivp import BOUNDARY_MARGIN, DEFAULT_ATOL, DEFAULT_RTOL, Problem
+from .radial_ivp import Trajectory, probe, shoot
 from .report import CheckReport
-from .spectrum import BOUNDARY_MARGIN, Spectrum, find_eigenvalues
+from .spectrum import Spectrum, find_eigenvalues
 from .weights import Weight
 
 BOUNDARY_TOL = 1e-9
@@ -224,23 +225,15 @@ def find_nodal(
     n_steps = int(math.ceil(math.log(alpha_max / alpha_min) / math.log(ratio)))
     alphas = sgn * alpha_min * ratio ** np.arange(n_steps + 1)
 
-    probes = []
-    for a in alphas:
-        traj = shoot(problem, float(a), rtol=rtol, atol=atol, n_samples=65)
-        if traj.blowup_radius is not None:
-            d = math.copysign(1e12, traj.last_u)
-            z = -1  # truncated count, not comparable
-        else:
-            d = traj.terminal_u
-            z = traj.interior_zero_count(BOUNDARY_MARGIN)
-        probes.append((float(a), d, z, traj.sup_u))
+    probes = [(a, probe(problem, a, rtol=rtol, atol=atol)) for a in map(float, alphas)]
 
     counts_seen = {}
-    for _, _, z, _ in probes:
+    for _, pr in probes:
+        z = -1 if pr.blowup else pr.z  # a truncated count is not comparable
         counts_seen[z] = counts_seen.get(z, 0) + 1
 
     # homogeneous degeneracy: a run of direct hits means every alpha solves
-    hits = [abs(d) <= HOMOGENEOUS_TOL * max(1.0, sup) for _, d, _, sup in probes]
+    hits = [abs(pr.d) <= HOMOGENEOUS_TOL * max(1.0, pr.sup_u) for _, pr in probes]
     degenerate = any(
         hits[i] and hits[i + 1] and hits[i + 2] for i in range(len(hits) - 2)
     )
@@ -254,8 +247,8 @@ def find_nodal(
             "(gamma is an eigenvalue of the homogeneous problem); returning the "
             "first amplitude with u(1) = 0"
         )
-        for a, d, z, sup in probes:
-            if abs(d) <= max(boundary_tol, 1e-12 * sup) and z == k - 1:
+        for a, pr in probes:
+            if abs(pr.d) <= max(boundary_tol, 1e-12 * pr.sup_u) and _in_class(pr, k):
                 traj = shoot(problem, a, rtol=rtol, atol=atol)
                 solution = _package_solution(
                     problem, traj, k, sigma, gamma, a, with_residual
@@ -265,20 +258,20 @@ def find_nodal(
     if solution is None:
         # a zero crosses the boundary exactly at the root, so a valid
         # bracket shows count k-1 on one side (k or k-2 on the other)
-        for (a1, d1, z1, s1), (a2, d2, z2, s2) in zip(probes, probes[1:]):
-            if (z1 != k - 1 and z2 != k - 1) or d1 * d2 >= 0:
+        for (a1, pr1), (a2, pr2) in zip(probes, probes[1:]):
+            if pr1.blowup or pr2.blowup:  # counts not comparable
                 continue
-            if z1 < 0 or z2 < 0:  # blow-up probe, counts not comparable
+            if (pr1.z != k - 1 and pr2.z != k - 1) or pr1.d * pr2.d >= 0:
                 continue
             root = brentq(
-                lambda a: _miss_alpha(problem, a, rtol, atol),
+                lambda a: probe(problem, float(a), rtol=rtol, atol=atol).d,
                 a1,
                 a2,
                 xtol=1e-15,
                 rtol=8.9e-16,
             )
             traj = shoot(problem, float(root), rtol=rtol, atol=atol)
-            z = traj.interior_zero_count(BOUNDARY_MARGIN)
+            z = traj.interior_zero_count()
             tol = max(boundary_tol, 1e-12 * traj.sup_u)
             if z == k - 1 and abs(traj.terminal_u) <= tol:
                 solution = _package_solution(
@@ -306,11 +299,9 @@ def find_nodal(
     )
 
 
-def _miss_alpha(problem, a, rtol, atol) -> float:
-    traj = shoot(problem, float(a), rtol=rtol, atol=atol, n_samples=65)
-    if traj.blowup_radius is not None:
-        return math.copysign(1e12, traj.last_u)
-    return traj.terminal_u
+def _in_class(pr, k) -> bool:
+    """The probe crossed all of [0, 1] with the k-class count of k - 1 zeros."""
+    return not pr.blowup and pr.z == k - 1
 
 
 def _package_solution(problem, traj, k, sigma, gamma, alpha, with_residual):
@@ -443,7 +434,7 @@ def trace_branch(
                 gamma=gamma_a,
                 alpha=float(a),
                 sup_norm=traj.sup_u,
-                zeros=traj.interior_zero_count(BOUNDARY_MARGIN),
+                zeros=traj.interior_zero_count(),
             )
         )
         gamma_prev = gamma_a
@@ -459,25 +450,20 @@ def _solve_gamma(p, N, m, f, alpha, gamma_center, k, width, boundary_tol,
     """Root of gamma -> u(1; gamma, alpha) near a warm-started center."""
 
     def miss(gamma):
-        prob = Problem.nonlinear(p, N, m, gamma, f)
-        traj = shoot(prob, alpha, rtol=rtol, atol=atol, n_samples=65)
-        if traj.blowup_radius is not None:
-            return math.copysign(1e12, traj.last_u), -1
-        return traj.terminal_u, traj.interior_zero_count(BOUNDARY_MARGIN)
+        return probe(Problem.nonlinear(p, N, m, gamma, f), alpha, rtol=rtol, atol=atol)
 
     w = width
     while w <= 0.9:
         lo = gamma_center - w * abs(gamma_center)
         hi = gamma_center + w * abs(gamma_center)
-        d_lo, z_lo = miss(lo)
-        d_hi, z_hi = miss(hi)
-        if d_lo * d_hi < 0 and (z_lo == k - 1 or z_hi == k - 1):
+        pr_lo, pr_hi = miss(lo), miss(hi)
+        if pr_lo.d * pr_hi.d < 0 and (_in_class(pr_lo, k) or _in_class(pr_hi, k)):
             root = brentq(
-                lambda g: miss(g)[0], lo, hi, xtol=1e-15, rtol=8.9e-16
+                lambda g: miss(g).d, lo, hi, xtol=1e-15, rtol=8.9e-16
             )
             prob = Problem.nonlinear(p, N, m, float(root), f)
             traj = shoot(prob, alpha, rtol=rtol, atol=atol)
-            z = traj.interior_zero_count(BOUNDARY_MARGIN)
+            z = traj.interior_zero_count()
             if abs(traj.terminal_u) > max(boundary_tol, 1e-12 * traj.sup_u):
                 return None
             if z != k - 1:
@@ -562,21 +548,15 @@ def verify_bifurcation_points(
 
 def _locate_perturbed_parameter(p, N, m, g, mu_k, k, alpha, rtol, atol):
     def miss(mu):
-        prob = Problem.perturbed(p, N, m, mu, g)
-        traj = shoot(prob, alpha, rtol=rtol, atol=atol, n_samples=65)
-        if traj.blowup_radius is not None:
-            return math.copysign(1e12, traj.last_u), -1
-        return traj.terminal_u, traj.interior_zero_count(BOUNDARY_MARGIN)
+        return probe(Problem.perturbed(p, N, m, mu, g), alpha, rtol=rtol, atol=atol)
 
     w = 0.05
     while w <= 0.45:
         lo, hi = mu_k - w * abs(mu_k), mu_k + w * abs(mu_k)
-        d_lo, z_lo = miss(lo)
-        d_hi, z_hi = miss(hi)
-        if d_lo * d_hi < 0 and (z_lo == k - 1 or z_hi == k - 1):
-            root = brentq(lambda x: miss(x)[0], lo, hi, xtol=1e-14, rtol=1e-13)
-            d_root, z_root = miss(root)
-            if z_root == k - 1:
+        pr_lo, pr_hi = miss(lo), miss(hi)
+        if pr_lo.d * pr_hi.d < 0 and (_in_class(pr_lo, k) or _in_class(pr_hi, k)):
+            root = brentq(lambda x: miss(x).d, lo, hi, xtol=1e-14, rtol=1e-13)
+            if _in_class(miss(root), k):
                 return float(root)
         w *= 2.0
     return None

@@ -33,11 +33,10 @@ degenerates at the extrema for p != 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import PchipInterpolator
 
 
 @dataclass(frozen=True)
@@ -143,57 +142,3 @@ def sin_p(x, p):
     if scalar:
         return float(val), float(der)
     return val, der
-
-
-_CONVENTION = (
-    "(phi_p(u'))' + (p-1) phi_p(u) = 0, u(0)=0, u'(0)=1; "
-    "first integral |u|^p + |u'|^p = 1"
-)
-
-
-@dataclass(frozen=True)
-class PTrigTable:
-    """Cached quarter-period samples of (x, sin_p, sin_p') plus pi_p.
-
-    Carries monotone (PCHIP) interpolants for bulk evaluation; the exact
-    inverse-beta path in :func:`sin_p` stays the reference.  Near the
-    quarter-period folds the function behaves like a fractional power
-    (exponent p/(p-1)), which caps polynomial interpolation accuracy
-    there; treat the table as a plotting/bulk cache, not an oracle.
-    """
-
-    p: float
-    pi_p: float
-    x: np.ndarray
-    sin_vals: np.ndarray
-    dsin_vals: np.ndarray
-    convention: str = _CONVENTION
-    _interp_s: PchipInterpolator = field(repr=False, default=None)
-    _interp_c: PchipInterpolator = field(repr=False, default=None)
-
-    @classmethod
-    def build(cls, p, n: int = 1025) -> "PTrigTable":
-        pv = _pval(p)
-        half = pi_p(pv)
-        xs = np.linspace(0.0, 0.5 * half, n)
-        u, du = _sinp_quarter_pair(xs, pv, 0.5 * half)
-        return cls(
-            p=pv,
-            pi_p=half,
-            x=xs,
-            sin_vals=u,
-            dsin_vals=du,
-            _interp_s=PchipInterpolator(xs, u),
-            _interp_c=PchipInterpolator(xs, du),
-        )
-
-    def __call__(self, x):
-        """Interpolated (value, derivative), extended to all of R by symmetry."""
-        half = self.pi_p
-        quarter = 0.5 * half
-        t = np.mod(np.asarray(x, dtype=float), 2.0 * half)
-        sgn = np.where(t < half, 1.0, -1.0)
-        t = np.where(t >= half, t - half, t)
-        dsgn = np.where(t > quarter, -1.0, 1.0)
-        tau = np.where(t > quarter, half - t, t)
-        return sgn * self._interp_s(tau), sgn * dsgn * self._interp_c(tau)

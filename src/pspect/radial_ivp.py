@@ -32,11 +32,15 @@ each zero is checked against the simplicity threshold
 |u'(r_z)| >= 1e-8 * max|u'| and the trajectory is flagged, not repaired,
 when a degenerate (u = u' = 0) point is met, since IVP uniqueness can
 fail there for p != 2.
+
+Searches consume a shot through :func:`probe`, which reduces it to the
+miss D = u(1) and the interior zero count Z and owns the one rule for a
+shot that blew up before r = 1.
 """
 
 from __future__ import annotations
 
-
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,6 +55,8 @@ DEFAULT_EPS = 1e-6
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 BLOWUP_LIMIT = 1e12
+BLOWUP_MISS = 1e12  # |D| reported for a shot that blew up, whatever the guard
+BOUNDARY_MARGIN = 1e-6  # zeros within this of r = 1 are not interior
 SIMPLICITY_FACTOR = 1e-8
 ZERO_XTOL = 1e-12
 TAIL_NOISE_FACTOR = 1e-7
@@ -217,12 +223,8 @@ class Trajectory:
             raise IntegrationError("shot blew up, no terminal value", self.blowup_radius)
         return self.terminal[0]
 
-    @property
-    def last_u(self) -> float:
-        return float(self.u[-1])
-
-    def interior_zero_count(self, boundary_margin: float = 1e-6) -> int:
-        return sum(1 for z in self.zeros if z.r < 1.0 - boundary_margin)
+    def interior_zero_count(self) -> int:
+        return sum(1 for z in self.zeros if z.r < 1.0 - BOUNDARY_MARGIN)
 
     def zeros_in(self, a: float, b: float) -> int:
         return sum(1 for z in self.zeros if a <= z.r <= b)
@@ -400,6 +402,30 @@ def shoot(
         sup_uprime=sup_up,
         dense=dense,
     )
+
+
+@dataclass(frozen=True)
+class Probe:
+    """The miss D = u(1) and interior zero count Z of one shot.
+
+    A shot that blew up reports d = +-BLOWUP_MISS, signed by u where it
+    stopped, and z counts the zeros of the traversed range only.
+    """
+
+    d: float
+    z: int
+    blowup: bool
+    sup_u: float
+
+
+def probe(problem: Problem, alpha: float, *, rtol: float, atol: float,
+          blowup_limit: float = BLOWUP_LIMIT) -> Probe:
+    """Shoot with u(0) = alpha and reduce the shot to a :class:`Probe`."""
+    traj = shoot(problem, alpha, rtol=rtol, atol=atol, n_samples=65,
+                 blowup_limit=blowup_limit)
+    blowup = traj.blowup_radius is not None
+    d = math.copysign(BLOWUP_MISS, traj.u[-1]) if blowup else traj.terminal_u
+    return Probe(d, traj.interior_zero_count(), blowup, traj.sup_u)
 
 
 def _locate_zeros(dense, ts, p, n_dim, sup_uprime, r_end):

@@ -3,7 +3,7 @@ import math
 import os
 
 import numpy as np
-
+import pytest
 
 from pspect import cli
 from pspect.radial_ivp import Problem
@@ -103,21 +103,6 @@ def test_eig_determinism_byte_identical(tmp_path):
     assert b1 == b2
 
 
-def test_eig_threaded_output_matches_sequential(tmp_path):
-    cfg_dict = {
-        "problem": {"p": 2.0, "N": 1, "weight": {"expr": "poly", "coeffs": [1.0, -2.0]}},
-        "task": {"kind": "eig", "K": 2, "nu": ["+", "-"], "profiles": False},
-    }
-    cfg = write_cfg(tmp_path, cfg_dict)
-    out1, out2 = str(tmp_path / "seq"), str(tmp_path / "par")
-    assert cli.main(["eig", "--config", cfg, "--out", out1, "--threads", "1"]) == 0
-    assert cli.main(["eig", "--config", cfg, "--out", out2, "--threads", "4"]) == 0
-    assert (
-        open(os.path.join(out1, "spectrum.csv"), "rb").read()
-        == open(os.path.join(out2, "spectrum.csv"), "rb").read()
-    )
-
-
 def test_eig_profiles_emitted(tmp_path):
     cfg_dict = json.loads(json.dumps(UNIT_EIG))
     cfg_dict["task"]["profiles"] = True
@@ -211,6 +196,22 @@ def test_malformed_weight_spec_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, cfg_dict)
     assert cli.main(["eig", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "problem.weight" in capsys.readouterr().err
+
+
+def test_usage_error_exits_1(tmp_path, capsys):
+    # argparse would exit 2, which the exit-code table reserves for a partial result
+    cfg = write_cfg(tmp_path, UNIT_EIG)
+    assert cli.main(["eig", "--config", cfg, "--threads", "2"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert cli.main(["eig"]) == 1
+    assert "--config" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eig", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_command_kind_mismatch_rejected(tmp_path, capsys):

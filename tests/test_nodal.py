@@ -112,6 +112,18 @@ def test_find_nodal_sign_changing_weight():
     assert search.solution.residual <= 1e-6
 
 
+def test_find_nodal_blown_up_probes_counted_as_minus_one():
+    # every amplitude probe passes the 1e12 guard on the negative stretch
+    # of 1 - 8r: each is tallied under -1, none is bracketed, and the
+    # diagnostic lists no comparable zero count
+    f = Nonlinearity.phi(2.0)
+    search = find_nodal(2.0, 1, Weight.poly([1.0, -8.0]), f, 3e4, 1, "+",
+                        with_residual=False)
+    assert search.counts_seen == {-1: 84}
+    assert not search.found
+    assert search.diagnostics[-1].endswith("interior zero counts seen: []")
+
+
 def test_find_nodal_preconditions():
     with pytest.raises(PreconditionError):
         find_nodal(2.0, 1, M1, F_REF, 0.0, 1, "+")

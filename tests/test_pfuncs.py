@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pspect.pfuncs import Exponent, PTrigTable, phi_p, phi_p_inv, pi_p, sin_p
+from pspect.pfuncs import Exponent, phi_p, phi_p_inv, pi_p, sin_p
 
 from oracles import arclength, pi_p_quadrature, sinp_ode_residual
 
@@ -116,33 +116,3 @@ def test_sin_p_substitution_solves_the_ode(p, k):
     v1, _ = sin_p(0.0, p)
     assert v1 == 0.0
     assert sinp_ode_residual(p, k) <= 1e-6
-
-
-def test_ptrig_table_invariants():
-    for p in (1.5, 3.0):
-        table = PTrigTable.build(p, n=257)
-        assert abs(table.pi_p - pi_p(p)) < 1e-15
-        ident = np.abs(table.sin_vals**p) + np.abs(table.dsin_vals**p)
-        assert np.max(np.abs(ident - 1.0)) < 1e-10
-        assert table.sin_vals[0] == 0.0 and table.dsin_vals[0] == 1.0
-        assert abs(table.sin_vals[-1] - 1.0) < 1e-14
-        assert abs(table.dsin_vals[-1]) < 1e-14
-        assert "u(0)=0" in table.convention and "|u|^p" in table.convention
-
-
-def test_ptrig_table_interpolation_matches_exact():
-    # polynomial interpolation saturates at the fractional-power folds, so
-    # the bound is split: tight away from the quarter-period folds, loose
-    # globally (the exact inverse-beta path is the oracle elsewhere)
-    p = 2.5
-    pip = pi_p(p)
-    table = PTrigTable.build(p, n=1025)
-    xs = np.linspace(-3.0, 3.0 * pip, 2000)
-    vt, dt = table(xs)
-    ve, de = sin_p(xs, p)
-    fold_dist = np.abs((xs - pip / 2.0) % pip)
-    fold_dist = np.minimum(fold_dist, pip - fold_dist)
-    away = fold_dist > 0.05
-    assert np.max(np.abs(vt - ve)) < 1e-6
-    assert np.max(np.abs((vt - ve)[away])) < 1e-8
-    assert np.max(np.abs((dt - de)[away])) < 1e-7

@@ -14,6 +14,7 @@ from pspect.radial_ivp import (
     _linear_system,
     _system,
     origin_startup,
+    probe,
     shoot,
 )
 from pspect.weights import Weight
@@ -176,6 +177,28 @@ def test_blowup_reported():
     assert traj.terminal is None
     with pytest.raises(Exception):
         traj.terminal_u
+
+
+def test_probe_blowup_rule():
+    # m = -1, p = 2: u = alpha cosh(sqrt(mu) r) passes the default guard
+    # at r ~ 0.897; the miss is 1e12 signed by u, the count covers [0, 0.897)
+    prob = Problem.linear(2.0, 1, Weight.constant(-1.0), 1e3)
+    assert shoot(prob, 1.0).blowup_radius == pytest.approx(0.897, abs=1e-3)
+    for alpha in (1.0, -1.0):
+        pr = probe(prob, alpha, rtol=1e-10, atol=1e-12)
+        assert pr.blowup
+        assert pr.d == math.copysign(1e12, alpha)
+        assert pr.z == 0
+        assert pr.sup_u >= 1e12
+
+
+def test_probe_matches_its_shot():
+    prob = Problem.linear(2.0, 1, M_LIN, 50.0)
+    traj = shoot(prob, 1.0, n_samples=65)
+    pr = probe(prob, 1.0, rtol=1e-10, atol=1e-12)
+    assert not pr.blowup
+    assert (pr.d, pr.z, pr.sup_u) == (traj.terminal_u, traj.interior_zero_count(),
+                                      traj.sup_u)
 
 
 def test_trajectory_uprime_consistency():

@@ -59,6 +59,26 @@ def test_miss_against_fixed_step_reference():
     assert z == zeros
 
 
+def test_miss_blowup_reports_signed_sentinel():
+    # m = -1, p = 2: u = cosh(sqrt(mu) r) passes the default 1e12 guard
+    # at r ~ 0.897, so the miss is the sentinel +1e12 and no zero was seen
+    d, z = miss_and_count(eig_problem(2.0, 1, Weight.constant(-1.0)), 1e3)
+    assert d == 1e12
+    assert z == 0
+
+
+def test_prober_keeps_truncated_count_of_blown_up_probe():
+    # the alpha = 1 probe passes the prober's 1e100 guard before the
+    # negative stretch (0.939, 1] is reached: the miss is +1e12 and the
+    # zero count over the traversed range (0) is kept, not replaced by -1
+    from pspect.spectrum import _Prober
+
+    m = Weight.poly([0.86, -0.18, 0.10, -0.94])
+    node = _Prober(eig_problem(2.5, 3, m), -1, 10).loose(1e7)
+    assert node.d == 1e12
+    assert node.z == 0
+
+
 def test_miss_requires_linear_rhs():
     from pspect.nodal import Nonlinearity
 
