@@ -9,6 +9,7 @@ from .errors import (
     NegativeSequenceAbsent,
     PreconditionError,
     PspectError,
+    SpectrumIncomplete,
 )
 from .greens import GpProfile, SourceTerm, apply_Gp, as_source, residual
 from .nodal import (

@@ -11,7 +11,8 @@ polyline convenience.  Output files are written atomically (temp file
 plus rename) and repeated runs with the same config and version produce
 byte-identical bytes.
 
-Exit codes: 0 ok, 1 config or usage error, 2 partial result,
+Exit codes: 0 ok, 1 config or usage error, 2 partial result (including
+an eigenvalue a command needs that its search did not validate),
 3 verification failure.
 
 Config schema::
@@ -55,14 +56,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NegativeSequenceAbsent, PreconditionError
+from .errors import ConfigError, PreconditionError, SpectrumIncomplete
 from .nodal import (
     Nonlinearity,
     Perturbation,
@@ -72,12 +72,11 @@ from .nodal import (
     verify_bifurcation_points,
 )
 from .greens import apply_Gp
-from .radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL, Problem
+from .radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL
 from .report import CheckReport
 from .spectrum import (
     compute_spectrum,
     crossing_index,
-    find_eigenvalues,
     verify_p_continuity,
     verify_sturm,
     verify_weight_monotonicity,
@@ -336,19 +335,13 @@ def cmd_eig(cfg, out_dir, tols) -> int:
     profiles = task.get("profiles", True)
     cfg_hash = config_hash(cfg)
 
+    spec = compute_spectrum(p, n_dim, m, K, nus, tol_rel=tols[0], tol_abs=tols[1])
     exit_code = EXIT_OK
     rows = []
     pairs = []
     for nu in nus:
-        try:
-            res = find_eigenvalues(
-                Problem.linear(p, n_dim, m, math.nan),
-                K,
-                nu,
-                tol_rel=tols[0],
-                tol_abs=tols[1],
-            )
-        except NegativeSequenceAbsent:
+        res = spec.results.get(nu)
+        if res is None:
             print("negative sequence absent", file=sys.stderr)
             exit_code = EXIT_PARTIAL
             continue
@@ -573,11 +566,12 @@ def _run_check(name, chk, p, n_dim, m, tols):
 
 def _check_spectrum_structure(p, n_dim, m, K, nus, kw):
     rep = CheckReport("spectrum_structure", True)
+    spec = compute_spectrum(p, n_dim, m, K, nus, **kw)
     for nu in nus:
-        if nu == "-" and not m.negated().in_M():
-            rep.add(f"nu=-: negative sequence absent (weight has no negative part)")
+        res = spec.results.get(nu)
+        if res is None:
+            rep.add("nu=-: negative sequence absent (weight has no negative part)")
             continue
-        res = find_eigenvalues(Problem.linear(p, n_dim, m, math.nan), K, nu, **kw)
         if not res.complete:
             rep.passed = False
             rep.add(f"nu={nu}: incomplete ({res.message})")
@@ -605,15 +599,12 @@ def _check_spectrum_structure(p, n_dim, m, K, nus, kw):
 
 def _check_crossing_index(p, n_dim, m, K, kw):
     rep = CheckReport("crossing_index", True)
-    nus = ["+"] + (["-"] if m.negated().in_M() else [])
-    spec = compute_spectrum(p, n_dim, m, K + 1, nus=tuple(nus), **kw)
-    for nu in nus:
-        vals = spec.values(nu)
+    spec = compute_spectrum(p, n_dim, m, K + 1, **kw)
+    for nu in spec.results:
+        vals = [spec.mu(k, nu) for k in range(1, K + 2)]
         prev = None
-        gaps = [0.5 * vals[0]]
-        for a, b in zip(vals, vals[1:]):
-            gaps.append(0.5 * (a + b))
-        for i, mu in enumerate(gaps[: K + 1]):
+        gaps = [0.5 * vals[0]] + [0.5 * (a + b) for a, b in zip(vals, vals[1:])]
+        for i, mu in enumerate(gaps):
             idx = crossing_index(spec, mu)
             want = 1 if i % 2 == 0 else -1
             ok = idx == want
@@ -629,11 +620,8 @@ def _check_crossing_index(p, n_dim, m, K, kw):
 
 def _check_nodal_intervals(p, n_dim, m, f, k, kw):
     rep = CheckReport("nodal_intervals", True)
-    nus = ["+"] + (["-"] if m.negated().in_M() else [])
-    spec = compute_spectrum(p, n_dim, m, k, nus=tuple(nus), **kw)
+    spec = compute_spectrum(p, n_dim, m, k, **kw)
     for iv in gamma_intervals(spec, f.f0, f.finf, k):
-        if iv.nu not in nus:
-            continue
         if iv.empty:
             rep.add(
                 f"nu={iv.nu} {iv.ordering}: ({iv.lo:.6g}, {iv.hi:.6g}) empty "
@@ -709,7 +697,7 @@ def main(argv=None) -> int:
 
     try:
         return _COMMANDS[args.command](cfg, out_dir, tols)
-    except NegativeSequenceAbsent as exc:
+    except SpectrumIncomplete as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARTIAL
     except PreconditionError as exc:

@@ -13,7 +13,12 @@ class PreconditionError(PspectError, ValueError):
     """A documented operation precondition was violated."""
 
 
-class NegativeSequenceAbsent(PreconditionError):
+class SpectrumIncomplete(PreconditionError):
+    """An eigenvalue a computation needs was not validated by its search
+    (CLI exit code 2); the message carries the search's stop reason."""
+
+
+class NegativeSequenceAbsent(SpectrumIncomplete):
     """Negative eigenvalue sequence requested but the weight has no negative part."""
 
 

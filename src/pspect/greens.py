@@ -110,7 +110,7 @@ class GpProfile:
         return float(self.u[0])
 
 
-def apply_Gp(p, N, h, *, n_out: int = 1025, tol: float = 1e-10) -> GpProfile:
+def apply_Gp(p, N, h, *, n_out: int = 1025) -> GpProfile:
     """Apply the solution operator to a source term.
 
     Returns the profile on a graded grid including r = 0 and r = 1, with

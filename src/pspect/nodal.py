@@ -49,7 +49,7 @@ from .pfuncs import _pval
 from .radial_ivp import BOUNDARY_MARGIN, DEFAULT_ATOL, DEFAULT_RTOL, Problem
 from .radial_ivp import Trajectory, probe, shoot
 from .report import CheckReport
-from .spectrum import Spectrum, find_eigenvalues
+from .spectrum import Spectrum, compute_spectrum
 from .weights import Weight
 
 BOUNDARY_TOL = 1e-9
@@ -284,9 +284,11 @@ def find_nodal(
             )
 
     if solution is None and not degenerate:
+        blown = counts_seen.get(-1, 0)
+        blown_note = f", {blown} blew up before r = 1" if blown else ""
         diagnostics.append(
             f"scanned alpha in [{alphas[0]:g}, {alphas[-1]:g}] "
-            f"({len(alphas)} shots); interior zero counts seen: "
+            f"({len(alphas)} shots{blown_note}); interior zero counts seen: "
             f"{sorted(c for c in counts_seen if c >= 0)}"
         )
 
@@ -397,12 +399,9 @@ def trace_branch(
     """
     f.validate(p)
     sgn = _sigma_sign(sigma)
-    if spectrum is not None:
-        mu_k = spectrum.mu(k, nu)
-    else:
-        mu_k = find_eigenvalues(
-            Problem.linear(p, N, m, math.nan), k, nu, tol_rel=rtol, tol_abs=atol
-        ).mu(k)
+    if spectrum is None:
+        spectrum = compute_spectrum(p, N, m, k, (nu,), tol_rel=rtol, tol_abs=atol)
+    mu_k = spectrum.mu(k, nu)
 
     a_min, a_max = float(alpha_range[0]), float(alpha_range[1])
     n_steps = int(math.ceil(math.log(a_max / a_min) / math.log(ratio)))
@@ -500,17 +499,15 @@ def verify_bifurcation_points(
     two sub-branches (alpha > 0 and alpha < 0) must both exist.
     """
     ks = list(ks)
-    K = max(ks)
     if spectrum is None:
-        from .spectrum import compute_spectrum
-
-        spectrum = compute_spectrum(p, N, m, K, nus=nus, tol_rel=rtol, tol_abs=atol)
+        spectrum = compute_spectrum(p, N, m, max(ks), nus, tol_rel=rtol, tol_abs=atol)
+    mus = {(k, nu): spectrum.mu(k, nu) for nu in nus for k in ks}
 
     rep = CheckReport("bifurcation_points", True)
     alphas = sorted(alphas, reverse=True)  # largest first, offsets must shrink
     for nu in nus:
         for k in ks:
-            mu_k = spectrum.mu(k, nu)
+            mu_k = mus[k, nu]
             for sgn, sub in ((1, "+"), (-1, "-")):
                 offsets = []
                 for a in alphas:
@@ -610,7 +607,7 @@ def gamma_intervals(spectrum: Spectrum, f0: float, finf: float, k: int,
         GammaInterval("+", mu_n_pos / finf, mu_k_pos / f0, "finf_first"),
         GammaInterval("+", mu_n_pos / f0, mu_k_pos / finf, "f0_first"),
     ]
-    if spectrum.negative:
+    if "-" in spectrum.results:
         mu_k_neg = spectrum.mu(k, "-")
         mu_n_neg = spectrum.mu(n, "-")
         out.append(GammaInterval("-", mu_k_neg / f0, mu_n_neg / finf, "finf_first"))

@@ -46,7 +46,7 @@ import numpy as np
 from scipy.linalg import solveh_banded
 from scipy.optimize import brentq
 
-from .errors import NegativeSequenceAbsent, PreconditionError
+from .errors import NegativeSequenceAbsent, PreconditionError, SpectrumIncomplete
 from .pfuncs import pi_p
 from .radial_ivp import BOUNDARY_MARGIN, DEFAULT_ATOL, DEFAULT_RTOL, LinearRHS
 from .radial_ivp import Problem, Trajectory, probe, shoot
@@ -55,7 +55,6 @@ from .weights import Weight
 
 SCAN_RTOL = 1e-7
 SCAN_ATOL = 1e-9
-BOUNDARY_TOL = 1e-9
 DEFAULT_BUDGET = 4000
 
 
@@ -91,8 +90,8 @@ class EigenResult:
         for ep in self.eigenpairs:
             if ep.k == k:
                 return ep.mu
-        raise KeyError(f"eigenvalue k={k} not in result (largest validated: "
-                       f"{self.eigenpairs[-1].k if self.eigenpairs else 0})")
+        reason = self.message or f"the search asked for {self.requested} eigenvalues"
+        raise SpectrumIncomplete(f"mu_{k}^{self.nu} not validated: {reason}")
 
 
 CAVEAT = (
@@ -100,41 +99,43 @@ CAVEAT = (
     "resolution; the problem's full spectrum claim is not machine-checkable"
 )
 
+NEGATIVE_ABSENT = "negative sequence absent: meas{m < 0} = 0 for this weight"
+
 
 @dataclass
 class Spectrum:
-    """Both eigenvalue lists for one (p, N, weight) instance."""
+    """The eigenvalue searches of one (p, N, weight) instance, by sign.
+
+    ``results`` holds the search of each requested sign the weight has;
+    a sign missing from it reads as an absent negative sequence.
+    """
 
     p: float
     N: int
-    weight_hash: str
-    positive: list = field(default_factory=list)
-    negative: list = field(default_factory=list)
-    caveat: str = CAVEAT
+    results: dict = field(default_factory=dict)  # nu -> EigenResult
 
-    def eigenpairs(self, nu: str) -> list:
-        return self.positive if nu == "+" else self.negative
+    def _result(self, nu: str) -> EigenResult:
+        if nu not in self.results:
+            if nu == "-":
+                raise NegativeSequenceAbsent(NEGATIVE_ABSENT)
+            raise SpectrumIncomplete(f"nu={nu} sequence not computed")
+        return self.results[nu]
 
     def values(self, nu: str) -> list:
-        return [ep.mu for ep in self.eigenpairs(nu)]
+        return self._result(nu).values
 
     def mu(self, k: int, nu: str) -> float:
-        for ep in self.eigenpairs(nu):
-            if ep.k == k:
-                return ep.mu
-        raise KeyError(f"mu_{k}^{nu} not computed")
+        return self._result(nu).mu(k)
 
 
 def compute_spectrum(p, N, m: Weight, K: int, nus=("+", "-"), **kw) -> Spectrum:
-    """Convenience wrapper: run find_eigenvalues for each requested sign."""
+    """Run find_eigenvalues for each requested sign the weight has."""
     prob = Problem.linear(p, N, m, math.nan)
-    spec = Spectrum(p=float(prob.p), N=prob.N, weight_hash=m.fingerprint())
+    spec = Spectrum(p=float(prob.p), N=prob.N)
     for nu in nus:
-        res = find_eigenvalues(prob, K, nu, **kw)
-        if nu == "+":
-            spec.positive = res.eigenpairs
-        else:
-            spec.negative = res.eigenpairs
+        if nu == "-" and not m.negated().in_M():
+            continue
+        spec.results[nu] = find_eigenvalues(prob, K, nu, **kw)
     return spec
 
 
@@ -235,7 +236,6 @@ def find_eigenvalues(
     *,
     tol_rel: float = DEFAULT_RTOL,
     tol_abs: float = DEFAULT_ATOL,
-    boundary_tol: float = BOUNDARY_TOL,
     budget: int = DEFAULT_BUDGET,
     scan_ratio: float = 1.8,
 ) -> EigenResult:
@@ -256,9 +256,7 @@ def find_eigenvalues(
     if not problem.m.in_M():
         raise PreconditionError("weight is not admissible: meas{m > 0} = 0")
     if nu == "-" and problem.m.negated().in_M() is False:
-        raise NegativeSequenceAbsent(
-            "negative sequence absent: meas{m < 0} = 0 for this weight"
-        )
+        raise NegativeSequenceAbsent(NEGATIVE_ABSENT)
 
     sgn = 1 if nu == "+" else -1
     prober = _Prober(problem, sgn, budget)
@@ -270,17 +268,13 @@ def find_eigenvalues(
 
     try:
         nodes = _scan(prober, K, _seed_scale(problem, sgn), scan_ratio)
-        _classify_brackets(
-            nodes, prober, found, K, tol_rel, tol_abs, boundary_tol
-        )
+        _classify_brackets(nodes, prober, found, K, tol_rel, tol_abs)
         # targeted refinement for any missing index
         while len([k for k in found if k <= K]) < K and rounds < 12:
             rounds += 1
             missing = [k for k in range(1, K + 1) if k not in found]
             nodes = _refine_for_missing(nodes, prober, missing[0], found)
-            _classify_brackets(
-                nodes, prober, found, K, tol_rel, tol_abs, boundary_tol
-            )
+            _classify_brackets(nodes, prober, found, K, tol_rel, tol_abs)
     except _ScanStopped as exc:
         complete = False
         stop = str(exc)
@@ -474,7 +468,7 @@ def _hunt_sign_bump(prober, a, b):
     return probes
 
 
-def _classify_brackets(nodes, prober, found, K, tol_rel, tol_abs, boundary_tol):
+def _classify_brackets(nodes, prober, found, K, tol_rel, tol_abs):
     """Polish every D sign change at tight tolerance and classify its index.
 
     The index comes from the bracket endpoints' zero counts: across a
@@ -493,6 +487,8 @@ def _classify_brackets(nodes, prober, found, K, tol_rel, tol_abs, boundary_tol):
             lambda x: prober.loose(x).d, a.x, b.x, xtol=1e-15, rtol=8.9e-16
         )
         x_root = _polish_root(prober, x_loose, a.x, b.x, tol_rel, tol_abs)
+        if x_root is None:
+            continue  # no tight bracket: the index stays unbracketed
         if any(abs(x_root - x_seen) <= 1e-9 * x_seen for x_seen, _ in found.values()):
             continue  # same root reached through a second bracket
         traj = prober._shoot(x_root, tol_rel, tol_abs, n_samples=513)
@@ -539,7 +535,11 @@ def _trim_tail_artifacts(traj: Trajectory, k: int):
 
 
 def _polish_root(prober, x0, lo, hi, tol_rel, tol_abs):
-    """Re-bracket the loose root at tight tolerance and solve to 1e-12 rel."""
+    """Re-bracket the loose root at tight tolerance and solve to 1e-12 rel.
+
+    None when no bracket changes sign at tight tolerance: the loose root
+    is never returned unpolished.
+    """
     w = max(1e-6 * x0, 1e-12)
     while w < 0.2 * x0:
         a, b = max(x0 - w, lo), min(x0 + w, hi)
@@ -562,7 +562,7 @@ def _polish_root(prober, x0, lo, hi, tol_rel, tol_abs):
             lambda x: prober.tight(x, tol_rel, tol_abs), lo, hi,
             xtol=1e-15, rtol=8.9e-16,
         )
-    return x0
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -821,17 +821,16 @@ def verify_weight_monotonicity(p, N, m1: Weight, m2: Weight, K: int,
         if not m.in_M():
             raise PreconditionError("both weights must lie in M(I)")
 
+    # m1 <= m2, so m1 has a negative part wherever m2 has one
+    s2 = compute_spectrum(p, N, m2, K, **kw)
+    s1 = compute_spectrum(p, N, m1, K, tuple(s2.results), **kw)
     rep = CheckReport("weight_monotonicity", True)
     for nu in ("+", "-"):
-        if nu == "-" and (
-            not m1.negated().in_M() or not m2.negated().in_M()
-        ):
+        if nu not in s2.results:
             rep.add("negative sequences skipped (a weight has no negative part)")
             continue
-        r1 = find_eigenvalues(Problem.linear(p, N, m1, math.nan), K, nu, **kw)
-        r2 = find_eigenvalues(Problem.linear(p, N, m2, math.nan), K, nu, **kw)
         for k in range(1, K + 1):
-            a, b = r1.mu(k), r2.mu(k)
+            a, b = s1.mu(k, nu), s2.mu(k, nu)
             gap = a - b
             ok = gap > margin
             rep.passed &= ok
@@ -922,12 +921,8 @@ def trace_eigenvalues_in_p(N, m: Weight, K: int, p_grid, nu: str, **kw) -> dict:
     previous value by the closed-form (m = 1) ratio, which is exact for
     the unit weight and an excellent first guess otherwise.
     """
-    curves = {k: [] for k in range(1, K + 1)}
     res0 = find_eigenvalues(Problem.linear(p_grid[0], N, m, math.nan), K, nu, **kw)
-    if not res0.complete:
-        raise RuntimeError("p-continuation failed at the first grid point")
-    for k in range(1, K + 1):
-        curves[k].append(res0.mu(k))
+    curves = {k: [res0.mu(k)] for k in range(1, K + 1)}
     for p_prev, p_cur in zip(p_grid, p_grid[1:]):
         for k in range(1, K + 1):
             ratio = closed_form_mu(p_cur, k) / closed_form_mu(p_prev, k)
@@ -953,14 +948,14 @@ def _continue_eigenvalue(problem, k, nu, mu_pred, *, tol_rel=DEFAULT_RTOL,
                 lambda x: prober.loose(x).d, a, b, xtol=1e-14, rtol=1e-12
             )
             x_root = _polish_root(prober, x_loose, a, b, tol_rel, tol_abs)
+            if x_root is None:
+                continue
             traj = prober._shoot(x_root, tol_rel, tol_abs, n_samples=129)
             if traj.interior_zero_count() == k - 1:
                 return sgn * x_root
     # fall back to a fresh scan
-    res = find_eigenvalues(
-        problem, k, nu, tol_rel=tol_rel, tol_abs=tol_abs, budget=budget
-    )
-    return res.mu(k)
+    return find_eigenvalues(problem, k, nu, tol_rel=tol_rel, tol_abs=tol_abs,
+                            budget=budget).mu(k)
 
 
 def verify_sturm(p, N, b1: Weight, b2: Weight, *, rtol=DEFAULT_RTOL,
@@ -980,8 +975,8 @@ def verify_sturm(p, N, b1: Weight, b2: Weight, *, rtol=DEFAULT_RTOL,
     return rep
 
 
-def verify_zero_proliferation(p, N, m: Weight, interval, multipliers,
-                              **kw) -> CheckReport:
+def verify_zero_proliferation(p, N, m: Weight, interval, multipliers, *,
+                              rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> CheckReport:
     """Zero counts on a positive-weight window grow without bound in t * m."""
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
@@ -995,8 +990,7 @@ def verify_zero_proliferation(p, N, m: Weight, interval, multipliers,
     counts = []
     for t in ts:
         traj = shoot(
-            Problem.linear(p, N, m, t), 1.0, n_samples=65,
-            rtol=kw.get("rtol", DEFAULT_RTOL), atol=kw.get("atol", DEFAULT_ATOL),
+            Problem.linear(p, N, m, t), 1.0, n_samples=65, rtol=rtol, atol=atol
         )
         if traj.blowup_radius is not None and traj.blowup_radius < b:
             raise PreconditionError(
@@ -1032,22 +1026,11 @@ def crossing_index(spectrum: Spectrum, mu: float, *, tol: float = 1e-8) -> int:
     mu_k^- > mu for mu < 0.  Errors out when mu sits within tol of an
     eigenvalue or beyond the validated range of the spectrum.
     """
-    if mu >= 0:
-        values = spectrum.values("+")
-        if not values or mu >= values[-1]:
-            raise PreconditionError(
-                "mu beyond the validated range of the positive sequence"
-            )
-        if any(abs(mu - v) <= tol * max(1.0, abs(v)) for v in values):
-            raise PreconditionError("mu too close to an eigenvalue")
-        beta = sum(1 for v in values if v < mu)
-    else:
-        values = spectrum.values("-")
-        if not values or mu <= values[-1]:
-            raise PreconditionError(
-                "mu beyond the validated range of the negative sequence"
-            )
-        if any(abs(mu - v) <= tol * max(1.0, abs(v)) for v in values):
-            raise PreconditionError("mu too close to an eigenvalue")
-        beta = sum(1 for v in values if v > mu)
+    sgn, nu, name = (1, "+", "positive") if mu >= 0 else (-1, "-", "negative")
+    values = spectrum.values(nu)
+    if not values or sgn * mu >= sgn * values[-1]:
+        raise PreconditionError(f"mu beyond the validated range of the {name} sequence")
+    if any(abs(mu - v) <= tol * max(1.0, abs(v)) for v in values):
+        raise PreconditionError("mu too close to an eigenvalue")
+    beta = sum(1 for v in values if sgn * v < sgn * mu)
     return 1 if beta % 2 == 0 else -1

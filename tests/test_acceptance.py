@@ -75,13 +75,7 @@ def spectra6():
 
 
 def as_spectrum(entry, p, n_dim, m):
-    return Spectrum(
-        p=p,
-        N=n_dim,
-        weight_hash=m.fingerprint(),
-        positive=entry["+"].eigenpairs,
-        negative=entry["-"].eigenpairs,
-    )
+    return Spectrum(p=p, N=n_dim, results=dict(entry))
 
 
 # ---------------------------------------------------------------------------

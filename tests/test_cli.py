@@ -242,6 +242,47 @@ def test_verify_sturm_violation_exit_3(tmp_path):
     assert "PRECONDITION VIOLATION" in report
 
 
+# 1 - 2r at p = 4.5, N = 1: the scan ceiling stops every search after 18
+# probes with no index validated
+PARTIAL_PROBLEM = {"p": 4.5, "N": 1, "weight": {"expr": "poly", "coeffs": [1.0, -2.0]}}
+RATIONAL_F = {"family": "rational", "f0": 1.0, "finf": 2.0, "q": 2.0}
+
+
+def test_branch_unvalidated_eigenvalue_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "problem": PARTIAL_PROBLEM,
+        "task": {"kind": "branch", "k": 6, "sigma": "+", "f": RATIONAL_F},
+    })
+    out = str(tmp_path / "out")
+    assert cli.main(["branch", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mu_6^+ not validated: scan ceiling |mu| = ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("check", [
+    {"check": "weight_monotonicity", "K": 6,
+     "weight2": {"expr": "poly", "coeffs": [1.0, -1.0]}},
+    {"check": "p_continuity", "p_grid": [4.5, 4.6], "K": 6},
+    {"check": "nodal_intervals", "f": RATIONAL_F, "k": 6},
+    {"check": "bifurcation_points", "g": {"c": 1.0, "delta": 1.0}, "ks": [6]},
+    {"check": "crossing_index", "K": 5},
+], ids=lambda chk: chk["check"])
+def test_verify_unvalidated_eigenvalue_reported(tmp_path, check):
+    sturm = {"check": "sturm", "b1": {"expr": "poly", "coeffs": [22.0]},
+             "b2": {"expr": "poly", "coeffs": [62.0]}}
+    cfg = write_cfg(tmp_path, {
+        "problem": PARTIAL_PROBLEM,
+        "task": {"kind": "verify", "checks": [sturm, check]},
+    })
+    out = str(tmp_path / "out")
+    assert cli.main(["verify", "--config", cfg, "--out", out]) == 3
+    lines = open(os.path.join(out, "report.txt")).read().splitlines()
+    assert any(line.endswith("] sturm_comparison") for line in lines)
+    assert lines[-1].startswith(f"[PRECONDITION VIOLATION] {check['check']}: mu_")
+    assert " not validated: scan ceiling |mu| = " in lines[-1]
+
+
 def test_verify_small_suite_passes(tmp_path):
     cfg = {
         "problem": {"p": 2.0, "N": 1, "weight": {"expr": "poly", "coeffs": [1.0, -2.0]}},

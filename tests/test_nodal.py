@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pspect.errors import PreconditionError
+from pspect.errors import PreconditionError, SpectrumIncomplete
 from pspect.nodal import (
     Nonlinearity,
     Perturbation,
@@ -122,6 +122,7 @@ def test_find_nodal_blown_up_probes_counted_as_minus_one():
     assert search.counts_seen == {-1: 84}
     assert not search.found
     assert search.diagnostics[-1].endswith("interior zero counts seen: []")
+    assert "(84 shots, 84 blew up before r = 1)" in search.diagnostics[-1]
 
 
 def test_find_nodal_preconditions():
@@ -294,5 +295,5 @@ def test_gamma_intervals_guards():
         gamma_intervals(spec, -1.0, 2.0, 1)
     with pytest.raises(PreconditionError):
         gamma_intervals(spec, 1.0, 2.0, 2, n=1)
-    with pytest.raises(KeyError):
+    with pytest.raises(SpectrumIncomplete):
         gamma_intervals(spec, 1.0, 2.0, 5)

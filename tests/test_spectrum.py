@@ -3,9 +3,11 @@ import math
 
 import pytest
 
-from pspect.errors import NegativeSequenceAbsent, PreconditionError
+from pspect.errors import NegativeSequenceAbsent, PreconditionError, SpectrumIncomplete
 from pspect.radial_ivp import Problem
 from pspect.spectrum import (
+    Spectrum,
+    _polish_root,
     closed_form_mu,
     compute_spectrum,
     crossing_index,
@@ -197,6 +199,34 @@ def test_budget_stop_named_in_message():
     assert "ceiling" not in res.message
 
 
+def test_spectrum_missing_index_raises_with_stop_reason():
+    res = find_eigenvalues(eig_problem(2.0, 1, M_LIN), 6, "+", budget=30)
+    spec = Spectrum(p=2.0, N=1, results={"+": res})
+    assert spec.mu(1, "+") == res.values[0]
+    with pytest.raises(SpectrumIncomplete) as err:
+        spec.mu(2, "+")
+    assert str(err.value).startswith(
+        "mu_2^+ not validated: scan budget of 30 probes exhausted"
+    )
+    with pytest.raises(SpectrumIncomplete):
+        res.mu(2)
+
+
+def test_compute_spectrum_skips_absent_negative_sequence():
+    spec = compute_spectrum(2.0, 1, M1, 1)
+    assert list(spec.results) == ["+"]
+    with pytest.raises(NegativeSequenceAbsent):
+        spec.mu(1, "-")
+
+
+def test_polish_root_without_tight_bracket_returns_none():
+    class NoSignChange:
+        def tight(self, x, rtol, atol):
+            return 1.0
+
+    assert _polish_root(NoSignChange(), 5.0, 4.0, 6.0, 1e-10, 1e-12) is None
+
+
 def test_scan_ceiling_stop_named_in_message():
     # m = 1, N = 1, p = 5: the scan passes its ceiling 1e4 (1 + seed)
     # long before mu_6 (about 9e5), with the probe budget barely touched
@@ -319,6 +349,12 @@ def test_zero_proliferation_single_multiplier_degenerate():
     rep = verify_zero_proliferation(2.0, 1, M_LIN, (0.1, 0.4), [50.0])
     assert rep.passed
     assert any("degenerate" in line for line in rep.lines)
+
+
+def test_zero_proliferation_rejects_unknown_keywords():
+    with pytest.raises(TypeError):
+        verify_zero_proliferation(2.0, 1, M1, [0.1, 0.9], [10, 100, 1000],
+                                  rtl=1e-3, atoll=5)
 
 
 def test_zero_proliferation_window_precondition():
