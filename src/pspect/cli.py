@@ -77,6 +77,7 @@ from .report import CheckReport
 from .spectrum import (
     compute_spectrum,
     crossing_index,
+    shared_shots,
     verify_p_continuity,
     verify_sturm,
     verify_weight_monotonicity,
@@ -116,16 +117,68 @@ def _weight_from(spec, path) -> Weight:
         _fail(path, str(exc))
 
 
-def _f_from(spec, p, path) -> Nonlinearity:
-    _require_keys(spec, {"family", "f0", "finf", "q"}, {"family"}, path)
-    family = spec["family"]
-    if family == "rational":
-        return Nonlinearity.rational(
-            p, spec.get("f0", 1.0), spec.get("finf", 2.0), spec.get("q", 2.0)
-        )
-    if family == "phi":
+def _f_from(spec, p) -> Nonlinearity:
+    if spec["family"] == "phi":
         return Nonlinearity.phi(p)
-    _fail(path, f"unknown nonlinearity family {family!r}")
+    return Nonlinearity.rational(
+        p, spec.get("f0", 1.0), spec.get("finf", 2.0), spec.get("q", 2.0)
+    )
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_index(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
+def _list_of(ok, length=None):
+    def check(x):
+        return (isinstance(x, list) and len(x) >= 1 and all(map(ok, x))
+                and (length is None or len(x) == length))
+
+    return check
+
+
+# what the commands convert with int() or float(), wherever the key is allowed
+_NUMBER = ("a number", _is_number)
+_NUMBERS = ("a non-empty list of numbers", _list_of(_is_number))
+_POSITIVE = ("a number > 0", lambda x: _is_number(x) and x > 0)
+_VALUE_TYPES = {
+    "K": ("an integer >= 1", _is_index),
+    "k": ("an integer >= 1", _is_index),
+    "ks": ("a non-empty list of integers >= 1", _list_of(_is_index)),
+    "window": ("a list of two numbers", _list_of(_is_number, 2)),
+    "p_grid": _NUMBERS,
+    "multipliers": _NUMBERS,
+    "alphas": _NUMBERS,
+    "alpha_min": _POSITIVE,  # the alpha grids are geometric
+    "alpha_max": _POSITIVE,
+    "ratio": ("a number > 1", lambda x: _is_number(x) and x > 1),
+    **dict.fromkeys(("gamma", "tol_rel", "tol_abs", "f0", "finf", "q", "c", "delta"),
+                    _NUMBER),
+}
+_WEIGHT_KEYS = ("weight2", "b1", "b2", "h")
+
+
+def _check_values(block, path):
+    for key, value in block.items():
+        where = f"{path}.{key}"
+        if key in _WEIGHT_KEYS:
+            _weight_from(value, where)
+        elif key == "f":
+            _require_keys(value, {"family", "f0", "finf", "q"}, {"family"}, where)
+            if value["family"] not in ("rational", "phi"):
+                _fail(where, f"unknown nonlinearity family {value['family']!r}")
+            _check_values(value, where)
+        elif key == "g":
+            _require_keys(value, {"c", "delta"}, set(), where)
+            _check_values(value, where)
+        elif key in _VALUE_TYPES:
+            what, ok = _VALUE_TYPES[key]
+            if not ok(value):
+                _fail(where, f"must be {what}")
 
 
 _TASK_KEYS = {
@@ -182,9 +235,9 @@ def validate_config(cfg: dict):
     )
     prob = cfg["problem"]
     _require_keys(prob, {"p", "N", "weight"}, {"p", "N", "weight"}, "problem")
-    if not (isinstance(prob["p"], (int, float)) and prob["p"] > 1):
+    if not (_is_number(prob["p"]) and prob["p"] > 1):
         _fail("problem.p", "must be a number > 1")
-    if not (isinstance(prob["N"], int) and prob["N"] >= 1):
+    if not _is_index(prob["N"]):
         _fail("problem.N", "must be an integer >= 1")
     _weight_from(prob["weight"], "problem.weight")
 
@@ -196,7 +249,10 @@ def validate_config(cfg: dict):
         _fail("task.kind", f"unknown kind {kind!r}")
     allowed, required = _TASK_KEYS[kind]
     _require_keys(task, allowed, required, "task")
+    _check_values(task, "task")
     if kind == "verify":
+        if not isinstance(task["checks"], list):
+            _fail("task.checks", "must be a list")
         for i, chk in enumerate(task["checks"]):
             if not isinstance(chk, dict) or "check" not in chk:
                 _fail(f"task.checks[{i}]", "must be an object with a 'check'")
@@ -205,9 +261,11 @@ def validate_config(cfg: dict):
                 _fail(f"task.checks[{i}].check", f"unknown check {name!r}")
             a, r = _CHECK_KEYS[name]
             _require_keys(chk, a, r, f"task.checks[{i}]")
+            _check_values(chk, f"task.checks[{i}]")
 
     if "tolerances" in cfg:
         _require_keys(cfg["tolerances"], {"tol_rel", "tol_abs"}, set(), "tolerances")
+        _check_values(cfg["tolerances"], "tolerances")
     if "output" in cfg:
         _require_keys(cfg["output"], {"dir"}, set(), "output")
 
@@ -379,7 +437,7 @@ def cmd_eig(cfg, out_dir, tols) -> int:
 def cmd_nodal(cfg, out_dir, tols) -> int:
     p, n_dim, m = _problem_bits(cfg)
     task = cfg["task"]
-    f = _f_from(task["f"], p, "task.f")
+    f = _f_from(task["f"], p)
     cfg_hash = config_hash(cfg)
     kw = {}
     if "alpha_min" in task:
@@ -429,7 +487,7 @@ def cmd_nodal(cfg, out_dir, tols) -> int:
 def cmd_branch(cfg, out_dir, tols) -> int:
     p, n_dim, m = _problem_bits(cfg)
     task = cfg["task"]
-    f = _f_from(task["f"], p, "task.f")
+    f = _f_from(task["f"], p)
     k = int(task["k"])
     sigma = task["sigma"]
     nu = task.get("nu", "+")
@@ -550,8 +608,7 @@ def _run_check(name, chk, p, n_dim, m, tols):
     if name == "crossing_index":
         return _check_crossing_index(p, n_dim, m, int(chk["K"]), kw)
     if name == "nodal_intervals":
-        f_spec = chk["f"]
-        f = _f_from(f_spec, p, "task.checks[].f")
+        f = _f_from(chk["f"], p)
         return _check_nodal_intervals(p, n_dim, m, f, int(chk["k"]), kw)
     if name == "bifurcation_points":
         g_spec = chk.get("g", {})
@@ -696,7 +753,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        return _COMMANDS[args.command](cfg, out_dir, tols)
+        with shared_shots():
+            return _COMMANDS[args.command](cfg, out_dir, tols)
     except SpectrumIncomplete as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARTIAL

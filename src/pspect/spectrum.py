@@ -40,6 +40,8 @@ and the degree crossing index.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,6 +168,27 @@ class _Node:
     z: int
 
 
+# axis (p, N, weight, sign) -> {(|mu|, rtol, atol): Probe}, inside shared_shots()
+_shared_probes: ContextVar = ContextVar("shared_probes", default=None)
+
+
+@contextmanager
+def shared_shots():
+    """Share (D, Z) probes among the eigenvalue searches run inside the block.
+
+    A search reuses every probe an earlier search of the block shot on
+    the same axis (p, N, weight, sign) at the same |mu| and tolerances.
+    Probes are deterministic, so each search returns what it returns
+    alone, charges its budget for every probe it asks for and reports
+    the same probe count.  The probes are dropped when the block ends.
+    """
+    token = _shared_probes.set({})
+    try:
+        yield
+    finally:
+        _shared_probes.reset(token)
+
+
 class _Prober:
     """Memoized (D, Z) probes along one sign axis at two tolerance levels.
 
@@ -173,6 +196,7 @@ class _Prober:
     through a long one-signed stretch the genuine amplitude can dwarf the
     general-purpose guard of :func:`shoot`; probes therefore run with the
     guard moved out of the way (1e100 keeps the flux far from overflow).
+    Outside :func:`shared_shots` the probe memo is private to the search.
     """
 
     BLOWUP = 1e100
@@ -184,6 +208,9 @@ class _Prober:
         self.count = 0
         self.cache_loose = {}
         self.cache_tight = {}
+        shared = _shared_probes.get()
+        axis = (problem.p, problem.N, problem.m, sgn)
+        self.probes = {} if shared is None else shared.setdefault(axis, {})
 
     def _at(self, x) -> Problem:
         """The problem at mu = sgn * x, charged to the probe budget."""
@@ -193,7 +220,13 @@ class _Prober:
         return self.problem.with_mu(self.sgn * x)
 
     def _probe(self, x, rtol, atol):
-        return probe(self._at(x), 1.0, rtol=rtol, atol=atol, blowup_limit=self.BLOWUP)
+        problem = self._at(x)
+        pr = self.probes.get((x, rtol, atol))
+        if pr is None:
+            pr = self.probes[x, rtol, atol] = probe(
+                problem, 1.0, rtol=rtol, atol=atol, blowup_limit=self.BLOWUP
+            )
+        return pr
 
     def _shoot(self, x, rtol, atol, n_samples):
         """The whole trajectory, for the eigenfunction at a root."""
@@ -960,18 +993,36 @@ def _continue_eigenvalue(problem, k, nu, mu_pred, *, tol_rel=DEFAULT_RTOL,
 
 def verify_sturm(p, N, b1: Weight, b2: Weight, *, rtol=DEFAULT_RTOL,
                  atol=DEFAULT_ATOL) -> CheckReport:
-    """Comparison: a strictly larger positive coefficient forces an extra zero."""
+    """Comparison: a strictly larger positive coefficient moves every zero inward.
+
+    u1 and u2 solve the radial equation with coefficients b1 and b2 and
+    u(0) = 1, u'(0) = 0.  From 0 < b1 < b2 the Sturm comparison theorem
+    gives that the i-th zero of u2 lies strictly before the i-th zero
+    of u1, so u2 has at least as many zeros in (0, 1).  It does not give
+    u2 an extra zero on the bounded interval [0, 1].
+    """
     rs = np.linspace(1e-4, 1.0 - 1e-4, 4096)
     v1, v2 = b1(rs), b2(rs)
     if np.any(v1 <= 0.0) or np.any(v2 <= v1):
         raise PreconditionError(
             "Sturm comparison requires 0 < b1(r) < b2(r) on (0, 1)"
         )
-    z1 = probe(Problem.linear(p, N, b1, 1.0), 1.0, rtol=rtol, atol=atol).z
-    z2 = probe(Problem.linear(p, N, b2, 1.0), 1.0, rtol=rtol, atol=atol).z
-    rep = CheckReport("sturm_comparison", z2 >= z1 + 1)
-    rep.add(f"zeros(u1) = {z1}, zeros(u2) = {z2}, need zeros(u2) >= zeros(u1) + 1")
-    rep.data.update(z1=z1, z2=z2)
+
+    def interior_zeros(b):
+        traj = shoot(Problem.linear(p, N, b, 1.0), 1.0, rtol=rtol, atol=atol,
+                     n_samples=65)
+        return [z.r for z in traj.zeros if z.r < 1.0 - BOUNDARY_MARGIN]
+
+    r1, r2 = interior_zeros(b1), interior_zeros(b2)
+    z1, z2 = len(r1), len(r2)
+    ahead = all(a2 < a1 for a1, a2 in zip(r1, r2))
+    rep = CheckReport("sturm_comparison", z2 >= z1 and ahead)
+    rep.add(
+        f"zeros(u1) = {z1}, zeros(u2) = {z2}, need zeros(u2) >= zeros(u1) "
+        f"and the i-th zero of u2 before the i-th zero of u1 for i <= {z1}: "
+        f"{'yes' if ahead else 'no'}"
+    )
+    rep.data.update(z1=z1, z2=z2, zeros1=tuple(r1), zeros2=tuple(r2))
     return rep
 
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from pspect import cli
+from pspect import cli, spectrum
 from pspect.radial_ivp import Problem
 from pspect.spectrum import rayleigh_mu1
 from pspect.weights import Weight
@@ -198,6 +198,46 @@ def test_malformed_weight_spec_rejected(tmp_path, capsys):
     assert "problem.weight" in capsys.readouterr().err
 
 
+VERIFY_LIN = {
+    "problem": {"p": 2.0, "N": 1, "weight": {"expr": "poly", "coeffs": [1.0, -2.0]}},
+    "task": {"kind": "verify", "checks": []},
+}
+
+
+MALFORMED_VALUES = [
+    (dict(VERIFY_LIN, task={"kind": "verify", "checks": [
+        {"check": "crossing_index", "K": "four"}]}), "task.checks[0].K"),
+    (dict(UNIT_EIG, task={"kind": "eig", "K": "six"}), "task.K"),
+    (dict(VERIFY_LIN, task={"kind": "verify", "checks": [
+        {"check": "p_continuity", "p_grid": "abc", "K": 2}]}), "task.checks[0].p_grid"),
+    (dict(UNIT_EIG, problem=dict(UNIT_EIG["problem"], N=True)), "problem.N"),
+    (dict(UNIT_EIG, tolerances={"tol_rel": "1e-8"}), "tolerances.tol_rel"),
+    (dict(VERIFY_LIN, task={"kind": "verify", "checks": [
+        {"check": "sturm", "b1": {"expr": "poly", "coeffs": ["x"]},
+         "b2": {"expr": "poly", "coeffs": [2.0]}}]}), "task.checks[0].b1"),
+    (dict(VERIFY_LIN, task={"kind": "verify", "checks": [
+        {"check": "bifurcation_points", "g": {"delta": "1"}, "ks": [1]}]}),
+     "task.checks[0].g.delta"),
+    (dict(VERIFY_LIN, task={"kind": "verify", "checks": [
+        {"check": "zero_proliferation", "window": [0.1], "multipliers": [1, 2]}]}),
+     "task.checks[0].window"),
+    (dict(UNIT_EIG, task={"kind": "gp", "h": "abc"}), "task.h"),
+    (dict(UNIT_EIG, task={"kind": "branch", "k": 1, "sigma": "+",
+                          "f": {"family": "phi"}, "ratio": 1.0}), "task.ratio"),
+]
+
+
+@pytest.mark.parametrize("cfg_dict, path", MALFORMED_VALUES,
+                         ids=[path for _, path in MALFORMED_VALUES])
+def test_malformed_config_value_rejected(tmp_path, capsys, cfg_dict, path):
+    cfg = write_cfg(tmp_path, cfg_dict)
+    command = cfg_dict["task"]["kind"]
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_1(tmp_path, capsys):
     # argparse would exit 2, which the exit-code table reserves for a partial result
     cfg = write_cfg(tmp_path, UNIT_EIG)
@@ -341,3 +381,26 @@ def test_nodal_none_found_exit_2(tmp_path):
     out = str(tmp_path / "out")
     assert cli.main(["nodal", "--config", path, "--out", out]) == 2
     assert os.path.exists(os.path.join(out, "nodal_report.txt"))
+
+
+def test_shared_shots_end_with_the_command(tmp_path, monkeypatch):
+    probes = []
+
+    def counting_probe(*args, **kw):
+        probes.append(kw["rtol"])
+        return probe(*args, **kw)
+
+    probe = spectrum.probe
+    monkeypatch.setattr(spectrum, "probe", counting_probe)
+    check = {"check": "spectrum_structure", "K": 2, "nu": ["+", "-"]}
+    counts = []
+    for checks in ([check], [check, check], [check, check]):
+        cfg = write_cfg(tmp_path, dict(VERIFY_LIN, task={"kind": "verify",
+                                                         "checks": checks}))
+        before = len(probes)
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        counts.append(len(probes) - before)
+    # the repeated check reuses every probe of the first; the next command
+    # starts with no probe from the last one
+    assert counts[0] > 0
+    assert counts == [counts[0]] * 3

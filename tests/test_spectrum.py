@@ -3,9 +3,11 @@ import math
 
 import pytest
 
+from pspect import spectrum
 from pspect.errors import NegativeSequenceAbsent, PreconditionError, SpectrumIncomplete
-from pspect.radial_ivp import Problem
+from pspect.radial_ivp import DEFAULT_RTOL, Problem
 from pspect.spectrum import (
+    SCAN_RTOL,
     Spectrum,
     _polish_root,
     closed_form_mu,
@@ -14,6 +16,7 @@ from pspect.spectrum import (
     find_eigenvalues,
     miss_and_count,
     rayleigh_mu1,
+    shared_shots,
     verify_p_continuity,
     verify_sturm,
     verify_weight_monotonicity,
@@ -239,6 +242,59 @@ def test_scan_ceiling_stop_named_in_message():
 
 
 # ---------------------------------------------------------------------------
+# probes shared among the searches of one block
+
+
+def summary(res):
+    return (res.values, [ep.zeros for ep in res.eigenpairs],
+            [ep.boundary_residual for ep in res.eigenpairs], res.probes_used,
+            res.complete, res.message)
+
+
+@pytest.mark.parametrize("nu", ["+", "-"])
+def test_shared_shots_leave_results_unchanged(nu):
+    prob = eig_problem(2.0, 1, M_LIN)
+    alone = find_eigenvalues(prob, 2, nu)
+    with shared_shots():
+        find_eigenvalues(prob, 3, nu)
+        shared = find_eigenvalues(prob, 2, nu)
+    assert summary(shared) == summary(alone)
+
+
+def test_shared_shots_repeat_search_shoots_no_probe(monkeypatch):
+    tols = []
+
+    def counting_probe(problem, alpha, **kw):
+        tols.append(kw["rtol"])
+        return probe(problem, alpha, **kw)
+
+    probe = spectrum.probe
+    monkeypatch.setattr(spectrum, "probe", counting_probe)
+    prob = eig_problem(2.0, 1, M_LIN)
+    alone = find_eigenvalues(prob, 2, "+")
+    once = len(tols)
+    assert SCAN_RTOL in tols and DEFAULT_RTOL in tols  # loose and tight probes
+    find_eigenvalues(prob, 2, "+")
+    assert len(tols) == 2 * once  # outside the block each search shoots its own
+    with shared_shots():
+        find_eigenvalues(prob, 3, "+")
+        before = len(tols)
+        res = find_eigenvalues(prob, 2, "+")
+    assert len(tols) == before
+    assert res.probes_used == alone.probes_used
+
+
+def test_shared_shots_keep_the_probe_budget():
+    prob = eig_problem(2.0, 1, M_LIN)
+    alone = find_eigenvalues(prob, 6, "+", budget=30)
+    with shared_shots():
+        find_eigenvalues(prob, 4, "+")
+        shared = find_eigenvalues(prob, 6, "+", budget=30)
+    assert shared.message.startswith("scan budget of 30 probes exhausted")
+    assert summary(shared) == summary(alone)
+
+
+# ---------------------------------------------------------------------------
 # Rayleigh quotient oracle
 
 
@@ -319,6 +375,18 @@ def test_sturm_small_coefficient_gains_first_zero():
                        Weight.constant(1.44 * lam1))
     assert rep.passed
     assert rep.data["z1"] == 0 and rep.data["z2"] >= 1
+
+
+@pytest.mark.parametrize("p, b1, b2", [(2.0, 1.0, 2.0), (3.0, 22.0, 62.0),
+                                       (4.5, 22.0, 62.0)])
+def test_sturm_comparison_without_extra_zero(p, b1, b2):
+    # cos r and cos(sqrt 2 r) have no zero in (0, 1); at p = 3 and 4.5 the
+    # shipped pair gives one zero each: the larger coefficient moves the
+    # zeros inward but adds none on [0, 1]
+    rep = verify_sturm(p, 1, Weight.constant(b1), Weight.constant(b2))
+    assert rep.passed
+    assert rep.data["z1"] == rep.data["z2"]
+    assert all(r2 < r1 for r1, r2 in zip(rep.data["zeros1"], rep.data["zeros2"]))
 
 
 def test_sturm_precondition_violation():
