@@ -11,7 +11,7 @@ from .errors import (
     PspectError,
     SpectrumIncomplete,
 )
-from .greens import GpProfile, SourceTerm, apply_Gp, as_source, residual
+from .greens import GpProfile, SourceTerm, apply_Gp, as_source
 from .nodal import (
     Branch,
     BranchPoint,
@@ -37,9 +37,6 @@ from .spectrum import (
     compute_spectrum,
     crossing_index,
     find_eigenvalues,
-    miss_and_count,
-    rayleigh_mu1,
-    trace_eigenvalues_in_p,
     verify_p_continuity,
     verify_sturm,
     verify_weight_monotonicity,

@@ -196,9 +196,7 @@ def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None):
 
     while t < t_end:
         if h < h_min:
-            raise IntegrationError(
-                f"step size underflow at r = {t:.6e}", last_r=t
-            )
+            raise IntegrationError(f"step size underflow at r = {t:.6e}")
         if t + h > t_end:
             h = t_end - t
 

@@ -38,6 +38,10 @@ Task blocks::
     gp:     {"kind": "gp", "h": <weight>}
     verify: {"kind": "verify", "checks": [<check>, ...]}
 
+A sign is "+" or "-".  "sigma" and the branch "nu" are one sign; every
+other "nu" is a non-empty list of distinct signs.  "profiles" is a
+boolean and "output.dir" a non-empty string.
+
 Check blocks (each uses the problem block unless stated)::
 
     {"check": "spectrum_structure", "K": 4, "nu": ["+", "-"]}
@@ -133,6 +137,10 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 1
 
 
+def _is_sign(x) -> bool:
+    return x in ("+", "-")
+
+
 def _list_of(ok, length=None):
     def check(x):
         return (isinstance(x, list) and len(x) >= 1 and all(map(ok, x))
@@ -145,6 +153,7 @@ def _list_of(ok, length=None):
 _NUMBER = ("a number", _is_number)
 _NUMBERS = ("a non-empty list of numbers", _list_of(_is_number))
 _POSITIVE = ("a number > 0", lambda x: _is_number(x) and x > 0)
+_SIGN = ("'+' or '-'", _is_sign)
 _VALUE_TYPES = {
     "K": ("an integer >= 1", _is_index),
     "k": ("an integer >= 1", _is_index),
@@ -156,13 +165,19 @@ _VALUE_TYPES = {
     "alpha_min": _POSITIVE,  # the alpha grids are geometric
     "alpha_max": _POSITIVE,
     "ratio": ("a number > 1", lambda x: _is_number(x) and x > 1),
+    "nu": ("a non-empty list of distinct signs '+', '-'",
+           lambda x: _list_of(_is_sign)(x) and len(set(x)) == len(x)),
+    "sigma": _SIGN,
+    "profiles": ("true or false", lambda x: isinstance(x, bool)),
+    "dir": ("a non-empty string", lambda x: isinstance(x, str) and x != ""),
     **dict.fromkeys(("gamma", "tol_rel", "tol_abs", "f0", "finf", "q", "c", "delta"),
                     _NUMBER),
 }
+_BRANCH_TYPES = {**_VALUE_TYPES, "nu": _SIGN}  # one branch follows one sequence
 _WEIGHT_KEYS = ("weight2", "b1", "b2", "h")
 
 
-def _check_values(block, path):
+def _check_values(block, path, types=_VALUE_TYPES):
     for key, value in block.items():
         where = f"{path}.{key}"
         if key in _WEIGHT_KEYS:
@@ -175,8 +190,8 @@ def _check_values(block, path):
         elif key == "g":
             _require_keys(value, {"c", "delta"}, set(), where)
             _check_values(value, where)
-        elif key in _VALUE_TYPES:
-            what, ok = _VALUE_TYPES[key]
+        elif key in types:
+            what, ok = types[key]
             if not ok(value):
                 _fail(where, f"must be {what}")
 
@@ -249,7 +264,7 @@ def validate_config(cfg: dict):
         _fail("task.kind", f"unknown kind {kind!r}")
     allowed, required = _TASK_KEYS[kind]
     _require_keys(task, allowed, required, "task")
-    _check_values(task, "task")
+    _check_values(task, "task", _BRANCH_TYPES if kind == "branch" else _VALUE_TYPES)
     if kind == "verify":
         if not isinstance(task["checks"], list):
             _fail("task.checks", "must be a list")
@@ -268,6 +283,7 @@ def validate_config(cfg: dict):
         _check_values(cfg["tolerances"], "tolerances")
     if "output" in cfg:
         _require_keys(cfg["output"], {"dir"}, set(), "output")
+        _check_values(cfg["output"], "output")
 
 
 def config_hash(cfg: dict) -> str:

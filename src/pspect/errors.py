@@ -23,8 +23,5 @@ class NegativeSequenceAbsent(SpectrumIncomplete):
 
 
 class IntegrationError(PspectError):
-    """The initial-value integrator failed to reach r = 1."""
-
-    def __init__(self, message, last_r=None):
-        super().__init__(message)
-        self.last_r = last_r
+    """The initial-value integrator failed to reach r = 1; the message
+    names the radius where it stopped."""

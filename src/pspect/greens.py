@@ -110,7 +110,7 @@ class GpProfile:
         return float(self.u[0])
 
 
-def apply_Gp(p, N, h, *, n_out: int = 1025) -> GpProfile:
+def apply_Gp(p, N, h) -> GpProfile:
     """Apply the solution operator to a source term.
 
     Returns the profile on a graded grid including r = 0 and r = 1, with
@@ -145,7 +145,7 @@ def apply_Gp(p, N, h, *, n_out: int = 1025) -> GpProfile:
         return np.sign(w) * np.abs(w) ** (pc - 1.0)
 
     kinks = _h_roots(H_spline, H_nodes, H_vals)
-    out_nodes = _outer_nodes(src.breakpoints, kinks, n_out)
+    out_nodes = _outer_nodes(src.breakpoints, kinks)
 
     seg = _composite_segments(g_of, out_nodes)
     seg2 = _composite_segments(g_of, _bisect_nodes(out_nodes))
@@ -217,8 +217,8 @@ def _h_roots(H_spline, nodes, vals):
     return tuple(sorted(set(roots)))
 
 
-def _outer_nodes(breakpoints, kinks, n_out):
-    nodes = [np.linspace(0.0, 1.0, n_out), np.asarray(breakpoints, float)]
+def _outer_nodes(breakpoints, kinks):
+    nodes = [np.linspace(0.0, 1.0, 1025), np.asarray(breakpoints, float)]
     # graded ladder into the origin (series zone and the t^{1-N} corner)
     nodes.append(SERIES_RADIUS * 2.0 ** -np.arange(0, 28, dtype=float))
     for z in kinks:
@@ -229,66 +229,3 @@ def _outer_nodes(breakpoints, kinks, n_out):
         nodes.append(np.array([z]))
     out = np.union1d(np.concatenate(nodes), np.array([0.0, 1.0]))
     return out[(out >= 0.0) & (out <= 1.0)]
-
-
-# ---------------------------------------------------------------------------
-# residual check
-
-
-def residual(p, N, h, u, uprime=None, *, n: int = 2001, edge_skip: int = 4) -> float:
-    """Sup-norm of (r^{N-1} phi_p(u'))' + r^{N-1} h over an interior grid.
-
-    The flux r^{N-1} phi_p(u') is assembled at the profile's own nodes
-    (it is smooth even where u' has half-power kinks), splined, resampled
-    on a uniform grid and differentiated with a five-point fourth-order
-    stencil; the first and last few points are excluded.
-    """
-    pv = _pval(p)
-    n_dim = int(N)
-    src = as_source(h)
-    r_nodes, up_nodes = _profile_derivative_nodes(u, uprime)
-
-    flux_nodes = r_nodes ** (n_dim - 1) * np.sign(up_nodes) * np.abs(up_nodes) ** (
-        pv - 1.0
-    )
-    flux_spline = CubicSpline(r_nodes, flux_nodes)
-
-    rs = np.linspace(float(r_nodes[0]), float(r_nodes[-1]), n)
-    dh = rs[1] - rs[0]
-    flux = flux_spline(rs)
-
-    i = np.arange(2, n - 2)
-    dflux = (-flux[i + 2] + 8 * flux[i + 1] - 8 * flux[i - 1] + flux[i - 2]) / (12 * dh)
-    res = dflux + rs[i] ** (n_dim - 1) * src(rs[i])
-    keep = slice(edge_skip, len(i) - edge_skip if edge_skip else None)
-    return float(np.max(np.abs(res[keep])))
-
-
-def _thin(r, v, min_gap: float = 1e-6):
-    """Drop nodes closer than min_gap (deep graded-ladder rungs destabilize splines)."""
-    keep = [0]
-    for i in range(1, len(r)):
-        if r[i] - r[keep[-1]] >= min_gap or i == len(r) - 1:
-            keep.append(i)
-    idx = np.asarray(keep)
-    return r[idx], v[idx]
-
-
-def _profile_derivative_nodes(u, uprime):
-    """Node set (r, u') to build the flux on."""
-    if isinstance(u, GpProfile):
-        return _thin(u.r, u.uprime)
-    if isinstance(u, tuple) and len(u) == 2 and not callable(u[0]):
-        r_s = np.asarray(u[0], float)
-        if uprime is not None:
-            return _thin(r_s, np.asarray(uprime, float) if not callable(uprime)
-                         else np.asarray(uprime(r_s), float))
-        spline = CubicSpline(r_s, np.asarray(u[1], float))
-        return _thin(r_s, spline.derivative()(r_s))
-    if callable(u):
-        rs = np.linspace(0.0, 1.0, 4097)
-        if uprime is not None:
-            return rs, np.asarray(uprime(rs), float)
-        spline = CubicSpline(rs, np.asarray(u(rs), float))
-        return rs, spline.derivative()(rs)
-    raise PreconditionError(f"cannot interpret profile of type {type(u)!r}")

@@ -107,8 +107,8 @@ class Nonlinearity:
 
         return cls(fn=fn, f0=1.0, finf=1.0, label=f"phi_p(p={pv:g})")
 
-    def validate(self, p, *, limit_rtol: float = 0.05):
-        """Numerical checks of sign condition and the two declared limits."""
+    def validate(self, p):
+        """Numerical checks of sign condition and the two declared limits (5 %)."""
         pv = _pval(p)
         for s in np.concatenate((-np.logspace(-6, 6, 25), np.logspace(-6, 6, 25))):
             if not self.fn(float(s)) * s > 0.0:
@@ -116,7 +116,7 @@ class Nonlinearity:
         for s_abs, target, name in ((1e-6, self.f0, "f0"), (1e6, self.finf, "finf")):
             for s in (s_abs, -s_abs):
                 ratio = self.fn(s) / math.copysign(abs(s) ** (pv - 1.0), s)
-                if abs(ratio - target) > limit_rtol * target:
+                if abs(ratio - target) > 0.05 * target:
                     raise PreconditionError(
                         f"declared {name} = {target:g} but f/phi_p = {ratio:g} "
                         f"at s = {s:g}"
@@ -205,13 +205,14 @@ def find_nodal(
     *,
     alpha_min: float = 1e-4,
     alpha_max: float = 1e4,
-    ratio: float = 1.25,
-    boundary_tol: float = BOUNDARY_TOL,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    with_residual: bool = True,
 ) -> NodalSearch:
-    """Search the amplitude axis of one sign for a k-class nodal solution."""
+    """Search the amplitude axis of one sign for a k-class nodal solution.
+
+    The amplitudes form a geometric grid of ratio 1.25 from alpha_min to
+    alpha_max; a solution carries its fixed-point residual.
+    """
     if gamma == 0.0:
         raise PreconditionError("gamma must be nonzero")
     if k < 1:
@@ -222,8 +223,8 @@ def find_nodal(
     sgn = _sigma_sign(sigma)
     problem = Problem.nonlinear(p, N, m, gamma, f)
 
-    n_steps = int(math.ceil(math.log(alpha_max / alpha_min) / math.log(ratio)))
-    alphas = sgn * alpha_min * ratio ** np.arange(n_steps + 1)
+    n_steps = int(math.ceil(math.log(alpha_max / alpha_min) / math.log(1.25)))
+    alphas = sgn * alpha_min * 1.25 ** np.arange(n_steps + 1)
 
     probes = [(a, probe(problem, a, rtol=rtol, atol=atol)) for a in map(float, alphas)]
 
@@ -248,11 +249,9 @@ def find_nodal(
             "first amplitude with u(1) = 0"
         )
         for a, pr in probes:
-            if abs(pr.d) <= max(boundary_tol, 1e-12 * pr.sup_u) and _in_class(pr, k):
+            if abs(pr.d) <= max(BOUNDARY_TOL, 1e-12 * pr.sup_u) and _in_class(pr, k):
                 traj = shoot(problem, a, rtol=rtol, atol=atol)
-                solution = _package_solution(
-                    problem, traj, k, sigma, gamma, a, with_residual
-                )
+                solution = _package_solution(problem, traj, k, sigma, gamma, a)
                 break
 
     if solution is None:
@@ -272,11 +271,9 @@ def find_nodal(
             )
             traj = shoot(problem, float(root), rtol=rtol, atol=atol)
             z = traj.interior_zero_count()
-            tol = max(boundary_tol, 1e-12 * traj.sup_u)
+            tol = max(BOUNDARY_TOL, 1e-12 * traj.sup_u)
             if z == k - 1 and abs(traj.terminal_u) <= tol:
-                solution = _package_solution(
-                    problem, traj, k, sigma, gamma, float(root), with_residual
-                )
+                solution = _package_solution(problem, traj, k, sigma, gamma, float(root))
                 break
             diagnostics.append(
                 f"bracket ({a1:g}, {a2:g}) converged to alpha={root:g} but "
@@ -306,15 +303,14 @@ def _in_class(pr, k) -> bool:
     return not pr.blowup and pr.z == k - 1
 
 
-def _package_solution(problem, traj, k, sigma, gamma, alpha, with_residual):
-    res = solution_residual(problem, traj) if with_residual else math.nan
+def _package_solution(problem, traj, k, sigma, gamma, alpha):
     return NodalSolution(
         k=k,
         sigma=sigma,
         gamma=gamma,
         alpha=alpha,
         trajectory=traj,
-        residual=res,
+        residual=solution_residual(problem, traj),
     )
 
 
@@ -385,8 +381,6 @@ def trace_branch(
     *,
     ratio: float = 1.25,
     spectrum: Spectrum | None = None,
-    bracket_width: float = 0.1,
-    boundary_tol: float = BOUNDARY_TOL,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> Branch:
@@ -412,10 +406,7 @@ def trace_branch(
     gamma_prev = mu_k / f.f0
 
     for a in alphas:
-        got = _solve_gamma(
-            p, N, m, f, float(a), gamma_prev, k, bracket_width,
-            boundary_tol, rtol, atol,
-        )
+        got = _solve_gamma(p, N, m, f, float(a), gamma_prev, k, rtol, atol)
         if got is None:
             branch.truncated = True
             branch.diagnostics.append(
@@ -444,14 +435,16 @@ def trace_branch(
     return branch
 
 
-def _solve_gamma(p, N, m, f, alpha, gamma_center, k, width, boundary_tol,
-                 rtol, atol):
-    """Root of gamma -> u(1; gamma, alpha) near a warm-started center."""
+def _solve_gamma(p, N, m, f, alpha, gamma_center, k, rtol, atol):
+    """Root of gamma -> u(1; gamma, alpha) near a warm-started center.
+
+    The bracket starts at +-10 % of the center and doubles up to 90 %.
+    """
 
     def miss(gamma):
         return probe(Problem.nonlinear(p, N, m, gamma, f), alpha, rtol=rtol, atol=atol)
 
-    w = width
+    w = 0.1
     while w <= 0.9:
         lo = gamma_center - w * abs(gamma_center)
         hi = gamma_center + w * abs(gamma_center)
@@ -463,7 +456,7 @@ def _solve_gamma(p, N, m, f, alpha, gamma_center, k, width, boundary_tol,
             prob = Problem.nonlinear(p, N, m, float(root), f)
             traj = shoot(prob, alpha, rtol=rtol, atol=atol)
             z = traj.interior_zero_count()
-            if abs(traj.terminal_u) > max(boundary_tol, 1e-12 * traj.sup_u):
+            if abs(traj.terminal_u) > max(BOUNDARY_TOL, 1e-12 * traj.sup_u):
                 return None
             if z != k - 1:
                 return float(root), traj, f"zero count changed to {z}"
@@ -485,7 +478,6 @@ def verify_bifurcation_points(
     nus=("+", "-"),
     *,
     alphas=(1e-1, 1e-2, 1e-3),
-    offset_rtol: float = 1e-2,
     spectrum: Spectrum | None = None,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
@@ -494,7 +486,7 @@ def verify_bifurcation_points(
 
     For each index, sign and amplitude the parameter solving
     u(1; mu, alpha) = 0 with the right zero count is located near
-    mu_k^nu; the offsets must be within offset_rtol * |mu_k^nu| at the
+    mu_k^nu; the offsets must be within 1e-2 * |mu_k^nu| at the
     smallest amplitude, shrink monotonically as alpha decreases, and the
     two sub-branches (alpha > 0 and alpha < 0) must both exist.
     """
@@ -525,7 +517,7 @@ def verify_bifurcation_points(
                     offsets.append(abs(mu_found - mu_k))
                 if offsets is None:
                     continue
-                within = offsets[-1] <= offset_rtol * abs(mu_k)
+                within = offsets[-1] <= 1e-2 * abs(mu_k)
                 # below the floor the offset is root-finder noise, not a
                 # bifurcation distance (the g = 0 case sits there entirely)
                 floor = 1e-8 * abs(mu_k)
@@ -537,7 +529,7 @@ def verify_bifurcation_points(
                     f"k={k} nu={nu} sub-branch {sub}: offsets "
                     + ", ".join(f"{o:.3e}" for o in offsets)
                     + f" (alpha = {', '.join(f'{a:g}' for a in alphas)});"
-                    + f" within {offset_rtol:g}|mu|: {within}, shrinking: {shrinking}"
+                    + f" within 0.01|mu|: {within}, shrinking: {shrinking}"
                 )
                 rep.data[(k, nu, sub)] = offsets
     return rep

@@ -220,7 +220,9 @@ class Trajectory:
     @property
     def terminal_u(self) -> float:
         if self.terminal is None:
-            raise IntegrationError("shot blew up, no terminal value", self.blowup_radius)
+            raise IntegrationError(
+                f"shot blew up at r = {self.blowup_radius:.6e}, no terminal value"
+            )
         return self.terminal[0]
 
     def interior_zero_count(self) -> int:

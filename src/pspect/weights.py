@@ -191,13 +191,14 @@ class Weight:
     def positive_measure(self) -> float:
         return sum(b - a for a, b in self.positive_intervals)
 
-    def in_M(self, n_samples: int = 10_000) -> bool:
-        """Admissibility: meas{r : m(r) > 0} > 0, checked by sampling."""
-        rs = np.linspace(0.0, 1.0, n_samples)
+    def in_M(self) -> bool:
+        """Admissibility: meas{r : m(r) > 0} > 0, checked on 10 000 samples."""
+        rs = np.linspace(0.0, 1.0, 10_000)
         return bool(np.any(self(rs) > 0.0))
 
-    def min_on(self, a: float, b: float, n_samples: int = 4096) -> float:
-        rs = np.linspace(a, b, n_samples)
+    def min_on(self, a: float, b: float) -> float:
+        """Minimum of m over 4096 samples of [a, b]."""
+        rs = np.linspace(a, b, 4096)
         return float(np.min(self(rs)))
 
     def fingerprint(self) -> str:

@@ -3,16 +3,26 @@
 Everything here deliberately avoids the library's own computational
 paths: quadrature by scipy.integrate.quad, reference trajectories by a
 fixed-step classical RK4 loop, closed forms assembled from first
-principles.  The library is compared against these, never the other way
-round.
+principles, the first eigenvalue by direct minimization of the Rayleigh
+quotient, and the residual of a profile by finite differences of its
+flux.  The library is compared against these, never the other way round.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
+from scipy.interpolate import CubicSpline
+from scipy.linalg import solveh_banded
+
+from pspect.errors import PreconditionError
+from pspect.greens import GpProfile, as_source
+from pspect.pfuncs import _pval
+from pspect.radial_ivp import Problem
+from pspect.weights import Weight
 
 
 # ---------------------------------------------------------------------------
@@ -136,3 +146,302 @@ def rk4_shot(p, N, m_eval, mu, alpha, n_steps: int = 40000, eps: float = 1e-6):
         us.append(u)
         rs.append(r)
     return np.asarray(rs), np.asarray(us), zeros
+
+
+# ---------------------------------------------------------------------------
+# Rayleigh quotient oracle
+
+
+@dataclass
+class RayleighResult:
+    value: float
+    converged: bool
+    grad_norm: float
+    iterations: int
+    r: np.ndarray = field(repr=False, default=None)
+    u: np.ndarray = field(repr=False, default=None)
+
+
+def rayleigh_mu1(
+    problem: Problem,
+    nu: str = "+",
+    *,
+    n_grid: int = 4096,
+    stall_tol: float = 1e-8,
+    max_iter: int = 500,
+) -> RayleighResult:
+    """First eigenvalue by direct minimization of the Rayleigh quotient.
+
+    Minimizes  int r^{N-1} |u'|^p  /  int r^{N-1} m |u|^p  over grid
+    functions with u(1) = 0 and positive weighted denominator, by descent
+    in an H^1-like metric (each step solves a tridiagonal system, the
+    p = 2 stiffness preconditioner) with amplitude renormalization and a
+    backtracking line search; stops when the quotient stalls.  Entirely
+    independent of the shooting machinery, as a cross-check must be.
+
+    nu='-' is the exact mirror: minus the value for the negated weight.
+
+    At p <= 1.3 the descent stops at ``max_iter`` with ``converged=False``
+    short of the minimum (relative error 7.1e-3 at p = 1.2 and 3.6e-4 at
+    p = 1.3 against the m = 1 closed form); at p = 1.5 it converges in
+    177 iterations.
+    """
+    if nu == "-":
+        res = rayleigh_mu1(
+            problem_with_weight(problem, problem.m.negated()),
+            "+",
+            n_grid=n_grid,
+            stall_tol=stall_tol,
+            max_iter=max_iter,
+        )
+        return RayleighResult(
+            value=-res.value,
+            converged=res.converged,
+            grad_norm=res.grad_norm,
+            iterations=res.iterations,
+            r=res.r,
+            u=res.u,
+        )
+    if not problem.m.in_M():
+        raise PreconditionError("weight has no positive part, mu_1^+ undefined")
+
+    p, n_dim = problem.p, problem.N
+    m = problem.m
+    M = n_grid
+    h = 1.0 / M
+    r_nodes = np.linspace(0.0, 1.0, M + 1)
+    r_mid = 0.5 * (r_nodes[:-1] + r_nodes[1:])
+
+    w_num = h * r_mid ** (n_dim - 1)  # one per difference d_i, i = 1..M
+    q = h * r_nodes ** (n_dim - 1)
+    q[0] *= 0.5
+    q = q[:M]  # nodes 0..M-1 (u_M = 0 fixed)
+    mv = m(r_nodes[:M])
+
+    qm = q * mv
+
+    def quotient(u):
+        d = np.diff(np.append(u, 0.0)) / h
+        num = float(np.dot(w_num, np.abs(d) ** p))
+        den = float(np.dot(qm, np.abs(u) ** p))
+        return num, den
+
+    def quotient_and_grad(u):
+        d = np.diff(np.append(u, 0.0)) / h
+        phid = np.sign(d) * np.abs(d) ** (p - 1.0)
+        num = float(np.dot(w_num, np.abs(d) ** p))
+        den = float(np.dot(qm, np.abs(u) ** p))
+        gnum = np.empty_like(u)
+        t = w_num * phid / h
+        gnum[0] = -p * t[0]
+        gnum[1:] = p * (t[:-1] - t[1:])
+        gden = p * qm * np.sign(u) * np.abs(u) ** (p - 1.0)
+        return num, den, gnum, gden
+
+    # p=2 stiffness in banded (upper) form for the descent metric:
+    # B[0,0] = c2[0], B[j,j] = c2[j-1] + c2[j], B[j-1,j] = -c2[j-1]
+    c2 = r_mid ** (n_dim - 1) / h
+    ab = np.zeros((2, M))
+    ab[1, 0] = c2[0]
+    ab[1, 1:] = c2[:-1] + c2[1:]
+    ab[0, 1:] = -c2[:-1]
+
+    def precondition(g):
+        return solveh_banded(ab, g)
+
+    starts = _rayleigh_starts(m, r_nodes[:M])
+    best = None
+    for u0 in starts:
+        res = _descend(
+            u0, quotient, quotient_and_grad, precondition, stall_tol,
+            max_iter, p,
+        )
+        if res is not None and (best is None or res[0] < best[0]):
+            best = res
+    if best is None:
+        raise PreconditionError(
+            "no admissible start vector (positive weighted denominator)"
+        )
+    value, u, grad_norm, iters, converged = best
+    return RayleighResult(
+        value=value,
+        converged=converged,
+        grad_norm=grad_norm,
+        iterations=iters,
+        r=r_nodes[:M],
+        u=u,
+    )
+
+
+def problem_with_weight(problem: Problem, m: Weight) -> Problem:
+    return Problem(problem.p, problem.N, m, problem.rhs)
+
+
+def _rayleigh_starts(m: Weight, r):
+    """One bump per positive island of the weight, plus the combined profile."""
+    starts = []
+    mv = np.asarray(m(r))
+    pos = np.maximum(mv, 0.0)
+    if pos.max() > 0:
+        combined = pos * (1.0 - r)
+        if combined.max() > 0:
+            starts.append(combined / combined.max())
+    for a, b in m.positive_intervals:
+        if b - a < 1e-6:
+            continue
+        bump = np.maximum(1.0 - np.abs((r - 0.5 * (a + b)) / (0.5 * (b - a))), 0.0)
+        bump *= 1.0 - r
+        if bump.max() > 0:
+            starts.append(bump / bump.max())
+    return starts
+
+
+def _descend(u0, quotient, quotient_and_grad, precondition, stall_tol,
+             max_iter, p):
+    u = u0.copy()
+    num, den = quotient(u)
+    if den <= 0:
+        return None
+    u = u / den ** (1.0 / p)  # amplitude renormalization: D(u) = 1
+    num, den, gnum, gden = quotient_and_grad(u)
+    rq = num / den
+    stalls = 0
+    grad_norm = math.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        grad = (gnum - rq * gden) / den
+        z = precondition(grad)
+        gz = float(np.dot(grad, z))
+        grad_norm = math.sqrt(abs(gz))
+        if gz <= 0:
+            break
+
+        def psi(t):
+            num2, den2 = quotient(u - t * z)
+            if den2 <= 0:
+                return 1e30
+            return num2 / den2
+
+        t_best, rq_try = _line_minimize(psi, rq)
+        if t_best is None or rq_try >= rq - 1e-16 * abs(rq):
+            break
+        u = u - t_best * z
+        _, den = quotient(u)
+        u = u / den ** (1.0 / p)
+        num, den, gnum, gden = quotient_and_grad(u)
+        rq_prev, rq = rq, num / den
+        if abs(rq_prev - rq) <= stall_tol * max(1.0, abs(rq)):
+            stalls += 1
+            if stalls >= 2:
+                break
+        else:
+            stalls = 0
+    converged = stalls >= 2
+    return rq, u, grad_norm, it, converged
+
+
+def _line_minimize(psi, psi0, t0: float = 1.0):
+    """Bracket and parabolically refine min psi(t) for t > 0."""
+    # expand or shrink to find t with psi(t) < psi0
+    t = t0
+    val = psi(t)
+    if val >= psi0:
+        for _ in range(50):
+            t *= 0.5
+            val = psi(t)
+            if val < psi0:
+                break
+        else:
+            return None, psi0
+    else:
+        while True:
+            t2 = 2.0 * t
+            val2 = psi(t2)
+            if val2 >= val:
+                break
+            t, val = t2, val2
+    # golden-section refinement on [0, 2t]
+    a, b = 0.0, 2.0 * t
+    inv_gr = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_gr * (b - a)
+    d = a + inv_gr * (b - a)
+    fc, fd = psi(c), psi(d)
+    for _ in range(40):
+        if b - a < 1e-3 * (1.0 + b):
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_gr * (b - a)
+            fc = psi(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_gr * (b - a)
+            fd = psi(d)
+    t_best = c if fc < fd else d
+    f_best = min(fc, fd)
+    if f_best < val:
+        return t_best, f_best
+    return t, val
+
+
+# ---------------------------------------------------------------------------
+# residual check
+
+
+def residual(p, N, h, u, uprime=None, *, n: int = 2001, edge_skip: int = 4) -> float:
+    """Sup-norm of (r^{N-1} phi_p(u'))' + r^{N-1} h over an interior grid.
+
+    The flux r^{N-1} phi_p(u') is assembled at the profile's own nodes
+    (it is smooth even where u' has half-power kinks), splined, resampled
+    on a uniform grid and differentiated with a five-point fourth-order
+    stencil; the first and last few points are excluded.
+    """
+    pv = _pval(p)
+    n_dim = int(N)
+    src = as_source(h)
+    r_nodes, up_nodes = _profile_derivative_nodes(u, uprime)
+
+    flux_nodes = r_nodes ** (n_dim - 1) * np.sign(up_nodes) * np.abs(up_nodes) ** (
+        pv - 1.0
+    )
+    flux_spline = CubicSpline(r_nodes, flux_nodes)
+
+    rs = np.linspace(float(r_nodes[0]), float(r_nodes[-1]), n)
+    dh = rs[1] - rs[0]
+    flux = flux_spline(rs)
+
+    i = np.arange(2, n - 2)
+    dflux = (-flux[i + 2] + 8 * flux[i + 1] - 8 * flux[i - 1] + flux[i - 2]) / (12 * dh)
+    res = dflux + rs[i] ** (n_dim - 1) * src(rs[i])
+    keep = slice(edge_skip, len(i) - edge_skip if edge_skip else None)
+    return float(np.max(np.abs(res[keep])))
+
+
+def _thin(r, v, min_gap: float = 1e-6):
+    """Drop nodes closer than min_gap (deep graded-ladder rungs destabilize splines)."""
+    keep = [0]
+    for i in range(1, len(r)):
+        if r[i] - r[keep[-1]] >= min_gap or i == len(r) - 1:
+            keep.append(i)
+    idx = np.asarray(keep)
+    return r[idx], v[idx]
+
+
+def _profile_derivative_nodes(u, uprime):
+    """Node set (r, u') to build the flux on."""
+    if isinstance(u, GpProfile):
+        return _thin(u.r, u.uprime)
+    if isinstance(u, tuple) and len(u) == 2 and not callable(u[0]):
+        r_s = np.asarray(u[0], float)
+        if uprime is not None:
+            return _thin(r_s, np.asarray(uprime, float) if not callable(uprime)
+                         else np.asarray(uprime(r_s), float))
+        spline = CubicSpline(r_s, np.asarray(u[1], float))
+        return _thin(r_s, spline.derivative()(r_s))
+    if callable(u):
+        rs = np.linspace(0.0, 1.0, 4097)
+        if uprime is not None:
+            return rs, np.asarray(uprime(rs), float)
+        spline = CubicSpline(rs, np.asarray(u(rs), float))
+        return rs, spline.derivative()(rs)
+    raise PreconditionError(f"cannot interpret profile of type {type(u)!r}")

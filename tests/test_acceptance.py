@@ -25,17 +25,16 @@ from pspect.radial_ivp import Problem
 from pspect.spectrum import (
     Spectrum,
     closed_form_mu,
+    compute_spectrum,
     crossing_index,
     find_eigenvalues,
-    rayleigh_mu1,
-    trace_eigenvalues_in_p,
     verify_sturm,
     verify_weight_monotonicity,
     verify_zero_proliferation,
 )
 from pspect.weights import Weight
 
-from oracles import lambda_k_closed, sinp_ode_residual
+from oracles import lambda_k_closed, rayleigh_mu1, sinp_ode_residual
 
 HERE = os.path.dirname(__file__)
 CONFIGS = os.path.join(HERE, "..", "configs")
@@ -172,15 +171,19 @@ def _p_grid(step):
     return [1.5 + step * i for i in range(n + 1)]
 
 
+def _p_curves(m, step):
+    """{k: [mu_k^+(p) for p on the grid]}, k <= 3, N = 1, one search per p."""
+    specs = [compute_spectrum(p, 1, m, 3, ("+",)) for p in _p_grid(step)]
+    return {k: [spec.mu(k, "+") for spec in specs] for k in (1, 2, 3)}
+
+
 @pytest.fixture(scope="module")
 def p_curves_cos():
-    coarse = trace_eigenvalues_in_p(1, M_COS, 3, _p_grid(0.05), "+")
-    fine = trace_eigenvalues_in_p(1, M_COS, 3, _p_grid(0.025), "+")
-    return coarse, fine
+    return _p_curves(M_COS, 0.05), _p_curves(M_COS, 0.025)
 
 
 def test_07_p_continuity_unit_weight_pointwise():
-    curves = trace_eigenvalues_in_p(1, M1, 3, _p_grid(0.05), "+")
+    curves = _p_curves(M1, 0.05)
     worst = 0.0
     for k in (1, 2, 3):
         for p, mu in zip(_p_grid(0.05), curves[k]):
@@ -349,7 +352,7 @@ def test_13_bifurcation_point_detection(spectra6):
     spec = as_spectrum(entry, 2.0, 1, M_LIN)
     rep = verify_bifurcation_points(
         2.0, 1, M_LIN, g, [1, 2], ("+", "-"),
-        alphas=(1e-1, 1e-2, 1e-3), offset_rtol=1e-2, spectrum=spec,
+        alphas=(1e-1, 1e-2, 1e-3), spectrum=spec,
     )
     verdict(13, "bifurcation points located within 1% of the eigenvalues",
             rep.passed)

@@ -7,8 +7,9 @@ import pytest
 
 from pspect import cli, spectrum
 from pspect.radial_ivp import Problem
-from pspect.spectrum import rayleigh_mu1
 from pspect.weights import Weight
+
+from oracles import rayleigh_mu1
 
 HERE = os.path.dirname(__file__)
 CONFIGS = os.path.join(HERE, "..", "configs")
@@ -204,6 +205,15 @@ VERIFY_LIN = {
 }
 
 
+def _eig_task(**kw):
+    return dict(UNIT_EIG, task=dict(UNIT_EIG["task"], **kw))
+
+
+def _branch_task(**kw):
+    return dict(UNIT_EIG, task=dict({"kind": "branch", "k": 1, "sigma": "+",
+                                     "f": {"family": "phi"}}, **kw))
+
+
 MALFORMED_VALUES = [
     (dict(VERIFY_LIN, task={"kind": "verify", "checks": [
         {"check": "crossing_index", "K": "four"}]}), "task.checks[0].K"),
@@ -222,13 +232,23 @@ MALFORMED_VALUES = [
         {"check": "zero_proliferation", "window": [0.1], "multipliers": [1, 2]}]}),
      "task.checks[0].window"),
     (dict(UNIT_EIG, task={"kind": "gp", "h": "abc"}), "task.h"),
-    (dict(UNIT_EIG, task={"kind": "branch", "k": 1, "sigma": "+",
-                          "f": {"family": "phi"}, "ratio": 1.0}), "task.ratio"),
+    (_branch_task(ratio=1.0), "task.ratio"),
+    # signs: a list of distinct signs where several sequences are searched,
+    # one sign where a command follows one sequence or one amplitude sign
+    (_eig_task(nu="+-"), "task.nu", "string"),
+    (_eig_task(nu=["+", "+"]), "task.nu", "repeated"),
+    (_eig_task(nu=[]), "task.nu", "empty"),
+    (dict(VERIFY_LIN, task={"kind": "verify", "checks": [
+        {"check": "spectrum_structure", "K": 2, "nu": ["x"]}]}), "task.checks[0].nu"),
+    (_branch_task(nu=["+"]), "task.nu", "branch-list"),
+    (_branch_task(sigma="x"), "task.sigma"),
+    (_eig_task(profiles="no"), "task.profiles"),
+    (dict(UNIT_EIG, output={"dir": 5}), "output.dir"),
 ]
 
 
-@pytest.mark.parametrize("cfg_dict, path", MALFORMED_VALUES,
-                         ids=[path for _, path in MALFORMED_VALUES])
+@pytest.mark.parametrize("cfg_dict, path", [case[:2] for case in MALFORMED_VALUES],
+                         ids=["=".join(case[1:]) for case in MALFORMED_VALUES])
 def test_malformed_config_value_rejected(tmp_path, capsys, cfg_dict, path):
     cfg = write_cfg(tmp_path, cfg_dict)
     command = cfg_dict["task"]["kind"]

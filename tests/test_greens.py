@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from pspect.greens import apply_Gp, as_source, residual
+from pspect.greens import apply_Gp, as_source
 from pspect.radial_ivp import Problem, shoot
 from pspect.spectrum import find_eigenvalues
 from pspect.weights import Weight
+
+from oracles import residual
 
 
 def test_laplace_closed_form():

@@ -117,8 +117,7 @@ def test_find_nodal_blown_up_probes_counted_as_minus_one():
     # of 1 - 8r: each is tallied under -1, none is bracketed, and the
     # diagnostic lists no comparable zero count
     f = Nonlinearity.phi(2.0)
-    search = find_nodal(2.0, 1, Weight.poly([1.0, -8.0]), f, 3e4, 1, "+",
-                        with_residual=False)
+    search = find_nodal(2.0, 1, Weight.poly([1.0, -8.0]), f, 3e4, 1, "+")
     assert search.counts_seen == {-1: 84}
     assert not search.found
     assert search.diagnostics[-1].endswith("interior zero counts seen: []")

@@ -5,17 +5,17 @@ import pytest
 
 from pspect import spectrum
 from pspect.errors import NegativeSequenceAbsent, PreconditionError, SpectrumIncomplete
-from pspect.radial_ivp import DEFAULT_RTOL, Problem
+from pspect.radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL, Problem, probe
 from pspect.spectrum import (
+    SCAN_ATOL,
     SCAN_RTOL,
     Spectrum,
     _polish_root,
+    _Prober,
     closed_form_mu,
     compute_spectrum,
     crossing_index,
     find_eigenvalues,
-    miss_and_count,
-    rayleigh_mu1,
     shared_shots,
     verify_p_continuity,
     verify_sturm,
@@ -24,7 +24,7 @@ from pspect.spectrum import (
 )
 from pspect.weights import Weight
 
-from oracles import lambda_k_closed, rk4_shot
+from oracles import lambda_k_closed, rayleigh_mu1, rk4_shot
 
 M1 = Weight.constant(1.0)
 M_LIN = Weight.poly([1.0, -2.0])
@@ -34,31 +34,37 @@ def eig_problem(p, n_dim, m):
     return Problem.linear(p, n_dim, m, math.nan)
 
 
+def miss(problem, mu, **kw):
+    """(D, Z) of the alpha = 1 shot at mu, at the default tolerances."""
+    pr = probe(problem.with_mu(mu), 1.0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, **kw)
+    return pr.d, pr.z
+
+
 # ---------------------------------------------------------------------------
 # miss function
 
 
 def test_miss_ground_state():
-    d, z = miss_and_count(eig_problem(2.0, 1, M1), (math.pi / 2) ** 2)
+    d, z = miss(eig_problem(2.0, 1, M1), (math.pi / 2) ** 2)
     assert abs(d) < 1e-9
     assert z == 0
 
 
 def test_miss_cos2r():
-    d, z = miss_and_count(eig_problem(2.0, 1, M1), 4.0)
+    d, z = miss(eig_problem(2.0, 1, M1), 4.0)
     assert abs(d - math.cos(2.0)) < 1e-9
     assert z == 1  # zero at pi/4 < 1
 
 
 def test_miss_mu_zero_trivial_shot():
-    d, z = miss_and_count(eig_problem(2.0, 1, M1), 0.0)
+    d, z = miss(eig_problem(2.0, 1, M1), 0.0)
     assert d == pytest.approx(1.0, abs=1e-12)
     assert z == 0
 
 
 def test_miss_against_fixed_step_reference():
     p, n_dim, mu = 2.5, 3, 50.0
-    d, z = miss_and_count(eig_problem(p, n_dim, M_LIN), mu)
+    d, z = miss(eig_problem(p, n_dim, M_LIN), mu)
     _, us, zeros = rk4_shot(p, n_dim, M_LIN.eval_scalar, mu, 1.0, n_steps=60000)
     assert abs(d - us[-1]) < 1e-7
     assert z == zeros
@@ -66,9 +72,12 @@ def test_miss_against_fixed_step_reference():
 
 def test_miss_blowup_reports_signed_sentinel():
     # m = -1, p = 2: u = cosh(sqrt(mu) r) passes the default 1e12 guard
-    # at r ~ 0.897, so the miss is the sentinel +1e12 and no zero was seen
-    d, z = miss_and_count(eig_problem(2.0, 1, Weight.constant(-1.0)), 1e3)
-    assert d == 1e12
+    # at r ~ 0.897, so the miss is the sentinel +1e12 and no zero was seen;
+    # under the searches' 1e100 guard the miss is u(1) = cosh(sqrt(1000))
+    prob = eig_problem(2.0, 1, Weight.constant(-1.0))
+    assert miss(prob, 1e3) == (1e12, 0)
+    d, z = miss(prob, 1e3, blowup_limit=_Prober.BLOWUP)
+    assert d == pytest.approx(math.cosh(math.sqrt(1e3)), rel=1e-8)
     assert z == 0
 
 
@@ -76,20 +85,23 @@ def test_prober_keeps_truncated_count_of_blown_up_probe():
     # the alpha = 1 probe passes the prober's 1e100 guard before the
     # negative stretch (0.939, 1] is reached: the miss is +1e12 and the
     # zero count over the traversed range (0) is kept, not replaced by -1
-    from pspect.spectrum import _Prober
-
     m = Weight.poly([0.86, -0.18, 0.10, -0.94])
     node = _Prober(eig_problem(2.5, 3, m), -1, 10).loose(1e7)
     assert node.d == 1e12
     assert node.z == 0
 
 
-def test_miss_requires_linear_rhs():
-    from pspect.nodal import Nonlinearity
-
-    prob = Problem.nonlinear(2.0, 1, M1, 1.0, Nonlinearity.phi(2.0))
-    with pytest.raises(PreconditionError):
-        miss_and_count(prob, 1.0)
+def test_prober_charges_a_repeated_probe_once():
+    # a search pays once per (|mu|, rtol, atol): asking again, or asking
+    # for the tight probe at the loose tolerances, costs nothing more
+    prober = _Prober(eig_problem(2.0, 1, M_LIN), 1, 3)
+    prober.loose(5.0)
+    prober.loose(5.0)
+    assert prober.tight(5.0, SCAN_RTOL, SCAN_ATOL) == prober.loose(5.0).d
+    assert prober.count == 1
+    prober.tight(5.0, DEFAULT_RTOL, DEFAULT_ATOL)
+    prober.tight(5.0, DEFAULT_RTOL, DEFAULT_ATOL)
+    assert prober.count == 2
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +455,17 @@ def test_p_continuity_unit_weight_matches_closed_form():
         for p, mu in zip(grid, curves[k]):
             want = closed_form_mu(p, k)
             assert abs(mu - want) <= 1e-6 * want
+
+
+def test_p_continuity_curves_are_the_spectra_at_each_p():
+    # the verify_default shape: every curve value is what compute_spectrum
+    # returns at that p, to the last bit
+    grid = [1.8, 1.9, 2.0, 2.1, 2.2]
+    curves = verify_p_continuity(1, M_LIN, 2, grid).data["curves_+"]
+    for i, p in enumerate(grid):
+        spec = compute_spectrum(p, 1, M_LIN, 2, ("+",))
+        for k in (1, 2):
+            assert curves[k][i] == spec.mu(k, "+")
 
 
 def test_p_continuity_single_point_grid():
