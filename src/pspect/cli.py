@@ -40,7 +40,11 @@ Task blocks::
 
 A sign is "+" or "-".  "sigma" and the branch "nu" are one sign; every
 other "nu" is a non-empty list of distinct signs.  "profiles" is a
-boolean and "output.dir" a non-empty string.
+boolean and "output.dir" a non-empty string.  Numbers are finite;
+"tol_rel", "tol_abs" and --tol-rel are > 0; "f" and "g" must be accepted
+by the library.  An optional key left out takes the library's default,
+except the eig "nu" (["+"]), "profiles" (true) and the
+spectrum_structure "nu" (["+", "-"]).
 
 Check blocks (each uses the problem block unless stated)::
 
@@ -60,6 +64,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -109,28 +114,38 @@ def _require_keys(obj, allowed, required, path):
     unknown = set(obj) - set(allowed)
     if unknown:
         _fail(path, f"unknown key(s) {sorted(unknown)}")
-    for key in required:
+    for key in sorted(required):  # a set: its order changes from run to run
         if key not in obj:
             _fail(path, f"missing required key '{key}'")
 
 
-def _weight_from(spec, path) -> Weight:
+def _built(make, path, *args, **kw):
+    """make(*args, **kw); what it rejects is a config error at path."""
     try:
-        return Weight.from_spec(spec)
-    except (ValueError, TypeError) as exc:
+        return make(*args, **kw)
+    except (ValueError, TypeError, OverflowError) as exc:  # incl. PreconditionError
         _fail(path, str(exc))
 
 
 def _f_from(spec, p) -> Nonlinearity:
     if spec["family"] == "phi":
         return Nonlinearity.phi(p)
-    return Nonlinearity.rational(
-        p, spec.get("f0", 1.0), spec.get("finf", 2.0), spec.get("q", 2.0)
-    )
+    return Nonlinearity.rational(p, **{k: v for k, v in spec.items() if k != "family"})
+
+
+def _given(block, *keys, **renamed):
+    """The keyword arguments a config block sets: keys by their own name,
+    renamed ones as library name = config key."""
+    names = {**{key: key for key in keys}, **renamed}
+    return {name: block[key] for name, key in names.items() if key in block}
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    # json.loads reads NaN, Infinity and integers too large for a float
+    try:
+        return not isinstance(x, bool) and math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _is_index(x) -> bool:
@@ -149,7 +164,7 @@ def _list_of(ok, length=None):
     return check
 
 
-# what the commands convert with int() or float(), wherever the key is allowed
+# the type of each value, wherever the key is allowed
 _NUMBER = ("a number", _is_number)
 _NUMBERS = ("a non-empty list of numbers", _list_of(_is_number))
 _POSITIVE = ("a number > 0", lambda x: _is_number(x) and x > 0)
@@ -164,68 +179,39 @@ _VALUE_TYPES = {
     "alphas": _NUMBERS,
     "alpha_min": _POSITIVE,  # the alpha grids are geometric
     "alpha_max": _POSITIVE,
+    "tol_rel": _POSITIVE,
+    "tol_abs": _POSITIVE,
     "ratio": ("a number > 1", lambda x: _is_number(x) and x > 1),
     "nu": ("a non-empty list of distinct signs '+', '-'",
            lambda x: _list_of(_is_sign)(x) and len(set(x)) == len(x)),
     "sigma": _SIGN,
     "profiles": ("true or false", lambda x: isinstance(x, bool)),
     "dir": ("a non-empty string", lambda x: isinstance(x, str) and x != ""),
-    **dict.fromkeys(("gamma", "tol_rel", "tol_abs", "f0", "finf", "q", "c", "delta"),
-                    _NUMBER),
+    **dict.fromkeys(("gamma", "f0", "finf", "q", "c", "delta"), _NUMBER),
 }
 _BRANCH_TYPES = {**_VALUE_TYPES, "nu": _SIGN}  # one branch follows one sequence
 _WEIGHT_KEYS = ("weight2", "b1", "b2", "h")
 
 
-def _check_values(block, path, types=_VALUE_TYPES):
+def _check_values(block, path, p, types=_VALUE_TYPES):
     for key, value in block.items():
         where = f"{path}.{key}"
         if key in _WEIGHT_KEYS:
-            _weight_from(value, where)
+            _built(Weight.from_spec, where, value)
         elif key == "f":
             _require_keys(value, {"family", "f0", "finf", "q"}, {"family"}, where)
             if value["family"] not in ("rational", "phi"):
                 _fail(where, f"unknown nonlinearity family {value['family']!r}")
-            _check_values(value, where)
+            _check_values(value, where, p)
+            _built(_f_from, where, value, p)
         elif key == "g":
             _require_keys(value, {"c", "delta"}, set(), where)
-            _check_values(value, where)
+            _check_values(value, where, p)
+            _built(Perturbation, where, p, **value)
         elif key in types:
             what, ok = types[key]
             if not ok(value):
                 _fail(where, f"must be {what}")
-
-
-_TASK_KEYS = {
-    "eig": ({"kind", "K", "nu", "profiles"}, {"K"}),
-    "nodal": (
-        {"kind", "gamma", "k", "sigma", "f", "alpha_min", "alpha_max"},
-        {"gamma", "k", "sigma", "f"},
-    ),
-    "branch": (
-        {"kind", "k", "sigma", "nu", "f", "alpha_min", "alpha_max", "ratio"},
-        {"k", "sigma", "f"},
-    ),
-    "gp": ({"kind", "h"}, {"h"}),
-    "verify": ({"kind", "checks"}, {"checks"}),
-}
-
-_CHECK_KEYS = {
-    "spectrum_structure": ({"check", "K", "nu"}, {"K"}),
-    "weight_monotonicity": ({"check", "weight2", "K"}, {"weight2", "K"}),
-    "p_continuity": ({"check", "p_grid", "K", "nu"}, {"p_grid", "K"}),
-    "sturm": ({"check", "b1", "b2"}, {"b1", "b2"}),
-    "zero_proliferation": (
-        {"check", "window", "multipliers"},
-        {"window", "multipliers"},
-    ),
-    "crossing_index": ({"check", "K"}, {"K"}),
-    "nodal_intervals": ({"check", "f", "k"}, {"f", "k"}),
-    "bifurcation_points": (
-        {"check", "g", "ks", "nu", "alphas"},
-        {"g", "ks"},
-    ),
-}
 
 
 def load_config(path: str) -> dict:
@@ -250,21 +236,22 @@ def validate_config(cfg: dict):
     )
     prob = cfg["problem"]
     _require_keys(prob, {"p", "N", "weight"}, {"p", "N", "weight"}, "problem")
-    if not (_is_number(prob["p"]) and prob["p"] > 1):
+    p = prob["p"]
+    if not (_is_number(p) and p > 1):
         _fail("problem.p", "must be a number > 1")
     if not _is_index(prob["N"]):
         _fail("problem.N", "must be an integer >= 1")
-    _weight_from(prob["weight"], "problem.weight")
+    _built(Weight.from_spec, "problem.weight", prob["weight"])
 
     task = cfg["task"]
     if not isinstance(task, dict) or "kind" not in task:
         _fail("task", "must be an object with a 'kind'")
     kind = task["kind"]
-    if kind not in _TASK_KEYS:
+    if kind not in _COMMANDS:
         _fail("task.kind", f"unknown kind {kind!r}")
-    allowed, required = _TASK_KEYS[kind]
-    _require_keys(task, allowed, required, "task")
-    _check_values(task, "task", _BRANCH_TYPES if kind == "branch" else _VALUE_TYPES)
+    allowed, required, _ = _COMMANDS[kind]
+    _require_keys(task, allowed | {"kind"}, required, "task")
+    _check_values(task, "task", p, _BRANCH_TYPES if kind == "branch" else _VALUE_TYPES)
     if kind == "verify":
         if not isinstance(task["checks"], list):
             _fail("task.checks", "must be a list")
@@ -272,23 +259,31 @@ def validate_config(cfg: dict):
             if not isinstance(chk, dict) or "check" not in chk:
                 _fail(f"task.checks[{i}]", "must be an object with a 'check'")
             name = chk["check"]
-            if name not in _CHECK_KEYS:
+            if name not in _CHECKS:
                 _fail(f"task.checks[{i}].check", f"unknown check {name!r}")
-            a, r = _CHECK_KEYS[name]
-            _require_keys(chk, a, r, f"task.checks[{i}]")
-            _check_values(chk, f"task.checks[{i}]")
+            allowed, required, _ = _CHECKS[name]
+            _require_keys(chk, allowed | {"check"}, required, f"task.checks[{i}]")
+            _check_values(chk, f"task.checks[{i}]", p)
 
-    if "tolerances" in cfg:
-        _require_keys(cfg["tolerances"], {"tol_rel", "tol_abs"}, set(), "tolerances")
-        _check_values(cfg["tolerances"], "tolerances")
-    if "output" in cfg:
-        _require_keys(cfg["output"], {"dir"}, set(), "output")
-        _check_values(cfg["output"], "output")
+    for block, keys in (("tolerances", {"tol_rel", "tol_abs"}), ("output", {"dir"})):
+        if block in cfg:
+            _require_keys(cfg[block], keys, set(), block)
+            _check_values(cfg[block], block, p)
 
 
 def config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
+
+
+def _tols(cfg, rtol=None) -> dict:
+    """The integrator tolerances: --tol-rel over the config over the defaults."""
+    given = cfg.get("tolerances", {})
+    if rtol is None:
+        rtol = given.get("tol_rel", DEFAULT_RTOL)
+    elif not _POSITIVE[1](rtol):
+        _fail("--tol-rel", f"must be {_POSITIVE[0]}")
+    return {"rtol": rtol, "atol": given.get("tol_abs", DEFAULT_ATOL)}
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +301,32 @@ def _atomic_write(path: str, text: str):
     os.replace(tmp, path)
 
 
-def _csv_header(task: str, cfg_hash: str, tols) -> list:
+def _header(cfg, kind, tols) -> list:
+    """The first lines of every output: version, config hash, tolerances."""
     return [
-        f"# pspect v{__version__} task={task}",
-        f"# config_sha256={cfg_hash}",
-        f"# tol_rel={_fmt(tols[0])} tol_abs={_fmt(tols[1])}",
+        f"pspect v{__version__} task={kind}",
+        f"config_sha256={config_hash(cfg)}",
+        f"tol_rel={_fmt(tols['rtol'])} tol_abs={_fmt(tols['atol'])}",
     ]
 
 
-def _write_csv(path, header_lines, columns, rows, trailer=()):
-    lines = list(header_lines)
+def _write_csv(path, comments, columns, rows, trailer=()):
+    """Comment lines ('# '), the column names, the rows, trailing comments."""
+    lines = [f"# {c}" for c in comments]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    lines.extend(trailer)
+    lines.extend(f"# {c}" for c in trailer)
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _write_profile(path, comments, traj):
+    """u and u' of a shot at 513 equally spaced radii from its start to r = 1."""
+    rs = np.linspace(traj.r[0], 1.0, 513)
+    uu, _ = traj.eval(rs)
+    up = traj.uprime(rs)
+    _write_csv(path, comments, ("r", "u", "uprime"),
+               zip(map(float, rs), map(float, uu), map(float, up)))
 
 
 def write_polyline_svg(path, xs, ys, xlabel, ylabel, title):
@@ -385,33 +391,13 @@ _SIGMA_NAME = {"+": "plus", "-": "minus"}
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: (task block, p, N, m, tolerances, header lines, out_dir) -> exit code
 
 
-def _problem_bits(cfg):
-    prob = cfg["problem"]
-    m = Weight.from_spec(prob["weight"])
-    return float(prob["p"]), int(prob["N"]), m
-
-
-def _tols(cfg, tol_rel_override=None):
-    tols = cfg.get("tolerances", {})
-    tol_rel = tol_rel_override if tol_rel_override else tols.get("tol_rel", DEFAULT_RTOL)
-    tol_abs = tols.get("tol_abs", DEFAULT_ATOL)
-    return float(tol_rel), float(tol_abs)
-
-
-def cmd_eig(cfg, out_dir, tols) -> int:
-    p, n_dim, m = _problem_bits(cfg)
-    task = cfg["task"]
-    K = int(task["K"])
+def cmd_eig(task, p, n_dim, m, tols, header, out_dir) -> int:
     nus = task.get("nu", ["+"])
-    profiles = task.get("profiles", True)
-    cfg_hash = config_hash(cfg)
-
-    spec = compute_spectrum(p, n_dim, m, K, nus, tol_rel=tols[0], tol_abs=tols[1])
+    spec = compute_spectrum(p, n_dim, m, task["K"], nus, **tols)
     exit_code = EXIT_OK
-    rows = []
     pairs = []
     for nu in nus:
         res = spec.results.get(nu)
@@ -422,134 +408,89 @@ def cmd_eig(cfg, out_dir, tols) -> int:
         if not res.complete:
             print(f"partial spectrum for nu={nu}: {res.message}", file=sys.stderr)
             exit_code = EXIT_PARTIAL
-        for ep in res.eigenpairs:
-            rows.append((ep.k, ep.nu, ep.mu, len(ep.zeros), ep.boundary_residual))
-            pairs.append(ep)
+        pairs.extend(res.eigenpairs)
 
-    header = _csv_header("eig", cfg_hash, tols)
     _write_csv(
         os.path.join(out_dir, "spectrum.csv"),
         header,
         ("k", "nu", "mu", "zero_count", "residual"),
-        rows,
+        ((ep.k, ep.nu, ep.mu, len(ep.zeros), ep.boundary_residual) for ep in pairs),
     )
-    if profiles:
+    if task.get("profiles", True):
         for ep in pairs:
-            traj = ep.trajectory
-            rs = np.linspace(traj.r[0], 1.0, 513)
-            uu, _ = traj.eval(rs)
-            up = traj.uprime(rs)
-            _write_csv(
-                os.path.join(
-                    out_dir, f"eigfun_k{ep.k}_{_SIGMA_NAME[ep.nu]}.csv"
-                ),
-                header + [f"# k={ep.k} nu={ep.nu} mu={_fmt(ep.mu)}"],
-                ("r", "u", "uprime"),
-                zip(map(float, rs), map(float, uu), map(float, up)),
+            _write_profile(
+                os.path.join(out_dir, f"eigfun_k{ep.k}_{_SIGMA_NAME[ep.nu]}.csv"),
+                header + [f"k={ep.k} nu={ep.nu} mu={_fmt(ep.mu)}"],
+                ep.trajectory,
             )
     return exit_code
 
 
-def cmd_nodal(cfg, out_dir, tols) -> int:
-    p, n_dim, m = _problem_bits(cfg)
-    task = cfg["task"]
-    f = _f_from(task["f"], p)
-    cfg_hash = config_hash(cfg)
-    kw = {}
-    if "alpha_min" in task:
-        kw["alpha_min"] = float(task["alpha_min"])
-    if "alpha_max" in task:
-        kw["alpha_max"] = float(task["alpha_max"])
+def cmd_nodal(task, p, n_dim, m, tols, header, out_dir) -> int:
     search = find_nodal(
         p,
         n_dim,
         m,
-        f,
-        float(task["gamma"]),
-        int(task["k"]),
+        _f_from(task["f"], p),
+        task["gamma"],
+        task["k"],
         task["sigma"],
-        rtol=tols[0],
-        atol=tols[1],
-        **kw,
+        **_given(task, "alpha_min", "alpha_max"),
+        **tols,
     )
-    header = _csv_header("nodal", cfg_hash, tols)
-    report = list(header)
-    report.append(f"# degenerate_homogeneous={search.degenerate_homogeneous}")
-    for d in search.diagnostics:
-        report.append(f"# {d}")
     if not search.found:
+        report = header + [f"degenerate_homogeneous={search.degenerate_homogeneous}"]
+        report = [f"# {line}" for line in report + search.diagnostics]
         report.append("no solution found; scan evidence above")
         _atomic_write(os.path.join(out_dir, "nodal_report.txt"), "\n".join(report) + "\n")
         return EXIT_PARTIAL
     sol = search.solution
-    traj = sol.trajectory
-    rs = np.linspace(traj.r[0], 1.0, 513)
-    uu, _ = traj.eval(rs)
-    up = traj.uprime(rs)
-    sig = _SIGMA_NAME[sol.sigma]
-    _write_csv(
-        os.path.join(out_dir, f"nodal_k{sol.k}_{sig}.csv"),
+    _write_profile(
+        os.path.join(out_dir, f"nodal_k{sol.k}_{_SIGMA_NAME[sol.sigma]}.csv"),
         header
         + [
-            f"# gamma={_fmt(sol.gamma)} alpha={_fmt(sol.alpha)} "
+            f"gamma={_fmt(sol.gamma)} alpha={_fmt(sol.alpha)} "
             f"zeros={len(sol.zeros)} residual={_fmt(sol.residual)}"
         ],
-        ("r", "u", "uprime"),
-        zip(map(float, rs), map(float, uu), map(float, up)),
+        sol.trajectory,
     )
     return EXIT_OK
 
 
-def cmd_branch(cfg, out_dir, tols) -> int:
-    p, n_dim, m = _problem_bits(cfg)
-    task = cfg["task"]
-    f = _f_from(task["f"], p)
-    k = int(task["k"])
-    sigma = task["sigma"]
-    nu = task.get("nu", "+")
-    alpha_range = (
-        float(task.get("alpha_min", 1e-3)),
-        float(task.get("alpha_max", 1e3)),
-    )
-    cfg_hash = config_hash(cfg)
+def cmd_branch(task, p, n_dim, m, tols, header, out_dir) -> int:
     branch = trace_branch(
         p,
         n_dim,
         m,
-        f,
-        k,
-        sigma,
-        alpha_range,
-        nu,
-        ratio=float(task.get("ratio", 1.25)),
-        rtol=tols[0],
-        atol=tols[1],
+        _f_from(task["f"], p),
+        task["k"],
+        task["sigma"],
+        **_given(task, "nu", "alpha_min", "alpha_max", "ratio"),
+        **tols,
     )
-    sig = _SIGMA_NAME[sigma]
+    name = f"branch_k{branch.k}_{_SIGMA_NAME[branch.sigma]}"
     trailer = []
     if branch.gamma_zero_estimate is not None:
-        trailer.append(f"# gamma_0={_fmt(branch.gamma_zero_estimate)}")
-        trailer.append(f"# gamma_inf={_fmt(branch.gamma_inf_estimate)}")
-    for d in branch.diagnostics:
-        trailer.append(f"# {d}")
+        trailer.append(f"gamma_0={_fmt(branch.gamma_zero_estimate)}")
+        trailer.append(f"gamma_inf={_fmt(branch.gamma_inf_estimate)}")
     _write_csv(
-        os.path.join(out_dir, f"branch_k{k}_{sig}.csv"),
-        _csv_header("branch", cfg_hash, tols),
+        os.path.join(out_dir, f"{name}.csv"),
+        header,
         ("gamma", "alpha", "sup_norm", "zeros"),
         (
             (pt.gamma, pt.alpha, pt.sup_norm, pt.zeros)
             for pt in branch.points
         ),
-        trailer,
+        trailer + branch.diagnostics,
     )
     if branch.points:
         write_polyline_svg(
-            os.path.join(out_dir, f"branch_k{k}_{sig}.svg"),
+            os.path.join(out_dir, f"{name}.svg"),
             [pt.gamma for pt in branch.points],
             [pt.sup_norm for pt in branch.points],
             "gamma",
             "sup norm",
-            f"branch k={k} sigma={sigma} nu={nu}",
+            f"branch k={branch.k} sigma={branch.sigma} nu={branch.nu}",
         )
     if branch.truncated:
         for d in branch.diagnostics:
@@ -558,35 +499,24 @@ def cmd_branch(cfg, out_dir, tols) -> int:
     return EXIT_OK
 
 
-def cmd_gp(cfg, out_dir, tols) -> int:
-    p, n_dim, _ = _problem_bits(cfg)
-    h = Weight.from_spec(cfg["task"]["h"])
-    prof = apply_Gp(p, n_dim, h)
-    cfg_hash = config_hash(cfg)
+def cmd_gp(task, p, n_dim, m, tols, header, out_dir) -> int:
+    prof = apply_Gp(p, n_dim, Weight.from_spec(task["h"]))
     _write_csv(
         os.path.join(out_dir, "gp_profile.csv"),
-        _csv_header("gp", cfg_hash, tols) + [f"# quad_error={_fmt(prof.quad_error)}"],
+        header + [f"quad_error={_fmt(prof.quad_error)}"],
         ("r", "u", "uprime"),
         zip(map(float, prof.r), map(float, prof.u), map(float, prof.uprime)),
     )
     return EXIT_OK
 
 
-def cmd_verify(cfg, out_dir, tols) -> int:
-    p, n_dim, m = _problem_bits(cfg)
-    checks = cfg["task"]["checks"]
-    cfg_hash = config_hash(cfg)
-    lines = [
-        f"pspect v{__version__} verification report",
-        f"config_sha256={cfg_hash}",
-        f"tol_rel={_fmt(tols[0])} tol_abs={_fmt(tols[1])}",
-        "",
-    ]
+def cmd_verify(task, p, n_dim, m, tols, header, out_dir) -> int:
+    lines = [f"pspect v{__version__} verification report", *header[1:], ""]
     any_fail = False
-    for chk in checks:
+    for chk in task["checks"]:
         name = chk["check"]
         try:
-            rep = _run_check(name, chk, p, n_dim, m, tols)
+            rep = _CHECKS[name][2](chk, p, n_dim, m, tols)
         except PreconditionError as exc:
             lines.append(f"[PRECONDITION VIOLATION] {name}: {exc}")
             any_fail = True
@@ -598,48 +528,14 @@ def cmd_verify(cfg, out_dir, tols) -> int:
     return EXIT_VERIFY if any_fail else EXIT_OK
 
 
-def _run_check(name, chk, p, n_dim, m, tols):
-    kw = {"tol_rel": tols[0], "tol_abs": tols[1]}
-    if name == "spectrum_structure":
-        return _check_spectrum_structure(p, n_dim, m, int(chk["K"]),
-                                         chk.get("nu", ["+", "-"]), kw)
-    if name == "weight_monotonicity":
-        m2 = Weight.from_spec(chk["weight2"])
-        return verify_weight_monotonicity(p, n_dim, m, m2, int(chk["K"]), **kw)
-    if name == "p_continuity":
-        return verify_p_continuity(
-            n_dim, m, int(chk["K"]), chk["p_grid"], nus=tuple(chk.get("nu", ["+"])),
-            **kw,
-        )
-    if name == "sturm":
-        return verify_sturm(
-            p, n_dim, Weight.from_spec(chk["b1"]), Weight.from_spec(chk["b2"]),
-            rtol=tols[0], atol=tols[1],
-        )
-    if name == "zero_proliferation":
-        return verify_zero_proliferation(
-            p, n_dim, m, chk["window"], chk["multipliers"],
-            rtol=tols[0], atol=tols[1],
-        )
-    if name == "crossing_index":
-        return _check_crossing_index(p, n_dim, m, int(chk["K"]), kw)
-    if name == "nodal_intervals":
-        f = _f_from(chk["f"], p)
-        return _check_nodal_intervals(p, n_dim, m, f, int(chk["k"]), kw)
-    if name == "bifurcation_points":
-        g_spec = chk.get("g", {})
-        g = Perturbation(p, c=g_spec.get("c", 1.0), delta=g_spec.get("delta", 1.0))
-        return verify_bifurcation_points(
-            p, n_dim, m, g, chk["ks"], tuple(chk.get("nu", ["+", "-"])),
-            alphas=tuple(chk.get("alphas", (1e-1, 1e-2, 1e-3))),
-            rtol=tols[0], atol=tols[1],
-        )
-    raise ConfigError(f"unknown check {name!r}")
+# ---------------------------------------------------------------------------
+# checks: (check block, p, N, m, tolerances) -> CheckReport
 
 
-def _check_spectrum_structure(p, n_dim, m, K, nus, kw):
+def _check_spectrum_structure(chk, p, n_dim, m, tols):
+    nus = chk.get("nu", ["+", "-"])
     rep = CheckReport("spectrum_structure", True)
-    spec = compute_spectrum(p, n_dim, m, K, nus, **kw)
+    spec = compute_spectrum(p, n_dim, m, chk["K"], nus, **tols)
     for nu in nus:
         res = spec.results.get(nu)
         if res is None:
@@ -670,9 +566,10 @@ def _check_spectrum_structure(p, n_dim, m, K, nus, kw):
     return rep
 
 
-def _check_crossing_index(p, n_dim, m, K, kw):
+def _check_crossing_index(chk, p, n_dim, m, tols):
+    K = chk["K"]
     rep = CheckReport("crossing_index", True)
-    spec = compute_spectrum(p, n_dim, m, K + 1, **kw)
+    spec = compute_spectrum(p, n_dim, m, K + 1, **tols)
     for nu in spec.results:
         vals = [spec.mu(k, nu) for k in range(1, K + 2)]
         prev = None
@@ -691,9 +588,10 @@ def _check_crossing_index(p, n_dim, m, K, kw):
     return rep
 
 
-def _check_nodal_intervals(p, n_dim, m, f, k, kw):
+def _check_nodal_intervals(chk, p, n_dim, m, tols):
+    f, k = _f_from(chk["f"], p), chk["k"]
     rep = CheckReport("nodal_intervals", True)
-    spec = compute_spectrum(p, n_dim, m, k, **kw)
+    spec = compute_spectrum(p, n_dim, m, k, **tols)
     for iv in gamma_intervals(spec, f.f0, f.finf, k):
         if iv.empty:
             rep.add(
@@ -703,10 +601,7 @@ def _check_nodal_intervals(p, n_dim, m, f, k, kw):
             continue
         gamma = 0.5 * (iv.lo + iv.hi)
         for sigma in ("+", "-"):
-            search = find_nodal(
-                p, n_dim, m, f, gamma, k, sigma,
-                rtol=kw["tol_rel"], atol=kw["tol_abs"],
-            )
+            search = find_nodal(p, n_dim, m, f, gamma, k, sigma, **tols)
             ok = search.found and len(search.solution.zeros) == k - 1
             rep.passed &= ok
             rep.add(
@@ -721,16 +616,64 @@ def _check_nodal_intervals(p, n_dim, m, f, k, kw):
     return rep
 
 
+# check -> (keys besides "check", required keys, run)
+_CHECKS = {
+    "spectrum_structure": ({"K", "nu"}, {"K"}, _check_spectrum_structure),
+    "weight_monotonicity": (
+        {"weight2", "K"},
+        {"weight2", "K"},
+        lambda chk, p, n_dim, m, tols: verify_weight_monotonicity(
+            p, n_dim, m, Weight.from_spec(chk["weight2"]), chk["K"], **tols),
+    ),
+    "p_continuity": (
+        {"p_grid", "K", "nu"},
+        {"p_grid", "K"},
+        lambda chk, p, n_dim, m, tols: verify_p_continuity(
+            n_dim, m, chk["K"], chk["p_grid"], **_given(chk, nus="nu"), **tols),
+    ),
+    "sturm": (
+        {"b1", "b2"},
+        {"b1", "b2"},
+        lambda chk, p, n_dim, m, tols: verify_sturm(
+            p, n_dim, Weight.from_spec(chk["b1"]), Weight.from_spec(chk["b2"]), **tols),
+    ),
+    "zero_proliferation": (
+        {"window", "multipliers"},
+        {"window", "multipliers"},
+        lambda chk, p, n_dim, m, tols: verify_zero_proliferation(
+            p, n_dim, m, chk["window"], chk["multipliers"], **tols),
+    ),
+    "crossing_index": ({"K"}, {"K"}, _check_crossing_index),
+    "nodal_intervals": ({"f", "k"}, {"f", "k"}, _check_nodal_intervals),
+    "bifurcation_points": (
+        {"g", "ks", "nu", "alphas"},
+        {"g", "ks"},
+        lambda chk, p, n_dim, m, tols: verify_bifurcation_points(
+            p, n_dim, m, Perturbation(p, **chk["g"]), chk["ks"],
+            **_given(chk, "alphas", nus="nu"), **tols),
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # entry point
 
 
+# task kind -> (keys besides "kind", required keys, command)
 _COMMANDS = {
-    "eig": cmd_eig,
-    "nodal": cmd_nodal,
-    "branch": cmd_branch,
-    "verify": cmd_verify,
-    "gp": cmd_gp,
+    "eig": ({"K", "nu", "profiles"}, {"K"}, cmd_eig),
+    "nodal": (
+        {"gamma", "k", "sigma", "f", "alpha_min", "alpha_max"},
+        {"gamma", "k", "sigma", "f"},
+        cmd_nodal,
+    ),
+    "branch": (
+        {"k", "sigma", "nu", "f", "alpha_min", "alpha_max", "ratio"},
+        {"k", "sigma", "f"},
+        cmd_branch,
+    ),
+    "verify": ({"checks"}, {"checks"}, cmd_verify),
+    "gp": ({"h"}, {"h"}, cmd_gp),
 }
 
 
@@ -761,25 +704,26 @@ def main(argv=None) -> int:
                 f"config task kind {cfg['task']['kind']!r} does not match "
                 f"command {args.command!r}"
             )
+        tols = _tols(cfg, args.tol_rel)
         out_dir = args.out or cfg.get("output", {}).get("dir", ".")
         os.makedirs(out_dir, exist_ok=True)
-        tols = _tols(cfg, args.tol_rel)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    prob = cfg["problem"]
+    command = _COMMANDS[args.command][2]
+    header = _header(cfg, args.command, tols)
     try:
         with shared_shots():
-            return _COMMANDS[args.command](cfg, out_dir, tols)
+            return command(cfg["task"], float(prob["p"]), prob["N"],
+                           Weight.from_spec(prob["weight"]), tols, header, out_dir)
     except SpectrumIncomplete as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARTIAL
     except PreconditionError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_VERIFY if args.command == "verify" else EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -186,12 +186,17 @@ class NodalSearch:
         return self.solution is not None
 
 
-def _sigma_sign(sigma: str) -> int:
-    if sigma in ("+", "plus"):
-        return 1
-    if sigma in ("-", "minus"):
-        return -1
-    raise PreconditionError("sigma must be '+' or '-'")
+def _amplitude_grid(sigma, alpha_min, alpha_max, ratio):
+    """Geometric amplitudes of sign sigma, from alpha_min until alpha_max is passed."""
+    if sigma not in ("+", "-"):
+        raise PreconditionError("sigma must be '+' or '-'")
+    if not 0 < alpha_min < alpha_max:
+        raise PreconditionError(
+            f"need 0 < alpha_min < alpha_max, got alpha_min = {alpha_min:g} "
+            f"and alpha_max = {alpha_max:g}"
+        )
+    n_steps = int(math.ceil(math.log(alpha_max / alpha_min) / math.log(ratio)))
+    return (1 if sigma == "+" else -1) * alpha_min * ratio ** np.arange(n_steps + 1)
 
 
 def find_nodal(
@@ -220,11 +225,8 @@ def find_nodal(
     if not m.in_M():
         raise PreconditionError("weight is not admissible: meas{m > 0} = 0")
     f.validate(p)
-    sgn = _sigma_sign(sigma)
+    alphas = _amplitude_grid(sigma, alpha_min, alpha_max, 1.25)
     problem = Problem.nonlinear(p, N, m, gamma, f)
-
-    n_steps = int(math.ceil(math.log(alpha_max / alpha_min) / math.log(1.25)))
-    alphas = sgn * alpha_min * 1.25 ** np.arange(n_steps + 1)
 
     probes = [(a, probe(problem, a, rtol=rtol, atol=atol)) for a in map(float, alphas)]
 
@@ -376,9 +378,10 @@ def trace_branch(
     f: Nonlinearity,
     k: int,
     sigma: str,
-    alpha_range=(1e-3, 1e3),
     nu: str = "+",
     *,
+    alpha_min: float = 1e-3,
+    alpha_max: float = 1e3,
     ratio: float = 1.25,
     spectrum: Spectrum | None = None,
     rtol: float = DEFAULT_RTOL,
@@ -392,15 +395,11 @@ def trace_branch(
     family; they would surface as bracket loss and truncate the branch.
     """
     f.validate(p)
-    sgn = _sigma_sign(sigma)
+    alphas = _amplitude_grid(sigma, alpha_min, alpha_max, ratio)
+    alphas[-1] = math.copysign(alpha_max, alphas[0])
     if spectrum is None:
-        spectrum = compute_spectrum(p, N, m, k, (nu,), tol_rel=rtol, tol_abs=atol)
+        spectrum = compute_spectrum(p, N, m, k, (nu,), rtol=rtol, atol=atol)
     mu_k = spectrum.mu(k, nu)
-
-    a_min, a_max = float(alpha_range[0]), float(alpha_range[1])
-    n_steps = int(math.ceil(math.log(a_max / a_min) / math.log(ratio)))
-    alphas = sgn * a_min * ratio ** np.arange(n_steps + 1)
-    alphas[-1] = sgn * a_max
 
     branch = Branch(k=k, sigma=sigma, nu=nu, points=[])
     gamma_prev = mu_k / f.f0
@@ -492,7 +491,7 @@ def verify_bifurcation_points(
     """
     ks = list(ks)
     if spectrum is None:
-        spectrum = compute_spectrum(p, N, m, max(ks), nus, tol_rel=rtol, tol_abs=atol)
+        spectrum = compute_spectrum(p, N, m, max(ks), nus, rtol=rtol, atol=atol)
     mus = {(k, nu): spectrum.mu(k, nu) for nu in nus for k in ks}
 
     rep = CheckReport("bifurcation_points", True)

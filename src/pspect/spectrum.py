@@ -248,8 +248,8 @@ def find_eigenvalues(
     K: int,
     nu: str = "+",
     *,
-    tol_rel: float = DEFAULT_RTOL,
-    tol_abs: float = DEFAULT_ATOL,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
     budget: int = DEFAULT_BUDGET,
     scan_ratio: float = 1.8,
 ) -> EigenResult:
@@ -282,13 +282,13 @@ def find_eigenvalues(
 
     try:
         nodes = _scan(prober, K, _seed_scale(problem, sgn), scan_ratio)
-        _classify_brackets(nodes, prober, found, K, tol_rel, tol_abs)
+        _classify_brackets(nodes, prober, found, K, rtol, atol)
         # targeted refinement for any missing index
         while len([k for k in found if k <= K]) < K and rounds < 12:
             rounds += 1
             missing = [k for k in range(1, K + 1) if k not in found]
             nodes = _refine_for_missing(nodes, prober, missing[0], found)
-            _classify_brackets(nodes, prober, found, K, tol_rel, tol_abs)
+            _classify_brackets(nodes, prober, found, K, rtol, atol)
     except _ScanStopped as exc:
         complete = False
         stop = str(exc)
@@ -482,7 +482,7 @@ def _hunt_sign_bump(prober, a, b):
     return probes
 
 
-def _classify_brackets(nodes, prober, found, K, tol_rel, tol_abs):
+def _classify_brackets(nodes, prober, found, K, rtol, atol):
     """Polish every D sign change at tight tolerance and classify its index.
 
     The index comes from the bracket endpoints' zero counts: across a
@@ -500,12 +500,12 @@ def _classify_brackets(nodes, prober, found, K, tol_rel, tol_abs):
         x_loose = brentq(
             lambda x: prober.loose(x).d, a.x, b.x, xtol=1e-15, rtol=8.9e-16
         )
-        x_root = _polish_root(prober, x_loose, a.x, b.x, tol_rel, tol_abs)
+        x_root = _polish_root(prober, x_loose, a.x, b.x, rtol, atol)
         if x_root is None:
             continue  # no tight bracket: the index stays unbracketed
         if any(abs(x_root - x_seen) <= 1e-9 * x_seen for x_seen, _ in found.values()):
             continue  # same root reached through a second bracket
-        traj = prober._shoot(x_root, tol_rel, tol_abs)
+        traj = prober._shoot(x_root, rtol, atol)
         z_lo, z_hi = min(a.z, b.z), max(a.z, b.z)
         if z_hi - z_lo == 1:
             k = z_hi  # unambiguous: root index = lower count + 1
@@ -548,7 +548,7 @@ def _trim_tail_artifacts(traj: Trajectory, k: int):
     return tuple(z.r for z in interior), trimmed
 
 
-def _polish_root(prober, x0, lo, hi, tol_rel, tol_abs):
+def _polish_root(prober, x0, lo, hi, rtol, atol):
     """Re-bracket the loose root at tight tolerance and solve to 1e-12 rel.
 
     None when no bracket changes sign at tight tolerance: the loose root
@@ -561,8 +561,8 @@ def _polish_root(prober, x0, lo, hi, tol_rel, tol_abs):
         w *= 10.0
     windows.append((lo, hi))  # last resort: the full loose bracket
     for a, b in windows:
-        if prober.tight(a, tol_rel, tol_abs) * prober.tight(b, tol_rel, tol_abs) < 0:
-            return brentq(lambda x: prober.tight(x, tol_rel, tol_abs), a, b,
+        if prober.tight(a, rtol, atol) * prober.tight(b, rtol, atol) < 0:
+            return brentq(lambda x: prober.tight(x, rtol, atol), a, b,
                           xtol=1e-15, rtol=8.9e-16)
     return None
 

@@ -46,6 +46,8 @@ class Weight:
         cs = tuple(tuple(float(c) for c in piece) for piece in self.coeffs)
         if len(bp) < 2 or len(cs) != len(bp) - 1:
             raise ValueError("need n+1 breakpoints for n pieces")
+        if not all(map(math.isfinite, bp + sum(cs, ()))):
+            raise ValueError("breakpoints and coefficients must be finite")
         if abs(bp[0]) > 1e-15 or abs(bp[-1] - 1.0) > 1e-15:
             raise ValueError("breakpoints must span [0, 1]")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):

@@ -325,8 +325,8 @@ def test_11_nodal_existence_in_admissible_intervals(nodal_existence_runs):
 def test_12_branch_asymptotes():
     f = Nonlinearity.rational(2.0, f0=1.0, finf=2.0, q=2.0)
     lam1 = (math.pi / 2) ** 2
-    bp = trace_branch(2.0, 1, M1, f, 1, "+", (1e-3, 1e3))
-    bm = trace_branch(2.0, 1, M1, f, 1, "-", (1e-3, 1e3))
+    bp = trace_branch(2.0, 1, M1, f, 1, "+", alpha_min=1e-3, alpha_max=1e3)
+    bm = trace_branch(2.0, 1, M1, f, 1, "-", alpha_min=1e-3, alpha_max=1e3)
     e0 = abs(bp.gamma_zero_estimate * f.f0 / lam1 - 1.0)
     einf = abs(bp.gamma_inf_estimate * f.finf / lam1 - 1.0)
     disjoint = not (

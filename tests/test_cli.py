@@ -244,6 +244,30 @@ MALFORMED_VALUES = [
     (_branch_task(sigma="x"), "task.sigma"),
     (_eig_task(profiles="no"), "task.profiles"),
     (dict(UNIT_EIG, output={"dir": 5}), "output.dir"),
+    # json.loads reads NaN, Infinity and integers too large for a float
+    (dict(UNIT_EIG, problem=dict(UNIT_EIG["problem"], p=math.inf)), "problem.p", "Infinity"),
+    (dict(UNIT_EIG, problem=dict(UNIT_EIG["problem"], p=10**400)), "problem.p", "huge-int"),
+    (dict(UNIT_EIG, task={"kind": "nodal", "gamma": math.nan, "k": 1, "sigma": "+",
+                          "f": {"family": "phi"}}), "task.gamma", "NaN"),
+    (dict(UNIT_EIG, problem=dict(UNIT_EIG["problem"], weight={
+        "expr": "poly", "coeffs": [1.0, math.nan]})), "problem.weight", "NaN"),
+    (dict(UNIT_EIG, problem=dict(UNIT_EIG["problem"], weight={
+        "expr": "poly", "coeffs": [10**400]})), "problem.weight", "huge-int"),
+    (dict(UNIT_EIG, task={"kind": "gp", "h": {"expr": "poly", "coeffs": [math.nan]}}),
+     "task.h", "NaN"),
+    # tolerances are > 0
+    (dict(UNIT_EIG, tolerances={"tol_rel": -1e-10}), "tolerances.tol_rel", "negative"),
+    (dict(UNIT_EIG, tolerances={"tol_abs": 0.0}), "tolerances.tol_abs", "zero"),
+    # f and g the library rejects
+    (dict(UNIT_EIG, task={"kind": "nodal", "gamma": 2.0, "k": 1, "sigma": "+",
+                          "f": {"family": "rational", "f0": -1}}), "task.f", "nodal"),
+    (_branch_task(f={"family": "rational", "f0": -1}), "task.f", "branch"),
+    (dict(VERIFY_LIN, task={"kind": "verify", "checks": [
+        {"check": "nodal_intervals", "f": {"family": "rational", "f0": -1}, "k": 1}]}),
+     "task.checks[0].f"),
+    (dict(VERIFY_LIN, task={"kind": "verify", "checks": [
+        {"check": "bifurcation_points", "g": {"delta": 0}, "ks": [1]}]}),
+     "task.checks[0].g"),
 ]
 
 
@@ -256,6 +280,68 @@ def test_malformed_config_value_rejected(tmp_path, capsys, cfg_dict, path):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-10", "nan"])
+def test_tol_rel_option_must_be_positive(tmp_path, capsys, value):
+    cfg = write_cfg(tmp_path, UNIT_EIG)
+    out = tmp_path / "out"
+    assert cli.main(["eig", "--config", cfg, "--out", str(out), f"--tol-rel={value}"]) == 1
+    assert capsys.readouterr().err == "config error: --tol-rel: must be a number > 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task", [
+    {"kind": "nodal", "gamma": 2.0, "k": 1, "sigma": "+", "f": {"family": "phi"}},
+    {"kind": "branch", "k": 1, "sigma": "+", "f": {"family": "phi"}},
+], ids=lambda task: task["kind"])
+def test_decreasing_amplitude_range_rejected(tmp_path, capsys, task):
+    cfg = write_cfg(tmp_path, dict(UNIT_EIG, task=dict(task, alpha_min=1e2, alpha_max=1e-2)))
+    assert cli.main([task["kind"], "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violation: ")
+    assert "alpha_min = 100" in err and "alpha_max = 0.01" in err
+    assert "Traceback" not in err
+
+
+LIBRARY_DEFAULTS = [
+    # (minimal task, the keys it leaves to the library)
+    ({"kind": "nodal", "gamma": 4.0, "k": 1, "sigma": "+", "f": {"family": "rational"}},
+     {"f": {"family": "rational", "f0": 1.0, "finf": 2.0, "q": 2.0},
+      "alpha_min": 1e-4, "alpha_max": 1e4}),
+    ({"kind": "branch", "k": 1, "sigma": "-", "f": {"family": "rational"}},
+     {"f": {"family": "rational", "f0": 1.0, "finf": 2.0, "q": 2.0},
+      "nu": "+", "alpha_min": 1e-3, "alpha_max": 1e3, "ratio": 1.25}),
+    ({"kind": "verify", "checks": [
+        {"check": "p_continuity", "p_grid": [1.9, 2.0, 2.1], "K": 1},
+        {"check": "bifurcation_points", "g": {}, "ks": [1]}]},
+     {"checks": [
+         {"check": "p_continuity", "p_grid": [1.9, 2.0, 2.1], "K": 1, "nu": ["+"]},
+         {"check": "bifurcation_points", "g": {"c": 1.0, "delta": 1.0}, "ks": [1],
+          "nu": ["+", "-"], "alphas": [0.1, 0.01, 0.001]}]}),
+]
+
+
+@pytest.mark.parametrize("task, defaults", LIBRARY_DEFAULTS,
+                         ids=[task["kind"] for task, _ in LIBRARY_DEFAULTS])
+def test_omitted_keys_take_the_library_defaults(tmp_path, capsys, task, defaults):
+    problem = {"p": 2.0, "N": 1, "weight": {"expr": "poly", "coeffs": [1.0, -2.0]}}
+    runs = []
+    for name, cfg in (
+        ("minimal", {"problem": problem, "task": task}),
+        ("spelled", {"problem": problem, "task": dict(task, **defaults),
+                     "tolerances": {"tol_rel": 1e-10, "tol_abs": 1e-12}}),
+    ):
+        out = tmp_path / name
+        code = cli.main([task["kind"], "--config", write_cfg(tmp_path, cfg, name + ".json"),
+                         "--out", str(out)])
+        files = {
+            f.name: [line for line in f.read_text().splitlines() if "config_sha256=" not in line]
+            for f in sorted(out.iterdir())
+        }
+        runs.append((code, capsys.readouterr(), files))
+    assert runs[0][2]
+    assert runs[0] == runs[1]
 
 
 def test_usage_error_exits_1(tmp_path, capsys):

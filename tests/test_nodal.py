@@ -124,6 +124,15 @@ def test_find_nodal_blown_up_probes_counted_as_minus_one():
     assert "(84 shots, 84 blew up before r = 1)" in search.diagnostics[-1]
 
 
+@pytest.mark.parametrize("alpha_min, alpha_max", [(1e2, 1e-2), (1.0, 1.0)])
+def test_amplitude_range_must_increase(alpha_min, alpha_max):
+    named = f"alpha_min = {alpha_min:g} and alpha_max = {alpha_max:g}"
+    with pytest.raises(PreconditionError, match=named):
+        find_nodal(2.0, 1, M1, F_REF, 2.0, 1, "+", alpha_min=alpha_min, alpha_max=alpha_max)
+    with pytest.raises(PreconditionError, match=named):
+        trace_branch(2.0, 1, M1, F_REF, 1, "+", alpha_min=alpha_min, alpha_max=alpha_max)
+
+
 def test_find_nodal_preconditions():
     with pytest.raises(PreconditionError):
         find_nodal(2.0, 1, M1, F_REF, 0.0, 1, "+")
@@ -139,14 +148,14 @@ def test_find_nodal_preconditions():
 
 def test_branch_homogeneous_is_constant_gamma():
     f = Nonlinearity.phi(2.0)
-    br = trace_branch(2.0, 1, M1, f, 1, "+", (1e-2, 1e2))
+    br = trace_branch(2.0, 1, M1, f, 1, "+", alpha_min=1e-2, alpha_max=1e2)
     gs = br.gammas
     assert not br.truncated
     assert np.max(np.abs(gs - LAM1)) <= 1e-8 * LAM1
 
 
 def test_branch_reference_endpoints():
-    br = trace_branch(2.0, 1, M1, F_REF, 1, "+", (1e-3, 1e3))
+    br = trace_branch(2.0, 1, M1, F_REF, 1, "+", alpha_min=1e-3, alpha_max=1e3)
     assert not br.truncated
     assert abs(br.gamma_zero_estimate * F_REF.f0 / LAM1 - 1.0) <= 0.02
     assert abs(br.gamma_inf_estimate * F_REF.finf / LAM1 - 1.0) <= 0.05
@@ -158,8 +167,8 @@ def test_branch_reference_endpoints():
 
 
 def test_branch_minus_mirrors_plus_for_odd_f():
-    bp = trace_branch(2.0, 1, M1, F_REF, 1, "+", (1e-2, 1e2))
-    bm = trace_branch(2.0, 1, M1, F_REF, 1, "-", (1e-2, 1e2))
+    bp = trace_branch(2.0, 1, M1, F_REF, 1, "+", alpha_min=1e-2, alpha_max=1e2)
+    bm = trace_branch(2.0, 1, M1, F_REF, 1, "-", alpha_min=1e-2, alpha_max=1e2)
     assert len(bp.points) == len(bm.points)
     for a, b in zip(bp.points, bm.points):
         assert abs(a.gamma - b.gamma) <= 1e-9 * abs(a.gamma)
@@ -170,7 +179,7 @@ def test_branch_minus_mirrors_plus_for_odd_f():
 
 
 def test_branch_second_class():
-    br = trace_branch(2.0, 1, M1, F_REF, 2, "+", (1e-2, 1e2))
+    br = trace_branch(2.0, 1, M1, F_REF, 2, "+", alpha_min=1e-2, alpha_max=1e2)
     assert not br.truncated
     assert abs(br.gamma_zero_estimate - LAM2) <= 0.02 * LAM2
     assert all(pt.zeros == 1 for pt in br.points)
@@ -180,8 +189,8 @@ def test_branch_negative_eigenvalue_sequence():
     # the gamma < 0 branch runs from mu_1^-/f_0 toward mu_1^-/f_inf
     spec = compute_spectrum(2.0, 1, M_LIN, 1)
     mu1m = spec.mu(1, "-")
-    br = trace_branch(2.0, 1, M_LIN, F_REF, 1, "+", (1e-2, 1e2), nu="-",
-                      spectrum=spec)
+    br = trace_branch(2.0, 1, M_LIN, F_REF, 1, "+", nu="-", alpha_min=1e-2,
+                      alpha_max=1e2, spectrum=spec)
     assert not br.truncated
     assert br.gamma_zero_estimate < 0
     assert abs(br.gamma_zero_estimate - mu1m / F_REF.f0) <= 0.02 * abs(mu1m)
