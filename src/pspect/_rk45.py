@@ -91,11 +91,9 @@ _MAX_FACTOR = 10.0
 class DenseOutput:
     """Piecewise-quartic interpolant over the accepted steps."""
 
-    __slots__ = ("t0", "t_end", "ts", "y0s", "hs", "coef", "_np")
+    __slots__ = ("ts", "y0s", "hs", "coef", "_np")
 
-    def __init__(self, t0, t_end, ts, y0s, hs, coef):
-        self.t0 = t0
-        self.t_end = t_end
+    def __init__(self, ts, y0s, hs, coef):
         self.ts = ts  # left nodes of the steps, ascending
         self.y0s = y0s  # flat: u0, v0 of step 0, u0, v0 of step 1, ...
         self.hs = hs
@@ -271,5 +269,5 @@ def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None):
         factor = _MAX_FACTOR if norm == 0.0 else min(_MAX_FACTOR, _SAFETY * norm ** (-0.2))
         h *= factor
 
-    dense = DenseOutput(t0, t, seg_t, seg_y0, seg_h, seg_coef)
+    dense = DenseOutput(seg_t, seg_y0, seg_h, seg_coef)
     return np.asarray(seg_t + [t]), dense, blowup_t

@@ -42,9 +42,11 @@ A sign is "+" or "-".  "sigma" and the branch "nu" are one sign; every
 other "nu" is a non-empty list of distinct signs.  "profiles" is a
 boolean and "output.dir" a non-empty string.  Numbers are finite;
 "tol_rel", "tol_abs" and --tol-rel are > 0; "f" and "g" must be accepted
-by the library.  An optional key left out takes the library's default,
-except the eig "nu" (["+"]), "profiles" (true) and the
-spectrum_structure "nu" (["+", "-"]).
+by the library.  "p_grid" is a non-empty list of numbers > 1, "window"
+two numbers a < b, "multipliers" a non-empty, strictly increasing list
+of numbers and "alphas" a non-empty list of numbers > 0.  An optional
+key left out takes the library's default, except the eig "nu" (["+"]),
+"profiles" (true) and the spectrum_structure "nu" (["+", "-"]).
 
 Check blocks (each uses the problem block unless stated)::
 
@@ -164,19 +166,23 @@ def _list_of(ok, length=None):
     return check
 
 
+def _increasing(x) -> bool:
+    return _list_of(_is_number)(x) and all(a < b for a, b in zip(x, x[1:]))
+
+
 # the type of each value, wherever the key is allowed
 _NUMBER = ("a number", _is_number)
-_NUMBERS = ("a non-empty list of numbers", _list_of(_is_number))
 _POSITIVE = ("a number > 0", lambda x: _is_number(x) and x > 0)
 _SIGN = ("'+' or '-'", _is_sign)
 _VALUE_TYPES = {
     "K": ("an integer >= 1", _is_index),
     "k": ("an integer >= 1", _is_index),
     "ks": ("a non-empty list of integers >= 1", _list_of(_is_index)),
-    "window": ("a list of two numbers", _list_of(_is_number, 2)),
-    "p_grid": _NUMBERS,
-    "multipliers": _NUMBERS,
-    "alphas": _NUMBERS,
+    "window": ("two numbers a < b", lambda x: _increasing(x) and len(x) == 2),
+    "p_grid": ("a non-empty list of numbers > 1",
+               _list_of(lambda x: _is_number(x) and x > 1)),
+    "multipliers": ("a non-empty, strictly increasing list of numbers", _increasing),
+    "alphas": ("a non-empty list of numbers > 0", _list_of(_POSITIVE[1])),
     "alpha_min": _POSITIVE,  # the alpha grids are geometric
     "alpha_max": _POSITIVE,
     "tol_rel": _POSITIVE,

@@ -102,10 +102,6 @@ class GpProfile:
         return self._spline(np.asarray(r, dtype=float))
 
     @property
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.u)))
-
-    @property
     def value0(self) -> float:
         return float(self.u[0])
 

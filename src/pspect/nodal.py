@@ -46,7 +46,7 @@ from scipy.optimize import brentq
 from .errors import PreconditionError
 from .greens import apply_Gp
 from .pfuncs import _pval
-from .radial_ivp import BOUNDARY_MARGIN, DEFAULT_ATOL, DEFAULT_RTOL, Problem
+from .radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL, Problem
 from .radial_ivp import Trajectory, probe, shoot
 from .report import CheckReport
 from .spectrum import Spectrum, compute_spectrum
@@ -67,7 +67,6 @@ class Nonlinearity:
     fn: object = field(repr=False)
     f0: float
     finf: float
-    label: str = ""
 
     def __call__(self, u: float) -> float:
         return self.fn(u)
@@ -87,12 +86,7 @@ class Nonlinearity:
             ratio = (f0 + finf * au**q) / (1.0 + au**q)
             return math.copysign(au**e * ratio, u)
 
-        return cls(
-            fn=fn,
-            f0=float(f0),
-            finf=float(finf),
-            label=f"rational(p={pv:g}, f0={f0:g}, finf={finf:g}, q={q:g})",
-        )
+        return cls(fn=fn, f0=float(f0), finf=float(finf))
 
     @classmethod
     def phi(cls, p):
@@ -105,7 +99,7 @@ class Nonlinearity:
                 return 0.0
             return math.copysign(abs(u) ** e, u)
 
-        return cls(fn=fn, f0=1.0, finf=1.0, label=f"phi_p(p={pv:g})")
+        return cls(fn=fn, f0=1.0, finf=1.0)
 
     def validate(self, p):
         """Numerical checks of sign condition and the two declared limits (5 %)."""
@@ -161,14 +155,8 @@ class NodalSolution:
     residual: float
 
     @property
-    def sup_norm(self) -> float:
-        return self.trajectory.sup_u
-
-    @property
     def zeros(self) -> tuple:
-        return tuple(
-            z.r for z in self.trajectory.zeros if z.r < 1.0 - BOUNDARY_MARGIN
-        )
+        return tuple(z.r for z in self.trajectory.interior_zeros)
 
 
 @dataclass
@@ -251,7 +239,7 @@ def find_nodal(
             "first amplitude with u(1) = 0"
         )
         for a, pr in probes:
-            if abs(pr.d) <= max(BOUNDARY_TOL, 1e-12 * pr.sup_u) and _in_class(pr, k):
+            if _solves_bc(pr.d, pr.sup_u) and _in_class(pr, k):
                 traj = shoot(problem, a, rtol=rtol, atol=atol)
                 solution = _package_solution(problem, traj, k, sigma, gamma, a)
                 break
@@ -272,9 +260,8 @@ def find_nodal(
                 rtol=8.9e-16,
             )
             traj = shoot(problem, float(root), rtol=rtol, atol=atol)
-            z = traj.interior_zero_count()
-            tol = max(BOUNDARY_TOL, 1e-12 * traj.sup_u)
-            if z == k - 1 and abs(traj.terminal_u) <= tol:
+            z = len(traj.interior_zeros)
+            if z == k - 1 and _solves_bc(traj.terminal_u, traj.sup_u):
                 solution = _package_solution(problem, traj, k, sigma, gamma, float(root))
                 break
             diagnostics.append(
@@ -298,6 +285,11 @@ def find_nodal(
         degenerate_homogeneous=degenerate,
         diagnostics=diagnostics,
     )
+
+
+def _solves_bc(u1, sup_u) -> bool:
+    """u(1) = u1 meets the boundary condition, to the solve tolerance."""
+    return abs(u1) <= max(BOUNDARY_TOL, 1e-12 * sup_u)
 
 
 def _in_class(pr, k) -> bool:
@@ -423,7 +415,7 @@ def trace_branch(
                 gamma=gamma_a,
                 alpha=float(a),
                 sup_norm=traj.sup_u,
-                zeros=traj.interior_zero_count(),
+                zeros=len(traj.interior_zeros),
             )
         )
         gamma_prev = gamma_a
@@ -454,8 +446,8 @@ def _solve_gamma(p, N, m, f, alpha, gamma_center, k, rtol, atol):
             )
             prob = Problem.nonlinear(p, N, m, float(root), f)
             traj = shoot(prob, alpha, rtol=rtol, atol=atol)
-            z = traj.interior_zero_count()
-            if abs(traj.terminal_u) > max(BOUNDARY_TOL, 1e-12 * traj.sup_u):
+            z = len(traj.interior_zeros)
+            if not _solves_bc(traj.terminal_u, traj.sup_u):
                 return None
             if z != k - 1:
                 return float(root), traj, f"zero count changed to {z}"

@@ -33,35 +33,17 @@ degenerates at the extrema for p != 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 
-@dataclass(frozen=True)
-class Exponent:
-    """A p-Laplacian exponent p > 1.  The conjugate p' is derived, never stored."""
-
-    p: float
-
-    def __post_init__(self):
-        p = float(self.p)
-        if not (math.isfinite(p) and p > 1.0):
-            raise ValueError(f"exponent must satisfy 1 < p < inf, got {self.p!r}")
-        object.__setattr__(self, "p", p)
-
-    @property
-    def conjugate(self) -> float:
-        """p' = p/(p-1), so that 1/p + 1/p' = 1."""
-        return self.p / (self.p - 1.0)
-
-
 def _pval(p) -> float:
-    """Accept a raw float or an Exponent; validate either way."""
-    if isinstance(p, Exponent):
-        return p.p
-    return Exponent(float(p)).p
+    """The exponent as a float, validated: 1 < p < inf."""
+    pv = float(p)
+    if not (math.isfinite(pv) and pv > 1.0):
+        raise ValueError(f"exponent must satisfy 1 < p < inf, got {pv!r}")
+    return pv
 
 
 def phi_p(s, p):

@@ -34,8 +34,8 @@ when a degenerate (u = u' = 0) point is met, since IVP uniqueness can
 fail there for p != 2.
 
 Searches consume a shot through :func:`probe`, which reduces it to the
-miss D = u(1) and the interior zero count Z and owns the one rule for a
-shot that blew up before r = 1.
+miss D = u(1) and the count Z of ``Trajectory.interior_zeros`` (the one
+interior-zero rule) and owns the one rule for a shot that blew up.
 """
 
 from __future__ import annotations
@@ -165,11 +165,8 @@ class Problem:
         return cls(p, N, Weight.constant(0.0), SourceRHS(h))
 
     def with_mu(self, mu: float) -> "Problem":
-        if isinstance(self.rhs, LinearRHS):
-            return replace(self, rhs=LinearRHS(float(mu)))
-        if isinstance(self.rhs, PerturbedRHS):
-            return replace(self, rhs=PerturbedRHS(float(mu), self.rhs.g))
-        raise PreconditionError("with_mu requires a linear or perturbed right-hand side")
+        """The linear problem with this geometry and weight at parameter mu."""
+        return replace(self, rhs=LinearRHS(float(mu)))
 
     def rhs_at_origin(self, alpha: float) -> float:
         """W(0, alpha), the coefficient entering the startup series."""
@@ -225,11 +222,10 @@ class Trajectory:
             )
         return self.terminal[0]
 
-    def interior_zero_count(self) -> int:
-        return sum(1 for z in self.zeros if z.r < 1.0 - BOUNDARY_MARGIN)
-
-    def zeros_in(self, a: float, b: float) -> int:
-        return sum(1 for z in self.zeros if a <= z.r <= b)
+    @property
+    def interior_zeros(self) -> tuple:
+        """The zeros below 1 - BOUNDARY_MARGIN; a zero nearer r = 1 is not interior."""
+        return tuple(z for z in self.zeros if z.r < 1.0 - BOUNDARY_MARGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +423,7 @@ def probe(problem: Problem, alpha: float, *, rtol: float, atol: float,
                  blowup_limit=blowup_limit)
     blowup = traj.blowup_radius is not None
     d = math.copysign(BLOWUP_MISS, traj.u[-1]) if blowup else traj.terminal_u
-    return Probe(d, traj.interior_zero_count(), blowup, traj.sup_u)
+    return Probe(d, len(traj.interior_zeros), blowup, traj.sup_u)
 
 
 def _locate_zeros(dense, ts, p, n_dim, sup_uprime, r_end):

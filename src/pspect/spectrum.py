@@ -49,7 +49,7 @@ from scipy.optimize import brentq
 
 from .errors import NegativeSequenceAbsent, PreconditionError, SpectrumIncomplete
 from .pfuncs import pi_p
-from .radial_ivp import BOUNDARY_MARGIN, DEFAULT_ATOL, DEFAULT_RTOL, LinearRHS
+from .radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL
 from .radial_ivp import Problem, Trajectory, probe, shoot
 from .report import CheckReport
 from .weights import Weight
@@ -134,7 +134,7 @@ def compute_spectrum(p, N, m: Weight, K: int, nus=("+", "-"), **kw) -> Spectrum:
     prob = Problem.linear(p, N, m, math.nan)
     spec = Spectrum(p=float(prob.p), N=prob.N)
     for nu in nus:
-        if nu == "-" and not m.negated().in_M():
+        if nu == "-" and not m.negative_intervals:
             continue
         spec.results[nu] = find_eigenvalues(prob, K, nu, **kw)
     return spec
@@ -265,11 +265,9 @@ def find_eigenvalues(
         raise PreconditionError("K must be >= 1")
     if nu not in ("+", "-"):
         raise PreconditionError("nu must be '+' or '-'")
-    if not isinstance(problem.rhs, LinearRHS):
-        problem = Problem.linear(problem.p, problem.N, problem.m, math.nan)
     if not problem.m.in_M():
         raise PreconditionError("weight is not admissible: meas{m > 0} = 0")
-    if nu == "-" and problem.m.negated().in_M() is False:
+    if nu == "-" and not problem.m.negative_intervals:
         raise NegativeSequenceAbsent(NEGATIVE_ABSENT)
 
     sgn = 1 if nu == "+" else -1
@@ -510,7 +508,7 @@ def _classify_brackets(nodes, prober, found, K, rtol, atol):
         if z_hi - z_lo == 1:
             k = z_hi  # unambiguous: root index = lower count + 1
         else:
-            z_root = traj.interior_zero_count()
+            z_root = len(traj.interior_zeros)
             k = z_root + 1 if z_lo <= z_root <= z_hi else z_lo + 1
         if k in found:
             # keep the smaller |mu| if two roots claim one index
@@ -535,7 +533,7 @@ def _trim_tail_artifacts(traj: Trajectory, k: int):
     """
     noise = 100.0 * abs(traj.terminal_u) if traj.terminal is not None else 0.0
     trimmed = 0
-    interior = [z for z in traj.zeros if z.r < 1.0 - BOUNDARY_MARGIN]
+    interior = list(traj.interior_zeros)
     while len(interior) > k - 1:
         z = interior[-1]
         idx = int(np.searchsorted(traj.r, z.r))
@@ -637,7 +635,7 @@ def verify_p_continuity(N, m: Weight, K: int, p_grid, *, nus=("+",),
 
     is_unit = _is_unit_weight(m)
     for nu in nus:
-        if nu == "-" and not m.negated().in_M():
+        if nu == "-" and not m.negative_intervals:
             rep.add("negative sequence skipped (weight has no negative part)")
             continue
         curves = {k: [] for k in range(1, K + 1)}
@@ -706,7 +704,7 @@ def verify_sturm(p, N, b1: Weight, b2: Weight, *, rtol=DEFAULT_RTOL,
     def interior_zeros(b):
         traj = shoot(Problem.linear(p, N, b, 1.0), 1.0, rtol=rtol, atol=atol,
                      n_samples=65)
-        return [z.r for z in traj.zeros if z.r < 1.0 - BOUNDARY_MARGIN]
+        return [z.r for z in traj.interior_zeros]
 
     r1, r2 = interior_zeros(b1), interior_zeros(b2)
     z1, z2 = len(r1), len(r2)
@@ -745,7 +743,7 @@ def verify_zero_proliferation(p, N, m: Weight, interval, multipliers, *,
             )
         # a boundary zero (u(1) = 0 at an eigen-coefficient) is not an
         # interior oscillation; keep the count semantics interior
-        counts.append(traj.zeros_in(a, min(b, 1.0 - BOUNDARY_MARGIN)))
+        counts.append(sum(1 for z in traj.interior_zeros if a <= z.r <= b))
 
     rep = CheckReport("zero_proliferation", True)
     if len(ts) == 1:

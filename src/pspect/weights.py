@@ -7,8 +7,10 @@ point of the package; admissibility (a set of positive measure) is an
 operation-level precondition, checked on demand, so that negated weights
 can be formed freely for the mirror reductions.
 
-The cached sign partition is computed from the polynomial roots on each
-piece, giving exact interval lists for {m > 0} and {m < 0}.
+The sign partition, computed once from the polynomial roots on each
+piece, gives exact interval lists for {m > 0} and {m < 0}.  It alone
+decides admissibility (``in_M``) and whether the negative sequence
+exists (a non-empty ``negative_intervals``).
 """
 
 from __future__ import annotations
@@ -194,9 +196,8 @@ class Weight:
         return sum(b - a for a, b in self.positive_intervals)
 
     def in_M(self) -> bool:
-        """Admissibility: meas{r : m(r) > 0} > 0, checked on 10 000 samples."""
-        rs = np.linspace(0.0, 1.0, 10_000)
-        return bool(np.any(self(rs) > 0.0))
+        """Admissibility: meas{r : m(r) > 0} > 0, read from the sign partition."""
+        return bool(self.positive_intervals)
 
     def min_on(self, a: float, b: float) -> float:
         """Minimum of m over 4096 samples of [a, b]."""
@@ -213,7 +214,7 @@ class Weight:
 
 def _sign_partition(bp, cs, eps: float = 1e-14):
     """Exact-ish {m>0}/{m<0} interval lists from per-piece polynomial roots."""
-    scale = max(1.0, max(abs(c) for piece in cs for c in piece))
+    scale = max(abs(c) for piece in cs for c in piece)  # c * m keeps the signs of m
     cuts = [bp[0]]
     for i, piece in enumerate(cs):
         width = bp[i + 1] - bp[i]

@@ -268,6 +268,19 @@ MALFORMED_VALUES = [
     (dict(VERIFY_LIN, task={"kind": "verify", "checks": [
         {"check": "bifurcation_points", "g": {"delta": 0}, "ks": [1]}]}),
      "task.checks[0].g"),
+    # check values a library precondition rejects
+    (dict(VERIFY_LIN, task={"kind": "verify", "checks": [
+        {"check": "p_continuity", "p_grid": [0.9, 2.0], "K": 1}]}),
+     "task.checks[0].p_grid", "p-le-1"),
+    (dict(VERIFY_LIN, task={"kind": "verify", "checks": [
+        {"check": "zero_proliferation", "window": [0.4, 0.1], "multipliers": [1, 2]}]}),
+     "task.checks[0].window", "decreasing"),
+    (dict(VERIFY_LIN, task={"kind": "verify", "checks": [
+        {"check": "zero_proliferation", "window": [0.1, 0.4], "multipliers": [160, 40]}]}),
+     "task.checks[0].multipliers", "decreasing"),
+    (dict(VERIFY_LIN, task={"kind": "verify", "checks": [
+        {"check": "bifurcation_points", "g": {"c": 1.0, "delta": 1.0}, "ks": [1],
+         "alphas": [0.1, 0]}]}), "task.checks[0].alphas", "zero"),
 ]
 
 
@@ -406,6 +419,22 @@ def test_branch_unvalidated_eigenvalue_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_branch_bracket_loss_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "problem": {"p": 2.0, "N": 1, "weight": {"expr": "poly", "coeffs": [1.0, -8.0]}},
+        "task": {"kind": "branch", "k": 1, "sigma": "+", "f": {"family": "rational"},
+                 "alpha_min": 10, "alpha_max": 400, "ratio": 1.5},
+    })
+    out = str(tmp_path / "out")
+    assert cli.main(["branch", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gamma bracket lost at alpha = 384.434 (last gamma 33.83")
+    assert err.endswith("); branch truncated\n")
+    lines = open(os.path.join(out, "branch_k1_plus.csv")).read().splitlines()
+    assert lines[-1] == "# " + err.rstrip("\n")
+    assert [row[3] for row in read_rows(os.path.join(out, "branch_k1_plus.csv"))] == ["0"] * 9
+
+
 @pytest.mark.parametrize("check", [
     {"check": "weight_monotonicity", "K": 6,
      "weight2": {"expr": "poly", "coeffs": [1.0, -1.0]}},
@@ -427,6 +456,21 @@ def test_verify_unvalidated_eigenvalue_reported(tmp_path, check):
     assert any(line.endswith("] sturm_comparison") for line in lines)
     assert lines[-1].startswith(f"[PRECONDITION VIOLATION] {check['check']}: mu_")
     assert " not validated: scan ceiling |mu| = " in lines[-1]
+
+
+def test_verify_incomplete_spectrum_structure_fails(tmp_path):
+    # the check runs the searches itself: their stop is a FAIL line, not a precondition
+    cfg = write_cfg(tmp_path, {
+        "problem": PARTIAL_PROBLEM,
+        "task": {"kind": "verify", "checks": [{"check": "spectrum_structure", "K": 6}]},
+    })
+    out = str(tmp_path / "out")
+    assert cli.main(["verify", "--config", cfg, "--out", out]) == 3
+    lines = open(os.path.join(out, "report.txt")).read().splitlines()
+    assert lines[-3] == "[FAIL] spectrum_structure"
+    for nu, line in zip("+-", lines[-2:]):
+        assert line.startswith(f"    nu={nu}: incomplete (scan ceiling |mu| = ")
+        assert line.endswith("; largest validated index 0)")
 
 
 def test_verify_small_suite_passes(tmp_path):

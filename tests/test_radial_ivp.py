@@ -29,7 +29,7 @@ def test_shot_cosine_ground_state():
     # p=2, N=1, m=1, mu=(pi/2)^2: u = cos(pi r / 2)
     traj = shoot(Problem.linear(2.0, 1, M1, (math.pi / 2) ** 2), 1.0)
     assert abs(traj.terminal_u) <= 1e-9
-    assert traj.interior_zero_count() == 0
+    assert len(traj.interior_zeros) == 0
     rs = np.linspace(1e-6, 1.0, 100)
     u, _ = traj.eval(rs)
     assert np.max(np.abs(u - np.cos(math.pi * rs / 2))) < 1e-9
@@ -37,7 +37,7 @@ def test_shot_cosine_ground_state():
 
 def test_shot_cosine_one_zero():
     traj = shoot(Problem.linear(2.0, 1, M1, (3 * math.pi / 2) ** 2), 1.0)
-    interior = [z for z in traj.zeros if z.r < 1 - 1e-6]
+    interior = traj.interior_zeros
     assert len(interior) == 1
     assert abs(interior[0].r - 1.0 / 3.0) <= 1e-9
 
@@ -48,7 +48,7 @@ def test_shot_against_fixed_step_reference():
     traj = shoot(Problem.linear(p, n_dim, M1, mu), 1.0)
     _, us, zeros = rk4_shot(p, n_dim, M1.eval_scalar, mu, 1.0, n_steps=60000)
     assert abs(traj.terminal_u - us[-1]) < 1e-7
-    assert traj.interior_zero_count() == zeros
+    assert len(traj.interior_zeros) == zeros
 
 
 def test_shot_sign_changing_weight_against_reference():
@@ -56,7 +56,7 @@ def test_shot_sign_changing_weight_against_reference():
     traj = shoot(Problem.linear(p, n_dim, M_LIN, mu), 1.0)
     _, us, zeros = rk4_shot(p, n_dim, M_LIN.eval_scalar, mu, 1.0, n_steps=60000)
     assert abs(traj.terminal_u - us[-1]) < 1e-7
-    assert traj.interior_zero_count() == zeros
+    assert len(traj.interior_zeros) == zeros
 
 
 def test_origin_startup_cosine_series():
@@ -128,7 +128,7 @@ def test_odd_symmetry():
     up, _ = tp.eval(rs)
     um, _ = tm.eval(rs)
     assert np.max(np.abs(um + up)) <= 1e-9 * np.max(np.abs(up))
-    assert tp.interior_zero_count() == tm.interior_zero_count()
+    assert len(tp.interior_zeros) == len(tm.interior_zeros)
 
 
 def test_zero_count_stable_under_tolerance_tightening():
@@ -142,7 +142,7 @@ def test_zero_count_stable_under_tolerance_tightening():
         prob = Problem.linear(p, n_dim, m, mu)
         loose = shoot(prob, 1.0, rtol=1e-9, atol=1e-11)
         tight = shoot(prob, 1.0, rtol=1e-10, atol=1e-12)
-        assert loose.interior_zero_count() == tight.interior_zero_count()
+        assert len(loose.interior_zeros) == len(tight.interior_zeros)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -154,14 +154,14 @@ def test_zeros_match_generalized_sine(p, k):
     mu = (p - 1.0) * ((2 * k - 1) * pip / 2.0) ** p
     traj = shoot(Problem.linear(p, 1, M1, mu), 1.0)
     expected = sorted(1.0 - 2.0 * j / (2 * k - 1) for j in range(1, k))
-    got = sorted(z.r for z in traj.zeros if z.r < 1 - 1e-6)
+    got = sorted(z.r for z in traj.interior_zeros)
     assert len(got) == len(expected)
     assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-8
 
 
 def test_zero_derivative_recording():
     traj = shoot(Problem.linear(2.0, 1, M1, (3 * math.pi / 2) ** 2), 1.0)
-    z = [z for z in traj.zeros if z.r < 1 - 1e-6][0]
+    z = traj.interior_zeros[0]
     # u = cos(3 pi r/2): u'(1/3) = -3 pi/2 sin(pi/2) = -3 pi/2
     assert abs(z.uprime + 3 * math.pi / 2) < 1e-6
     assert not z.degenerate
@@ -197,7 +197,7 @@ def test_probe_matches_its_shot():
     traj = shoot(prob, 1.0, n_samples=65)
     pr = probe(prob, 1.0, rtol=1e-10, atol=1e-12)
     assert not pr.blowup
-    assert (pr.d, pr.z, pr.sup_u) == (traj.terminal_u, traj.interior_zero_count(),
+    assert (pr.d, pr.z, pr.sup_u) == (traj.terminal_u, len(traj.interior_zeros),
                                       traj.sup_u)
 
 
@@ -279,7 +279,7 @@ def test_discarded_shots_release_their_dense_output():
     # or it lives until the cyclic collector runs
     prob = Problem.linear(2.0, 1, M1, (9 * math.pi / 2) ** 2)  # 4 interior zeros
     kw = dict(rtol=1e-6, atol=1e-8, n_samples=65)  # fewer steps: tracing is slow
-    assert shoot(prob, 1.0, **kw).interior_zero_count() == 4
+    assert len(shoot(prob, 1.0, **kw).interior_zeros) == 4
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()

@@ -234,6 +234,18 @@ def test_compute_spectrum_skips_absent_negative_sequence():
         spec.mu(1, "-")
 
 
+def test_compute_spectrum_keeps_narrow_negative_part():
+    # negative only on (0.49999, 0.50001), narrower than a 10,000-point grid's spacing
+    hat = Weight((0, 0.49998, 0.5, 0.50002, 1), ((-1,), (-1, 1e5), (1, -1e5), (-1,)))
+    spec = compute_spectrum(2.0, 1, hat.negated(), 1, ("-",), budget=5)
+    assert list(spec.results) == ["-"]
+
+
+def test_tiny_weight_keeps_its_negative_sequence():
+    spec = compute_spectrum(2.0, 1, Weight.poly([1e-15, -2e-15]), 1, budget=1)
+    assert list(spec.results) == ["+", "-"]
+
+
 def test_polish_root_without_tight_bracket_returns_none():
     class NoSignChange:
         def tight(self, x, rtol, atol):

@@ -73,6 +73,20 @@ def test_constant_sign_weight_not_in_M_when_negative():
     assert m.negated().in_M()
 
 
+def test_narrow_positive_part_is_admissible():
+    # positive only on (0.49999, 0.50001), narrower than a 10,000-point grid's spacing
+    hat = Weight((0, 0.49998, 0.5, 0.50002, 1), ((-1,), (-1, 1e5), (1, -1e5), (-1,)))
+    (a, b), = hat.positive_intervals
+    assert abs(a - 0.49999) < 1e-12 and abs(b - 0.50001) < 1e-12
+    assert hat.in_M()
+
+
+def test_tiny_weight_is_admissible():
+    # mu_k(c m) = mu_k(m) / c: scaling a weight down keeps it admissible
+    assert Weight.constant(1e-15).in_M()
+    assert Weight.poly([1e-15, -2e-15]).in_M()
+
+
 def test_from_spec_forms_and_rejections():
     m = Weight.from_spec({"expr": "poly", "coeffs": [1.0, -2.0]})
     assert m(0.0) == 1.0
