@@ -7,27 +7,35 @@ polynomial) is stored for every accepted step, so trajectories can be
 evaluated anywhere afterwards; that is what zero location and profile
 resampling run on.
 
-The stepping loop deliberately avoids numpy in the hot path; shots in
-this package are ~1e2..1e3 steps of trivially cheap arithmetic, where
-array machinery costs more than the math.  For the same reason the
-dense coefficients are kept in flat lists of floats (two start values
-and eight theta-polynomial coefficients per step, u before v) rather
-than in per-step tuples: appending floats allocates no container the
-garbage collector has to track.
+Two loops step the same way.  The linear problem W = mu m(r) phi_p(u),
+which every eigenvalue search shoots, runs on a compiled kernel
+(``_kernel``, ``_rk45_kernel.c``) that performs the operations of the
+Python loop below in the same order and so gives the same bits.  The
+Python loop is the reference; it serves the nonlinear, perturbed and
+source problems, and any linear shot the kernel cannot take (no
+compiler, or a float operation that raises in Python).  Both count
+accepted and rejected steps and right-hand side calls.
 
-The right-hand side stays a callable argument instead of being inlined
-into the loop: the nonlinear, perturbed and source problems of
-``radial_ivp`` share this stepper with the linear one, and a caller can
-wrap ``f`` to count or time its evaluations without touching the loop.
+The Python loop deliberately avoids numpy; shots are ~1e2..1e3 steps of
+trivially cheap arithmetic, where array machinery costs more than the
+math.  For the same reason it keeps the dense coefficients in flat lists
+of floats (two start values and eight theta-polynomial coefficients per
+step, u before v); the kernel fills arrays of the same layout.
+
+The right-hand side stays a callable argument: the kernel still takes
+f for the first derivative and the initial step guess, and a caller can
+wrap f to count or time its evaluations without touching either loop.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernel
 from .errors import IntegrationError
 
 # Dormand-Prince coefficients
@@ -88,64 +96,89 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 
 
-class DenseOutput:
-    """Piecewise-quartic interpolant over the accepted steps."""
+class StepCounts(NamedTuple):
+    """Work of one integration: step attempts and right-hand side calls."""
 
-    __slots__ = ("ts", "y0s", "hs", "coef", "_np")
+    accepted: int
+    rejected: int
+    rhs_calls: int
+
+
+class DenseOutput:
+    """Piecewise-quartic interpolant over the accepted steps.
+
+    Built from four flat buffers: the left nodes of the steps (ascending),
+    the start values (u0, v0 per step), the step sizes, and the
+    theta^1..theta^4 coefficients of u, then of v, per step.  The Python
+    stepper hands over lists and the kernel arrays; each form is derived
+    from the other only when first needed, the arrays for vectorised
+    evaluation and the lists for the scalar one.
+    """
+
+    __slots__ = ("_py", "_np")
 
     def __init__(self, ts, y0s, hs, coef):
-        self.ts = ts  # left nodes of the steps, ascending
-        self.y0s = y0s  # flat: u0, v0 of step 0, u0, v0 of step 1, ...
-        self.hs = hs
-        self.coef = coef  # flat: theta^1..theta^4 coefficients of u, then of v, per step
-        self._np = None
+        self._py = self._np = None
+        if isinstance(ts, np.ndarray):
+            self._np = (ts, y0s.reshape(-1, 2), hs, coef.reshape(-1, 2, 4))
+        else:
+            self._py = (ts, y0s, hs, coef)
 
     def _as_arrays(self):
         if self._np is None:
+            ts, y0s, hs, coef = self._py
             self._np = (
-                np.asarray(self.ts),
-                np.asarray(self.y0s).reshape(-1, 2),
-                np.asarray(self.hs),
-                np.asarray(self.coef).reshape(-1, 2, 4),
+                np.asarray(ts),
+                np.asarray(y0s).reshape(-1, 2),
+                np.asarray(hs),
+                np.asarray(coef).reshape(-1, 2, 4),
             )
         return self._np
 
-    def _segment(self, t: float) -> int:
-        i = bisect_right(self.ts, t) - 1
-        if i < 0:
-            return 0
-        if i >= len(self.hs):
-            return len(self.hs) - 1
-        return i
+    def _as_lists(self):
+        if self._py is None:
+            self._py = tuple(a.ravel().tolist() for a in self._np)
+        return self._py
 
     def eval_scalar(self, t: float):
-        i = self._segment(t)
-        th = (t - self.ts[i]) / self.hs[i]
-        c, j = self.coef, 8 * i
-        u = self.y0s[2 * i] + th * (c[j] + th * (c[j + 1] + th * (c[j + 2] + th * c[j + 3])))
-        v = self.y0s[2 * i + 1] + th * (
+        ts, y0s, hs, c = self._as_lists()
+        i = _segment(ts, len(hs), t)
+        th = (t - ts[i]) / hs[i]
+        j = 8 * i
+        u = y0s[2 * i] + th * (c[j] + th * (c[j + 1] + th * (c[j + 2] + th * c[j + 3])))
+        v = y0s[2 * i + 1] + th * (
             c[j + 4] + th * (c[j + 5] + th * (c[j + 6] + th * c[j + 7]))
         )
         return u, v
 
     def u_scalar(self, t: float) -> float:
-        i = self._segment(t)
-        th = (t - self.ts[i]) / self.hs[i]
-        c, j = self.coef, 8 * i
-        return self.y0s[2 * i] + th * (c[j] + th * (c[j + 1] + th * (c[j + 2] + th * c[j + 3])))
+        ts, y0s, hs, c = self._as_lists()
+        i = _segment(ts, len(hs), t)
+        th = (t - ts[i]) / hs[i]
+        j = 8 * i
+        return y0s[2 * i] + th * (c[j] + th * (c[j + 1] + th * (c[j + 2] + th * c[j + 3])))
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
         if t_arr.ndim == 0:
             return np.array(self.eval_scalar(float(t_arr)))
         ts, y0s, hs, coef = self._as_arrays()
-        idx = np.clip(np.searchsorted(ts, t_arr, side="right") - 1, 0, len(self.hs) - 1)
+        idx = np.clip(np.searchsorted(ts, t_arr, side="right") - 1, 0, len(hs) - 1)
         th = (t_arr - ts[idx]) / hs[idx]
         c = coef[idx]  # (n, 2, 4)
         acc = c[:, :, 3]
         for j in (2, 1, 0):
             acc = acc * th[:, None] + c[:, :, j]
         return (y0s[idx] + acc * th[:, None]).T  # shape (2, n)
+
+
+def _segment(ts, n, t: float) -> int:
+    i = bisect_right(ts, t) - 1
+    if i < 0:
+        return 0
+    if i >= n:
+        return n - 1
+    return i
 
 
 def _initial_step(f, t0, y0, f0, t_end, rtol, atol_u, atol_v):
@@ -170,12 +203,21 @@ def _initial_step(f, t0, y0, f0, t_end, rtol, atol_u, atol_v):
     return min(100 * h0, h1, t_end - t0)
 
 
-def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None):
-    """March from t0 to t_end; returns (ts, dense, blowup_t).
+def _underflow(t: float) -> IntegrationError:
+    return IntegrationError(f"step size underflow at r = {t:.6e}")
+
+
+def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None, linear=None):
+    """March from t0 to t_end; returns (ts, dense, blowup_t, steps).
 
     ts: the accepted nodes (an array).  blowup_t is the radius where |u|
     first exceeded blowup_limit (integration stops there), or None if
-    t_end was reached.  Raises IntegrationError on step-size underflow.
+    t_end was reached.  steps: the :class:`StepCounts` of the march.
+    Raises IntegrationError on step-size underflow.
+
+    ``linear`` = (p, N, mu, weight) says that f is the linear right-hand
+    side of ``radial_ivp`` with these parameters; the step loop then runs
+    on the compiled kernel where it is available, with the same result.
     """
     span = t_end - t0
     u, v = float(y0[0]), float(y0[1])
@@ -189,12 +231,24 @@ def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None):
     h = _initial_step(f, t0, (u, v), (fu, fv), t_end, rtol, atol_u, atol_v)
     h_min = 16 * abs(span) * 2.3e-16 + 1e-300
 
+    if linear is not None:
+        out = _kernel.run(linear, t, u, v, fu, fv, h, t_end, h_min, rtol, atol_u, atol_v,
+                          blowup_limit)
+        if out is not None:
+            status, t, ts, y0s, hs, coef, accepted, rejected = out
+            if status == _kernel.UNDERFLOW:
+                raise _underflow(t)
+            blowup_t = t if status == _kernel.BLOWUP else None
+            steps = StepCounts(accepted, rejected, 2 + 6 * (accepted + rejected))
+            return ts, DenseOutput(ts[:-1], y0s, hs, coef), blowup_t, steps
+
     seg_t, seg_y0, seg_h, seg_coef = [], [], [], []
     blowup_t = None
+    rejected = 0
 
     while t < t_end:
         if h < h_min:
-            raise IntegrationError(f"step size underflow at r = {t:.6e}")
+            raise _underflow(t)
         if t + h > t_end:
             h = t_end - t
 
@@ -236,6 +290,7 @@ def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None):
 
         if norm > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * norm ** (-0.2))
+            rejected += 1
             continue
 
         # accept: store the dense quartic for this step; each sum starts
@@ -269,5 +324,9 @@ def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None):
         factor = _MAX_FACTOR if norm == 0.0 else min(_MAX_FACTOR, _SAFETY * norm ** (-0.2))
         h *= factor
 
+    # f ran once at t0, once in the initial step guess and six times per
+    # attempted step (k1 of the next step is k7 of this one)
+    accepted = len(seg_h)
+    steps = StepCounts(accepted, rejected, 2 + 6 * (accepted + rejected))
     dense = DenseOutput(seg_t, seg_y0, seg_h, seg_coef)
-    return np.asarray(seg_t + [t]), dense, blowup_t
+    return np.asarray(seg_t + [t]), dense, blowup_t, steps

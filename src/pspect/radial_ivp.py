@@ -23,10 +23,11 @@ radius eps from the two-term series
 
 whose error is O(eps^{p'+1}); with the default eps = 1e-6 the startup is
 far below integrator tolerance.  Stepping is the package's own adaptive
-Dormand-Prince 5(4) with quartic dense output (``_rk45``); the linear
-problem, which every eigenvalue search shoots, gets one fused right-hand
-side per dimension case that evaluates exactly the operations of the
-generic closure, so both give the same bits.  Sign changes of u are
+Dormand-Prince 5(4) with quartic dense output (``_rk45``).  Every problem
+builds its right-hand side with ``_system``; a linear shot, the kind every
+eigenvalue search makes, also hands (p, N, mu, m) to the stepper, which
+then runs the compiled kernel with that right-hand side written into its
+loop, to the same bits.  Sign changes of u are
 located on the dense output by bracketed root finding to 1e-12 in r;
 each zero is checked against the simplicity threshold
 |u'(r_z)| >= 1e-8 * max|u'| and the trajectory is flagged, not repaired,
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from ._rk45 import integrate
+from ._rk45 import StepCounts, integrate
 from .errors import IntegrationError, PreconditionError
 from .pfuncs import _pval
 from .weights import Weight
@@ -201,6 +202,7 @@ class Trajectory:
     blowup_radius: float | None
     sup_u: float
     sup_uprime: float
+    steps: StepCounts
     dense: object = field(repr=False, default=None)
 
     def eval(self, r):
@@ -267,73 +269,6 @@ def _system(p, n_dim, w):
     return f
 
 
-def _linear_system(p, n_dim, mu, m_eval):
-    """``_system`` for W = mu m(r) phi_p(u) with ``_sgnpow`` and w inlined.
-
-    Every closure performs the operations of
-    ``_system(p, n_dim, LinearRHS(mu).make(p, m_eval))`` in the same
-    order, so it returns the same bits with two fewer Python calls per
-    evaluation; the tests compare the two with ``==``.
-    """
-    e, e_inv = p - 1.0, 1.0 / (p - 1.0)
-
-    if n_dim == 1:
-
-        def f(r, u, v):
-            if v > 0.0:
-                du = v**e_inv
-            elif v < 0.0:
-                du = -((-v) ** e_inv)
-            else:
-                du = 0.0
-            if u > 0.0:
-                s = u**e
-            elif u < 0.0:
-                s = -((-u) ** e)
-            else:
-                s = 0.0
-            return du, -(mu * m_eval(r) * s)
-
-    elif n_dim == 2:
-
-        def f(r, u, v):
-            x = v / r
-            if x > 0.0:
-                du = x**e_inv
-            elif x < 0.0:
-                du = -((-x) ** e_inv)
-            else:
-                du = 0.0
-            if u > 0.0:
-                s = u**e
-            elif u < 0.0:
-                s = -((-u) ** e)
-            else:
-                s = 0.0
-            return du, -r * (mu * m_eval(r) * s)
-
-    else:
-
-        def f(r, u, v):
-            rn = r ** (n_dim - 1)
-            x = v / rn
-            if x > 0.0:
-                du = x**e_inv
-            elif x < 0.0:
-                du = -((-x) ** e_inv)
-            else:
-                du = 0.0
-            if u > 0.0:
-                s = u**e
-            elif u < 0.0:
-                s = -((-u) ** e)
-            else:
-                s = 0.0
-            return du, -rn * (mu * m_eval(r) * s)
-
-    return f
-
-
 def shoot(
     problem: Problem,
     alpha: float,
@@ -352,17 +287,14 @@ def shoot(
     if alpha == 0.0:
         raise PreconditionError("initial value alpha must be nonzero")
 
-    p, n_dim = problem.p, problem.N
+    p, n_dim, rhs = problem.p, problem.N, problem.rhs
     e_inv = 1.0 / (p - 1.0)
-    m_eval = problem.m.scalar_fn()
-    if isinstance(problem.rhs, LinearRHS):
-        f = _linear_system(p, n_dim, problem.rhs.mu, m_eval)
-    else:
-        f = _system(p, n_dim, problem.rhs.make(p, m_eval))
+    f = _system(p, n_dim, rhs.make(p, problem.m.scalar_fn()))
+    linear = (p, n_dim, rhs.mu, problem.m) if isinstance(rhs, LinearRHS) else None
 
     y0 = origin_startup(problem, alpha, eps)
-    ts, dense, blowup_radius = integrate(
-        f, eps, 1.0, y0, rtol=rtol, atol=atol, blowup_limit=blowup_limit
+    ts, dense, blowup_radius, steps = integrate(
+        f, eps, 1.0, y0, rtol=rtol, atol=atol, blowup_limit=blowup_limit, linear=linear
     )
     r_end = blowup_radius if blowup_radius is not None else 1.0
 
@@ -398,6 +330,7 @@ def shoot(
         blowup_radius=blowup_radius,
         sup_u=sup_u,
         sup_uprime=sup_up,
+        steps=steps,
         dense=dense,
     )
 
@@ -407,13 +340,15 @@ class Probe:
     """The miss D = u(1) and interior zero count Z of one shot.
 
     A shot that blew up reports d = +-BLOWUP_MISS, signed by u where it
-    stopped, and z counts the zeros of the traversed range only.
+    stopped, and z counts the zeros of the traversed range only.  steps
+    is the work of the shot (accepted and rejected steps, RHS calls).
     """
 
     d: float
     z: int
     blowup: bool
     sup_u: float
+    steps: StepCounts
 
 
 def probe(problem: Problem, alpha: float, *, rtol: float, atol: float,
@@ -423,7 +358,7 @@ def probe(problem: Problem, alpha: float, *, rtol: float, atol: float,
                  blowup_limit=blowup_limit)
     blowup = traj.blowup_radius is not None
     d = math.copysign(BLOWUP_MISS, traj.u[-1]) if blowup else traj.terminal_u
-    return Probe(d, len(traj.interior_zeros), blowup, traj.sup_u)
+    return Probe(d, len(traj.interior_zeros), blowup, traj.sup_u, traj.steps)
 
 
 def _locate_zeros(dense, ts, p, n_dim, sup_uprime, r_end):

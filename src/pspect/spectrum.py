@@ -572,14 +572,12 @@ def _polish_root(prober, x0, lo, hi, rtol, atol):
 def verify_weight_monotonicity(p, N, m1: Weight, m2: Weight, K: int,
                                *, margin: float = 1e-8, **kw) -> CheckReport:
     """Strict decrease of both eigenvalue sequences when the weight increases."""
-    rs = np.linspace(0.0, 1.0, 4096)
-    v1, v2 = m1(rs), m2(rs)
-    scale = max(1.0, float(np.max(np.abs(v1))), float(np.max(np.abs(v2))))
-    if np.max(np.abs(v1 - v2)) <= 1e-15 * scale:
+    gain = m2 - m1
+    if not gain.positive_intervals and not gain.negative_intervals:
         rep = CheckReport("weight_monotonicity", True, not_applicable=True)
         rep.add("not applicable (equal weights)")
         return rep
-    if np.any(v1 > v2 + 1e-12 * scale):
+    if gain.negative_intervals:
         raise PreconditionError("weight monotonicity requires m1 <= m2 pointwise")
     for m in (m1, m2):
         if not m.in_M():
@@ -684,6 +682,11 @@ def _is_unit_weight(m: Weight) -> bool:
     return bool(np.max(np.abs(m(rs) - 1.0)) < 1e-14)
 
 
+def _positive_inside(m: Weight) -> bool:
+    """m > 0 on (0, 1) but for isolated zeros: {m > 0} spans the breakpoints."""
+    return m.positive_intervals == ((m.breakpoints[0], m.breakpoints[-1]),)
+
+
 def verify_sturm(p, N, b1: Weight, b2: Weight, *, rtol=DEFAULT_RTOL,
                  atol=DEFAULT_ATOL) -> CheckReport:
     """Comparison: a strictly larger positive coefficient moves every zero inward.
@@ -694,9 +697,7 @@ def verify_sturm(p, N, b1: Weight, b2: Weight, *, rtol=DEFAULT_RTOL,
     of u1, so u2 has at least as many zeros in (0, 1).  It does not give
     u2 an extra zero on the bounded interval [0, 1].
     """
-    rs = np.linspace(1e-4, 1.0 - 1e-4, 4096)
-    v1, v2 = b1(rs), b2(rs)
-    if np.any(v1 <= 0.0) or np.any(v2 <= v1):
+    if not (_positive_inside(b1) and _positive_inside(b2 - b1)):
         raise PreconditionError(
             "Sturm comparison requires 0 < b1(r) < b2(r) on (0, 1)"
         )

@@ -19,6 +19,7 @@ import hashlib
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -170,7 +171,39 @@ class Weight:
             return lambda r: _poly_eval(piece, r)
         return self.eval_scalar
 
+    @cached_property
+    def flat(self):
+        """(breakpoints, offsets, coefficients) as contiguous arrays, for
+        the compiled shot kernel; piece i has the coefficients
+        ``coefficients[offsets[i]:offsets[i + 1]]``."""
+        return (
+            np.asarray(self.breakpoints, dtype=float),
+            np.cumsum([0] + [len(piece) for piece in self.coeffs], dtype=np.int64),
+            np.asarray([c for piece in self.coeffs for c in piece], dtype=float),
+        )
+
     # -- derived ------------------------------------------------------
+
+    def __sub__(self, other: "Weight") -> "Weight":
+        """m - other on the union of both breakpoint sets, every piece of
+        either re-expanded about the left end of each new piece it covers."""
+        bp = sorted(set(self.breakpoints) | set(other.breakpoints))
+        pieces = []
+        for a in bp[:-1]:
+            c1, c2 = self._expanded_at(a), other._expanded_at(a)
+            n = max(len(c1), len(c2))
+            c1, c2 = c1 + (0.0,) * (n - len(c1)), c2 + (0.0,) * (n - len(c2))
+            pieces.append(tuple(x - y for x, y in zip(c1, c2)))
+        return Weight(tuple(bp), tuple(pieces))
+
+    def _expanded_at(self, a: float) -> tuple:
+        """Ascending coefficients in (r - a) of the piece that holds a."""
+        i = min(max(bisect_right(self.breakpoints, a) - 1, 0), len(self.coeffs) - 1)
+        cs, d = self.coeffs[i], a - self.breakpoints[i]
+        return tuple(
+            math.fsum(math.comb(j, k) * cs[j] * d ** (j - k) for j in range(k, len(cs)))
+            for k in range(len(cs))
+        )
 
     def negated(self) -> "Weight":
         return Weight(

@@ -1,17 +1,21 @@
 import gc
 import math
+import shlex
+import shutil
+import sysconfig
 import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from pspect.errors import PreconditionError
+from pspect import _kernel
+from pspect._rk45 import integrate
+from pspect.errors import IntegrationError, PreconditionError
 from pspect.pfuncs import pi_p, sin_p
 from pspect.radial_ivp import (
     LinearRHS,
     Problem,
-    _linear_system,
     _system,
     origin_startup,
     probe,
@@ -210,7 +214,8 @@ def test_trajectory_uprime_consistency():
 
 
 # ---------------------------------------------------------------------------
-# fused linear right-hand side: same bits as the generic closure
+# linear shots: the compiled kernel (the linear RHS fused into the step
+# loop) gives the bits of the Python stepper with the generic closure
 
 FUSED_WEIGHTS = {
     "constant": Weight.constant(0.7),
@@ -232,8 +237,31 @@ class _GenericLinearRHS:
         return LinearRHS(self.mu).make(p, m_eval)
 
 
-def _bits(values):
-    return tuple(float(x).hex() for x in values)
+def _march(p, n_dim, m, mu, *, kernel, rtol=1e-10, atol=1e-12, blowup_limit=None):
+    """One linear shot from the origin through ``integrate``, on the kernel
+    or on the Python stepper with the generic right-hand side."""
+    prob = Problem.linear(p, n_dim, m, mu)
+    f = _system(prob.p, n_dim, prob.rhs.make(prob.p, m.scalar_fn()))
+    y0 = origin_startup(prob, 1.0, 1e-6)
+    linear = (prob.p, n_dim, prob.rhs.mu, m) if kernel else None
+    return integrate(f, 1e-6, 1.0, y0, rtol=rtol, atol=atol, blowup_limit=blowup_limit,
+                     linear=linear)
+
+
+def _same_bits(a, b):
+    """Equal as IEEE doubles, sign bits included (-0.0 differs from 0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_kernel_matches_reference(p, n_dim, m, mu, **kw):
+    ts, dense, blowup_t, steps = _march(p, n_dim, m, mu, kernel=True, **kw)
+    ts_ref, dense_ref, blowup_ref, steps_ref = _march(p, n_dim, m, mu, kernel=False, **kw)
+    assert _same_bits(ts, ts_ref)
+    for got, want in zip(dense._as_arrays(), dense_ref._as_arrays()):
+        assert _same_bits(got, want)
+    assert (blowup_t, steps) == (blowup_ref, steps_ref)
+    assert type(steps.accepted) is type(steps.rhs_calls) is int
 
 
 @pytest.mark.parametrize("weight", sorted(FUSED_WEIGHTS))
@@ -242,12 +270,8 @@ def _bits(values):
 def test_fused_linear_rhs_matches_generic(p, n_dim, weight):
     m = FUSED_WEIGHTS[weight]
     for mu in (37.5, -0.3):
-        fused = _linear_system(p, n_dim, mu, m.scalar_fn())
-        generic = _system(p, n_dim, LinearRHS(mu).make(p, m.scalar_fn()))
-        for r in (1e-6, 0.013, 0.31, 0.5, 0.77, 1.0):
-            for u in (0.83, -2.9e-3, 0.0):
-                for v in (1.7, -4.1e-5, 0.0):
-                    assert _bits(fused(r, u, v)) == _bits(generic(r, u, v)), (r, u, v)
+        for rtol, atol in ((1e-10, 1e-12), (1e-6, 1e-8)):
+            assert_kernel_matches_reference(p, n_dim, m, mu, rtol=rtol, atol=atol)
 
 
 @pytest.mark.parametrize(
@@ -271,6 +295,114 @@ def test_fused_shoot_matches_generic(p, n_dim, weight, mu):
     assert fused.terminal == generic.terminal
     assert [z.r for z in fused.zeros] == [z.r for z in generic.zeros]
     assert fused.blowup_radius == generic.blowup_radius
+    assert fused.steps == generic.steps
+
+
+COS64 = Weight.from_function(lambda r: math.cos(3 * math.pi * r))
+needs_kernel = pytest.mark.skipif(_kernel.load() is None, reason="no compiled kernel")
+
+
+@pytest.mark.parametrize(
+    "p,n_dim,weight,mu",
+    [
+        (2.5, 1, "linear", 13872.2),
+        (2.5, 1, "linear", -13872.2),
+        (1.2, 2, "cos64", 5000.0),
+        (1.5, 1, "cos64", -1625.6),
+        (6.0, 3, "cubic", 1625.6),
+        (4.0, 5, "quartic", -358.5),
+    ],
+)
+@pytest.mark.parametrize("blowup_limit", [1e12, 1e100])
+def test_kernel_matches_reference_at_large_mu(p, n_dim, weight, mu, blowup_limit):
+    m = COS64 if weight == "cos64" else FUSED_WEIGHTS[weight]
+    for rtol, atol in ((1e-10, 1e-12), (1e-6, 1e-8)):
+        assert_kernel_matches_reference(p, n_dim, m, mu, rtol=rtol, atol=atol,
+                                        blowup_limit=blowup_limit)
+
+
+@pytest.fixture
+def kernel_results(monkeypatch):
+    """What each call of the kernel returned: None means handed back."""
+    seen, run = [], _kernel.run
+
+    def spy(*args):
+        out = run(*args)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(_kernel, "run", spy)
+    return seen
+
+
+@needs_kernel
+def test_kernel_hands_overflowing_shots_to_the_python_stepper(kernel_results):
+    # with no blow-up guard u and v reach inf; Python's inf ** e is inf
+    # without an error, the kernel stops at an infinite power, and the
+    # Python stepper repeats the shot
+    assert_kernel_matches_reference(1.2, 1, M1, -1e6, rtol=1e-6, atol=1e-8)
+    assert kernel_results == [None]
+
+
+@needs_kernel
+def test_kernel_step_underflow_raises_the_python_error(kernel_results):
+    errors = []
+    for kernel in (True, False):
+        with pytest.raises(IntegrationError) as info:
+            _march(2.0, 1, M1, 10.0, kernel=kernel, rtol=1e-100, atol=1e-150)
+        errors.append(str(info.value))
+    assert errors == ["step size underflow at r = 1.000000e-06"] * 2
+    assert [out[0] for out in kernel_results] == [_kernel.UNDERFLOW]
+
+
+@needs_kernel
+def test_kernel_grows_its_buffers(monkeypatch, kernel_results):
+    monkeypatch.setattr(_kernel, "FIRST_CAPACITY", 3)
+    assert_kernel_matches_reference(2.5, 1, M_LIN, 13872.2, rtol=1e-6, atol=1e-8)
+    assert kernel_results[0][6] > 100  # accepted steps
+
+
+@pytest.mark.parametrize("broken", ["no compiler", "unwritable cache"])
+def test_shots_fall_back_to_the_python_stepper(monkeypatch, tmp_path, broken):
+    prob = Problem.linear(2.5, 3, FUSED_WEIGHTS["cubic"], 400.0)
+    want = shoot(prob, 1.0)
+    if broken == "no compiler":
+        get = sysconfig.get_config_var
+        fake_cc = str(tmp_path / "no-such-cc")
+        monkeypatch.setattr(sysconfig, "get_config_var",
+                            lambda name: fake_cc if name == "CC" else get(name))
+        monkeypatch.setattr(_kernel, "CACHE_DIR", str(tmp_path))
+    else:
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(_kernel, "CACHE_DIR", str(tmp_path / "file" / "cache"))
+    _kernel.load.cache_clear()
+    try:
+        assert _kernel.load() is None
+        got = shoot(prob, 1.0)
+    finally:
+        _kernel.load.cache_clear()
+    for a, b in ((got.r, want.r), (got.u, want.u), (got.v, want.v), (got.terminal, want.terminal)):
+        assert _same_bits(a, b)
+    assert [z.r for z in got.zeros] == [z.r for z in want.zeros]
+    assert got.steps == want.steps
+
+
+def test_kernel_in_use_where_a_compiler_is():
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    has_cc = bool(cc) and shutil.which(cc[0]) is not None
+    assert (_kernel.load() is not None) == has_cc
+    # on the kernel, f runs only for the first derivative and the initial step
+    calls = [0]
+    f0 = _system(2.0, 1, LinearRHS(120.0).make(2.0, M1.scalar_fn()))
+
+    def f(r, u, v):
+        calls[0] += 1
+        return f0(r, u, v)
+
+    y0 = origin_startup(Problem.linear(2.0, 1, M1, 120.0), 1.0, 1e-6)
+    steps = integrate(f, 1e-6, 1.0, y0, rtol=1e-10, atol=1e-12, linear=(2.0, 1, 120.0, M1))[3]
+    assert steps.accepted > 10
+    assert calls[0] == (2 if has_cc else steps.rhs_calls)
 
 
 def test_discarded_shots_release_their_dense_output():

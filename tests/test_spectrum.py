@@ -420,6 +420,17 @@ def test_sturm_precondition_violation():
         verify_sturm(2.0, 1, Weight.poly([1.0, -2.0]), Weight.constant(4.0))
 
 
+def test_pointwise_preconditions_see_a_narrow_spike():
+    # m1 = 1 rises to 3 on (0.49998, 0.50002), above m2 = 2 on a stretch
+    # narrower than a 4096-point grid's spacing
+    m1 = Weight((0, 0.49998, 0.5, 0.50002, 1), ((1.0,), (1.0, 1e5), (3.0, -1e5), (1.0,)))
+    m2 = Weight.constant(2.0)
+    with pytest.raises(PreconditionError, match="m1 <= m2"):
+        verify_weight_monotonicity(2.0, 1, m1, m2, 1, budget=3)
+    with pytest.raises(PreconditionError, match="0 < b1"):
+        verify_sturm(2.0, 1, m1, m2)
+
+
 def test_zero_proliferation_unit_weight_counts():
     multipliers = [((2 * k - 1) * math.pi / 2) ** 2 for k in (1, 2, 3, 4)]
     rep = verify_zero_proliferation(2.0, 1, M1, (0.0, 1.0), multipliers)

@@ -67,6 +67,21 @@ def test_negated_scaled_shifted():
     assert np.allclose(m.shifted(0.5)(rs), 1.5 - 2 * rs, atol=0)
 
 
+def test_difference_on_the_union_of_breakpoints():
+    cos = Weight.from_function(lambda r: math.cos(3 * math.pi * r), n_pieces=16)
+    quad = Weight((0.0, 0.3, 1.0), ((1.0, 2.0), (1.6, 2.0, -1.0)))
+    d = cos - quad
+    assert d.breakpoints == tuple(sorted(set(cos.breakpoints) | {0.3}))
+    rs = np.linspace(0, 1, 1001)
+    assert np.max(np.abs(d(rs) - (cos(rs) - quad(rs)))) < 1e-14
+    same = cos - cos
+    assert same.positive_intervals == same.negative_intervals == ()
+    # the spike of m1 above m2 = 2 on (0.49999, 0.50001) is found exactly
+    m1 = Weight((0, 0.49998, 0.5, 0.50002, 1), ((1.0,), (1.0, 1e5), (3.0, -1e5), (1.0,)))
+    (a, b), = (Weight.constant(2.0) - m1).negative_intervals
+    assert abs(a - 0.49999) < 1e-12 and abs(b - 0.50001) < 1e-12
+
+
 def test_constant_sign_weight_not_in_M_when_negative():
     m = Weight.constant(-1.0)
     assert not m.in_M()
