@@ -1,9 +1,11 @@
-"""Build and load the compiled step loop for the linear radial problem.
+"""Build and load the compiled step loop of the radial problems.
 
-``_rk45_kernel.c`` holds ``pspect_dp45_linear``: the Dormand-Prince loop
-of ``_rk45.integrate`` with the linear right-hand side
-W = mu m(r) phi_p(u) written into it, operation for operation, so it
-returns the bits of the Python stepper.
+``_rk45_kernel.c`` holds ``pspect_dp45``: the Dormand-Prince loop of
+``_rk45.integrate`` with the right-hand side of a linear, nonlinear
+(built-in ``Nonlinearity`` families) or perturbed (built-in
+``Perturbation``) shot written into it, operation for operation, so it
+returns the bits of the Python stepper.  :class:`Rhs` describes that
+right-hand side; ``radial_ivp``'s RHS classes build it.
 
 The source is compiled on first use with the C compiler Python was built
 with (``sysconfig``'s ``CC``) and the fixed flags ``FLAGS``, into
@@ -24,6 +26,7 @@ import hashlib
 import os
 import shlex
 import sysconfig
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,16 +35,50 @@ CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
 FIRST_CAPACITY = 4096  # accepted steps the buffers of a shot hold at first
 
-# status codes of pspect_dp45_linear
+# status codes of pspect_dp45
 END, BLOWUP, UNDERFLOW, FULL, RERUN = range(5)
 
-# pspect_dp45_linear(e, e_inv, mu, n_dim, n_pieces, bp, off, wc, state, t_end,
-#                    h_min, rtol, atol_u, atol_v, has_limit, blowup_limit, cap,
-#                    ts, y0s, hs, coef, steps)
+# right-hand side families of pspect_dp45 (Rhs.family)
+LINEAR, PHI, RATIONAL, PERTURBED = range(4)
+
+
+class Rhs(NamedTuple):
+    """The right-hand side of one shot in the kernel's terms.
+
+    W = lam m(r) F(u) on the system of exponent p and dimension n_dim,
+    with F by family: LINEAR and PERTURBED _sgnpow(u, e), PHI and
+    RATIONAL the ``Nonlinearity`` form of that name with its exponent e
+    (and f0, finf, q); PERTURBED adds gc m(r) sgn(u) |u|^ge.
+    """
+
+    p: float
+    n_dim: int
+    weight: object
+    lam: float
+    family: int
+    e: float
+    f0: float = 0.0
+    finf: float = 0.0
+    q: float = 0.0
+    gc: float = 0.0
+    ge: float = 0.0
+
+
+class _Rhs(ctypes.Structure):  # struct Rhs of _rk45_kernel.c
+    _fields_ = (
+        [(name, ctypes.c_int64) for name in ("family", "n_dim", "n_pieces")]
+        + [(name, ctypes.c_void_p) for name in ("bp", "off", "c")]
+        + [(name, ctypes.c_double)
+           for name in ("lam", "e", "e_inv", "f0", "finf", "q", "gc", "ge")]
+        + [("bad", ctypes.c_int)]
+    )
+
+
+# pspect_dp45(rhs, state, t_end, h_min, rtol, atol_u, atol_v, has_limit,
+#             blowup_limit, cap, ts, y0s, hs, coef, steps)
 _ARGTYPES = (
-    [ctypes.c_double] * 3 + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 4
-    + [ctypes.c_double] * 5 + [ctypes.c_int, ctypes.c_double, ctypes.c_int64]
-    + [ctypes.c_void_p] * 5
+    [ctypes.POINTER(_Rhs), ctypes.c_void_p] + [ctypes.c_double] * 5
+    + [ctypes.c_int, ctypes.c_double, ctypes.c_int64] + [ctypes.c_void_p] * 5
 )
 
 
@@ -78,7 +115,7 @@ def _build() -> str:
 def load():
     """The kernel's entry point, or None where it cannot be built or loaded."""
     try:
-        fn = ctypes.CDLL(_build()).pspect_dp45_linear
+        fn = ctypes.CDLL(_build()).pspect_dp45
     except OSError:
         return None
     fn.argtypes = _ARGTYPES
@@ -90,21 +127,24 @@ def _address(a: np.ndarray) -> int:
     return a.__array_interface__["data"][0]
 
 
-def run(linear, t, u, v, fu, fv, h, t_end, h_min, rtol, atol_u, atol_v, blowup_limit):
-    """The step loop of one linear shot on the kernel.
+def run(rhs: Rhs, t, u, v, fu, fv, h, t_end, h_min, rtol, atol_u, atol_v, blowup_limit):
+    """The step loop of one shot with right-hand side ``rhs`` on the kernel.
 
-    ``linear`` is (p, N, mu, weight); the other arguments are the state of
-    ``_rk45.integrate`` after its initial step.  Returns None when the
-    kernel is missing or a Python float operation would have raised on the
-    way (the caller then repeats the shot on the Python stepper), else
-    (status, t, ts, y0s, hs, coef, accepted, rejected) with the final t,
-    the n + 1 nodes ts and the flat dense buffers of the n accepted steps.
+    The other arguments are the state of ``_rk45.integrate`` after its
+    initial step.  Returns None when the kernel is missing or a Python
+    float operation would have raised on the way (the caller then repeats
+    the shot on the Python stepper), else (status, t, ts, y0s, hs, coef,
+    accepted, rejected) with the final t, the n + 1 nodes ts and the flat
+    dense buffers of the n accepted steps.
     """
     fn = load()
     if fn is None:
         return None
-    p, n_dim, mu, weight = linear
-    bp, off, wc = weight.flat
+    bp, off, wc = rhs.weight.flat
+    spec = _Rhs(rhs.family, rhs.n_dim, len(rhs.weight.coeffs),
+                _address(bp), _address(off), _address(wc),
+                rhs.lam, rhs.e, 1.0 / (rhs.p - 1.0), rhs.f0, rhs.finf, rhs.q,
+                rhs.gc, rhs.ge, 0)
     state = (ctypes.c_double * 6)(t, u, v, fu, fv, h)
     steps = (ctypes.c_int64 * 2)()
     cap = FIRST_CAPACITY
@@ -112,12 +152,10 @@ def run(linear, t, u, v, fu, fv, h, t_end, h_min, rtol, atol_u, atol_v, blowup_l
         # ts (cap + 1 nodes), y0s (2 cap), hs (cap) and coef (8 cap) in one block
         buf = np.empty(12 * cap + 1)
         at = _address(buf)
-        status = fn(p - 1.0, 1.0 / (p - 1.0), mu, n_dim, len(weight.coeffs),
-                    _address(bp), _address(off), _address(wc), state, t_end, h_min,
-                    rtol, atol_u, atol_v, blowup_limit is not None,
-                    0.0 if blowup_limit is None else blowup_limit, cap,
-                    at, at + 8 * (cap + 1), at + 8 * (3 * cap + 1), at + 8 * (4 * cap + 1),
-                    steps)
+        status = fn(spec, state, t_end, h_min, rtol, atol_u, atol_v,
+                    blowup_limit is not None, 0.0 if blowup_limit is None else blowup_limit,
+                    cap, at, at + 8 * (cap + 1), at + 8 * (3 * cap + 1),
+                    at + 8 * (4 * cap + 1), steps)
         if status != FULL:
             break
         state[:] = (t, u, v, fu, fv, h)

@@ -7,14 +7,16 @@ polynomial) is stored for every accepted step, so trajectories can be
 evaluated anywhere afterwards; that is what zero location and profile
 resampling run on.
 
-Two loops step the same way.  The linear problem W = mu m(r) phi_p(u),
-which every eigenvalue search shoots, runs on a compiled kernel
-(``_kernel``, ``_rk45_kernel.c``) that performs the operations of the
-Python loop below in the same order and so gives the same bits.  The
-Python loop is the reference; it serves the nonlinear, perturbed and
-source problems, and any linear shot the kernel cannot take (no
-compiler, or a float operation that raises in Python).  Both count
-accepted and rejected steps and right-hand side calls.
+Two loops step the same way.  A shot whose right-hand side has a
+compiled form (``_kernel.Rhs``: the linear problem every eigenvalue
+search shoots, and the nonlinear and perturbed problems with the
+package's built-in f and g) runs on a compiled kernel (``_kernel``,
+``_rk45_kernel.c``) that performs the operations of the Python loop
+below in the same order and so gives the same bits.  The Python loop is
+the reference; it serves the source problem, any user-supplied f or g,
+and any shot the kernel cannot take (no compiler, or a float operation
+that raises in Python).  Both count accepted and rejected steps and
+right-hand side calls.
 
 The Python loop deliberately avoids numpy; shots are ~1e2..1e3 steps of
 trivially cheap arithmetic, where array machinery costs more than the
@@ -207,7 +209,7 @@ def _underflow(t: float) -> IntegrationError:
     return IntegrationError(f"step size underflow at r = {t:.6e}")
 
 
-def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None, linear=None):
+def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None, compiled=None):
     """March from t0 to t_end; returns (ts, dense, blowup_t, steps).
 
     ts: the accepted nodes (an array).  blowup_t is the radius where |u|
@@ -215,9 +217,9 @@ def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None, linear=None):
     t_end was reached.  steps: the :class:`StepCounts` of the march.
     Raises IntegrationError on step-size underflow.
 
-    ``linear`` = (p, N, mu, weight) says that f is the linear right-hand
-    side of ``radial_ivp`` with these parameters; the step loop then runs
-    on the compiled kernel where it is available, with the same result.
+    ``compiled`` is the :class:`_kernel.Rhs` that f computes, or None; with
+    it the step loop runs on the compiled kernel where it is available,
+    with the same result.
     """
     span = t_end - t0
     u, v = float(y0[0]), float(y0[1])
@@ -231,8 +233,8 @@ def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None, linear=None):
     h = _initial_step(f, t0, (u, v), (fu, fv), t_end, rtol, atol_u, atol_v)
     h_min = 16 * abs(span) * 2.3e-16 + 1e-300
 
-    if linear is not None:
-        out = _kernel.run(linear, t, u, v, fu, fv, h, t_end, h_min, rtol, atol_u, atol_v,
+    if compiled is not None:
+        out = _kernel.run(compiled, t, u, v, fu, fv, h, t_end, h_min, rtol, atol_u, atol_v,
                           blowup_limit)
         if out is not None:
             status, t, ts, y0s, hs, coef, accepted, rejected = out

@@ -1,17 +1,26 @@
-/* Compiled step loop of pspect._rk45.integrate for the linear radial problem.
+/* Compiled step loop of pspect._rk45.integrate for the radial problems.
  *
- * pspect_dp45_linear runs the Dormand-Prince 5(4) loop of _rk45.integrate
- * with the right-hand side of
+ * pspect_dp45 runs the Dormand-Prince 5(4) loop of _rk45.integrate with the
+ * right-hand side radial_ivp._system(p, N, w) written into it, for the
+ * built-in forms of w (struct Rhs, family):
  *
- *     radial_ivp._system(p, N, LinearRHS(mu).make(p, m.scalar_fn())),
+ *     LINEAR     w = mu m(r) _sgnpow(u, p - 1)               (LinearRHS)
+ *     PHI        w = gamma m(r) F(u), F = Nonlinearity.phi   (NonlinearRHS)
+ *     RATIONAL   w = gamma m(r) F(u), F = Nonlinearity.rational
+ *     PERTURBED  w = mu m(r) _sgnpow(u, p - 1) + Perturbation (PerturbedRHS)
  *
- * W = mu m(r) phi_p(u), written into it.  Every floating-point operation is
- * the one the Python stepper performs, in the same order, so both give the
- * same bits:
+ * F and the perturbation use the exponents their Python objects captured
+ * (e; ge = p - 1 + delta), which need not be the problem's p - 1.  The
+ * family is read once per shot: the step loop is inlined once per family.
+ *
+ * Every floating-point operation is the one the Python stepper performs,
+ * in the same order, so both give the same bits:
  *   - sums run left to right, as Python evaluates them; the build flag
  *     -ffp-contract=off keeps the compiler from fusing a multiply-add;
  *   - every x ** y is a libm pow call, as in CPython's float_pow; the build
  *     flag -fno-builtin keeps pow(x, 2.0) from being folded into x * x;
+ *   - math.copysign is copysign, and each family keeps its own u == 0.0
+ *     test;
  *   - max and min keep their first argument on ties and NaN, as Python's do.
  * Where a Python float operation would raise (a power that overflows, a
  * division by zero), the kernel stops with PSPECT_RERUN and the caller
@@ -86,41 +95,50 @@ enum {
 #define MIN_FACTOR 0.2
 #define MAX_FACTOR 10.0
 
+enum { LINEAR = 0, PHI = 1, RATIONAL = 2, PERTURBED = 3 }; /* Rhs.family */
+
+/* the shot's w(r, u); _kernel.Rhs builds it */
 typedef struct {
-    double e, e_inv, mu; /* p - 1, 1 / (p - 1), mu */
-    int64_t n_dim, n_pieces;
+    int64_t family, n_dim, n_pieces;
     const double *bp;   /* n_pieces + 1 breakpoints */
     const int64_t *off; /* piece i: coefficients c[off[i]] .. c[off[i + 1] - 1] */
     const double *c;
-    int bad; /* set where Python would raise */
-} Linear;
+    double lam;         /* mu or gamma */
+    double e;           /* exponent of F: p - 1 for LINEAR and PERTURBED */
+    double e_inv;       /* 1 / (p - 1) of the system */
+    double f0, finf, q; /* RATIONAL */
+    double gc, ge;      /* PERTURBED: c and p - 1 + delta of the Perturbation */
+    int bad;            /* set where Python would raise */
+} Rhs;
+
+#define INLINE static inline __attribute__((always_inline))
 
 static double py_max(double a, double b) { return b > a ? b : a; }
 
 static double py_min(double a, double b) { return b < a ? b : a; }
 
-static double py_pow(Linear *L, double x, double y)
+static double py_pow(Rhs *R, double x, double y)
 {
     double z = pow(x, y);
     if (isinf(z))
-        L->bad = 1; /* OverflowError for a finite x */
+        R->bad = 1; /* OverflowError for a finite x */
     return z;
 }
 
-static double py_div(Linear *L, double a, double b)
+static double py_div(Rhs *R, double a, double b)
 {
     if (b == 0.0)
-        L->bad = 1; /* ZeroDivisionError */
+        R->bad = 1; /* ZeroDivisionError */
     return a / b;
 }
 
 /* radial_ivp._sgnpow */
-static double sgnpow(Linear *L, double x, double e)
+static double sgnpow(Rhs *R, double x, double e)
 {
     if (x > 0.0)
-        return py_pow(L, x, e);
+        return py_pow(R, x, e);
     if (x < 0.0)
-        return -py_pow(L, -x, e);
+        return -py_pow(R, -x, e);
     return 0.0;
 }
 
@@ -135,11 +153,11 @@ static double horner(const double *c, int64_t n, double t)
 
 /* Weight.scalar_fn(): its specialised forms for one piece of degree <= 3,
    else Weight.eval_scalar (bisect_right over the breakpoints, clamped) */
-static double weight(const Linear *L, double r)
+static double weight(const Rhs *R, double r)
 {
-    const double *c = L->c;
-    if (L->n_pieces == 1) {
-        switch (L->off[1]) {
+    const double *c = R->c;
+    if (R->n_pieces == 1) {
+        switch (R->off[1]) {
         case 1:
             return c[0];
         case 2:
@@ -149,13 +167,13 @@ static double weight(const Linear *L, double r)
         case 4:
             return c[0] + r * (c[1] + r * (c[2] + r * c[3]));
         default:
-            return horner(c, L->off[1], r);
+            return horner(c, R->off[1], r);
         }
     }
-    int64_t lo = 0, hi = L->n_pieces + 1;
+    int64_t lo = 0, hi = R->n_pieces + 1;
     while (lo < hi) {
         int64_t mid = (lo + hi) / 2;
-        if (r < L->bp[mid])
+        if (r < R->bp[mid])
             hi = mid;
         else
             lo = mid + 1;
@@ -163,40 +181,75 @@ static double weight(const Linear *L, double r)
     int64_t i = lo - 1;
     if (i < 0)
         i = 0;
-    else if (i >= L->n_pieces)
-        i = L->n_pieces - 1;
-    return horner(c + L->off[i], L->off[i + 1] - L->off[i], r - L->bp[i]);
+    else if (i >= R->n_pieces)
+        i = R->n_pieces - 1;
+    return horner(c + R->off[i], R->off[i + 1] - R->off[i], r - R->bp[i]);
 }
 
-/* radial_ivp._system with w(r, u) = mu * m(r) * _sgnpow(u, p - 1) */
-static void rhs(Linear *L, double r, double u, double v, double *du, double *dv)
+/* nodal.Nonlinearity.phi */
+static double phi(Rhs *R, double u)
 {
-    if (L->n_dim == 1) {
-        *du = sgnpow(L, v, L->e_inv);
-        *dv = -(L->mu * weight(L, r) * sgnpow(L, u, L->e));
-    } else if (L->n_dim == 2) {
-        *du = sgnpow(L, py_div(L, v, r), L->e_inv);
-        *dv = -r * (L->mu * weight(L, r) * sgnpow(L, u, L->e));
-    } else {
-        double rn = py_pow(L, r, (double)(L->n_dim - 1));
-        *du = sgnpow(L, py_div(L, v, rn), L->e_inv);
-        *dv = -rn * (L->mu * weight(L, r) * sgnpow(L, u, L->e));
+    if (u == 0.0)
+        return 0.0;
+    return copysign(py_pow(R, fabs(u), R->e), u);
+}
+
+/* nodal.Nonlinearity.rational */
+static double rational(Rhs *R, double u)
+{
+    if (u == 0.0)
+        return 0.0;
+    double au = fabs(u);
+    double ratio = py_div(R, R->f0 + R->finf * py_pow(R, au, R->q), 1.0 + py_pow(R, au, R->q));
+    return copysign(py_pow(R, au, R->e) * ratio, u);
+}
+
+/* nodal.Perturbation.__call__ */
+static double perturbation(Rhs *R, double mval, double u)
+{
+    if (u == 0.0)
+        return 0.0;
+    return R->gc * mval * copysign(py_pow(R, fabs(u), R->ge), u);
+}
+
+/* w(r, u) of the family; family is a constant where the loop is inlined */
+INLINE double w(Rhs *R, int family, double r, double u)
+{
+    double mval = weight(R, r);
+    switch (family) {
+    case LINEAR:
+        return R->lam * mval * sgnpow(R, u, R->e);
+    case PHI:
+        return R->lam * mval * phi(R, u);
+    case RATIONAL:
+        return R->lam * mval * rational(R, u);
+    default:
+        return R->lam * mval * sgnpow(R, u, R->e) + perturbation(R, mval, u);
     }
 }
 
-/* The loop of _rk45.integrate after its initial step.  state holds
-   t, u, v, f(t, u, v) and h on entry, and t, u, v on return.  Accepted step
-   i writes ts[i], y0s[2i..2i+1], hs[i] and coef[8i..8i+7], and ts[n] is the
-   final t; steps receives the accepted and the rejected step counts. */
-int pspect_dp45_linear(double e, double e_inv, double mu, int64_t n_dim,
-                       int64_t n_pieces, const double *bp, const int64_t *off,
-                       const double *wc, double *state, double t_end,
-                       double h_min, double rtol, double atol_u, double atol_v,
-                       int has_limit, double blowup_limit, int64_t cap,
-                       double *ts, double *y0s, double *hs, double *coef,
-                       int64_t *steps)
+/* radial_ivp._system */
+INLINE void rhs(Rhs *R, int family, double r, double u, double v, double *du, double *dv)
 {
-    Linear L = {e, e_inv, mu, n_dim, n_pieces, bp, off, wc, 0};
+    if (R->n_dim == 1) {
+        *du = sgnpow(R, v, R->e_inv);
+        *dv = -w(R, family, r, u);
+    } else if (R->n_dim == 2) {
+        *du = sgnpow(R, py_div(R, v, r), R->e_inv);
+        *dv = -r * w(R, family, r, u);
+    } else {
+        double rn = py_pow(R, r, (double)(R->n_dim - 1));
+        *du = sgnpow(R, py_div(R, v, rn), R->e_inv);
+        *dv = -rn * w(R, family, r, u);
+    }
+}
+
+/* The loop of _rk45.integrate after its initial step; see pspect_dp45. */
+INLINE int dp45(Rhs *R, int family, double *state, double t_end, double h_min,
+                double rtol, double atol_u, double atol_v, int has_limit,
+                double blowup_limit, int64_t cap, double *ts, double *y0s,
+                double *hs, double *coef, int64_t *steps)
+{
     double t = state[0], u = state[1], v = state[2];
     double fu = state[3], fv = state[4], h = state[5];
     int64_t n = 0, rejected = 0;
@@ -212,32 +265,32 @@ int pspect_dp45_linear(double e, double e_inv, double mu, int64_t n_dim,
 
         double k1u = fu, k1v = fv, k2u, k2v, k3u, k3v, k4u, k4v, k5u, k5v;
         double k6u, k6v, k7u, k7v;
-        rhs(&L, t + C2 * h, u + h * A21 * k1u, v + h * A21 * k1v, &k2u, &k2v);
-        rhs(&L, t + C3 * h,
+        rhs(R, family, t + C2 * h, u + h * A21 * k1u, v + h * A21 * k1v, &k2u, &k2v);
+        rhs(R, family, t + C3 * h,
             u + h * (A31 * k1u + A32 * k2u),
             v + h * (A31 * k1v + A32 * k2v), &k3u, &k3v);
-        rhs(&L, t + C4 * h,
+        rhs(R, family, t + C4 * h,
             u + h * (A41 * k1u + A42 * k2u + A43 * k3u),
             v + h * (A41 * k1v + A42 * k2v + A43 * k3v), &k4u, &k4v);
-        rhs(&L, t + C5 * h,
+        rhs(R, family, t + C5 * h,
             u + h * (A51 * k1u + A52 * k2u + A53 * k3u + A54 * k4u),
             v + h * (A51 * k1v + A52 * k2v + A53 * k3v + A54 * k4v), &k5u, &k5v);
-        rhs(&L, t + h,
+        rhs(R, family, t + h,
             u + h * (A61 * k1u + A62 * k2u + A63 * k3u + A64 * k4u + A65 * k5u),
             v + h * (A61 * k1v + A62 * k2v + A63 * k3v + A64 * k4v + A65 * k5v),
             &k6u, &k6v);
         double u1 = u + h * (B1 * k1u + B3 * k3u + B4 * k4u + B5 * k5u + B6 * k6u);
         double v1 = v + h * (B1 * k1v + B3 * k3v + B4 * k4v + B5 * k5v + B6 * k6v);
-        rhs(&L, t + h, u1, v1, &k7u, &k7v);
+        rhs(R, family, t + h, u1, v1, &k7u, &k7v);
 
         double err_u = h * (E1 * k1u + E3 * k3u + E4 * k4u + E5 * k5u + E6 * k6u + E7 * k7u);
         double err_v = h * (E1 * k1v + E3 * k3v + E4 * k4v + E5 * k5v + E6 * k6v + E7 * k7v);
         double scale_u = atol_u + rtol * py_max(fabs(u), fabs(u1));
         double scale_v = atol_v + rtol * py_max(fabs(v), fabs(v1));
         /* float_pow squares |x| for a negative x */
-        double norm = sqrt(0.5 * (py_pow(&L, fabs(py_div(&L, err_u, scale_u)), 2.0)
-                                  + py_pow(&L, fabs(py_div(&L, err_v, scale_v)), 2.0)));
-        if (L.bad) {
+        double norm = sqrt(0.5 * (py_pow(R, fabs(py_div(R, err_u, scale_u)), 2.0)
+                                  + py_pow(R, fabs(py_div(R, err_v, scale_v)), 2.0)));
+        if (R->bad) {
             status = PSPECT_RERUN;
             break;
         }
@@ -287,4 +340,31 @@ int pspect_dp45_linear(double e, double e_inv, double mu, int64_t n_dim,
     steps[0] = n;
     steps[1] = rejected;
     return status;
+}
+
+/* The loop of _rk45.integrate after its initial step, with the w of *rhs.
+   state holds t, u, v, f(t, u, v) and h on entry, and t, u, v on return.
+   Accepted step i writes ts[i], y0s[2i..2i+1], hs[i] and coef[8i..8i+7],
+   and ts[n] is the final t; steps receives the accepted and the rejected
+   step counts. */
+int pspect_dp45(const Rhs *rhs, double *state, double t_end, double h_min,
+                double rtol, double atol_u, double atol_v, int has_limit,
+                double blowup_limit, int64_t cap, double *ts, double *y0s,
+                double *hs, double *coef, int64_t *steps)
+{
+    Rhs R = *rhs;
+    R.bad = 0;
+#define LOOP(family) dp45(&R, family, state, t_end, h_min, rtol, atol_u, atol_v, \
+                          has_limit, blowup_limit, cap, ts, y0s, hs, coef, steps)
+    switch (R.family) {
+    case LINEAR:
+        return LOOP(LINEAR);
+    case PHI:
+        return LOOP(PHI);
+    case RATIONAL:
+        return LOOP(RATIONAL);
+    default:
+        return LOOP(PERTURBED);
+    }
+#undef LOOP
 }

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
+from . import _kernel
 from .errors import PreconditionError
 from .greens import apply_Gp
 from .pfuncs import _pval
@@ -62,14 +63,24 @@ HOMOGENEOUS_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Continuous f with declared limits f(s)/phi_p(s) -> f0, finf."""
+    """Continuous f with declared limits f(s)/phi_p(s) -> f0, finf.
+
+    ``family`` records the parameters of a built-in family, (family, e,
+    f0, finf, q) in the terms of ``_kernel.Rhs``, so that its shots run
+    on the compiled kernel; it is None for any other fn.
+    """
 
     fn: object = field(repr=False)
     f0: float
     finf: float
+    family: tuple | None = field(default=None, repr=False)
 
     def __call__(self, u: float) -> float:
         return self.fn(u)
+
+    def kernel_params(self):
+        """The family, where the compiled kernel computes this f exactly."""
+        return self.family if type(self) is Nonlinearity else None
 
     @classmethod
     def rational(cls, p, f0: float = 1.0, finf: float = 2.0, q: float = 2.0):
@@ -86,7 +97,8 @@ class Nonlinearity:
             ratio = (f0 + finf * au**q) / (1.0 + au**q)
             return math.copysign(au**e * ratio, u)
 
-        return cls(fn=fn, f0=float(f0), finf=float(finf))
+        return cls(fn=fn, f0=float(f0), finf=float(finf),
+                   family=(_kernel.RATIONAL, e, float(f0), float(finf), float(q)))
 
     @classmethod
     def phi(cls, p):
@@ -99,7 +111,7 @@ class Nonlinearity:
                 return 0.0
             return math.copysign(abs(u) ** e, u)
 
-        return cls(fn=fn, f0=1.0, finf=1.0)
+        return cls(fn=fn, f0=1.0, finf=1.0, family=(_kernel.PHI, e))
 
     def validate(self, p):
         """Numerical checks of sign condition and the two declared limits (5 %)."""
@@ -139,6 +151,13 @@ class Perturbation:
         if u == 0.0:
             return 0.0
         return self.c * mval * math.copysign(abs(u) ** (self.p - 1.0 + self.delta), u)
+
+    def kernel_params(self):
+        """(c, p - 1 + delta) for the compiled kernel; None for a subclass,
+        which may compute g otherwise."""
+        if type(self) is not Perturbation:
+            return None
+        return float(self.c), self.p - 1.0 + self.delta
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,13 @@ radius eps from the two-term series
 whose error is O(eps^{p'+1}); with the default eps = 1e-6 the startup is
 far below integrator tolerance.  Stepping is the package's own adaptive
 Dormand-Prince 5(4) with quartic dense output (``_rk45``).  Every problem
-builds its right-hand side with ``_system``; a linear shot, the kind every
-eigenvalue search makes, also hands (p, N, mu, m) to the stepper, which
-then runs the compiled kernel with that right-hand side written into its
-loop, to the same bits.  Sign changes of u are
+builds its right-hand side with ``_system``; each RHS class also gives the
+stepper its compiled form (``compiled``): the linear problem, the
+nonlinear one with a built-in ``Nonlinearity`` family and the perturbed
+one with the built-in ``Perturbation`` then run on the compiled kernel
+with that right-hand side written into its loop, to the same bits.  The
+source problem, any other f or g, and a shot the kernel hands back take
+the Python stepper.  Sign changes of u are
 located on the dense output by bracketed root finding to 1e-12 in r;
 each zero is checked against the simplicity threshold
 |u'(r_z)| >= 1e-8 * max|u'| and the trajectory is flagged, not repaired,
@@ -47,6 +50,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import brentq
 
+from . import _kernel
 from ._rk45 import StepCounts, integrate
 from .errors import IntegrationError, PreconditionError
 from .pfuncs import _pval
@@ -73,7 +77,16 @@ def _sgnpow(x: float, e: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides
+# right-hand sides: make(p, m_eval) builds w(r, u) for ``_system``, and
+# compiled(p, N, m) the same right-hand side as a ``_kernel.Rhs``, or None
+# where only the Python stepper computes it
+
+
+def _kernel_params(fn):
+    """What fn hands the kernel (``kernel_params()`` of nodal's built-in
+    Nonlinearity and Perturbation), or None."""
+    params = getattr(fn, "kernel_params", None)
+    return None if params is None else params()
 
 
 @dataclass(frozen=True)
@@ -87,6 +100,9 @@ class LinearRHS:
             return mu * m_eval(r) * _sgnpow(u, e)
 
         return w
+
+    def compiled(self, p, n_dim, m):
+        return _kernel.Rhs(p, n_dim, m, self.mu, _kernel.LINEAR, p - 1.0)
 
 
 @dataclass(frozen=True)
@@ -102,6 +118,10 @@ class NonlinearRHS:
 
         return w
 
+    def compiled(self, p, n_dim, m):
+        family = _kernel_params(self.f)  # (family, e, f0, finf, q)
+        return None if family is None else _kernel.Rhs(p, n_dim, m, self.gamma, *family)
+
 
 @dataclass(frozen=True)
 class PerturbedRHS:
@@ -116,6 +136,11 @@ class PerturbedRHS:
 
         return w
 
+    def compiled(self, p, n_dim, m):
+        term = _kernel_params(self.g)  # (c, p - 1 + delta)
+        return None if term is None else _kernel.Rhs(
+            p, n_dim, m, self.mu, _kernel.PERTURBED, p - 1.0, gc=term[0], ge=term[1])
+
 
 @dataclass(frozen=True)
 class SourceRHS:
@@ -128,6 +153,9 @@ class SourceRHS:
             return h(r)
 
         return w
+
+    def compiled(self, p, n_dim, m):
+        return None
 
 
 @dataclass(frozen=True)
@@ -290,11 +318,11 @@ def shoot(
     p, n_dim, rhs = problem.p, problem.N, problem.rhs
     e_inv = 1.0 / (p - 1.0)
     f = _system(p, n_dim, rhs.make(p, problem.m.scalar_fn()))
-    linear = (p, n_dim, rhs.mu, problem.m) if isinstance(rhs, LinearRHS) else None
 
     y0 = origin_startup(problem, alpha, eps)
     ts, dense, blowup_radius, steps = integrate(
-        f, eps, 1.0, y0, rtol=rtol, atol=atol, blowup_limit=blowup_limit, linear=linear
+        f, eps, 1.0, y0, rtol=rtol, atol=atol, blowup_limit=blowup_limit,
+        compiled=rhs.compiled(p, n_dim, problem.m)
     )
     r_end = blowup_radius if blowup_radius is not None else 1.0
 

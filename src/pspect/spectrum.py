@@ -726,7 +726,7 @@ def verify_zero_proliferation(p, N, m: Weight, interval, multipliers, *,
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise PreconditionError("window [a, b] must have positive length")
-    if m.min_on(a, b) <= 0.0:
+    if not any(lo <= a and b <= hi for lo, hi in m.positive_intervals):
         raise PreconditionError("window [a, b] must lie inside {m > 0}")
     ts = [float(t) for t in multipliers]
     if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):

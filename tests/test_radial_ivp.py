@@ -9,9 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from pspect import _kernel
+from pspect import _kernel, radial_ivp
 from pspect._rk45 import integrate
 from pspect.errors import IntegrationError, PreconditionError
+from pspect.nodal import Nonlinearity, Perturbation
 from pspect.pfuncs import pi_p, sin_p
 from pspect.radial_ivp import (
     LinearRHS,
@@ -214,8 +215,8 @@ def test_trajectory_uprime_consistency():
 
 
 # ---------------------------------------------------------------------------
-# linear shots: the compiled kernel (the linear RHS fused into the step
-# loop) gives the bits of the Python stepper with the generic closure
+# the compiled kernel (the right-hand side fused into the step loop) gives
+# the bits of the Python stepper with the generic closure
 
 FUSED_WEIGHTS = {
     "constant": Weight.constant(0.7),
@@ -236,16 +237,18 @@ class _GenericLinearRHS:
     def make(self, p, m_eval):
         return LinearRHS(self.mu).make(p, m_eval)
 
+    def compiled(self, p, n_dim, m):
+        return None
 
-def _march(p, n_dim, m, mu, *, kernel, rtol=1e-10, atol=1e-12, blowup_limit=None):
-    """One linear shot from the origin through ``integrate``, on the kernel
+
+def _march(prob, *, kernel, alpha=1.0, rtol=1e-10, atol=1e-12, blowup_limit=None):
+    """One shot of prob from the origin through ``integrate``, on the kernel
     or on the Python stepper with the generic right-hand side."""
-    prob = Problem.linear(p, n_dim, m, mu)
-    f = _system(prob.p, n_dim, prob.rhs.make(prob.p, m.scalar_fn()))
-    y0 = origin_startup(prob, 1.0, 1e-6)
-    linear = (prob.p, n_dim, prob.rhs.mu, m) if kernel else None
+    f = _system(prob.p, prob.N, prob.rhs.make(prob.p, prob.m.scalar_fn()))
+    y0 = origin_startup(prob, alpha, 1e-6)
+    compiled = prob.rhs.compiled(prob.p, prob.N, prob.m) if kernel else None
     return integrate(f, 1e-6, 1.0, y0, rtol=rtol, atol=atol, blowup_limit=blowup_limit,
-                     linear=linear)
+                     compiled=compiled)
 
 
 def _same_bits(a, b):
@@ -254,9 +257,9 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_kernel_matches_reference(p, n_dim, m, mu, **kw):
-    ts, dense, blowup_t, steps = _march(p, n_dim, m, mu, kernel=True, **kw)
-    ts_ref, dense_ref, blowup_ref, steps_ref = _march(p, n_dim, m, mu, kernel=False, **kw)
+def assert_kernel_matches_reference(prob, **kw):
+    ts, dense, blowup_t, steps = _march(prob, kernel=True, **kw)
+    ts_ref, dense_ref, blowup_ref, steps_ref = _march(prob, kernel=False, **kw)
     assert _same_bits(ts, ts_ref)
     for got, want in zip(dense._as_arrays(), dense_ref._as_arrays()):
         assert _same_bits(got, want)
@@ -271,7 +274,8 @@ def test_fused_linear_rhs_matches_generic(p, n_dim, weight):
     m = FUSED_WEIGHTS[weight]
     for mu in (37.5, -0.3):
         for rtol, atol in ((1e-10, 1e-12), (1e-6, 1e-8)):
-            assert_kernel_matches_reference(p, n_dim, m, mu, rtol=rtol, atol=atol)
+            assert_kernel_matches_reference(Problem.linear(p, n_dim, m, mu),
+                                            rtol=rtol, atol=atol)
 
 
 @pytest.mark.parametrize(
@@ -317,7 +321,7 @@ needs_kernel = pytest.mark.skipif(_kernel.load() is None, reason="no compiled ke
 def test_kernel_matches_reference_at_large_mu(p, n_dim, weight, mu, blowup_limit):
     m = COS64 if weight == "cos64" else FUSED_WEIGHTS[weight]
     for rtol, atol in ((1e-10, 1e-12), (1e-6, 1e-8)):
-        assert_kernel_matches_reference(p, n_dim, m, mu, rtol=rtol, atol=atol,
+        assert_kernel_matches_reference(Problem.linear(p, n_dim, m, mu), rtol=rtol, atol=atol,
                                         blowup_limit=blowup_limit)
 
 
@@ -335,12 +339,59 @@ def kernel_results(monkeypatch):
     return seen
 
 
+# nonlinear and perturbed shots: each (p, N, weight) of the grid takes the
+# next rational parameters, perturbation and amplitudes in turn, so the
+# grid covers every value of each
+RATIONAL_PARAMS = [(f0, finf, q) for f0 in (0.9, 1.1) for finf in (1.9, 2.3)
+                   for q in (1.8, 2.0, 2.2)]
+PERTURBATIONS = [(c, delta) for c in (0.0, 1.0) for delta in (0.5, 1.0)]
+AMPLITUDES = [s * 10.0**k for k in range(-3, 4) for s in (1.0, -1.0)]  # the branch grid's range
+GRID_P, GRID_N = [1.2, 2.0, 2.5, 6.0], [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("weight", sorted(FUSED_WEIGHTS))
+@pytest.mark.parametrize("n_dim", GRID_N)
+@pytest.mark.parametrize("p", GRID_P)
+def test_kernel_matches_reference_on_nonlinear_and_perturbed_shots(p, n_dim, weight,
+                                                                   kernel_results):
+    i = (GRID_P.index(p) * len(GRID_N) + GRID_N.index(n_dim)) * len(FUSED_WEIGHTS) \
+        + sorted(FUSED_WEIGHTS).index(weight)
+    m = FUSED_WEIGHTS[weight]
+    f0, finf, q = RATIONAL_PARAMS[i % len(RATIONAL_PARAMS)]
+    c, delta = PERTURBATIONS[i % len(PERTURBATIONS)]
+    lam = 37.5 if i % 3 else -0.3
+    shots = [
+        (Problem.nonlinear(p, n_dim, m, lam, Nonlinearity.rational(p, f0, finf, q)), i),
+        (Problem.nonlinear(p, n_dim, m, lam, Nonlinearity.phi(p)), i + 5),
+        (Problem.perturbed(p, n_dim, m, lam, Perturbation(p, c, delta)), i + 9),
+    ]
+    for prob, j in shots:
+        for tols in ((1e-10, 1e-12), (1e-6, 1e-8)):
+            # shoot's guard: a superlinear g blows up in finite r
+            assert_kernel_matches_reference(prob, alpha=AMPLITUDES[j % len(AMPLITUDES)],
+                                            rtol=tols[0], atol=tols[1], blowup_limit=1e12)
+    if _kernel.load() is not None:
+        assert len(kernel_results) == 6 and None not in kernel_results
+
+
+def test_kernel_uses_the_exponents_f_and_g_captured(kernel_results):
+    # f and g keep the p they were built with, whatever the problem's p
+    for rhs in (Nonlinearity.rational(3.0, 1.1, 2.3, 2.2), Nonlinearity.phi(1.5),
+                Perturbation(4.0, 1.0, 0.5)):
+        make = Problem.nonlinear if isinstance(rhs, Nonlinearity) else Problem.perturbed
+        for alpha in (1e-3, -1.0, 10.0):
+            assert_kernel_matches_reference(make(2.0, 3, M_LIN, 37.5, rhs), alpha=alpha,
+                                            blowup_limit=1e12)
+    if _kernel.load() is not None:
+        assert len(kernel_results) == 9 and None not in kernel_results
+
+
 @needs_kernel
 def test_kernel_hands_overflowing_shots_to_the_python_stepper(kernel_results):
     # with no blow-up guard u and v reach inf; Python's inf ** e is inf
     # without an error, the kernel stops at an infinite power, and the
     # Python stepper repeats the shot
-    assert_kernel_matches_reference(1.2, 1, M1, -1e6, rtol=1e-6, atol=1e-8)
+    assert_kernel_matches_reference(Problem.linear(1.2, 1, M1, -1e6), rtol=1e-6, atol=1e-8)
     assert kernel_results == [None]
 
 
@@ -349,7 +400,8 @@ def test_kernel_step_underflow_raises_the_python_error(kernel_results):
     errors = []
     for kernel in (True, False):
         with pytest.raises(IntegrationError) as info:
-            _march(2.0, 1, M1, 10.0, kernel=kernel, rtol=1e-100, atol=1e-150)
+            _march(Problem.linear(2.0, 1, M1, 10.0), kernel=kernel, rtol=1e-100,
+                   atol=1e-150)
         errors.append(str(info.value))
     assert errors == ["step size underflow at r = 1.000000e-06"] * 2
     assert [out[0] for out in kernel_results] == [_kernel.UNDERFLOW]
@@ -358,7 +410,8 @@ def test_kernel_step_underflow_raises_the_python_error(kernel_results):
 @needs_kernel
 def test_kernel_grows_its_buffers(monkeypatch, kernel_results):
     monkeypatch.setattr(_kernel, "FIRST_CAPACITY", 3)
-    assert_kernel_matches_reference(2.5, 1, M_LIN, 13872.2, rtol=1e-6, atol=1e-8)
+    assert_kernel_matches_reference(Problem.linear(2.5, 1, M_LIN, 13872.2), rtol=1e-6,
+                                    atol=1e-8)
     assert kernel_results[0][6] > 100  # accepted steps
 
 
@@ -381,15 +434,63 @@ def test_shots_fall_back_to_the_python_stepper(monkeypatch, tmp_path, broken):
         got = shoot(prob, 1.0)
     finally:
         _kernel.load.cache_clear()
+    assert_same_shot(got, want)
+
+
+def assert_same_shot(got, want):
     for a, b in ((got.r, want.r), (got.u, want.u), (got.v, want.v), (got.terminal, want.terminal)):
         assert _same_bits(a, b)
     assert [z.r for z in got.zeros] == [z.r for z in want.zeros]
     assert got.steps == want.steps
 
 
-def test_kernel_in_use_where_a_compiler_is():
+def test_hand_built_nonlinearity_takes_the_python_stepper(kernel_results):
+    built_in = Nonlinearity.rational(2.5, f0=1.1, finf=2.3, q=2.2)
+    hand_built = Nonlinearity(fn=built_in.fn, f0=built_in.f0, finf=built_in.finf)
+    got = shoot(Problem.nonlinear(2.5, 2, M_LIN, 37.5, hand_built), 1.0)
+    assert kernel_results == []
+    want = shoot(Problem.nonlinear(2.5, 2, M_LIN, 37.5, built_in), 1.0)
+    assert len(kernel_results) == (_kernel.load() is not None) and None not in kernel_results
+    assert_same_shot(got, want)
+
+
+class _DoubledPerturbation(Perturbation):
+    def __call__(self, mval, r, u, mu):
+        return 2.0 * super().__call__(mval, r, u, mu)
+
+
+def test_perturbation_subclass_stays_on_the_python_stepper(kernel_results):
+    prob = Problem.perturbed(2.0, 1, M_LIN, 30.0, _DoubledPerturbation(2.0))
+    doubled = shoot(prob, 0.5)
+    assert kernel_results == []
+    plain = shoot(Problem.perturbed(2.0, 1, M_LIN, 30.0, Perturbation(2.0)), 0.5)
+    assert doubled.terminal != plain.terminal  # its own __call__ ran
+
+
+@needs_kernel
+def test_kernel_hands_back_a_rational_shot_whose_power_overflows(kernel_results):
+    # u starts at 1e139, where |u|^2.2 is finite, and grows like cosh(5 r)
+    # under m = -1 until |u|^2.2 passes the largest double; Python raises
+    # OverflowError there, so the kernel hands the shot back (finf < 1, so
+    # that finf |u|^q does not overflow first, to inf without an error)
+    f = Nonlinearity.rational(2.0, f0=1.0, finf=0.5, q=2.2)
+    prob = Problem.nonlinear(2.0, 1, Weight.constant(-1.0), 50.0, f)
+    raised = []
+    for kernel in (True, False):
+        with pytest.raises(OverflowError) as info:
+            _march(prob, kernel=kernel, alpha=1e139)
+        raised.append((type(info.value), info.value.args))
+    assert raised[0] == raised[1]
+    assert kernel_results == [None]
+
+
+def _has_compiler():
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    has_cc = bool(cc) and shutil.which(cc[0]) is not None
+    return bool(cc) and shutil.which(cc[0]) is not None
+
+
+def test_kernel_in_use_where_a_compiler_is():
+    has_cc = _has_compiler()
     assert (_kernel.load() is not None) == has_cc
     # on the kernel, f runs only for the first derivative and the initial step
     calls = [0]
@@ -400,9 +501,34 @@ def test_kernel_in_use_where_a_compiler_is():
         return f0(r, u, v)
 
     y0 = origin_startup(Problem.linear(2.0, 1, M1, 120.0), 1.0, 1e-6)
-    steps = integrate(f, 1e-6, 1.0, y0, rtol=1e-10, atol=1e-12, linear=(2.0, 1, 120.0, M1))[3]
+    steps = integrate(f, 1e-6, 1.0, y0, rtol=1e-10, atol=1e-12,
+                      compiled=LinearRHS(120.0).compiled(2.0, 1, M1))[3]
     assert steps.accepted > 10
     assert calls[0] == (2 if has_cc else steps.rhs_calls)
+
+
+def test_nonlinear_and_perturbed_shots_on_the_kernel_where_a_compiler_is(monkeypatch):
+    # the Python f runs only for the first derivative and the initial step
+    calls = []
+
+    def counting(f, t0, t_end, y0, **kw):
+        n = [0]
+
+        def counted(r, u, v):
+            n[0] += 1
+            return f(r, u, v)
+
+        out = integrate(counted, t0, t_end, y0, **kw)
+        calls.append((n[0], out[3]))
+        return out
+
+    monkeypatch.setattr(radial_ivp, "integrate", counting)
+    shoot(Problem.nonlinear(2.5, 2, M_LIN, 37.5, Nonlinearity.rational(2.5)), 1.0)
+    shoot(Problem.perturbed(2.5, 2, M_LIN, 37.5, Perturbation(2.5)), 1.0)
+    assert len(calls) == 2
+    for n, steps in calls:
+        assert steps.accepted > 10
+        assert n == (2 if _has_compiler() else steps.rhs_calls)
 
 
 def test_discarded_shots_release_their_dense_output():

@@ -431,6 +431,17 @@ def test_pointwise_preconditions_see_a_narrow_spike():
         verify_sturm(2.0, 1, m1, m2)
 
 
+def test_zero_proliferation_window_sees_a_narrow_dip():
+    # m = 1 dips to -1 on (0.49998, 0.50002), inside the window (0.3, 0.7)
+    # and narrower than a 4096-point grid's spacing
+    m = Weight((0, 0.49998, 0.5, 0.50002, 1), ((1.0,), (1.0, -1e5), (-1.0, 1e5), (1.0,)))
+    assert m.negative_intervals
+    with pytest.raises(PreconditionError, match="inside"):
+        verify_zero_proliferation(2.0, 1, m, (0.3, 0.7), [10, 100, 1000])
+    rep = verify_zero_proliferation(2.0, 1, m, (0.1, 0.4), [10, 100, 1000])
+    assert rep.data["counts"]
+
+
 def test_zero_proliferation_unit_weight_counts():
     multipliers = [((2 * k - 1) * math.pi / 2) ** 2 for k in (1, 2, 3, 4)]
     rep = verify_zero_proliferation(2.0, 1, M1, (0.0, 1.0), multipliers)
