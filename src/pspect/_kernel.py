@@ -1,11 +1,15 @@
-"""Build and load the compiled step loop of the radial problems.
+"""Build and load the compiled step loop and post-pass of the radial problems.
 
-``_rk45_kernel.c`` holds ``pspect_dp45``: the Dormand-Prince loop of
-``_rk45.integrate`` with the right-hand side of a linear, nonlinear
-(built-in ``Nonlinearity`` families) or perturbed (built-in
-``Perturbation``) shot written into it, operation for operation, so it
-returns the bits of the Python stepper.  :class:`Rhs` describes that
-right-hand side; ``radial_ivp``'s RHS classes build it.
+``_rk45_kernel.c`` holds two entry points.  ``pspect_dp45`` is the
+Dormand-Prince loop of ``_rk45.integrate`` with the right-hand side of a
+linear, nonlinear (built-in ``Nonlinearity`` families) or perturbed
+(built-in ``Perturbation``) shot written into it, operation for
+operation, so it returns the bits of the Python stepper.  :class:`Rhs`
+describes that right-hand side; ``radial_ivp``'s RHS classes build it.
+``pspect_scan`` reads a finished shot off its dense output, whichever
+loop ran it, as ``radial_ivp._scan_reference`` does in numpy and to the
+same bits: the sample grid and u, v on it, the running maxima of |u|,
+u(1) and the sign changes of u (:func:`scan`).
 
 The source is compiled on first use with the C compiler Python was built
 with (``sysconfig``'s ``CC``) and the fixed flags ``FLAGS``, into
@@ -14,8 +18,10 @@ source, the compiler and the flags; later processes load that file.  The
 flags are part of the bit-identity: ``-ffp-contract=off`` forbids fused
 multiply-adds and ``-fno-builtin`` keeps ``pow(x, 2.0)`` a libm call, as
 CPython's ``**`` makes it; ``-ffast-math`` and ``-march=native`` stay
-out.  Where no compiler runs or the cache cannot be written, :func:`load`
-returns None and every shot takes the Python stepper.
+out.  The post-pass takes no power at all: numpy's array power need not
+round as libm's ``pow`` does.  Where no compiler runs or the cache cannot
+be written, :func:`load` returns None, every shot takes the Python
+stepper and ``shoot`` the numpy post-pass.
 """
 
 from __future__ import annotations
@@ -75,11 +81,21 @@ class _Rhs(ctypes.Structure):  # struct Rhs of _rk45_kernel.c
 
 
 # pspect_dp45(rhs, state, t_end, h_min, rtol, atol_u, atol_v, has_limit,
-#             blowup_limit, cap, ts, y0s, hs, coef, steps)
-_ARGTYPES = (
-    [ctypes.POINTER(_Rhs), ctypes.c_void_p] + [ctypes.c_double] * 5
-    + [ctypes.c_int, ctypes.c_double, ctypes.c_int64] + [ctypes.c_void_p] * 5
+#             blowup_limit, cap, buf, steps)
+_DP45_ARGTYPES = (
+    [ctypes.POINTER(_Rhs), ctypes.POINTER(ctypes.c_double)] + [ctypes.c_double] * 5
+    + [ctypes.c_int, ctypes.c_double, ctypes.c_int64, ctypes.POINTER(ctypes.c_double),
+       ctypes.POINTER(ctypes.c_int64)]
 )
+# pspect_scan(block, n, eps, r_end, n_samples, samples, cap, scratch, counts)
+_SCAN_ARGTYPES = (
+    ctypes.POINTER(ctypes.c_double), ctypes.c_int64, ctypes.c_double, ctypes.c_double,
+    ctypes.c_int64, ctypes.POINTER(ctypes.c_double), ctypes.c_int64,
+    ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64),
+)
+RECORD = 17  # doubles per sign-change bracket of pspect_scan
+_State = ctypes.c_double * 6  # t, u, v, fu, fv, h
+_Pair = ctypes.c_int64 * 2  # step counts of pspect_dp45, counts of pspect_scan
 
 
 def _build() -> str:
@@ -113,18 +129,20 @@ def _build() -> str:
 
 @functools.cache
 def load():
-    """The kernel's entry point, or None where it cannot be built or loaded."""
+    """The kernel library with ``pspect_dp45`` and ``pspect_scan`` ready to
+    call, or None where it cannot be built or loaded."""
     try:
-        fn = ctypes.CDLL(_build()).pspect_dp45
+        lib = ctypes.CDLL(_build())
     except OSError:
         return None
-    fn.argtypes = _ARGTYPES
-    fn.restype = ctypes.c_int
-    return fn
+    lib.pspect_dp45.argtypes = _DP45_ARGTYPES
+    lib.pspect_dp45.restype = ctypes.c_int
+    lib.pspect_scan.argtypes = _SCAN_ARGTYPES
+    lib.pspect_scan.restype = None
+    return lib
 
 
-def _address(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
+_doubles = ctypes.c_double.from_buffer  # a writable float64 array as a double *
 
 
 def run(rhs: Rhs, t, u, v, fu, fv, h, t_end, h_min, rtol, atol_u, atol_v, blowup_limit):
@@ -133,29 +151,26 @@ def run(rhs: Rhs, t, u, v, fu, fv, h, t_end, h_min, rtol, atol_u, atol_v, blowup
     The other arguments are the state of ``_rk45.integrate`` after its
     initial step.  Returns None when the kernel is missing or a Python
     float operation would have raised on the way (the caller then repeats
-    the shot on the Python stepper), else (status, t, ts, y0s, hs, coef,
-    accepted, rejected) with the final t, the n + 1 nodes ts and the flat
-    dense buffers of the n accepted steps.
+    the shot on the Python stepper), else (status, t, block, n, rejected)
+    with the final t and the n accepted steps in the block layout of
+    ``_rk45.DenseOutput``.
     """
-    fn = load()
-    if fn is None:
+    lib = load()
+    if lib is None:
         return None
-    bp, off, wc = rhs.weight.flat
-    spec = _Rhs(rhs.family, rhs.n_dim, len(rhs.weight.coeffs),
-                _address(bp), _address(off), _address(wc),
+    bp, off, wc = rhs.weight.flat_addresses
+    spec = _Rhs(rhs.family, rhs.n_dim, len(rhs.weight.coeffs), bp, off, wc,
                 rhs.lam, rhs.e, 1.0 / (rhs.p - 1.0), rhs.f0, rhs.finf, rhs.q,
                 rhs.gc, rhs.ge, 0)
-    state = (ctypes.c_double * 6)(t, u, v, fu, fv, h)
-    steps = (ctypes.c_int64 * 2)()
+    state = _State(t, u, v, fu, fv, h)
+    steps = _Pair()
+    has_limit = blowup_limit is not None
+    limit = blowup_limit if has_limit else 0.0
     cap = FIRST_CAPACITY
     while True:
-        # ts (cap + 1 nodes), y0s (2 cap), hs (cap) and coef (8 cap) in one block
         buf = np.empty(12 * cap + 1)
-        at = _address(buf)
-        status = fn(spec, state, t_end, h_min, rtol, atol_u, atol_v,
-                    blowup_limit is not None, 0.0 if blowup_limit is None else blowup_limit,
-                    cap, at, at + 8 * (cap + 1), at + 8 * (3 * cap + 1),
-                    at + 8 * (4 * cap + 1), steps)
+        status = lib.pspect_dp45(spec, state, t_end, h_min, rtol, atol_u, atol_v, has_limit,
+                                 limit, cap, _doubles(buf), steps)
         if status != FULL:
             break
         state[:] = (t, u, v, fu, fv, h)
@@ -163,6 +178,27 @@ def run(rhs: Rhs, t, u, v, fu, fv, h, t_end, h_min, rtol, atol_u, atol_v, blowup
     if status == RERUN:
         return None
     n = steps[0]
-    return (status, state[0], buf[:n + 1].copy(), buf[cap + 1:cap + 1 + 2 * n].copy(),
-            buf[3 * cap + 1:3 * cap + 1 + n].copy(), buf[4 * cap + 1:4 * cap + 1 + 8 * n].copy(),
-            n, steps[1])
+    return status, state[0], buf[:12 * n + 1].copy(), n, steps[1]
+
+
+def scan(block, n, eps, r_end, n_samples):
+    """``pspect_scan`` over a shot of n steps in the block layout of
+    ``_rk45.DenseOutput``: what ``radial_ivp._scan_reference`` returns, to
+    the same bits, or None when the kernel is missing, n < 1 or
+    n_samples < 2."""
+    lib = load()
+    if lib is None or n < 1 or n_samples < 2:
+        return None
+    if block.dtype != np.float64 or block.shape != (12 * n + 1,):
+        raise ValueError(f"a dense block of {n} steps holds {12 * n + 1} float64 values, "
+                         f"got {block.dtype} {block.shape}")
+    cap = n_samples + n + 1
+    samples = np.empty(3 * cap)
+    scratch = np.empty(cap + 2 + RECORD * 2 * n)
+    counts = _Pair()
+    lib.pspect_scan(_doubles(block), n, eps, r_end, n_samples, _doubles(samples), cap,
+                    _doubles(scratch), counts)
+    g, k = counts
+    records = scratch[cap + 2:cap + 2 + RECORD * k].reshape(k, RECORD).tolist()
+    return (samples[:g], samples[cap:cap + g], samples[2 * cap:2 * cap + g], scratch[:g],
+            tuple(scratch[cap:cap + 2].tolist()), records)

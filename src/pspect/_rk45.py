@@ -22,7 +22,8 @@ The Python loop deliberately avoids numpy; shots are ~1e2..1e3 steps of
 trivially cheap arithmetic, where array machinery costs more than the
 math.  For the same reason it keeps the dense coefficients in flat lists
 of floats (two start values and eight theta-polynomial coefficients per
-step, u before v); the kernel fills arrays of the same layout.
+step, u before v) and makes them one array at the end; the kernel fills
+an array of the same layout, and both hand it to :class:`DenseOutput`.
 
 The right-hand side stays a callable argument: the kernel still takes
 f for the first derivative and the initial step guess, and a caller can
@@ -107,35 +108,26 @@ class StepCounts(NamedTuple):
 
 
 class DenseOutput:
-    """Piecewise-quartic interpolant over the accepted steps.
+    """Piecewise-quartic interpolant over the n accepted steps of a march.
 
-    Built from four flat buffers: the left nodes of the steps (ascending),
-    the start values (u0, v0 per step), the step sizes, and the
-    theta^1..theta^4 coefficients of u, then of v, per step.  The Python
-    stepper hands over lists and the kernel arrays; each form is derived
-    from the other only when first needed, the arrays for vectorised
-    evaluation and the lists for the scalar one.
+    Built from one flat block of 12 n + 1 floats, as both loops leave it:
+    the n + 1 nodes (the left ends of the steps, then the final t), the
+    start values (u0, v0 per step), the step sizes, and the
+    theta^1..theta^4 coefficients of u, then of v, per step.  The scalar
+    evaluation reads lists of the same values, made when first needed.
     """
 
-    __slots__ = ("_py", "_np")
+    __slots__ = ("block", "n", "_np", "_py")
 
-    def __init__(self, ts, y0s, hs, coef):
-        self._py = self._np = None
-        if isinstance(ts, np.ndarray):
-            self._np = (ts, y0s.reshape(-1, 2), hs, coef.reshape(-1, 2, 4))
-        else:
-            self._py = (ts, y0s, hs, coef)
-
-    def _as_arrays(self):
-        if self._np is None:
-            ts, y0s, hs, coef = self._py
-            self._np = (
-                np.asarray(ts),
-                np.asarray(y0s).reshape(-1, 2),
-                np.asarray(hs),
-                np.asarray(coef).reshape(-1, 2, 4),
-            )
-        return self._np
+    def __init__(self, block: np.ndarray, n: int):
+        self.block, self.n = block, n
+        self._np = (
+            block[:n],
+            block[n + 1:3 * n + 1].reshape(-1, 2),
+            block[3 * n + 1:4 * n + 1],
+            block[4 * n + 1:12 * n + 1].reshape(-1, 2, 4),
+        )
+        self._py = None
 
     def _as_lists(self):
         if self._py is None:
@@ -153,19 +145,23 @@ class DenseOutput:
         )
         return u, v
 
-    def u_scalar(self, t: float) -> float:
-        ts, y0s, hs, c = self._as_lists()
-        i = _segment(ts, len(hs), t)
-        th = (t - ts[i]) / hs[i]
-        j = 8 * i
-        return y0s[2 * i] + th * (c[j] + th * (c[j + 1] + th * (c[j + 2] + th * c[j + 3])))
+    def segments(self, t: np.ndarray) -> np.ndarray:
+        """The step each t is evaluated on: the last whose left node is <= t,
+        clipped to the first and the last step (``_segment`` for arrays)."""
+        return np.clip(np.searchsorted(self._np[0], t, side="right") - 1, 0, self.n - 1)
+
+    def quartics(self, i: np.ndarray) -> np.ndarray:
+        """Rows (left node, step size, u0, the theta^1..theta^4 coefficients
+        of u, v0, those of v) of the steps i."""
+        ts, y0s, hs, coef = self._np
+        return np.column_stack((ts[i], hs[i], y0s[i, 0], coef[i, 0], y0s[i, 1], coef[i, 1]))
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
         if t_arr.ndim == 0:
             return np.array(self.eval_scalar(float(t_arr)))
-        ts, y0s, hs, coef = self._as_arrays()
-        idx = np.clip(np.searchsorted(ts, t_arr, side="right") - 1, 0, len(hs) - 1)
+        ts, y0s, hs, coef = self._np
+        idx = self.segments(t_arr)
         th = (t_arr - ts[idx]) / hs[idx]
         c = coef[idx]  # (n, 2, 4)
         acc = c[:, :, 3]
@@ -237,12 +233,12 @@ def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None, compiled=None)
         out = _kernel.run(compiled, t, u, v, fu, fv, h, t_end, h_min, rtol, atol_u, atol_v,
                           blowup_limit)
         if out is not None:
-            status, t, ts, y0s, hs, coef, accepted, rejected = out
+            status, t, block, accepted, rejected = out
             if status == _kernel.UNDERFLOW:
                 raise _underflow(t)
             blowup_t = t if status == _kernel.BLOWUP else None
             steps = StepCounts(accepted, rejected, 2 + 6 * (accepted + rejected))
-            return ts, DenseOutput(ts[:-1], y0s, hs, coef), blowup_t, steps
+            return block[:accepted + 1], DenseOutput(block, accepted), blowup_t, steps
 
     seg_t, seg_y0, seg_h, seg_coef = [], [], [], []
     blowup_t = None
@@ -330,5 +326,5 @@ def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None, compiled=None)
     # attempted step (k1 of the next step is k7 of this one)
     accepted = len(seg_h)
     steps = StepCounts(accepted, rejected, 2 + 6 * (accepted + rejected))
-    dense = DenseOutput(seg_t, seg_y0, seg_h, seg_coef)
-    return np.asarray(seg_t + [t]), dense, blowup_t, steps
+    block = np.array(seg_t + [t] + seg_y0 + seg_h + seg_coef, dtype=float)
+    return block[:accepted + 1], DenseOutput(block, accepted), blowup_t, steps

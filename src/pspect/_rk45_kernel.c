@@ -1,4 +1,5 @@
-/* Compiled step loop of pspect._rk45.integrate for the radial problems.
+/* Compiled step loop of pspect._rk45.integrate for the radial problems, and
+ * the post-pass of pspect.radial_ivp.shoot over a finished shot.
  *
  * pspect_dp45 runs the Dormand-Prince 5(4) loop of _rk45.integrate with the
  * right-hand side radial_ivp._system(p, N, w) written into it, for the
@@ -32,6 +33,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 enum {
     PSPECT_END = 0,       /* reached t_end */
@@ -200,7 +202,8 @@ static double rational(Rhs *R, double u)
     if (u == 0.0)
         return 0.0;
     double au = fabs(u);
-    double ratio = py_div(R, R->f0 + R->finf * py_pow(R, au, R->q), 1.0 + py_pow(R, au, R->q));
+    double auq = py_pow(R, au, R->q); /* Python computes au ** q twice, to these bits */
+    double ratio = py_div(R, R->f0 + R->finf * auq, 1.0 + auq);
     return copysign(py_pow(R, au, R->e) * ratio, u);
 }
 
@@ -247,9 +250,9 @@ INLINE void rhs(Rhs *R, int family, double r, double u, double v, double *du, do
 /* The loop of _rk45.integrate after its initial step; see pspect_dp45. */
 INLINE int dp45(Rhs *R, int family, double *state, double t_end, double h_min,
                 double rtol, double atol_u, double atol_v, int has_limit,
-                double blowup_limit, int64_t cap, double *ts, double *y0s,
-                double *hs, double *coef, int64_t *steps)
+                double blowup_limit, int64_t cap, double *buf, int64_t *steps)
 {
+    double *ts = buf, *y0s = buf + cap + 1, *hs = buf + 3 * cap + 1, *coef = buf + 4 * cap + 1;
     double t = state[0], u = state[1], v = state[2];
     double fu = state[3], fv = state[4], h = state[5];
     int64_t n = 0, rejected = 0;
@@ -334,6 +337,11 @@ INLINE int dp45(Rhs *R, int family, double *state, double t_end, double h_min,
     }
 
     ts[n] = t;
+    if (status != PSPECT_FULL) { /* the block of _rk45.DenseOutput, n steps long */
+        memmove(buf + n + 1, y0s, 2 * n * sizeof(double));
+        memmove(buf + 3 * n + 1, hs, n * sizeof(double));
+        memmove(buf + 4 * n + 1, coef, 8 * n * sizeof(double));
+    }
     state[0] = t;
     state[1] = u;
     state[2] = v;
@@ -344,18 +352,20 @@ INLINE int dp45(Rhs *R, int family, double *state, double t_end, double h_min,
 
 /* The loop of _rk45.integrate after its initial step, with the w of *rhs.
    state holds t, u, v, f(t, u, v) and h on entry, and t, u, v on return.
-   Accepted step i writes ts[i], y0s[2i..2i+1], hs[i] and coef[8i..8i+7],
-   and ts[n] is the final t; steps receives the accepted and the rejected
+   buf holds 12 cap + 1 doubles.  On return, unless the status is
+   PSPECT_FULL, its first 12 n + 1 hold the n accepted steps as
+   _rk45.DenseOutput reads them: the nodes ts[0..n] (ts[n] is the final t),
+   then u0, v0 of each step, the step sizes, and the eight theta-polynomial
+   coefficients of each step.  steps receives the accepted and the rejected
    step counts. */
 int pspect_dp45(const Rhs *rhs, double *state, double t_end, double h_min,
                 double rtol, double atol_u, double atol_v, int has_limit,
-                double blowup_limit, int64_t cap, double *ts, double *y0s,
-                double *hs, double *coef, int64_t *steps)
+                double blowup_limit, int64_t cap, double *buf, int64_t *steps)
 {
     Rhs R = *rhs;
     R.bad = 0;
 #define LOOP(family) dp45(&R, family, state, t_end, h_min, rtol, atol_u, atol_v, \
-                          has_limit, blowup_limit, cap, ts, y0s, hs, coef, steps)
+                          has_limit, blowup_limit, cap, buf, steps)
     switch (R.family) {
     case LINEAR:
         return LOOP(LINEAR);
@@ -367,4 +377,142 @@ int pspect_dp45(const Rhs *rhs, double *state, double t_end, double h_min,
         return LOOP(PERTURBED);
     }
 #undef LOOP
+}
+
+/* ------------------------------------------------------------------------
+ * pspect_scan: what radial_ivp.shoot reads off a finished shot, whichever
+ * loop ran it, computed as its numpy reference (radial_ivp._scan_reference)
+ * computes it, to the same bits.  No power is taken here: numpy's array
+ * power need not round as libm's pow does.
+ */
+
+/* DenseOutput.__call__ on step i at t: theta = (t - ts[i]) / hs[i], then
+   each quartic from its theta^4 coefficient down */
+static void dense_at(const double *ts, const double *y0s, const double *hs,
+                     const double *coef, int64_t i, double t, double *u, double *v)
+{
+    double th = (t - ts[i]) / hs[i];
+    const double *c = coef + 8 * i;
+    double au = c[3], av = c[7];
+    au = au * th + c[2];
+    av = av * th + c[6];
+    au = au * th + c[1];
+    av = av * th + c[5];
+    au = au * th + c[0];
+    av = av * th + c[4];
+    *u = y0s[2 * i] + au * th;
+    *v = y0s[2 * i + 1] + av * th;
+}
+
+/* The step DenseOutput evaluates at t: searchsorted(ts[:n], t, side="right")
+   - 1, clipped to [0, n - 1].  *j counts the nodes <= the t of the last call,
+   so a run of ascending t walks the nodes once. */
+static int64_t step_of(const double *ts, int64_t n, int64_t *j, double t)
+{
+    while (*j < n && ts[*j] <= t)
+        (*j)++;
+    return *j == 0 ? 0 : *j - 1;
+}
+
+/* numpy's linspace(start, stop, num)[i] for num >= 2: i * step + start with
+   step = (stop - start) / (num - 1), and the last point stop.  (numpy takes
+   another branch where step underflows to 0; a shot never gets there, as
+   r_end - eps is at least one step of the march.) */
+static double linspace_at(int64_t i, int64_t num, double start, double stop)
+{
+    if (i == num - 1)
+        return stop;
+    return (double)i * ((stop - start) / (double)(num - 1)) + start;
+}
+
+#define RECORD 17 /* doubles per sign-change bracket */
+
+/* The post-pass of radial_ivp.shoot over a shot of n >= 1 steps held in
+   block as pspect_dp45 leaves it, with n_samples >= 2 and cap =
+   n_samples + n + 1:
+     samples[0..cap)       the grid union1d(linspace(eps, r_end, n_samples), ts)
+     samples[cap..2 cap)   u on the grid
+     samples[2 cap..3 cap) v on the grid
+     scratch[0..cap)       max |u| over the grid from each point on (NaN if
+                           any is NaN, as np.max)
+     scratch[cap..cap + 2) u(1) and v(1)
+     then one RECORD per sign change of u over the nodes ts and midpoints
+     0.5 (ts[i] + ts[i + 1]) up to r_end, equal neighbours once, taken where
+     u[k] == 0 or u[k] u[k + 1] < 0 (at most 2n): the nodes a and b, u(a),
+     u(b), v(b), and the step of a (its left node, size, u0, the four u
+     coefficients, v0, the four v coefficients).
+   counts receives the grid length and the number of brackets. */
+void pspect_scan(const double *block, int64_t n, double eps, double r_end, int64_t n_samples,
+                 double *samples, int64_t cap, double *scratch, int64_t *counts)
+{
+    const double *ts = block, *y0s = block + n + 1, *hs = block + 3 * n + 1;
+    const double *coef = block + 4 * n + 1;
+    double *grid = samples, *u = samples + cap, *v = samples + 2 * cap;
+    double *tail = scratch, *rec = scratch + cap + 2;
+
+    /* the grid: both ascending sequences merged, equal values once */
+    int64_t g = 0, a = 0, b = 0, j = 0;
+    while (a < n_samples || b <= n) {
+        double x;
+        if (b > n || (a < n_samples && linspace_at(a, n_samples, eps, r_end) <= ts[b]))
+            x = linspace_at(a++, n_samples, eps, r_end);
+        else
+            x = ts[b++];
+        if (g > 0 && x == grid[g - 1])
+            continue;
+        grid[g] = x;
+        dense_at(ts, y0s, hs, coef, step_of(ts, n, &j, x), x, u + g, v + g);
+        g++;
+    }
+    double m = 0.0;
+    for (int64_t k = g - 1; k >= 0; k--) {
+        double x = fabs(u[k]);
+        if (k == g - 1 || x > m || isnan(x))
+            m = x;
+        tail[k] = m;
+    }
+
+    /* the nodes ts[0], mid 0, ts[1], ..., ts[n] ascend */
+    int64_t nb = 0, ia = 0;
+    double xa = 0.0, ua = 0.0;
+    j = 0;
+    for (int64_t s = 0; s <= 2 * n; s++) {
+        double x = s % 2 == 0 ? ts[s / 2] : 0.5 * (ts[s / 2] + ts[s / 2 + 1]);
+        if (!(x <= r_end))
+            break;
+        if (s > 0 && x == xa)
+            continue;
+        int64_t i = step_of(ts, n, &j, x);
+        double ux, vx;
+        dense_at(ts, y0s, hs, coef, i, x, &ux, &vx);
+        if (s > 0 && (ua == 0.0 || ua * ux < 0.0)) {
+            double *r = rec + RECORD * nb++;
+            const double *c = coef + 8 * ia;
+            r[0] = xa;
+            r[1] = x;
+            r[2] = ua;
+            r[3] = ux;
+            r[4] = vx;
+            r[5] = ts[ia];
+            r[6] = hs[ia];
+            r[7] = y0s[2 * ia];
+            r[8] = c[0];
+            r[9] = c[1];
+            r[10] = c[2];
+            r[11] = c[3];
+            r[12] = y0s[2 * ia + 1];
+            r[13] = c[4];
+            r[14] = c[5];
+            r[15] = c[6];
+            r[16] = c[7];
+        }
+        xa = x;
+        ua = ux;
+        ia = i;
+    }
+
+    j = 0;
+    dense_at(ts, y0s, hs, coef, step_of(ts, n, &j, 1.0), 1.0, scratch + cap, scratch + cap + 1);
+    counts[0] = g;
+    counts[1] = nb;
 }

@@ -30,12 +30,19 @@ nonlinear one with a built-in ``Nonlinearity`` family and the perturbed
 one with the built-in ``Perturbation`` then run on the compiled kernel
 with that right-hand side written into its loop, to the same bits.  The
 source problem, any other f or g, and a shot the kernel hands back take
-the Python stepper.  Sign changes of u are
-located on the dense output by bracketed root finding to 1e-12 in r;
-each zero is checked against the simplicity threshold
-|u'(r_z)| >= 1e-8 * max|u'| and the trajectory is flagged, not repaired,
-when a degenerate (u = u' = 0) point is met, since IVP uniqueness can
-fail there for p != 2.
+the Python stepper.
+
+Whichever stepper ran it, a shot is read off its dense output in one
+compiled pass (``_kernel.scan``): the samples on a uniform grid united
+with the accepted steps, the running maxima of |u| behind them, u(1),
+and the sign changes of u over the step nodes and midpoints.  Its numpy
+reference, ``_scan_reference``, gives the same bits and serves where the
+kernel does not load.  Each sign change is then refined by bracketed
+root finding to 1e-12 in r on the quartic of its step.  A zero is
+simple when |u'(r_z)| >= 1e-8 * max|u'|, and the trajectory is flagged,
+not repaired, when a degenerate (u = u' = 0) point is met, since IVP
+uniqueness can fail there for p != 2; max|u'| and both flags are
+computed when first read.
 
 Searches consume a shot through :func:`probe`, which reduces it to the
 miss D = u(1) and the count Z of ``Trajectory.interior_zeros`` (the one
@@ -211,7 +218,12 @@ class Problem:
 class ZeroCrossing:
     r: float
     uprime: float
-    degenerate: bool
+    _sup_uprime: object = field(repr=False, compare=False)  # () -> the shot's sup |u'|
+
+    @property
+    def degenerate(self) -> bool:
+        """|u'(r)| < SIMPLICITY_FACTOR * sup |u'|: not a simple zero."""
+        return abs(self.uprime) < SIMPLICITY_FACTOR * self._sup_uprime()
 
 
 @dataclass(frozen=True)
@@ -226,12 +238,21 @@ class Trajectory:
     v: np.ndarray
     zeros: tuple
     terminal: tuple | None  # (u(1), v(1)), None if the shot blew up
-    degenerate: bool
     blowup_radius: float | None
     sup_u: float
-    sup_uprime: float
     steps: StepCounts
+    _sup_uprime: object = field(repr=False, compare=False)  # () -> sup_uprime
     dense: object = field(repr=False, default=None)
+
+    @property
+    def sup_uprime(self) -> float:
+        """max |u'| over the sample grid r, computed when first read."""
+        return self._sup_uprime()
+
+    @property
+    def degenerate(self) -> bool:
+        """Some zero is not simple: a degenerate (u = u' = 0) point was met."""
+        return any(z.degenerate for z in self.zeros)
 
     def eval(self, r):
         y = self.dense(np.asarray(r, dtype=float))
@@ -320,30 +341,20 @@ def shoot(
     f = _system(p, n_dim, rhs.make(p, problem.m.scalar_fn()))
 
     y0 = origin_startup(problem, alpha, eps)
-    ts, dense, blowup_radius, steps = integrate(
+    _, dense, blowup_radius, steps = integrate(
         f, eps, 1.0, y0, rtol=rtol, atol=atol, blowup_limit=blowup_limit,
         compiled=rhs.compiled(p, n_dim, problem.m)
     )
     r_end = blowup_radius if blowup_radius is not None else 1.0
 
-    # sample on a uniform grid united with the accepted steps
-    grid = np.union1d(np.linspace(eps, r_end, n_samples), ts)
-    ys = dense(grid)
-    u_samp, v_samp = ys[0], ys[1]
-
-    rn_grid = np.maximum(grid, 1e-300) ** (n_dim - 1)
-    up_samp = np.sign(v_samp) * np.abs(v_samp / rn_grid) ** e_inv
-    sup_u = float(np.max(np.abs(u_samp)))
-    sup_up = float(np.max(np.abs(up_samp)))
-
-    zeros, degenerate = _locate_zeros(
-        dense, ts, p, n_dim, sup_up, r_end
-    )
-    zeros, degenerate = _drop_noise_tail_zeros(zeros, grid, u_samp, sup_u, sup_up)
-
-    terminal = None
-    if blowup_radius is None:
-        terminal = dense.eval_scalar(1.0)
+    scan = _kernel.scan(dense.block, dense.n, eps, r_end, n_samples)
+    if scan is None:
+        scan = _scan_reference(dense, eps, r_end, n_samples)
+    grid, u_samp, v_samp, tail_max, terminal, brackets = scan
+    sup_u = float(tail_max[0])
+    sup_uprime = _sup_uprime(grid, v_samp, n_dim, e_inv)
+    zeros = _locate_zeros(brackets, n_dim, e_inv, sup_uprime)
+    zeros = _drop_noise_tail_zeros(zeros, grid, tail_max, sup_u, sup_uprime)
 
     return Trajectory(
         p=p,
@@ -353,12 +364,11 @@ def shoot(
         u=u_samp,
         v=v_samp,
         zeros=zeros,
-        terminal=terminal,
-        degenerate=degenerate,
+        terminal=terminal if blowup_radius is None else None,
         blowup_radius=blowup_radius,
         sup_u=sup_u,
-        sup_uprime=sup_up,
         steps=steps,
+        _sup_uprime=sup_uprime,
         dense=dense,
     )
 
@@ -389,48 +399,81 @@ def probe(problem: Problem, alpha: float, *, rtol: float, atol: float,
     return Probe(d, len(traj.interior_zeros), blowup, traj.sup_u, traj.steps)
 
 
-def _locate_zeros(dense, ts, p, n_dim, sup_uprime, r_end):
-    """Bracket sign changes of u between accepted steps (plus midpoints), refine."""
+def _scan_reference(dense, eps, r_end, n_samples):
+    """What ``_kernel.scan`` computes, in numpy; shots take it where the
+    kernel does not load.
+
+    Returns the sample grid (a uniform grid united with the nodes of the
+    accepted steps), u and v on it, the maximum of |u| over the grid from
+    each point on, (u(1), v(1)), and one record per sign change of u over
+    the nodes and the step midpoints up to r_end: the interval's ends a
+    and b, u(a), u(b), v(b), and the quartics of the step that holds a
+    (``DenseOutput.quartics``).
+    """
+    ts = dense.block[:dense.n + 1]
+    grid = np.union1d(np.linspace(eps, r_end, n_samples), ts)
+    u, v = dense(grid)
+    tail_max = np.maximum.accumulate(np.abs(u)[::-1])[::-1]
+
     nodes = np.union1d(ts, 0.5 * (ts[:-1] + ts[1:]))
     nodes = nodes[nodes <= r_end]
-    uu = dense(nodes)[0]
+    uu, vv = dense(nodes)
     # u vanishes at the left node, or changes sign across the interval
-    candidates = np.flatnonzero((uu[:-1] == 0.0) | (uu[:-1] * uu[1:] < 0.0))
+    k = np.flatnonzero((uu[:-1] == 0.0) | (uu[:-1] * uu[1:] < 0.0))
+    records = np.column_stack((nodes[k], nodes[k + 1], uu[k], uu[k + 1], vv[k + 1],
+                               dense.quartics(dense.segments(nodes[k]))))
+    return grid, u, v, tail_max, dense.eval_scalar(1.0), records.tolist()
 
-    e_inv = 1.0 / (p - 1.0)
-    threshold = SIMPLICITY_FACTOR * sup_uprime
 
-    # brentq wraps its function in a closure that refers to itself; handed
-    # dense.u_scalar directly, that cycle would keep the whole dense output
-    # alive until the cyclic garbage collector runs
-    holder = [dense]
+def _sup_uprime(grid, v, n_dim, e_inv):
+    """max |u'| over the sample grid, as a callable that computes it on its
+    first call: a probe needs it only for a zero near the noise floor."""
+    value = []
 
-    def u_at(t):
-        return holder[0].u_scalar(t)
+    def sup():
+        if not value:
+            rn_grid = np.maximum(grid, 1e-300) ** (n_dim - 1)
+            up = np.sign(v) * np.abs(v / rn_grid) ** e_inv
+            value.append(float(np.max(np.abs(up))))
+        return value[0]
 
+    return sup
+
+
+def _u_on_step(t, b, ub, t0, h, u0, c0, c1, c2, c3):
+    """u at t in a bracket [a, b] of one step: the step's quartic, and
+    u(b) = ub at the right end, which the dense output evaluates on the
+    next step where b is a node."""
+    if t == b:
+        return ub
+    th = (t - t0) / h
+    return u0 + th * (c0 + th * (c1 + th * (c2 + th * c3)))
+
+
+def _locate_zeros(brackets, n_dim, e_inv, sup_uprime):
+    """Refine each sign-change record of the scan to a zero, with u' there."""
     zeros = []
-    degenerate = False
-    try:
-        for i in candidates:
-            a = nodes[i]
-            if uu[i] == 0.0:
-                rz = a
-            else:
-                rz = brentq(u_at, a, nodes[i + 1], xtol=ZERO_XTOL, rtol=8.9e-16)
-            vz = dense.eval_scalar(rz)[1]
-            rn = max(rz, 1e-300) ** (n_dim - 1)
-            upz = _sgnpow(vz / rn, e_inv)
-            degen = abs(upz) < threshold
-            degenerate = degenerate or degen
-            if zeros and abs(rz - zeros[-1].r) < 10 * ZERO_XTOL:
-                continue
-            zeros.append(ZeroCrossing(r=float(rz), uprime=float(upz), degenerate=degen))
-    finally:
-        holder.clear()
-    return tuple(zeros), degenerate
+    for a, b, ua, ub, vb, t0, h, u0, c0, c1, c2, c3, v0, d0, d1, d2, d3 in brackets:
+        if ua == 0.0:
+            rz = a
+        else:
+            # the step goes in as args: brentq's wrapper of its function refers
+            # to itself, so a closure would live until the cyclic collector runs
+            rz = brentq(_u_on_step, a, b, args=(b, ub, t0, h, u0, c0, c1, c2, c3),
+                        xtol=ZERO_XTOL, rtol=8.9e-16)
+        if zeros and abs(rz - zeros[-1].r) < 10 * ZERO_XTOL:
+            continue
+        if rz == b:
+            vz = vb
+        else:
+            th = (rz - t0) / h
+            vz = v0 + th * (d0 + th * (d1 + th * (d2 + th * d3)))
+        rn = max(rz, 1e-300) ** (n_dim - 1)
+        zeros.append(ZeroCrossing(float(rz), float(_sgnpow(vz / rn, e_inv)), sup_uprime))
+    return zeros
 
 
-def _drop_noise_tail_zeros(zeros, grid, u_samp, sup_u, sup_uprime):
+def _drop_noise_tail_zeros(zeros, grid, tail_max, sup_u, sup_uprime):
     """Discard trailing crossings the solution never recovers from.
 
     An indefinite weight makes the terminal stretch of a near-eigenvalue
@@ -447,12 +490,12 @@ def _drop_noise_tail_zeros(zeros, grid, u_samp, sup_u, sup_uprime):
     while kept:
         z = kept[-1]
         idx = int(np.searchsorted(grid, z.r))
-        tail_max = float(np.max(np.abs(u_samp[idx:]))) if idx < len(u_samp) else 0.0
+        tail = tail_max[idx] if idx < len(grid) else 0.0
         if (
-            tail_max < TAIL_NOISE_FACTOR * sup_u
-            and abs(z.uprime) < TAIL_SLOPE_FACTOR * sup_uprime
+            tail < TAIL_NOISE_FACTOR * sup_u
+            and abs(z.uprime) < TAIL_SLOPE_FACTOR * sup_uprime()
         ):
             kept.pop()
         else:
             break
-    return tuple(kept), any(z.degenerate for z in kept)
+    return tuple(kept)

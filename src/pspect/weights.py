@@ -182,6 +182,12 @@ class Weight:
             np.asarray([c for piece in self.coeffs for c in piece], dtype=float),
         )
 
+    @cached_property
+    def flat_addresses(self):
+        """The data addresses of the three ``flat`` arrays, which the weight
+        keeps alive: the compiled kernel reads the weight through them."""
+        return tuple(a.__array_interface__["data"][0] for a in self.flat)
+
     # -- derived ------------------------------------------------------
 
     def __sub__(self, other: "Weight") -> "Weight":

@@ -3,14 +3,14 @@ import math
 import shlex
 import shutil
 import sysconfig
-import tracemalloc
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from pspect import _kernel, radial_ivp
-from pspect._rk45 import integrate
+from pspect._rk45 import DenseOutput, integrate
 from pspect.errors import IntegrationError, PreconditionError
 from pspect.nodal import Nonlinearity, Perturbation
 from pspect.pfuncs import pi_p, sin_p
@@ -261,8 +261,7 @@ def assert_kernel_matches_reference(prob, **kw):
     ts, dense, blowup_t, steps = _march(prob, kernel=True, **kw)
     ts_ref, dense_ref, blowup_ref, steps_ref = _march(prob, kernel=False, **kw)
     assert _same_bits(ts, ts_ref)
-    for got, want in zip(dense._as_arrays(), dense_ref._as_arrays()):
-        assert _same_bits(got, want)
+    assert dense.n == dense_ref.n and _same_bits(dense.block, dense_ref.block)
     assert (blowup_t, steps) == (blowup_ref, steps_ref)
     assert type(steps.accepted) is type(steps.rhs_calls) is int
 
@@ -412,7 +411,7 @@ def test_kernel_grows_its_buffers(monkeypatch, kernel_results):
     monkeypatch.setattr(_kernel, "FIRST_CAPACITY", 3)
     assert_kernel_matches_reference(Problem.linear(2.5, 1, M_LIN, 13872.2), rtol=1e-6,
                                     atol=1e-8)
-    assert kernel_results[0][6] > 100  # accepted steps
+    assert kernel_results[0][3] > 100  # accepted steps
 
 
 @pytest.mark.parametrize("broken", ["no compiler", "unwritable cache"])
@@ -438,10 +437,179 @@ def test_shots_fall_back_to_the_python_stepper(monkeypatch, tmp_path, broken):
 
 
 def assert_same_shot(got, want):
-    for a, b in ((got.r, want.r), (got.u, want.u), (got.v, want.v), (got.terminal, want.terminal)):
+    # as IEEE bits, so that a NaN of a shot with no blow-up guard matches
+    for a, b in ((got.r, want.r), (got.u, want.u), (got.v, want.v), (got.sup_u, want.sup_u),
+                 (got.sup_uprime, want.sup_uprime)):
         assert _same_bits(a, b)
-    assert [z.r for z in got.zeros] == [z.r for z in want.zeros]
-    assert got.steps == want.steps
+    assert (got.terminal is None) == (want.terminal is None)
+    assert got.terminal is None or _same_bits(got.terminal, want.terminal)
+    assert [(z.r, z.uprime, z.degenerate) for z in got.zeros] == \
+        [(z.r, z.uprime, z.degenerate) for z in want.zeros]
+    assert got.degenerate == want.degenerate
+    assert (got.blowup_radius, got.steps) == (want.blowup_radius, want.steps)
+
+
+# ---------------------------------------------------------------------------
+# the compiled post-pass of a shot (_kernel.scan) gives the bits of its numpy
+# reference (radial_ivp._scan_reference), whichever stepper ran the shot
+
+
+@pytest.fixture
+def scan_results(monkeypatch):
+    """What each call of the compiled post-pass returned: None means not loaded."""
+    seen, scan = [], _kernel.scan
+
+    def spy(*args):
+        out = scan(*args)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(_kernel, "scan", spy)
+    return seen
+
+
+def _on_both_passes(monkeypatch, fn):
+    """fn() on the compiled post-pass, then on its numpy reference."""
+    got = fn()
+    with monkeypatch.context() as mp:
+        mp.setattr(_kernel, "scan", lambda *args: None)
+        want = fn()
+    return got, want
+
+
+def assert_post_pass_matches_reference(monkeypatch, prob, alpha, *, rtol=1e-10, atol=1e-12,
+                                       blowup_limit=radial_ivp.BLOWUP_LIMIT, n_samples=513):
+    """The shot and the probe of prob are the same on both passes, and so is
+    what each pass returns for the shot; returns the shot."""
+    tols = dict(rtol=rtol, atol=atol, blowup_limit=blowup_limit)
+    got, want = _on_both_passes(monkeypatch,
+                                lambda: shoot(prob, alpha, n_samples=n_samples, **tols))
+    assert_same_shot(got, want)
+    got_probe, want_probe = _on_both_passes(monkeypatch, lambda: probe(prob, alpha, **tols))
+    assert _same_bits(got_probe.d, want_probe.d) and _same_bits(got_probe.sup_u, want_probe.sup_u)
+    assert (got_probe.z, got_probe.blowup, got_probe.steps) == \
+        (want_probe.z, want_probe.blowup, want_probe.steps)
+    r_end = 1.0 if got.blowup_radius is None else got.blowup_radius
+    scan = _kernel.scan(got.dense.block, got.dense.n, EPS, r_end, n_samples)
+    if scan is not None:
+        reference = radial_ivp._scan_reference(got.dense, EPS, r_end, n_samples)
+        for a, b in zip(scan, reference):  # grid, u, v, tail maxima, u(1), records
+            assert _same_bits(a, b)
+    return got
+
+
+def _hand_built_rational(p):
+    f = Nonlinearity.rational(p, f0=1.1, finf=2.3, q=2.2)
+    return Nonlinearity(fn=f.fn, f0=f.f0, finf=f.finf)
+
+
+EPS = radial_ivp.DEFAULT_EPS
+H0 = 2.0  # a constant source: u = alpha - H0 r^2 / 2 for p = 2, N = 1
+POST_PASS_CASES = {
+    # m = -1: u passes the 1e12 guard at r ~ 0.897
+    "blowup": (Problem.linear(2.0, 1, Weight.constant(-1.0), 1e3), 1.0, {}),
+    # 67 steps of (r_end - eps) / 67 from eps miss r_end = 0.3189; numpy's
+    # linspace puts its last point on r_end
+    "blowup-68-samples": (Problem.linear(2.0, 1, Weight.poly([1.0, -8.0]), 3.0e4), 1.0,
+                          dict(n_samples=68)),
+    # mu_1^+ of 1 - 8r: the tail filter drops the one sign change of the shot
+    "noise-tail": (Problem.linear(2.0, 1, Weight.poly([1.0, -8.0]), 67.67648508344031), 1.0,
+                   dict(blowup_limit=1e100, n_samples=65)),
+    "cos64-N1": (Problem.linear(1.5, 1, COS64, -1625.6), 1.0, {}),
+    "cos64-N2": (Problem.linear(1.2, 2, COS64, 5000.0), 1.0, dict(rtol=1e-8, atol=1e-10)),
+    "linear-N1": (Problem.linear(2.5, 1, M_LIN, 300.0), -1.0, {}),
+    "linear-N2": (Problem.linear(2.5, 2, M_LIN, 900.0), 1.0, dict(n_samples=65)),
+    "linear-N3": (Problem.linear(3.0, 3, M_LIN, 900.0), 1.0, {}),
+    "rational-N2": (Problem.nonlinear(2.5, 2, M_LIN, 37.5, Nonlinearity.rational(2.5)), 3.0, {}),
+    "perturbed-N3": (Problem.perturbed(2.0, 3, M_LIN, 300.0, Perturbation(2.0)), 0.5, {}),
+    # the Python stepper: u(eps) = alpha - H0 eps^2 / 2 is exactly 0.0, a zero at a node
+    "source-zero-at-node": (Problem.source(2.0, 1, lambda r: H0), H0 * EPS**2 / 2, {}),
+    "hand-built-f": (Problem.nonlinear(2.5, 2, M_LIN, 300.0, _hand_built_rational(2.5)), 1.0,
+                     {}),
+    # no blow-up guard: u and v overflow to inf, the samples behind them are NaN
+    "no-guard-nan": (Problem.linear(1.2, 1, M1, -1e5), 1.0,
+                     dict(rtol=1e-6, atol=1e-8, blowup_limit=None)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # numpy, on inf
+@pytest.mark.parametrize("case", sorted(POST_PASS_CASES))
+def test_post_pass_matches_reference(monkeypatch, scan_results, case):
+    prob, alpha, kw = POST_PASS_CASES[case]
+    shot = assert_post_pass_matches_reference(monkeypatch, prob, alpha, **kw)
+    if case.startswith("blowup"):
+        assert shot.blowup_radius is not None and shot.terminal is None
+    elif case == "noise-tail":
+        brackets = radial_ivp._scan_reference(shot.dense, EPS, 1.0, 65)[5]
+        assert len(brackets) == 1 and shot.zeros == ()
+    elif case == "source-zero-at-node":
+        assert shot.u[0] == 0.0 and shot.zeros[0].r == EPS
+    elif case == "no-guard-nan":
+        assert math.isnan(shot.sup_u) and not math.isnan(shot.u[0])
+    else:
+        assert shot.zeros
+    if _kernel.load() is not None:
+        assert len(scan_results) == 3 and None not in scan_results
+
+
+def test_post_pass_on_the_kernel_where_a_compiler_is(scan_results):
+    shoot(Problem.linear(2.5, 1, M_LIN, 300.0), 1.0)
+    assert len(scan_results) == 1
+    assert (scan_results[0] is not None) == _has_compiler()
+
+
+@needs_kernel
+def test_post_pass_refuses_a_block_of_another_size():
+    with pytest.raises(ValueError, match="dense block of 1 steps holds 13"):
+        _kernel.scan(np.zeros(12), 1, EPS, 1.0, 65)
+
+
+CUT = np.nextafter(1.0, 0.0)  # 1 ulp below r = 1
+
+
+def _zero_last_ulp(n, b):
+    """The last step ends at CUT, and a step of 1 ulp follows, with u = 0 on
+    it: its midpoint rounds to 1, the node after it, and u is 0.0 at both."""
+    u_cut, v_cut = DenseOutput(b, n).eval_scalar(CUT)
+    return n + 1, np.concatenate((
+        b[:n], [CUT, 1.0],                                  # nodes
+        b[n + 1:3 * n + 1], [0.0, v_cut],                   # start values
+        b[3 * n + 1:4 * n], [CUT - b[n - 1], 1.0 - CUT],    # step sizes
+        b[4 * n + 1:], [0.0] * 4 + [1e-17] * 4,             # coefficients
+    ))
+
+
+def _nan_inside(n, b):
+    """One step in the middle has NaN coefficients, its neighbours do not."""
+    b = b.copy()
+    b[4 * n + 1 + 8 * (n // 2):4 * n + 1 + 8 * (n // 2 + 1)] = math.nan
+    return n, b
+
+
+def _edited(integrate_fn, edit):
+    """integrate_fn with edit(n, block) -> (n, block) applied to its dense output."""
+
+    def integrate_edited(*args, **kwargs):
+        _, dense, blowup_t, steps = integrate_fn(*args, **kwargs)
+        n, block = edit(dense.n, dense.block)
+        return block[:n + 1], DenseOutput(block, n), blowup_t, steps
+
+    return integrate_edited
+
+
+@pytest.mark.parametrize("n_dim", [1, 2, 3])
+@pytest.mark.parametrize("edit", [_zero_last_ulp, _nan_inside])
+def test_post_pass_matches_reference_on_edited_shots(monkeypatch, scan_results, edit, n_dim):
+    monkeypatch.setattr(radial_ivp, "integrate", _edited(radial_ivp.integrate, edit))
+    shot = assert_post_pass_matches_reference(monkeypatch, Problem.linear(2.5, n_dim, M_LIN, 300.0),
+                                              1.0)
+    if edit is _zero_last_ulp:
+        assert 0.5 * (CUT + 1.0) == 1.0 and shot.dense.block[shot.dense.n - 1] == CUT
+        assert shot.terminal[0] == 0.0 and shot.zeros[-1].r == CUT
+    else:
+        assert math.isnan(shot.sup_u) and not math.isnan(shot.u[-1])
+    if _kernel.load() is not None:
+        assert len(scan_results) == 3 and None not in scan_results
 
 
 def test_hand_built_nonlinearity_takes_the_python_stepper(kernel_results):
@@ -532,27 +700,30 @@ def test_nonlinear_and_perturbed_shots_on_the_kernel_where_a_compiler_is(monkeyp
 
 
 def test_discarded_shots_release_their_dense_output():
-    # scipy's brentq wrapper refers to itself through a closure cell; a
-    # shot must not leave its dense output reachable from such a cycle,
-    # or it lives until the cyclic collector runs
+    # scipy's brentq wrapper refers to itself through a closure cell, so
+    # each zero solve leaves a small cycle to the cyclic collector; a shot
+    # must leave neither its dense output nor its samples reachable from
+    # such a cycle, or they live until the collector runs
     prob = Problem.linear(2.0, 1, M1, (9 * math.pi / 2) ** 2)  # 4 interior zeros
-    kw = dict(rtol=1e-6, atol=1e-8, n_samples=65)  # fewer steps: tracing is slow
+    kw = dict(rtol=1e-6, atol=1e-8, n_samples=65)
     assert len(shoot(prob, 1.0, **kw).interior_zeros) == 4
     gc.collect()
-    was_enabled = gc.isenabled()
+    was_enabled, debug = gc.isenabled(), gc.get_debug()
     gc.disable()
-    tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
         kept = shoot(prob, 1.0, **kw)
-        one_shot = tracemalloc.get_traced_memory()[0] - base
+        block, samples = weakref.ref(kept.dense.block), weakref.ref(kept.r)
         del kept
-        base = tracemalloc.get_traced_memory()[0]
+        released = block() is None and samples() is None
         for _ in range(20):
             shoot(prob, 1.0, **kw)
-        grown = tracemalloc.get_traced_memory()[0] - base
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = {type(o).__name__ for o in gc.garbage}
     finally:
-        tracemalloc.stop()
+        gc.set_debug(debug)
+        gc.garbage.clear()
         if was_enabled:
             gc.enable()
-    assert grown < 2 * one_shot, (grown, one_shot)
+    assert released
+    assert not left & {"ndarray", "DenseOutput", "Trajectory", "ZeroCrossing", "list"}, left
