@@ -55,7 +55,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _kernel
 from ._rk45 import StepCounts, integrate
@@ -218,7 +217,7 @@ class Problem:
 class ZeroCrossing:
     r: float
     uprime: float
-    _sup_uprime: object = field(repr=False, compare=False)  # () -> the shot's sup |u'|
+    _sup_uprime: object = field(repr=False, compare=False, kw_only=True)  # () -> the shot's sup |u'|
 
     @property
     def degenerate(self) -> bool:
@@ -241,7 +240,7 @@ class Trajectory:
     blowup_radius: float | None
     sup_u: float
     steps: StepCounts
-    _sup_uprime: object = field(repr=False, compare=False)  # () -> sup_uprime
+    _sup_uprime: object = field(repr=False, compare=False, kw_only=True)  # () -> sup_uprime
     dense: object = field(repr=False, default=None)
 
     @property
@@ -440,14 +439,62 @@ def _sup_uprime(grid, v, n_dim, e_inv):
     return sup
 
 
-def _u_on_step(t, b, ub, t0, h, u0, c0, c1, c2, c3):
-    """u at t in a bracket [a, b] of one step: the step's quartic, and
-    u(b) = ub at the right end, which the dense output evaluates on the
+def _quartic_on_step(t, b, yb, t0, h, y0, c0, c1, c2, c3):
+    """u or v at t in a bracket [a, b] of one step: the step's quartic, and
+    y(b) = yb at the right end, which the dense output evaluates on the
     next step where b is a node."""
     if t == b:
-        return ub
+        return yb
     th = (t - t0) / h
-    return u0 + th * (c0 + th * (c1 + th * (c2 + th * c3)))
+    return y0 + th * (c0 + th * (c1 + th * (c2 + th * c3)))
+
+
+def brentq(f, a, b, args=(), xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):
+    """A zero of f in [a, b] by Brent's method, taking the steps and giving
+    the bits of scipy.optimize.brentq; unlike scipy's, it leaves no
+    reference cycle behind (scipy wraps f in a function that refers to
+    itself), so nothing of a shot waits for the cyclic collector."""
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre, *args), f(xcur, *args)
+    if fpre != fpre or fcur != fcur:
+        raise ValueError("f is NaN at an end of the bracket")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur, *args)
+        if fcur != fcur:
+            raise ValueError(f"f is NaN at x={xcur}")
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}.")
 
 
 def _locate_zeros(brackets, n_dim, e_inv, sup_uprime):
@@ -457,19 +504,14 @@ def _locate_zeros(brackets, n_dim, e_inv, sup_uprime):
         if ua == 0.0:
             rz = a
         else:
-            # the step goes in as args: brentq's wrapper of its function refers
-            # to itself, so a closure would live until the cyclic collector runs
-            rz = brentq(_u_on_step, a, b, args=(b, ub, t0, h, u0, c0, c1, c2, c3),
+            rz = brentq(_quartic_on_step, a, b, args=(b, ub, t0, h, u0, c0, c1, c2, c3),
                         xtol=ZERO_XTOL, rtol=8.9e-16)
         if zeros and abs(rz - zeros[-1].r) < 10 * ZERO_XTOL:
             continue
-        if rz == b:
-            vz = vb
-        else:
-            th = (rz - t0) / h
-            vz = v0 + th * (d0 + th * (d1 + th * (d2 + th * d3)))
+        vz = _quartic_on_step(rz, b, vb, t0, h, v0, d0, d1, d2, d3)
         rn = max(rz, 1e-300) ** (n_dim - 1)
-        zeros.append(ZeroCrossing(float(rz), float(_sgnpow(vz / rn, e_inv)), sup_uprime))
+        zeros.append(ZeroCrossing(float(rz), float(_sgnpow(vz / rn, e_inv)),
+                                  _sup_uprime=sup_uprime))
     return zeros
 
 

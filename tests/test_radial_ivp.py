@@ -3,11 +3,12 @@ import math
 import shlex
 import shutil
 import sysconfig
-import weakref
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
 from pspect import _kernel, radial_ivp
 from pspect._rk45 import DenseOutput, integrate
@@ -171,6 +172,38 @@ def test_zero_derivative_recording():
     assert abs(z.uprime + 3 * math.pi / 2) < 1e-6
     assert not z.degenerate
     assert not traj.degenerate
+
+
+def test_brentq_takes_scipys_steps():
+    # radial_ivp.brentq stands in for scipy's, to its bits and its errors
+    rng = np.random.default_rng(3)
+
+    def outcome(solver, f, a, b, args, **kw):
+        try:
+            return solver(f, a, b, args=args, **kw)
+        except (ValueError, RuntimeError) as exc:
+            return type(exc)
+
+    cases = []
+    for _ in range(400):  # one step's quartic, as _locate_zeros meets it
+        t0, h = rng.random(), 10.0 ** rng.uniform(-6, -1)
+        a = t0 + 0.5 * h * rng.random()
+        b = a + h * rng.uniform(0.01, 0.5)
+        c = rng.normal(size=5) * 10.0 ** rng.uniform(-12, 2, size=5)
+        c[0] -= radial_ivp._quartic_on_step(0.5 * (a + b), math.inf, 0.0, t0, h, *c)
+        ub = radial_ivp._quartic_on_step(b, math.inf, 0.0, t0, h, *c)
+        cases.append((radial_ivp._quartic_on_step, a, b, (b, ub, t0, h, *c)))
+    for k in (1, 3, 9):  # a root of order k; at orders 3 and 9 it runs out of iterations
+        cases += [(lambda x, r, k=k: (x - r) ** k, r - 1.5, r + 0.7, (r,)) for r in (0.3, -2.0)]
+    cases += [(lambda x: x, 0.0, 1.0, ()), (lambda x: x - 1.0, 0.0, 1.0, ()),
+              (lambda x: x * x + 1.0, -1.0, 1.0, ()), (lambda x: math.nan, 0.0, 1.0, ())]
+    for f, a, b, args in cases:
+        for kw in ({}, dict(xtol=radial_ivp.ZERO_XTOL, rtol=8.9e-16), dict(xtol=1e-14, rtol=1e-13)):
+            want = outcome(scipy_brentq, f, a, b, args, **kw)
+            got = outcome(radial_ivp.brentq, f, a, b, args, **kw)
+            assert got == want, (a, b, args, kw, got, want)
+            if isinstance(got, float):
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 def test_blowup_reported():
@@ -700,30 +733,27 @@ def test_nonlinear_and_perturbed_shots_on_the_kernel_where_a_compiler_is(monkeyp
 
 
 def test_discarded_shots_release_their_dense_output():
-    # scipy's brentq wrapper refers to itself through a closure cell, so
-    # each zero solve leaves a small cycle to the cyclic collector; a shot
-    # must leave neither its dense output nor its samples reachable from
-    # such a cycle, or they live until the collector runs
+    # a shot must leave nothing on a reference cycle, such as the one
+    # scipy's brentq wrapper makes by referring to itself through a closure
+    # cell, or it lives until the cyclic collector runs
     prob = Problem.linear(2.0, 1, M1, (9 * math.pi / 2) ** 2)  # 4 interior zeros
-    kw = dict(rtol=1e-6, atol=1e-8, n_samples=65)
+    kw = dict(rtol=1e-6, atol=1e-8, n_samples=65)  # fewer steps: tracing is slow
     assert len(shoot(prob, 1.0, **kw).interior_zeros) == 4
     gc.collect()
-    was_enabled, debug = gc.isenabled(), gc.get_debug()
+    was_enabled = gc.isenabled()
     gc.disable()
+    tracemalloc.start()
     try:
+        base = tracemalloc.get_traced_memory()[0]
         kept = shoot(prob, 1.0, **kw)
-        block, samples = weakref.ref(kept.dense.block), weakref.ref(kept.r)
+        one_shot = tracemalloc.get_traced_memory()[0] - base
         del kept
-        released = block() is None and samples() is None
+        base = tracemalloc.get_traced_memory()[0]
         for _ in range(20):
             shoot(prob, 1.0, **kw)
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        gc.collect()
-        left = {type(o).__name__ for o in gc.garbage}
+        grown = tracemalloc.get_traced_memory()[0] - base
     finally:
-        gc.set_debug(debug)
-        gc.garbage.clear()
+        tracemalloc.stop()
         if was_enabled:
             gc.enable()
-    assert released
-    assert not left & {"ndarray", "DenseOutput", "Trajectory", "ZeroCrossing", "list"}, left
+    assert grown < 2 * one_shot, (grown, one_shot)
