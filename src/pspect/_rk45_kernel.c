@@ -1,5 +1,12 @@
-/* Compiled step loop of pspect._rk45.integrate for the radial problems, and
- * the post-pass of pspect.radial_ivp.shoot over a finished shot.
+/* Compiled step loop of pspect._rk45.integrate for the radial problems, the
+ * post-pass of pspect.radial_ivp.shoot over a finished shot, and the two
+ * fused into radial_ivp.probe.  Entry points:
+ *
+ *   pspect_dp45     the step loop of one shot
+ *   pspect_scan     the post-pass: samples, sup |u|, u(1) and the zeros of u
+ *   pspect_reduce   a finished shot reduced to a probe (D, Z, sup |u|)
+ *   pspect_probe    pspect_dp45, then pspect_reduce: one call per probe
+ *   pspect_apply_f  F of the PHI and RATIONAL families on an array
  *
  * pspect_dp45 runs the Dormand-Prince 5(4) loop of _rk45.integrate with the
  * right-hand side radial_ivp._system(p, N, w) written into it, for the
@@ -40,7 +47,8 @@ enum {
     PSPECT_BLOWUP = 1,    /* |u| reached the blow-up limit */
     PSPECT_UNDERFLOW = 2, /* step size fell below h_min at r = state[0] */
     PSPECT_FULL = 3,      /* more accepted steps than the buffers hold */
-    PSPECT_RERUN = 4      /* Python would raise; repeat on the Python stepper */
+    PSPECT_RERUN = 4,     /* Python would raise; repeat on the Python stepper */
+    PSPECT_TAIL = 5       /* pspect_reduce: the tail filter needs sup |u'| */
 };
 
 /* Dormand-Prince coefficients, as _rk45 spells them */
@@ -119,28 +127,28 @@ static double py_max(double a, double b) { return b > a ? b : a; }
 
 static double py_min(double a, double b) { return b < a ? b : a; }
 
-static double py_pow(Rhs *R, double x, double y)
+static double py_pow(int *bad, double x, double y)
 {
     double z = pow(x, y);
     if (isinf(z))
-        R->bad = 1; /* OverflowError for a finite x */
+        *bad = 1; /* OverflowError for a finite x */
     return z;
 }
 
-static double py_div(Rhs *R, double a, double b)
+static double py_div(int *bad, double a, double b)
 {
     if (b == 0.0)
-        R->bad = 1; /* ZeroDivisionError */
+        *bad = 1; /* ZeroDivisionError */
     return a / b;
 }
 
 /* radial_ivp._sgnpow */
-static double sgnpow(Rhs *R, double x, double e)
+static double sgnpow(int *bad, double x, double e)
 {
     if (x > 0.0)
-        return py_pow(R, x, e);
+        return py_pow(bad, x, e);
     if (x < 0.0)
-        return -py_pow(R, -x, e);
+        return -py_pow(bad, -x, e);
     return 0.0;
 }
 
@@ -193,7 +201,7 @@ static double phi(Rhs *R, double u)
 {
     if (u == 0.0)
         return 0.0;
-    return copysign(py_pow(R, fabs(u), R->e), u);
+    return copysign(py_pow(&R->bad, fabs(u), R->e), u);
 }
 
 /* nodal.Nonlinearity.rational */
@@ -202,9 +210,9 @@ static double rational(Rhs *R, double u)
     if (u == 0.0)
         return 0.0;
     double au = fabs(u);
-    double auq = py_pow(R, au, R->q); /* Python computes au ** q twice, to these bits */
-    double ratio = py_div(R, R->f0 + R->finf * auq, 1.0 + auq);
-    return copysign(py_pow(R, au, R->e) * ratio, u);
+    double auq = py_pow(&R->bad, au, R->q); /* Python computes au ** q twice, to these bits */
+    double ratio = py_div(&R->bad, R->f0 + R->finf * auq, 1.0 + auq);
+    return copysign(py_pow(&R->bad, au, R->e) * ratio, u);
 }
 
 /* nodal.Perturbation.__call__ */
@@ -212,7 +220,7 @@ static double perturbation(Rhs *R, double mval, double u)
 {
     if (u == 0.0)
         return 0.0;
-    return R->gc * mval * copysign(py_pow(R, fabs(u), R->ge), u);
+    return R->gc * mval * copysign(py_pow(&R->bad, fabs(u), R->ge), u);
 }
 
 /* w(r, u) of the family; family is a constant where the loop is inlined */
@@ -221,13 +229,13 @@ INLINE double w(Rhs *R, int family, double r, double u)
     double mval = weight(R, r);
     switch (family) {
     case LINEAR:
-        return R->lam * mval * sgnpow(R, u, R->e);
+        return R->lam * mval * sgnpow(&R->bad, u, R->e);
     case PHI:
         return R->lam * mval * phi(R, u);
     case RATIONAL:
         return R->lam * mval * rational(R, u);
     default:
-        return R->lam * mval * sgnpow(R, u, R->e) + perturbation(R, mval, u);
+        return R->lam * mval * sgnpow(&R->bad, u, R->e) + perturbation(R, mval, u);
     }
 }
 
@@ -235,14 +243,14 @@ INLINE double w(Rhs *R, int family, double r, double u)
 INLINE void rhs(Rhs *R, int family, double r, double u, double v, double *du, double *dv)
 {
     if (R->n_dim == 1) {
-        *du = sgnpow(R, v, R->e_inv);
+        *du = sgnpow(&R->bad, v, R->e_inv);
         *dv = -w(R, family, r, u);
     } else if (R->n_dim == 2) {
-        *du = sgnpow(R, py_div(R, v, r), R->e_inv);
+        *du = sgnpow(&R->bad, py_div(&R->bad, v, r), R->e_inv);
         *dv = -r * w(R, family, r, u);
     } else {
-        double rn = py_pow(R, r, (double)(R->n_dim - 1));
-        *du = sgnpow(R, py_div(R, v, rn), R->e_inv);
+        double rn = py_pow(&R->bad, r, (double)(R->n_dim - 1));
+        *du = sgnpow(&R->bad, py_div(&R->bad, v, rn), R->e_inv);
         *dv = -rn * w(R, family, r, u);
     }
 }
@@ -291,8 +299,8 @@ INLINE int dp45(Rhs *R, int family, double *state, double t_end, double h_min,
         double scale_u = atol_u + rtol * py_max(fabs(u), fabs(u1));
         double scale_v = atol_v + rtol * py_max(fabs(v), fabs(v1));
         /* float_pow squares |x| for a negative x */
-        double norm = sqrt(0.5 * (py_pow(R, fabs(py_div(R, err_u, scale_u)), 2.0)
-                                  + py_pow(R, fabs(py_div(R, err_v, scale_v)), 2.0)));
+        double norm = sqrt(0.5 * (py_pow(&R->bad, fabs(py_div(&R->bad, err_u, scale_u)), 2.0)
+                                  + py_pow(&R->bad, fabs(py_div(&R->bad, err_v, scale_v)), 2.0)));
         if (R->bad) {
             status = PSPECT_RERUN;
             break;
@@ -381,10 +389,18 @@ int pspect_dp45(const Rhs *rhs, double *state, double t_end, double h_min,
 
 /* ------------------------------------------------------------------------
  * pspect_scan: what radial_ivp.shoot reads off a finished shot, whichever
- * loop ran it, computed as its numpy reference (radial_ivp._scan_reference)
- * computes it, to the same bits.  No power is taken here: numpy's array
- * power need not round as libm's pow does.
+ * loop ran it, computed as its references (radial_ivp._scan_reference in
+ * numpy, then radial_ivp._locate_zeros) compute it, to the same bits.  The
+ * only power it takes is the one of u' at a zero, which _locate_zeros takes
+ * with Python's **; none of the numpy ones: numpy's array power need not
+ * round as libm's pow does.
  */
+
+#define ZERO_XTOL 1e-12        /* radial_ivp.ZERO_XTOL */
+#define ZERO_RTOL 8.9e-16      /* the rtol of _locate_zeros' brentq */
+#define BRENT_MAXITER 100      /* radial_ivp.brentq's maxiter */
+#define BOUNDARY_MARGIN 1e-6   /* radial_ivp.BOUNDARY_MARGIN */
+#define TAIL_NOISE_FACTOR 1e-7 /* radial_ivp.TAIL_NOISE_FACTOR */
 
 /* DenseOutput.__call__ on step i at t: theta = (t - ts[i]) / hs[i], then
    each quartic from its theta^4 coefficient down */
@@ -425,7 +441,90 @@ static double linspace_at(int64_t i, int64_t num, double start, double stop)
     return (double)i * ((stop - start) / (double)(num - 1)) + start;
 }
 
-#define RECORD 17 /* doubles per sign-change bracket */
+/* radial_ivp._quartic_on_step: on the step q = (t0, h, y0, c0, c1, c2, c3),
+   with the value yb at the bracket's right end b */
+static double quartic_on_step(int *bad, double t, double b, double yb, const double *q)
+{
+    if (t == b)
+        return yb;
+    double th = py_div(bad, t - q[0], q[1]);
+    return q[2] + th * (q[3] + th * (q[4] + th * (q[5] + th * q[6])));
+}
+
+/* radial_ivp.brentq(_quartic_on_step, a, b, xtol=ZERO_XTOL, rtol=ZERO_RTOL)
+   as _locate_zeros calls it, step for step: the tuple swaps, min keeping its
+   first argument on ties, and sign tests by copysign.  Returns 0 with the
+   zero in *root, or 1 where the Python one raises: a NaN value, no sign
+   change, a division by zero or no convergence. */
+static int brentq(double a, double b, double yb, const double *q, double *root)
+{
+    int bad = 0;
+    double xpre = a, xcur = b, xblk = 0.0, fblk = 0.0, spre = 0.0, scur = 0.0;
+    double fpre = quartic_on_step(&bad, xpre, b, yb, q);
+    double fcur = quartic_on_step(&bad, xcur, b, yb, q);
+    if (bad || isnan(fpre) || isnan(fcur))
+        return 1;
+    if (fpre == 0.0) {
+        *root = xpre;
+        return 0;
+    }
+    if (fcur == 0.0) {
+        *root = xcur;
+        return 0;
+    }
+    if (copysign(1.0, fpre) == copysign(1.0, fcur))
+        return 1;
+    for (int it = 0; it < BRENT_MAXITER; it++) {
+        if (fpre != 0.0 && fcur != 0.0 && copysign(1.0, fpre) != copysign(1.0, fcur)) {
+            xblk = xpre;
+            fblk = fpre;
+            spre = scur = xcur - xpre;
+        }
+        if (fabs(fblk) < fabs(fcur)) { /* xpre, xcur, xblk = xcur, xblk, xcur */
+            double x = xcur, f = fcur;
+            xpre = x;
+            xcur = xblk;
+            xblk = x;
+            fpre = f;
+            fcur = fblk;
+            fblk = f;
+        }
+        double delta = (ZERO_XTOL + ZERO_RTOL * fabs(xcur)) / 2;
+        double sbis = (xblk - xcur) / 2;
+        if (fcur == 0.0 || fabs(sbis) < delta) {
+            *root = xcur;
+            return 0;
+        }
+        if (fabs(spre) > delta && fabs(fcur) < fabs(fpre)) {
+            double stry;
+            if (xpre == xblk) { /* secant */
+                stry = py_div(&bad, -fcur * (xcur - xpre), fcur - fpre);
+            } else { /* inverse quadratic interpolation */
+                double dpre = py_div(&bad, fpre - fcur, xpre - xcur);
+                double dblk = py_div(&bad, fblk - fcur, xblk - xcur);
+                stry = py_div(&bad, -fcur * (fblk * dblk - fpre * dpre),
+                              dblk * dpre * (fblk - fpre));
+            }
+            if (bad)
+                return 1;
+            if (2 * fabs(stry) < py_min(fabs(spre), 3 * fabs(sbis) - delta)) {
+                spre = scur;
+                scur = stry;
+            } else {
+                spre = scur = sbis;
+            }
+        } else {
+            spre = scur = sbis;
+        }
+        xpre = xcur;
+        fpre = fcur;
+        xcur += fabs(scur) > delta ? scur : (sbis > 0 ? delta : -delta);
+        fcur = quartic_on_step(&bad, xcur, b, yb, q);
+        if (bad || isnan(fcur))
+            return 1;
+    }
+    return 1;
+}
 
 /* The post-pass of radial_ivp.shoot over a shot of n >= 1 steps held in
    block as pspect_dp45 leaves it, with n_samples >= 2 and cap =
@@ -436,19 +535,22 @@ static double linspace_at(int64_t i, int64_t num, double start, double stop)
      scratch[0..cap)       max |u| over the grid from each point on (NaN if
                            any is NaN, as np.max)
      scratch[cap..cap + 2) u(1) and v(1)
-     then one RECORD per sign change of u over the nodes ts and midpoints
-     0.5 (ts[i] + ts[i + 1]) up to r_end, equal neighbours once, taken where
-     u[k] == 0 or u[k] u[k + 1] < 0 (at most 2n): the nodes a and b, u(a),
-     u(b), v(b), and the step of a (its left node, size, u0, the four u
-     coefficients, v0, the four v coefficients).
-   counts receives the grid length and the number of brackets. */
-void pspect_scan(const double *block, int64_t n, double eps, double r_end, int64_t n_samples,
-                 double *samples, int64_t cap, double *scratch, int64_t *counts)
+     then the zeros of u, as (r, u'(r)) pairs (at most 2n): each sign change
+     of u over the nodes ts and midpoints 0.5 (ts[i] + ts[i + 1]) up to
+     r_end, equal neighbours once, taken where u[k] == 0 or u[k] u[k + 1] < 0,
+     refined on the quartic of its left node's step as _locate_zeros refines
+     it, and dropped within 10 ZERO_XTOL of the zero before it.
+   counts receives the grid length and the number of zeros.  Returns 0, or
+   PSPECT_RERUN where _locate_zeros would raise (the caller then reads the
+   shot in Python, which raises). */
+int pspect_scan(const double *block, int64_t n, double eps, double r_end, int64_t n_samples,
+                int64_t n_dim, double e_inv, double *samples, int64_t cap, double *scratch,
+                int64_t *counts)
 {
     const double *ts = block, *y0s = block + n + 1, *hs = block + 3 * n + 1;
     const double *coef = block + 4 * n + 1;
     double *grid = samples, *u = samples + cap, *v = samples + 2 * cap;
-    double *tail = scratch, *rec = scratch + cap + 2;
+    double *tail = scratch, *zeros = scratch + cap + 2;
 
     /* the grid: both ascending sequences merged, equal values once */
     int64_t g = 0, a = 0, b = 0, j = 0;
@@ -473,7 +575,7 @@ void pspect_scan(const double *block, int64_t n, double eps, double r_end, int64
     }
 
     /* the nodes ts[0], mid 0, ts[1], ..., ts[n] ascend */
-    int64_t nb = 0, ia = 0;
+    int64_t nz = 0, ia = 0;
     double xa = 0.0, ua = 0.0;
     j = 0;
     for (int64_t s = 0; s <= 2 * n; s++) {
@@ -486,25 +588,23 @@ void pspect_scan(const double *block, int64_t n, double eps, double r_end, int64
         double ux, vx;
         dense_at(ts, y0s, hs, coef, i, x, &ux, &vx);
         if (s > 0 && (ua == 0.0 || ua * ux < 0.0)) {
-            double *r = rec + RECORD * nb++;
             const double *c = coef + 8 * ia;
-            r[0] = xa;
-            r[1] = x;
-            r[2] = ua;
-            r[3] = ux;
-            r[4] = vx;
-            r[5] = ts[ia];
-            r[6] = hs[ia];
-            r[7] = y0s[2 * ia];
-            r[8] = c[0];
-            r[9] = c[1];
-            r[10] = c[2];
-            r[11] = c[3];
-            r[12] = y0s[2 * ia + 1];
-            r[13] = c[4];
-            r[14] = c[5];
-            r[15] = c[6];
-            r[16] = c[7];
+            const double qu[7] = {ts[ia], hs[ia], y0s[2 * ia], c[0], c[1], c[2], c[3]};
+            const double qv[7] = {ts[ia], hs[ia], y0s[2 * ia + 1], c[4], c[5], c[6], c[7]};
+            double rz = xa;
+            if (ua != 0.0 && brentq(xa, x, ux, qu, &rz))
+                return PSPECT_RERUN;
+            if (!(nz > 0 && fabs(rz - zeros[2 * nz - 2]) < 10 * ZERO_XTOL)) {
+                int bad = 0;
+                double vz = quartic_on_step(&bad, rz, x, vx, qv);
+                double rn = py_pow(&bad, py_max(rz, 1e-300), (double)(n_dim - 1));
+                double up = sgnpow(&bad, py_div(&bad, vz, rn), e_inv);
+                if (bad)
+                    return PSPECT_RERUN;
+                zeros[2 * nz] = rz;
+                zeros[2 * nz + 1] = up;
+                nz++;
+            }
         }
         xa = x;
         ua = ux;
@@ -514,5 +614,128 @@ void pspect_scan(const double *block, int64_t n, double eps, double r_end, int64
     j = 0;
     dense_at(ts, y0s, hs, coef, step_of(ts, n, &j, 1.0), 1.0, scratch + cap, scratch + cap + 1);
     counts[0] = g;
-    counts[1] = nb;
+    counts[1] = nz;
+    return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * pspect_reduce and pspect_probe: radial_ivp.probe, a shot reduced to the
+ * miss D, the interior zero count Z and sup |u|, without the trajectory.
+ */
+
+/* numpy's searchsorted(grid[:g], r, side="left"), NaN ordered last */
+static int64_t search_left(const double *grid, int64_t g, double r)
+{
+    int64_t lo = 0, hi = g;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (grid[mid] < r || (r != r && grid[mid] == grid[mid]))
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+static int all_finite(const double *x, int64_t n)
+{
+    for (int64_t k = 0; k < n; k++)
+        if (!isfinite(x[k]))
+            return 0;
+    return 1;
+}
+
+/* What radial_ivp.probe reads off a finished shot of n >= 1 steps in block
+   (pspect_scan with n_samples >= 2 samples, then the tail filter of
+   radial_ivp._drop_noise_tail_zeros and the count of interior zeros).  work
+   holds 3 cap + cap + 2 + 4 n doubles, cap = n_samples + n + 1, laid out as
+   the samples and scratch of pspect_scan.  out receives u(1), u at r_end and
+   sup |u|; counts the number Z of interior zeros, the grid length and the
+   number of zeros.
+
+   The filter drops trailing zeros whose tail maximum is below
+   TAIL_NOISE_FACTOR sup |u| and whose slope is small against sup |u'|, a
+   power numpy takes.  When the trailing run below the noise floor holds no
+   interior zero, Z does not depend on which of them the filter drops, and
+   the call returns 0.  Else it returns PSPECT_TAIL, with Z unset, and the
+   caller filters in Python from work.  It returns PSPECT_RERUN where
+   pspect_scan does, and where the shot has no blow-up guard (guarded == 0)
+   and a start value or coefficient of a step is not finite: Python raises
+   there. */
+int pspect_reduce(const double *block, int64_t n, double eps, double r_end, int64_t n_samples,
+                  int64_t n_dim, double e_inv, int guarded, double *work, double *out,
+                  int64_t *counts)
+{
+    /* radial_ivp._require_finite: the start values and coefficients */
+    if (!guarded && !(all_finite(block + n + 1, 2 * n) && all_finite(block + 4 * n + 1, 8 * n)))
+        return PSPECT_RERUN;
+    int64_t cap = n_samples + n + 1, sc[2];
+    double *scratch = work + 3 * cap;
+    if (pspect_scan(block, n, eps, r_end, n_samples, n_dim, e_inv, work, cap, scratch, sc))
+        return PSPECT_RERUN;
+    int64_t g = sc[0], nz = sc[1];
+    const double *grid = work, *tail = scratch, *zeros = scratch + cap + 2;
+    double sup_u = tail[0];
+    out[0] = scratch[cap];
+    out[1] = work[cap + g - 1];
+    out[2] = sup_u;
+    counts[1] = g;
+    counts[2] = nz;
+
+    double noise = TAIL_NOISE_FACTOR * sup_u;
+    int64_t kept = nz;
+    while (kept > 0) {
+        int64_t idx = search_left(grid, g, zeros[2 * kept - 2]);
+        if (!((idx < g ? tail[idx] : 0.0) < noise))
+            break;
+        kept--;
+    }
+    int64_t z = 0;
+    for (int64_t k = 0; k < nz; k++) {
+        if (zeros[2 * k] < 1.0 - BOUNDARY_MARGIN) {
+            if (k >= kept)
+                return PSPECT_TAIL;
+            z++;
+        }
+    }
+    counts[0] = z;
+    return 0;
+}
+
+/* pspect_dp45, then pspect_reduce over the block it leaves at the front of
+   buf: buf holds 12 cap + 1 doubles for the march and then the work of
+   pspect_reduce for a shot of cap steps (20 cap + 4 n_samples + 7 in all).
+   Returns the status of the march; an END or BLOWUP shot is reduced, with
+   out and counts[0..3) as pspect_reduce leaves them and counts[3] its
+   return, and PSPECT_RERUN where pspect_reduce returns that. */
+int pspect_probe(const Rhs *rhs, double *state, double t_end, double h_min, double rtol,
+                 double atol_u, double atol_v, int has_limit, double blowup_limit,
+                 int64_t cap, double *buf, int64_t *steps, double eps, int64_t n_samples,
+                 double *out, int64_t *counts)
+{
+    int status = pspect_dp45(rhs, state, t_end, h_min, rtol, atol_u, atol_v, has_limit,
+                             blowup_limit, cap, buf, steps);
+    if (status != PSPECT_END && status != PSPECT_BLOWUP)
+        return status;
+    int64_t n = steps[0];
+    double r_end = status == PSPECT_BLOWUP ? state[0] : t_end;
+    int reduced = pspect_reduce(buf, n, eps, r_end, n_samples, rhs->n_dim, rhs->e_inv,
+                                has_limit, buf + 12 * n + 1, out, counts);
+    if (reduced == PSPECT_RERUN)
+        return PSPECT_RERUN;
+    counts[3] = reduced;
+    return status;
+}
+
+/* ------------------------------------------------------------------------
+ * pspect_apply_f: F of a PHI or RATIONAL right-hand side on n values, as
+ * nodal.Nonlinearity computes it.  Returns 1 where Python would raise.
+ */
+int pspect_apply_f(const Rhs *rhs, const double *u, int64_t n, double *out)
+{
+    Rhs R = *rhs;
+    R.bad = 0;
+    for (int64_t k = 0; k < n; k++)
+        out[k] = R.family == PHI ? phi(&R, u[k]) : rational(&R, u[k]);
+    return R.bad;
 }

@@ -41,14 +41,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _kernel
 from .errors import PreconditionError
 from .greens import apply_Gp
 from .pfuncs import _pval
 from .radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL, Problem
-from .radial_ivp import Trajectory, probe, shoot
+from .radial_ivp import Trajectory, _kernel_params, brentq, probe, shoot
 from .report import CheckReport
 from .spectrum import Spectrum, compute_spectrum
 from .weights import Weight
@@ -337,12 +336,15 @@ def solution_residual(problem: Problem, traj: Trajectory) -> float:
     """
     rhs = problem.rhs
     m = problem.m
+    params = _kernel_params(rhs.f)  # f of a built-in family runs on the kernel
 
     def source(r):
         r_arr = np.asarray(r, dtype=float)
         uu = traj.dense(np.clip(r_arr, traj.r[0], traj.r[-1]))[0]
-        fv = np.array([rhs.f(float(x)) for x in np.atleast_1d(uu)])
-        return rhs.gamma * m(r_arr) * fv.reshape(np.shape(uu))
+        fv = None if params is None else _kernel.apply_f(params, uu)
+        if fv is None:
+            fv = np.array([rhs.f(float(x)) for x in np.atleast_1d(uu)]).reshape(np.shape(uu))
+        return rhs.gamma * m(r_arr) * fv
 
     prof = apply_Gp(problem.p, problem.N, source)
     rs = np.linspace(traj.r[0], 1.0, 257)

@@ -35,18 +35,27 @@ the Python stepper.
 Whichever stepper ran it, a shot is read off its dense output in one
 compiled pass (``_kernel.scan``): the samples on a uniform grid united
 with the accepted steps, the running maxima of |u| behind them, u(1),
-and the sign changes of u over the step nodes and midpoints.  Its numpy
-reference, ``_scan_reference``, gives the same bits and serves where the
-kernel does not load.  Each sign change is then refined by bracketed
-root finding to 1e-12 in r on the quartic of its step.  A zero is
+and the zeros of u.  Each sign change of u over the step nodes and
+midpoints is refined by Brent's method (:func:`brentq`) to 1e-12 in r on
+the quartic of its step.  Its references, ``_scan_reference`` in numpy
+and ``_locate_zeros``, give the same bits; they serve where the kernel
+does not load or where the refinement of a zero would raise.  A zero is
 simple when |u'(r_z)| >= 1e-8 * max|u'|, and the trajectory is flagged,
 not repaired, when a degenerate (u = u' = 0) point is met, since IVP
 uniqueness can fail there for p != 2; max|u'| and both flags are
-computed when first read.
+computed when first read.  With no blow-up guard, a shot whose state
+overflows raises IntegrationError.
 
 Searches consume a shot through :func:`probe`, which reduces it to the
 miss D = u(1) and the count Z of ``Trajectory.interior_zeros`` (the one
 interior-zero rule) and owns the one rule for a shot that blew up.
+Where the right-hand side has a compiled form, a probe is one kernel
+call (``_kernel.probe``) after the start :func:`shoot` makes: the march,
+the post-pass, the tail filter and the count, with no trajectory built.
+The kernel leaves the tail filter to Python where Z depends on max|u'|,
+and hands the whole probe back where Python would raise; the probe is
+then the reduction of the whole shot (``_shoot_and_reduce``), to the
+same bits.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernel
-from ._rk45 import StepCounts, integrate
+from ._rk45 import StepCounts, _underflow, integrate, start
 from .errors import IntegrationError, PreconditionError
 from .pfuncs import _pval
 from .weights import Weight
@@ -72,6 +81,8 @@ SIMPLICITY_FACTOR = 1e-8
 ZERO_XTOL = 1e-12
 TAIL_NOISE_FACTOR = 1e-7
 TAIL_SLOPE_FACTOR = 1e-3
+PROBE_SAMPLES = 65  # grid of the shot a probe reads
+# _rk45_kernel.c repeats ZERO_XTOL, BOUNDARY_MARGIN and TAIL_NOISE_FACTOR
 
 
 def _sgnpow(x: float, e: float) -> float:
@@ -317,6 +328,13 @@ def _system(p, n_dim, w):
     return f
 
 
+def _march_start(problem: Problem, alpha: float, eps: float):
+    """The first-order system of problem and its series values at eps."""
+    p, n_dim = problem.p, problem.N
+    f = _system(p, n_dim, problem.rhs.make(p, problem.m.scalar_fn()))
+    return f, origin_startup(problem, alpha, eps)
+
+
 def shoot(
     problem: Problem,
     alpha: float,
@@ -331,29 +349,34 @@ def shoot(
 
     The boundary condition at r = 1 is *not* imposed; the terminal value
     u(1) is the miss that eigenvalue and amplitude scans drive to zero.
+    With blowup_limit None a shot whose state overflows raises
+    IntegrationError.
     """
     if alpha == 0.0:
         raise PreconditionError("initial value alpha must be nonzero")
 
     p, n_dim, rhs = problem.p, problem.N, problem.rhs
     e_inv = 1.0 / (p - 1.0)
-    f = _system(p, n_dim, rhs.make(p, problem.m.scalar_fn()))
-
-    y0 = origin_startup(problem, alpha, eps)
+    f, y0 = _march_start(problem, alpha, eps)
     _, dense, blowup_radius, steps = integrate(
         f, eps, 1.0, y0, rtol=rtol, atol=atol, blowup_limit=blowup_limit,
         compiled=rhs.compiled(p, n_dim, problem.m)
     )
+    if blowup_limit is None:
+        _require_finite(dense)
     r_end = blowup_radius if blowup_radius is not None else 1.0
 
-    scan = _kernel.scan(dense.block, dense.n, eps, r_end, n_samples)
+    scan = _kernel.scan(dense.block, dense.n, eps, r_end, n_samples, n_dim, e_inv)
     if scan is None:
-        scan = _scan_reference(dense, eps, r_end, n_samples)
-    grid, u_samp, v_samp, tail_max, terminal, brackets = scan
+        grid, u_samp, v_samp, tail_max, terminal, brackets = _scan_reference(
+            dense, eps, r_end, n_samples)
+        pairs = _locate_zeros(brackets, n_dim, e_inv)
+    else:
+        grid, u_samp, v_samp, tail_max, terminal, pairs = scan
     sup_u = float(tail_max[0])
     sup_uprime = _sup_uprime(grid, v_samp, n_dim, e_inv)
-    zeros = _locate_zeros(brackets, n_dim, e_inv, sup_uprime)
-    zeros = _drop_noise_tail_zeros(zeros, grid, tail_max, sup_u, sup_uprime)
+    zeros = _drop_noise_tail_zeros(_crossings(pairs, sup_uprime), grid, tail_max, sup_u,
+                                   sup_uprime)
 
     return Trajectory(
         p=p,
@@ -370,6 +393,18 @@ def shoot(
         _sup_uprime=sup_uprime,
         dense=dense,
     )
+
+
+def _require_finite(dense):
+    """Raise where the march's state stops being finite: with no blow-up
+    guard an overflowing shot marches on in inf and NaN."""
+    n, block = dense.n, dense.block
+    steps = np.column_stack((block[n + 1:3 * n + 1].reshape(-1, 2),
+                             block[4 * n + 1:].reshape(-1, 8)))
+    bad = ~np.isfinite(steps).all(axis=1)
+    if bad.any():
+        r = float(block[int(np.argmax(bad))])
+        raise IntegrationError(f"shot not finite from r = {r:.6e} on, with no blow-up guard")
 
 
 @dataclass(frozen=True)
@@ -390,12 +425,53 @@ class Probe:
 
 def probe(problem: Problem, alpha: float, *, rtol: float, atol: float,
           blowup_limit: float = BLOWUP_LIMIT) -> Probe:
-    """Shoot with u(0) = alpha and reduce the shot to a :class:`Probe`."""
-    traj = shoot(problem, alpha, rtol=rtol, atol=atol, n_samples=65,
+    """Shoot with u(0) = alpha and reduce the shot to a :class:`Probe`.
+
+    Where the right-hand side has a compiled form, the kernel marches the
+    shot and reduces it in one call (``_kernel.probe``), after the same
+    start as :func:`shoot`; no trajectory is built.  It hands a shot back
+    where Python would raise, and then, or without a compiled form, the
+    probe is the reduction of the whole shot (:func:`_shoot_and_reduce`),
+    with the same result.
+    """
+    p, n_dim = problem.p, problem.N
+    compiled = problem.rhs.compiled(p, n_dim, problem.m)
+    if compiled is not None and alpha != 0.0 and _kernel.load() is not None:
+        f, y0 = _march_start(problem, alpha, DEFAULT_EPS)
+        state, h_min, atol_u, atol_v = start(f, DEFAULT_EPS, 1.0, y0, rtol=rtol, atol=atol)
+        out = _kernel.probe(compiled, state, 1.0, h_min, rtol, atol_u, atol_v, blowup_limit,
+                            DEFAULT_EPS, PROBE_SAMPLES)
+        if out is not None:
+            status, t, accepted, rejected, reading = out
+            if status == _kernel.UNDERFLOW:
+                raise _underflow(t)
+            return _probe_of(reading, status == _kernel.BLOWUP,
+                             StepCounts.of(accepted, rejected), n_dim, 1.0 / (p - 1.0))
+    return _shoot_and_reduce(problem, alpha, rtol=rtol, atol=atol, blowup_limit=blowup_limit)
+
+
+def _shoot_and_reduce(problem, alpha, *, rtol, atol, blowup_limit=BLOWUP_LIMIT) -> Probe:
+    """The probe of the whole shot: the path where the kernel cannot take
+    it, and the reference of ``_kernel.probe``."""
+    traj = shoot(problem, alpha, rtol=rtol, atol=atol, n_samples=PROBE_SAMPLES,
                  blowup_limit=blowup_limit)
     blowup = traj.blowup_radius is not None
     d = math.copysign(BLOWUP_MISS, traj.u[-1]) if blowup else traj.terminal_u
     return Probe(d, len(traj.interior_zeros), blowup, traj.sup_u, traj.steps)
+
+
+def _probe_of(reading, blowup, steps, n_dim, e_inv) -> Probe:
+    """The :class:`Probe` of a ``_kernel.Reading``, filtering the tail here
+    where the kernel left that to Python."""
+    u1, u_end, sup_u, z, tail = reading
+    if tail is not None:
+        grid, v, tail_max, pairs = tail
+        sup_uprime = _sup_uprime(grid, v, n_dim, e_inv)
+        zeros = _drop_noise_tail_zeros(_crossings(pairs, sup_uprime), grid, tail_max, sup_u,
+                                       sup_uprime)
+        z = sum(zc.r < 1.0 - BOUNDARY_MARGIN for zc in zeros)
+    d = math.copysign(BLOWUP_MISS, u_end) if blowup else u1
+    return Probe(d, z, blowup, sup_u, steps)
 
 
 def _scan_reference(dense, eps, r_end, n_samples):
@@ -494,11 +570,12 @@ def brentq(f, a, b, args=(), xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100
         fcur = f(xcur, *args)
         if fcur != fcur:
             raise ValueError(f"f is NaN at x={xcur}")
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}.")
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _locate_zeros(brackets, n_dim, e_inv, sup_uprime):
-    """Refine each sign-change record of the scan to a zero, with u' there."""
+def _locate_zeros(brackets, n_dim, e_inv):
+    """Refine each sign-change record of ``_scan_reference`` to a zero:
+    (r, u'(r)) pairs, as ``_kernel.scan`` returns them."""
     zeros = []
     for a, b, ua, ub, vb, t0, h, u0, c0, c1, c2, c3, v0, d0, d1, d2, d3 in brackets:
         if ua == 0.0:
@@ -506,13 +583,16 @@ def _locate_zeros(brackets, n_dim, e_inv, sup_uprime):
         else:
             rz = brentq(_quartic_on_step, a, b, args=(b, ub, t0, h, u0, c0, c1, c2, c3),
                         xtol=ZERO_XTOL, rtol=8.9e-16)
-        if zeros and abs(rz - zeros[-1].r) < 10 * ZERO_XTOL:
+        if zeros and abs(rz - zeros[-1][0]) < 10 * ZERO_XTOL:
             continue
         vz = _quartic_on_step(rz, b, vb, t0, h, v0, d0, d1, d2, d3)
         rn = max(rz, 1e-300) ** (n_dim - 1)
-        zeros.append(ZeroCrossing(float(rz), float(_sgnpow(vz / rn, e_inv)),
-                                  _sup_uprime=sup_uprime))
+        zeros.append((float(rz), float(_sgnpow(vz / rn, e_inv))))
     return zeros
+
+
+def _crossings(pairs, sup_uprime):
+    return [ZeroCrossing(r, up, _sup_uprime=sup_uprime) for r, up in pairs]
 
 
 def _drop_noise_tail_zeros(zeros, grid, tail_max, sup_u, sup_uprime):

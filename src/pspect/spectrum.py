@@ -45,12 +45,11 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NegativeSequenceAbsent, PreconditionError, SpectrumIncomplete
 from .pfuncs import pi_p
 from .radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL
-from .radial_ivp import Problem, Trajectory, probe, shoot
+from .radial_ivp import Problem, Trajectory, brentq, probe, shoot
 from .report import CheckReport
 from .weights import Weight
 

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from pspect import _kernel
 from pspect.errors import PreconditionError, SpectrumIncomplete
 from pspect.nodal import (
     Nonlinearity,
     Perturbation,
     find_nodal,
     gamma_intervals,
+    solution_residual,
     trace_branch,
     verify_bifurcation_points,
 )
+from pspect.radial_ivp import Problem, shoot
 
 from pspect.spectrum import compute_spectrum
 from pspect.weights import Weight
@@ -60,6 +63,45 @@ def test_rational_family_rejects_bad_parameters():
         Nonlinearity.rational(2.0, f0=-1.0)
     with pytest.raises(PreconditionError):
         Perturbation(2.0, delta=0.0)
+
+
+# the kernel computes f of the built-in families to the bits of the Python f
+# (the fixed-point residual evaluates f there); where Python would raise it
+# declines, and the Python f runs
+
+F_VALUES = np.array([0.0, -0.0, 1e-300, -3e-9, 0.37, -1.0, 2.5, -41.0, 7e17, -3e120,
+                     1e139, math.inf, -math.inf, math.nan])
+
+
+@pytest.mark.parametrize("f", [F_REF, Nonlinearity.rational(2.5, 1.1, 2.3, 2.2),
+                               Nonlinearity.phi(1.3), Nonlinearity.phi(4.0)])
+def test_kernel_f_matches_python_f(f):
+    def python_f(u):
+        try:
+            return np.array([f(float(x)) for x in u])
+        except (OverflowError, ZeroDivisionError):
+            return None
+
+    ran = []
+    for k in range(1, len(F_VALUES) + 1):
+        u = F_VALUES[:k]
+        got, want = _kernel.apply_f(f.kernel_params(), u), python_f(u)
+        ran.append(got is not None)
+        if got is not None:
+            assert want is not None and got.tobytes() == want.tobytes()
+    if _kernel.load() is not None:
+        assert ran[:9] == [True] * 9  # up to the first value near overflow
+
+
+@pytest.mark.parametrize("f", [F_REF, Nonlinearity.phi(2.5), Nonlinearity.rational(1.5, 2.0, 0.5)])
+def test_residual_on_the_kernel_matches_python_f(monkeypatch, f):
+    prob = Problem.nonlinear(2.0, 2, M_LIN, 30.0, f)
+    traj = shoot(prob, 0.8)
+    got = solution_residual(prob, traj)
+    hand_built = Nonlinearity(fn=f.fn, f0=f.f0, finf=f.finf)
+    assert got == solution_residual(Problem.nonlinear(2.0, 2, M_LIN, 30.0, hand_built), traj)
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    assert got == solution_residual(prob, traj)
 
 
 # ---------------------------------------------------------------------------

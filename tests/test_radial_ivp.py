@@ -484,7 +484,10 @@ def assert_same_shot(got, want):
 
 # ---------------------------------------------------------------------------
 # the compiled post-pass of a shot (_kernel.scan) gives the bits of its numpy
-# reference (radial_ivp._scan_reference), whichever stepper ran the shot
+# reference (radial_ivp._scan_reference, then _locate_zeros), whichever
+# stepper ran the shot; the reduction of a shot to its probe on the kernel
+# (_kernel.reduce, which _kernel.probe runs after the march) gives the probe
+# of the whole shot (radial_ivp._shoot_and_reduce)
 
 
 @pytest.fixture
@@ -501,6 +504,20 @@ def scan_results(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def probe_results(monkeypatch):
+    """What each call of the fused probe returned: None means handed back."""
+    seen, fused = [], _kernel.probe
+
+    def spy(*args):
+        out = fused(*args)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(_kernel, "probe", spy)
+    return seen
+
+
 def _on_both_passes(monkeypatch, fn):
     """fn() on the compiled post-pass, then on its numpy reference."""
     got = fn()
@@ -510,25 +527,53 @@ def _on_both_passes(monkeypatch, fn):
     return got, want
 
 
+def assert_same_probe(got, want):
+    assert _same_bits(got.d, want.d) and _same_bits(got.sup_u, want.sup_u)
+    assert (got.z, got.blowup, got.steps) == (want.z, want.blowup, want.steps)
+    assert type(got.d) is type(got.sup_u) is float and type(got.z) is int
+
+
+def assert_reduction_matches(shot, prob, blowup_limit, want):
+    """The kernel's reduction of the shot's block is the probe want."""
+    r_end = 1.0 if shot.blowup_radius is None else shot.blowup_radius
+    e_inv = 1.0 / (prob.p - 1.0)
+    reading = _kernel.reduce(shot.dense.block, shot.dense.n, EPS, r_end,
+                             radial_ivp.PROBE_SAMPLES, prob.N, e_inv, blowup_limit is not None)
+    if reading is not None:
+        assert_same_probe(radial_ivp._probe_of(reading, shot.blowup_radius is not None,
+                                               shot.steps, prob.N, e_inv), want)
+    return reading
+
+
 def assert_post_pass_matches_reference(monkeypatch, prob, alpha, *, rtol=1e-10, atol=1e-12,
-                                       blowup_limit=radial_ivp.BLOWUP_LIMIT, n_samples=513):
-    """The shot and the probe of prob are the same on both passes, and so is
-    what each pass returns for the shot; returns the shot."""
+                                       blowup_limit=radial_ivp.BLOWUP_LIMIT, n_samples=513,
+                                       fused=True):
+    """The shot is the same on both passes, and so is what each pass returns
+    for it; the probe of prob is the probe of the whole shot on both passes,
+    fused (unless the march is edited) and reduced from the shot's block on
+    the kernel.  Returns the shot and the kernel's reduction of the probe's
+    shot (None where it hands back)."""
     tols = dict(rtol=rtol, atol=atol, blowup_limit=blowup_limit)
     got, want = _on_both_passes(monkeypatch,
                                 lambda: shoot(prob, alpha, n_samples=n_samples, **tols))
     assert_same_shot(got, want)
-    got_probe, want_probe = _on_both_passes(monkeypatch, lambda: probe(prob, alpha, **tols))
-    assert _same_bits(got_probe.d, want_probe.d) and _same_bits(got_probe.sup_u, want_probe.sup_u)
-    assert (got_probe.z, got_probe.blowup, got_probe.steps) == \
-        (want_probe.z, want_probe.blowup, want_probe.steps)
+    reduced, reference = _on_both_passes(
+        monkeypatch, lambda: radial_ivp._shoot_and_reduce(prob, alpha, **tols))
+    assert_same_probe(reduced, reference)
+    if fused:
+        assert_same_probe(probe(prob, alpha, **tols), reference)
+    probe_shot = shoot(prob, alpha, n_samples=radial_ivp.PROBE_SAMPLES, **tols)
+    reading = assert_reduction_matches(probe_shot, prob, blowup_limit, reference)
     r_end = 1.0 if got.blowup_radius is None else got.blowup_radius
-    scan = _kernel.scan(got.dense.block, got.dense.n, EPS, r_end, n_samples)
+    scan = _kernel.scan(got.dense.block, got.dense.n, EPS, r_end, n_samples, prob.N,
+                        1.0 / (prob.p - 1.0))
     if scan is not None:
-        reference = radial_ivp._scan_reference(got.dense, EPS, r_end, n_samples)
-        for a, b in zip(scan, reference):  # grid, u, v, tail maxima, u(1), records
+        *samples, brackets = radial_ivp._scan_reference(got.dense, EPS, r_end, n_samples)
+        for a, b in zip(scan, samples):  # grid, u, v, tail maxima, u(1)
             assert _same_bits(a, b)
-    return got
+        zeros = radial_ivp._locate_zeros(brackets, prob.N, 1.0 / (prob.p - 1.0))
+        assert _same_bits(scan[5], zeros) and len(scan[5]) == len(zeros)
+    return got, reading
 
 
 def _hand_built_rational(p):
@@ -545,7 +590,9 @@ POST_PASS_CASES = {
     # linspace puts its last point on r_end
     "blowup-68-samples": (Problem.linear(2.0, 1, Weight.poly([1.0, -8.0]), 3.0e4), 1.0,
                           dict(n_samples=68)),
-    # mu_1^+ of 1 - 8r: the tail filter drops the one sign change of the shot
+    # mu_1^+ of 1 - 8r: the tail filter drops the one sign change of the
+    # shot, an interior zero below the noise floor, which the kernel leaves
+    # to Python
     "noise-tail": (Problem.linear(2.0, 1, Weight.poly([1.0, -8.0]), 67.67648508344031), 1.0,
                    dict(blowup_limit=1e100, n_samples=65)),
     "cos64-N1": (Problem.linear(1.5, 1, COS64, -1625.6), 1.0, {}),
@@ -553,36 +600,75 @@ POST_PASS_CASES = {
     "linear-N1": (Problem.linear(2.5, 1, M_LIN, 300.0), -1.0, {}),
     "linear-N2": (Problem.linear(2.5, 2, M_LIN, 900.0), 1.0, dict(n_samples=65)),
     "linear-N3": (Problem.linear(3.0, 3, M_LIN, 900.0), 1.0, {}),
+    # 5,819 accepted steps: the fused probe grows its buffer past 4,096 steps
+    "long-shot": (Problem.linear(1.2, 1, M1, 250.0), 1.0, {}),
     "rational-N2": (Problem.nonlinear(2.5, 2, M_LIN, 37.5, Nonlinearity.rational(2.5)), 3.0, {}),
     "perturbed-N3": (Problem.perturbed(2.0, 3, M_LIN, 300.0, Perturbation(2.0)), 0.5, {}),
     # the Python stepper: u(eps) = alpha - H0 eps^2 / 2 is exactly 0.0, a zero at a node
     "source-zero-at-node": (Problem.source(2.0, 1, lambda r: H0), H0 * EPS**2 / 2, {}),
     "hand-built-f": (Problem.nonlinear(2.5, 2, M_LIN, 300.0, _hand_built_rational(2.5)), 1.0,
                      {}),
-    # no blow-up guard: u and v overflow to inf, the samples behind them are NaN
+    # no blow-up guard: u and v overflow to inf, and the shot raises
     "no-guard-nan": (Problem.linear(1.2, 1, M1, -1e5), 1.0,
                      dict(rtol=1e-6, atol=1e-8, blowup_limit=None)),
+    # |u|^2.2 passes the largest double: Python raises OverflowError, and the
+    # kernel hands the shot back
+    "rational-handed-back": (Problem.nonlinear(2.0, 1, Weight.constant(-1.0), 50.0,
+                                               Nonlinearity.rational(2.0, 1.0, 0.5, 2.2)),
+                             1e139, dict(blowup_limit=1e300)),
 }
+RAISING = {"no-guard-nan": IntegrationError, "rational-handed-back": OverflowError}
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # numpy, on inf
+def assert_raises_alike(monkeypatch, prob, alpha, error, **kw):
+    """Every path raises the same error, and the kernel hands the shot back."""
+    raised = []
+    for fn in (lambda: shoot(prob, alpha, **kw), lambda: probe(prob, alpha, **kw),
+               lambda: radial_ivp._shoot_and_reduce(prob, alpha, **kw)):
+        for run in _on_both_passes(monkeypatch, lambda fn=fn: _raised(fn)):
+            raised.append(run)
+    assert raised == [raised[0]] * len(raised) and raised[0][0] is error
+    return raised[0]
+
+
+def _raised(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
 @pytest.mark.parametrize("case", sorted(POST_PASS_CASES))
-def test_post_pass_matches_reference(monkeypatch, scan_results, case):
+def test_post_pass_matches_reference(monkeypatch, scan_results, probe_results, case):
     prob, alpha, kw = POST_PASS_CASES[case]
-    shot = assert_post_pass_matches_reference(monkeypatch, prob, alpha, **kw)
+    if case in RAISING:
+        kw = dict(dict(rtol=1e-10, atol=1e-12), **kw)
+        error = assert_raises_alike(monkeypatch, prob, alpha, RAISING[case], **kw)
+        if case == "no-guard-nan":
+            assert error[1].startswith("shot not finite from r = ")
+        if _kernel.load() is not None:
+            assert len(probe_results) == 2 and probe_results == [None, None]
+        return
+    shot, reading = assert_post_pass_matches_reference(monkeypatch, prob, alpha, **kw)
     if case.startswith("blowup"):
         assert shot.blowup_radius is not None and shot.terminal is None
     elif case == "noise-tail":
         brackets = radial_ivp._scan_reference(shot.dense, EPS, 1.0, 65)[5]
         assert len(brackets) == 1 and shot.zeros == ()
+        assert reading is None or (reading.z is None and len(reading.tail[3]) == 1)
     elif case == "source-zero-at-node":
         assert shot.u[0] == 0.0 and shot.zeros[0].r == EPS
-    elif case == "no-guard-nan":
-        assert math.isnan(shot.sup_u) and not math.isnan(shot.u[0])
+    elif case == "long-shot":
+        assert shot.steps.accepted > _kernel.FIRST_CAPACITY
     else:
         assert shot.zeros
     if _kernel.load() is not None:
-        assert len(scan_results) == 3 and None not in scan_results
+        # the fused probe is one kernel call where the right-hand side has a
+        # compiled form, else a shot
+        has_form = prob.rhs.compiled(prob.p, prob.N, prob.m) is not None
+        assert len(probe_results) == has_form and None not in probe_results
+        # the kernel reads the shot, the probe's shot in shoot-and-reduce and
+        # again for _kernel.reduce, and the explicit scan
+        assert len(scan_results) == 5 - has_form and None not in scan_results
 
 
 def test_post_pass_on_the_kernel_where_a_compiler_is(scan_results):
@@ -593,8 +679,10 @@ def test_post_pass_on_the_kernel_where_a_compiler_is(scan_results):
 
 @needs_kernel
 def test_post_pass_refuses_a_block_of_another_size():
-    with pytest.raises(ValueError, match="dense block of 1 steps holds 13"):
-        _kernel.scan(np.zeros(12), 1, EPS, 1.0, 65)
+    for pass_ in (lambda b: _kernel.scan(b, 1, EPS, 1.0, 65, 1, 1.0),
+                  lambda b: _kernel.reduce(b, 1, EPS, 1.0, 65, 1, 1.0, True)):
+        with pytest.raises(ValueError, match="dense block of 1 steps holds 13"):
+            pass_(np.zeros(12))
 
 
 CUT = np.nextafter(1.0, 0.0)  # 1 ulp below r = 1
@@ -619,6 +707,33 @@ def _nan_inside(n, b):
     return n, b
 
 
+def _twin_zero(n, b):
+    """Step k = n // 2 has u = theta - 1, which vanishes at its end, and the
+    step after it starts at u = 1e-300 and falls: the sign changes on both
+    sides of their common node refine to zeros within 10 ZERO_XTOL."""
+    b, k = b.copy(), n // 2
+    for i, (u0, c0) in ((k, (-1.0, 1.0)), (k + 1, (1e-300, -1.0))):
+        b[n + 1 + 2 * i] = u0
+        b[4 * n + 1 + 8 * i:4 * n + 1 + 8 * i + 4] = (c0, 0.0, 0.0, 0.0)
+    return n, b
+
+
+NEAR_ONE = 1.0 - 2e-7
+
+
+def _zero_near_one(n, b):
+    """The last step ends at NEAR_ONE, and a step to 1 follows on which
+    u = 2 theta - 1 and v is constant: a zero at 1 - 1e-7, which is not
+    interior, with |u| back to 1 at r = 1, above the noise floor."""
+    _, v_end = DenseOutput(b, n).eval_scalar(NEAR_ONE)
+    return n + 1, np.concatenate((
+        b[:n], [NEAR_ONE, 1.0],                                 # nodes
+        b[n + 1:3 * n + 1], [-1.0, v_end],                      # start values
+        b[3 * n + 1:4 * n], [NEAR_ONE - b[n - 1], 1.0 - NEAR_ONE],  # step sizes
+        b[4 * n + 1:], [2.0, 0.0, 0.0, 0.0] + [0.0] * 4,        # coefficients
+    ))
+
+
 def _edited(integrate_fn, edit):
     """integrate_fn with edit(n, block) -> (n, block) applied to its dense output."""
 
@@ -631,18 +746,94 @@ def _edited(integrate_fn, edit):
 
 
 @pytest.mark.parametrize("n_dim", [1, 2, 3])
-@pytest.mark.parametrize("edit", [_zero_last_ulp, _nan_inside])
+@pytest.mark.parametrize("edit", [_zero_last_ulp, _nan_inside, _twin_zero, _zero_near_one])
 def test_post_pass_matches_reference_on_edited_shots(monkeypatch, scan_results, edit, n_dim):
+    # the fused probe never sees an edited march; the kernel's reduction of
+    # the edited block stands in for it
     monkeypatch.setattr(radial_ivp, "integrate", _edited(radial_ivp.integrate, edit))
-    shot = assert_post_pass_matches_reference(monkeypatch, Problem.linear(2.5, n_dim, M_LIN, 300.0),
-                                              1.0)
+    prob = Problem.linear(2.5, n_dim, M_LIN, 300.0)
+    shot, reading = assert_post_pass_matches_reference(monkeypatch, prob, 1.0, fused=False)
     if edit is _zero_last_ulp:
         assert 0.5 * (CUT + 1.0) == 1.0 and shot.dense.block[shot.dense.n - 1] == CUT
         assert shot.terminal[0] == 0.0 and shot.zeros[-1].r == CUT
-    else:
+    elif edit is _nan_inside:
         assert math.isnan(shot.sup_u) and not math.isnan(shot.u[-1])
+        # with no blow-up guard the shot raises, and the kernel hands it back
+        n = shot.dense.n
+        with pytest.raises(IntegrationError, match=f"from r = {shot.dense.block[n // 2]:.6e} on"):
+            shoot(prob, 1.0, blowup_limit=None)
+        assert _kernel.reduce(shot.dense.block, n, EPS, 1.0, 65, n_dim, 1 / 1.5, False) is None
+    elif edit is _twin_zero:
+        node = shot.dense.block[shot.dense.n // 2 + 1]
+        brackets = radial_ivp._scan_reference(shot.dense, EPS, 1.0, 513)[5]
+        assert sum(abs(a - node) < 1e-9 or abs(b - node) < 1e-9 for a, b, *_ in brackets) == 2
+        assert sum(abs(z.r - node) < 10 * radial_ivp.ZERO_XTOL for z in shot.zeros) == 1
+    else:
+        assert 1.0 - radial_ivp.BOUNDARY_MARGIN < shot.zeros[-1].r < 1.0
+        assert len(shot.interior_zeros) == len(shot.zeros) - 1
     if _kernel.load() is not None:
-        assert len(scan_results) == 3 and None not in scan_results
+        assert reading is not None and reading.tail is None
+        assert len(scan_results) == 4 and None not in scan_results
+
+
+def assert_probe_matches_shoot_and_reduce(prob, alpha, **kw):
+    try:
+        want = radial_ivp._shoot_and_reduce(prob, alpha, **kw)
+    except IntegrationError:  # step size underflow
+        assert _raised(lambda: probe(prob, alpha, **kw)) == \
+            _raised(lambda: radial_ivp._shoot_and_reduce(prob, alpha, **kw))
+        return
+    assert_same_probe(probe(prob, alpha, **kw), want)
+
+
+@pytest.mark.parametrize("weight", sorted(FUSED_WEIGHTS) + ["cos64"])
+@pytest.mark.parametrize("n_dim", [1, 2, 3])
+@pytest.mark.parametrize("p", GRID_P)
+def test_probe_matches_shoot_and_reduce(p, n_dim, weight, probe_results):
+    m = COS64 if weight == "cos64" else FUSED_WEIGHTS[weight]
+    i = GRID_P.index(p) * 3 + n_dim
+    f0, finf, q = RATIONAL_PARAMS[i % len(RATIONAL_PARAMS)]
+    c, delta = PERTURBATIONS[i % len(PERTURBATIONS)]
+    calls = 0
+    for (rtol, atol), limit in (((1e-10, 1e-12), radial_ivp.BLOWUP_LIMIT),
+                                ((1e-6, 1e-8), 1e100)):  # the tight and the loose tolerances
+        for mu in (37.5, -0.3, 900.0, -2500.0):
+            for alpha in (1.0, -2.5e-3):
+                assert_probe_matches_shoot_and_reduce(Problem.linear(p, n_dim, m, mu), alpha,
+                                                      rtol=rtol, atol=atol, blowup_limit=limit)
+        for j, gamma in enumerate((37.5, -0.3)):
+            alpha = AMPLITUDES[(i + j) % len(AMPLITUDES)]
+            for prob in (
+                Problem.nonlinear(p, n_dim, m, gamma, Nonlinearity.rational(p, f0, finf, q)),
+                Problem.nonlinear(p, n_dim, m, gamma, Nonlinearity.phi(p)),
+                Problem.perturbed(p, n_dim, m, gamma, Perturbation(p, c, delta)),
+            ):
+                assert_probe_matches_shoot_and_reduce(prob, alpha, rtol=rtol, atol=atol,
+                                                      blowup_limit=limit)
+        calls += 8 + 6
+    if _kernel.load() is not None:
+        assert len(probe_results) == calls and None not in probe_results
+
+
+def test_probe_does_not_shoot_where_a_compiler_is(monkeypatch):
+    shots = []
+    monkeypatch.setattr(radial_ivp, "shoot", lambda *a, **kw: shots.append(a) or shoot(*a, **kw))
+    prob = Problem.nonlinear(2.5, 2, M_LIN, 37.5, Nonlinearity.rational(2.5))
+    pr = probe(prob, 1.0, rtol=1e-10, atol=1e-12)
+    assert len(shots) == (not _has_compiler())
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    assert_same_probe(probe(prob, 1.0, rtol=1e-10, atol=1e-12), pr)
+    assert len(shots) == 1 + (not _has_compiler())
+
+
+@needs_kernel
+def test_probe_step_underflow_raises_the_python_error(probe_results):
+    kw = dict(rtol=1e-100, atol=1e-150)
+    prob = Problem.linear(2.0, 1, M1, 10.0)
+    errors = [_raised(lambda: probe(prob, 1.0, **kw)),
+              _raised(lambda: radial_ivp._shoot_and_reduce(prob, 1.0, **kw))]
+    assert errors == [(IntegrationError, "step size underflow at r = 1.000000e-06")] * 2
+    assert [out[0] for out in probe_results] == [_kernel.UNDERFLOW]
 
 
 def test_hand_built_nonlinearity_takes_the_python_stepper(kernel_results):

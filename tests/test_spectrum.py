@@ -1,11 +1,11 @@
+import gc
 import math
-
 
 import pytest
 
 from pspect import spectrum
 from pspect.errors import NegativeSequenceAbsent, PreconditionError, SpectrumIncomplete
-from pspect.radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL, Problem, probe
+from pspect.radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL, Probe, Problem, probe
 from pspect.spectrum import (
     SCAN_ATOL,
     SCAN_RTOL,
@@ -550,3 +550,23 @@ def test_crossing_index_guards():
         crossing_index(spec, spec.values("+")[0])  # on an eigenvalue
     with pytest.raises(PreconditionError):
         crossing_index(spec, 10.0 * spec.values("+")[-1])  # beyond range
+
+
+def test_searches_leave_no_reference_cycle():
+    # a search's root solves must not keep the prober and its probes on a
+    # reference cycle (scipy's brentq wrapper refers to itself), or they
+    # live until the cyclic collector runs
+    gc.collect()
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        compute_spectrum(2.5, 1, Weight.poly([1.0, -2.0]), 3)
+        gc.collect()
+        cyclic = [type(o) for o in gc.garbage if isinstance(o, (_Prober, Probe))]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert cyclic == []
