@@ -1,6 +1,7 @@
-"""Build and load the compiled step loop and post-pass of the radial problems.
+"""Build and load the compiled step loop, post-pass and root solve of the
+radial problems.
 
-``_rk45_kernel.c`` holds five entry points.  ``pspect_dp45`` is the
+``_rk45_kernel.c`` holds six entry points.  ``pspect_dp45`` is the
 Dormand-Prince loop of ``_rk45.integrate`` with the right-hand side of a
 linear, nonlinear (built-in ``Nonlinearity`` families) or perturbed
 (built-in ``Perturbation``) shot written into it, operation for
@@ -23,8 +24,22 @@ zeros under the noise floor of the tail filter hold an interior zero,
 the count Z depends on sup |u'|, a numpy power; the kernel then leaves
 the filter to Python with the samples it needs.  ``pspect_apply_f``
 computes F of the PHI and RATIONAL families on an array, for the
-fixed-point residual (:func:`apply_f`).  No buffer outlives a call, as
-ctypes releases the GIL during one.
+fixed-point residual (:func:`apply_f`).
+
+``pspect_solve`` runs Brent's method, the routine that refines the zeros,
+on the miss D of ``radial_ivp.probe`` as a function of the right-hand
+side's lam (gamma or mu) or of u(0), each trial a start and then
+``pspect_probe``, in one call (:func:`solve`).  The start is
+``radial_ivp.origin_startup`` and ``_rk45.start`` ported operation for
+operation, with a port of CPython's ``math.hypot`` for two values (its
+``vector_norm``; :func:`hypot` exposes it for its test).  The port gives
+``math.hypot``'s bits on zeros and normal numbers under Python 3.10 to
+3.13; on a subnormal or non-finite input it hands the solve back.  So do
+a trial ``pspect_probe`` hands back or that underflows its step size, a
+start on which Python would raise, a NaN miss and no convergence: the
+caller then runs Brent's method over ``radial_ivp.probe``, which returns
+or raises as it always has.  No buffer outlives a call, as ctypes
+releases the GIL during one.
 
 The source is compiled on first use with the C compiler Python was built
 with (``sysconfig``'s ``CC``) and the fixed flags ``FLAGS``, into
@@ -36,8 +51,9 @@ CPython's ``**`` makes it; ``-ffast-math`` and ``-march=native`` stay
 out.  The post-pass takes no numpy power: numpy's array power need not
 round as libm's ``pow`` does.  Where no compiler runs or the cache cannot
 be written, :func:`load` returns None, every shot takes the Python
-stepper, ``shoot`` the numpy post-pass and Python zero refinement, and
-``probe`` the reduction of the whole shot.
+stepper, ``shoot`` the numpy post-pass and Python zero refinement,
+``probe`` the reduction of the whole shot, and a root solve Brent's
+method over ``probe``.
 """
 
 from __future__ import annotations
@@ -120,6 +136,17 @@ _REDUCE_ARGTYPES = (
 _PROBE_ARGTYPES = _DP45_ARGTYPES + [ctypes.c_double, ctypes.c_int64, _DOUBLES, _INT64S]
 # pspect_apply_f(rhs, u, n, out)
 _APPLY_F_ARGTYPES = (ctypes.POINTER(_Rhs), _DOUBLES, ctypes.c_int64, _DOUBLES)
+# pspect_solve(rhs, in_alpha, alpha, m0, p_conj, a, b, fa, fb, xtol, xrtol, maxiter, eps,
+#              rtol, atol_u, atol_v, has_limit, blowup_limit, blowup_miss, n_samples, cap,
+#              buf, out)
+_SOLVE_ARGTYPES = (
+    [ctypes.POINTER(_Rhs), ctypes.c_int] + [ctypes.c_double] * 9 + [ctypes.c_int64]
+    + [ctypes.c_double] * 4 + [ctypes.c_int, ctypes.c_double, ctypes.c_double]
+    + [ctypes.c_int64, ctypes.c_int64, _DOUBLES, _DOUBLES]
+)
+# pspect_hypot(x, y, out)
+_HYPOT_ARGTYPES = (ctypes.c_double, ctypes.c_double, _DOUBLES)
+LOG_ROW = 7  # a trial of pspect_solve: x, d, sup |u|, Z (-1: tail filter), blow-up, steps
 _State = ctypes.c_double * 6  # t, u, v, fu, fv, h
 _Pair = ctypes.c_int64 * 2  # step counts of pspect_dp45, counts of pspect_scan
 _Reading = ctypes.c_double * 3  # u(1), u(r_end), sup |u| of pspect_reduce
@@ -165,7 +192,8 @@ def load():
         return None
     for name, argtypes in (("dp45", _DP45_ARGTYPES), ("scan", _SCAN_ARGTYPES),
                            ("reduce", _REDUCE_ARGTYPES), ("probe", _PROBE_ARGTYPES),
-                           ("apply_f", _APPLY_F_ARGTYPES)):
+                           ("apply_f", _APPLY_F_ARGTYPES), ("solve", _SOLVE_ARGTYPES),
+                           ("hypot", _HYPOT_ARGTYPES)):
         fn = getattr(lib, f"pspect_{name}")
         fn.argtypes = argtypes
         fn.restype = ctypes.c_int
@@ -328,6 +356,55 @@ def probe(rhs: Rhs, state, t_end, h_min, rtol, atol_u, atol_v, blowup_limit, eps
     if status != UNDERFLOW:
         reading = _reading(buf[12 * n + 1:], n, n_samples, out, counts, counts[3])
     return status, st[0], n, steps[1], reading
+
+
+def solve(rhs: Rhs, in_alpha, alpha, m0, p_conj, a, b, fa, fb, xtol, xrtol, maxiter, eps,
+          rtol, atol_u, atol_v, blowup_limit, blowup_miss, n_samples):
+    """The root in [a, b] of the miss D of ``radial_ivp.probe`` as a function
+    of ``rhs.lam`` (or of alpha, in_alpha), by Brent's method on the kernel
+    in one call (``pspect_solve``); fa and fb are D at a and b.
+
+    m0 is the weight at 0 (``Weight.eval_scalar``) and p_conj p / (p - 1),
+    for the start of each trial.  Returns None when the kernel is missing
+    or hands the solve back, else (root, trial) with trial the (d, sup_u,
+    z, blowup, accepted, rejected) of the trial at the root, z None where
+    the tail filter is left to Python, or None where the root is an end.
+    Each call has buffers of its own.
+    """
+    lib = load()
+    if lib is None:
+        return None
+    spec = _spec(rhs)
+    has_limit = blowup_limit is not None
+    limit = blowup_limit if has_limit else 0.0
+    out = (ctypes.c_double * 2)()
+    cap = FIRST_CAPACITY
+    while True:
+        buf = np.empty(LOG_ROW * maxiter + 12 * cap + 1 + _work_size(cap, n_samples))
+        status = lib.pspect_solve(spec, in_alpha, alpha, m0, p_conj, a, b, fa, fb, xtol,
+                                  xrtol, maxiter, eps, rtol, atol_u, atol_v, has_limit, limit,
+                                  blowup_miss, n_samples, cap, _doubles(buf), out)
+        if status != FULL:
+            break
+        cap *= 2
+    if status == RERUN:
+        return None
+    root, k = out[0], int(out[1])
+    if k < 0:
+        return root, None
+    _, d, sup_u, z, blowup, accepted, rejected = buf[LOG_ROW * k:LOG_ROW * (k + 1)].tolist()
+    return root, (d, sup_u, None if z < 0 else int(z), bool(blowup), int(accepted), int(rejected))
+
+
+def hypot(x, y):
+    """The port of ``math.hypot`` the kernel starts each trial of
+    ``pspect_solve`` with, or None for the inputs it hands back (a subnormal
+    or non-finite one) or when the kernel is missing."""
+    lib = load()
+    if lib is None:
+        return None
+    out = ctypes.c_double()
+    return None if lib.pspect_hypot(x, y, ctypes.byref(out)) else out.value
 
 
 def apply_f(params, u):

@@ -1,12 +1,16 @@
 /* Compiled step loop of pspect._rk45.integrate for the radial problems, the
- * post-pass of pspect.radial_ivp.shoot over a finished shot, and the two
- * fused into radial_ivp.probe.  Entry points:
+ * post-pass of pspect.radial_ivp.shoot over a finished shot, the two fused
+ * into radial_ivp.probe, and Brent's method over probes.  Entry points:
  *
  *   pspect_dp45     the step loop of one shot
  *   pspect_scan     the post-pass: samples, sup |u|, u(1) and the zeros of u
  *   pspect_reduce   a finished shot reduced to a probe (D, Z, sup |u|)
  *   pspect_probe    pspect_dp45, then pspect_reduce: one call per probe
+ *   pspect_solve    the root of the miss D in lam or u(0): one call per solve
  *   pspect_apply_f  F of the PHI and RATIONAL families on an array
+ *
+ * and pspect_hypot, the port of math.hypot the start of pspect_solve takes,
+ * for its test.
  *
  * pspect_dp45 runs the Dormand-Prince 5(4) loop of _rk45.integrate with the
  * right-hand side radial_ivp._system(p, N, w) written into it, for the
@@ -38,6 +42,7 @@
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off -fno-builtin (see _kernel.py).
  */
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -223,10 +228,10 @@ static double perturbation(Rhs *R, double mval, double u)
     return R->gc * mval * copysign(py_pow(&R->bad, fabs(u), R->ge), u);
 }
 
-/* w(r, u) of the family; family is a constant where the loop is inlined */
-INLINE double w(Rhs *R, int family, double r, double u)
+/* w(r, u) of the family with m(r) = mval; family is a constant where the
+   loop is inlined */
+INLINE double w_of(Rhs *R, int family, double mval, double u)
 {
-    double mval = weight(R, r);
     switch (family) {
     case LINEAR:
         return R->lam * mval * sgnpow(&R->bad, u, R->e);
@@ -237,6 +242,11 @@ INLINE double w(Rhs *R, int family, double r, double u)
     default:
         return R->lam * mval * sgnpow(&R->bad, u, R->e) + perturbation(R, mval, u);
     }
+}
+
+INLINE double w(Rhs *R, int family, double r, double u)
+{
+    return w_of(R, family, weight(R, r), u);
 }
 
 /* radial_ivp._system */
@@ -451,19 +461,24 @@ static double quartic_on_step(int *bad, double t, double b, double yb, const dou
     return q[2] + th * (q[3] + th * (q[4] + th * (q[5] + th * q[6])));
 }
 
-/* radial_ivp.brentq(_quartic_on_step, a, b, xtol=ZERO_XTOL, rtol=ZERO_RTOL)
-   as _locate_zeros calls it, step for step: the tuple swaps, min keeping its
-   first argument on ties, and sign tests by copysign.  Returns 0 with the
-   zero in *root, or 1 where the Python one raises: a NaN value, no sign
-   change, a division by zero or no convergence. */
-static int brentq(double a, double b, double yb, const double *q, double *root)
+/* A function Brent's method solves: 0 with its value at x in *fx, or the
+   nonzero status that ends the solve. */
+typedef int (*brent_fn)(void *ctx, double x, double *fx);
+
+/* radial_ivp.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter, fa=fa,
+   fb=fb), step for step: the tuple swaps, min keeping its first argument on
+   ties, and sign tests by copysign.  Returns 0 with the zero in *root, the
+   status of f where f returns one, or PSPECT_RERUN where the Python one
+   raises: a NaN value, no sign change, a division by zero or no
+   convergence. */
+static int brentq(brent_fn f, void *ctx, double a, double b, double fa, double fb,
+                  double xtol, double rtol, int64_t maxiter, double *root)
 {
     int bad = 0;
     double xpre = a, xcur = b, xblk = 0.0, fblk = 0.0, spre = 0.0, scur = 0.0;
-    double fpre = quartic_on_step(&bad, xpre, b, yb, q);
-    double fcur = quartic_on_step(&bad, xcur, b, yb, q);
-    if (bad || isnan(fpre) || isnan(fcur))
-        return 1;
+    double fpre = fa, fcur = fb;
+    if (isnan(fpre) || isnan(fcur))
+        return PSPECT_RERUN;
     if (fpre == 0.0) {
         *root = xpre;
         return 0;
@@ -473,23 +488,23 @@ static int brentq(double a, double b, double yb, const double *q, double *root)
         return 0;
     }
     if (copysign(1.0, fpre) == copysign(1.0, fcur))
-        return 1;
-    for (int it = 0; it < BRENT_MAXITER; it++) {
+        return PSPECT_RERUN;
+    for (int64_t it = 0; it < maxiter; it++) {
         if (fpre != 0.0 && fcur != 0.0 && copysign(1.0, fpre) != copysign(1.0, fcur)) {
             xblk = xpre;
             fblk = fpre;
             spre = scur = xcur - xpre;
         }
         if (fabs(fblk) < fabs(fcur)) { /* xpre, xcur, xblk = xcur, xblk, xcur */
-            double x = xcur, f = fcur;
+            double x = xcur, fx = fcur;
             xpre = x;
             xcur = xblk;
             xblk = x;
-            fpre = f;
+            fpre = fx;
             fcur = fblk;
-            fblk = f;
+            fblk = fx;
         }
-        double delta = (ZERO_XTOL + ZERO_RTOL * fabs(xcur)) / 2;
+        double delta = (xtol + rtol * fabs(xcur)) / 2;
         double sbis = (xblk - xcur) / 2;
         if (fcur == 0.0 || fabs(sbis) < delta) {
             *root = xcur;
@@ -506,7 +521,7 @@ static int brentq(double a, double b, double yb, const double *q, double *root)
                               dblk * dpre * (fblk - fpre));
             }
             if (bad)
-                return 1;
+                return PSPECT_RERUN;
             if (2 * fabs(stry) < py_min(fabs(spre), 3 * fabs(sbis) - delta)) {
                 spre = scur;
                 scur = stry;
@@ -519,11 +534,38 @@ static int brentq(double a, double b, double yb, const double *q, double *root)
         xpre = xcur;
         fpre = fcur;
         xcur += fabs(scur) > delta ? scur : (sbis > 0 ? delta : -delta);
-        fcur = quartic_on_step(&bad, xcur, b, yb, q);
-        if (bad || isnan(fcur))
-            return 1;
+        int status = f(ctx, xcur, &fcur);
+        if (status)
+            return status;
+        if (isnan(fcur))
+            return PSPECT_RERUN;
     }
-    return 1;
+    return PSPECT_RERUN;
+}
+
+/* u on one step, as radial_ivp._locate_zeros hands it to brentq */
+typedef struct {
+    double b, yb;
+    const double *q;
+} Quartic;
+
+static int quartic_fn(void *ctx, double t, double *y)
+{
+    const Quartic *Q = ctx;
+    int bad = 0;
+    *y = quartic_on_step(&bad, t, Q->b, Q->yb, Q->q);
+    return bad ? PSPECT_RERUN : 0;
+}
+
+/* the zero of u in [a, b] on the step q, with u(b) = yb, as _locate_zeros
+   refines it; nonzero where the Python refinement raises */
+static int refine_zero(double a, double b, double yb, const double *q, double *root)
+{
+    Quartic Q = {b, yb, q};
+    double ya;
+    if (quartic_fn(&Q, a, &ya))
+        return PSPECT_RERUN;
+    return brentq(quartic_fn, &Q, a, b, ya, yb, ZERO_XTOL, ZERO_RTOL, BRENT_MAXITER, root);
 }
 
 /* The post-pass of radial_ivp.shoot over a shot of n >= 1 steps held in
@@ -592,7 +634,7 @@ int pspect_scan(const double *block, int64_t n, double eps, double r_end, int64_
             const double qu[7] = {ts[ia], hs[ia], y0s[2 * ia], c[0], c[1], c[2], c[3]};
             const double qv[7] = {ts[ia], hs[ia], y0s[2 * ia + 1], c[4], c[5], c[6], c[7]};
             double rz = xa;
-            if (ua != 0.0 && brentq(xa, x, ux, qu, &rz))
+            if (ua != 0.0 && refine_zero(xa, x, ux, qu, &rz))
                 return PSPECT_RERUN;
             if (!(nz > 0 && fabs(rz - zeros[2 * nz - 2]) < 10 * ZERO_XTOL)) {
                 int bad = 0;
@@ -725,6 +767,192 @@ int pspect_probe(const Rhs *rhs, double *state, double t_end, double h_min, doub
         return PSPECT_RERUN;
     counts[3] = reduced;
     return status;
+}
+
+/* ------------------------------------------------------------------------
+ * pspect_solve: the root of the miss D = u(1) in lam (gamma or mu) or in
+ * alpha = u(0), by Brent's method over pspect_probe, each trial started as
+ * radial_ivp.probe starts it.
+ */
+
+/* CPython's math.hypot(x, y) (vector_norm of Modules/mathmodule.c), to its
+   bits for x and y each zero or normal.  Returns 1 for a subnormal or
+   non-finite input, where the ports are not held to agree. */
+static int hypot2(double x, double y, double *out)
+{
+    const double T27 = 134217729.0; /* ldexp(1.0, 27) + 1.0 */
+    double vec[2] = {fabs(x), fabs(y)};
+    double mx = 0.0;
+    for (int i = 0; i < 2; i++) {
+        if (!isfinite(vec[i]) || (vec[i] != 0.0 && vec[i] < DBL_MIN))
+            return 1;
+        if (vec[i] > mx)
+            mx = vec[i];
+    }
+    if (mx == 0.0) {
+        *out = mx;
+        return 0;
+    }
+    int max_e;
+    frexp(mx, &max_e);
+    double scale = ldexp(1.0, -max_e);
+    double csum = 1.0, frac1 = 0.0, frac2 = 0.0, frac3 = 0.0, oldcsum, t, hi, lo, v;
+    for (int i = 0; i < 2; i++) {
+        v = vec[i] * scale; /* lossless */
+        t = v * T27;
+        hi = t - (t - v);
+        lo = v - hi;
+        v = hi * hi;
+        oldcsum = csum;
+        csum += v;
+        frac1 += (oldcsum - csum) + v;
+        v = 2.0 * hi * lo;
+        oldcsum = csum;
+        csum += v;
+        frac2 += (oldcsum - csum) + v;
+        frac3 += lo * lo;
+    }
+    double h = sqrt(csum - 1.0 + (frac1 + frac2 + frac3));
+    t = h * T27;
+    hi = t - (t - h);
+    lo = h - hi;
+    v = -hi * hi;
+    oldcsum = csum;
+    csum += v;
+    frac1 += (oldcsum - csum) + v;
+    v = -2.0 * hi * lo;
+    oldcsum = csum;
+    csum += v;
+    frac2 += (oldcsum - csum) + v;
+    v = -lo * lo;
+    oldcsum = csum;
+    csum += v;
+    frac3 += (oldcsum - csum) + v;
+    v = csum - 1.0 + (frac1 + frac2 + frac3);
+    *out = (h + v / (2.0 * h)) / scale;
+    return 0;
+}
+
+/* radial_ivp.origin_startup (m(0) = m0, Weight.eval_scalar's), then
+   _rk45.start with its _initial_step: the state (t, u, v, f(t, u, v), h) at
+   t = eps the march starts from, and the smallest step.  Returns 1 where
+   Python would raise or hypot2 hands its inputs back. */
+static int startup(Rhs *R, double alpha, double m0, double p_conj, double eps, double t_end,
+                   double rtol, double atol_u, double atol_v, double *state, double *h_min)
+{
+    int *bad = &R->bad, family = (int)R->family;
+    double n = (double)R->n_dim;
+    double w0 = w_of(R, family, m0, alpha);
+    double u = alpha - sgnpow(bad, w0 / n, p_conj - 1.0) * py_pow(bad, eps, p_conj) / p_conj;
+    double v = -w0 * py_pow(bad, eps, n) / n;
+
+    double fu, fv, f1u, f1v, d0, d1, d2;
+    rhs(R, family, eps, u, v, &fu, &fv);
+    double scale_u = atol_u + rtol * fabs(u);
+    double scale_v = atol_v + rtol * fabs(v);
+    if (hypot2(py_div(bad, u, scale_u), py_div(bad, v, scale_v), &d0)
+        || hypot2(py_div(bad, fu, scale_u), py_div(bad, fv, scale_v), &d1))
+        return 1;
+    d0 = d0 / sqrt(2.0);
+    d1 = d1 / sqrt(2.0);
+    double h0 = (d0 < 1e-5 || d1 < 1e-5) ? 1e-6 : 0.01 * d0 / d1;
+    h0 = py_min(h0, t_end - eps);
+    rhs(R, family, eps + h0, u + h0 * fu, v + h0 * fv, &f1u, &f1v);
+    if (hypot2(py_div(bad, f1u - fu, scale_u), py_div(bad, f1v - fv, scale_v), &d2))
+        return 1;
+    d2 = d2 / sqrt(2.0) / h0;
+    double h1 = d1 <= 1e-15 && d2 <= 1e-15 ? py_max(1e-6, h0 * 1e-3)
+                                           : py_pow(bad, 0.01 / py_max(d1, d2), 0.2);
+    double h = py_min(py_min(100 * h0, h1), t_end - eps);
+
+    state[0] = eps;
+    state[1] = u;
+    state[2] = v;
+    state[3] = fu;
+    state[4] = fv;
+    state[5] = h;
+    *h_min = 16 * fabs(t_end - eps) * 2.3e-16 + 1e-300;
+    return R->bad;
+}
+
+/* the miss of one trial, as radial_ivp.probe computes it */
+typedef struct {
+    Rhs R;
+    int in_alpha, has_limit;
+    double alpha, m0, p_conj, eps, rtol, atol_u, atol_v, blowup_limit, blowup_miss;
+    int64_t n_samples, cap, n_log;
+    double *buf, *log;
+} Solve;
+
+#define LOG_ROW 7 /* x, d, sup |u|, Z (-1: left to the tail filter), blow-up, accepted, rejected */
+
+static int trial(void *ctx, double x, double *d)
+{
+    Solve *S = ctx;
+    double alpha = S->in_alpha ? x : S->alpha;
+    if (!S->in_alpha)
+        S->R.lam = x;
+    S->R.bad = 0;
+    double state[6], h_min, reading[3];
+    int64_t steps[2], counts[4];
+    if (alpha == 0.0 || startup(&S->R, alpha, S->m0, S->p_conj, S->eps, 1.0, S->rtol,
+                                S->atol_u, S->atol_v, state, &h_min))
+        return PSPECT_RERUN;
+    int status = pspect_probe(&S->R, state, 1.0, h_min, S->rtol, S->atol_u, S->atol_v,
+                              S->has_limit, S->blowup_limit, S->cap, S->buf, steps, S->eps,
+                              S->n_samples, reading, counts);
+    if (status == PSPECT_FULL)
+        return PSPECT_FULL;
+    if (status != PSPECT_END && status != PSPECT_BLOWUP)
+        return PSPECT_RERUN; /* Python raises, or decides the shot itself */
+    int blowup = status == PSPECT_BLOWUP;
+    *d = blowup ? copysign(S->blowup_miss, reading[1]) : reading[0];
+    double *row = S->log + LOG_ROW * S->n_log++;
+    row[0] = x;
+    row[1] = *d;
+    row[2] = reading[2];
+    row[3] = counts[3] == PSPECT_TAIL ? -1.0 : (double)counts[0];
+    row[4] = blowup;
+    row[5] = (double)steps[0];
+    row[6] = (double)steps[1];
+    return 0;
+}
+
+/* radial_ivp.brentq(lambda x: radial_ivp.probe(...).d, a, b, xtol=xtol,
+   rtol=xrtol, maxiter=maxiter, fa=fa, fb=fb) with x the lam of *rhs
+   (in_alpha == 0) or u(0) (in_alpha != 0, alpha unused), to the same bits:
+   each trial is the start of radial_ivp.probe and then pspect_probe, and D is
+   u(1), or blowup_miss signed by u where a shot with a blow-up limit
+   (has_limit) stopped.  buf holds LOG_ROW maxiter doubles for the trial log
+   and then the 20 cap + 4 n_samples + 7 of pspect_probe.  Returns 0 with
+   out[0] the root and out[1] the index of its trial in the log at the front
+   of buf (-1 where the root is a bracket end); PSPECT_FULL where a trial
+   takes more than cap steps; PSPECT_RERUN where the Python solve raises or
+   a trial is handed back (the caller then solves in Python). */
+int pspect_solve(const Rhs *rhs, int in_alpha, double alpha, double m0, double p_conj,
+                 double a, double b, double fa, double fb, double xtol, double xrtol,
+                 int64_t maxiter, double eps, double rtol, double atol_u, double atol_v,
+                 int has_limit, double blowup_limit, double blowup_miss, int64_t n_samples,
+                 int64_t cap, double *buf, double *out)
+{
+    Solve S = {*rhs, in_alpha, has_limit, alpha, m0, p_conj, eps, rtol, atol_u, atol_v,
+               blowup_limit, blowup_miss, n_samples, cap, 0, buf + LOG_ROW * maxiter, buf};
+    double root;
+    int status = brentq(trial, &S, a, b, fa, fb, xtol, xrtol, maxiter, &root);
+    if (status)
+        return status;
+    int64_t k = S.n_log - 1;
+    while (k >= 0 && S.log[LOG_ROW * k] != root)
+        k--;
+    out[0] = root;
+    out[1] = (double)k;
+    return 0;
+}
+
+/* hypot2 for its test: 0 with math.hypot(x, y) in *out, or 1 */
+int pspect_hypot(double x, double y, double *out)
+{
+    return hypot2(x, y, out);
 }
 
 /* ------------------------------------------------------------------------

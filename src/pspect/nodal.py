@@ -23,12 +23,18 @@ Everything here drives the shooting integrator:
 * trace_branch walks the amplitude grid solving the scalar equation
   u(1; gamma, alpha) = 0 in gamma at every alpha, warm-starting each
   bracket at the previous point; folds in gamma are handled by the
-  bracket, loss of the bracket or a change of the zero count truncates
-  the branch with a diagnostic (the continuation beyond a split is not
-  traced).
+  bracket.  The branch is truncated with a diagnostic that names the
+  cause: no bracket changes sign, the root leaves u(1) above the
+  tolerance, or the zero count changed (the continuation beyond a split
+  is not traced).
 * verify_bifurcation_points checks that small-amplitude solutions of the
   perturbed linear problem localize the parameter near mu_k^nu, the
   numerical shadow of bifurcation from the trivial line.
+
+Each root solve is ``radial_ivp.solve_miss`` on a bracket whose ends
+were probed here: one kernel call where f or g is built in.  The policy
+stays here: the amplitude grid, the widening brackets of the gamma and
+mu solves, the class checks at the ends and the acceptance of a root.
 
 "Unbounded continuum" is operationalized as: traced up to sup-norm 1e3
 without bracket loss.  The topological statement itself is not
@@ -47,7 +53,8 @@ from .errors import PreconditionError
 from .greens import apply_Gp
 from .pfuncs import _pval
 from .radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL, Problem
-from .radial_ivp import Trajectory, _kernel_params, brentq, probe, shoot
+from .radial_ivp import Trajectory, _kernel_params, probe, shoot, solve_miss
+from .radial_ivp import brentq  # noqa: F401  (perfbench/tracing.py counts nodal.brentq calls)
 from .report import CheckReport
 from .spectrum import Spectrum, compute_spectrum
 from .weights import Weight
@@ -270,17 +277,12 @@ def find_nodal(
                 continue
             if (pr1.z != k - 1 and pr2.z != k - 1) or pr1.d * pr2.d >= 0:
                 continue
-            root = brentq(
-                lambda a: probe(problem, float(a), rtol=rtol, atol=atol).d,
-                a1,
-                a2,
-                xtol=1e-15,
-                rtol=8.9e-16,
-            )
-            traj = shoot(problem, float(root), rtol=rtol, atol=atol)
+            root, _ = solve_miss(problem, None, a1, a2, (pr1, pr2), in_alpha=True,
+                                 rtol=rtol, atol=atol, xtol=1e-15, xrtol=8.9e-16)
+            traj = shoot(problem, root, rtol=rtol, atol=atol)
             z = len(traj.interior_zeros)
             if z == k - 1 and _solves_bc(traj.terminal_u, traj.sup_u):
-                solution = _package_solution(problem, traj, k, sigma, gamma, float(root))
+                solution = _package_solution(problem, traj, k, sigma, gamma, root)
                 break
             diagnostics.append(
                 f"bracket ({a1:g}, {a2:g}) converged to alpha={root:g} but "
@@ -305,9 +307,14 @@ def find_nodal(
     )
 
 
+def _bc_tol(sup_u) -> float:
+    """The solve tolerance of u(1) for a solution of sup-norm sup_u."""
+    return max(BOUNDARY_TOL, 1e-12 * sup_u)
+
+
 def _solves_bc(u1, sup_u) -> bool:
     """u(1) = u1 meets the boundary condition, to the solve tolerance."""
-    return abs(u1) <= max(BOUNDARY_TOL, 1e-12 * sup_u)
+    return abs(u1) <= _bc_tol(sup_u)
 
 
 def _in_class(pr, k) -> bool:
@@ -418,18 +425,10 @@ def trace_branch(
     gamma_prev = mu_k / f.f0
 
     for a in alphas:
-        got = _solve_gamma(p, N, m, f, float(a), gamma_prev, k, rtol, atol)
-        if got is None:
+        gamma_a, traj, stop = _solve_gamma(p, N, m, f, float(a), gamma_prev, k, rtol, atol)
+        if stop:
             branch.truncated = True
-            branch.diagnostics.append(
-                f"gamma bracket lost at alpha = {a:g} "
-                f"(last gamma {gamma_prev:.8g}); branch truncated"
-            )
-            break
-        gamma_a, traj, note = got
-        if note:
-            branch.truncated = True
-            branch.diagnostics.append(note + f" at alpha = {a:g}; branch split off")
+            branch.diagnostics.append(stop)
             break
         branch.points.append(
             BranchPoint(
@@ -451,30 +450,47 @@ def _solve_gamma(p, N, m, f, alpha, gamma_center, k, rtol, atol):
     """Root of gamma -> u(1; gamma, alpha) near a warm-started center.
 
     The bracket starts at +-10 % of the center and doubles up to 90 %.
+    Returns (gamma, trajectory, stop): stop is "" for a point of the
+    branch, else the diagnostic that ends the branch there, naming why:
+    no bracket changes sign, the root leaves u(1) above the tolerance, or
+    the zero count changed.
     """
+    problem = Problem.nonlinear(p, N, m, gamma_center, f)
+    roots = _bracketed_roots(problem, alpha, gamma_center, k, 0.1, 0.9, 1e-15, 8.9e-16,
+                             rtol, atol)
+    for root, _ in roots:
+        traj = shoot(problem.at(root), alpha, rtol=rtol, atol=atol)
+        z = len(traj.interior_zeros)
+        u1 = traj.terminal_u
+        if not _solves_bc(u1, traj.sup_u):
+            return root, traj, (
+                f"gamma = {root:.10g} leaves |u(1)| = {abs(u1):.3g} > "
+                f"{_bc_tol(traj.sup_u):.3g} at alpha = {alpha:g} "
+                f"(last gamma {gamma_center:.8g}); branch truncated")
+        if z != k - 1:
+            return root, traj, f"zero count changed to {z} at alpha = {alpha:g}; branch split off"
+        return root, traj, ""
+    return None, None, (
+        f"no gamma bracket within 90 % of {gamma_center:.8g} changes sign at "
+        f"alpha = {alpha:g}; branch truncated")
 
-    def miss(gamma):
-        return probe(Problem.nonlinear(p, N, m, gamma, f), alpha, rtol=rtol, atol=atol)
 
-    w = 0.1
-    while w <= 0.9:
-        lo = gamma_center - w * abs(gamma_center)
-        hi = gamma_center + w * abs(gamma_center)
-        pr_lo, pr_hi = miss(lo), miss(hi)
+def _bracketed_roots(problem, alpha, center, k, w, w_max, xtol, xrtol, rtol, atol):
+    """Roots of u(1) = 0 in the parameter of problem (gamma or mu) at
+    u(0) = alpha, nearest the center first.
+
+    The brackets are center -+ w |center|, w doubling while w <= w_max;
+    each whose ends change sign, one of them in the k-class, is solved.
+    Yields (root, the probe there).
+    """
+    while w <= w_max:
+        lo, hi = center - w * abs(center), center + w * abs(center)
+        pr_lo = probe(problem.at(lo), alpha, rtol=rtol, atol=atol)
+        pr_hi = probe(problem.at(hi), alpha, rtol=rtol, atol=atol)
         if pr_lo.d * pr_hi.d < 0 and (_in_class(pr_lo, k) or _in_class(pr_hi, k)):
-            root = brentq(
-                lambda g: miss(g).d, lo, hi, xtol=1e-15, rtol=8.9e-16
-            )
-            prob = Problem.nonlinear(p, N, m, float(root), f)
-            traj = shoot(prob, alpha, rtol=rtol, atol=atol)
-            z = len(traj.interior_zeros)
-            if not _solves_bc(traj.terminal_u, traj.sup_u):
-                return None
-            if z != k - 1:
-                return float(root), traj, f"zero count changed to {z}"
-            return float(root), traj, ""
+            yield solve_miss(problem, alpha, lo, hi, (pr_lo, pr_hi), rtol=rtol, atol=atol,
+                             xtol=xtol, xrtol=xrtol)
         w *= 2.0
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -548,19 +564,11 @@ def verify_bifurcation_points(
 
 
 def _locate_perturbed_parameter(p, N, m, g, mu_k, k, alpha, rtol, atol):
-    def miss(mu):
-        return probe(Problem.perturbed(p, N, m, mu, g), alpha, rtol=rtol, atol=atol)
-
-    w = 0.05
-    while w <= 0.45:
-        lo, hi = mu_k - w * abs(mu_k), mu_k + w * abs(mu_k)
-        pr_lo, pr_hi = miss(lo), miss(hi)
-        if pr_lo.d * pr_hi.d < 0 and (_in_class(pr_lo, k) or _in_class(pr_hi, k)):
-            root = brentq(lambda x: miss(x).d, lo, hi, xtol=1e-14, rtol=1e-13)
-            if _in_class(miss(root), k):
-                return float(root)
-        w *= 2.0
-    return None
+    """The nearest mu to mu_k within 40 % whose solution at u(0) = alpha
+    lies in the k-class, or None."""
+    problem = Problem.perturbed(p, N, m, mu_k, g)
+    roots = _bracketed_roots(problem, alpha, mu_k, k, 0.05, 0.45, 1e-14, 1e-13, rtol, atol)
+    return next((root for root, pr in roots if _in_class(pr, k)), None)
 
 
 # ---------------------------------------------------------------------------

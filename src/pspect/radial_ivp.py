@@ -56,6 +56,14 @@ The kernel leaves the tail filter to Python where Z depends on max|u'|,
 and hands the whole probe back where Python would raise; the probe is
 then the reduction of the whole shot (``_shoot_and_reduce``), to the
 same bits.
+
+The nodal root solves (the gamma of a branch point, the mu of a
+perturbed solution, the amplitude of a nodal solution) go through
+:func:`solve_miss`: Brent's method on D over a bracket whose ends the
+caller has probed.  Where the right-hand side has a compiled form, the
+whole solve is one kernel call (``_kernel.solve``), each trial started
+in C as :func:`probe` starts it; else, and where the kernel hands it
+back, it is :func:`brentq` over :func:`probe`, with the same root.
 """
 
 from __future__ import annotations
@@ -213,6 +221,12 @@ class Problem:
     def with_mu(self, mu: float) -> "Problem":
         """The linear problem with this geometry and weight at parameter mu."""
         return replace(self, rhs=LinearRHS(float(mu)))
+
+    def at(self, lam: float) -> "Problem":
+        """This problem with the parameter of its right-hand side (mu or
+        gamma) set to lam."""
+        name = "gamma" if isinstance(self.rhs, NonlinearRHS) else "mu"
+        return replace(self, rhs=replace(self.rhs, **{name: float(lam)}))
 
     def rhs_at_origin(self, alpha: float) -> float:
         """W(0, alpha), the coefficient entering the startup series."""
@@ -450,6 +464,57 @@ def probe(problem: Problem, alpha: float, *, rtol: float, atol: float,
     return _shoot_and_reduce(problem, alpha, rtol=rtol, atol=atol, blowup_limit=blowup_limit)
 
 
+def solve_miss(problem: Problem, alpha: float, a: float, b: float, ends, *, in_alpha=False,
+               rtol: float, atol: float, xtol: float, xrtol: float):
+    """The root x in [a, b] of the miss D(x) = ``probe(...).d``, by Brent's
+    method (:func:`brentq` with tolerances xtol and xrtol), and the
+    :class:`Probe` there.
+
+    x is the parameter of problem's right-hand side (mu or gamma) at
+    u(0) = alpha, or u(0) itself where in_alpha.  ends are the probes at a
+    and b, which are not shot again.  Where the right-hand side has a
+    compiled form, the whole solve is one kernel call (``_kernel.solve``),
+    every trial started as :func:`probe` starts it.  Where the kernel hands
+    the solve back (a trial that Python would raise on or that the kernel
+    hands back, a NaN miss, or no convergence), or without a compiled form,
+    the solve is Brent's method over :func:`probe`, with the same root or
+    the same exception.
+    """
+    pr_a, pr_b = ends
+    p, n_dim = problem.p, problem.N
+    compiled = problem.rhs.compiled(p, n_dim, problem.m)
+    if compiled is not None:
+        atol_u, atol_v = (atol, atol) if np.isscalar(atol) else atol
+        out = _kernel.solve(compiled, in_alpha, 0.0 if in_alpha else alpha,
+                            problem.m.eval_scalar(0.0), problem.p_conj, a, b, pr_a.d, pr_b.d,
+                            xtol, xrtol, 100, DEFAULT_EPS, rtol, atol_u, atol_v, BLOWUP_LIMIT,
+                            BLOWUP_MISS, PROBE_SAMPLES)
+        if out is not None:
+            root, trial = out
+            if trial is None:
+                return root, pr_a if root == a else pr_b
+            d, sup_u, z, blowup, accepted, rejected = trial
+            if z is not None:
+                return root, Probe(d, z, blowup, sup_u, StepCounts.of(accepted, rejected))
+            return root, _probe_at(problem, alpha, root, in_alpha, rtol, atol)
+
+    seen = {a: pr_a, b: pr_b}
+
+    def miss(x):
+        pr = seen[x] = _probe_at(problem, alpha, x, in_alpha, rtol, atol)
+        return pr.d
+
+    root = brentq(miss, a, b, xtol=xtol, rtol=xrtol, fa=pr_a.d, fb=pr_b.d)
+    return root, seen[root]
+
+
+def _probe_at(problem, alpha, x, in_alpha, rtol, atol) -> Probe:
+    """The probe at u(0) = x (in_alpha) or at parameter x and u(0) = alpha."""
+    if in_alpha:
+        return probe(problem, x, rtol=rtol, atol=atol)
+    return probe(problem.at(x), alpha, rtol=rtol, atol=atol)
+
+
 def _shoot_and_reduce(problem, alpha, *, rtol, atol, blowup_limit=BLOWUP_LIMIT) -> Probe:
     """The probe of the whole shot: the path where the kernel cannot take
     it, and the reference of ``_kernel.probe``."""
@@ -525,14 +590,17 @@ def _quartic_on_step(t, b, yb, t0, h, y0, c0, c1, c2, c3):
     return y0 + th * (c0 + th * (c1 + th * (c2 + th * c3)))
 
 
-def brentq(f, a, b, args=(), xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):
+def brentq(f, a, b, args=(), xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100,
+           fa=None, fb=None):
     """A zero of f in [a, b] by Brent's method, taking the steps and giving
     the bits of scipy.optimize.brentq; unlike scipy's, it leaves no
     reference cycle behind (scipy wraps f in a function that refers to
-    itself), so nothing of a shot waits for the cyclic collector."""
+    itself), so nothing of a shot waits for the cyclic collector.  fa and
+    fb, where given, are f(a) and f(b), and f is not called there."""
     xpre, xcur = a, b
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre, *args), f(xcur, *args)
+    fpre = f(xpre, *args) if fa is None else fa
+    fcur = f(xcur, *args) if fb is None else fb
     if fpre != fpre or fcur != fcur:
         raise ValueError("f is NaN at an end of the bracket")
     if fpre == 0.0:

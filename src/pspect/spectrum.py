@@ -228,7 +228,8 @@ class _Prober:
 
 
 class _ScanStopped(Exception):
-    """The probe budget or the scan ceiling ended a search; str() says which."""
+    """The probe budget, the scan ceiling or a root solve that did not
+    converge ended a search; str() says which."""
 
 
 def _seed_scale(problem: Problem, sgn: int) -> float:
@@ -255,10 +256,10 @@ def find_eigenvalues(
     """First K eigenvalues of one sign, with eigenfunctions and nodal classes.
 
     Raises NegativeSequenceAbsent when nu='-' is requested but the weight
-    has no negative part.  When the probe budget or the scan ceiling
-    stops the search, or refinement leaves an index unbracketed, the
-    result is returned partial, the message naming that stop reason and
-    the largest validated index.
+    has no negative part.  When the probe budget, the scan ceiling or a
+    root solve that does not converge stops the search, or refinement
+    leaves an index unbracketed, the result is returned partial, the
+    message naming that stop reason and the largest validated index.
     """
     if K < 1:
         raise PreconditionError("K must be >= 1")
@@ -494,10 +495,16 @@ def _classify_brackets(nodes, prober, found, K, rtol, atol):
             continue
         if min(a.z, b.z) > K:  # beyond what was asked for
             continue
-        x_loose = brentq(
-            lambda x: prober.loose(x).d, a.x, b.x, xtol=1e-15, rtol=8.9e-16
-        )
-        x_root = _polish_root(prober, x_loose, a.x, b.x, rtol, atol)
+        try:
+            x_loose = brentq(
+                lambda x: prober.loose(x).d, a.x, b.x, xtol=1e-15, rtol=8.9e-16
+            )
+            x_root = _polish_root(prober, x_loose, a.x, b.x, rtol, atol)
+        except RuntimeError:  # Brent's method did not converge
+            raise _ScanStopped(
+                f"Brent's method did not converge on the bracket |mu| in "
+                f"[{a.x:.10g}, {b.x:.10g}]"
+            ) from None
         if x_root is None:
             continue  # no tight bracket: the index stays unbracketed
         if any(abs(x_root - x_seen) <= 1e-9 * x_seen for x_seen, _ in found.values()):

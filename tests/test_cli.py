@@ -428,11 +428,32 @@ def test_branch_bracket_loss_exit_2(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert cli.main(["branch", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("gamma bracket lost at alpha = 384.434 (last gamma 33.83")
+    # the bracket changes sign; its root is as close as a double gets, but
+    # |u(1)| stays above the tolerance, and the diagnostic says so
+    assert err.startswith("gamma = 33.83598571 leaves |u(1)| = 1.02e-09 > 1e-09 "
+                          "at alpha = 384.434 (last gamma 33.83")
     assert err.endswith("); branch truncated\n")
     lines = open(os.path.join(out, "branch_k1_plus.csv")).read().splitlines()
     assert lines[-1] == "# " + err.rstrip("\n")
     assert [row[3] for row in read_rows(os.path.join(out, "branch_k1_plus.csv"))] == ["0"] * 9
+
+
+def test_eig_root_solve_that_does_not_converge_is_partial_exit_2(tmp_path, capsys):
+    # cos 3 pi r, N = 2, p = 1.3: Brent's method takes 100 iterations on the
+    # bracket of mu_5^- without converging; the search stops there
+    cos = Weight.from_function(lambda r: math.cos(3.0 * math.pi * r))
+    weight = {"breakpoints": list(cos.breakpoints), "coeffs": [list(c) for c in cos.coeffs]}
+    cfg = write_cfg(tmp_path, {
+        "problem": {"p": 1.3, "N": 2, "weight": weight},
+        "task": {"kind": "eig", "K": 6, "nu": ["-"]},
+    })
+    out = str(tmp_path / "out")
+    assert cli.main(["eig", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "partial spectrum for nu=-: Brent's method did not converge on the bracket "
+        "|mu| in [143.2841414, 146.5405991]; largest validated index 4\n")
+    assert [row[0] for row in read_rows(os.path.join(out, "spectrum.csv"))] == \
+        ["1", "2", "3", "4"]
 
 
 @pytest.mark.parametrize("check", [

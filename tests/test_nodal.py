@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pspect import _kernel
+from pspect import _kernel, nodal, radial_ivp
 from pspect.errors import PreconditionError, SpectrumIncomplete
 from pspect.nodal import (
     Nonlinearity,
@@ -238,6 +238,58 @@ def test_branch_negative_eigenvalue_sequence():
     assert abs(br.gamma_zero_estimate - mu1m / F_REF.f0) <= 0.02 * abs(mu1m)
     assert abs(br.gamma_inf_estimate - mu1m / F_REF.finf) <= 0.05 * abs(mu1m)
     assert all(pt.zeros == 0 for pt in br.points)
+
+
+class _ShiftedSpectrum:
+    """A spectrum whose mu_k is the true one times factor."""
+
+    def __init__(self, spec, factor):
+        self.spec, self.factor = spec, factor
+
+    def mu(self, k, nu):
+        return self.factor * self.spec.mu(k, nu)
+
+
+def test_branch_names_a_missing_bracket():
+    # warm-started at 100 mu_1, no bracket within 90 % has an end in the
+    # k = 1 class (mu_3 < 0.2 * 100 mu_1), so no root is solved for
+    spec = _ShiftedSpectrum(compute_spectrum(2.0, 1, M1, 1, ("+",)), 100.0)
+    br = trace_branch(2.0, 1, M1, F_REF, 1, "+", alpha_min=1e-2, alpha_max=1e2,
+                      spectrum=spec)
+    assert br.truncated and br.points == []
+    assert br.diagnostics == [
+        f"no gamma bracket within 90 % of {spec.mu(1, '+'):.8g} changes sign at "
+        "alpha = 0.01; branch truncated"
+    ]
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
+def test_nodal_solves_probe_no_shot_twice(monkeypatch, kernel):
+    # the bracket ends are probed once, by the caller; the solve and the
+    # in-class check at its root take them as they are.  Without the
+    # kernel every trial of Brent's method is a probe as well.
+    if not kernel:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    keys, real = [], radial_ivp.probe
+
+    def spy(problem, alpha, *, rtol, atol, **kw):
+        keys.append((problem, alpha, rtol, atol))
+        return real(problem, alpha, rtol=rtol, atol=atol, **kw)
+
+    monkeypatch.setattr(radial_ivp, "probe", spy)
+    monkeypatch.setattr(nodal, "probe", spy)
+    spec = compute_spectrum(2.0, 1, M_LIN, 1)
+    runs = (
+        lambda: trace_branch(2.0, 1, M_LIN, F_REF, 1, "+", alpha_min=1e-2, alpha_max=1e2,
+                             ratio=4.0, spectrum=spec),
+        lambda: find_nodal(2.0, 1, M_LIN, F_REF, 0.7 * spec.mu(1, "-"), 1, "+"),
+        lambda: verify_bifurcation_points(2.0, 1, M_LIN, Perturbation(2.0), [1], ("+",),
+                                          alphas=(1e-1, 1e-2), spectrum=spec),
+    )
+    for run in runs:
+        keys.clear()
+        run()
+        assert keys and len(set(keys)) == len(keys)
 
 
 def test_find_nodal_negative_gamma():

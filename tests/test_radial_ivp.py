@@ -948,3 +948,180 @@ def test_discarded_shots_release_their_dense_output():
         if was_enabled:
             gc.enable()
     assert grown < 2 * one_shot, (grown, one_shot)
+
+
+# ---------------------------------------------------------------------------
+# one kernel call per root solve of the miss (radial_ivp.solve_miss), to
+# the bits of Brent's method over probe
+
+
+@needs_kernel
+def test_hypot_port_matches_math_hypot():
+    rng = np.random.default_rng(20261018)
+    n = 100_000
+    # normal-range magnitudes from 1e-307 to 1e308, ratios up to 1e20, both signs
+    e1 = rng.uniform(-307.0, 308.0, n)
+    e2 = np.clip(e1 + rng.uniform(-20.0, 20.0, n), -307.0, 308.0)
+    signs = rng.choice((-1.0, 1.0), (2, n))
+    pairs = list(zip((signs[0] * 10.0**e1).tolist(), (signs[1] * 10.0**e2).tolist()))
+    pairs += [(float(a), float(b)) for a in range(-12, 13) for b in range(-12, 13)]
+    pairs += [(z, x) for z in (0.0, -0.0) for x in (0.0, -0.0, 1.0, -3.5, 1e-300, 1e308)]
+    pairs += [(y, x) for x, y in pairs[-12:]]
+    mismatched = [(x, y) for x, y in pairs
+                  if not _same_bits(_kernel.hypot(x, y), math.hypot(x, y))]
+    assert mismatched == []
+
+
+@needs_kernel
+@pytest.mark.parametrize("x,y", [(5e-324, 1.0), (1.0, -2.2e-308), (math.inf, 1.0),
+                                 (1.0, -math.inf), (math.nan, 0.0), (math.inf, math.nan)])
+def test_hypot_port_hands_back_subnormal_and_non_finite_inputs(x, y):
+    assert _kernel.hypot(x, y) is None and _kernel.hypot(y, x) is None
+
+
+@pytest.fixture
+def solve_results(monkeypatch):
+    """What each call of the kernel's root solve returned: None means handed back."""
+    seen, solve = [], _kernel.solve
+
+    def spy(*args):
+        out = solve(*args)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(_kernel, "solve", spy)
+    return seen
+
+
+SOLVE_WEIGHTS = {"constant": M1, "linear": M_LIN, "cos64": COS64}
+TIGHT = dict(rtol=1e-10, atol=1e-12)
+XTOL = dict(xtol=1e-15, xrtol=8.9e-16)  # those of the gamma and amplitude solves
+
+
+def _first_bracket(probe_at, xs):
+    """The first pair of neighbours in xs across which the miss changes sign,
+    with their probes."""
+    a, pr_a = xs[0], probe_at(xs[0])
+    for b in xs[1:]:
+        pr_b = probe_at(b)
+        if pr_a.d * pr_b.d < 0:
+            return a, b, pr_a, pr_b
+        a, pr_a = b, pr_b
+    raise AssertionError("no bracket")
+
+
+def assert_solve_matches_brentq_over_probe(prob, alpha, bracket, in_alpha=False, **xtol):
+    """solve_miss returns the root of Brent's method over probe and the probe
+    there, or raises what it raises."""
+    a, b, pr_a, pr_b = bracket
+    tried = {}
+
+    def miss(x):
+        tried[x] = radial_ivp._probe_at(prob, alpha, x, in_alpha, TIGHT["rtol"], TIGHT["atol"])
+        return tried[x].d
+
+    def want():
+        root = radial_ivp.brentq(miss, a, b, xtol=xtol["xtol"], rtol=xtol["xrtol"],
+                                 fa=pr_a.d, fb=pr_b.d)
+        return root, tried.get(root) or (pr_a if root == a else pr_b)
+
+    def got():
+        return radial_ivp.solve_miss(prob, alpha, a, b, (pr_a, pr_b), in_alpha=in_alpha,
+                                     **TIGHT, **xtol)
+
+    try:
+        root_want, pr_want = want()
+    except Exception:
+        assert _raised(got) == _raised(want)
+        return None
+    root, pr = got()
+    assert _same_bits(root, root_want) and type(root) is float
+    assert_same_probe(pr, pr_want)
+    return root
+
+
+@pytest.mark.parametrize("weight", sorted(SOLVE_WEIGHTS))
+@pytest.mark.parametrize("n_dim", [1, 2, 3])
+@pytest.mark.parametrize("p", GRID_P[:3] + [6.0])
+def test_solve_matches_brentq_over_probe(p, n_dim, weight, solve_results):
+    m = SOLVE_WEIGHTS[weight]
+    lams = [2.0**k for k in range(-2, 18)]
+    for prob, alpha in ((Problem.nonlinear(p, n_dim, m, 1.0, Nonlinearity.phi(p)), 1.0),
+                        (Problem.nonlinear(p, n_dim, m, 1.0, Nonlinearity.rational(p)), 1.0),
+                        (Problem.perturbed(p, n_dim, m, 1.0, Perturbation(p)), 0.5)):
+        # in gamma or mu, on the first sign change from below
+        bracket = _first_bracket(lambda x: probe(prob.at(x), alpha, **TIGHT), lams)
+        root = assert_solve_matches_brentq_over_probe(prob, alpha, bracket, **XTOL)
+        if prob.rhs.compiled(p, n_dim, m).family == _kernel.PHI:
+            continue  # u(1) is homogeneous in alpha: no root in alpha
+        # in alpha, at the parameter that root gives alpha
+        at_root = prob.at(root)
+        bracket = _first_bracket(lambda x: probe(at_root, x, **TIGHT), [alpha / 2, alpha * 2])
+        assert_solve_matches_brentq_over_probe(at_root, None, bracket, in_alpha=True, **XTOL)
+    if _kernel.load() is not None:
+        assert len(solve_results) == 5 and None not in solve_results
+
+
+def test_solve_through_shots_that_blow_up(monkeypatch, solve_results):
+    # on 1 - 8r the shots from mu = 2048 and 4096 pass the blow-up limit with
+    # opposite signs, and so does every trial between them: the root is
+    # where the sign of the blow-up flips
+    prob = Problem.perturbed(2.0, 1, Weight.poly([1.0, -8.0]), 1.0, Perturbation(2.0))
+    probes = []
+    monkeypatch.setattr(radial_ivp, "probe", lambda *a, **kw: probes.append(probe(*a, **kw))
+                        or probes[-1])
+    bracket = _first_bracket(lambda x: probe(prob.at(x), 0.5, **TIGHT), [2048.0, 4096.0])
+    root = assert_solve_matches_brentq_over_probe(prob, 0.5, bracket, xtol=1e-14, xrtol=1e-13)
+    assert 2048.0 < root < 4096.0 and len(probes) > 10
+    assert all(pr.blowup and abs(pr.d) == radial_ivp.BLOWUP_MISS for pr in probes)
+    assert len(solve_results) == 1 and (solve_results[0] is None) == (_kernel.load() is None)
+
+
+@needs_kernel
+def test_solve_grows_its_buffers(monkeypatch, solve_results):
+    monkeypatch.setattr(_kernel, "FIRST_CAPACITY", 3)
+    prob = Problem.nonlinear(2.5, 2, M_LIN, 1.0, Nonlinearity.rational(2.5))
+    bracket = _first_bracket(lambda x: probe(prob.at(x), 1.0, **TIGHT), [2.0, 200.0])
+    assert_solve_matches_brentq_over_probe(prob, 1.0, bracket, **XTOL)
+    assert len(solve_results) == 1 and solve_results[0] is not None
+
+
+def _fake_probe(d):
+    return radial_ivp.Probe(d, 0, False, 1.0, radial_ivp.StepCounts.of(0, 0))
+
+
+@needs_kernel
+@pytest.mark.parametrize("case", ["nan-end", "no-convergence", "underflow"])
+def test_solve_hands_back_what_python_raises_on(case, solve_results):
+    prob = Problem.nonlinear(2.0, 1, M1, 1.0, Nonlinearity.rational(2.0))
+    tols = dict(TIGHT)
+    if case == "underflow":
+        tols = dict(rtol=1e-100, atol=1e-150)
+    bracket = (1.0, 4.0, *(probe(prob.at(x), 1.0, **TIGHT) for x in (1.0, 4.0)))
+    xtol = dict(XTOL, xtol=0.0, xrtol=0.0) if case == "no-convergence" else XTOL
+    if case == "nan-end":
+        bracket = (*bracket[:2], _fake_probe(math.nan), bracket[3])
+    a, b, pr_a, pr_b = bracket
+    raised = _raised(lambda: radial_ivp.solve_miss(prob, 1.0, a, b, (pr_a, pr_b), **tols,
+                                                   **xtol))
+    want = _raised(lambda: radial_ivp.brentq(
+        lambda x: probe(prob.at(x), 1.0, **tols).d, a, b, xtol=xtol["xtol"],
+        rtol=xtol["xrtol"], fa=pr_a.d, fb=pr_b.d))
+    assert raised == want == {
+        "nan-end": (ValueError, "f is NaN at an end of the bracket"),
+        "no-convergence": (RuntimeError, "Failed to converge after 100 iterations."),
+        "underflow": (IntegrationError, "step size underflow at r = 1.000000e-06"),
+    }[case]
+    assert solve_results == [None]
+
+
+def test_solve_without_a_compiled_form_is_brentq_over_probe(monkeypatch, solve_results):
+    built_in = Nonlinearity.rational(2.5, f0=1.1, finf=2.3, q=2.2)
+    hand_built = Nonlinearity(fn=built_in.fn, f0=built_in.f0, finf=built_in.finf)
+    roots = []
+    for f in (hand_built, built_in):
+        prob = Problem.nonlinear(2.5, 2, M_LIN, 1.0, f)
+        bracket = _first_bracket(lambda x: probe(prob.at(x), 1.0, **TIGHT), [2.0, 200.0])
+        roots.append(assert_solve_matches_brentq_over_probe(prob, 1.0, bracket, **XTOL))
+    assert roots[0] == roots[1]
+    assert len(solve_results) == 1  # the built-in f only
