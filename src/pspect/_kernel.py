@@ -1,5 +1,5 @@
-"""Build and load the compiled step loop, post-pass and root solve of the
-radial problems.
+"""Build and load the compiled step loop, post-pass, probe and root solve
+of the radial problems.
 
 ``_rk45_kernel.c`` holds six entry points.  ``pspect_dp45`` is the
 Dormand-Prince loop of ``_rk45.integrate`` with the right-hand side of a
@@ -10,36 +10,32 @@ operation, so it returns the bits of the Python stepper (:func:`run`).
 classes build it.  ``pspect_scan`` reads a finished shot off its dense
 output, whichever loop ran it, as ``radial_ivp._scan_reference`` does in
 numpy and ``radial_ivp._locate_zeros`` in Python, and to the same bits:
-the sample grid and u, v on it, the running maxima of |u|, u(1) and the
-zeros of u with u' there, each refined by a port of
+the sample grid and u, v on it, the running maxima of |u|, u(1), sup |u'|
+and the zeros of u with u' there, each refined by a port of
 ``radial_ivp.brentq`` (:func:`scan`).
 
 ``pspect_reduce`` reduces a finished shot to what ``radial_ivp.probe``
-reports (:func:`reduce`), and ``pspect_probe`` runs ``pspect_dp45`` and
-then ``pspect_reduce`` in one call (:func:`probe`), so a probe builds no
-trajectory.  Each hands a shot back where Python would raise: the march
-with PSPECT_RERUN as above, a zero whose refinement would raise, and,
-with no blow-up guard, a shot that is not finite.  Where the trailing
-zeros under the noise floor of the tail filter hold an interior zero,
-the count Z depends on sup |u'|, a numpy power; the kernel then leaves
-the filter to Python with the samples it needs.  ``pspect_apply_f``
-computes F of the PHI and RATIONAL families on an array, for the
-fixed-point residual (:func:`apply_f`).
+reports, tail filter included (:func:`reduce`), and ``pspect_probe`` is
+the whole probe in one call (:func:`probe`): the start, ``pspect_dp45``
+and ``pspect_reduce``, with no trajectory built.  The start is
+``radial_ivp.origin_startup`` and the start of ``_rk45.integrate`` ported
+operation for operation, with a port of CPython's ``math.hypot`` for two
+values (its ``vector_norm``; :func:`hypot` exposes it for its test).  The
+port gives ``math.hypot``'s bits on zeros and normal numbers under Python
+3.10 to 3.13; on a subnormal or non-finite input it hands the probe back.
+So does a probe on which Python would raise: in the start, in the march
+as above, in the refinement of a zero, and, with no blow-up guard, on a
+shot that is not finite.  ``pspect_apply_f`` computes F of the PHI and
+RATIONAL families on an array, for the fixed-point residual
+(:func:`apply_f`).
 
 ``pspect_solve`` runs Brent's method, the routine that refines the zeros,
-on the miss D of ``radial_ivp.probe`` as a function of the right-hand
-side's lam (gamma or mu) or of u(0), each trial a start and then
-``pspect_probe``, in one call (:func:`solve`).  The start is
-``radial_ivp.origin_startup`` and ``_rk45.start`` ported operation for
-operation, with a port of CPython's ``math.hypot`` for two values (its
-``vector_norm``; :func:`hypot` exposes it for its test).  The port gives
-``math.hypot``'s bits on zeros and normal numbers under Python 3.10 to
-3.13; on a subnormal or non-finite input it hands the solve back.  So do
-a trial ``pspect_probe`` hands back or that underflows its step size, a
-start on which Python would raise, a NaN miss and no convergence: the
-caller then runs Brent's method over ``radial_ivp.probe``, which returns
-or raises as it always has.  No buffer outlives a call, as ctypes
-releases the GIL during one.
+on the miss D of ``pspect_probe`` as a function of the right-hand side's
+lam (gamma or mu) or of u(0), in one call (:func:`solve`).  A trial that
+``pspect_probe`` hands back or that underflows its step size, a NaN miss
+and no convergence hand the solve back: the caller then runs Brent's
+method over ``radial_ivp.probe``, which returns or raises as it always
+has.  No buffer outlives a call, as ctypes releases the GIL during one.
 
 The source is compiled on first use with the C compiler Python was built
 with (``sysconfig``'s ``CC``) and the fixed flags ``FLAGS``, into
@@ -48,12 +44,12 @@ source, the compiler and the flags; later processes load that file.  The
 flags are part of the bit-identity: ``-ffp-contract=off`` forbids fused
 multiply-adds and ``-fno-builtin`` keeps ``pow(x, 2.0)`` a libm call, as
 CPython's ``**`` makes it; ``-ffast-math`` and ``-march=native`` stay
-out.  The post-pass takes no numpy power: numpy's array power need not
-round as libm's ``pow`` does.  Where no compiler runs or the cache cannot
-be written, :func:`load` returns None, every shot takes the Python
-stepper, ``shoot`` the numpy post-pass and Python zero refinement,
-``probe`` the reduction of the whole shot, and a root solve Brent's
-method over ``probe``.
+out.  The post-pass takes no numpy array power: it need not round as
+libm's ``pow`` does.  Where no compiler runs or the cache cannot be
+written, :func:`load` returns None, every shot takes the Python stepper,
+``shoot`` the numpy post-pass and Python zero refinement, ``probe`` the
+reduction of the whole shot, and a root solve Brent's method over
+``probe``.
 """
 
 from __future__ import annotations
@@ -73,8 +69,8 @@ CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
 FIRST_CAPACITY = 4096  # accepted steps the buffers of a shot hold at first
 
-# status codes of pspect_dp45 and pspect_probe; TAIL of pspect_reduce
-END, BLOWUP, UNDERFLOW, FULL, RERUN, TAIL = range(6)
+# status codes of pspect_dp45, pspect_probe and pspect_solve
+END, BLOWUP, UNDERFLOW, FULL, RERUN = range(5)
 
 # right-hand side families of pspect_dp45 (Rhs.family)
 LINEAR, PHI, RATIONAL, PERTURBED = range(4)
@@ -112,28 +108,31 @@ class _Rhs(ctypes.Structure):  # struct Rhs of _rk45_kernel.c
     )
 
 
+_DOUBLES = ctypes.POINTER(ctypes.c_double)
+_INT64S = ctypes.POINTER(ctypes.c_int64)
 # pspect_dp45(rhs, state, t_end, h_min, rtol, atol_u, atol_v, has_limit,
 #             blowup_limit, cap, buf, steps)
 _DP45_ARGTYPES = (
-    [ctypes.POINTER(_Rhs), ctypes.POINTER(ctypes.c_double)] + [ctypes.c_double] * 5
-    + [ctypes.c_int, ctypes.c_double, ctypes.c_int64, ctypes.POINTER(ctypes.c_double),
-       ctypes.POINTER(ctypes.c_int64)]
+    [ctypes.POINTER(_Rhs), _DOUBLES] + [ctypes.c_double] * 5
+    + [ctypes.c_int, ctypes.c_double, ctypes.c_int64, _DOUBLES, _INT64S]
 )
-_DOUBLES = ctypes.POINTER(ctypes.c_double)
-_INT64S = ctypes.POINTER(ctypes.c_int64)
 # pspect_scan(block, n, eps, r_end, n_samples, n_dim, e_inv, samples, cap, scratch, counts)
 _SCAN_ARGTYPES = (
     _DOUBLES, ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
     ctypes.c_int64, ctypes.c_double, _DOUBLES, ctypes.c_int64, _DOUBLES, _INT64S,
 )
-# pspect_reduce(block, n, eps, r_end, n_samples, n_dim, e_inv, guarded, work, out, counts)
+# pspect_reduce(block, n, eps, r_end, n_samples, n_dim, e_inv, guarded, work, out)
 _REDUCE_ARGTYPES = (
     _DOUBLES, ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
-    ctypes.c_int64, ctypes.c_double, ctypes.c_int, _DOUBLES, _DOUBLES, _INT64S,
+    ctypes.c_int64, ctypes.c_double, ctypes.c_int, _DOUBLES, _DOUBLES,
 )
-# pspect_probe(rhs, state, t_end, h_min, rtol, atol_u, atol_v, has_limit, blowup_limit,
-#              cap, buf, steps, eps, n_samples, out, counts)
-_PROBE_ARGTYPES = _DP45_ARGTYPES + [ctypes.c_double, ctypes.c_int64, _DOUBLES, _INT64S]
+# pspect_probe(rhs, alpha, m0, p_conj, eps, rtol, atol_u, atol_v, has_limit, blowup_limit,
+#              blowup_miss, n_samples, cap, buf, rec)
+_PROBE_ARGTYPES = (
+    [ctypes.POINTER(_Rhs)] + [ctypes.c_double] * 7
+    + [ctypes.c_int, ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
+       _DOUBLES, _DOUBLES]
+)
 # pspect_apply_f(rhs, u, n, out)
 _APPLY_F_ARGTYPES = (ctypes.POINTER(_Rhs), _DOUBLES, ctypes.c_int64, _DOUBLES)
 # pspect_solve(rhs, in_alpha, alpha, m0, p_conj, a, b, fa, fb, xtol, xrtol, maxiter, eps,
@@ -146,11 +145,10 @@ _SOLVE_ARGTYPES = (
 )
 # pspect_hypot(x, y, out)
 _HYPOT_ARGTYPES = (ctypes.c_double, ctypes.c_double, _DOUBLES)
-LOG_ROW = 7  # a trial of pspect_solve: x, d, sup |u|, Z (-1: tail filter), blow-up, steps
-_State = ctypes.c_double * 6  # t, u, v, fu, fv, h
+# a probe's record (pspect_probe's rec): d, sup |u|, Z, blow-up, accepted and rejected steps
+RECORD = 6
+LOG_ROW = 1 + RECORD  # a trial of pspect_solve: x, then its record
 _Pair = ctypes.c_int64 * 2  # step counts of pspect_dp45, counts of pspect_scan
-_Reading = ctypes.c_double * 3  # u(1), u(r_end), sup |u| of pspect_reduce
-_Counts = ctypes.c_int64 * 4  # Z, grid length, zeros, status of pspect_reduce
 
 
 def _build() -> str:
@@ -209,6 +207,23 @@ def _spec(rhs: Rhs) -> _Rhs:
                 1.0 / (rhs.p - 1.0), rhs.f0, rhs.finf, rhs.q, rhs.gc, rhs.ge, 0)
 
 
+def _guard(blowup_limit):
+    """(has_limit, blowup_limit) as the kernel takes a blow-up guard."""
+    return (0, 0.0) if blowup_limit is None else (1, blowup_limit)
+
+
+def _grown(size, call):
+    """(status, buf) of call(buf, cap) on a fresh buffer of size(cap) doubles,
+    with cap FIRST_CAPACITY accepted steps, doubled while it returns FULL."""
+    cap = FIRST_CAPACITY
+    while True:
+        buf = np.empty(size(cap))
+        status = call(buf, cap)
+        if status != FULL:
+            return status, buf
+        cap *= 2
+
+
 def run(rhs: Rhs, t, u, v, fu, fv, h, t_end, h_min, rtol, atol_u, atol_v, blowup_limit):
     """The step loop of one shot with right-hand side ``rhs`` on the kernel.
 
@@ -222,24 +237,16 @@ def run(rhs: Rhs, t, u, v, fu, fv, h, t_end, h_min, rtol, atol_u, atol_v, blowup
     lib = load()
     if lib is None:
         return None
-    spec = _spec(rhs)
-    state = _State(t, u, v, fu, fv, h)
-    steps = _Pair()
-    has_limit = blowup_limit is not None
-    limit = blowup_limit if has_limit else 0.0
-    cap = FIRST_CAPACITY
-    while True:
-        buf = np.empty(12 * cap + 1)
-        status = lib.pspect_dp45(spec, state, t_end, h_min, rtol, atol_u, atol_v, has_limit,
-                                 limit, cap, _doubles(buf), steps)
-        if status != FULL:
-            break
-        state[:] = (t, u, v, fu, fv, h)
-        cap *= 2
+    spec, steps = _spec(rhs), _Pair()
+    guard = _guard(blowup_limit)
+    status, buf = _grown(lambda cap: 12 * cap + 1, lambda buf, cap: lib.pspect_dp45(
+        spec, (ctypes.c_double * 6)(t, u, v, fu, fv, h), t_end, h_min, rtol, atol_u, atol_v,
+        *guard, cap, _doubles(buf), steps))
     if status == RERUN:
         return None
     n = steps[0]
-    return status, state[0], buf[:12 * n + 1].copy(), n, steps[1]
+    block = buf[:12 * n + 1].copy()
+    return status, float(block[n]), block, n, steps[1]
 
 
 def _check_block(block, n):
@@ -248,62 +255,43 @@ def _check_block(block, n):
                          f"got {block.dtype} {block.shape}")
 
 
-def _pairs(a):
-    """(r, u') pairs from their flat array."""
-    flat = a.tolist()
-    return list(zip(flat[0::2], flat[1::2]))
-
-
 def scan(block, n, eps, r_end, n_samples, n_dim, e_inv):
     """``pspect_scan`` over a shot of n steps in the block layout of
     ``_rk45.DenseOutput``: what ``radial_ivp._scan_reference`` returns, with
     its sign changes refined as ``radial_ivp._locate_zeros`` refines them,
-    to the same bits: (grid, u, v, tail maxima, (u(1), v(1)), zeros as
-    (r, u') pairs).  None when the kernel is missing, n < 1, n_samples < 2
-    or the refinement of a zero would raise in Python."""
+    to the same bits: (grid, u, v, tail maxima, (u(1), v(1)), sup |u'|,
+    zeros as (r, u') pairs).  None when the kernel is missing, n < 1,
+    n_samples < 2 or the refinement of a zero would raise in Python."""
     lib = load()
     if lib is None or n < 1 or n_samples < 2:
         return None
     _check_block(block, n)
     cap = n_samples + n + 1
     samples = np.empty(3 * cap)
-    scratch = np.empty(cap + 2 + 4 * n)
+    scratch = np.empty(cap + 3 + 4 * n)
     counts = _Pair()
     if lib.pspect_scan(_doubles(block), n, eps, r_end, n_samples, n_dim, e_inv,
                        _doubles(samples), cap, _doubles(scratch), counts):
         return None
     g, k = counts
+    u1, v1, sup_uprime, *zeros = scratch[cap:cap + 3 + 2 * k].tolist()
     return (samples[:g], samples[cap:cap + g], samples[2 * cap:2 * cap + g], scratch[:g],
-            tuple(scratch[cap:cap + 2].tolist()), _pairs(scratch[cap + 2:cap + 2 + 2 * k]))
+            (u1, v1), sup_uprime, list(zip(zeros[0::2], zeros[1::2])))
 
 
 class Reading(NamedTuple):
-    """A shot reduced to what ``radial_ivp.probe`` reports (``pspect_reduce``).
-
-    z is the number of interior zeros, or None where the tail filter needs
-    sup |u'|: tail then holds the grid, v on it, the tail maxima of |u| and
-    the zeros as (r, u') pairs, for ``radial_ivp`` to filter.
-    """
+    """A shot reduced to what ``radial_ivp.probe`` reports (``pspect_reduce``):
+    u(1), u where the shot stopped, sup |u| and the number z of interior
+    zeros."""
 
     u1: float
     u_end: float
     sup_u: float
-    z: int | None
-    tail: tuple | None
-
-
-def _reading(work, n, n_samples, out, counts, status) -> Reading:
-    z, g, k = counts[0], counts[1], counts[2]
-    if status != TAIL:
-        return Reading(out[0], out[1], out[2], z, None)
-    cap = n_samples + n + 1
-    tail = (work[:g].copy(), work[2 * cap:2 * cap + g].copy(), work[3 * cap:3 * cap + g].copy(),
-            _pairs(work[4 * cap + 2:4 * cap + 2 + 2 * k]))
-    return Reading(out[0], out[1], out[2], None, tail)
+    z: int
 
 
 def _work_size(n, n_samples):
-    return 8 * n + 4 * n_samples + 6
+    return 8 * n + 4 * n_samples + 7
 
 
 def reduce(block, n, eps, r_end, n_samples, n_dim, e_inv, guarded) -> Reading | None:
@@ -315,91 +303,76 @@ def reduce(block, n, eps, r_end, n_samples, n_dim, e_inv, guarded) -> Reading | 
     if lib is None or n < 1 or n_samples < 2:
         return None
     _check_block(block, n)
-    work = np.empty(_work_size(n, n_samples))
-    out, counts = _Reading(), _Counts()
-    status = lib.pspect_reduce(_doubles(block), n, eps, r_end, n_samples, n_dim, e_inv,
-                               guarded, _doubles(work), out, counts)
-    return None if status == RERUN else _reading(work, n, n_samples, out, counts, status)
+    out = (ctypes.c_double * 4)()
+    if lib.pspect_reduce(_doubles(block), n, eps, r_end, n_samples, n_dim, e_inv, guarded,
+                         _doubles(np.empty(_work_size(n, n_samples))), out):
+        return None
+    u1, u_end, sup_u, z = out
+    return Reading(u1, u_end, sup_u, int(z))
 
 
-def probe(rhs: Rhs, state, t_end, h_min, rtol, atol_u, atol_v, blowup_limit, eps, n_samples):
-    """One shot with right-hand side ``rhs`` marched and reduced on the
-    kernel in one call (``pspect_probe``).
+def probe(rhs: Rhs, alpha, m0, p_conj, eps, rtol, atol_u, atol_v, blowup_limit, blowup_miss,
+          n_samples):
+    """One probe from u(0) = alpha with right-hand side ``rhs`` on the
+    kernel in one call (``pspect_probe``): the start, the march to r = 1
+    and the reduction.
 
-    state is (t, u, v, f(t, u, v), h), the state of ``_rk45.integrate``
-    after its initial step.  Returns None when the kernel is missing or
-    hands the shot back (a Python float operation would have raised), else
-    (status, t, accepted, rejected, reading) with the march's status and
-    final t, and the :class:`Reading` of an END or BLOWUP shot (None after
-    UNDERFLOW).  Each call has buffers of its own.
+    m0 is the weight at 0 (``Weight.eval_scalar``) and p_conj p / (p - 1).
+    Returns None when the kernel is missing or hands the probe back (Python
+    would raise on the way), else (status, record) with the march's status
+    and the :data:`RECORD` values d, sup |u|, Z, blow-up, accepted and
+    rejected steps; after UNDERFLOW the first is the r where the step size
+    underflowed.  Each call has buffers of its own.
     """
     lib = load()
     if lib is None:
         return None
     spec = _spec(rhs)
-    steps, out, counts = _Pair(), _Reading(), _Counts()
-    has_limit = blowup_limit is not None
-    limit = blowup_limit if has_limit else 0.0
-    cap = FIRST_CAPACITY
-    while True:
-        buf = np.empty(12 * cap + 1 + _work_size(cap, n_samples))
-        st = _State(*state)
-        status = lib.pspect_probe(spec, st, t_end, h_min, rtol, atol_u, atol_v, has_limit,
-                                  limit, cap, _doubles(buf), steps, eps, n_samples, out, counts)
-        if status != FULL:
-            break
-        cap *= 2
+    guard = _guard(blowup_limit)
+    rec = (ctypes.c_double * RECORD)()
+    status, _ = _grown(lambda cap: 12 * cap + 1 + _work_size(cap, n_samples),
+                       lambda buf, cap: lib.pspect_probe(
+                           spec, alpha, m0, p_conj, eps, rtol, atol_u, atol_v, *guard,
+                           blowup_miss, n_samples, cap, _doubles(buf), rec))
     if status == RERUN:
         return None
-    n = steps[0]
-    reading = None
-    if status != UNDERFLOW:
-        reading = _reading(buf[12 * n + 1:], n, n_samples, out, counts, counts[3])
-    return status, st[0], n, steps[1], reading
+    return status, rec[:]
 
 
-def solve(rhs: Rhs, in_alpha, alpha, m0, p_conj, a, b, fa, fb, xtol, xrtol, maxiter, eps,
+def solve(rhs: Rhs, in_alpha, a, b, fa, fb, xtol, xrtol, maxiter, alpha, m0, p_conj, eps,
           rtol, atol_u, atol_v, blowup_limit, blowup_miss, n_samples):
-    """The root in [a, b] of the miss D of ``radial_ivp.probe`` as a function
-    of ``rhs.lam`` (or of alpha, in_alpha), by Brent's method on the kernel
-    in one call (``pspect_solve``); fa and fb are D at a and b.
+    """The root in [a, b] of the miss D of ``pspect_probe`` as a function of
+    ``rhs.lam`` (or of alpha, in_alpha), by Brent's method on the kernel in
+    one call (``pspect_solve``); fa and fb are D at a and b.
 
-    m0 is the weight at 0 (``Weight.eval_scalar``) and p_conj p / (p - 1),
-    for the start of each trial.  Returns None when the kernel is missing
-    or hands the solve back, else (root, trial) with trial the (d, sup_u,
-    z, blowup, accepted, rejected) of the trial at the root, z None where
-    the tail filter is left to Python, or None where the root is an end.
-    Each call has buffers of its own.
+    The arguments from alpha on are those of :func:`probe` (alpha unused
+    where in_alpha).  Returns None when the
+    kernel is missing or hands the solve back, else (root, record) with the
+    record of the trial at the root, as :func:`probe` returns it, or None
+    where the root is an end.  Each call has buffers of its own.
     """
     lib = load()
     if lib is None:
         return None
     spec = _spec(rhs)
-    has_limit = blowup_limit is not None
-    limit = blowup_limit if has_limit else 0.0
+    guard = _guard(blowup_limit)
     out = (ctypes.c_double * 2)()
-    cap = FIRST_CAPACITY
-    while True:
-        buf = np.empty(LOG_ROW * maxiter + 12 * cap + 1 + _work_size(cap, n_samples))
-        status = lib.pspect_solve(spec, in_alpha, alpha, m0, p_conj, a, b, fa, fb, xtol,
-                                  xrtol, maxiter, eps, rtol, atol_u, atol_v, has_limit, limit,
-                                  blowup_miss, n_samples, cap, _doubles(buf), out)
-        if status != FULL:
-            break
-        cap *= 2
+    status, buf = _grown(
+        lambda cap: LOG_ROW * maxiter + 12 * cap + 1 + _work_size(cap, n_samples),
+        lambda buf, cap: lib.pspect_solve(spec, in_alpha, alpha, m0, p_conj, a, b, fa, fb,
+                                          xtol, xrtol, maxiter, eps, rtol, atol_u, atol_v,
+                                          *guard, blowup_miss, n_samples, cap, _doubles(buf),
+                                          out))
     if status == RERUN:
         return None
     root, k = out[0], int(out[1])
-    if k < 0:
-        return root, None
-    _, d, sup_u, z, blowup, accepted, rejected = buf[LOG_ROW * k:LOG_ROW * (k + 1)].tolist()
-    return root, (d, sup_u, None if z < 0 else int(z), bool(blowup), int(accepted), int(rejected))
+    return root, None if k < 0 else buf[LOG_ROW * k + 1:LOG_ROW * (k + 1)].tolist()
 
 
 def hypot(x, y):
-    """The port of ``math.hypot`` the kernel starts each trial of
-    ``pspect_solve`` with, or None for the inputs it hands back (a subnormal
-    or non-finite one) or when the kernel is missing."""
+    """The port of ``math.hypot`` the kernel starts each probe with, or
+    None for the inputs it hands back (a subnormal or non-finite one) or
+    when the kernel is missing."""
     lib = load()
     if lib is None:
         return None

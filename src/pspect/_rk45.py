@@ -26,9 +26,9 @@ step, u before v) and makes them one array at the end; the kernel fills
 an array of the same layout, and both hand it to :class:`DenseOutput`.
 
 The right-hand side stays a callable argument: the kernel still takes
-f for the first derivative and the initial step guess (:func:`start`,
-which ``radial_ivp.probe`` calls too), and a caller can wrap f to count
-or time its evaluations without touching either loop.
+f for the first derivative and the initial step guess, and a caller can
+wrap f to count or time its evaluations without touching either loop.
+(A probe starts in C as well: ``_kernel.probe`` ports this start.)
 """
 
 from __future__ import annotations
@@ -212,26 +212,6 @@ def _underflow(t: float) -> IntegrationError:
     return IntegrationError(f"step size underflow at r = {t:.6e}")
 
 
-def start(f, t0, t_end, y0, *, rtol, atol):
-    """Where the step loop of :func:`integrate` starts.
-
-    Returns ((t0, u, v, du, dv, h), h_min, atol_u, atol_v): y0 and
-    f(t0, y0) as floats, the initial step h, the smallest step h_min and
-    the absolute tolerance of each component.  ``radial_ivp.probe`` hands
-    the same values to the kernel.
-    """
-    u, v = float(y0[0]), float(y0[1])
-    fu, fv = f(t0, u, v)
-
-    # atol may be per-component (u, v); homothetic scalings of the linear
-    # problem then reproduce exactly scaled trajectories
-    atol_u, atol_v = (atol, atol) if np.isscalar(atol) else atol
-
-    h = _initial_step(f, t0, (u, v), (fu, fv), t_end, rtol, atol_u, atol_v)
-    h_min = 16 * abs(t_end - t0) * 2.3e-16 + 1e-300
-    return (t0, u, v, fu, fv, h), h_min, atol_u, atol_v
-
-
 def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None, compiled=None):
     """March from t0 to t_end; returns (ts, dense, blowup_t, steps).
 
@@ -244,8 +224,15 @@ def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None, compiled=None)
     it the step loop runs on the compiled kernel where it is available,
     with the same result.
     """
-    (t, u, v, fu, fv, h), h_min, atol_u, atol_v = start(f, t0, t_end, y0, rtol=rtol,
-                                                        atol=atol)
+    t, u, v = t0, float(y0[0]), float(y0[1])
+    fu, fv = f(t0, u, v)
+
+    # atol may be per-component (u, v); homothetic scalings of the linear
+    # problem then reproduce exactly scaled trajectories
+    atol_u, atol_v = (atol, atol) if np.isscalar(atol) else atol
+
+    h = _initial_step(f, t0, (u, v), (fu, fv), t_end, rtol, atol_u, atol_v)
+    h_min = 16 * abs(t_end - t0) * 2.3e-16 + 1e-300
 
     if compiled is not None:
         out = _kernel.run(compiled, t, u, v, fu, fv, h, t_end, h_min, rtol, atol_u, atol_v,

@@ -1,16 +1,16 @@
 /* Compiled step loop of pspect._rk45.integrate for the radial problems, the
- * post-pass of pspect.radial_ivp.shoot over a finished shot, the two fused
- * into radial_ivp.probe, and Brent's method over probes.  Entry points:
+ * post-pass of pspect.radial_ivp.shoot over a finished shot, the whole of
+ * radial_ivp.probe, and Brent's method over probes.  Entry points:
  *
  *   pspect_dp45     the step loop of one shot
- *   pspect_scan     the post-pass: samples, sup |u|, u(1) and the zeros of u
+ *   pspect_scan     the post-pass: samples, sup |u|, sup |u'|, u(1) and the
+ *                   zeros of u
  *   pspect_reduce   a finished shot reduced to a probe (D, Z, sup |u|)
- *   pspect_probe    pspect_dp45, then pspect_reduce: one call per probe
+ *   pspect_probe    one probe: the start, pspect_dp45, then pspect_reduce
  *   pspect_solve    the root of the miss D in lam or u(0): one call per solve
  *   pspect_apply_f  F of the PHI and RATIONAL families on an array
  *
- * and pspect_hypot, the port of math.hypot the start of pspect_solve takes,
- * for its test.
+ * and pspect_hypot, the port of math.hypot the start takes, for its test.
  *
  * pspect_dp45 runs the Dormand-Prince 5(4) loop of _rk45.integrate with the
  * right-hand side radial_ivp._system(p, N, w) written into it, for the
@@ -52,8 +52,7 @@ enum {
     PSPECT_BLOWUP = 1,    /* |u| reached the blow-up limit */
     PSPECT_UNDERFLOW = 2, /* step size fell below h_min at r = state[0] */
     PSPECT_FULL = 3,      /* more accepted steps than the buffers hold */
-    PSPECT_RERUN = 4,     /* Python would raise; repeat on the Python stepper */
-    PSPECT_TAIL = 5       /* pspect_reduce: the tail filter needs sup |u'| */
+    PSPECT_RERUN = 4      /* Python would raise; repeat on the Python stepper */
 };
 
 /* Dormand-Prince coefficients, as _rk45 spells them */
@@ -400,10 +399,10 @@ int pspect_dp45(const Rhs *rhs, double *state, double t_end, double h_min,
 /* ------------------------------------------------------------------------
  * pspect_scan: what radial_ivp.shoot reads off a finished shot, whichever
  * loop ran it, computed as its references (radial_ivp._scan_reference in
- * numpy, then radial_ivp._locate_zeros) compute it, to the same bits.  The
- * only power it takes is the one of u' at a zero, which _locate_zeros takes
- * with Python's **; none of the numpy ones: numpy's array power need not
- * round as libm's pow does.
+ * numpy, then radial_ivp._locate_zeros) compute it, to the same bits.  Each
+ * power it takes is a libm pow call, as Python's ** and numpy's scalar
+ * power are; none is a numpy array power, which need not round as libm's
+ * pow does.
  */
 
 #define ZERO_XTOL 1e-12        /* radial_ivp.ZERO_XTOL */
@@ -411,6 +410,7 @@ int pspect_dp45(const Rhs *rhs, double *state, double t_end, double h_min,
 #define BRENT_MAXITER 100      /* radial_ivp.brentq's maxiter */
 #define BOUNDARY_MARGIN 1e-6   /* radial_ivp.BOUNDARY_MARGIN */
 #define TAIL_NOISE_FACTOR 1e-7 /* radial_ivp.TAIL_NOISE_FACTOR */
+#define TAIL_SLOPE_FACTOR 1e-3 /* radial_ivp.TAIL_SLOPE_FACTOR */
 
 /* DenseOutput.__call__ on step i at t: theta = (t - ts[i]) / hs[i], then
    each quartic from its theta^4 coefficient down */
@@ -576,7 +576,8 @@ static int refine_zero(double a, double b, double yb, const double *q, double *r
      samples[2 cap..3 cap) v on the grid
      scratch[0..cap)       max |u| over the grid from each point on (NaN if
                            any is NaN, as np.max)
-     scratch[cap..cap + 2) u(1) and v(1)
+     scratch[cap..cap + 2) u(1) and v(1); scratch[cap + 2] is kept for the
+                           sup |u'| of pspect_scan
      then the zeros of u, as (r, u'(r)) pairs (at most 2n): each sign change
      of u over the nodes ts and midpoints 0.5 (ts[i] + ts[i + 1]) up to
      r_end, equal neighbours once, taken where u[k] == 0 or u[k] u[k + 1] < 0,
@@ -585,14 +586,14 @@ static int refine_zero(double a, double b, double yb, const double *q, double *r
    counts receives the grid length and the number of zeros.  Returns 0, or
    PSPECT_RERUN where _locate_zeros would raise (the caller then reads the
    shot in Python, which raises). */
-int pspect_scan(const double *block, int64_t n, double eps, double r_end, int64_t n_samples,
-                int64_t n_dim, double e_inv, double *samples, int64_t cap, double *scratch,
-                int64_t *counts)
+static int read_shot(const double *block, int64_t n, double eps, double r_end,
+                     int64_t n_samples, int64_t n_dim, double e_inv, double *samples, int64_t cap,
+                     double *scratch, int64_t *counts)
 {
     const double *ts = block, *y0s = block + n + 1, *hs = block + 3 * n + 1;
     const double *coef = block + 4 * n + 1;
     double *grid = samples, *u = samples + cap, *v = samples + 2 * cap;
-    double *tail = scratch, *zeros = scratch + cap + 2;
+    double *tail = scratch, *zeros = scratch + cap + 3;
 
     /* the grid: both ascending sequences merged, equal values once */
     int64_t g = 0, a = 0, b = 0, j = 0;
@@ -660,6 +661,34 @@ int pspect_scan(const double *block, int64_t n, double eps, double r_end, int64_
     return 0;
 }
 
+/* sup |u'| over the grid of g points with v on it: pow(M, e_inv), M the
+   largest |v_k| / rn_k with rn_k = pow(max(r_k, 1e-300), n_dim - 1) as
+   _locate_zeros takes it.  A NaN quotient makes M NaN, as np.max does, and
+   a power that overflows is inf, with no error; radial_ivp._scan_reference
+   takes the same powers. */
+static double sup_uprime(const double *grid, const double *v, int64_t g, int64_t n_dim,
+                         double e_inv)
+{
+    double m = 0.0;
+    for (int64_t k = 0; k < g; k++) {
+        double x = fabs(v[k]) / pow(py_max(grid[k], 1e-300), (double)(n_dim - 1));
+        if (k == 0 || x > m || isnan(x))
+            m = x;
+    }
+    return pow(m, e_inv);
+}
+
+/* read_shot, with sup |u'| in scratch[cap + 2] */
+int pspect_scan(const double *block, int64_t n, double eps, double r_end, int64_t n_samples,
+                int64_t n_dim, double e_inv, double *samples, int64_t cap, double *scratch,
+                int64_t *counts)
+{
+    if (read_shot(block, n, eps, r_end, n_samples, n_dim, e_inv, samples, cap, scratch, counts))
+        return PSPECT_RERUN;
+    scratch[cap + 2] = sup_uprime(samples, samples + 2 * cap, counts[0], n_dim, e_inv);
+    return 0;
+}
+
 /* ------------------------------------------------------------------------
  * pspect_reduce and pspect_probe: radial_ivp.probe, a shot reduced to the
  * miss D, the interior zero count Z and sup |u|, without the trajectory.
@@ -687,93 +716,51 @@ static int all_finite(const double *x, int64_t n)
     return 1;
 }
 
-/* What radial_ivp.probe reads off a finished shot of n >= 1 steps in block
-   (pspect_scan with n_samples >= 2 samples, then the tail filter of
-   radial_ivp._drop_noise_tail_zeros and the count of interior zeros).  work
-   holds 3 cap + cap + 2 + 4 n doubles, cap = n_samples + n + 1, laid out as
-   the samples and scratch of pspect_scan.  out receives u(1), u at r_end and
-   sup |u|; counts the number Z of interior zeros, the grid length and the
-   number of zeros.
+/* What radial_ivp.probe reads off a finished shot of n >= 1 steps in block:
+   read_shot with n_samples >= 2 samples, then the tail filter of
+   radial_ivp._drop_noise_tail_zeros and the count of interior zeros.  work
+   holds 4 cap + 3 + 4 n doubles, cap = n_samples + n + 1, laid out as the
+   samples and scratch of pspect_scan.  out receives u(1), u at r_end,
+   sup |u| and the number Z of interior zeros.
 
    The filter drops trailing zeros whose tail maximum is below
-   TAIL_NOISE_FACTOR sup |u| and whose slope is small against sup |u'|, a
-   power numpy takes.  When the trailing run below the noise floor holds no
-   interior zero, Z does not depend on which of them the filter drops, and
-   the call returns 0.  Else it returns PSPECT_TAIL, with Z unset, and the
-   caller filters in Python from work.  It returns PSPECT_RERUN where
-   pspect_scan does, and where the shot has no blow-up guard (guarded == 0)
-   and a start value or coefficient of a step is not finite: Python raises
-   there. */
+   TAIL_NOISE_FACTOR sup |u| and whose slope is below TAIL_SLOPE_FACTOR
+   sup |u'|; sup |u'| is computed only where a trailing zero lies under the
+   noise floor.  Returns 0, or PSPECT_RERUN where pspect_scan does, and where
+   the shot has no blow-up guard (guarded == 0) and a start value or
+   coefficient of a step is not finite: Python raises there. */
 int pspect_reduce(const double *block, int64_t n, double eps, double r_end, int64_t n_samples,
-                  int64_t n_dim, double e_inv, int guarded, double *work, double *out,
-                  int64_t *counts)
+                  int64_t n_dim, double e_inv, int guarded, double *work, double *out)
 {
     /* radial_ivp._require_finite: the start values and coefficients */
     if (!guarded && !(all_finite(block + n + 1, 2 * n) && all_finite(block + 4 * n + 1, 8 * n)))
         return PSPECT_RERUN;
-    int64_t cap = n_samples + n + 1, sc[2];
+    int64_t cap = n_samples + n + 1, counts[2];
     double *scratch = work + 3 * cap;
-    if (pspect_scan(block, n, eps, r_end, n_samples, n_dim, e_inv, work, cap, scratch, sc))
+    if (read_shot(block, n, eps, r_end, n_samples, n_dim, e_inv, work, cap, scratch, counts))
         return PSPECT_RERUN;
-    int64_t g = sc[0], nz = sc[1];
-    const double *grid = work, *tail = scratch, *zeros = scratch + cap + 2;
-    double sup_u = tail[0];
+    int64_t g = counts[0], nz = counts[1], kept = nz;
+    const double *grid = work, *tail = scratch, *zeros = scratch + cap + 3;
+    double sup_u = tail[0], noise = TAIL_NOISE_FACTOR * sup_u, slope = 0.0;
+    for (; kept > 0; kept--) {
+        const double *zero = zeros + 2 * (kept - 1);
+        int64_t idx = search_left(grid, g, zero[0]);
+        if (!((idx < g ? tail[idx] : 0.0) < noise))
+            break;
+        if (kept == nz) /* the first test that reads sup |u'| */
+            slope = TAIL_SLOPE_FACTOR * sup_uprime(grid, work + 2 * cap, g, n_dim, e_inv);
+        if (!(fabs(zero[1]) < slope))
+            break;
+    }
+    int64_t z = 0;
+    for (int64_t k = 0; k < kept; k++)
+        z += zeros[2 * k] < 1.0 - BOUNDARY_MARGIN;
     out[0] = scratch[cap];
     out[1] = work[cap + g - 1];
     out[2] = sup_u;
-    counts[1] = g;
-    counts[2] = nz;
-
-    double noise = TAIL_NOISE_FACTOR * sup_u;
-    int64_t kept = nz;
-    while (kept > 0) {
-        int64_t idx = search_left(grid, g, zeros[2 * kept - 2]);
-        if (!((idx < g ? tail[idx] : 0.0) < noise))
-            break;
-        kept--;
-    }
-    int64_t z = 0;
-    for (int64_t k = 0; k < nz; k++) {
-        if (zeros[2 * k] < 1.0 - BOUNDARY_MARGIN) {
-            if (k >= kept)
-                return PSPECT_TAIL;
-            z++;
-        }
-    }
-    counts[0] = z;
+    out[3] = (double)z;
     return 0;
 }
-
-/* pspect_dp45, then pspect_reduce over the block it leaves at the front of
-   buf: buf holds 12 cap + 1 doubles for the march and then the work of
-   pspect_reduce for a shot of cap steps (20 cap + 4 n_samples + 7 in all).
-   Returns the status of the march; an END or BLOWUP shot is reduced, with
-   out and counts[0..3) as pspect_reduce leaves them and counts[3] its
-   return, and PSPECT_RERUN where pspect_reduce returns that. */
-int pspect_probe(const Rhs *rhs, double *state, double t_end, double h_min, double rtol,
-                 double atol_u, double atol_v, int has_limit, double blowup_limit,
-                 int64_t cap, double *buf, int64_t *steps, double eps, int64_t n_samples,
-                 double *out, int64_t *counts)
-{
-    int status = pspect_dp45(rhs, state, t_end, h_min, rtol, atol_u, atol_v, has_limit,
-                             blowup_limit, cap, buf, steps);
-    if (status != PSPECT_END && status != PSPECT_BLOWUP)
-        return status;
-    int64_t n = steps[0];
-    double r_end = status == PSPECT_BLOWUP ? state[0] : t_end;
-    int reduced = pspect_reduce(buf, n, eps, r_end, n_samples, rhs->n_dim, rhs->e_inv,
-                                has_limit, buf + 12 * n + 1, out, counts);
-    if (reduced == PSPECT_RERUN)
-        return PSPECT_RERUN;
-    counts[3] = reduced;
-    return status;
-}
-
-/* ------------------------------------------------------------------------
- * pspect_solve: the root of the miss D = u(1) in lam (gamma or mu) or in
- * alpha = u(0), by Brent's method over pspect_probe, each trial started as
- * radial_ivp.probe starts it.
- */
 
 /* CPython's math.hypot(x, y) (vector_norm of Modules/mathmodule.c), to its
    bits for x and y each zero or normal.  Returns 1 for a subnormal or
@@ -833,10 +820,10 @@ static int hypot2(double x, double y, double *out)
     return 0;
 }
 
-/* radial_ivp.origin_startup (m(0) = m0, Weight.eval_scalar's), then
-   _rk45.start with its _initial_step: the state (t, u, v, f(t, u, v), h) at
-   t = eps the march starts from, and the smallest step.  Returns 1 where
-   Python would raise or hypot2 hands its inputs back. */
+/* radial_ivp.origin_startup (m(0) = m0, Weight.eval_scalar's), then the
+   start of _rk45.integrate with its _initial_step: the state (t, u, v,
+   f(t, u, v), h) at t = eps the march starts from, and the smallest step.
+   Returns 1 where Python would raise or hypot2 hands its inputs back. */
 static int startup(Rhs *R, double alpha, double m0, double p_conj, double eps, double t_end,
                    double rtol, double atol_u, double atol_v, double *state, double *h_min)
 {
@@ -875,7 +862,53 @@ static int startup(Rhs *R, double alpha, double m0, double p_conj, double eps, d
     return R->bad;
 }
 
-/* the miss of one trial, as radial_ivp.probe computes it */
+/* radial_ivp.probe with the right-hand side *rhs from u(0) = alpha, to its
+   bits: startup (m0 the weight at 0, Weight.eval_scalar's, and p_conj
+   p / (p - 1)), pspect_dp45 to r = 1, then pspect_reduce over the block it
+   leaves at the front of buf.  buf holds 12 cap + 1 doubles for the march
+   and then the work of pspect_reduce for a shot of cap steps (20 cap +
+   4 n_samples + 8 in all).  An END or BLOWUP shot fills rec: D (u(1), or
+   blowup_miss signed by u where a shot with a blow-up limit stopped),
+   sup |u|, Z, 1 for a blow-up, and the accepted and the rejected steps;
+   after UNDERFLOW rec[0] is the r where the step size underflowed.  Returns
+   the status of the march, or PSPECT_RERUN where Python would raise on the
+   way (alpha = 0 among them) or hypot2 hands its inputs back. */
+int pspect_probe(const Rhs *rhs, double alpha, double m0, double p_conj, double eps,
+                 double rtol, double atol_u, double atol_v, int has_limit, double blowup_limit,
+                 double blowup_miss, int64_t n_samples, int64_t cap, double *buf, double *rec)
+{
+    Rhs R = *rhs;
+    R.bad = 0;
+    double state[6], h_min, reading[4];
+    int64_t steps[2];
+    if (alpha == 0.0
+        || startup(&R, alpha, m0, p_conj, eps, 1.0, rtol, atol_u, atol_v, state, &h_min))
+        return PSPECT_RERUN;
+    int status = pspect_dp45(&R, state, 1.0, h_min, rtol, atol_u, atol_v, has_limit,
+                             blowup_limit, cap, buf, steps);
+    rec[0] = state[0];
+    if (status != PSPECT_END && status != PSPECT_BLOWUP)
+        return status;
+    int64_t n = steps[0];
+    int blowup = status == PSPECT_BLOWUP;
+    if (pspect_reduce(buf, n, eps, blowup ? state[0] : 1.0, n_samples, R.n_dim, R.e_inv,
+                      has_limit, buf + 12 * n + 1, reading))
+        return PSPECT_RERUN;
+    rec[0] = blowup ? copysign(blowup_miss, reading[1]) : reading[0];
+    rec[1] = reading[2];
+    rec[2] = reading[3];
+    rec[3] = blowup;
+    rec[4] = (double)n;
+    rec[5] = (double)steps[1];
+    return status;
+}
+
+/* ------------------------------------------------------------------------
+ * pspect_solve: the root of the miss D = u(1) in lam (gamma or mu) or in
+ * alpha = u(0), by Brent's method over pspect_probe.
+ */
+
+/* the arguments of pspect_probe for each trial, lam or alpha set by x */
 typedef struct {
     Rhs R;
     int in_alpha, has_limit;
@@ -884,47 +917,33 @@ typedef struct {
     double *buf, *log;
 } Solve;
 
-#define LOG_ROW 7 /* x, d, sup |u|, Z (-1: left to the tail filter), blow-up, accepted, rejected */
+#define LOG_ROW 7 /* a trial: x, then the rec of pspect_probe */
 
 static int trial(void *ctx, double x, double *d)
 {
     Solve *S = ctx;
-    double alpha = S->in_alpha ? x : S->alpha;
+    double *row = S->log + LOG_ROW * S->n_log;
     if (!S->in_alpha)
         S->R.lam = x;
-    S->R.bad = 0;
-    double state[6], h_min, reading[3];
-    int64_t steps[2], counts[4];
-    if (alpha == 0.0 || startup(&S->R, alpha, S->m0, S->p_conj, S->eps, 1.0, S->rtol,
-                                S->atol_u, S->atol_v, state, &h_min))
-        return PSPECT_RERUN;
-    int status = pspect_probe(&S->R, state, 1.0, h_min, S->rtol, S->atol_u, S->atol_v,
-                              S->has_limit, S->blowup_limit, S->cap, S->buf, steps, S->eps,
-                              S->n_samples, reading, counts);
+    int status = pspect_probe(&S->R, S->in_alpha ? x : S->alpha, S->m0, S->p_conj, S->eps,
+                              S->rtol, S->atol_u, S->atol_v, S->has_limit, S->blowup_limit,
+                              S->blowup_miss, S->n_samples, S->cap, S->buf, row + 1);
     if (status == PSPECT_FULL)
         return PSPECT_FULL;
     if (status != PSPECT_END && status != PSPECT_BLOWUP)
-        return PSPECT_RERUN; /* Python raises, or decides the shot itself */
-    int blowup = status == PSPECT_BLOWUP;
-    *d = blowup ? copysign(S->blowup_miss, reading[1]) : reading[0];
-    double *row = S->log + LOG_ROW * S->n_log++;
+        return PSPECT_RERUN; /* Python raises */
     row[0] = x;
-    row[1] = *d;
-    row[2] = reading[2];
-    row[3] = counts[3] == PSPECT_TAIL ? -1.0 : (double)counts[0];
-    row[4] = blowup;
-    row[5] = (double)steps[0];
-    row[6] = (double)steps[1];
+    *d = row[1];
+    S->n_log++;
     return 0;
 }
 
 /* radial_ivp.brentq(lambda x: radial_ivp.probe(...).d, a, b, xtol=xtol,
    rtol=xrtol, maxiter=maxiter, fa=fa, fb=fb) with x the lam of *rhs
    (in_alpha == 0) or u(0) (in_alpha != 0, alpha unused), to the same bits:
-   each trial is the start of radial_ivp.probe and then pspect_probe, and D is
-   u(1), or blowup_miss signed by u where a shot with a blow-up limit
-   (has_limit) stopped.  buf holds LOG_ROW maxiter doubles for the trial log
-   and then the 20 cap + 4 n_samples + 7 of pspect_probe.  Returns 0 with
+   each trial is pspect_probe, whose D is the miss.  buf holds LOG_ROW
+   maxiter doubles for the trial log and then the 20 cap + 4 n_samples + 8
+   of pspect_probe.  Returns 0 with
    out[0] the root and out[1] the index of its trial in the log at the front
    of buf (-1 where the root is a bracket end); PSPECT_FULL where a trial
    takes more than cap steps; PSPECT_RERUN where the Python solve raises or

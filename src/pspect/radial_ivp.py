@@ -35,35 +35,35 @@ the Python stepper.
 Whichever stepper ran it, a shot is read off its dense output in one
 compiled pass (``_kernel.scan``): the samples on a uniform grid united
 with the accepted steps, the running maxima of |u| behind them, u(1),
-and the zeros of u.  Each sign change of u over the step nodes and
-midpoints is refined by Brent's method (:func:`brentq`) to 1e-12 in r on
-the quartic of its step.  Its references, ``_scan_reference`` in numpy
-and ``_locate_zeros``, give the same bits; they serve where the kernel
-does not load or where the refinement of a zero would raise.  A zero is
-simple when |u'(r_z)| >= 1e-8 * max|u'|, and the trajectory is flagged,
-not repaired, when a degenerate (u = u' = 0) point is met, since IVP
-uniqueness can fail there for p != 2; max|u'| and both flags are
-computed when first read.  With no blow-up guard, a shot whose state
-overflows raises IntegrationError.
+max|u'| and the zeros of u.  Each sign change of u over the step nodes
+and midpoints is refined by Brent's method (:func:`brentq`) to 1e-12 in
+r on the quartic of its step.  Its references, ``_scan_reference`` in
+numpy and ``_locate_zeros``, give the same bits; they serve where the
+kernel does not load or where the refinement of a zero would raise.
+max|u'| is pow(max |v| / r^(N-1), 1/(p-1)) over the grid, each power
+libm's, in C and in the references alike.  A zero is simple when
+|u'(r_z)| >= 1e-8 * max|u'|, and the trajectory is flagged, not
+repaired, when a degenerate (u = u' = 0) point is met, since IVP
+uniqueness can fail there for p != 2.  With no blow-up guard, a shot
+whose state overflows raises IntegrationError.
 
 Searches consume a shot through :func:`probe`, which reduces it to the
 miss D = u(1) and the count Z of ``Trajectory.interior_zeros`` (the one
 interior-zero rule) and owns the one rule for a shot that blew up.
 Where the right-hand side has a compiled form, a probe is one kernel
-call (``_kernel.probe``) after the start :func:`shoot` makes: the march,
-the post-pass, the tail filter and the count, with no trajectory built.
-The kernel leaves the tail filter to Python where Z depends on max|u'|,
-and hands the whole probe back where Python would raise; the probe is
-then the reduction of the whole shot (``_shoot_and_reduce``), to the
-same bits.
+call (``_kernel.probe``): the start at the origin, the march, the
+post-pass, the tail filter and the count, with no trajectory built and
+no Python f called.  The kernel hands the probe back where Python would
+raise; the probe is then the reduction of the whole shot
+(``_shoot_and_reduce``), to the same bits.
 
 The nodal root solves (the gamma of a branch point, the mu of a
 perturbed solution, the amplitude of a nodal solution) go through
 :func:`solve_miss`: Brent's method on D over a bracket whose ends the
 caller has probed.  Where the right-hand side has a compiled form, the
-whole solve is one kernel call (``_kernel.solve``), each trial started
-in C as :func:`probe` starts it; else, and where the kernel hands it
-back, it is :func:`brentq` over :func:`probe`, with the same root.
+whole solve is one kernel call (``_kernel.solve``), each trial a kernel
+probe; else, and where the kernel hands it back, it is :func:`brentq`
+over :func:`probe`, with the same root.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernel
-from ._rk45 import StepCounts, _underflow, integrate, start
+from ._rk45 import StepCounts, _underflow, integrate
 from .errors import IntegrationError, PreconditionError
 from .pfuncs import _pval
 from .weights import Weight
@@ -87,10 +87,12 @@ BLOWUP_MISS = 1e12  # |D| reported for a shot that blew up, whatever the guard
 BOUNDARY_MARGIN = 1e-6  # zeros within this of r = 1 are not interior
 SIMPLICITY_FACTOR = 1e-8
 ZERO_XTOL = 1e-12
+ZERO_RTOL = 8.9e-16  # the rtol of a zero's refinement
 TAIL_NOISE_FACTOR = 1e-7
 TAIL_SLOPE_FACTOR = 1e-3
 PROBE_SAMPLES = 65  # grid of the shot a probe reads
-# _rk45_kernel.c repeats ZERO_XTOL, BOUNDARY_MARGIN and TAIL_NOISE_FACTOR
+# _rk45_kernel.c repeats ZERO_XTOL, ZERO_RTOL, BOUNDARY_MARGIN and the TAIL_ factors
+# (tests/test_radial_ivp.py::test_kernel_constants_match_python compares them)
 
 
 def _sgnpow(x: float, e: float) -> float:
@@ -242,12 +244,7 @@ class Problem:
 class ZeroCrossing:
     r: float
     uprime: float
-    _sup_uprime: object = field(repr=False, compare=False, kw_only=True)  # () -> the shot's sup |u'|
-
-    @property
-    def degenerate(self) -> bool:
-        """|u'(r)| < SIMPLICITY_FACTOR * sup |u'|: not a simple zero."""
-        return abs(self.uprime) < SIMPLICITY_FACTOR * self._sup_uprime()
+    degenerate: bool  # |u'(r)| < SIMPLICITY_FACTOR * sup |u'|: not a simple zero
 
 
 @dataclass(frozen=True)
@@ -264,14 +261,9 @@ class Trajectory:
     terminal: tuple | None  # (u(1), v(1)), None if the shot blew up
     blowup_radius: float | None
     sup_u: float
+    sup_uprime: float  # max |u'| over the sample grid r
     steps: StepCounts
-    _sup_uprime: object = field(repr=False, compare=False, kw_only=True)  # () -> sup_uprime
     dense: object = field(repr=False, default=None)
-
-    @property
-    def sup_uprime(self) -> float:
-        """max |u'| over the sample grid r, computed when first read."""
-        return self._sup_uprime()
 
     @property
     def degenerate(self) -> bool:
@@ -342,13 +334,6 @@ def _system(p, n_dim, w):
     return f
 
 
-def _march_start(problem: Problem, alpha: float, eps: float):
-    """The first-order system of problem and its series values at eps."""
-    p, n_dim = problem.p, problem.N
-    f = _system(p, n_dim, problem.rhs.make(p, problem.m.scalar_fn()))
-    return f, origin_startup(problem, alpha, eps)
-
-
 def shoot(
     problem: Problem,
     alpha: float,
@@ -371,10 +356,10 @@ def shoot(
 
     p, n_dim, rhs = problem.p, problem.N, problem.rhs
     e_inv = 1.0 / (p - 1.0)
-    f, y0 = _march_start(problem, alpha, eps)
+    f = _system(p, n_dim, rhs.make(p, problem.m.scalar_fn()))
     _, dense, blowup_radius, steps = integrate(
-        f, eps, 1.0, y0, rtol=rtol, atol=atol, blowup_limit=blowup_limit,
-        compiled=rhs.compiled(p, n_dim, problem.m)
+        f, eps, 1.0, origin_startup(problem, alpha, eps), rtol=rtol, atol=atol,
+        blowup_limit=blowup_limit, compiled=rhs.compiled(p, n_dim, problem.m)
     )
     if blowup_limit is None:
         _require_finite(dense)
@@ -382,13 +367,10 @@ def shoot(
 
     scan = _kernel.scan(dense.block, dense.n, eps, r_end, n_samples, n_dim, e_inv)
     if scan is None:
-        grid, u_samp, v_samp, tail_max, terminal, brackets = _scan_reference(
-            dense, eps, r_end, n_samples)
-        pairs = _locate_zeros(brackets, n_dim, e_inv)
-    else:
-        grid, u_samp, v_samp, tail_max, terminal, pairs = scan
+        *scan, brackets = _scan_reference(dense, eps, r_end, n_samples, n_dim, e_inv)
+        scan.append(_locate_zeros(brackets, n_dim, e_inv))
+    grid, u_samp, v_samp, tail_max, terminal, sup_uprime, pairs = scan
     sup_u = float(tail_max[0])
-    sup_uprime = _sup_uprime(grid, v_samp, n_dim, e_inv)
     zeros = _drop_noise_tail_zeros(_crossings(pairs, sup_uprime), grid, tail_max, sup_u,
                                    sup_uprime)
 
@@ -403,8 +385,8 @@ def shoot(
         terminal=terminal if blowup_radius is None else None,
         blowup_radius=blowup_radius,
         sup_u=sup_u,
+        sup_uprime=sup_uprime,
         steps=steps,
-        _sup_uprime=sup_uprime,
         dense=dense,
     )
 
@@ -441,26 +423,21 @@ def probe(problem: Problem, alpha: float, *, rtol: float, atol: float,
           blowup_limit: float = BLOWUP_LIMIT) -> Probe:
     """Shoot with u(0) = alpha and reduce the shot to a :class:`Probe`.
 
-    Where the right-hand side has a compiled form, the kernel marches the
-    shot and reduces it in one call (``_kernel.probe``), after the same
-    start as :func:`shoot`; no trajectory is built.  It hands a shot back
-    where Python would raise, and then, or without a compiled form, the
-    probe is the reduction of the whole shot (:func:`_shoot_and_reduce`),
-    with the same result.
+    Where the right-hand side has a compiled form, the kernel starts,
+    marches and reduces the shot in one call (``_kernel.probe``), calling
+    no Python f and building no trajectory.  It hands a shot back where
+    Python would raise, and then, or without a compiled form, the probe is
+    the reduction of the whole shot (:func:`_shoot_and_reduce`), with the
+    same result.
     """
-    p, n_dim = problem.p, problem.N
-    compiled = problem.rhs.compiled(p, n_dim, problem.m)
-    if compiled is not None and alpha != 0.0 and _kernel.load() is not None:
-        f, y0 = _march_start(problem, alpha, DEFAULT_EPS)
-        state, h_min, atol_u, atol_v = start(f, DEFAULT_EPS, 1.0, y0, rtol=rtol, atol=atol)
-        out = _kernel.probe(compiled, state, 1.0, h_min, rtol, atol_u, atol_v, blowup_limit,
-                            DEFAULT_EPS, PROBE_SAMPLES)
+    compiled = problem.rhs.compiled(problem.p, problem.N, problem.m)
+    if compiled is not None:
+        out = _kernel.probe(compiled, *_probe_args(problem, alpha, rtol, atol, blowup_limit))
         if out is not None:
-            status, t, accepted, rejected, reading = out
+            status, record = out
             if status == _kernel.UNDERFLOW:
-                raise _underflow(t)
-            return _probe_of(reading, status == _kernel.BLOWUP,
-                             StepCounts.of(accepted, rejected), n_dim, 1.0 / (p - 1.0))
+                raise _underflow(record[0])
+            return _recorded(record)
     return _shoot_and_reduce(problem, alpha, rtol=rtol, atol=atol, blowup_limit=blowup_limit)
 
 
@@ -474,29 +451,22 @@ def solve_miss(problem: Problem, alpha: float, a: float, b: float, ends, *, in_a
     u(0) = alpha, or u(0) itself where in_alpha.  ends are the probes at a
     and b, which are not shot again.  Where the right-hand side has a
     compiled form, the whole solve is one kernel call (``_kernel.solve``),
-    every trial started as :func:`probe` starts it.  Where the kernel hands
-    the solve back (a trial that Python would raise on or that the kernel
-    hands back, a NaN miss, or no convergence), or without a compiled form,
-    the solve is Brent's method over :func:`probe`, with the same root or
-    the same exception.
+    every trial a kernel probe, and the probe at the root is read off its
+    trial.  Where the kernel hands the solve back (a trial that Python
+    would raise on, a NaN miss, or no convergence), or without a compiled
+    form, the solve is Brent's method over :func:`probe`, with the same
+    root or the same exception.
     """
     pr_a, pr_b = ends
-    p, n_dim = problem.p, problem.N
-    compiled = problem.rhs.compiled(p, n_dim, problem.m)
+    compiled = problem.rhs.compiled(problem.p, problem.N, problem.m)
     if compiled is not None:
-        atol_u, atol_v = (atol, atol) if np.isscalar(atol) else atol
-        out = _kernel.solve(compiled, in_alpha, 0.0 if in_alpha else alpha,
-                            problem.m.eval_scalar(0.0), problem.p_conj, a, b, pr_a.d, pr_b.d,
-                            xtol, xrtol, 100, DEFAULT_EPS, rtol, atol_u, atol_v, BLOWUP_LIMIT,
-                            BLOWUP_MISS, PROBE_SAMPLES)
+        out = _kernel.solve(compiled, in_alpha, a, b, pr_a.d, pr_b.d, xtol, xrtol, 100,
+                            *_probe_args(problem, 0.0 if in_alpha else alpha, rtol, atol))
         if out is not None:
-            root, trial = out
-            if trial is None:
+            root, record = out
+            if record is None:
                 return root, pr_a if root == a else pr_b
-            d, sup_u, z, blowup, accepted, rejected = trial
-            if z is not None:
-                return root, Probe(d, z, blowup, sup_u, StepCounts.of(accepted, rejected))
-            return root, _probe_at(problem, alpha, root, in_alpha, rtol, atol)
+            return root, _recorded(record)
 
     seen = {a: pr_a, b: pr_b}
 
@@ -506,6 +476,21 @@ def solve_miss(problem: Problem, alpha: float, a: float, b: float, ends, *, in_a
 
     root = brentq(miss, a, b, xtol=xtol, rtol=xrtol, fa=pr_a.d, fb=pr_b.d)
     return root, seen[root]
+
+
+def _probe_args(problem, alpha, rtol, atol, blowup_limit=BLOWUP_LIMIT):
+    """What ``_kernel.probe`` takes after the right-hand side for the probe
+    of problem at u(0) = alpha: the start, the tolerances, the guard, the
+    miss of a blow-up and the grid."""
+    atol_u, atol_v = (atol, atol) if np.isscalar(atol) else atol
+    return (alpha, problem.m.eval_scalar(0.0), problem.p_conj, DEFAULT_EPS, rtol, atol_u,
+            atol_v, blowup_limit, BLOWUP_MISS, PROBE_SAMPLES)
+
+
+def _recorded(record) -> Probe:
+    """The :class:`Probe` of a kernel probe's record (``_kernel.probe``)."""
+    d, sup_u, z, blowup, accepted, rejected = record
+    return Probe(d, int(z), bool(blowup), sup_u, StepCounts.of(int(accepted), int(rejected)))
 
 
 def _probe_at(problem, alpha, x, in_alpha, rtol, atol) -> Probe:
@@ -525,30 +510,21 @@ def _shoot_and_reduce(problem, alpha, *, rtol, atol, blowup_limit=BLOWUP_LIMIT) 
     return Probe(d, len(traj.interior_zeros), blowup, traj.sup_u, traj.steps)
 
 
-def _probe_of(reading, blowup, steps, n_dim, e_inv) -> Probe:
-    """The :class:`Probe` of a ``_kernel.Reading``, filtering the tail here
-    where the kernel left that to Python."""
-    u1, u_end, sup_u, z, tail = reading
-    if tail is not None:
-        grid, v, tail_max, pairs = tail
-        sup_uprime = _sup_uprime(grid, v, n_dim, e_inv)
-        zeros = _drop_noise_tail_zeros(_crossings(pairs, sup_uprime), grid, tail_max, sup_u,
-                                       sup_uprime)
-        z = sum(zc.r < 1.0 - BOUNDARY_MARGIN for zc in zeros)
-    d = math.copysign(BLOWUP_MISS, u_end) if blowup else u1
-    return Probe(d, z, blowup, sup_u, steps)
-
-
-def _scan_reference(dense, eps, r_end, n_samples):
+def _scan_reference(dense, eps, r_end, n_samples, n_dim, e_inv):
     """What ``_kernel.scan`` computes, in numpy; shots take it where the
     kernel does not load.
 
     Returns the sample grid (a uniform grid united with the nodes of the
     accepted steps), u and v on it, the maximum of |u| over the grid from
-    each point on, (u(1), v(1)), and one record per sign change of u over
-    the nodes and the step midpoints up to r_end: the interval's ends a
-    and b, u(a), u(b), v(b), and the quartics of the step that holds a
-    (``DenseOutput.quartics``).
+    each point on, (u(1), v(1)), sup |u'| and one record per sign change
+    of u over the nodes and the step midpoints up to r_end: the interval's
+    ends a and b, u(a), u(b), v(b), and the quartics of the step that
+    holds a (``DenseOutput.quartics``).
+
+    sup |u'| is pow(M, e_inv), M the largest |v| / rn over the grid, with
+    rn = max(r, 1e-300) ** (n_dim - 1) as :func:`_locate_zeros` takes it: a
+    NaN makes it NaN, and an overflowing power inf.  Both powers are
+    libm's, as in the kernel; numpy's array power need not round alike.
     """
     ts = dense.block[:dense.n + 1]
     grid = np.union1d(np.linspace(eps, r_end, n_samples), ts)
@@ -562,22 +538,10 @@ def _scan_reference(dense, eps, r_end, n_samples):
     k = np.flatnonzero((uu[:-1] == 0.0) | (uu[:-1] * uu[1:] < 0.0))
     records = np.column_stack((nodes[k], nodes[k + 1], uu[k], uu[k + 1], vv[k + 1],
                                dense.quartics(dense.segments(nodes[k]))))
-    return grid, u, v, tail_max, dense.eval_scalar(1.0), records.tolist()
-
-
-def _sup_uprime(grid, v, n_dim, e_inv):
-    """max |u'| over the sample grid, as a callable that computes it on its
-    first call: a probe needs it only for a zero near the noise floor."""
-    value = []
-
-    def sup():
-        if not value:
-            rn_grid = np.maximum(grid, 1e-300) ** (n_dim - 1)
-            up = np.sign(v) * np.abs(v / rn_grid) ** e_inv
-            value.append(float(np.max(np.abs(up))))
-        return value[0]
-
-    return sup
+    rn = np.array([max(r, 1e-300) ** (n_dim - 1) for r in grid.tolist()])
+    with np.errstate(all="ignore"):
+        sup_uprime = float(np.max(np.abs(v) / rn) ** e_inv)  # a numpy scalar power is libm's
+    return grid, u, v, tail_max, dense.eval_scalar(1.0), sup_uprime, records.tolist()
 
 
 def _quartic_on_step(t, b, yb, t0, h, y0, c0, c1, c2, c3):
@@ -650,7 +614,7 @@ def _locate_zeros(brackets, n_dim, e_inv):
             rz = a
         else:
             rz = brentq(_quartic_on_step, a, b, args=(b, ub, t0, h, u0, c0, c1, c2, c3),
-                        xtol=ZERO_XTOL, rtol=8.9e-16)
+                        xtol=ZERO_XTOL, rtol=ZERO_RTOL)
         if zeros and abs(rz - zeros[-1][0]) < 10 * ZERO_XTOL:
             continue
         vz = _quartic_on_step(rz, b, vb, t0, h, v0, d0, d1, d2, d3)
@@ -660,7 +624,8 @@ def _locate_zeros(brackets, n_dim, e_inv):
 
 
 def _crossings(pairs, sup_uprime):
-    return [ZeroCrossing(r, up, _sup_uprime=sup_uprime) for r, up in pairs]
+    simple = SIMPLICITY_FACTOR * sup_uprime
+    return [ZeroCrossing(r, up, abs(up) < simple) for r, up in pairs]
 
 
 def _drop_noise_tail_zeros(zeros, grid, tail_max, sup_u, sup_uprime):
@@ -683,7 +648,7 @@ def _drop_noise_tail_zeros(zeros, grid, tail_max, sup_u, sup_uprime):
         tail = tail_max[idx] if idx < len(grid) else 0.0
         if (
             tail < TAIL_NOISE_FACTOR * sup_u
-            and abs(z.uprime) < TAIL_SLOPE_FACTOR * sup_uprime()
+            and abs(z.uprime) < TAIL_SLOPE_FACTOR * sup_uprime
         ):
             kept.pop()
         else:

@@ -162,6 +162,9 @@ class RayleighResult:
     u: np.ndarray = field(repr=False, default=None)
 
 
+P_MIN_RAYLEIGH = 1.3  # rayleigh_mu1 refuses p at or below this
+
+
 def rayleigh_mu1(
     problem: Problem,
     nu: str = "+",
@@ -181,11 +184,14 @@ def rayleigh_mu1(
 
     nu='-' is the exact mirror: minus the value for the negated weight.
 
-    At p <= 1.3 the descent stops at ``max_iter`` with ``converged=False``
-    short of the minimum (relative error 7.1e-3 at p = 1.2 and 3.6e-4 at
-    p = 1.3 against the m = 1 closed form); at p = 1.5 it converges in
-    177 iterations.
+    Refuses p <= P_MIN_RAYLEIGH with PreconditionError: there the descent
+    stops at ``max_iter`` short of the minimum (relative error 7.1e-3 at
+    p = 1.2 and 3.6e-4 at p = 1.3 against the m = 1 closed form), too far
+    off for a cross-check; at p = 1.5 it converges in 177 iterations.
     """
+    if problem.p <= P_MIN_RAYLEIGH:
+        raise PreconditionError(
+            f"rayleigh_mu1 does not converge for p <= {P_MIN_RAYLEIGH}, got p = {problem.p}")
     if nu == "-":
         res = rayleigh_mu1(
             problem_with_weight(problem, problem.m.negated()),

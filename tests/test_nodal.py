@@ -267,29 +267,50 @@ def test_branch_names_a_missing_bracket():
 def test_nodal_solves_probe_no_shot_twice(monkeypatch, kernel):
     # the bracket ends are probed once, by the caller; the solve and the
     # in-class check at its root take them as they are.  Without the
-    # kernel every trial of Brent's method is a probe as well.
+    # kernel every trial of Brent's method is a probe as well; with it the
+    # probe at a root is read off the solve, never shot again, also where
+    # its tail filter reads sup |u'|.
     if not kernel:
         monkeypatch.setattr(_kernel, "load", lambda: None)
     keys, real = [], radial_ivp.probe
+    roots, solve = [], radial_ivp.solve_miss
 
     def spy(problem, alpha, *, rtol, atol, **kw):
         keys.append((problem, alpha, rtol, atol))
         return real(problem, alpha, rtol=rtol, atol=atol, **kw)
 
+    def solve_spy(problem, alpha, a, b, ends, *, in_alpha=False, **kw):
+        root, pr = solve(problem, alpha, a, b, ends, in_alpha=in_alpha, **kw)
+        roots.append((problem, root) if in_alpha else (problem.at(root), alpha))
+        return root, pr
+
     monkeypatch.setattr(radial_ivp, "probe", spy)
     monkeypatch.setattr(nodal, "probe", spy)
+    monkeypatch.setattr(nodal, "solve_miss", solve_spy)
     spec = compute_spectrum(2.0, 1, M_LIN, 1)
+    m_steep = Weight.poly([1.0, -8.0])
     runs = (
         lambda: trace_branch(2.0, 1, M_LIN, F_REF, 1, "+", alpha_min=1e-2, alpha_max=1e2,
                              ratio=4.0, spectrum=spec),
         lambda: find_nodal(2.0, 1, M_LIN, F_REF, 0.7 * spec.mu(1, "-"), 1, "+"),
         lambda: verify_bifurcation_points(2.0, 1, M_LIN, Perturbation(2.0), [1], ("+",),
                                           alphas=(1e-1, 1e-2), spectrum=spec),
+        # the shot at the root, mu = 67.56, has one sign change, under the
+        # noise floor with a collapsed slope, which the tail filter drops
+        lambda: verify_bifurcation_points(2.0, 1, m_steep, Perturbation(2.0), [1], ("+",),
+                                          alphas=(1e-1,)),
     )
     for run in runs:
         keys.clear()
+        roots.clear()
         run()
-        assert keys and len(set(keys)) == len(keys)
+        assert keys and roots and len(set(keys)) == len(keys)
+        at_roots = [key for key in keys if key[:2] in roots]
+        assert len(at_roots) == (0 if kernel else len(roots))
+    problem, alpha = roots[0]  # alpha = 0.1; roots[1] is its mirror at -0.1
+    shot = shoot(problem, alpha, n_samples=radial_ivp.PROBE_SAMPLES)
+    assert shot.zeros == () and len(radial_ivp._scan_reference(
+        shot.dense, radial_ivp.DEFAULT_EPS, 1.0, radial_ivp.PROBE_SAMPLES, 1, 1.0)[-1]) == 1
 
 
 def test_find_nodal_negative_gamma():

@@ -1,5 +1,7 @@
 import gc
+import inspect
 import math
+import re
 import shlex
 import shutil
 import sysconfig
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
 
-from pspect import _kernel, radial_ivp
+from pspect import _kernel, _rk45, radial_ivp
 from pspect._rk45 import DenseOutput, integrate
 from pspect.errors import IntegrationError, PreconditionError
 from pspect.nodal import Nonlinearity, Perturbation
@@ -540,8 +542,10 @@ def assert_reduction_matches(shot, prob, blowup_limit, want):
     reading = _kernel.reduce(shot.dense.block, shot.dense.n, EPS, r_end,
                              radial_ivp.PROBE_SAMPLES, prob.N, e_inv, blowup_limit is not None)
     if reading is not None:
-        assert_same_probe(radial_ivp._probe_of(reading, shot.blowup_radius is not None,
-                                               shot.steps, prob.N, e_inv), want)
+        blowup = shot.blowup_radius is not None
+        d = math.copysign(radial_ivp.BLOWUP_MISS, reading.u_end) if blowup else reading.u1
+        assert_same_probe(radial_ivp.Probe(d, reading.z, blowup, reading.sup_u, shot.steps),
+                          want)
     return reading
 
 
@@ -568,11 +572,13 @@ def assert_post_pass_matches_reference(monkeypatch, prob, alpha, *, rtol=1e-10, 
     scan = _kernel.scan(got.dense.block, got.dense.n, EPS, r_end, n_samples, prob.N,
                         1.0 / (prob.p - 1.0))
     if scan is not None:
-        *samples, brackets = radial_ivp._scan_reference(got.dense, EPS, r_end, n_samples)
-        for a, b in zip(scan, samples):  # grid, u, v, tail maxima, u(1)
+        *samples, brackets = radial_ivp._scan_reference(got.dense, EPS, r_end, n_samples,
+                                                        prob.N, 1.0 / (prob.p - 1.0))
+        assert len(samples) == 6
+        for a, b in zip(scan, samples):  # grid, u, v, tail maxima, u(1), sup |u'|
             assert _same_bits(a, b)
         zeros = radial_ivp._locate_zeros(brackets, prob.N, 1.0 / (prob.p - 1.0))
-        assert _same_bits(scan[5], zeros) and len(scan[5]) == len(zeros)
+        assert _same_bits(scan[6], zeros) and len(scan[6]) == len(zeros)
     return got, reading
 
 
@@ -591,8 +597,8 @@ POST_PASS_CASES = {
     "blowup-68-samples": (Problem.linear(2.0, 1, Weight.poly([1.0, -8.0]), 3.0e4), 1.0,
                           dict(n_samples=68)),
     # mu_1^+ of 1 - 8r: the tail filter drops the one sign change of the
-    # shot, an interior zero below the noise floor, which the kernel leaves
-    # to Python
+    # shot, an interior zero below the noise floor with a collapsed slope;
+    # the kernel decides that itself
     "noise-tail": (Problem.linear(2.0, 1, Weight.poly([1.0, -8.0]), 67.67648508344031), 1.0,
                    dict(blowup_limit=1e100, n_samples=65)),
     "cos64-N1": (Problem.linear(1.5, 1, COS64, -1625.6), 1.0, {}),
@@ -652,9 +658,9 @@ def test_post_pass_matches_reference(monkeypatch, scan_results, probe_results, c
     if case.startswith("blowup"):
         assert shot.blowup_radius is not None and shot.terminal is None
     elif case == "noise-tail":
-        brackets = radial_ivp._scan_reference(shot.dense, EPS, 1.0, 65)[5]
+        brackets = radial_ivp._scan_reference(shot.dense, EPS, 1.0, 65, 1, 1.0)[-1]
         assert len(brackets) == 1 and shot.zeros == ()
-        assert reading is None or (reading.z is None and len(reading.tail[3]) == 1)
+        assert reading.z == 0 if _kernel.load() else reading is None
     elif case == "source-zero-at-node":
         assert shot.u[0] == 0.0 and shot.zeros[0].r == EPS
     elif case == "long-shot":
@@ -675,6 +681,25 @@ def test_post_pass_on_the_kernel_where_a_compiler_is(scan_results):
     shoot(Problem.linear(2.5, 1, M_LIN, 300.0), 1.0)
     assert len(scan_results) == 1
     assert (scan_results[0] is not None) == _has_compiler()
+
+
+@needs_kernel
+def test_sup_uprime_takes_libm_powers_on_both_passes():
+    # numpy's array power need not round as libm's pow does; the kernel and
+    # its reference take r^(N-1) and the outer power with libm's, so they
+    # agree by bits on shots where array powers would not.  Each shot here
+    # has u = 1 and a constant v on each of its 8 steps, random in units of
+    # the step's first r^(N-1), so that |u'| peaks at a random node.
+    rng = np.random.default_rng(20261019)
+    for _ in range(300):
+        n, n_dim, e_inv = 8, int(rng.integers(1, 6)), 1.0 / (rng.uniform(1.2, 6.0) - 1.0)
+        nodes = np.concatenate(([EPS], np.sort(rng.uniform(EPS, 1.0, n - 1)), [1.0]))
+        v = rng.uniform(-1.0, 1.0, n) * 10.0**rng.integers(-3, 4) * nodes[:n]**(n_dim - 1)
+        starts = np.column_stack((np.ones(n), v))
+        block = np.concatenate((nodes, starts.ravel(), np.diff(nodes), np.zeros(8 * n)))
+        got = _kernel.scan(block, n, EPS, 1.0, 9, n_dim, e_inv)[5]
+        want = radial_ivp._scan_reference(DenseOutput(block, n), EPS, 1.0, 9, n_dim, e_inv)[5]
+        assert _same_bits(got, want)
 
 
 @needs_kernel
@@ -734,6 +759,25 @@ def _zero_near_one(n, b):
     ))
 
 
+STEEP_FROM = 0.999
+
+
+def _steep_zero_under_noise(n, b):
+    """The steps that start below STEEP_FROM, the last cut to end there, and
+    a step to 1 on which u = 1e-12 (2 theta - 1) and v is the v of largest
+    magnitude among the start values: an interior zero at 0.9995 with |u|
+    under the noise floor after it, and a slope that has not collapsed."""
+    k = int(np.searchsorted(b[:n], STEEP_FROM))  # the steps kept
+    vs = b[n + 2:3 * n + 1:2]
+    v_big = vs[np.argmax(np.abs(vs))]
+    return k + 1, np.concatenate((
+        b[:k], [STEEP_FROM, 1.0],                                   # nodes
+        b[n + 1:n + 1 + 2 * k], [-1e-12, v_big],                    # start values
+        b[3 * n + 1:3 * n + k], [STEEP_FROM - b[k - 1], 1.0 - STEEP_FROM],  # step sizes
+        b[4 * n + 1:4 * n + 1 + 8 * k], [2e-12, 0.0, 0.0, 0.0] + [0.0] * 4,  # coefficients
+    ))
+
+
 def _edited(integrate_fn, edit):
     """integrate_fn with edit(n, block) -> (n, block) applied to its dense output."""
 
@@ -746,7 +790,8 @@ def _edited(integrate_fn, edit):
 
 
 @pytest.mark.parametrize("n_dim", [1, 2, 3])
-@pytest.mark.parametrize("edit", [_zero_last_ulp, _nan_inside, _twin_zero, _zero_near_one])
+@pytest.mark.parametrize("edit", [_zero_last_ulp, _nan_inside, _twin_zero, _zero_near_one,
+                                  _steep_zero_under_noise])
 def test_post_pass_matches_reference_on_edited_shots(monkeypatch, scan_results, edit, n_dim):
     # the fused probe never sees an edited march; the kernel's reduction of
     # the edited block stands in for it
@@ -765,14 +810,20 @@ def test_post_pass_matches_reference_on_edited_shots(monkeypatch, scan_results, 
         assert _kernel.reduce(shot.dense.block, n, EPS, 1.0, 65, n_dim, 1 / 1.5, False) is None
     elif edit is _twin_zero:
         node = shot.dense.block[shot.dense.n // 2 + 1]
-        brackets = radial_ivp._scan_reference(shot.dense, EPS, 1.0, 513)[5]
+        brackets = radial_ivp._scan_reference(shot.dense, EPS, 1.0, 513, n_dim, 1 / 1.5)[-1]
         assert sum(abs(a - node) < 1e-9 or abs(b - node) < 1e-9 for a, b, *_ in brackets) == 2
         assert sum(abs(z.r - node) < 10 * radial_ivp.ZERO_XTOL for z in shot.zeros) == 1
-    else:
+    elif edit is _zero_near_one:
         assert 1.0 - radial_ivp.BOUNDARY_MARGIN < shot.zeros[-1].r < 1.0
         assert len(shot.interior_zeros) == len(shot.zeros) - 1
+    else:  # the tail filter reads the slope of the last zero, and keeps it
+        last = shot.zeros[-1]
+        assert abs(last.r - 0.9995) < 1e-12 and shot.interior_zeros[-1] == last
+        assert np.max(np.abs(shot.u[shot.r > last.r])) < radial_ivp.TAIL_NOISE_FACTOR * shot.sup_u
+        assert abs(last.uprime) >= radial_ivp.TAIL_SLOPE_FACTOR * shot.sup_uprime
+        assert reading is None or reading.z == len(shot.interior_zeros)
     if _kernel.load() is not None:
-        assert reading is not None and reading.tail is None
+        assert reading is not None
         assert len(scan_results) == 4 and None not in scan_results
 
 
@@ -824,6 +875,25 @@ def test_probe_does_not_shoot_where_a_compiler_is(monkeypatch):
     monkeypatch.setattr(_kernel, "load", lambda: None)
     assert_same_probe(probe(prob, 1.0, rtol=1e-10, atol=1e-12), pr)
     assert len(shots) == 1 + (not _has_compiler())
+
+
+def test_compiled_probe_calls_no_python_f(monkeypatch):
+    # the kernel starts the shot as well: no right-hand side is made in
+    # Python, so no Python f runs; the Python path makes two per probe
+    made = []
+    for cls in (LinearRHS, radial_ivp.NonlinearRHS, radial_ivp.PerturbedRHS):
+        monkeypatch.setattr(cls, "make", lambda self, *args, make=cls.make:
+                            made.append(self) or make(self, *args))
+    probs = [Problem.linear(2.5, 2, M_LIN, 37.5),
+             Problem.nonlinear(2.5, 3, M_LIN, 37.5, Nonlinearity.rational(2.5)),
+             Problem.nonlinear(2.5, 1, M_LIN, 37.5, Nonlinearity.phi(2.5)),
+             Problem.perturbed(2.5, 2, M_LIN, 37.5, Perturbation(2.5))]
+    kernel = [probe(prob, 1.0, rtol=1e-10, atol=1e-12) for prob in probs]
+    assert len(made) == (0 if _has_compiler() else 2 * len(probs))
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    for prob, pr in zip(probs, kernel):
+        assert_same_probe(probe(prob, 1.0, rtol=1e-10, atol=1e-12), pr)
+    assert len(made) == (2 if _has_compiler() else 4) * len(probs)
 
 
 @needs_kernel
@@ -879,6 +949,42 @@ def test_kernel_hands_back_a_rational_shot_whose_power_overflows(kernel_results)
 def _has_compiler():
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
     return bool(cc) and shutil.which(cc[0]) is not None
+
+
+def _c_constants():
+    """The #define values and enum members of the kernel source, by name."""
+    with open(_kernel.SOURCE) as fh:
+        source = fh.read()
+    values = {name: eval(value) for name, value in  # a number, or a quotient of two
+              re.findall(r"^#define (\w+) (\(?-?[\d.e-]+(?: / [\d.]+)?\)?)\s", source, re.M)}
+    for body in re.findall(r"enum \{(.*?)\}", source, re.S):
+        values.update((name, int(v)) for name, v in re.findall(r"(\w+) = (\d+)", body))
+    return values
+
+
+def test_kernel_constants_match_python():
+    # _rk45_kernel.c repeats these; a value changed on one side only would
+    # break the bit-identity of the two paths
+    c = _c_constants()
+    python = {
+        "ZERO_XTOL": radial_ivp.ZERO_XTOL, "ZERO_RTOL": radial_ivp.ZERO_RTOL,
+        "BRENT_MAXITER": inspect.signature(radial_ivp.brentq).parameters["maxiter"].default,
+        "BOUNDARY_MARGIN": radial_ivp.BOUNDARY_MARGIN,
+        "TAIL_NOISE_FACTOR": radial_ivp.TAIL_NOISE_FACTOR,
+        "TAIL_SLOPE_FACTOR": radial_ivp.TAIL_SLOPE_FACTOR,
+        "LOG_ROW": _kernel.LOG_ROW,
+    }
+    python.update((f"PSPECT_{name}", getattr(_kernel, name))
+                  for name in ("END", "BLOWUP", "UNDERFLOW", "FULL", "RERUN"))
+    python.update((name, getattr(_kernel, name))
+                  for name in ("LINEAR", "PHI", "RATIONAL", "PERTURBED"))
+    # the Dormand-Prince coefficients and step-size factors of _rk45
+    python.update((name, getattr(_rk45, "_" + name))
+                  for name in c if hasattr(_rk45, "_" + name))
+    assert len(python) == 16 + 48 + 3
+    assert {name: c.get(name) for name in python} == python
+    assert sorted(n for n in c if n.startswith("PSPECT_")) == sorted(
+        n for n in python if n.startswith("PSPECT_"))
 
 
 def test_kernel_in_use_where_a_compiler_is():

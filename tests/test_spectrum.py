@@ -345,6 +345,12 @@ def test_rayleigh_mirror_symmetry_exact():
     assert a.value == -b.value
 
 
+@pytest.mark.parametrize("nu", ["+", "-"])
+def test_rayleigh_refuses_p_where_it_does_not_converge(nu):
+    with pytest.raises(PreconditionError, match=r"p <= 1\.3, got p = 1\.2$"):
+        rayleigh_mu1(eig_problem(1.2, 1, M_LIN), nu)
+
+
 def test_rayleigh_rejects_weight_without_positive_part():
     with pytest.raises(PreconditionError):
         rayleigh_mu1(eig_problem(2.0, 1, Weight.constant(-1.0)), "+")
