@@ -7,28 +7,25 @@ polynomial) is stored for every accepted step, so trajectories can be
 evaluated anywhere afterwards; that is what zero location and profile
 resampling run on.
 
-Two loops step the same way.  A shot whose right-hand side has a
-compiled form (``_kernel.Rhs``: the linear problem every eigenvalue
-search shoots, and the nonlinear and perturbed problems with the
-package's built-in f and g) runs on a compiled kernel (``_kernel``,
-``_rk45_kernel.c``) that performs the operations of the Python loop
-below in the same order and so gives the same bits.  The Python loop is
-the reference; it serves the source problem, any user-supplied f or g,
-and any shot the kernel cannot take (no compiler, or a float operation
-that raises in Python).  Both count accepted and rejected steps and
-right-hand side calls.
+This is the Python stepper.  A shot whose right-hand side has a
+compiled form (the linear problem every eigenvalue search shoots, and
+the nonlinear and perturbed problems with the package's built-in f and
+g) runs whole on the compiled kernel instead (``_kernel``,
+``_rk45_kernel.c``), which ports this module's start and loop operation
+for operation and so gives the same bits; ``radial_ivp`` picks the path.
+The loop here is the reference; it serves the source problem, any
+user-supplied f or g, and any shot the kernel cannot take (no compiler,
+or a float operation that raises in Python).
 
-The Python loop deliberately avoids numpy; shots are ~1e2..1e3 steps of
+The loop deliberately avoids numpy; shots are ~1e2..1e3 steps of
 trivially cheap arithmetic, where array machinery costs more than the
 math.  For the same reason it keeps the dense coefficients in flat lists
 of floats (two start values and eight theta-polynomial coefficients per
 step, u before v) and makes them one array at the end; the kernel fills
 an array of the same layout, and both hand it to :class:`DenseOutput`.
 
-The right-hand side stays a callable argument: the kernel still takes
-f for the first derivative and the initial step guess, and a caller can
-wrap f to count or time its evaluations without touching either loop.
-(A probe starts in C as well: ``_kernel.probe`` ports this start.)
+The right-hand side is a callable argument, so a caller can wrap f to
+count or time its evaluations without touching the loop.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernel
 from .errors import IntegrationError
 
 # Dormand-Prince coefficients
@@ -212,17 +208,13 @@ def _underflow(t: float) -> IntegrationError:
     return IntegrationError(f"step size underflow at r = {t:.6e}")
 
 
-def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None, compiled=None):
+def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None):
     """March from t0 to t_end; returns (ts, dense, blowup_t, steps).
 
     ts: the accepted nodes (an array).  blowup_t is the radius where |u|
     first exceeded blowup_limit (integration stops there), or None if
     t_end was reached.  steps: the :class:`StepCounts` of the march.
     Raises IntegrationError on step-size underflow.
-
-    ``compiled`` is the :class:`_kernel.Rhs` that f computes, or None; with
-    it the step loop runs on the compiled kernel where it is available,
-    with the same result.
     """
     t, u, v = t0, float(y0[0]), float(y0[1])
     fu, fv = f(t0, u, v)
@@ -233,17 +225,6 @@ def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None, compiled=None)
 
     h = _initial_step(f, t0, (u, v), (fu, fv), t_end, rtol, atol_u, atol_v)
     h_min = 16 * abs(t_end - t0) * 2.3e-16 + 1e-300
-
-    if compiled is not None:
-        out = _kernel.run(compiled, t, u, v, fu, fv, h, t_end, h_min, rtol, atol_u, atol_v,
-                          blowup_limit)
-        if out is not None:
-            status, t, block, accepted, rejected = out
-            if status == _kernel.UNDERFLOW:
-                raise _underflow(t)
-            blowup_t = t if status == _kernel.BLOWUP else None
-            steps = StepCounts.of(accepted, rejected)
-            return block[:accepted + 1], DenseOutput(block, accepted), blowup_t, steps
 
     seg_t, seg_y0, seg_h, seg_coef = [], [], [], []
     blowup_t = None

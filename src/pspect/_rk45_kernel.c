@@ -1,20 +1,22 @@
-/* Compiled step loop of pspect._rk45.integrate for the radial problems, the
- * post-pass of pspect.radial_ivp.shoot over a finished shot, the whole of
- * radial_ivp.probe, and Brent's method over probes.  Entry points:
+/* The compiled shot of pspect.radial_ivp for the radial problems: the start
+ * at the origin, the step loop of pspect._rk45.integrate, the post-pass of
+ * radial_ivp.shoot over a finished shot, the whole of radial_ivp.probe, and
+ * Brent's method over probes.  Entry points:
  *
- *   pspect_dp45     the step loop of one shot
+ *   pspect_shoot    one shot: the start, the march to r = 1 and pspect_scan
  *   pspect_scan     the post-pass: samples, sup |u|, sup |u'|, u(1) and the
  *                   zeros of u
  *   pspect_reduce   a finished shot reduced to a probe (D, Z, sup |u|)
- *   pspect_probe    one probe: the start, pspect_dp45, then pspect_reduce
+ *   pspect_probe    one probe: the start, the march, then pspect_reduce
  *   pspect_solve    the root of the miss D in lam or u(0): one call per solve
  *   pspect_apply_f  F of the PHI and RATIONAL families on an array
  *
  * and pspect_hypot, the port of math.hypot the start takes, for its test.
+ * pspect_shoot, pspect_probe and pspect_solve each take one struct Shot.
  *
- * pspect_dp45 runs the Dormand-Prince 5(4) loop of _rk45.integrate with the
- * right-hand side radial_ivp._system(p, N, w) written into it, for the
- * built-in forms of w (struct Rhs, family):
+ * The march (march, then dp45) runs the Dormand-Prince 5(4) loop of
+ * _rk45.integrate with the right-hand side radial_ivp._system(p, N, w)
+ * written into it, for the built-in forms of w (struct Rhs, family):
  *
  *     LINEAR     w = mu m(r) _sgnpow(u, p - 1)               (LinearRHS)
  *     PHI        w = gamma m(r) F(u), F = Nonlinearity.phi   (NonlinearRHS)
@@ -36,7 +38,7 @@
  *   - max and min keep their first argument on ties and NaN, as Python's do.
  * Where a Python float operation would raise (a power that overflows, a
  * division by zero), the kernel stops with PSPECT_RERUN and the caller
- * repeats the shot on the Python stepper, which raises or not exactly as it
+ * repeats the shot on the Python path, which raises or not exactly as it
  * always has.  A power that returns inf stops it too, although Python
  * returns inf for an infinite base: the Python stepper decides those shots.
  *
@@ -50,7 +52,7 @@
 enum {
     PSPECT_END = 0,       /* reached t_end */
     PSPECT_BLOWUP = 1,    /* |u| reached the blow-up limit */
-    PSPECT_UNDERFLOW = 2, /* step size fell below h_min at r = state[0] */
+    PSPECT_UNDERFLOW = 2, /* step size fell below h_min */
     PSPECT_FULL = 3,      /* more accepted steps than the buffers hold */
     PSPECT_RERUN = 4      /* Python would raise; repeat on the Python stepper */
 };
@@ -124,6 +126,18 @@ typedef struct {
     double gc, ge;      /* PERTURBED: c and p - 1 + delta of the Perturbation */
     int bad;            /* set where Python would raise */
 } Rhs;
+
+/* one shot from u(0) = alpha to r = 1 (radial_ivp._shot builds it): m0 is
+   the weight at 0 (Weight.eval_scalar's), p_conj p / (p - 1), eps the start
+   radius, the guard |u| < blowup_limit holds where has_limit, and the shot
+   is read on a grid of n_samples uniform points united with its nodes */
+typedef struct {
+    Rhs rhs;
+    double alpha, m0, p_conj, eps, rtol, atol_u, atol_v;
+    int has_limit;
+    double blowup_limit;
+    int64_t n_samples;
+} Shot;
 
 #define INLINE static inline __attribute__((always_inline))
 
@@ -264,14 +278,21 @@ INLINE void rhs(Rhs *R, int family, double r, double u, double v, double *du, do
     }
 }
 
-/* The loop of _rk45.integrate after its initial step; see pspect_dp45. */
-INLINE int dp45(Rhs *R, int family, double *state, double t_end, double h_min,
-                double rtol, double atol_u, double atol_v, int has_limit,
-                double blowup_limit, int64_t cap, double *buf, int64_t *steps)
+/* The loop of _rk45.integrate after its initial step, to r = 1, with the w
+   of *R and the tolerances and guard of *S, from the state t, u, v,
+   f(t, u, v), h; *t_stop receives the t where it stopped.  buf holds
+   12 cap + 1 doubles.  On return, unless the status is PSPECT_FULL, its first 12 n + 1
+   hold the n accepted steps as _rk45.DenseOutput reads them: the nodes
+   ts[0..n] (ts[n] is the final t), then u0, v0 of each step, the step sizes,
+   and the eight theta-polynomial coefficients of each step.  steps receives
+   the accepted and the rejected step counts. */
+INLINE int dp45(Rhs *R, int family, const Shot *S, const double *state, double h_min,
+                int64_t cap, double *buf, double *t_stop, int64_t *steps)
 {
     double *ts = buf, *y0s = buf + cap + 1, *hs = buf + 3 * cap + 1, *coef = buf + 4 * cap + 1;
     double t = state[0], u = state[1], v = state[2];
     double fu = state[3], fv = state[4], h = state[5];
+    double rtol = S->rtol, atol_u = S->atol_u, atol_v = S->atol_v, t_end = 1.0;
     int64_t n = 0, rejected = 0;
     int status = PSPECT_END;
 
@@ -344,7 +365,7 @@ INLINE int dp45(Rhs *R, int family, double *state, double t_end, double h_min,
         t += h;
         u = u1;
         v = v1;
-        if (has_limit && fabs(u1) >= blowup_limit) {
+        if (S->has_limit && fabs(u1) >= S->blowup_limit) {
             status = PSPECT_BLOWUP;
             break;
         }
@@ -359,41 +380,10 @@ INLINE int dp45(Rhs *R, int family, double *state, double t_end, double h_min,
         memmove(buf + 3 * n + 1, hs, n * sizeof(double));
         memmove(buf + 4 * n + 1, coef, 8 * n * sizeof(double));
     }
-    state[0] = t;
-    state[1] = u;
-    state[2] = v;
+    *t_stop = t;
     steps[0] = n;
     steps[1] = rejected;
     return status;
-}
-
-/* The loop of _rk45.integrate after its initial step, with the w of *rhs.
-   state holds t, u, v, f(t, u, v) and h on entry, and t, u, v on return.
-   buf holds 12 cap + 1 doubles.  On return, unless the status is
-   PSPECT_FULL, its first 12 n + 1 hold the n accepted steps as
-   _rk45.DenseOutput reads them: the nodes ts[0..n] (ts[n] is the final t),
-   then u0, v0 of each step, the step sizes, and the eight theta-polynomial
-   coefficients of each step.  steps receives the accepted and the rejected
-   step counts. */
-int pspect_dp45(const Rhs *rhs, double *state, double t_end, double h_min,
-                double rtol, double atol_u, double atol_v, int has_limit,
-                double blowup_limit, int64_t cap, double *buf, int64_t *steps)
-{
-    Rhs R = *rhs;
-    R.bad = 0;
-#define LOOP(family) dp45(&R, family, state, t_end, h_min, rtol, atol_u, atol_v, \
-                          has_limit, blowup_limit, cap, buf, steps)
-    switch (R.family) {
-    case LINEAR:
-        return LOOP(LINEAR);
-    case PHI:
-        return LOOP(PHI);
-    case RATIONAL:
-        return LOOP(RATIONAL);
-    default:
-        return LOOP(PERTURBED);
-    }
-#undef LOOP
 }
 
 /* ------------------------------------------------------------------------
@@ -411,6 +401,7 @@ int pspect_dp45(const Rhs *rhs, double *state, double t_end, double h_min,
 #define BOUNDARY_MARGIN 1e-6   /* radial_ivp.BOUNDARY_MARGIN */
 #define TAIL_NOISE_FACTOR 1e-7 /* radial_ivp.TAIL_NOISE_FACTOR */
 #define TAIL_SLOPE_FACTOR 1e-3 /* radial_ivp.TAIL_SLOPE_FACTOR */
+#define BLOWUP_MISS 1e12       /* radial_ivp.BLOWUP_MISS */
 
 /* DenseOutput.__call__ on step i at t: theta = (t - ts[i]) / hs[i], then
    each quartic from its theta^4 coefficient down */
@@ -419,15 +410,8 @@ static void dense_at(const double *ts, const double *y0s, const double *hs,
 {
     double th = (t - ts[i]) / hs[i];
     const double *c = coef + 8 * i;
-    double au = c[3], av = c[7];
-    au = au * th + c[2];
-    av = av * th + c[6];
-    au = au * th + c[1];
-    av = av * th + c[5];
-    au = au * th + c[0];
-    av = av * th + c[4];
-    *u = y0s[2 * i] + au * th;
-    *v = y0s[2 * i + 1] + av * th;
+    *u = y0s[2 * i] + (((c[3] * th + c[2]) * th + c[1]) * th + c[0]) * th;
+    *v = y0s[2 * i + 1] + (((c[7] * th + c[6]) * th + c[5]) * th + c[4]) * th;
 }
 
 /* The step DenseOutput evaluates at t: searchsorted(ts[:n], t, side="right")
@@ -465,14 +449,13 @@ static double quartic_on_step(int *bad, double t, double b, double yb, const dou
    nonzero status that ends the solve. */
 typedef int (*brent_fn)(void *ctx, double x, double *fx);
 
-/* radial_ivp.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter, fa=fa,
-   fb=fb), step for step: the tuple swaps, min keeping its first argument on
-   ties, and sign tests by copysign.  Returns 0 with the zero in *root, the
-   status of f where f returns one, or PSPECT_RERUN where the Python one
-   raises: a NaN value, no sign change, a division by zero or no
-   convergence. */
+/* radial_ivp.brentq(f, a, b, xtol=xtol, rtol=rtol, fa=fa, fb=fb), step for
+   step: the tuple swaps, min keeping its first argument on ties, and sign
+   tests by copysign.  Returns 0 with the zero in *root, the status of f
+   where f returns one, or PSPECT_RERUN where the Python one raises: a NaN
+   value, no sign change, a division by zero or no convergence. */
 static int brentq(brent_fn f, void *ctx, double a, double b, double fa, double fb,
-                  double xtol, double rtol, int64_t maxiter, double *root)
+                  double xtol, double rtol, double *root)
 {
     int bad = 0;
     double xpre = a, xcur = b, xblk = 0.0, fblk = 0.0, spre = 0.0, scur = 0.0;
@@ -489,20 +472,19 @@ static int brentq(brent_fn f, void *ctx, double a, double b, double fa, double f
     }
     if (copysign(1.0, fpre) == copysign(1.0, fcur))
         return PSPECT_RERUN;
-    for (int64_t it = 0; it < maxiter; it++) {
+    for (int it = 0; it < BRENT_MAXITER; it++) {
         if (fpre != 0.0 && fcur != 0.0 && copysign(1.0, fpre) != copysign(1.0, fcur)) {
             xblk = xpre;
             fblk = fpre;
             spre = scur = xcur - xpre;
         }
         if (fabs(fblk) < fabs(fcur)) { /* xpre, xcur, xblk = xcur, xblk, xcur */
-            double x = xcur, fx = fcur;
-            xpre = x;
+            xpre = xcur;
             xcur = xblk;
-            xblk = x;
-            fpre = fx;
+            xblk = xpre;
+            fpre = fcur;
             fcur = fblk;
-            fblk = fx;
+            fblk = fpre;
         }
         double delta = (xtol + rtol * fabs(xcur)) / 2;
         double sbis = (xblk - xcur) / 2;
@@ -565,11 +547,11 @@ static int refine_zero(double a, double b, double yb, const double *q, double *r
     double ya;
     if (quartic_fn(&Q, a, &ya))
         return PSPECT_RERUN;
-    return brentq(quartic_fn, &Q, a, b, ya, yb, ZERO_XTOL, ZERO_RTOL, BRENT_MAXITER, root);
+    return brentq(quartic_fn, &Q, a, b, ya, yb, ZERO_XTOL, ZERO_RTOL, root);
 }
 
 /* The post-pass of radial_ivp.shoot over a shot of n >= 1 steps held in
-   block as pspect_dp45 leaves it, with n_samples >= 2 and cap =
+   block as dp45 leaves it, with n_samples >= 2 and cap =
    n_samples + n + 1:
      samples[0..cap)       the grid union1d(linspace(eps, r_end, n_samples), ts)
      samples[cap..2 cap)   u on the grid
@@ -691,7 +673,8 @@ int pspect_scan(const double *block, int64_t n, double eps, double r_end, int64_
 
 /* ------------------------------------------------------------------------
  * pspect_reduce and pspect_probe: radial_ivp.probe, a shot reduced to the
- * miss D, the interior zero count Z and sup |u|, without the trajectory.
+ * miss D, the interior zero count Z and sup |u|, without the trajectory;
+ * pspect_shoot: radial_ivp.shoot.
  */
 
 /* numpy's searchsorted(grid[:g], r, side="left"), NaN ordered last */
@@ -708,10 +691,12 @@ static int64_t search_left(const double *grid, int64_t g, double r)
     return lo;
 }
 
-static int all_finite(const double *x, int64_t n)
+/* radial_ivp._require_finite: the start values and coefficients of the n
+   steps in block are finite (the step sizes are not read) */
+static int steps_finite(const double *block, int64_t n)
 {
-    for (int64_t k = 0; k < n; k++)
-        if (!isfinite(x[k]))
+    for (int64_t k = n + 1; k < 12 * n + 1; k++)
+        if (!isfinite(block[k]) && !(k >= 3 * n + 1 && k < 4 * n + 1))
             return 0;
     return 1;
 }
@@ -732,8 +717,7 @@ static int all_finite(const double *x, int64_t n)
 int pspect_reduce(const double *block, int64_t n, double eps, double r_end, int64_t n_samples,
                   int64_t n_dim, double e_inv, int guarded, double *work, double *out)
 {
-    /* radial_ivp._require_finite: the start values and coefficients */
-    if (!guarded && !(all_finite(block + n + 1, 2 * n) && all_finite(block + 4 * n + 1, 8 * n)))
+    if (!guarded && !steps_finite(block, n))
         return PSPECT_RERUN;
     int64_t cap = n_samples + n + 1, counts[2];
     double *scratch = work + 3 * cap;
@@ -820,23 +804,22 @@ static int hypot2(double x, double y, double *out)
     return 0;
 }
 
-/* radial_ivp.origin_startup (m(0) = m0, Weight.eval_scalar's), then the
-   start of _rk45.integrate with its _initial_step: the state (t, u, v,
-   f(t, u, v), h) at t = eps the march starts from, and the smallest step.
-   Returns 1 where Python would raise or hypot2 hands its inputs back. */
-static int startup(Rhs *R, double alpha, double m0, double p_conj, double eps, double t_end,
-                   double rtol, double atol_u, double atol_v, double *state, double *h_min)
+/* radial_ivp.origin_startup of the shot *S, then the start of
+   _rk45.integrate with its _initial_step: the state (t, u, v, f(t, u, v), h)
+   at t = eps the march starts from, and the smallest step.  Returns 1 where
+   Python would raise or hypot2 hands its inputs back. */
+static int startup(Rhs *R, const Shot *S, double *state, double *h_min)
 {
     int *bad = &R->bad, family = (int)R->family;
-    double n = (double)R->n_dim;
-    double w0 = w_of(R, family, m0, alpha);
+    double alpha = S->alpha, p_conj = S->p_conj, eps = S->eps, t_end = 1.0, n = (double)R->n_dim;
+    double w0 = w_of(R, family, S->m0, alpha);
     double u = alpha - sgnpow(bad, w0 / n, p_conj - 1.0) * py_pow(bad, eps, p_conj) / p_conj;
     double v = -w0 * py_pow(bad, eps, n) / n;
 
     double fu, fv, f1u, f1v, d0, d1, d2;
     rhs(R, family, eps, u, v, &fu, &fv);
-    double scale_u = atol_u + rtol * fabs(u);
-    double scale_v = atol_v + rtol * fabs(v);
+    double scale_u = S->atol_u + S->rtol * fabs(u);
+    double scale_v = S->atol_v + S->rtol * fabs(v);
     if (hypot2(py_div(bad, u, scale_u), py_div(bad, v, scale_v), &d0)
         || hypot2(py_div(bad, fu, scale_u), py_div(bad, fv, scale_v), &d1))
         return 1;
@@ -852,54 +835,83 @@ static int startup(Rhs *R, double alpha, double m0, double p_conj, double eps, d
                                            : py_pow(bad, 0.01 / py_max(d1, d2), 0.2);
     double h = py_min(py_min(100 * h0, h1), t_end - eps);
 
-    state[0] = eps;
-    state[1] = u;
-    state[2] = v;
-    state[3] = fu;
-    state[4] = fv;
-    state[5] = h;
+    const double start[6] = {eps, u, v, fu, fv, h};
+    memcpy(state, start, sizeof start);
     *h_min = 16 * fabs(t_end - eps) * 2.3e-16 + 1e-300;
     return R->bad;
 }
 
-/* radial_ivp.probe with the right-hand side *rhs from u(0) = alpha, to its
-   bits: startup (m0 the weight at 0, Weight.eval_scalar's, and p_conj
-   p / (p - 1)), pspect_dp45 to r = 1, then pspect_reduce over the block it
-   leaves at the front of buf.  buf holds 12 cap + 1 doubles for the march
-   and then the work of pspect_reduce for a shot of cap steps (20 cap +
-   4 n_samples + 8 in all).  An END or BLOWUP shot fills rec: D (u(1), or
-   blowup_miss signed by u where a shot with a blow-up limit stopped),
-   sup |u|, Z, 1 for a blow-up, and the accepted and the rejected steps;
-   after UNDERFLOW rec[0] is the r where the step size underflowed.  Returns
-   the status of the march, or PSPECT_RERUN where Python would raise on the
-   way (alpha = 0 among them) or hypot2 hands its inputs back. */
-int pspect_probe(const Rhs *rhs, double alpha, double m0, double p_conj, double eps,
-                 double rtol, double atol_u, double atol_v, int has_limit, double blowup_limit,
-                 double blowup_miss, int64_t n_samples, int64_t cap, double *buf, double *rec)
+/* The march of the shot *S: startup, then dp45 to r = 1 with the family of
+   its right-hand side, into buf (12 cap + 1 doubles).  *t receives the r
+   where the march stopped and steps the accepted and the rejected steps.
+   Returns the status of dp45, or PSPECT_RERUN where Python would raise on
+   the way (alpha = 0 and an eps outside (0, 1e-4] among them), hypot2
+   hands its inputs back, or the grid would have fewer than 2 samples. */
+static int march(const Shot *S, int64_t cap, double *buf, double *t, int64_t *steps)
 {
-    Rhs R = *rhs;
+    Rhs R = S->rhs;
     R.bad = 0;
-    double state[6], h_min, reading[4];
-    int64_t steps[2];
-    if (alpha == 0.0
-        || startup(&R, alpha, m0, p_conj, eps, 1.0, rtol, atol_u, atol_v, state, &h_min))
+    double state[6], h_min;
+    if (S->alpha == 0.0 || !(S->eps > 0.0 && S->eps <= 1e-4) || S->n_samples < 2
+        || startup(&R, S, state, &h_min))
         return PSPECT_RERUN;
-    int status = pspect_dp45(&R, state, 1.0, h_min, rtol, atol_u, atol_v, has_limit,
-                             blowup_limit, cap, buf, steps);
-    rec[0] = state[0];
+#define LOOP(family) dp45(&R, family, S, state, h_min, cap, buf, t, steps)
+    return R.family == LINEAR     ? LOOP(LINEAR)
+           : R.family == PHI      ? LOOP(PHI)
+           : R.family == RATIONAL ? LOOP(RATIONAL)
+                                  : LOOP(PERTURBED);
+#undef LOOP
+}
+
+/* radial_ivp.shoot of the shot *S, to its bits: march, the finiteness check
+   of a shot with no guard (radial_ivp._require_finite), then pspect_scan
+   over the block from eps to r = 1 or to where the shot blew up.  buf holds
+   20 cap + 4 n_samples + 8 doubles, as for pspect_probe.  On return the
+   block of the n accepted steps is at its front, followed by the samples
+   and then the scratch of pspect_scan, each for a grid of at most
+   n_samples + n + 1 points.  *t receives the r where the march stopped,
+   and counts n, the rejected steps, the grid length and the number of
+   zeros.  Returns the status of the march, or PSPECT_RERUN where Python
+   would raise on the way. */
+int pspect_shoot(const Shot *S, int64_t cap, double *buf, double *t, int64_t *counts)
+{
+    int status = march(S, cap, buf, t, counts);
+    if (status != PSPECT_END && status != PSPECT_BLOWUP)
+        return status;
+    int64_t n = counts[0], cap_s = S->n_samples + n + 1;
+    double *samples = buf + 12 * n + 1;
+    if ((!S->has_limit && !steps_finite(buf, n))
+        || pspect_scan(buf, n, S->eps, status == PSPECT_BLOWUP ? *t : 1.0, S->n_samples,
+                       S->rhs.n_dim, S->rhs.e_inv, samples, cap_s, samples + 3 * cap_s,
+                       counts + 2))
+        return PSPECT_RERUN;
+    return status;
+}
+
+/* radial_ivp.probe of the shot *S, to its bits: march, then pspect_reduce
+   over the block it leaves at the front of buf.  buf holds 12 cap + 1
+   doubles for the march and then the work of pspect_reduce for a shot of
+   cap steps (20 cap + 4 n_samples + 8 in all).  An END or BLOWUP shot
+   fills rec: D (u(1), or BLOWUP_MISS signed by u where a shot with a
+   blow-up limit stopped), sup |u|, Z, 1 for a blow-up, and the accepted and
+   the rejected steps; after UNDERFLOW rec[0] is the r where the step size
+   underflowed.  Returns the status of the march, or PSPECT_RERUN where
+   Python would raise on the way. */
+int pspect_probe(const Shot *S, int64_t cap, double *buf, double *rec)
+{
+    double reading[4];
+    int64_t steps[2];
+    int status = march(S, cap, buf, rec, steps);
     if (status != PSPECT_END && status != PSPECT_BLOWUP)
         return status;
     int64_t n = steps[0];
     int blowup = status == PSPECT_BLOWUP;
-    if (pspect_reduce(buf, n, eps, blowup ? state[0] : 1.0, n_samples, R.n_dim, R.e_inv,
-                      has_limit, buf + 12 * n + 1, reading))
+    if (pspect_reduce(buf, n, S->eps, blowup ? rec[0] : 1.0, S->n_samples, S->rhs.n_dim,
+                      S->rhs.e_inv, S->has_limit, buf + 12 * n + 1, reading))
         return PSPECT_RERUN;
-    rec[0] = blowup ? copysign(blowup_miss, reading[1]) : reading[0];
-    rec[1] = reading[2];
-    rec[2] = reading[3];
-    rec[3] = blowup;
-    rec[4] = (double)n;
-    rec[5] = (double)steps[1];
+    const double out[6] = {blowup ? copysign(BLOWUP_MISS, reading[1]) : reading[0], reading[2],
+                           reading[3], blowup, (double)n, (double)steps[1]};
+    memcpy(rec, out, sizeof out);
     return status;
 }
 
@@ -908,12 +920,12 @@ int pspect_probe(const Rhs *rhs, double alpha, double m0, double p_conj, double 
  * alpha = u(0), by Brent's method over pspect_probe.
  */
 
-/* the arguments of pspect_probe for each trial, lam or alpha set by x */
+/* the shot of each trial, and x, the lam or alpha of the shot that each
+   trial sets */
 typedef struct {
-    Rhs R;
-    int in_alpha, has_limit;
-    double alpha, m0, p_conj, eps, rtol, atol_u, atol_v, blowup_limit, blowup_miss;
-    int64_t n_samples, cap, n_log;
+    Shot shot;
+    double *x;
+    int64_t cap, n_log;
     double *buf, *log;
 } Solve;
 
@@ -923,11 +935,8 @@ static int trial(void *ctx, double x, double *d)
 {
     Solve *S = ctx;
     double *row = S->log + LOG_ROW * S->n_log;
-    if (!S->in_alpha)
-        S->R.lam = x;
-    int status = pspect_probe(&S->R, S->in_alpha ? x : S->alpha, S->m0, S->p_conj, S->eps,
-                              S->rtol, S->atol_u, S->atol_v, S->has_limit, S->blowup_limit,
-                              S->blowup_miss, S->n_samples, S->cap, S->buf, row + 1);
+    *S->x = x;
+    int status = pspect_probe(&S->shot, S->cap, S->buf, row + 1);
     if (status == PSPECT_FULL)
         return PSPECT_FULL;
     if (status != PSPECT_END && status != PSPECT_BLOWUP)
@@ -939,25 +948,22 @@ static int trial(void *ctx, double x, double *d)
 }
 
 /* radial_ivp.brentq(lambda x: radial_ivp.probe(...).d, a, b, xtol=xtol,
-   rtol=xrtol, maxiter=maxiter, fa=fa, fb=fb) with x the lam of *rhs
-   (in_alpha == 0) or u(0) (in_alpha != 0, alpha unused), to the same bits:
-   each trial is pspect_probe, whose D is the miss.  buf holds LOG_ROW
-   maxiter doubles for the trial log and then the 20 cap + 4 n_samples + 8
-   of pspect_probe.  Returns 0 with
-   out[0] the root and out[1] the index of its trial in the log at the front
-   of buf (-1 where the root is a bracket end); PSPECT_FULL where a trial
-   takes more than cap steps; PSPECT_RERUN where the Python solve raises or
-   a trial is handed back (the caller then solves in Python). */
-int pspect_solve(const Rhs *rhs, int in_alpha, double alpha, double m0, double p_conj,
-                 double a, double b, double fa, double fb, double xtol, double xrtol,
-                 int64_t maxiter, double eps, double rtol, double atol_u, double atol_v,
-                 int has_limit, double blowup_limit, double blowup_miss, int64_t n_samples,
-                 int64_t cap, double *buf, double *out)
+   rtol=xrtol, fa=fa, fb=fb) with x the lam of the shot's right-hand side
+   (in_alpha == 0) or its u(0) (in_alpha != 0), to the same bits: each trial
+   is pspect_probe, whose D is the miss.  buf holds LOG_ROW BRENT_MAXITER
+   doubles for the trial log and then the 20 cap + 4 n_samples + 8 of
+   pspect_probe.  Returns 0 with out[0] the root and out[1] the index of its
+   trial in the log at the front of buf (-1 where the root is a bracket
+   end); PSPECT_FULL where a trial takes more than cap steps; PSPECT_RERUN
+   where the Python solve raises or a trial is handed back (the caller then
+   solves in Python). */
+int pspect_solve(const Shot *shot, int in_alpha, double a, double b, double fa, double fb,
+                 double xtol, double xrtol, int64_t cap, double *buf, double *out)
 {
-    Solve S = {*rhs, in_alpha, has_limit, alpha, m0, p_conj, eps, rtol, atol_u, atol_v,
-               blowup_limit, blowup_miss, n_samples, cap, 0, buf + LOG_ROW * maxiter, buf};
+    Solve S = {*shot, NULL, cap, 0, buf + LOG_ROW * BRENT_MAXITER, buf};
+    S.x = in_alpha ? &S.shot.alpha : &S.shot.rhs.lam;
     double root;
-    int status = brentq(trial, &S, a, b, fa, fb, xtol, xrtol, maxiter, &root);
+    int status = brentq(trial, &S, a, b, fa, fb, xtol, xrtol, &root);
     if (status)
         return status;
     int64_t k = S.n_log - 1;

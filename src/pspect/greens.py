@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 
 from .errors import PreconditionError
 from .pfuncs import _pval
@@ -65,18 +65,11 @@ class SourceTerm:
 
 
 def as_source(h) -> SourceTerm:
-    """Accept a Weight, a callable, a constant, or sampled (r, values) data."""
+    """Accept a SourceTerm, a Weight or a callable."""
     if isinstance(h, SourceTerm):
         return h
     if isinstance(h, Weight):
         return SourceTerm(eval_vec=h.__call__, breakpoints=tuple(h.breakpoints[1:-1]))
-    if isinstance(h, (int, float)):
-        c = float(h)
-        return SourceTerm(eval_vec=lambda r: np.full_like(r, c))
-    if isinstance(h, tuple) and len(h) == 2:
-        r_s, v_s = np.asarray(h[0], float), np.asarray(h[1], float)
-        interp = PchipInterpolator(r_s, v_s, extrapolate=True)
-        return SourceTerm(eval_vec=interp.__call__)
     if callable(h):
         return SourceTerm(eval_vec=lambda r: np.asarray(h(r), dtype=float))
     raise PreconditionError(f"cannot interpret source term of type {type(h)!r}")

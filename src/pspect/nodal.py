@@ -203,6 +203,8 @@ def _amplitude_grid(sigma, alpha_min, alpha_max, ratio):
     """Geometric amplitudes of sign sigma, from alpha_min until alpha_max is passed."""
     if sigma not in ("+", "-"):
         raise PreconditionError("sigma must be '+' or '-'")
+    if not ratio > 1.0:
+        raise PreconditionError(f"amplitude ratio must be > 1, got {ratio}")
     if not 0 < alpha_min < alpha_max:
         raise PreconditionError(
             f"need 0 < alpha_min < alpha_max, got alpha_min = {alpha_min:g} "

@@ -23,25 +23,28 @@ radius eps from the two-term series
 
 whose error is O(eps^{p'+1}); with the default eps = 1e-6 the startup is
 far below integrator tolerance.  Stepping is the package's own adaptive
-Dormand-Prince 5(4) with quartic dense output (``_rk45``).  Every problem
-builds its right-hand side with ``_system``; each RHS class also gives the
-stepper its compiled form (``compiled``): the linear problem, the
-nonlinear one with a built-in ``Nonlinearity`` family and the perturbed
-one with the built-in ``Perturbation`` then run on the compiled kernel
-with that right-hand side written into its loop, to the same bits.  The
-source problem, any other f or g, and a shot the kernel hands back take
-the Python stepper.
+Dormand-Prince 5(4) with quartic dense output.
 
-Whichever stepper ran it, a shot is read off its dense output in one
-compiled pass (``_kernel.scan``): the samples on a uniform grid united
-with the accepted steps, the running maxima of |u| behind them, u(1),
-max|u'| and the zeros of u.  Each sign change of u over the step nodes
-and midpoints is refined by Brent's method (:func:`brentq`) to 1e-12 in
-r on the quartic of its step.  Its references, ``_scan_reference`` in
-numpy and ``_locate_zeros``, give the same bits; they serve where the
-kernel does not load or where the refinement of a zero would raise.
-max|u'| is pow(max |v| / r^(N-1), 1/(p-1)) over the grid, each power
-libm's, in C and in the references alike.  A zero is simple when
+This module picks the path of each shot.  Where the right-hand side has a
+compiled form (``compiled``: the linear problem, the nonlinear one with a
+built-in ``Nonlinearity`` family and the perturbed one with the built-in
+``Perturbation``), :func:`shoot` is one kernel call (``_kernel.shoot``):
+the start, the march with that right-hand side written into the loop and
+the read-out, to the bits of the Python path.  The Python path serves the
+source problem, any other f or g, a missing compiler and every shot the
+kernel hands back (where Python would raise): the Python start
+(:func:`origin_startup`), the Python stepper (``_rk45.integrate``) on the
+right-hand side ``_system`` builds, then ``_scan_reference`` in numpy and
+``_locate_zeros``.  ``_shot`` builds the one block (``_kernel.Shot``) the
+kernel's shots, probes and root solves take.
+
+A shot is read off its dense output: the samples on a uniform grid
+united with the accepted steps, the running maxima of |u| behind them,
+u(1), max|u'| and the zeros of u.  Each sign change of u over the step
+nodes and midpoints is refined by Brent's method (:func:`brentq`) to
+1e-12 in r on the quartic of its step.  max|u'| is
+pow(max |v| / r^(N-1), 1/(p-1)) over the grid, each power libm's, in C
+and in the references alike.  A zero is simple when
 |u'(r_z)| >= 1e-8 * max|u'|, and the trajectory is flagged, not
 repaired, when a degenerate (u = u' = 0) point is met, since IVP
 uniqueness can fail there for p != 2.  With no blow-up guard, a shot
@@ -74,7 +77,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernel
-from ._rk45 import StepCounts, _underflow, integrate
+from ._rk45 import DenseOutput, StepCounts, _underflow, integrate
 from .errors import IntegrationError, PreconditionError
 from .pfuncs import _pval
 from .weights import Weight
@@ -91,7 +94,7 @@ ZERO_RTOL = 8.9e-16  # the rtol of a zero's refinement
 TAIL_NOISE_FACTOR = 1e-7
 TAIL_SLOPE_FACTOR = 1e-3
 PROBE_SAMPLES = 65  # grid of the shot a probe reads
-# _rk45_kernel.c repeats ZERO_XTOL, ZERO_RTOL, BOUNDARY_MARGIN and the TAIL_ factors
+# _rk45_kernel.c repeats BLOWUP_MISS, ZERO_XTOL, ZERO_RTOL, BOUNDARY_MARGIN and the TAIL_ factors
 # (tests/test_radial_ivp.py::test_kernel_constants_match_python compares them)
 
 
@@ -129,7 +132,7 @@ class LinearRHS:
         return w
 
     def compiled(self, p, n_dim, m):
-        return _kernel.Rhs(p, n_dim, m, self.mu, _kernel.LINEAR, p - 1.0)
+        return _kernel.rhs(p, n_dim, m, self.mu, _kernel.LINEAR, p - 1.0)
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,7 @@ class NonlinearRHS:
 
     def compiled(self, p, n_dim, m):
         family = _kernel_params(self.f)  # (family, e, f0, finf, q)
-        return None if family is None else _kernel.Rhs(p, n_dim, m, self.gamma, *family)
+        return None if family is None else _kernel.rhs(p, n_dim, m, self.gamma, *family)
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,7 @@ class PerturbedRHS:
 
     def compiled(self, p, n_dim, m):
         term = _kernel_params(self.g)  # (c, p - 1 + delta)
-        return None if term is None else _kernel.Rhs(
+        return None if term is None else _kernel.rhs(
             p, n_dim, m, self.mu, _kernel.PERTURBED, p - 1.0, gc=term[0], ge=term[1])
 
 
@@ -350,25 +353,37 @@ def shoot(
     u(1) is the miss that eigenvalue and amplitude scans drive to zero.
     With blowup_limit None a shot whose state overflows raises
     IntegrationError.
+
+    Where the right-hand side has a compiled form, the kernel starts,
+    marches and reads the shot in one call (``_kernel.shoot``), calling no
+    Python f.  It hands a shot back where Python would raise, and then, or
+    without a compiled form, the shot takes the Python path: the Python
+    start and stepper, then ``_scan_reference`` and ``_locate_zeros``, with
+    the same result.
     """
     if alpha == 0.0:
         raise PreconditionError("initial value alpha must be nonzero")
 
-    p, n_dim, rhs = problem.p, problem.N, problem.rhs
-    e_inv = 1.0 / (p - 1.0)
-    f = _system(p, n_dim, rhs.make(p, problem.m.scalar_fn()))
-    _, dense, blowup_radius, steps = integrate(
-        f, eps, 1.0, origin_startup(problem, alpha, eps), rtol=rtol, atol=atol,
-        blowup_limit=blowup_limit, compiled=rhs.compiled(p, n_dim, problem.m)
-    )
-    if blowup_limit is None:
-        _require_finite(dense)
-    r_end = blowup_radius if blowup_radius is not None else 1.0
-
-    scan = _kernel.scan(dense.block, dense.n, eps, r_end, n_samples, n_dim, e_inv)
-    if scan is None:
+    p, n_dim = problem.p, problem.N
+    shot = _shot(problem, alpha, eps, rtol, atol, blowup_limit, n_samples)
+    out = None if shot is None else _kernel.shoot(shot)
+    if out is None:
+        e_inv = 1.0 / (p - 1.0)
+        f = _system(p, n_dim, problem.rhs.make(p, problem.m.scalar_fn()))
+        _, dense, blowup_radius, steps = integrate(
+            f, eps, 1.0, origin_startup(problem, alpha, eps), rtol=rtol, atol=atol,
+            blowup_limit=blowup_limit)
+        if blowup_limit is None:
+            _require_finite(dense)
+        r_end = blowup_radius if blowup_radius is not None else 1.0
         *scan, brackets = _scan_reference(dense, eps, r_end, n_samples, n_dim, e_inv)
         scan.append(_locate_zeros(brackets, n_dim, e_inv))
+    else:
+        status, r, accepted, rejected, block, scan = out
+        if status == _kernel.UNDERFLOW:
+            raise _underflow(r)
+        dense, steps = DenseOutput(block, accepted), StepCounts.of(accepted, rejected)
+        blowup_radius = r if status == _kernel.BLOWUP else None
     grid, u_samp, v_samp, tail_max, terminal, sup_uprime, pairs = scan
     sup_u = float(tail_max[0])
     zeros = _drop_noise_tail_zeros(_crossings(pairs, sup_uprime), grid, tail_max, sup_u,
@@ -389,6 +404,18 @@ def shoot(
         steps=steps,
         dense=dense,
     )
+
+
+def _shot(problem, alpha, eps, rtol, atol, blowup_limit, n_samples):
+    """The shot of problem from u(0) = alpha as the kernel takes it (a
+    ``_kernel.Shot``), or None where the right-hand side has no compiled
+    form.  atol may be per-component (u, v), as ``integrate`` takes it."""
+    rhs = problem.rhs.compiled(problem.p, problem.N, problem.m)
+    if rhs is None:
+        return None
+    atol_u, atol_v = (atol, atol) if np.isscalar(atol) else atol
+    return _kernel.Shot(rhs, alpha, problem.m.eval_scalar(0.0), problem.p_conj, eps, rtol,
+                        atol_u, atol_v, blowup_limit is not None, blowup_limit or 0.0, n_samples)
 
 
 def _require_finite(dense):
@@ -430,14 +457,13 @@ def probe(problem: Problem, alpha: float, *, rtol: float, atol: float,
     the reduction of the whole shot (:func:`_shoot_and_reduce`), with the
     same result.
     """
-    compiled = problem.rhs.compiled(problem.p, problem.N, problem.m)
-    if compiled is not None:
-        out = _kernel.probe(compiled, *_probe_args(problem, alpha, rtol, atol, blowup_limit))
-        if out is not None:
-            status, record = out
-            if status == _kernel.UNDERFLOW:
-                raise _underflow(record[0])
-            return _recorded(record)
+    shot = _shot(problem, alpha, DEFAULT_EPS, rtol, atol, blowup_limit, PROBE_SAMPLES)
+    out = None if shot is None else _kernel.probe(shot)
+    if out is not None:
+        status, record = out
+        if status == _kernel.UNDERFLOW:
+            raise _underflow(record[0])
+        return _recorded(record)
     return _shoot_and_reduce(problem, alpha, rtol=rtol, atol=atol, blowup_limit=blowup_limit)
 
 
@@ -458,15 +484,15 @@ def solve_miss(problem: Problem, alpha: float, a: float, b: float, ends, *, in_a
     root or the same exception.
     """
     pr_a, pr_b = ends
-    compiled = problem.rhs.compiled(problem.p, problem.N, problem.m)
-    if compiled is not None:
-        out = _kernel.solve(compiled, in_alpha, a, b, pr_a.d, pr_b.d, xtol, xrtol, 100,
-                            *_probe_args(problem, 0.0 if in_alpha else alpha, rtol, atol))
-        if out is not None:
-            root, record = out
-            if record is None:
-                return root, pr_a if root == a else pr_b
-            return root, _recorded(record)
+    shot = _shot(problem, 0.0 if in_alpha else alpha, DEFAULT_EPS, rtol, atol, BLOWUP_LIMIT,
+                 PROBE_SAMPLES)
+    out = None if shot is None else _kernel.solve(shot, in_alpha, a, b, pr_a.d, pr_b.d, xtol,
+                                                  xrtol)
+    if out is not None:
+        root, record = out
+        if record is None:
+            return root, pr_a if root == a else pr_b
+        return root, _recorded(record)
 
     seen = {a: pr_a, b: pr_b}
 
@@ -476,15 +502,6 @@ def solve_miss(problem: Problem, alpha: float, a: float, b: float, ends, *, in_a
 
     root = brentq(miss, a, b, xtol=xtol, rtol=xrtol, fa=pr_a.d, fb=pr_b.d)
     return root, seen[root]
-
-
-def _probe_args(problem, alpha, rtol, atol, blowup_limit=BLOWUP_LIMIT):
-    """What ``_kernel.probe`` takes after the right-hand side for the probe
-    of problem at u(0) = alpha: the start, the tolerances, the guard, the
-    miss of a blow-up and the grid."""
-    atol_u, atol_v = (atol, atol) if np.isscalar(atol) else atol
-    return (alpha, problem.m.eval_scalar(0.0), problem.p_conj, DEFAULT_EPS, rtol, atol_u,
-            atol_v, blowup_limit, BLOWUP_MISS, PROBE_SAMPLES)
 
 
 def _recorded(record) -> Probe:

@@ -264,7 +264,7 @@ def test_10_gp_oracle():
     worst_cf = 0.0
     for p, n_dim in ((2.0, 1), (2.5, 3), (1.5, 2), (3.0, 1)):
         pc = p / (p - 1.0)
-        prof = apply_Gp(p, n_dim, 1.0)
+        prof = apply_Gp(p, n_dim, Weight.constant(1.0))
         exact = n_dim ** (-1.0 / (p - 1.0)) * (1 - rs**pc) / pc
         worst_cf = max(worst_cf, float(np.max(np.abs(prof(rs) - exact))))
     rng = np.random.default_rng(42)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pspect.errors import PreconditionError
 from pspect.greens import apply_Gp, as_source
 from pspect.radial_ivp import Problem, shoot
 from pspect.spectrum import find_eigenvalues
@@ -13,7 +14,7 @@ from oracles import residual
 
 def test_laplace_closed_form():
     # p=2, N=1, h=1: u = (1 - r^2)/2
-    prof = apply_Gp(2.0, 1, 1.0)
+    prof = apply_Gp(2.0, 1, Weight.constant(1.0))
     rs = np.linspace(0, 1, 101)
     assert np.max(np.abs(prof(rs) - (1 - rs**2) / 2)) < 1e-12
     assert abs(prof.u[-1]) == 0.0
@@ -24,7 +25,7 @@ def test_laplace_closed_form():
 def test_general_closed_form_constant_source(p, n_dim):
     # h=1: u = N^{-1/(p-1)} (1 - r^{p'})/p'
     pc = p / (p - 1.0)
-    prof = apply_Gp(p, n_dim, 1.0)
+    prof = apply_Gp(p, n_dim, Weight.constant(1.0))
     rs = np.linspace(0, 1, 101)
     exact = n_dim ** (-1.0 / (p - 1.0)) * (1 - rs**pc) / pc
     assert np.max(np.abs(prof(rs) - exact)) < 1e-10
@@ -88,7 +89,7 @@ def test_eigenfunction_fixed_point():
 
 def test_residual_exact_pair():
     res = residual(
-        2.0, 1, 1.0,
+        2.0, 1, Weight.constant(1.0),
         lambda r: (1 - np.asarray(r) ** 2) / 2,
         lambda r: -np.asarray(r),
     )
@@ -97,7 +98,7 @@ def test_residual_exact_pair():
 
 def test_residual_detects_perturbation():
     res = residual(
-        2.0, 1, 1.0,
+        2.0, 1, Weight.constant(1.0),
         lambda r: (1 - np.asarray(r) ** 2) / 2 + 1e-3 * np.sin(np.pi * np.asarray(r)),
         lambda r: -np.asarray(r) + 1e-3 * np.pi * np.cos(np.pi * np.asarray(r)),
     )
@@ -106,7 +107,7 @@ def test_residual_detects_perturbation():
 
 def test_residual_zero_pair():
     res = residual(
-        2.5, 3, 0.0,
+        2.5, 3, Weight.constant(0.0),
         lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         lambda r: np.zeros_like(np.asarray(r, dtype=float)),
     )
@@ -126,12 +127,11 @@ def test_quadrature_error_reported_small():
 
 
 def test_source_normalization_forms():
-    s1 = as_source(1.0)
+    s1 = as_source(Weight.constant(1.0))
     assert s1.value0() == 1.0
     s2 = as_source(lambda r: np.asarray(r) ** 2)
     assert abs(s2(np.array([0.5]))[0] - 0.25) < 1e-15
-    rs = np.linspace(0, 1, 33)
-    s3 = as_source((rs, rs**3))
-    assert abs(s3(np.array([0.5]))[0] - 0.125) < 1e-3
-    with pytest.raises(Exception):
-        as_source(object())
+    assert as_source(s2) is s2
+    for unsupported in (object(), 1.0, (np.linspace(0, 1, 33), np.linspace(0, 1, 33))):
+        with pytest.raises(PreconditionError, match="cannot interpret source term"):
+            as_source(unsupported)

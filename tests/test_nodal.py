@@ -73,6 +73,7 @@ F_VALUES = np.array([0.0, -0.0, 1e-300, -3e-9, 0.37, -1.0, 2.5, -41.0, 7e17, -3e
                      1e139, math.inf, -math.inf, math.nan])
 
 
+@pytest.mark.kernel
 @pytest.mark.parametrize("f", [F_REF, Nonlinearity.rational(2.5, 1.1, 2.3, 2.2),
                                Nonlinearity.phi(1.3), Nonlinearity.phi(4.0)])
 def test_kernel_f_matches_python_f(f):
@@ -93,6 +94,7 @@ def test_kernel_f_matches_python_f(f):
         assert ran[:9] == [True] * 9  # up to the first value near overflow
 
 
+@pytest.mark.kernel
 @pytest.mark.parametrize("f", [F_REF, Nonlinearity.phi(2.5), Nonlinearity.rational(1.5, 2.0, 0.5)])
 def test_residual_on_the_kernel_matches_python_f(monkeypatch, f):
     prob = Problem.nonlinear(2.0, 2, M_LIN, 30.0, f)
@@ -173,6 +175,13 @@ def test_amplitude_range_must_increase(alpha_min, alpha_max):
         find_nodal(2.0, 1, M1, F_REF, 2.0, 1, "+", alpha_min=alpha_min, alpha_max=alpha_max)
     with pytest.raises(PreconditionError, match=named):
         trace_branch(2.0, 1, M1, F_REF, 1, "+", alpha_min=alpha_min, alpha_max=alpha_max)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0, math.nan])
+def test_branch_amplitude_ratio_must_exceed_one(ratio):
+    with pytest.raises(PreconditionError, match=f"amplitude ratio must be > 1, got {ratio}"):
+        trace_branch(2.0, 1, Weight.poly([1.0]), Nonlinearity.rational(2.0), 1, "+",
+                     ratio=ratio)
 
 
 def test_find_nodal_preconditions():
@@ -263,6 +272,7 @@ def test_branch_names_a_missing_bracket():
     ]
 
 
+@pytest.mark.kernel
 @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
 def test_nodal_solves_probe_no_shot_twice(monkeypatch, kernel):
     # the bracket ends are probed once, by the caller; the solve and the

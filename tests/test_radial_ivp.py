@@ -6,7 +6,7 @@ import shlex
 import shutil
 import sysconfig
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -19,8 +19,9 @@ from pspect.nodal import Nonlinearity, Perturbation
 from pspect.pfuncs import pi_p, sin_p
 from pspect.radial_ivp import (
     LinearRHS,
+    NonlinearRHS,
+    PerturbedRHS,
     Problem,
-    _system,
     origin_startup,
     probe,
     shoot,
@@ -250,8 +251,10 @@ def test_trajectory_uprime_consistency():
 
 
 # ---------------------------------------------------------------------------
-# the compiled kernel (the right-hand side fused into the step loop) gives
-# the bits of the Python stepper with the generic closure
+# a shot on the compiled kernel (_kernel.shoot: the start, the step loop with
+# the right-hand side fused into it, and the post-pass) gives the bits of the
+# Python path (the Python start and stepper with the generic closure, then
+# the numpy post-pass)
 
 FUSED_WEIGHTS = {
     "constant": Weight.constant(0.7),
@@ -264,26 +267,21 @@ FUSED_WEIGHTS = {
 
 
 @dataclass(frozen=True)
-class _GenericLinearRHS:
-    """LinearRHS under another type, so that shoot takes the generic path."""
+class _PythonRHS:
+    """A right-hand side under another type with no compiled form, so that
+    shoot takes the Python path."""
 
-    mu: float
+    rhs: object
 
     def make(self, p, m_eval):
-        return LinearRHS(self.mu).make(p, m_eval)
+        return self.rhs.make(p, m_eval)
 
     def compiled(self, p, n_dim, m):
         return None
 
 
-def _march(prob, *, kernel, alpha=1.0, rtol=1e-10, atol=1e-12, blowup_limit=None):
-    """One shot of prob from the origin through ``integrate``, on the kernel
-    or on the Python stepper with the generic right-hand side."""
-    f = _system(prob.p, prob.N, prob.rhs.make(prob.p, prob.m.scalar_fn()))
-    y0 = origin_startup(prob, alpha, 1e-6)
-    compiled = prob.rhs.compiled(prob.p, prob.N, prob.m) if kernel else None
-    return integrate(f, 1e-6, 1.0, y0, rtol=rtol, atol=atol, blowup_limit=blowup_limit,
-                     compiled=compiled)
+def _on_python_path(prob):
+    return replace(prob, rhs=_PythonRHS(prob.rhs))
 
 
 def _same_bits(a, b):
@@ -292,13 +290,12 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_kernel_matches_reference(prob, **kw):
-    ts, dense, blowup_t, steps = _march(prob, kernel=True, **kw)
-    ts_ref, dense_ref, blowup_ref, steps_ref = _march(prob, kernel=False, **kw)
-    assert _same_bits(ts, ts_ref)
-    assert dense.n == dense_ref.n and _same_bits(dense.block, dense_ref.block)
-    assert (blowup_t, steps) == (blowup_ref, steps_ref)
-    assert type(steps.accepted) is type(steps.rhs_calls) is int
+def assert_kernel_matches_reference(prob, *, alpha=1.0, blowup_limit=None, **kw):
+    """The shot of prob from u(0) = alpha is the same on the kernel and on
+    the Python path (with no blow-up guard unless one is given)."""
+    got = shoot(prob, alpha, blowup_limit=blowup_limit, **kw)
+    assert_same_shot(got, shoot(_on_python_path(prob), alpha, blowup_limit=blowup_limit, **kw))
+    assert type(got.steps.accepted) is type(got.steps.rhs_calls) is int
 
 
 @pytest.mark.parametrize("weight", sorted(FUSED_WEIGHTS))
@@ -312,6 +309,7 @@ def test_fused_linear_rhs_matches_generic(p, n_dim, weight):
                                             rtol=rtol, atol=atol)
 
 
+@pytest.mark.kernel
 @pytest.mark.parametrize(
     "p,n_dim,weight,mu",
     [
@@ -326,7 +324,7 @@ def test_fused_linear_rhs_matches_generic(p, n_dim, weight):
 def test_fused_shoot_matches_generic(p, n_dim, weight, mu):
     m = FUSED_WEIGHTS[weight]
     fused = shoot(Problem.linear(p, n_dim, m, mu), 1.0)
-    generic = shoot(Problem(p, n_dim, m, _GenericLinearRHS(mu)), 1.0)
+    generic = shoot(_on_python_path(Problem.linear(p, n_dim, m, mu)), 1.0)
     assert np.array_equal(fused.r, generic.r)
     assert np.array_equal(fused.u, generic.u)
     assert np.array_equal(fused.v, generic.v)
@@ -359,18 +357,23 @@ def test_kernel_matches_reference_at_large_mu(p, n_dim, weight, mu, blowup_limit
                                         blowup_limit=blowup_limit)
 
 
-@pytest.fixture
-def kernel_results(monkeypatch):
-    """What each call of the kernel returned: None means handed back."""
-    seen, run = [], _kernel.run
+def _spy(monkeypatch, name):
+    """What each call of ``_kernel.<name>`` returns, as it returns: None
+    means handed back or not loaded."""
+    seen, fn = [], getattr(_kernel, name)
 
     def spy(*args):
-        out = run(*args)
+        out = fn(*args)
         seen.append(out)
         return out
 
-    monkeypatch.setattr(_kernel, "run", spy)
+    monkeypatch.setattr(_kernel, name, spy)
     return seen
+
+
+@pytest.fixture
+def shoot_results(monkeypatch):
+    return _spy(monkeypatch, "shoot")
 
 
 # nonlinear and perturbed shots: each (p, N, weight) of the grid takes the
@@ -387,7 +390,7 @@ GRID_P, GRID_N = [1.2, 2.0, 2.5, 6.0], [1, 2, 3, 5]
 @pytest.mark.parametrize("n_dim", GRID_N)
 @pytest.mark.parametrize("p", GRID_P)
 def test_kernel_matches_reference_on_nonlinear_and_perturbed_shots(p, n_dim, weight,
-                                                                   kernel_results):
+                                                                   shoot_results):
     i = (GRID_P.index(p) * len(GRID_N) + GRID_N.index(n_dim)) * len(FUSED_WEIGHTS) \
         + sorted(FUSED_WEIGHTS).index(weight)
     m = FUSED_WEIGHTS[weight]
@@ -405,10 +408,10 @@ def test_kernel_matches_reference_on_nonlinear_and_perturbed_shots(p, n_dim, wei
             assert_kernel_matches_reference(prob, alpha=AMPLITUDES[j % len(AMPLITUDES)],
                                             rtol=tols[0], atol=tols[1], blowup_limit=1e12)
     if _kernel.load() is not None:
-        assert len(kernel_results) == 6 and None not in kernel_results
+        assert len(shoot_results) == 6 and None not in shoot_results
 
 
-def test_kernel_uses_the_exponents_f_and_g_captured(kernel_results):
+def test_kernel_uses_the_exponents_f_and_g_captured(shoot_results):
     # f and g keep the p they were built with, whatever the problem's p
     for rhs in (Nonlinearity.rational(3.0, 1.1, 2.3, 2.2), Nonlinearity.phi(1.5),
                 Perturbation(4.0, 1.0, 0.5)):
@@ -417,36 +420,44 @@ def test_kernel_uses_the_exponents_f_and_g_captured(kernel_results):
             assert_kernel_matches_reference(make(2.0, 3, M_LIN, 37.5, rhs), alpha=alpha,
                                             blowup_limit=1e12)
     if _kernel.load() is not None:
-        assert len(kernel_results) == 9 and None not in kernel_results
+        assert len(shoot_results) == 9 and None not in shoot_results
 
 
+def _raised_on_both_paths(prob, alpha, **kw):
+    """What shoot raises on the kernel and on the Python path."""
+    return [_raised(lambda: shoot(prob, alpha, **kw)),
+            _raised(lambda: shoot(_on_python_path(prob), alpha, **kw))]
+
+
+@pytest.mark.kernel
 @needs_kernel
-def test_kernel_hands_overflowing_shots_to_the_python_stepper(kernel_results):
+def test_kernel_hands_overflowing_shots_to_the_python_stepper(shoot_results):
     # with no blow-up guard u and v reach inf; Python's inf ** e is inf
     # without an error, the kernel stops at an infinite power, and the
-    # Python stepper repeats the shot
-    assert_kernel_matches_reference(Problem.linear(1.2, 1, M1, -1e6), rtol=1e-6, atol=1e-8)
-    assert kernel_results == [None]
+    # Python path repeats the shot, which is not finite and raises
+    raised = _raised_on_both_paths(Problem.linear(1.2, 1, M1, -1e6), 1.0, rtol=1e-6, atol=1e-8,
+                                   blowup_limit=None)
+    assert raised[0] == raised[1] and raised[0][0] is IntegrationError
+    assert raised[0][1].startswith("shot not finite from r = ")
+    assert shoot_results == [None]
 
 
+@pytest.mark.kernel
 @needs_kernel
-def test_kernel_step_underflow_raises_the_python_error(kernel_results):
-    errors = []
-    for kernel in (True, False):
-        with pytest.raises(IntegrationError) as info:
-            _march(Problem.linear(2.0, 1, M1, 10.0), kernel=kernel, rtol=1e-100,
-                   atol=1e-150)
-        errors.append(str(info.value))
-    assert errors == ["step size underflow at r = 1.000000e-06"] * 2
-    assert [out[0] for out in kernel_results] == [_kernel.UNDERFLOW]
+def test_kernel_step_underflow_raises_the_python_error(shoot_results):
+    errors = _raised_on_both_paths(Problem.linear(2.0, 1, M1, 10.0), 1.0, rtol=1e-100,
+                                   atol=1e-150)
+    assert errors == [(IntegrationError, "step size underflow at r = 1.000000e-06")] * 2
+    assert [out[0] for out in shoot_results] == [_kernel.UNDERFLOW]
 
 
+@pytest.mark.kernel
 @needs_kernel
-def test_kernel_grows_its_buffers(monkeypatch, kernel_results):
+def test_kernel_grows_its_buffers(monkeypatch, shoot_results):
     monkeypatch.setattr(_kernel, "FIRST_CAPACITY", 3)
     assert_kernel_matches_reference(Problem.linear(2.5, 1, M_LIN, 13872.2), rtol=1e-6,
                                     atol=1e-8)
-    assert kernel_results[0][3] > 100  # accepted steps
+    assert shoot_results[0][2] > 100  # accepted steps
 
 
 @pytest.mark.parametrize("broken", ["no compiler", "unwritable cache"])
@@ -482,49 +493,34 @@ def assert_same_shot(got, want):
         [(z.r, z.uprime, z.degenerate) for z in want.zeros]
     assert got.degenerate == want.degenerate
     assert (got.blowup_radius, got.steps) == (want.blowup_radius, want.steps)
+    assert got.dense.n == want.dense.n and _same_bits(got.dense.block, want.dense.block)
 
 
 # ---------------------------------------------------------------------------
-# the compiled post-pass of a shot (_kernel.scan) gives the bits of its numpy
-# reference (radial_ivp._scan_reference, then _locate_zeros), whichever
-# stepper ran the shot; the reduction of a shot to its probe on the kernel
-# (_kernel.reduce, which _kernel.probe runs after the march) gives the probe
-# of the whole shot (radial_ivp._shoot_and_reduce)
+# the compiled post-pass of a shot (_kernel.scan, which _kernel.shoot runs
+# after the march) gives the bits of its numpy reference
+# (radial_ivp._scan_reference, then _locate_zeros), on any block; the
+# reduction of a shot to its probe on the kernel (_kernel.reduce, which
+# _kernel.probe runs after the march) gives the probe of the whole shot
+# (radial_ivp._shoot_and_reduce)
 
 
 @pytest.fixture
 def scan_results(monkeypatch):
-    """What each call of the compiled post-pass returned: None means not loaded."""
-    seen, scan = [], _kernel.scan
-
-    def spy(*args):
-        out = scan(*args)
-        seen.append(out)
-        return out
-
-    monkeypatch.setattr(_kernel, "scan", spy)
-    return seen
+    return _spy(monkeypatch, "scan")
 
 
 @pytest.fixture
 def probe_results(monkeypatch):
-    """What each call of the fused probe returned: None means handed back."""
-    seen, fused = [], _kernel.probe
-
-    def spy(*args):
-        out = fused(*args)
-        seen.append(out)
-        return out
-
-    monkeypatch.setattr(_kernel, "probe", spy)
-    return seen
+    return _spy(monkeypatch, "probe")
 
 
-def _on_both_passes(monkeypatch, fn):
-    """fn() on the compiled post-pass, then on its numpy reference."""
+def _on_both_paths(monkeypatch, fn):
+    """fn() with the kernel's shots and probes, then on the Python path."""
     got = fn()
     with monkeypatch.context() as mp:
-        mp.setattr(_kernel, "scan", lambda *args: None)
+        for name in ("shoot", "probe"):
+            mp.setattr(_kernel, name, lambda shot: None)
         want = fn()
     return got, want
 
@@ -552,16 +548,17 @@ def assert_reduction_matches(shot, prob, blowup_limit, want):
 def assert_post_pass_matches_reference(monkeypatch, prob, alpha, *, rtol=1e-10, atol=1e-12,
                                        blowup_limit=radial_ivp.BLOWUP_LIMIT, n_samples=513,
                                        fused=True):
-    """The shot is the same on both passes, and so is what each pass returns
-    for it; the probe of prob is the probe of the whole shot on both passes,
-    fused (unless the march is edited) and reduced from the shot's block on
-    the kernel.  Returns the shot and the kernel's reduction of the probe's
-    shot (None where it hands back)."""
+    """The shot is the same on both paths, and so is what the post-pass on
+    the kernel and its reference return for its block; the probe of prob is
+    the probe of the whole shot on both paths, fused (unless the march is
+    edited) and reduced from the shot's block on the kernel.  Returns the
+    shot and the kernel's reduction of the probe's shot (None where it hands
+    back)."""
     tols = dict(rtol=rtol, atol=atol, blowup_limit=blowup_limit)
-    got, want = _on_both_passes(monkeypatch,
+    got, want = _on_both_paths(monkeypatch,
                                 lambda: shoot(prob, alpha, n_samples=n_samples, **tols))
     assert_same_shot(got, want)
-    reduced, reference = _on_both_passes(
+    reduced, reference = _on_both_paths(
         monkeypatch, lambda: radial_ivp._shoot_and_reduce(prob, alpha, **tols))
     assert_same_probe(reduced, reference)
     if fused:
@@ -631,7 +628,7 @@ def assert_raises_alike(monkeypatch, prob, alpha, error, **kw):
     raised = []
     for fn in (lambda: shoot(prob, alpha, **kw), lambda: probe(prob, alpha, **kw),
                lambda: radial_ivp._shoot_and_reduce(prob, alpha, **kw)):
-        for run in _on_both_passes(monkeypatch, lambda fn=fn: _raised(fn)):
+        for run in _on_both_paths(monkeypatch, lambda fn=fn: _raised(fn)):
             raised.append(run)
     assert raised == [raised[0]] * len(raised) and raised[0][0] is error
     return raised[0]
@@ -643,8 +640,10 @@ def _raised(fn):
     return type(info.value), str(info.value)
 
 
+@pytest.mark.kernel
 @pytest.mark.parametrize("case", sorted(POST_PASS_CASES))
-def test_post_pass_matches_reference(monkeypatch, scan_results, probe_results, case):
+def test_post_pass_matches_reference(monkeypatch, scan_results, probe_results, shoot_results,
+                                     case):
     prob, alpha, kw = POST_PASS_CASES[case]
     if case in RAISING:
         kw = dict(dict(rtol=1e-10, atol=1e-12), **kw)
@@ -652,7 +651,9 @@ def test_post_pass_matches_reference(monkeypatch, scan_results, probe_results, c
         if case == "no-guard-nan":
             assert error[1].startswith("shot not finite from r = ")
         if _kernel.load() is not None:
-            assert len(probe_results) == 2 and probe_results == [None, None]
+            # the kernel hands back the shot, the probe and the shot of the
+            # probe's shoot-and-reduce
+            assert probe_results == [None] and shoot_results == [None] * 3
         return
     shot, reading = assert_post_pass_matches_reference(monkeypatch, prob, alpha, **kw)
     if case.startswith("blowup"):
@@ -672,19 +673,22 @@ def test_post_pass_matches_reference(monkeypatch, scan_results, probe_results, c
         # compiled form, else a shot
         has_form = prob.rhs.compiled(prob.p, prob.N, prob.m) is not None
         assert len(probe_results) == has_form and None not in probe_results
-        # the kernel reads the shot, the probe's shot in shoot-and-reduce and
-        # again for _kernel.reduce, and the explicit scan
-        assert len(scan_results) == 5 - has_form and None not in scan_results
+        # so are the shot, the probe's shot in shoot-and-reduce and the shot
+        # for _kernel.reduce; the explicit scan reads the first again
+        assert len(shoot_results) == 3 * has_form and None not in shoot_results
+        assert len(scan_results) == 1 and None not in scan_results
 
 
-def test_post_pass_on_the_kernel_where_a_compiler_is(scan_results):
+@pytest.mark.kernel
+def test_post_pass_on_the_kernel_where_a_compiler_is(shoot_results):
     shoot(Problem.linear(2.5, 1, M_LIN, 300.0), 1.0)
-    assert len(scan_results) == 1
-    assert (scan_results[0] is not None) == _has_compiler()
+    assert len(shoot_results) == 1
+    assert (shoot_results[0] is not None) == _has_compiler()
 
 
+@pytest.mark.kernel
 @needs_kernel
-def test_sup_uprime_takes_libm_powers_on_both_passes():
+def test_sup_uprime_takes_libm_powers_on_both_paths():
     # numpy's array power need not round as libm's pow does; the kernel and
     # its reference take r^(N-1) and the outer power with libm's, so they
     # agree by bits on shots where array powers would not.  Each shot here
@@ -789,13 +793,16 @@ def _edited(integrate_fn, edit):
     return integrate_edited
 
 
+@pytest.mark.kernel
 @pytest.mark.parametrize("n_dim", [1, 2, 3])
 @pytest.mark.parametrize("edit", [_zero_last_ulp, _nan_inside, _twin_zero, _zero_near_one,
                                   _steep_zero_under_noise])
 def test_post_pass_matches_reference_on_edited_shots(monkeypatch, scan_results, edit, n_dim):
-    # the fused probe never sees an edited march; the kernel's reduction of
-    # the edited block stands in for it
+    # the kernel's shots and probes never see an edited march: every shot
+    # takes the Python path, and the kernel's post-pass and reduction of the
+    # edited block stand in for them
     monkeypatch.setattr(radial_ivp, "integrate", _edited(radial_ivp.integrate, edit))
+    monkeypatch.setattr(_kernel, "shoot", lambda shot: None)
     prob = Problem.linear(2.5, n_dim, M_LIN, 300.0)
     shot, reading = assert_post_pass_matches_reference(monkeypatch, prob, 1.0, fused=False)
     if edit is _zero_last_ulp:
@@ -824,7 +831,7 @@ def test_post_pass_matches_reference_on_edited_shots(monkeypatch, scan_results, 
         assert reading is None or reading.z == len(shot.interior_zeros)
     if _kernel.load() is not None:
         assert reading is not None
-        assert len(scan_results) == 4 and None not in scan_results
+        assert len(scan_results) == 1 and None not in scan_results
 
 
 def assert_probe_matches_shoot_and_reduce(prob, alpha, **kw):
@@ -837,6 +844,7 @@ def assert_probe_matches_shoot_and_reduce(prob, alpha, **kw):
     assert_same_probe(probe(prob, alpha, **kw), want)
 
 
+@pytest.mark.kernel
 @pytest.mark.parametrize("weight", sorted(FUSED_WEIGHTS) + ["cos64"])
 @pytest.mark.parametrize("n_dim", [1, 2, 3])
 @pytest.mark.parametrize("p", GRID_P)
@@ -866,6 +874,7 @@ def test_probe_matches_shoot_and_reduce(p, n_dim, weight, probe_results):
         assert len(probe_results) == calls and None not in probe_results
 
 
+@pytest.mark.kernel
 def test_probe_does_not_shoot_where_a_compiler_is(monkeypatch):
     shots = []
     monkeypatch.setattr(radial_ivp, "shoot", lambda *a, **kw: shots.append(a) or shoot(*a, **kw))
@@ -877,6 +886,7 @@ def test_probe_does_not_shoot_where_a_compiler_is(monkeypatch):
     assert len(shots) == 1 + (not _has_compiler())
 
 
+@pytest.mark.kernel
 def test_compiled_probe_calls_no_python_f(monkeypatch):
     # the kernel starts the shot as well: no right-hand side is made in
     # Python, so no Python f runs; the Python path makes two per probe
@@ -896,6 +906,7 @@ def test_compiled_probe_calls_no_python_f(monkeypatch):
     assert len(made) == (2 if _has_compiler() else 4) * len(probs)
 
 
+@pytest.mark.kernel
 @needs_kernel
 def test_probe_step_underflow_raises_the_python_error(probe_results):
     kw = dict(rtol=1e-100, atol=1e-150)
@@ -906,13 +917,13 @@ def test_probe_step_underflow_raises_the_python_error(probe_results):
     assert [out[0] for out in probe_results] == [_kernel.UNDERFLOW]
 
 
-def test_hand_built_nonlinearity_takes_the_python_stepper(kernel_results):
+def test_hand_built_nonlinearity_takes_the_python_stepper(shoot_results):
     built_in = Nonlinearity.rational(2.5, f0=1.1, finf=2.3, q=2.2)
     hand_built = Nonlinearity(fn=built_in.fn, f0=built_in.f0, finf=built_in.finf)
     got = shoot(Problem.nonlinear(2.5, 2, M_LIN, 37.5, hand_built), 1.0)
-    assert kernel_results == []
+    assert shoot_results == []
     want = shoot(Problem.nonlinear(2.5, 2, M_LIN, 37.5, built_in), 1.0)
-    assert len(kernel_results) == (_kernel.load() is not None) and None not in kernel_results
+    assert len(shoot_results) == (_kernel.load() is not None) and None not in shoot_results
     assert_same_shot(got, want)
 
 
@@ -921,29 +932,26 @@ class _DoubledPerturbation(Perturbation):
         return 2.0 * super().__call__(mval, r, u, mu)
 
 
-def test_perturbation_subclass_stays_on_the_python_stepper(kernel_results):
+def test_perturbation_subclass_stays_on_the_python_stepper(shoot_results):
     prob = Problem.perturbed(2.0, 1, M_LIN, 30.0, _DoubledPerturbation(2.0))
     doubled = shoot(prob, 0.5)
-    assert kernel_results == []
+    assert shoot_results == []
     plain = shoot(Problem.perturbed(2.0, 1, M_LIN, 30.0, Perturbation(2.0)), 0.5)
     assert doubled.terminal != plain.terminal  # its own __call__ ran
 
 
+@pytest.mark.kernel
 @needs_kernel
-def test_kernel_hands_back_a_rational_shot_whose_power_overflows(kernel_results):
+def test_kernel_hands_back_a_rational_shot_whose_power_overflows(shoot_results):
     # u starts at 1e139, where |u|^2.2 is finite, and grows like cosh(5 r)
     # under m = -1 until |u|^2.2 passes the largest double; Python raises
     # OverflowError there, so the kernel hands the shot back (finf < 1, so
     # that finf |u|^q does not overflow first, to inf without an error)
     f = Nonlinearity.rational(2.0, f0=1.0, finf=0.5, q=2.2)
     prob = Problem.nonlinear(2.0, 1, Weight.constant(-1.0), 50.0, f)
-    raised = []
-    for kernel in (True, False):
-        with pytest.raises(OverflowError) as info:
-            _march(prob, kernel=kernel, alpha=1e139)
-        raised.append((type(info.value), info.value.args))
-    assert raised[0] == raised[1]
-    assert kernel_results == [None]
+    raised = _raised_on_both_paths(prob, 1e139, blowup_limit=None)
+    assert raised[0] == raised[1] and raised[0][0] is OverflowError
+    assert shoot_results == [None]
 
 
 def _has_compiler():
@@ -962,13 +970,17 @@ def _c_constants():
     return values
 
 
+@pytest.mark.kernel
 def test_kernel_constants_match_python():
     # _rk45_kernel.c repeats these; a value changed on one side only would
     # break the bit-identity of the two paths
     c = _c_constants()
+    brent_maxiter = inspect.signature(radial_ivp.brentq).parameters["maxiter"].default
+    assert _kernel.BRENT_MAXITER == brent_maxiter
     python = {
+        "BLOWUP_MISS": radial_ivp.BLOWUP_MISS,
         "ZERO_XTOL": radial_ivp.ZERO_XTOL, "ZERO_RTOL": radial_ivp.ZERO_RTOL,
-        "BRENT_MAXITER": inspect.signature(radial_ivp.brentq).parameters["maxiter"].default,
+        "BRENT_MAXITER": brent_maxiter,
         "BOUNDARY_MARGIN": radial_ivp.BOUNDARY_MARGIN,
         "TAIL_NOISE_FACTOR": radial_ivp.TAIL_NOISE_FACTOR,
         "TAIL_SLOPE_FACTOR": radial_ivp.TAIL_SLOPE_FACTOR,
@@ -981,52 +993,71 @@ def test_kernel_constants_match_python():
     # the Dormand-Prince coefficients and step-size factors of _rk45
     python.update((name, getattr(_rk45, "_" + name))
                   for name in c if hasattr(_rk45, "_" + name))
-    assert len(python) == 16 + 48 + 3
+    assert len(python) == 17 + 48 + 3
     assert {name: c.get(name) for name in python} == python
     assert sorted(n for n in c if n.startswith("PSPECT_")) == sorted(
         n for n in python if n.startswith("PSPECT_"))
 
 
-def test_kernel_in_use_where_a_compiler_is():
+@pytest.mark.kernel
+def test_kernel_in_use_where_a_compiler_is(shoot_results):
     has_cc = _has_compiler()
     assert (_kernel.load() is not None) == has_cc
-    # on the kernel, f runs only for the first derivative and the initial step
-    calls = [0]
-    f0 = _system(2.0, 1, LinearRHS(120.0).make(2.0, M1.scalar_fn()))
-
-    def f(r, u, v):
-        calls[0] += 1
-        return f0(r, u, v)
-
-    y0 = origin_startup(Problem.linear(2.0, 1, M1, 120.0), 1.0, 1e-6)
-    steps = integrate(f, 1e-6, 1.0, y0, rtol=1e-10, atol=1e-12,
-                      compiled=LinearRHS(120.0).compiled(2.0, 1, M1))[3]
-    assert steps.accepted > 10
-    assert calls[0] == (2 if has_cc else steps.rhs_calls)
+    assert shoot(Problem.linear(2.0, 1, M1, 120.0), 1.0).steps.accepted > 10
+    assert len(shoot_results) == 1 and (shoot_results[0] is not None) == has_cc
 
 
-def test_nonlinear_and_perturbed_shots_on_the_kernel_where_a_compiler_is(monkeypatch):
-    # the Python f runs only for the first derivative and the initial step
+def _marches(monkeypatch):
+    """The calls of the Python stepper from shoot."""
     calls = []
+    monkeypatch.setattr(radial_ivp, "integrate",
+                        lambda *a, **kw: calls.append(a) or integrate(*a, **kw))
+    return calls
 
-    def counting(f, t0, t_end, y0, **kw):
-        n = [0]
 
-        def counted(r, u, v):
-            n[0] += 1
-            return f(r, u, v)
+@pytest.mark.kernel
+def test_nonlinear_and_perturbed_shots_on_the_kernel_where_a_compiler_is(monkeypatch):
+    # no Python f runs: the Python stepper is not called
+    marches = _marches(monkeypatch)
+    for prob in (Problem.nonlinear(2.5, 2, M_LIN, 37.5, Nonlinearity.rational(2.5)),
+                 Problem.perturbed(2.5, 2, M_LIN, 37.5, Perturbation(2.5))):
+        assert shoot(prob, 1.0).steps.accepted > 10
+    assert len(marches) == (0 if _has_compiler() else 2)
 
-        out = integrate(counted, t0, t_end, y0, **kw)
-        calls.append((n[0], out[3]))
-        return out
 
-    monkeypatch.setattr(radial_ivp, "integrate", counting)
-    shoot(Problem.nonlinear(2.5, 2, M_LIN, 37.5, Nonlinearity.rational(2.5)), 1.0)
-    shoot(Problem.perturbed(2.5, 2, M_LIN, 37.5, Perturbation(2.5)), 1.0)
-    assert len(calls) == 2
-    for n, steps in calls:
-        assert steps.accepted > 10
-        assert n == (2 if _has_compiler() else steps.rhs_calls)
+@pytest.mark.kernel
+def test_shoot_raises_and_hands_back_alike_on_both_paths(shoot_results):
+    prob = Problem.linear(2.5, 2, M_LIN, 37.5)
+    for alpha, kw, message in (
+            (0.0, {}, "initial value alpha must be nonzero"),
+            (1.0, dict(eps=1e-3), "startup radius must lie in (0, 1e-4], got 0.001"),
+            (1.0, dict(eps=0.0), "startup radius must lie in (0, 1e-4], got 0.0")):
+        assert _raised_on_both_paths(prob, alpha, **kw) == [(PreconditionError, message)] * 2
+    # a grid of one sample: the kernel hands the shot back to the Python path
+    assert_kernel_matches_reference(prob, n_samples=1)
+    assert shoot_results == [None] * 3  # the two radii and the grid
+
+
+@pytest.mark.kernel
+@pytest.mark.parametrize("blowup_limit", [radial_ivp.BLOWUP_LIMIT, None])
+def test_compiled_shoot_is_one_kernel_call(monkeypatch, shoot_results, blowup_limit):
+    # the kernel starts, marches and reads the shot: no right-hand side is
+    # made in Python and the Python stepper is not called
+    made, marches = [], _marches(monkeypatch)
+    for cls in (LinearRHS, NonlinearRHS, PerturbedRHS):
+        monkeypatch.setattr(cls, "make", lambda self, *args, make=cls.make:
+                            made.append(self) or make(self, *args))
+    probs = [Problem.linear(2.5, 2, M_LIN, 37.5),
+             Problem.nonlinear(2.5, 3, M_LIN, 37.5, Nonlinearity.rational(2.5)),
+             Problem.nonlinear(2.5, 1, M_LIN, 37.5, Nonlinearity.phi(2.5)),
+             Problem.perturbed(2.5, 2, M_LIN, 37.5, Perturbation(2.5))]
+    shots = [shoot(prob, 1.0, blowup_limit=blowup_limit) for prob in probs]
+    on_kernel = _has_compiler()
+    assert len(shoot_results) == len(probs) and (None in shoot_results) != on_kernel
+    assert (len(made), len(marches)) == ((0, 0) if on_kernel else (len(probs), len(probs)))
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    for prob, shot in zip(probs, shots):
+        assert_same_shot(shoot(prob, 1.0, blowup_limit=blowup_limit), shot)
 
 
 def test_discarded_shots_release_their_dense_output():
@@ -1061,6 +1092,7 @@ def test_discarded_shots_release_their_dense_output():
 # the bits of Brent's method over probe
 
 
+@pytest.mark.kernel
 @needs_kernel
 def test_hypot_port_matches_math_hypot():
     rng = np.random.default_rng(20261018)
@@ -1078,6 +1110,7 @@ def test_hypot_port_matches_math_hypot():
     assert mismatched == []
 
 
+@pytest.mark.kernel
 @needs_kernel
 @pytest.mark.parametrize("x,y", [(5e-324, 1.0), (1.0, -2.2e-308), (math.inf, 1.0),
                                  (1.0, -math.inf), (math.nan, 0.0), (math.inf, math.nan)])
@@ -1087,16 +1120,7 @@ def test_hypot_port_hands_back_subnormal_and_non_finite_inputs(x, y):
 
 @pytest.fixture
 def solve_results(monkeypatch):
-    """What each call of the kernel's root solve returned: None means handed back."""
-    seen, solve = [], _kernel.solve
-
-    def spy(*args):
-        out = solve(*args)
-        seen.append(out)
-        return out
-
-    monkeypatch.setattr(_kernel, "solve", spy)
-    return seen
+    return _spy(monkeypatch, "solve")
 
 
 SOLVE_WEIGHTS = {"constant": M1, "linear": M_LIN, "cos64": COS64}
@@ -1146,6 +1170,7 @@ def assert_solve_matches_brentq_over_probe(prob, alpha, bracket, in_alpha=False,
     return root
 
 
+@pytest.mark.kernel
 @pytest.mark.parametrize("weight", sorted(SOLVE_WEIGHTS))
 @pytest.mark.parametrize("n_dim", [1, 2, 3])
 @pytest.mark.parametrize("p", GRID_P[:3] + [6.0])
@@ -1168,6 +1193,7 @@ def test_solve_matches_brentq_over_probe(p, n_dim, weight, solve_results):
         assert len(solve_results) == 5 and None not in solve_results
 
 
+@pytest.mark.kernel
 def test_solve_through_shots_that_blow_up(monkeypatch, solve_results):
     # on 1 - 8r the shots from mu = 2048 and 4096 pass the blow-up limit with
     # opposite signs, and so does every trial between them: the root is
@@ -1183,6 +1209,7 @@ def test_solve_through_shots_that_blow_up(monkeypatch, solve_results):
     assert len(solve_results) == 1 and (solve_results[0] is None) == (_kernel.load() is None)
 
 
+@pytest.mark.kernel
 @needs_kernel
 def test_solve_grows_its_buffers(monkeypatch, solve_results):
     monkeypatch.setattr(_kernel, "FIRST_CAPACITY", 3)
@@ -1196,6 +1223,7 @@ def _fake_probe(d):
     return radial_ivp.Probe(d, 0, False, 1.0, radial_ivp.StepCounts.of(0, 0))
 
 
+@pytest.mark.kernel
 @needs_kernel
 @pytest.mark.parametrize("case", ["nan-end", "no-convergence", "underflow"])
 def test_solve_hands_back_what_python_raises_on(case, solve_results):
