@@ -688,7 +688,7 @@ def test_post_pass_on_the_kernel_where_a_compiler_is(shoot_results):
 
 @pytest.mark.kernel
 @needs_kernel
-def test_sup_uprime_takes_libm_powers_on_both_paths():
+def test_sup_uprime_takes_libm_powers_on_both_passes():
     # numpy's array power need not round as libm's pow does; the kernel and
     # its reference take r^(N-1) and the outer power with libm's, so they
     # agree by bits on shots where array powers would not.  Each shot here
