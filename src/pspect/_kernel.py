@@ -150,9 +150,6 @@ LOG_ROW = 1 + RECORD  # a trial of pspect_solve: x, then its record
 
 def _build() -> str:
     """Path of the compiled library, compiling it if no cached copy exists."""
-    import subprocess
-    import tempfile
-
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
     if not cc:
         raise OSError("Python reports no C compiler")
@@ -162,6 +159,9 @@ def _build() -> str:
     path = os.path.join(CACHE_DIR, f"_rk45_kernel-{key}.so")
     if os.path.exists(path):
         return path
+    import subprocess  # only a build needs them: a few ms of every start-up otherwise
+    import tempfile
+
     os.makedirs(CACHE_DIR, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=CACHE_DIR)
     os.close(fd)

@@ -14,15 +14,21 @@ problem, and it is the package's independent residual oracle: nodal
 solutions found by shooting are re-derived through it (fixed point of
 u = G_p(source(u))) and compared.
 
-Numerics: the cumulative inner integral is accumulated with composite
-Gauss-Legendre panels aligned to the source's breakpoints and splined;
-the outer integrand inherits half-power kinks at the roots of H (and a
-corner at the origin for N > 1), so the outer panel set is graded
-geometrically toward those points before the same composite rule is
-applied.  A one-shot refinement doubling the panel count estimates the
-quadrature error.  The near-origin factor t^{1-N} H(t) is evaluated from
-the series H(t) ~ h(0) t^N / N + h'(0) t^{N+1} / (N+1) below t = 1e-4,
-which is cancellation free.
+Numerics: the cumulative inner integral H is accumulated with composite
+Gauss-Legendre panels aligned to the source's breakpoints and carried
+between the panel nodes by a piecewise cubic Hermite interpolant.  Its
+slopes at a panel's ends are the end values of that panel's Gauss
+interpolant of s^{N-1} h, one-sided, so a jump of h at a breakpoint is
+honoured.  The outer integrand inherits half-power kinks at the roots of
+H (and a corner at the origin for N > 1); the roots are found by Brent's
+method in the panels whose node values of H change sign, and the outer
+panel set is graded geometrically toward those points before the same
+composite rule is applied.  A one-shot refinement doubling the panel
+count estimates the quadrature error.  The near-origin factor
+t^{1-N} H(t) is evaluated from the series
+H(t) ~ h(0) t^N / N + h'(0) t^{N+1} / (N+1) below t = 1e-4, which is
+cancellation free.  The profile u is carried between its nodes by the
+cubic Hermite interpolant of its values and its exact slopes.
 """
 
 from __future__ import annotations
@@ -31,13 +37,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import PreconditionError
 from .pfuncs import _pval
+from .radial_ivp import brentq
 from .weights import Weight
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(10)
+# the Lagrange basis of the Gauss nodes at -1 and +1: vals @ _GAUSS_ENDS
+# are a panel's Gauss interpolant at its two ends
+_GAUSS_ENDS = np.array([[np.prod((end - np.delete(_GAUSS_X, j))
+                                 / (_GAUSS_X[j] - np.delete(_GAUSS_X, j)))
+                         for end in (-1.0, 1.0)] for j in range(10)])
 
 SERIES_RADIUS = 1e-4
 
@@ -79,9 +90,31 @@ def as_source(h) -> SourceTerm:
 # the operator
 
 
+class _Hermite:
+    """Piecewise cubic Hermite interpolant through the values y at the nodes
+    x, with slope m0[i] at the left end of panel i and m1[i] at its right
+    end; it extends the end panels' cubics beyond [x[0], x[-1]]."""
+
+    def __init__(self, x, y, m0, m1):
+        dx = np.diff(x)
+        secant = np.diff(y) / dx
+        self.x = x
+        # power-basis coefficients in d = t - x[i], one row per power
+        self.coef = np.stack((y[:-1], m0, (3.0 * secant - 2.0 * m0 - m1) / dx,
+                              (m0 + m1 - 2.0 * secant) / dx**2))
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, len(self.x) - 2)
+        c0, c1, c2, c3 = (c.take(i) for c in self.coef)
+        d = t - self.x.take(i)
+        return ((c3 * d + c2) * d + c1) * d + c0
+
+
 @dataclass(frozen=True)
 class GpProfile:
-    """Profile returned by the solution operator: u, u' and metadata."""
+    """Profile returned by the solution operator: u, u', the kinks (the
+    interior roots of H) and the quadrature error estimate."""
 
     p: float
     N: int
@@ -89,7 +122,8 @@ class GpProfile:
     u: np.ndarray
     uprime: np.ndarray
     quad_error: float
-    _spline: CubicSpline = field(repr=False, default=None)
+    kinks: tuple = ()
+    _spline: _Hermite = field(repr=False, default=None)
 
     def __call__(self, r):
         return self._spline(np.asarray(r, dtype=float))
@@ -115,8 +149,7 @@ def apply_Gp(p, N, h) -> GpProfile:
 
     h0, h1 = src.value0(), src.slope0()
 
-    inner_nodes = _panel_nodes(src.breakpoints, 2048)
-    H_spline, H_nodes, H_vals = _cumulative_inner(src, inner_nodes, n_dim)
+    H, H_vals = _cumulative_inner(src, _panel_nodes(src.breakpoints, 2048), n_dim)
 
     def w_of(t):
         """t^{1-N} H(t), series below the cancellation radius."""
@@ -126,14 +159,14 @@ def apply_Gp(p, N, h) -> GpProfile:
         ts = t[small]
         out[small] = h0 * ts / n_dim + h1 * ts**2 / (n_dim + 1.0)
         tl = t[~small]
-        out[~small] = H_spline(tl) / tl ** (n_dim - 1)
+        out[~small] = H(tl) / tl ** (n_dim - 1)
         return out
 
     def g_of(t):
         w = w_of(t)
         return np.sign(w) * np.abs(w) ** (pc - 1.0)
 
-    kinks = _h_roots(H_spline, H_nodes, H_vals)
+    kinks = _h_roots(H, H_vals)
     out_nodes = _outer_nodes(src.breakpoints, kinks)
 
     seg = _composite_segments(g_of, out_nodes)
@@ -147,7 +180,6 @@ def apply_Gp(p, N, h) -> GpProfile:
     up_vals = -g_of(out_nodes)
     up_vals[0] = 0.0
 
-    spline = CubicSpline(out_nodes, u_vals, bc_type=((1, 0.0), (1, float(up_vals[-1]))))
     return GpProfile(
         p=pv,
         N=n_dim,
@@ -155,7 +187,8 @@ def apply_Gp(p, N, h) -> GpProfile:
         u=u_vals,
         uprime=up_vals,
         quad_error=quad_error,
-        _spline=spline,
+        kinks=kinks,
+        _spline=_Hermite(out_nodes, u_vals, up_vals[:-1], up_vals[1:]),
     )
 
 
@@ -169,41 +202,49 @@ def _bisect_nodes(nodes):
     return np.union1d(nodes, mids)
 
 
-def _composite_segments(fn, nodes):
-    """Gauss-Legendre(10) on every [nodes_i, nodes_{i+1}], vectorized."""
+def _gauss_values(fn, nodes):
+    """Half-widths of the panels [nodes_i, nodes_{i+1}] and fn at their
+    10 Gauss-Legendre points, one row per panel."""
     a = nodes[:-1]
     half = 0.5 * (nodes[1:] - a)
     mid = a + half
     pts = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
-    vals = fn(pts.ravel()).reshape(pts.shape)
+    return half, fn(pts.ravel()).reshape(pts.shape)
+
+
+def _composite_segments(fn, nodes):
+    """Gauss-Legendre(10) on every [nodes_i, nodes_{i+1}], vectorized."""
+    half, vals = _gauss_values(fn, nodes)
     return half * (vals @ _GAUSS_W)
 
 
 def _cumulative_inner(src, nodes, n_dim):
-    """H(t) on the panel nodes by cumulative composite quadrature, splined."""
+    """The Hermite interpolant of H and its values at the panel nodes, by
+    cumulative composite quadrature of s^{N-1} h."""
 
     def f(s):
         return s ** (n_dim - 1) * src.eval_vec(s)
 
-    seg = _composite_segments(f, nodes)
-    H_vals = np.concatenate(([0.0], np.cumsum(seg)))
-    return CubicSpline(nodes, H_vals), nodes, H_vals
+    half, vals = _gauss_values(f, nodes)
+    H_vals = np.concatenate(([0.0], np.cumsum(half * (vals @ _GAUSS_W))))
+    ends = vals @ _GAUSS_ENDS
+    return _Hermite(nodes, H_vals, ends[:, 0], ends[:, 1]), H_vals
 
 
-def _h_roots(H_spline, nodes, vals):
-    """Interior roots of H, the half-power kink locations of the outer integrand."""
-    roots = []
-    sign = np.sign(vals)
-    for i in range(1, len(nodes) - 1):
-        if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]:
-            piece = H_spline.solve(0.0, extrapolate=False)
-            break
-    else:
-        return ()
-    for z in piece:
-        if 1e-12 < z < 1.0 - 1e-12:
-            roots.append(float(z))
-    return tuple(sorted(set(roots)))
+def _h_roots(H, vals):
+    """Interior roots of H, the half-power kink locations of the outer
+    integrand: one by Brent's method on each panel's cubic whose node
+    values change sign, and each interior node where H is 0 between
+    values of opposite sign."""
+    x, sign = H.x, np.sign(vals)
+    roots = [x[i] for i in np.flatnonzero(sign[1:-1] == 0.0) + 1
+             if sign[i - 1] * sign[i + 1] < 0.0]
+    for i in np.flatnonzero(sign[1:-1] * sign[2:] < 0.0) + 1:
+        a, b = x[i:i + 2].tolist()
+        c0, c1, c2, c3 = H.coef[:, i].tolist()
+        roots.append(brentq(lambda t: ((c3 * (t - a) + c2) * (t - a) + c1) * (t - a) + c0,
+                            a, b, xtol=0.0, fa=vals[i], fb=vals[i + 1]))
+    return tuple(sorted(float(z) for z in roots if 1e-12 < z < 1.0 - 1e-12))
 
 
 def _outer_nodes(breakpoints, kinks):

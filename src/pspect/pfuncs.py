@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 
 def _pval(p) -> float:
@@ -74,34 +73,16 @@ def pi_p(p) -> float:
     return 2.0 * math.pi / (pv * math.sin(math.pi / pv))
 
 
-def _sinp_quarter_pair(tau, pv: float, quarter: float):
-    """(sin_p, sin_p') on the quarter period [0, pi_p/2].
-
-    The value solves I(1/p, 1-1/p; u^p) = tau/quarter for the regularized
-    incomplete beta I.  The derivative needs 1 - u^p, which cancels
-    catastrophically near the extremum; by the reflection
-    I_x(a, b) = 1 - I_{1-x}(b, a) it equals the inverse beta at swapped
-    parameters of the complementary abscissa (quarter - tau)/quarter,
-    formed exactly from the folded argument.
-    """
-    a = 1.0 / pv
-    b = 1.0 - a
-    y = np.clip(tau / quarter, 0.0, 1.0)
-    yc = np.clip((quarter - tau) / quarter, 0.0, 1.0)
-    w = special.betaincinv(a, b, y)  # u^p
-    s = special.betaincinv(b, a, yc)  # 1 - u^p, cancellation free
-    u = np.where(y <= 0.5, w, 1.0 - s) ** (1.0 / pv)
-    du = s ** (1.0 / pv)
-    return u, du
-
-
 def sin_p(x, p):
     """Generalized sine and its derivative, ``(value, derivative)``.
 
     Defined on all of R by quarter-period inversion plus the symmetries
     sin_p(pi_p - x) = sin_p(x) and sin_p(x + pi_p) = -sin_p(x).
-    Accepts scalars or arrays.
+    Accepts scalars or arrays.  The only caller of scipy in the package,
+    which it imports here so that importing pspect loads none of it.
     """
+    from scipy.special import betaincinv
+
     pv = _pval(p)
     half = pi_p(pv)
     quarter = 0.5 * half
@@ -117,7 +98,20 @@ def sin_p(x, p):
     dsgn = np.where(t > quarter, -1.0, 1.0)
     tau = np.where(t > quarter, half - t, t)
 
-    u, du = _sinp_quarter_pair(tau, pv, quarter)
+    # on the quarter period, u^p solves I(1/p, 1-1/p; u^p) = tau/quarter for
+    # the regularized incomplete beta I.  The derivative needs 1 - u^p,
+    # which cancels catastrophically near the extremum; by the reflection
+    # I_x(a, b) = 1 - I_{1-x}(b, a) it equals the inverse beta at swapped
+    # parameters of the complementary abscissa (quarter - tau)/quarter,
+    # formed exactly from the folded argument.
+    a = 1.0 / pv
+    b = 1.0 - a
+    y = np.clip(tau / quarter, 0.0, 1.0)
+    yc = np.clip((quarter - tau) / quarter, 0.0, 1.0)
+    w = betaincinv(a, b, y)  # u^p
+    s = betaincinv(b, a, yc)  # 1 - u^p, cancellation free
+    u = np.where(y <= 0.5, w, 1.0 - s) ** (1.0 / pv)
+    du = s ** (1.0 / pv)
 
     val = sgn * u
     der = sgn * dsgn * du

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pspect
 from pspect import cli, spectrum
 from pspect.radial_ivp import Problem
 from pspect.weights import Weight
@@ -538,6 +541,33 @@ def test_nodal_command_reference(tmp_path):
     assert code == 0
     files = os.listdir(out)
     assert any(f.startswith("nodal_k1_") for f in files)
+
+
+NO_SCIPY = """
+import os, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import pspect
+from pspect import cli
+configs, out = sys.argv[1:]
+for command, name in (("eig", "demo_eig"), ("branch", "demo_branch"),
+                      ("nodal", "demo_nodal"), ("gp", "demo_gp")):
+    code = cli.main([command, "--config", os.path.join(configs, name + ".json"),
+                     "--out", os.path.join(out, name)])
+    assert code == 0, (name, code)
+loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
+assert sys.modules["scipy"] is None and not loaded, loaded
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy serves only pfuncs.sin_p and the tests: the library and the
+    # eig, branch, nodal and gp commands import none of it
+    src = os.path.dirname(os.path.dirname(pspect.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY, CONFIGS, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
 
 
 def test_nodal_none_found_exit_2(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pspect.errors import PreconditionError
-from pspect.greens import apply_Gp, as_source
+from pspect.greens import SourceTerm, apply_Gp, as_source
 from pspect.radial_ivp import Problem, shoot
 from pspect.spectrum import find_eigenvalues
 from pspect.weights import Weight
@@ -29,6 +29,42 @@ def test_general_closed_form_constant_source(p, n_dim):
     rs = np.linspace(0, 1, 101)
     exact = n_dim ** (-1.0 / (p - 1.0)) * (1 - rs**pc) / pc
     assert np.max(np.abs(prof(rs) - exact)) < 1e-10
+
+
+@pytest.mark.parametrize("n_dim", [1, 2, 3])
+def test_closed_form_constant_source_p4(n_dim):
+    # p = 4: u' = -N^{-1/3} r^{1/3} has an infinite curvature at the origin
+    p = 4.0
+    pc = p / (p - 1.0)
+    prof = apply_Gp(p, n_dim, Weight.constant(1.0))
+    rs = np.linspace(0, 1, 1001)
+    exact = n_dim ** (-1.0 / (p - 1.0)) * (1 - rs**pc) / pc
+    assert np.max(np.abs(prof(rs) - exact)) < 1e-9
+
+
+def test_value_at_origin_of_a_sign_changing_source():
+    # u(0) = integral_0^1 phi_{5/3}(t/3 - t^2/2) dt, by mpmath to 30 digits
+    prof = apply_Gp(2.5, 3, Weight.poly([1.0, -2.0]))
+    assert abs(prof.value0 - 0.016394373644277280) < 5e-10
+
+
+def test_kinks_are_the_roots_of_H():
+    # H(t) = t^3/3 - t^4/2 changes sign only at 2/3; near the origin it is
+    # tiny but positive, so nothing but the origin ladder is graded there
+    prof = apply_Gp(2.5, 3, Weight.poly([1.0, -2.0]))
+    assert prof.kinks == pytest.approx((2.0 / 3.0,), abs=1e-13)
+    assert np.count_nonzero((prof.r > 1e-5) & (prof.r < 1e-4)) == 3
+
+
+def test_kink_after_a_jump_of_the_source():
+    # h = 1 on [0, 1/2), -3 on [1/2, 1], N = 1, p = 2: H = t, then 2 - 3t,
+    # whose slope jumps at the breakpoint; u is piecewise quadratic
+    h = SourceTerm(eval_vec=lambda r: np.where(r < 0.5, 1.0, -3.0), breakpoints=(0.5,))
+    prof = apply_Gp(2.0, 1, h)
+    assert prof.kinks == pytest.approx((2.0 / 3.0,), abs=1e-13)
+    rs = np.linspace(0, 1, 401)
+    exact = np.where(rs < 0.5, -rs**2 / 2, 0.5 - 2.0 * rs + 1.5 * rs**2)
+    assert np.max(np.abs(prof(rs) - exact)) < 1e-12
 
 
 def test_homogeneity():
