@@ -234,17 +234,15 @@ def _cumulative_inner(src, nodes, n_dim):
 def _h_roots(H, vals):
     """Interior roots of H, the half-power kink locations of the outer
     integrand: one by Brent's method on each panel's cubic whose node
-    values change sign, and each interior node where H is 0 between
-    values of opposite sign."""
-    x, sign = H.x, np.sign(vals)
-    roots = [x[i] for i in np.flatnonzero(sign[1:-1] == 0.0) + 1
-             if sign[i - 1] * sign[i + 1] < 0.0]
+    values change sign."""
+    sign = np.sign(vals)
+    roots = []
     for i in np.flatnonzero(sign[1:-1] * sign[2:] < 0.0) + 1:
-        a, b = x[i:i + 2].tolist()
+        (a, b), (fa, fb) = H.x[i:i + 2].tolist(), vals[i:i + 2].tolist()
         c0, c1, c2, c3 = H.coef[:, i].tolist()
         roots.append(brentq(lambda t: ((c3 * (t - a) + c2) * (t - a) + c1) * (t - a) + c0,
-                            a, b, xtol=0.0, fa=vals[i], fb=vals[i + 1]))
-    return tuple(sorted(float(z) for z in roots if 1e-12 < z < 1.0 - 1e-12))
+                            a, b, xtol=0.0, fa=fa, fb=fb))
+    return tuple(z for z in roots if 1e-12 < z < 1.0 - 1e-12)
 
 
 def _outer_nodes(breakpoints, kinks):
