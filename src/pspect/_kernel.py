@@ -37,10 +37,10 @@ radius, the tolerances, the blow-up guard and the sample count.
 ``pspect_shoot``, ``pspect_probe`` and ``pspect_solve`` each take one
 Shot, which ``radial_ivp._shot`` builds.  A call hands its shot back
 (returns None) where Python would raise on the way: in the start, in the
-march (a power that overflows, a division by zero), in the refinement of
-a zero, and, with no blow-up guard, on a shot that is not finite.  The
-caller then takes the Python path, which returns or raises as it always
-has.  A solve is handed back also on a NaN miss and on no convergence.
+march (a power that overflows, a division by zero) and in the refinement
+of a zero.  The caller then takes the Python path, which returns or
+raises as it always has.  A solve is handed back also on a NaN miss and
+on no convergence.
 No buffer outlives a call, as ctypes releases the GIL during one.
 
 The source is compiled on first use with the C compiler Python was built
@@ -108,16 +108,15 @@ def rhs(p, n_dim, weight, lam, family, e, f0=0.0, finf=0.0, q=0.0, gc=0.0, ge=0.
 
 class Shot(ctypes.Structure):  # struct Shot of _rk45_kernel.c
     """One shot from u(0) = alpha to r = 1 with right-hand side rhs: m0 is
-    the weight at 0, p_conj p / (p - 1), eps the start radius, the guard
-    |u| < blowup_limit holds where has_limit, and the shot is read on a
-    grid of n_samples uniform points united with its nodes."""
+    the weight at 0, p_conj p / (p - 1), eps the start radius, the march
+    stops where |u| reaches blowup_limit, and the shot is read on a grid of
+    n_samples uniform points united with its nodes."""
 
     _fields_ = (
         [("rhs", Rhs)]
         + [(name, ctypes.c_double)
            for name in ("alpha", "m0", "p_conj", "eps", "rtol", "atol_u", "atol_v")]
-        + [("has_limit", ctypes.c_int), ("blowup_limit", ctypes.c_double),
-           ("n_samples", ctypes.c_int64)]
+        + [("blowup_limit", ctypes.c_double), ("n_samples", ctypes.c_int64)]
     )
 
 
@@ -132,9 +131,9 @@ _ARGTYPES = {
     # pspect_scan(block, n, eps, r_end, n_samples, n_dim, e_inv, samples, cap, scratch, counts)
     "scan": (_DOUBLES, ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
              ctypes.c_int64, ctypes.c_double, _DOUBLES, ctypes.c_int64, _DOUBLES, _INT64S),
-    # pspect_reduce(block, n, eps, r_end, n_samples, n_dim, e_inv, guarded, work, out)
+    # pspect_reduce(block, n, eps, r_end, n_samples, n_dim, e_inv, work, out)
     "reduce": (_DOUBLES, ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
-               ctypes.c_int64, ctypes.c_double, ctypes.c_int, _DOUBLES, _DOUBLES),
+               ctypes.c_int64, ctypes.c_double, _DOUBLES, _DOUBLES),
     # pspect_solve(shot, in_alpha, a, b, fa, fb, xtol, xrtol, cap, buf, out)
     "solve": (_SHOT, ctypes.c_int) + (ctypes.c_double,) * 6 + (ctypes.c_int64, _DOUBLES,
                                                                 _DOUBLES),
@@ -291,7 +290,7 @@ class Reading(NamedTuple):
     z: int
 
 
-def reduce(block, n, eps, r_end, n_samples, n_dim, e_inv, guarded) -> Reading | None:
+def reduce(block, n, eps, r_end, n_samples, n_dim, e_inv) -> Reading | None:
     """``pspect_reduce`` over a finished shot of n steps in the block layout
     of ``_rk45.DenseOutput``: the :class:`Reading` ``radial_ivp.probe``
     makes of it, or None when the kernel is missing, n < 1, n_samples < 2
@@ -301,7 +300,7 @@ def reduce(block, n, eps, r_end, n_samples, n_dim, e_inv, guarded) -> Reading | 
         return None
     _check_block(block, n)
     out = (ctypes.c_double * 4)()
-    if lib.pspect_reduce(_doubles(block), n, eps, r_end, n_samples, n_dim, e_inv, guarded,
+    if lib.pspect_reduce(_doubles(block), n, eps, r_end, n_samples, n_dim, e_inv,
                          _doubles(np.empty(_work_size(n, n_samples))), out):
         return None
     u1, u_end, sup_u, z = out

@@ -13,9 +13,9 @@ the nonlinear and perturbed problems with the package's built-in f and
 g) runs whole on the compiled kernel instead (``_kernel``,
 ``_rk45_kernel.c``), which ports this module's start and loop operation
 for operation and so gives the same bits; ``radial_ivp`` picks the path.
-The loop here is the reference; it serves the source problem, any
-user-supplied f or g, and any shot the kernel cannot take (no compiler,
-or a float operation that raises in Python).
+The loop here is the reference; it serves any user-supplied f or g,
+and any shot the kernel cannot take (no compiler, or a float operation
+that raises in Python).
 
 The loop deliberately avoids numpy; shots are ~1e2..1e3 steps of
 trivially cheap arithmetic, where array machinery costs more than the
@@ -208,11 +208,11 @@ def _underflow(t: float) -> IntegrationError:
     return IntegrationError(f"step size underflow at r = {t:.6e}")
 
 
-def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None):
+def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit):
     """March from t0 to t_end; returns (ts, dense, blowup_t, steps).
 
     ts: the accepted nodes (an array).  blowup_t is the radius where |u|
-    first exceeded blowup_limit (integration stops there), or None if
+    first reached blowup_limit (integration stops there), or None if
     t_end was reached.  steps: the :class:`StepCounts` of the march.
     Raises IntegrationError on step-size underflow.
     """
@@ -295,7 +295,7 @@ def integrate(f, t0, t_end, y0, *, rtol, atol, blowup_limit=None):
 
         t_new = t + h
 
-        if blowup_limit is not None and abs(u1) >= blowup_limit:
+        if abs(u1) >= blowup_limit:
             blowup_t = t_new
             t = t_new
             u, v = u1, v1

@@ -129,13 +129,11 @@ typedef struct {
 
 /* one shot from u(0) = alpha to r = 1 (radial_ivp._shot builds it): m0 is
    the weight at 0 (Weight.eval_scalar's), p_conj p / (p - 1), eps the start
-   radius, the guard |u| < blowup_limit holds where has_limit, and the shot
-   is read on a grid of n_samples uniform points united with its nodes */
+   radius, the march stops where |u| reaches blowup_limit, and the shot is
+   read on a grid of n_samples uniform points united with its nodes */
 typedef struct {
     Rhs rhs;
-    double alpha, m0, p_conj, eps, rtol, atol_u, atol_v;
-    int has_limit;
-    double blowup_limit;
+    double alpha, m0, p_conj, eps, rtol, atol_u, atol_v, blowup_limit;
     int64_t n_samples;
 } Shot;
 
@@ -365,7 +363,7 @@ INLINE int dp45(Rhs *R, int family, const Shot *S, const double *state, double h
         t += h;
         u = u1;
         v = v1;
-        if (S->has_limit && fabs(u1) >= S->blowup_limit) {
+        if (fabs(u1) >= S->blowup_limit) {
             status = PSPECT_BLOWUP;
             break;
         }
@@ -691,16 +689,6 @@ static int64_t search_left(const double *grid, int64_t g, double r)
     return lo;
 }
 
-/* radial_ivp._require_finite: the start values and coefficients of the n
-   steps in block are finite (the step sizes are not read) */
-static int steps_finite(const double *block, int64_t n)
-{
-    for (int64_t k = n + 1; k < 12 * n + 1; k++)
-        if (!isfinite(block[k]) && !(k >= 3 * n + 1 && k < 4 * n + 1))
-            return 0;
-    return 1;
-}
-
 /* What radial_ivp.probe reads off a finished shot of n >= 1 steps in block:
    read_shot with n_samples >= 2 samples, then the tail filter of
    radial_ivp._drop_noise_tail_zeros and the count of interior zeros.  work
@@ -711,14 +699,10 @@ static int steps_finite(const double *block, int64_t n)
    The filter drops trailing zeros whose tail maximum is below
    TAIL_NOISE_FACTOR sup |u| and whose slope is below TAIL_SLOPE_FACTOR
    sup |u'|; sup |u'| is computed only where a trailing zero lies under the
-   noise floor.  Returns 0, or PSPECT_RERUN where pspect_scan does, and where
-   the shot has no blow-up guard (guarded == 0) and a start value or
-   coefficient of a step is not finite: Python raises there. */
+   noise floor.  Returns 0, or PSPECT_RERUN where pspect_scan does. */
 int pspect_reduce(const double *block, int64_t n, double eps, double r_end, int64_t n_samples,
-                  int64_t n_dim, double e_inv, int guarded, double *work, double *out)
+                  int64_t n_dim, double e_inv, double *work, double *out)
 {
-    if (!guarded && !steps_finite(block, n))
-        return PSPECT_RERUN;
     int64_t cap = n_samples + n + 1, counts[2];
     double *scratch = work + 3 * cap;
     if (read_shot(block, n, eps, r_end, n_samples, n_dim, e_inv, work, cap, scratch, counts))
@@ -863,8 +847,7 @@ static int march(const Shot *S, int64_t cap, double *buf, double *t, int64_t *st
 #undef LOOP
 }
 
-/* radial_ivp.shoot of the shot *S, to its bits: march, the finiteness check
-   of a shot with no guard (radial_ivp._require_finite), then pspect_scan
+/* radial_ivp.shoot of the shot *S, to its bits: march, then pspect_scan
    over the block from eps to r = 1 or to where the shot blew up.  buf holds
    20 cap + 4 n_samples + 8 doubles, as for pspect_probe.  On return the
    block of the n accepted steps is at its front, followed by the samples
@@ -880,10 +863,9 @@ int pspect_shoot(const Shot *S, int64_t cap, double *buf, double *t, int64_t *co
         return status;
     int64_t n = counts[0], cap_s = S->n_samples + n + 1;
     double *samples = buf + 12 * n + 1;
-    if ((!S->has_limit && !steps_finite(buf, n))
-        || pspect_scan(buf, n, S->eps, status == PSPECT_BLOWUP ? *t : 1.0, S->n_samples,
-                       S->rhs.n_dim, S->rhs.e_inv, samples, cap_s, samples + 3 * cap_s,
-                       counts + 2))
+    if (pspect_scan(buf, n, S->eps, status == PSPECT_BLOWUP ? *t : 1.0, S->n_samples,
+                    S->rhs.n_dim, S->rhs.e_inv, samples, cap_s, samples + 3 * cap_s,
+                    counts + 2))
         return PSPECT_RERUN;
     return status;
 }
@@ -892,9 +874,9 @@ int pspect_shoot(const Shot *S, int64_t cap, double *buf, double *t, int64_t *co
    over the block it leaves at the front of buf.  buf holds 12 cap + 1
    doubles for the march and then the work of pspect_reduce for a shot of
    cap steps (20 cap + 4 n_samples + 8 in all).  An END or BLOWUP shot
-   fills rec: D (u(1), or BLOWUP_MISS signed by u where a shot with a
-   blow-up limit stopped), sup |u|, Z, 1 for a blow-up, and the accepted and
-   the rejected steps; after UNDERFLOW rec[0] is the r where the step size
+   fills rec: D (u(1), or BLOWUP_MISS signed by u where a shot that blew
+   up stopped), sup |u|, Z, 1 for a blow-up, and the accepted and the
+   rejected steps; after UNDERFLOW rec[0] is the r where the step size
    underflowed.  Returns the status of the march, or PSPECT_RERUN where
    Python would raise on the way. */
 int pspect_probe(const Shot *S, int64_t cap, double *buf, double *rec)
@@ -907,7 +889,7 @@ int pspect_probe(const Shot *S, int64_t cap, double *buf, double *rec)
     int64_t n = steps[0];
     int blowup = status == PSPECT_BLOWUP;
     if (pspect_reduce(buf, n, S->eps, blowup ? rec[0] : 1.0, S->n_samples, S->rhs.n_dim,
-                      S->rhs.e_inv, S->has_limit, buf + 12 * n + 1, reading))
+                      S->rhs.e_inv, buf + 12 * n + 1, reading))
         return PSPECT_RERUN;
     const double out[6] = {blowup ? copysign(BLOWUP_MISS, reading[1]) : reading[0], reading[2],
                            reading[3], blowup, (double)n, (double)steps[1]};

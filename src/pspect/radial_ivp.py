@@ -9,7 +9,6 @@ with W one of
     linear      W = mu * m(r) * phi_p(u)
     nonlinear   W = gamma * m(r) * f(u)
     perturbed   W = mu * m(r) * phi_p(u) + g(r, u; mu)
-    source      W = h(r)                       (auxiliary problem, u-independent)
 
 Written as a first-order system in (u, v) with v = r^{N-1} phi_p(u'):
 
@@ -30,9 +29,9 @@ compiled form (``compiled``: the linear problem, the nonlinear one with a
 built-in ``Nonlinearity`` family and the perturbed one with the built-in
 ``Perturbation``), :func:`shoot` is one kernel call (``_kernel.shoot``):
 the start, the march with that right-hand side written into the loop and
-the read-out, to the bits of the Python path.  The Python path serves the
-source problem, any other f or g, a missing compiler and every shot the
-kernel hands back (where Python would raise): the Python start
+the read-out, to the bits of the Python path.  The Python path serves any
+other f or g, a missing compiler and every shot the kernel hands back
+(where Python would raise): the Python start
 (:func:`origin_startup`), the Python stepper (``_rk45.integrate``) on the
 right-hand side ``_system`` builds, then ``_scan_reference`` in numpy and
 ``_locate_zeros``.  ``_shot`` builds the one block (``_kernel.Shot``) the
@@ -47,8 +46,9 @@ pow(max |v| / r^(N-1), 1/(p-1)) over the grid, each power libm's, in C
 and in the references alike.  A zero is simple when
 |u'(r_z)| >= 1e-8 * max|u'|, and the trajectory is flagged, not
 repaired, when a degenerate (u = u' = 0) point is met, since IVP
-uniqueness can fail there for p != 2.  With no blow-up guard, a shot
-whose state overflows raises IntegrationError.
+uniqueness can fail there for p != 2.  Every shot runs behind a blow-up
+guard: the march stops where |u| first reaches blowup_limit, which
+math.inf puts off until u overflows.
 
 Searches consume a shot through :func:`probe`, which reduces it to the
 miss D = u(1) and the count Z of ``Trajectory.interior_zeros`` (the one
@@ -173,22 +173,6 @@ class PerturbedRHS:
 
 
 @dataclass(frozen=True)
-class SourceRHS:
-    h: object  # callable r -> h(r)
-
-    def make(self, p: float, m_eval):
-        h = self.h
-
-        def w(r, u):
-            return h(r)
-
-        return w
-
-    def compiled(self, p, n_dim, m):
-        return None
-
-
-@dataclass(frozen=True)
 class Problem:
     """Geometry (p, N), weight m and right-hand side of one radial problem."""
 
@@ -218,10 +202,6 @@ class Problem:
     @classmethod
     def perturbed(cls, p, N, m: Weight, mu: float, g) -> "Problem":
         return cls(p, N, m, PerturbedRHS(float(mu), g))
-
-    @classmethod
-    def source(cls, p, N, h) -> "Problem":
-        return cls(p, N, Weight.constant(0.0), SourceRHS(h))
 
     def with_mu(self, mu: float) -> "Problem":
         """The linear problem with this geometry and weight at parameter mu."""
@@ -351,8 +331,7 @@ def shoot(
 
     The boundary condition at r = 1 is *not* imposed; the terminal value
     u(1) is the miss that eigenvalue and amplitude scans drive to zero.
-    With blowup_limit None a shot whose state overflows raises
-    IntegrationError.
+    The march stops where |u| first reaches blowup_limit.
 
     Where the right-hand side has a compiled form, the kernel starts,
     marches and reads the shot in one call (``_kernel.shoot``), calling no
@@ -373,8 +352,6 @@ def shoot(
         _, dense, blowup_radius, steps = integrate(
             f, eps, 1.0, origin_startup(problem, alpha, eps), rtol=rtol, atol=atol,
             blowup_limit=blowup_limit)
-        if blowup_limit is None:
-            _require_finite(dense)
         r_end = blowup_radius if blowup_radius is not None else 1.0
         *scan, brackets = _scan_reference(dense, eps, r_end, n_samples, n_dim, e_inv)
         scan.append(_locate_zeros(brackets, n_dim, e_inv))
@@ -415,19 +392,7 @@ def _shot(problem, alpha, eps, rtol, atol, blowup_limit, n_samples):
         return None
     atol_u, atol_v = (atol, atol) if np.isscalar(atol) else atol
     return _kernel.Shot(rhs, alpha, problem.m.eval_scalar(0.0), problem.p_conj, eps, rtol,
-                        atol_u, atol_v, blowup_limit is not None, blowup_limit or 0.0, n_samples)
-
-
-def _require_finite(dense):
-    """Raise where the march's state stops being finite: with no blow-up
-    guard an overflowing shot marches on in inf and NaN."""
-    n, block = dense.n, dense.block
-    steps = np.column_stack((block[n + 1:3 * n + 1].reshape(-1, 2),
-                             block[4 * n + 1:].reshape(-1, 8)))
-    bad = ~np.isfinite(steps).all(axis=1)
-    if bad.any():
-        r = float(block[int(np.argmax(bad))])
-        raise IntegrationError(f"shot not finite from r = {r:.6e} on, with no blow-up guard")
+                        atol_u, atol_v, blowup_limit, n_samples)
 
 
 @dataclass(frozen=True)

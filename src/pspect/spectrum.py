@@ -70,7 +70,6 @@ class Eigenpair:
     trajectory: Trajectory
     zeros: tuple
     boundary_residual: float
-    tail_trimmed: int = 0  # mu-resolution tail artifacts removed from zeros
 
 
 @dataclass
@@ -312,16 +311,14 @@ def find_eigenvalues(
     for k in ks:
         mu_abs, traj = found[k]
         mu = sgn * mu_abs
-        zeros, trimmed = _trim_tail_artifacts(traj, k)
         pairs.append(
             Eigenpair(
                 k=k,
                 nu=nu,
                 mu=mu,
                 trajectory=traj,
-                zeros=zeros,
+                zeros=_trim_tail_artifacts(traj, k),
                 boundary_residual=abs(traj.terminal_u),
-                tail_trimmed=trimmed,
             )
         )
     values = [ep.mu * sgn for ep in pairs]
@@ -538,7 +535,6 @@ def _trim_tail_artifacts(traj: Trajectory, k: int):
     rebound far above the terminal noise and survive.
     """
     noise = 100.0 * abs(traj.terminal_u) if traj.terminal is not None else 0.0
-    trimmed = 0
     interior = list(traj.interior_zeros)
     while len(interior) > k - 1:
         z = interior[-1]
@@ -546,10 +542,9 @@ def _trim_tail_artifacts(traj: Trajectory, k: int):
         tail_max = float(np.max(np.abs(traj.u[idx:]))) if idx < len(traj.u) else 0.0
         if tail_max <= noise and abs(z.uprime) < 1e-3 * traj.sup_uprime:
             interior.pop()
-            trimmed += 1
         else:
             break
-    return tuple(z.r for z in interior), trimmed
+    return tuple(z.r for z in interior)
 
 
 def _polish_root(prober, x0, lo, hi, rtol, atol):

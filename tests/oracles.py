@@ -26,6 +26,33 @@ from pspect.weights import Weight
 
 
 # ---------------------------------------------------------------------------
+# the source problem, W = h(r): shot on the library's Python path, it is
+# compared with the explicit solution operator G_p
+
+
+@dataclass(frozen=True)
+class SourceRHS:
+    h: object  # callable r -> h(r)
+
+    def make(self, p: float, m_eval):
+        h = self.h
+
+        def w(r, u):
+            return h(r)
+
+        return w
+
+    def compiled(self, p, n_dim, m):
+        return None
+
+
+def source_problem(p, N, h) -> Problem:
+    """The radial problem (r^{N-1} phi_p(u'))' + r^{N-1} h(r) = 0, whose
+    right-hand side does not depend on u."""
+    return Problem(p, N, Weight.constant(0.0), SourceRHS(h))
+
+
+# ---------------------------------------------------------------------------
 # generalized-sine arclength quadrature
 
 

@@ -550,7 +550,8 @@ import pspect
 from pspect import cli
 configs, out = sys.argv[1:]
 for command, name in (("eig", "demo_eig"), ("branch", "demo_branch"),
-                      ("nodal", "demo_nodal"), ("gp", "demo_gp")):
+                      ("nodal", "demo_nodal"), ("gp", "demo_gp"),
+                      ("verify", "verify_default")):
     code = cli.main([command, "--config", os.path.join(configs, name + ".json"),
                      "--out", os.path.join(out, name)])
     assert code == 0, (name, code)
@@ -561,7 +562,7 @@ assert sys.modules["scipy"] is None and not loaded, loaded
 
 def test_commands_run_without_scipy(tmp_path):
     # scipy serves only pfuncs.sin_p and the tests: the library and the
-    # eig, branch, nodal and gp commands import none of it
+    # eig, branch, nodal, gp and verify commands import none of it
     src = os.path.dirname(os.path.dirname(pspect.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

@@ -9,7 +9,7 @@ from pspect.radial_ivp import Problem, shoot
 from pspect.spectrum import find_eigenvalues
 from pspect.weights import Weight
 
-from oracles import residual
+from oracles import residual, source_problem
 
 
 def test_laplace_closed_form():
@@ -97,7 +97,7 @@ def test_agreement_with_shooting():
     p, n_dim = 2.5, 2
     h = Weight.poly([1.0, -2.0])
     prof = apply_Gp(p, n_dim, h)
-    prob = Problem.source(p, n_dim, h.scalar_fn())
+    prob = source_problem(p, n_dim, h.scalar_fn())
     traj = shoot(prob, prof.value0)
     rs = np.linspace(1e-5, 1.0, 300)
     u_shot, _ = traj.eval(rs)

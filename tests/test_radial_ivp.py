@@ -1,3 +1,4 @@
+import ctypes
 import gc
 import inspect
 import math
@@ -28,7 +29,7 @@ from pspect.radial_ivp import (
 )
 from pspect.weights import Weight
 
-from oracles import rk4_shot
+from oracles import rk4_shot, source_problem
 
 M1 = Weight.constant(1.0)
 M_LIN = Weight.poly([1.0, -2.0])
@@ -290,12 +291,14 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_kernel_matches_reference(prob, *, alpha=1.0, blowup_limit=None, **kw):
+def assert_kernel_matches_reference(prob, *, alpha=1.0, blowup_limit=math.inf, **kw):
     """The shot of prob from u(0) = alpha is the same on the kernel and on
-    the Python path (with no blow-up guard unless one is given)."""
+    the Python path (with a blow-up guard of inf, which stops the march
+    only where u overflows, unless one is given); returns the shot."""
     got = shoot(prob, alpha, blowup_limit=blowup_limit, **kw)
     assert_same_shot(got, shoot(_on_python_path(prob), alpha, blowup_limit=blowup_limit, **kw))
     assert type(got.steps.accepted) is type(got.steps.rhs_calls) is int
+    return got
 
 
 @pytest.mark.parametrize("weight", sorted(FUSED_WEIGHTS))
@@ -431,15 +434,15 @@ def _raised_on_both_paths(prob, alpha, **kw):
 
 @pytest.mark.kernel
 @needs_kernel
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 def test_kernel_hands_overflowing_shots_to_the_python_stepper(shoot_results):
-    # with no blow-up guard u and v reach inf; Python's inf ** e is inf
+    # with a guard of inf u and v reach inf; Python's inf ** e is inf
     # without an error, the kernel stops at an infinite power, and the
-    # Python path repeats the shot, which is not finite and raises
-    raised = _raised_on_both_paths(Problem.linear(1.2, 1, M1, -1e6), 1.0, rtol=1e-6, atol=1e-8,
-                                   blowup_limit=None)
-    assert raised[0] == raised[1] and raised[0][0] is IntegrationError
-    assert raised[0][1].startswith("shot not finite from r = ")
+    # Python path repeats the shot, whose last samples are NaN
+    shot = assert_kernel_matches_reference(Problem.linear(1.2, 1, M1, -1e6), rtol=1e-6,
+                                           atol=1e-8)
     assert shoot_results == [None]
+    assert shot.blowup_radius is not None and math.isnan(shot.sup_u)
 
 
 @pytest.mark.kernel
@@ -483,7 +486,7 @@ def test_shots_fall_back_to_the_python_stepper(monkeypatch, tmp_path, broken):
 
 
 def assert_same_shot(got, want):
-    # as IEEE bits, so that a NaN of a shot with no blow-up guard matches
+    # as IEEE bits, so that a NaN of a shot that overflows matches
     for a, b in ((got.r, want.r), (got.u, want.u), (got.v, want.v), (got.sup_u, want.sup_u),
                  (got.sup_uprime, want.sup_uprime)):
         assert _same_bits(a, b)
@@ -531,12 +534,12 @@ def assert_same_probe(got, want):
     assert type(got.d) is type(got.sup_u) is float and type(got.z) is int
 
 
-def assert_reduction_matches(shot, prob, blowup_limit, want):
+def assert_reduction_matches(shot, prob, want):
     """The kernel's reduction of the shot's block is the probe want."""
     r_end = 1.0 if shot.blowup_radius is None else shot.blowup_radius
     e_inv = 1.0 / (prob.p - 1.0)
     reading = _kernel.reduce(shot.dense.block, shot.dense.n, EPS, r_end,
-                             radial_ivp.PROBE_SAMPLES, prob.N, e_inv, blowup_limit is not None)
+                             radial_ivp.PROBE_SAMPLES, prob.N, e_inv)
     if reading is not None:
         blowup = shot.blowup_radius is not None
         d = math.copysign(radial_ivp.BLOWUP_MISS, reading.u_end) if blowup else reading.u1
@@ -564,7 +567,7 @@ def assert_post_pass_matches_reference(monkeypatch, prob, alpha, *, rtol=1e-10, 
     if fused:
         assert_same_probe(probe(prob, alpha, **tols), reference)
     probe_shot = shoot(prob, alpha, n_samples=radial_ivp.PROBE_SAMPLES, **tols)
-    reading = assert_reduction_matches(probe_shot, prob, blowup_limit, reference)
+    reading = assert_reduction_matches(probe_shot, prob, reference)
     r_end = 1.0 if got.blowup_radius is None else got.blowup_radius
     scan = _kernel.scan(got.dense.block, got.dense.n, EPS, r_end, n_samples, prob.N,
                         1.0 / (prob.p - 1.0))
@@ -608,19 +611,16 @@ POST_PASS_CASES = {
     "rational-N2": (Problem.nonlinear(2.5, 2, M_LIN, 37.5, Nonlinearity.rational(2.5)), 3.0, {}),
     "perturbed-N3": (Problem.perturbed(2.0, 3, M_LIN, 300.0, Perturbation(2.0)), 0.5, {}),
     # the Python stepper: u(eps) = alpha - H0 eps^2 / 2 is exactly 0.0, a zero at a node
-    "source-zero-at-node": (Problem.source(2.0, 1, lambda r: H0), H0 * EPS**2 / 2, {}),
+    "source-zero-at-node": (source_problem(2.0, 1, lambda r: H0), H0 * EPS**2 / 2, {}),
     "hand-built-f": (Problem.nonlinear(2.5, 2, M_LIN, 300.0, _hand_built_rational(2.5)), 1.0,
                      {}),
-    # no blow-up guard: u and v overflow to inf, and the shot raises
-    "no-guard-nan": (Problem.linear(1.2, 1, M1, -1e5), 1.0,
-                     dict(rtol=1e-6, atol=1e-8, blowup_limit=None)),
     # |u|^2.2 passes the largest double: Python raises OverflowError, and the
     # kernel hands the shot back
     "rational-handed-back": (Problem.nonlinear(2.0, 1, Weight.constant(-1.0), 50.0,
                                                Nonlinearity.rational(2.0, 1.0, 0.5, 2.2)),
                              1e139, dict(blowup_limit=1e300)),
 }
-RAISING = {"no-guard-nan": IntegrationError, "rational-handed-back": OverflowError}
+RAISING = {"rational-handed-back": OverflowError}
 
 
 def assert_raises_alike(monkeypatch, prob, alpha, error, **kw):
@@ -647,9 +647,7 @@ def test_post_pass_matches_reference(monkeypatch, scan_results, probe_results, s
     prob, alpha, kw = POST_PASS_CASES[case]
     if case in RAISING:
         kw = dict(dict(rtol=1e-10, atol=1e-12), **kw)
-        error = assert_raises_alike(monkeypatch, prob, alpha, RAISING[case], **kw)
-        if case == "no-guard-nan":
-            assert error[1].startswith("shot not finite from r = ")
+        assert_raises_alike(monkeypatch, prob, alpha, RAISING[case], **kw)
         if _kernel.load() is not None:
             # the kernel hands back the shot, the probe and the shot of the
             # probe's shoot-and-reduce
@@ -709,7 +707,7 @@ def test_sup_uprime_takes_libm_powers_on_both_passes():
 @needs_kernel
 def test_post_pass_refuses_a_block_of_another_size():
     for pass_ in (lambda b: _kernel.scan(b, 1, EPS, 1.0, 65, 1, 1.0),
-                  lambda b: _kernel.reduce(b, 1, EPS, 1.0, 65, 1, 1.0, True)):
+                  lambda b: _kernel.reduce(b, 1, EPS, 1.0, 65, 1, 1.0)):
         with pytest.raises(ValueError, match="dense block of 1 steps holds 13"):
             pass_(np.zeros(12))
 
@@ -810,11 +808,6 @@ def test_post_pass_matches_reference_on_edited_shots(monkeypatch, scan_results, 
         assert shot.terminal[0] == 0.0 and shot.zeros[-1].r == CUT
     elif edit is _nan_inside:
         assert math.isnan(shot.sup_u) and not math.isnan(shot.u[-1])
-        # with no blow-up guard the shot raises, and the kernel hands it back
-        n = shot.dense.n
-        with pytest.raises(IntegrationError, match=f"from r = {shot.dense.block[n // 2]:.6e} on"):
-            shoot(prob, 1.0, blowup_limit=None)
-        assert _kernel.reduce(shot.dense.block, n, EPS, 1.0, 65, n_dim, 1 / 1.5, False) is None
     elif edit is _twin_zero:
         node = shot.dense.block[shot.dense.n // 2 + 1]
         brackets = radial_ivp._scan_reference(shot.dense, EPS, 1.0, 513, n_dim, 1 / 1.5)[-1]
@@ -949,7 +942,7 @@ def test_kernel_hands_back_a_rational_shot_whose_power_overflows(shoot_results):
     # that finf |u|^q does not overflow first, to inf without an error)
     f = Nonlinearity.rational(2.0, f0=1.0, finf=0.5, q=2.2)
     prob = Problem.nonlinear(2.0, 1, Weight.constant(-1.0), 50.0, f)
-    raised = _raised_on_both_paths(prob, 1e139, blowup_limit=None)
+    raised = _raised_on_both_paths(prob, 1e139, blowup_limit=math.inf)
     assert raised[0] == raised[1] and raised[0][0] is OverflowError
     assert shoot_results == [None]
 
@@ -968,6 +961,33 @@ def _c_constants():
     for body in re.findall(r"enum \{(.*?)\}", source, re.S):
         values.update((name, int(v)) for name, v in re.findall(r"(\w+) = (\d+)", body))
     return values
+
+
+def _c_struct_fields(name):
+    """(field, C type) of the typedef struct name of the kernel source, in order."""
+    with open(_kernel.SOURCE) as fh:
+        source = re.sub(r"/\*.*?\*/", "", fh.read(), flags=re.S)
+    body = re.search(r"typedef struct \{([^}]*)\} " + name + ";", source).group(1)
+    fields = []
+    for decl in filter(None, (d.strip() for d in body.split(";"))):
+        c_type, names = re.fullmatch(r"((?:const )?\w+ ?\*?)\s*(.*)", decl, re.S).groups()
+        fields += [(n.strip(), c_type.strip()) for n in names.split(",")]
+    return fields
+
+
+C_TYPES = {"int64_t": ctypes.c_int64, "int": ctypes.c_int, "double": ctypes.c_double,
+           "const double *": ctypes.c_void_p, "const int64_t *": ctypes.c_void_p,
+           "Rhs": _kernel.Rhs}
+
+
+@pytest.mark.kernel
+def test_kernel_structs_match_ctypes():
+    # ctypes lays out _kernel.Rhs and _kernel.Shot by their field lists; a
+    # field added, dropped or retyped on one side only shifts every field
+    # after it
+    for struct in (_kernel.Rhs, _kernel.Shot):
+        c = [(name, C_TYPES[c_type]) for name, c_type in _c_struct_fields(struct.__name__)]
+        assert c == list(struct._fields_)
 
 
 @pytest.mark.kernel
@@ -1039,7 +1059,7 @@ def test_shoot_raises_and_hands_back_alike_on_both_paths(shoot_results):
 
 
 @pytest.mark.kernel
-@pytest.mark.parametrize("blowup_limit", [radial_ivp.BLOWUP_LIMIT, None])
+@pytest.mark.parametrize("blowup_limit", [radial_ivp.BLOWUP_LIMIT, math.inf])
 def test_compiled_shoot_is_one_kernel_call(monkeypatch, shoot_results, blowup_limit):
     # the kernel starts, marches and reads the shot: no right-hand side is
     # made in Python and the Python stepper is not called
