@@ -46,7 +46,8 @@ No buffer outlives a call, as ctypes releases the GIL during one.
 The source is compiled on first use with the C compiler Python was built
 with (``sysconfig``'s ``CC``) and the fixed flags ``FLAGS``, into
 ``__pycache__`` next to this file, under a name keyed by a hash of the
-source, the compiler and the flags; later processes load that file.  The
+source, the compiler and the flags; later processes load that file.  A
+build removes the libraries of other keys it finds there.  The
 flags are part of the bit-identity: ``-ffp-contract=off`` forbids fused
 multiply-adds and ``-fno-builtin`` keeps ``pow(x, 2.0)`` a libm call, as
 CPython's ``**`` makes it; ``-ffast-math`` and ``-march=native`` stay
@@ -158,7 +159,8 @@ def _build() -> str:
     path = os.path.join(CACHE_DIR, f"_rk45_kernel-{key}.so")
     if os.path.exists(path):
         return path
-    import subprocess  # only a build needs them: a few ms of every start-up otherwise
+    import glob  # only a build needs them: a few ms of every start-up otherwise
+    import subprocess
     import tempfile
 
     os.makedirs(CACHE_DIR, exist_ok=True)
@@ -173,6 +175,12 @@ def _build() -> str:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in glob.glob(os.path.join(CACHE_DIR, "_rk45_kernel-*.so")):  # other keys
+        if stale != path:
+            try:
+                os.unlink(stale)
+            except FileNotFoundError:  # a concurrent build removed it first
+                pass
     return path
 
 

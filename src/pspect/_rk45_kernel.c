@@ -610,7 +610,7 @@ static int read_shot(const double *block, int64_t n, double eps, double r_end,
         int64_t i = step_of(ts, n, &j, x);
         double ux, vx;
         dense_at(ts, y0s, hs, coef, i, x, &ux, &vx);
-        if (s > 0 && (ua == 0.0 || ua * ux < 0.0)) {
+        if (s > 0 && (ua == 0.0 || (ua < 0.0 && ux > 0.0) || (ua > 0.0 && ux < 0.0))) {
             const double *c = coef + 8 * ia;
             const double qu[7] = {ts[ia], hs[ia], y0s[2 * ia], c[0], c[1], c[2], c[3]};
             const double qv[7] = {ts[ia], hs[ia], y0s[2 * ia + 1], c[4], c[5], c[6], c[7]};

@@ -606,14 +606,16 @@ def _check_nodal_intervals(chk, p, n_dim, m, tols):
             )
             continue
         gamma = 0.5 * (iv.lo + iv.hi)
-        for sigma in ("+", "-"):
-            search = find_nodal(p, n_dim, m, f, gamma, k, sigma, **tols)
+        plus = find_nodal(p, n_dim, m, f, gamma, k, "+", **tols)
+        # an odd f makes -u the sigma = - solution, to the bit
+        minus = (plus, -1.0) if f.odd else (find_nodal(p, n_dim, m, f, gamma, k, "-", **tols), 1.0)
+        for sigma, (search, sign) in (("+", (plus, 1.0)), ("-", minus)):
             ok = search.found and len(search.solution.zeros) == k - 1
             rep.passed &= ok
             rep.add(
                 f"nu={iv.nu} gamma={gamma:.6g} sigma={sigma}: "
                 + (
-                    f"found alpha={search.solution.alpha:.6g}, "
+                    f"found alpha={sign * search.solution.alpha:.6g}, "
                     f"residual={search.solution.residual:.2e}"
                     if search.found
                     else "not found"

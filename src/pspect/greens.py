@@ -133,7 +133,13 @@ class GpProfile:
     _spline: _Hermite = field(repr=False, default=None)
 
     def __call__(self, r):
-        return self._spline(np.asarray(r, dtype=float))
+        """u at r, which must lie in [self.r[0], self.r[-1]]: beyond the ends
+        the end panels' cubics are no profile."""
+        r = np.asarray(r, dtype=float)
+        if np.any((r < self.r[0]) | (r > self.r[-1])):
+            raise ValueError(f"the profile is defined on [{self.r[0]:g}, {self.r[-1]:g}], "
+                             f"got r from {np.min(r):g} to {np.max(r):g}")
+        return self._spline(r)
 
     @property
     def value0(self) -> float:

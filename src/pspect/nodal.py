@@ -88,6 +88,13 @@ class Nonlinearity:
         """The family, where the compiled kernel computes this f exactly."""
         return self.family if type(self) is Nonlinearity else None
 
+    @property
+    def odd(self) -> bool:
+        """f(-s) = -f(s) to the bit, as for every built-in family: a
+        solution u then gives the solution -u.  False for any other fn,
+        which need not be odd."""
+        return self.kernel_params() is not None
+
     @classmethod
     def rational(cls, p, f0: float = 1.0, finf: float = 2.0, q: float = 2.0):
         """The built-in family phi_p(u) * (f0 + finf |u|^q) / (1 + |u|^q)."""
@@ -164,6 +171,11 @@ class Perturbation:
         if type(self) is not Perturbation:
             return None
         return float(self.c), self.p - 1.0 + self.delta
+
+    @property
+    def odd(self) -> bool:
+        """g(r, -u; mu) = -g(r, u; mu) to the bit; False for a subclass."""
+        return self.kernel_params() is not None
 
 
 # ---------------------------------------------------------------------------
@@ -530,22 +542,17 @@ def verify_bifurcation_points(
     for nu in nus:
         for k in ks:
             mu_k = mus[k, nu]
-            for sgn, sub in ((1, "+"), (-1, "-")):
-                offsets = []
-                for a in alphas:
-                    mu_found = _locate_perturbed_parameter(
-                        p, N, m, g, mu_k, k, sgn * a, rtol, atol
+            plus = _perturbed_offsets(p, N, m, g, mu_k, k, 1, alphas, rtol, atol)
+            # an odd g makes -u the '-' sub-branch's solution, to the bit
+            minus = plus if g.odd else _perturbed_offsets(p, N, m, g, mu_k, k, -1, alphas,
+                                                          rtol, atol)
+            for sgn, sub, (offsets, missed) in ((1, "+", plus), (-1, "-", minus)):
+                if missed is not None:
+                    rep.passed = False
+                    rep.add(
+                        f"k={k} nu={nu} sub-branch {sub}: no parameter found "
+                        f"near mu={mu_k:.6g} at alpha={sgn * missed:g}"
                     )
-                    if mu_found is None:
-                        rep.passed = False
-                        rep.add(
-                            f"k={k} nu={nu} sub-branch {sub}: no parameter found "
-                            f"near mu={mu_k:.6g} at alpha={sgn * a:g}"
-                        )
-                        offsets = None
-                        break
-                    offsets.append(abs(mu_found - mu_k))
-                if offsets is None:
                     continue
                 within = offsets[-1] <= 1e-2 * abs(mu_k)
                 # below the floor the offset is root-finder noise, not a
@@ -561,8 +568,20 @@ def verify_bifurcation_points(
                     + f" (alpha = {', '.join(f'{a:g}' for a in alphas)});"
                     + f" within 0.01|mu|: {within}, shrinking: {shrinking}"
                 )
-                rep.data[(k, nu, sub)] = offsets
+                rep.data[(k, nu, sub)] = list(offsets)
     return rep
+
+
+def _perturbed_offsets(p, N, m, g, mu_k, k, sgn, alphas, rtol, atol):
+    """(offsets, None): |mu - mu_k| at u(0) = sgn * a for each a of alphas,
+    or (None, a) with the first a where no parameter is found."""
+    offsets = []
+    for a in alphas:
+        mu_found = _locate_perturbed_parameter(p, N, m, g, mu_k, k, sgn * a, rtol, atol)
+        if mu_found is None:
+            return None, a
+        offsets.append(abs(mu_found - mu_k))
+    return offsets, None
 
 
 def _locate_perturbed_parameter(p, N, m, g, mu_k, k, alpha, rtol, atol):

@@ -516,8 +516,10 @@ def _scan_reference(dense, eps, r_end, n_samples, n_dim, e_inv):
     nodes = np.union1d(ts, 0.5 * (ts[:-1] + ts[1:]))
     nodes = nodes[nodes <= r_end]
     uu, vv = dense(nodes)
-    # u vanishes at the left node, or changes sign across the interval
-    k = np.flatnonzero((uu[:-1] == 0.0) | (uu[:-1] * uu[1:] < 0.0))
+    # u vanishes at the left node, or changes sign across the interval (signs
+    # compared, not multiplied: a product underflows to -0.0 or overflows)
+    ua, ub = uu[:-1], uu[1:]
+    k = np.flatnonzero((ua == 0.0) | ((ua < 0.0) & (ub > 0.0)) | ((ua > 0.0) & (ub < 0.0)))
     records = np.column_stack((nodes[k], nodes[k + 1], uu[k], uu[k + 1], vv[k + 1],
                                dense.quartics(dense.segments(nodes[k]))))
     rn = np.array([max(r, 1e-300) ** (n_dim - 1) for r in grid.tolist()])

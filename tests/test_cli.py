@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import pspect
-from pspect import cli, spectrum
+from pspect import cli, nodal, spectrum
+from pspect.nodal import Nonlinearity, Perturbation
 from pspect.radial_ivp import Problem
 from pspect.weights import Weight
 
@@ -606,3 +607,62 @@ def test_shared_shots_end_with_the_command(tmp_path, monkeypatch):
     # starts with no probe from the last one
     assert counts[0] > 0
     assert counts == [counts[0]] * 3
+
+
+@pytest.mark.parametrize("odd", [True, False], ids=["built-in", "hand-built"])
+def test_nodal_intervals_solve_the_minus_half_only_for_an_f_not_known_odd(monkeypatch, odd):
+    sigmas, find = [], cli.find_nodal
+
+    def spy(*args, **kw):
+        sigmas.append(args[6])
+        return find(*args, **kw)
+
+    def hand_built(spec, p):
+        f = Nonlinearity.rational(p, **{k: v for k, v in spec.items() if k != "family"})
+        return Nonlinearity(fn=f.fn, f0=f.f0, finf=f.finf)
+
+    monkeypatch.setattr(cli, "find_nodal", spy)
+    if not odd:
+        monkeypatch.setattr(cli, "_f_from", hand_built)
+    chk = {"check": "nodal_intervals", "f": {"family": "rational", "f0": 1.0, "finf": 2.0,
+                                             "q": 2.0}, "k": 1}
+    rep = cli._check_nodal_intervals(chk, 2.0, 1, Weight.poly([1.0, -2.0]),
+                                     {"rtol": 1e-10, "atol": 1e-12})
+    assert sigmas == (["+", "+"] if odd else ["+", "-", "+", "-"])  # two non-empty intervals
+    assert rep.passed
+    solved = [line for line in rep.lines if "found" in line]
+    assert len(solved) == 4
+    for plus, minus in zip(solved[0::2], solved[1::2]):
+        assert minus == plus.replace("sigma=+: found alpha=", "sigma=-: found alpha=-")
+
+
+def test_verify_report_is_the_same_with_the_minus_halves_solved(tmp_path, monkeypatch):
+    # the built-in f and g are odd, so the sigma = - halves are read off the
+    # + ones; solving them anew gives the same report, byte for byte
+    calls = []
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def spy(*args, **kw):
+            calls.append(name)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(module, name, spy)
+
+    count(cli, "find_nodal")
+    count(nodal, "_locate_perturbed_parameter")
+
+    def report(name):
+        calls.clear()
+        out = tmp_path / name
+        assert cli.main(["verify", "--config", os.path.join(CONFIGS, "verify_default.json"),
+                         "--out", str(out)]) == 0
+        return (out / "report.txt").read_bytes(), sorted(calls)
+
+    read_off, calls_read_off = report("read_off")
+    monkeypatch.setattr(Nonlinearity, "odd", property(lambda self: False))
+    monkeypatch.setattr(Perturbation, "odd", property(lambda self: False))
+    solved, calls_solved = report("solved")
+    assert solved == read_off
+    assert calls_solved == sorted(calls_read_off * 2) and calls_read_off

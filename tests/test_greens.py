@@ -21,6 +21,14 @@ def test_laplace_closed_form():
     assert prof.uprime[0] == 0.0
 
 
+@pytest.mark.parametrize("r", [-0.1, 1.0 + 1e-12, [0.5, 2.0]])
+def test_profile_outside_its_grid_is_an_error(r):
+    prof = apply_Gp(2.0, 1, Weight.constant(1.0))
+    with pytest.raises(ValueError, match=r"defined on \[0, 1\]"):
+        prof(r)
+    assert prof(0.0) == prof.u[0] and abs(prof(1.0)) < 1e-15  # the ends are in
+
+
 @pytest.mark.parametrize("p,n_dim", [(2.5, 3), (1.5, 2), (3.0, 1), (2.0, 3)])
 def test_general_closed_form_constant_source(p, n_dim):
     # h=1: u = N^{-1/(p-1)} (1 - r^{p'})/p'

@@ -317,7 +317,7 @@ def test_nodal_solves_probe_no_shot_twice(monkeypatch, kernel):
         assert keys and roots and len(set(keys)) == len(keys)
         at_roots = [key for key in keys if key[:2] in roots]
         assert len(at_roots) == (0 if kernel else len(roots))
-    problem, alpha = roots[0]  # alpha = 0.1; roots[1] is its mirror at -0.1
+    problem, alpha = roots[0]  # alpha = 0.1; the odd g's '-' half is read off it
     shot = shoot(problem, alpha, n_samples=radial_ivp.PROBE_SAMPLES)
     assert shot.zeros == () and len(radial_ivp._scan_reference(
         shot.dense, radial_ivp.DEFAULT_EPS, 1.0, radial_ivp.PROBE_SAMPLES, 1, 1.0)[-1]) == 1
@@ -358,6 +358,79 @@ def test_bifurcation_points_zero_perturbation_recovers_eigenvalue():
     assert rep.passed
     for offsets in rep.data.values():
         assert all(o <= 1e-7 * abs(spec.mu(1, "+")) for o in offsets)
+
+
+# ---------------------------------------------------------------------------
+# the sign halves of an odd f or g
+
+
+class _Scaled(Perturbation):
+    """The power perturbation as a subclass: not known to be odd."""
+
+
+def test_only_the_built_in_families_are_odd():
+    assert F_REF.odd and Nonlinearity.phi(2.5).odd and Perturbation(2.5).odd
+    assert not Nonlinearity(fn=F_REF.fn, f0=F_REF.f0, finf=F_REF.finf).odd
+    assert not _Scaled(2.5).odd
+
+
+@pytest.mark.kernel
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
+@pytest.mark.parametrize("f, p, n_dim", [(F_REF, 2.0, 1),
+                                         (Nonlinearity.rational(2.5, 1.1, 2.3, 2.2), 2.5, 2)])
+def test_odd_f_gives_the_minus_solution_as_the_negated_plus_one(monkeypatch, kernel, f, p,
+                                                                 n_dim):
+    if not kernel:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    mu = compute_spectrum(p, n_dim, M_LIN, 1, ("+",)).mu(1, "+")
+    gamma = mu / (0.5 * (f.f0 + f.finf))
+    plus = find_nodal(p, n_dim, M_LIN, f, gamma, 1, "+").solution
+    minus = find_nodal(p, n_dim, M_LIN, f, gamma, 1, "-").solution
+    assert minus.alpha == -plus.alpha and minus.residual == plus.residual
+    assert minus.zeros == plus.zeros
+    assert np.array_equal(minus.trajectory.u, -plus.trajectory.u)
+
+
+@pytest.mark.kernel
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
+def test_odd_g_gives_the_same_parameter_at_minus_alpha(monkeypatch, kernel):
+    if not kernel:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    p, g = 2.5, Perturbation(2.5, c=1.0, delta=0.5)
+    spec = compute_spectrum(p, 1, M_LIN, 2)
+    for k, nu in ((1, "+"), (2, "-")):
+        mu_k = spec.mu(k, nu)
+        for alpha in (0.3, 0.01):
+            got = [nodal._locate_perturbed_parameter(p, 1, M_LIN, g, mu_k, k, a, 1e-10, 1e-12)
+                   for a in (alpha, -alpha)]
+            assert got[0] is not None and got[0] != mu_k and got[0] == got[1]
+
+
+@pytest.mark.parametrize("odd", [True, False], ids=["built-in", "subclass"])
+def test_bifurcation_points_solve_the_minus_half_only_for_a_g_not_known_odd(monkeypatch, odd):
+    calls, locate = [], nodal._locate_perturbed_parameter
+
+    def spy(*args):
+        calls.append(args[6])  # alpha
+        return locate(*args)
+
+    monkeypatch.setattr(nodal, "_locate_perturbed_parameter", spy)
+    g = (Perturbation if odd else _Scaled)(2.0)
+    spec = compute_spectrum(2.0, 1, M_LIN, 1, ("+",))
+    rep = verify_bifurcation_points(2.0, 1, M_LIN, g, [1], ("+",), alphas=(1e-1, 1e-2),
+                                    spectrum=spec)
+    assert calls == ([1e-1, 1e-2] if odd else [1e-1, 1e-2, -1e-1, -1e-2])
+    assert rep.passed and rep.data[1, "+", "-"] == rep.data[1, "+", "+"]
+    assert rep.lines[1] == rep.lines[0].replace("sub-branch +", "sub-branch -")
+
+
+def test_bifurcation_points_mirror_a_miss_with_its_sign(monkeypatch):
+    monkeypatch.setattr(nodal, "_locate_perturbed_parameter", lambda *args: None)
+    spec = compute_spectrum(2.0, 1, M_LIN, 1, ("+",))
+    rep = verify_bifurcation_points(2.0, 1, M_LIN, Perturbation(2.0), [1], ("+",),
+                                    spectrum=spec)
+    assert not rep.passed and not rep.data
+    assert [line.rsplit(" at ", 1)[1] for line in rep.lines] == ["alpha=0.1", "alpha=-0.1"]
 
 
 # ---------------------------------------------------------------------------

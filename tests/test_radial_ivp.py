@@ -1,7 +1,9 @@
 import ctypes
 import gc
+import glob
 import inspect
 import math
+import os
 import re
 import shlex
 import shutil
@@ -434,7 +436,6 @@ def _raised_on_both_paths(prob, alpha, **kw):
 
 @pytest.mark.kernel
 @needs_kernel
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 def test_kernel_hands_overflowing_shots_to_the_python_stepper(shoot_results):
     # with a guard of inf u and v reach inf; Python's inf ** e is inf
     # without an error, the kernel stops at an infinite power, and the
@@ -483,6 +484,36 @@ def test_shots_fall_back_to_the_python_stepper(monkeypatch, tmp_path, broken):
     finally:
         _kernel.load.cache_clear()
     assert_same_shot(got, want)
+
+
+@needs_kernel
+def test_a_build_removes_the_libraries_of_other_keys(monkeypatch, tmp_path):
+    stale = tmp_path / "_rk45_kernel-0123456789abcdef.so"
+    stale.write_bytes(b"")
+    other = tmp_path / "other.so"
+    other.write_bytes(b"")
+    # a library a concurrent build has removed between the listing and the unlink
+    gone = str(tmp_path / "_rk45_kernel-fedcba9876543210.so")
+    listed = glob.glob
+    monkeypatch.setattr(glob, "glob", lambda pattern: listed(pattern) + [gone])
+    monkeypatch.setattr(_kernel, "CACHE_DIR", str(tmp_path))
+    path = _kernel._build()
+    assert sorted(os.listdir(tmp_path)) == sorted([os.path.basename(path), "other.so"])
+    assert _kernel._build() == path  # a cached library is loaded as it is
+
+
+@pytest.mark.kernel
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
+def test_a_small_shot_keeps_its_zeros(monkeypatch, kernel):
+    # the post-pass compares the signs of u at the nodes: their product
+    # underflows to -0.0 where |u| is below about 1e-162 on both sides
+    if not kernel:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    prob = Problem.linear(2.0, 1, M1, (1.5 * math.pi) ** 2)  # u = alpha cos(3 pi r / 2)
+    for alpha in (1.0, 1e-150, 1e-170):
+        assert probe(prob, alpha, rtol=radial_ivp.DEFAULT_RTOL, atol=1e-12 * alpha).z == 1
+        zeros = shoot(prob, alpha, atol=1e-12 * alpha).interior_zeros
+        assert len(zeros) == 1 and abs(zeros[0].r - 1.0 / 3.0) < 1e-8
 
 
 def assert_same_shot(got, want):
