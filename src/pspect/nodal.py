@@ -530,7 +530,9 @@ def verify_bifurcation_points(
     u(1; mu, alpha) = 0 with the right zero count is located near
     mu_k^nu; the offsets must be within 1e-2 * |mu_k^nu| at the
     smallest amplitude, shrink monotonically as alpha decreases, and the
-    two sub-branches (alpha > 0 and alpha < 0) must both exist.
+    two sub-branches (alpha > 0 and alpha < 0) must both exist.  For an
+    odd g (``g.odd``) the alpha < 0 sub-branch is the negation of the
+    alpha > 0 one, to the bit, and is read off it instead of solved.
     """
     ks = list(ks)
     if spectrum is None:
