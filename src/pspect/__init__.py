@@ -26,7 +26,7 @@ from .nodal import (
     trace_branch,
     verify_bifurcation_points,
 )
-from .pfuncs import phi_p, phi_p_inv, pi_p, sin_p
+from .pfuncs import pi_p
 from .radial_ivp import Problem, Trajectory, origin_startup, shoot
 from .report import CheckReport
 from .spectrum import (

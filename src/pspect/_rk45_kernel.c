@@ -220,14 +220,15 @@ static double phi(Rhs *R, double u)
     return copysign(py_pow(&R->bad, fabs(u), R->e), u);
 }
 
-/* nodal.Nonlinearity.rational */
+/* nodal.Nonlinearity.rational, finite where f0 + finf |u|^q overflows */
 static double rational(Rhs *R, double u)
 {
     if (u == 0.0)
         return 0.0;
     double au = fabs(u);
     double auq = py_pow(&R->bad, au, R->q); /* Python computes au ** q twice, to these bits */
-    double ratio = py_div(&R->bad, R->f0 + R->finf * auq, 1.0 + auq);
+    double num = R->f0 + R->finf * auq; /* 1 + auq >= 1: no division by zero */
+    double ratio = isinf(num) ? R->finf + (R->f0 - R->finf) / (1.0 + auq) : num / (1.0 + auq);
     return copysign(py_pow(&R->bad, au, R->e) * ratio, u);
 }
 
@@ -829,15 +830,13 @@ static int startup(Rhs *R, const Shot *S, double *state, double *h_min)
    its right-hand side, into buf (12 cap + 1 doubles).  *t receives the r
    where the march stopped and steps the accepted and the rejected steps.
    Returns the status of dp45, or PSPECT_RERUN where Python would raise on
-   the way (alpha = 0 and an eps outside (0, 1e-4] among them), hypot2
-   hands its inputs back, or the grid would have fewer than 2 samples. */
+   the way (as at alpha = 0), hypot2 hands its inputs back or n_samples < 2. */
 static int march(const Shot *S, int64_t cap, double *buf, double *t, int64_t *steps)
 {
     Rhs R = S->rhs;
     R.bad = 0;
     double state[6], h_min;
-    if (S->alpha == 0.0 || !(S->eps > 0.0 && S->eps <= 1e-4) || S->n_samples < 2
-        || startup(&R, S, state, &h_min))
+    if (S->alpha == 0.0 || S->n_samples < 2 || startup(&R, S, state, &h_min))
         return PSPECT_RERUN;
 #define LOOP(family) dp45(&R, family, S, state, h_min, cap, buf, t, steps)
     return R.family == LINEAR     ? LOOP(LINEAR)

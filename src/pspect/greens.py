@@ -141,10 +141,6 @@ class GpProfile:
                              f"got r from {np.min(r):g} to {np.max(r):g}")
         return self._spline(r)
 
-    @property
-    def value0(self) -> float:
-        return float(self.u[0])
-
 
 def apply_Gp(p, N, h) -> GpProfile:
     """Apply the solution operator to a source term.

@@ -73,13 +73,14 @@ class Nonlinearity:
 
     ``family`` records the parameters of a built-in family, (family, e,
     f0, finf, q) in the terms of ``_kernel.Rhs``, so that its shots run
-    on the compiled kernel; it is None for any other fn.
+    on the compiled kernel.  Only :meth:`rational` and :meth:`phi` set
+    it: it is None for any fn given to the constructor.
     """
 
     fn: object = field(repr=False)
     f0: float
     finf: float
-    family: tuple | None = field(default=None, repr=False)
+    family: tuple | None = field(default=None, init=False, repr=False)
 
     def __call__(self, u: float) -> float:
         return self.fn(u)
@@ -107,11 +108,15 @@ class Nonlinearity:
             if u == 0.0:
                 return 0.0
             au = abs(u)
-            ratio = (f0 + finf * au**q) / (1.0 + au**q)
+            num = f0 + finf * au**q
+            if num == math.inf:  # the same ratio, written so that it stays finite
+                ratio = finf + (f0 - finf) / (1.0 + au**q)
+            else:
+                ratio = num / (1.0 + au**q)
             return math.copysign(au**e * ratio, u)
 
-        return cls(fn=fn, f0=float(f0), finf=float(finf),
-                   family=(_kernel.RATIONAL, e, float(f0), float(finf), float(q)))
+        return cls._built_in(fn, float(f0), float(finf),
+                             (_kernel.RATIONAL, e, float(f0), float(finf), float(q)))
 
     @classmethod
     def phi(cls, p):
@@ -124,7 +129,13 @@ class Nonlinearity:
                 return 0.0
             return math.copysign(abs(u) ** e, u)
 
-        return cls(fn=fn, f0=1.0, finf=1.0, family=(_kernel.PHI, e))
+        return cls._built_in(fn, 1.0, 1.0, (_kernel.PHI, e))
+
+    @classmethod
+    def _built_in(cls, fn, f0, finf, family):
+        f = cls(fn=fn, f0=f0, finf=finf)
+        object.__setattr__(f, "family", family)
+        return f
 
     def validate(self, p):
         """Numerical checks of sign condition and the two declared limits (5 %)."""
@@ -396,14 +407,6 @@ class Branch:
     truncated: bool = False
     diagnostics: list = field(default_factory=list)
 
-    @property
-    def gammas(self) -> np.ndarray:
-        return np.array([pt.gamma for pt in self.points])
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return np.array([pt.alpha for pt in self.points])
-
 
 def trace_branch(
     p,
@@ -615,9 +618,6 @@ class GammaInterval:
     @property
     def empty(self) -> bool:
         return not self.lo < self.hi
-
-    def contains(self, gamma: float) -> bool:
-        return self.lo < gamma < self.hi
 
 
 def gamma_intervals(spectrum: Spectrum, f0: float, finf: float, k: int,

@@ -15,13 +15,13 @@ Written as a first-order system in (u, v) with v = r^{N-1} phi_p(u'):
     u' = phi_p_inv(v / r^{N-1}),    v' = -r^{N-1} W(r, u).
 
 The coefficient is singular at r = 0, so integration starts at a small
-radius eps from the two-term series
+radius eps = DEFAULT_EPS from the two-term series
 
     u(eps) = alpha - phi_{p'}(W(0, alpha)/N) * eps^{p'} / p',
     v(eps) = -W(0, alpha) * eps^N / N,
 
-whose error is O(eps^{p'+1}); with the default eps = 1e-6 the startup is
-far below integrator tolerance.  Stepping is the package's own adaptive
+whose error is O(eps^{p'+1}); with eps = 1e-6 the startup is far below
+integrator tolerance.  Stepping is the package's own adaptive
 Dormand-Prince 5(4) with quartic dense output.
 
 This module picks the path of each shot.  Where the right-hand side has a
@@ -57,8 +57,10 @@ Where the right-hand side has a compiled form, a probe is one kernel
 call (``_kernel.probe``): the start at the origin, the march, the
 post-pass, the tail filter and the count, with no trajectory built and
 no Python f called.  The kernel hands the probe back where Python would
-raise; the probe is then the reduction of the whole shot
-(``_shoot_and_reduce``), to the same bits.
+raise on the way (a power that overflows, a division by zero); the probe
+is then the reduction of the whole shot (``_shoot_and_reduce``), to the
+same bits.  A shot or probe from alpha = 0 raises before any kernel
+call.
 
 The nodal root solves (the gamma of a branch point, the mu of a
 perturbed solution, the amplitude of a nodal solution) go through
@@ -203,10 +205,6 @@ class Problem:
     def perturbed(cls, p, N, m: Weight, mu: float, g) -> "Problem":
         return cls(p, N, m, PerturbedRHS(float(mu), g))
 
-    def with_mu(self, mu: float) -> "Problem":
-        """The linear problem with this geometry and weight at parameter mu."""
-        return replace(self, rhs=LinearRHS(float(mu)))
-
     def at(self, lam: float) -> "Problem":
         """This problem with the parameter of its right-hand side (mu or
         gamma) set to lam."""
@@ -321,7 +319,6 @@ def shoot(
     problem: Problem,
     alpha: float,
     *,
-    eps: float = DEFAULT_EPS,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     n_samples: int = 513,
@@ -331,7 +328,8 @@ def shoot(
 
     The boundary condition at r = 1 is *not* imposed; the terminal value
     u(1) is the miss that eigenvalue and amplitude scans drive to zero.
-    The march stops where |u| first reaches blowup_limit.
+    The march starts at r = DEFAULT_EPS, read at the call, and stops where
+    |u| first reaches blowup_limit.
 
     Where the right-hand side has a compiled form, the kernel starts,
     marches and reads the shot in one call (``_kernel.shoot``), calling no
@@ -343,7 +341,7 @@ def shoot(
     if alpha == 0.0:
         raise PreconditionError("initial value alpha must be nonzero")
 
-    p, n_dim = problem.p, problem.N
+    p, n_dim, eps = problem.p, problem.N, DEFAULT_EPS
     shot = _shot(problem, alpha, eps, rtol, atol, blowup_limit, n_samples)
     out = None if shot is None else _kernel.shoot(shot)
     if out is None:
@@ -422,6 +420,8 @@ def probe(problem: Problem, alpha: float, *, rtol: float, atol: float,
     the reduction of the whole shot (:func:`_shoot_and_reduce`), with the
     same result.
     """
+    if alpha == 0.0:
+        raise PreconditionError("initial value alpha must be nonzero")
     shot = _shot(problem, alpha, DEFAULT_EPS, rtol, atol, blowup_limit, PROBE_SAMPLES)
     out = None if shot is None else _kernel.probe(shot)
     if out is not None:

@@ -49,13 +49,14 @@ import numpy as np
 from .errors import NegativeSequenceAbsent, PreconditionError, SpectrumIncomplete
 from .pfuncs import pi_p
 from .radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL
-from .radial_ivp import Problem, Trajectory, brentq, probe, shoot
+from .radial_ivp import LinearRHS, Problem, Trajectory, brentq, probe, shoot
 from .report import CheckReport
 from .weights import Weight
 
 SCAN_RTOL = 1e-7
 SCAN_ATOL = 1e-9
-DEFAULT_BUDGET = 4000
+SCAN_RATIO = 1.8  # of consecutive |mu| of the expanding scan
+DEFAULT_BUDGET = 4000  # probes of one search
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +128,15 @@ class Spectrum:
         return self._result(nu).mu(k)
 
 
-def compute_spectrum(p, N, m: Weight, K: int, nus=("+", "-"), **kw) -> Spectrum:
+def compute_spectrum(p, N, m: Weight, K: int, nus=("+", "-"), *, rtol: float = DEFAULT_RTOL,
+                     atol: float = DEFAULT_ATOL) -> Spectrum:
     """Run find_eigenvalues for each requested sign the weight has."""
     prob = Problem.linear(p, N, m, math.nan)
     spec = Spectrum(p=float(prob.p), N=prob.N)
     for nu in nus:
         if nu == "-" and not m.negative_intervals:
             continue
-        spec.results[nu] = find_eigenvalues(prob, K, nu, **kw)
+        spec.results[nu] = find_eigenvalues(prob, K, nu, rtol=rtol, atol=atol)
     return spec
 
 
@@ -207,7 +209,7 @@ class _Prober:
         pr = self.probes.get(key)
         if pr is None:
             pr = self.probes[key] = probe(
-                self.problem.with_mu(self.sgn * x), 1.0, rtol=rtol, atol=atol,
+                self.problem.at(self.sgn * x), 1.0, rtol=rtol, atol=atol,
                 blowup_limit=self.BLOWUP,
             )
         return pr
@@ -215,7 +217,7 @@ class _Prober:
     def _shoot(self, x, rtol, atol):
         """The whole trajectory, for the eigenfunction at a root (always charged)."""
         self._charge()
-        return shoot(self.problem.with_mu(self.sgn * x), 1.0, rtol=rtol, atol=atol,
+        return shoot(self.problem.at(self.sgn * x), 1.0, rtol=rtol, atol=atol,
                      blowup_limit=self.BLOWUP)
 
     def loose(self, x) -> _Node:
@@ -249,10 +251,12 @@ def find_eigenvalues(
     *,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    budget: int = DEFAULT_BUDGET,
-    scan_ratio: float = 1.8,
 ) -> EigenResult:
     """First K eigenvalues of one sign, with eigenfunctions and nodal classes.
+
+    problem must be linear; its mu is ignored.  The scan steps |mu| by
+    SCAN_RATIO and the search stops after DEFAULT_BUDGET probes, both read
+    at the call.
 
     Raises NegativeSequenceAbsent when nu='-' is requested but the weight
     has no negative part.  When the probe budget, the scan ceiling or a
@@ -262,6 +266,8 @@ def find_eigenvalues(
     """
     if K < 1:
         raise PreconditionError("K must be >= 1")
+    if not isinstance(problem.rhs, LinearRHS):
+        raise PreconditionError("eigenvalues are searched on a linear problem")
     if nu not in ("+", "-"):
         raise PreconditionError("nu must be '+' or '-'")
     if not problem.m.in_M():
@@ -270,7 +276,7 @@ def find_eigenvalues(
         raise NegativeSequenceAbsent(NEGATIVE_ABSENT)
 
     sgn = 1 if nu == "+" else -1
-    prober = _Prober(problem, sgn, budget)
+    prober = _Prober(problem, sgn, DEFAULT_BUDGET)
     message = ""
     complete = True
     found: dict[int, tuple[float, Trajectory]] = {}
@@ -278,7 +284,7 @@ def find_eigenvalues(
     rounds = 0
 
     try:
-        nodes = _scan(prober, K, _seed_scale(problem, sgn), scan_ratio)
+        nodes = _scan(prober, K, _seed_scale(problem, sgn), SCAN_RATIO)
         _classify_brackets(nodes, prober, found, K, rtol, atol)
         # targeted refinement for any missing index
         while len([k for k in found if k <= K]) < K and rounds < 12:
@@ -488,7 +494,7 @@ def _classify_brackets(nodes, prober, found, K, rtol, atol):
     shot is consulted only when the endpoint counts are ambiguous.
     """
     for a, b in zip(nodes, nodes[1:]):
-        if not (a.d * b.d < 0) or a.x == 0.0 and a.d == 0.0:
+        if not a.d * b.d < 0:
             continue
         if min(a.z, b.z) > K:  # beyond what was asked for
             continue
@@ -570,8 +576,9 @@ def _polish_root(prober, x0, lo, hi, rtol, atol):
 # verification operations
 
 
-def verify_weight_monotonicity(p, N, m1: Weight, m2: Weight, K: int,
-                               *, margin: float = 1e-8, **kw) -> CheckReport:
+def verify_weight_monotonicity(p, N, m1: Weight, m2: Weight, K: int, *,
+                               margin: float = 1e-8, rtol: float = DEFAULT_RTOL,
+                               atol: float = DEFAULT_ATOL) -> CheckReport:
     """Strict decrease of both eigenvalue sequences when the weight increases."""
     gain = m2 - m1
     if not gain.positive_intervals and not gain.negative_intervals:
@@ -585,8 +592,8 @@ def verify_weight_monotonicity(p, N, m1: Weight, m2: Weight, K: int,
             raise PreconditionError("both weights must lie in M(I)")
 
     # m1 <= m2, so m1 has a negative part wherever m2 has one
-    s2 = compute_spectrum(p, N, m2, K, **kw)
-    s1 = compute_spectrum(p, N, m1, K, tuple(s2.results), **kw)
+    s2 = compute_spectrum(p, N, m2, K, rtol=rtol, atol=atol)
+    s1 = compute_spectrum(p, N, m1, K, tuple(s2.results), rtol=rtol, atol=atol)
     rep = CheckReport("weight_monotonicity", True)
     for nu in ("+", "-"):
         if nu not in s2.results:
@@ -611,17 +618,17 @@ def closed_form_mu(p, k: int) -> float:
 
 
 def verify_p_continuity(N, m: Weight, K: int, p_grid, *, nus=("+",),
-                        **kw) -> CheckReport:
+                        rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> CheckReport:
     """Compute mu_k^nu along a p-grid; jumps must behave like a continuous curve.
 
-    Each grid point gets its own :func:`compute_spectrum` search (``kw``
-    goes to it), so every value on a curve is the one that search returns
-    at that p.  Two bounds per curve: (a) each consecutive jump at most a
-    Lipschitz bound C * step, with C taken from the unit-weight
-    closed-form slope rescaled to the curve's own magnitude and padded by
-    a factor 10; (b) self-consistency, no jump beyond 10 times the
-    curve's median secant slope.  For the unit weight the curve is also
-    compared pointwise against the closed form.
+    Each grid point gets its own :func:`compute_spectrum` search, so
+    every value on a curve is the one that search returns at that p.  Two
+    bounds per curve: (a) each consecutive jump at most a Lipschitz bound
+    C * step, with C taken from the unit-weight closed-form slope
+    rescaled to the curve's own magnitude and padded by a factor 10; (b)
+    self-consistency, no jump beyond 10 times the curve's median secant
+    slope.  For the unit weight the curve is also compared pointwise
+    against the closed form.
     """
     p_grid = [float(p) for p in p_grid]
     if any(p <= 1.0 for p in p_grid):
@@ -639,7 +646,7 @@ def verify_p_continuity(N, m: Weight, K: int, p_grid, *, nus=("+",),
             continue
         curves = {k: [] for k in range(1, K + 1)}
         for p in p_grid:
-            spec = compute_spectrum(p, N, m, K, (nu,), **kw)
+            spec = compute_spectrum(p, N, m, K, (nu,), rtol=rtol, atol=atol)
             for k in curves:
                 curves[k].append(spec.mu(k, nu))
         rep.data[f"curves_{nu}"] = curves

@@ -231,9 +231,6 @@ class Weight:
             ),
         )
 
-    def positive_measure(self) -> float:
-        return sum(b - a for a, b in self.positive_intervals)
-
     def in_M(self) -> bool:
         """Admissibility: meas{r : m(r) > 0} > 0, read from the sign partition."""
         return bool(self.positive_intervals)

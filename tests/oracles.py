@@ -1,8 +1,10 @@
 """Independent oracles used across the test suite.
 
 Everything here deliberately avoids the library's own computational
-paths: quadrature by scipy.integrate.quad, reference trajectories by a
-fixed-step classical RK4 loop, closed forms assembled from first
+paths: quadrature by scipy.integrate.quad, the generalized sine by
+inverting the incomplete beta function (scipy.special.betaincinv),
+reference trajectories by a fixed-step classical RK4 loop, closed forms
+assembled from first
 principles, the first eigenvalue by direct minimization of the Rayleigh
 quotient, and the residual of a profile by finite differences of its
 flux.  The library is compared against these, never the other way round.
@@ -17,10 +19,11 @@ import numpy as np
 from scipy import integrate
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solveh_banded
+from scipy.special import betaincinv
 
 from pspect.errors import PreconditionError
 from pspect.greens import GpProfile, as_source
-from pspect.pfuncs import _pval
+from pspect.pfuncs import _pval, pi_p
 from pspect.radial_ivp import Problem
 from pspect.weights import Weight
 
@@ -50,6 +53,93 @@ def source_problem(p, N, h) -> Problem:
     """The radial problem (r^{N-1} phi_p(u'))' + r^{N-1} h(r) = 0, whose
     right-hand side does not depend on u."""
     return Problem(p, N, Weight.constant(0.0), SourceRHS(h))
+
+
+# ---------------------------------------------------------------------------
+# the odd power map and the generalized sine
+
+
+def phi_p(s, p):
+    """The odd power map |s|^{p-2} s.
+
+    Evaluated as |s|^{p-1} * sign(s), which is total: no division by zero
+    at s = 0 when p < 2.  Works on scalars and arrays.
+    """
+    pv = _pval(p)
+    s_arr = np.asarray(s, dtype=float)
+    out = np.sign(s_arr) * np.abs(s_arr) ** (pv - 1.0)
+    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+
+
+def phi_p_inv(s, p):
+    """Inverse of phi_p, i.e. phi_{p'} for the conjugate exponent."""
+    pv = _pval(p)
+    return phi_p(s, pv / (pv - 1.0))
+
+
+def sin_p(x, p):
+    """Generalized sine and its derivative, ``(value, derivative)``.
+
+    sin_p is the solution of
+
+        (phi_p(u'))' + (p-1) phi_p(u) = 0,   u(0) = 0, u'(0) = 1.
+
+    With this normalization the first integral is the exact identity
+
+        |u(x)|^p + |u'(x)|^p = 1,
+
+    which the tests lean on.  Other conventions in circulation rescale the
+    argument (e.g. the solution of (phi_p(u'))' + phi_p(u) = 0 is
+    ``sin_p(x / (p-1)^{1/p})`` in ours); translate accordingly.
+
+    On the quarter period [0, pi_p/2] the function is the inverse of the
+    arclength integral
+
+        x(u) = integral_0^u (1 - s^p)^{-1/p} ds,
+
+    which in closed form is (pi_p/2) * I(1/p, 1-1/p; u^p) with I the
+    regularized incomplete beta function.  It is inverted through
+    ``scipy.special.betaincinv``, then extended by the reflection
+    sin_p(pi_p - x) = sin_p(x) and by antiperiodicity over the half period
+    (full period 2 pi_p).  This sidesteps integrating the defining ODE,
+    which degenerates at the extrema for p != 2.  Accepts scalars or
+    arrays.
+    """
+    pv = _pval(p)
+    half = pi_p(pv)
+    quarter = 0.5 * half
+    period = 2.0 * half
+
+    x_arr = np.asarray(x, dtype=float)
+    scalar = np.isscalar(x) or x_arr.ndim == 0
+
+    t = np.mod(x_arr, period)
+    sgn = np.where(t < half, 1.0, -1.0)
+    t = np.where(t >= half, t - half, t)
+    # fold [0, half] onto [0, quarter]; derivative flips sign on the way down
+    dsgn = np.where(t > quarter, -1.0, 1.0)
+    tau = np.where(t > quarter, half - t, t)
+
+    # on the quarter period, u^p solves I(1/p, 1-1/p; u^p) = tau/quarter for
+    # the regularized incomplete beta I.  The derivative needs 1 - u^p,
+    # which cancels catastrophically near the extremum; by the reflection
+    # I_x(a, b) = 1 - I_{1-x}(b, a) it equals the inverse beta at swapped
+    # parameters of the complementary abscissa (quarter - tau)/quarter,
+    # formed exactly from the folded argument.
+    a = 1.0 / pv
+    b = 1.0 - a
+    y = np.clip(tau / quarter, 0.0, 1.0)
+    yc = np.clip((quarter - tau) / quarter, 0.0, 1.0)
+    w = betaincinv(a, b, y)  # u^p
+    s = betaincinv(b, a, yc)  # 1 - u^p, cancellation free
+    u = np.where(y <= 0.5, w, 1.0 - s) ** (1.0 / pv)
+    du = s ** (1.0 / pv)
+
+    val = sgn * u
+    der = sgn * dsgn * du
+    if scalar:
+        return float(val), float(der)
+    return val, der
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +194,6 @@ def sinp_ode_residual(p: float, k: int, n: int = 40001) -> float:
     the flux derivative loses smoothness for p < 2, at extrema of u for
     p > 2 (fractional-power corrections in both cases).
     """
-    from pspect.pfuncs import pi_p, sin_p
-
     pip = pi_p(p)
     omega = (2 * k - 1) * pip / 2.0
     lam = (p - 1.0) * omega**p

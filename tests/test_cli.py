@@ -562,8 +562,9 @@ assert sys.modules["scipy"] is None and not loaded, loaded
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # scipy serves only pfuncs.sin_p and the tests: the library and the
-    # eig, branch, nodal, gp and verify commands import none of it
+    # pspect depends on numpy alone; scipy serves only the tests' oracles:
+    # the library and the eig, branch, nodal, gp and verify commands
+    # import none of it
     src = os.path.dirname(os.path.dirname(pspect.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

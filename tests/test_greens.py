@@ -53,7 +53,7 @@ def test_closed_form_constant_source_p4(n_dim):
 def test_value_at_origin_of_a_sign_changing_source():
     # u(0) = integral_0^1 phi_{5/3}(t/3 - t^2/2) dt, by mpmath to 30 digits
     prof = apply_Gp(2.5, 3, Weight.poly([1.0, -2.0]))
-    assert abs(prof.value0 - 0.016394373644277280) < 5e-10
+    assert abs(prof.u[0] - 0.016394373644277280) < 5e-10
 
 
 def test_kinks_are_the_roots_of_H():
@@ -106,7 +106,7 @@ def test_agreement_with_shooting():
     h = Weight.poly([1.0, -2.0])
     prof = apply_Gp(p, n_dim, h)
     prob = source_problem(p, n_dim, h.scalar_fn())
-    traj = shoot(prob, prof.value0)
+    traj = shoot(prob, float(prof.u[0]))
     rs = np.linspace(1e-5, 1.0, 300)
     u_shot, _ = traj.eval(rs)
     assert np.max(np.abs(u_shot - prof(rs))) < 1e-7

@@ -38,6 +38,9 @@ def test_rational_family_limits_and_sign():
     for u in (0.5, -2.0, 10.0):
         want = u * (1 + 2 * u**2) / (1 + u**2)
         assert abs(f(u) - want) < 1e-14 * abs(want)
+    # |u|^2.2 = 1e308 is finite where 2 |u|^2.2 is not: f(u) is 2 u, not inf
+    f = Nonlinearity.rational(2.0, f0=1.0, finf=2.0, q=2.2)
+    assert f(1e140) == 2e140 and f(-1e140) == -2e140
 
 
 def test_rational_family_general_p_limits():
@@ -70,12 +73,13 @@ def test_rational_family_rejects_bad_parameters():
 # declines, and the Python f runs
 
 F_VALUES = np.array([0.0, -0.0, 1e-300, -3e-9, 0.37, -1.0, 2.5, -41.0, 7e17, -3e120,
-                     1e139, math.inf, -math.inf, math.nan])
+                     1e139, -1e140, math.inf, -math.inf, math.nan])
 
 
 @pytest.mark.kernel
 @pytest.mark.parametrize("f", [F_REF, Nonlinearity.rational(2.5, 1.1, 2.3, 2.2),
-                               Nonlinearity.phi(1.3), Nonlinearity.phi(4.0)])
+                               Nonlinearity.phi(1.3), Nonlinearity.phi(4.0),
+                               Nonlinearity.rational(2.0, 1.0, 2.0, 2.2)])
 def test_kernel_f_matches_python_f(f):
     def python_f(u):
         try:
@@ -200,7 +204,7 @@ def test_find_nodal_preconditions():
 def test_branch_homogeneous_is_constant_gamma():
     f = Nonlinearity.phi(2.0)
     br = trace_branch(2.0, 1, M1, f, 1, "+", alpha_min=1e-2, alpha_max=1e2)
-    gs = br.gammas
+    gs = np.array([pt.gamma for pt in br.points])
     assert not br.truncated
     assert np.max(np.abs(gs - LAM1)) <= 1e-8 * LAM1
 
@@ -211,7 +215,7 @@ def test_branch_reference_endpoints():
     assert abs(br.gamma_zero_estimate * F_REF.f0 / LAM1 - 1.0) <= 0.02
     assert abs(br.gamma_inf_estimate * F_REF.finf / LAM1 - 1.0) <= 0.05
     # amplitude-parametrized points, strictly increasing alpha
-    alphas = br.alphas
+    alphas = [pt.alpha for pt in br.points]
     assert np.all(np.diff(alphas) > 0)
     # the zero count never changes along the branch
     assert all(pt.zeros == 0 for pt in br.points)
@@ -374,6 +378,16 @@ def test_only_the_built_in_families_are_odd():
     assert not _Scaled(2.5).odd
 
 
+def test_the_constructor_takes_no_family():
+    # a family given with some other fn would run the family's f on the
+    # kernel, the fn on the Python path, and read as odd
+    with pytest.raises(TypeError):
+        Nonlinearity(fn=lambda u: u**3, f0=1.0, finf=2.0, family=F_REF.family)
+    assert Nonlinearity(fn=F_REF.fn, f0=F_REF.f0, finf=F_REF.finf).family is None
+    assert F_REF.family[0] == _kernel.RATIONAL
+    assert Nonlinearity.phi(2.5).family == (_kernel.PHI, 1.5)
+
+
 @pytest.mark.kernel
 @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
 @pytest.mark.parametrize("f, p, n_dim", [(F_REF, 2.0, 1),
@@ -444,7 +458,7 @@ def test_gamma_intervals_reference_arithmetic():
     assert abs(finf_first.lo - LAM1 / 2) <= 1e-8 * LAM1
     assert abs(finf_first.hi - LAM1) <= 1e-8 * LAM1
     assert not finf_first.empty
-    assert finf_first.contains(2.0)
+    assert finf_first.lo < 2.0 < finf_first.hi
     f0_first = next(i for i in ivs if i.ordering == "f0_first" and i.nu == "+")
     assert f0_first.empty
 
@@ -485,7 +499,7 @@ def test_multi_class_interval_yields_all_pairs():
     assert abs(f0_first.lo - LAM2 / 10.0) < 1e-6
     assert abs(f0_first.hi - LAM1) < 1e-6
     gamma = 2.3
-    assert f0_first.contains(gamma)
+    assert f0_first.lo < gamma < f0_first.hi
     f = Nonlinearity.rational(2.0, f0=10.0, finf=1.0, q=2.0)
     for k in (1, 2):
         for sigma in ("+", "-"):

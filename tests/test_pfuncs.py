@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pspect.pfuncs import _pval, phi_p, phi_p_inv, pi_p, sin_p
+from pspect.pfuncs import _pval, pi_p
 
-from oracles import arclength, pi_p_quadrature, sinp_ode_residual
+from oracles import arclength, phi_p, phi_p_inv, pi_p_quadrature, sin_p, sinp_ode_residual
 
 
 @pytest.mark.parametrize("bad", [1.0, 0.5, -2.0, math.inf, math.nan])

@@ -19,7 +19,7 @@ from pspect import _kernel, _rk45, radial_ivp
 from pspect._rk45 import DenseOutput, integrate
 from pspect.errors import IntegrationError, PreconditionError
 from pspect.nodal import Nonlinearity, Perturbation
-from pspect.pfuncs import pi_p, sin_p
+from pspect.pfuncs import pi_p
 from pspect.radial_ivp import (
     LinearRHS,
     NonlinearRHS,
@@ -80,12 +80,16 @@ def test_origin_startup_cosine_series():
         assert abs(v_eps + eps) < eps**2
 
 
-def test_origin_startup_robustness():
+def test_origin_startup_robustness(monkeypatch):
     # halving the startup radius changes the terminal value negligibly
     prob = Problem.linear(2.5, 2, M_LIN, 30.0)
-    t1 = shoot(prob, 1.0, eps=1e-4).terminal_u
-    t2 = shoot(prob, 1.0, eps=5e-5).terminal_u
-    assert abs(t1 - t2) <= 1e-9
+    terminal = []
+    for eps in (1e-4, 5e-5):
+        monkeypatch.setattr(radial_ivp, "DEFAULT_EPS", eps)
+        shot = shoot(prob, 1.0)
+        assert shot.r[0] == eps  # the radius is read at the call
+        terminal.append(shot.terminal_u)
+    assert abs(terminal[0] - terminal[1]) <= 1e-9
 
 
 def test_origin_startup_odd_mirror():
@@ -106,6 +110,12 @@ def test_startup_eps_validation():
 def test_shoot_rejects_zero_amplitude():
     with pytest.raises(PreconditionError):
         shoot(Problem.linear(2.0, 1, M1, 1.0), 0.0)
+
+
+def test_probe_rejects_zero_amplitude_before_the_kernel(probe_results):
+    with pytest.raises(PreconditionError, match="initial value alpha must be nonzero"):
+        probe(Problem.linear(2.0, 1, M1, 1.0), 0.0, rtol=1e-10, atol=1e-12)
+    assert probe_results == []
 
 
 def test_dimension_validation():
@@ -969,13 +979,14 @@ def test_perturbation_subclass_stays_on_the_python_stepper(shoot_results):
 def test_kernel_hands_back_a_rational_shot_whose_power_overflows(shoot_results):
     # u starts at 1e139, where |u|^2.2 is finite, and grows like cosh(5 r)
     # under m = -1 until |u|^2.2 passes the largest double; Python raises
-    # OverflowError there, so the kernel hands the shot back (finf < 1, so
-    # that finf |u|^q does not overflow first, to inf without an error)
-    f = Nonlinearity.rational(2.0, f0=1.0, finf=0.5, q=2.2)
-    prob = Problem.nonlinear(2.0, 1, Weight.constant(-1.0), 50.0, f)
-    raised = _raised_on_both_paths(prob, 1e139, blowup_limit=math.inf)
-    assert raised[0] == raised[1] and raised[0][0] is OverflowError
-    assert shoot_results == [None]
+    # OverflowError there, so the kernel hands the shot back.  With
+    # finf = 2, finf |u|^q overflows first, and f stays finite there
+    for finf in (0.5, 2.0):
+        f = Nonlinearity.rational(2.0, f0=1.0, finf=finf, q=2.2)
+        prob = Problem.nonlinear(2.0, 1, Weight.constant(-1.0), 50.0, f)
+        raised = _raised_on_both_paths(prob, 1e139, blowup_limit=math.inf)
+        assert raised[0] == raised[1] and raised[0][0] is OverflowError
+    assert shoot_results == [None, None]
 
 
 def _has_compiler():
@@ -1079,14 +1090,11 @@ def test_nonlinear_and_perturbed_shots_on_the_kernel_where_a_compiler_is(monkeyp
 @pytest.mark.kernel
 def test_shoot_raises_and_hands_back_alike_on_both_paths(shoot_results):
     prob = Problem.linear(2.5, 2, M_LIN, 37.5)
-    for alpha, kw, message in (
-            (0.0, {}, "initial value alpha must be nonzero"),
-            (1.0, dict(eps=1e-3), "startup radius must lie in (0, 1e-4], got 0.001"),
-            (1.0, dict(eps=0.0), "startup radius must lie in (0, 1e-4], got 0.0")):
-        assert _raised_on_both_paths(prob, alpha, **kw) == [(PreconditionError, message)] * 2
+    assert _raised_on_both_paths(prob, 0.0) == [
+        (PreconditionError, "initial value alpha must be nonzero")] * 2
     # a grid of one sample: the kernel hands the shot back to the Python path
     assert_kernel_matches_reference(prob, n_samples=1)
-    assert shoot_results == [None] * 3  # the two radii and the grid
+    assert shoot_results == [None]  # the grid
 
 
 @pytest.mark.kernel

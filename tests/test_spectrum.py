@@ -36,7 +36,7 @@ def eig_problem(p, n_dim, m):
 
 def miss(problem, mu, **kw):
     """(D, Z) of the alpha = 1 shot at mu, at the default tolerances."""
-    pr = probe(problem.with_mu(mu), 1.0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, **kw)
+    pr = probe(problem.at(mu), 1.0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, **kw)
     return pr.d, pr.z
 
 
@@ -185,9 +185,11 @@ def test_spectrum_homogeneity_in_weight():
         assert abs(b - a / c) <= 1e-9 * abs(a / c)
 
 
-def test_values_independent_of_scan_density():
-    res1 = find_eigenvalues(eig_problem(2.5, 1, M_LIN), 3, "+", scan_ratio=1.8)
-    res2 = find_eigenvalues(eig_problem(2.5, 1, M_LIN), 3, "+", scan_ratio=1.34)
+def test_values_independent_of_scan_density(monkeypatch):
+    res1 = find_eigenvalues(eig_problem(2.5, 1, M_LIN), 3, "+")
+    monkeypatch.setattr(spectrum, "SCAN_RATIO", 1.34)
+    res2 = find_eigenvalues(eig_problem(2.5, 1, M_LIN), 3, "+")
+    assert res2.probes_used != res1.probes_used  # the denser scan ran
     for a, b in zip(res1.values, res2.values):
         assert abs(a - b) <= 1e-9 * abs(a)
 
@@ -201,21 +203,26 @@ def test_strict_interlacing_and_ordering():
     assert pos[0] > 0 > neg[0]
 
 
-def test_budget_exhaustion_reports_partial():
-    res = find_eigenvalues(eig_problem(2.0, 1, M_LIN), 6, "+", budget=30)
+@pytest.fixture
+def budget_30(monkeypatch):
+    monkeypatch.setattr(spectrum, "DEFAULT_BUDGET", 30)
+
+
+def test_budget_exhaustion_reports_partial(budget_30):
+    res = find_eigenvalues(eig_problem(2.0, 1, M_LIN), 6, "+")
     assert not res.complete
     assert "budget" in res.message or len(res.eigenpairs) < 6
 
 
-def test_budget_stop_named_in_message():
-    res = find_eigenvalues(eig_problem(2.0, 1, M_LIN), 6, "+", budget=30)
+def test_budget_stop_named_in_message(budget_30):
+    res = find_eigenvalues(eig_problem(2.0, 1, M_LIN), 6, "+")
     assert not res.complete
     assert res.message.startswith("scan budget of 30 probes exhausted")
     assert "ceiling" not in res.message
 
 
-def test_spectrum_missing_index_raises_with_stop_reason():
-    res = find_eigenvalues(eig_problem(2.0, 1, M_LIN), 6, "+", budget=30)
+def test_spectrum_missing_index_raises_with_stop_reason(budget_30):
+    res = find_eigenvalues(eig_problem(2.0, 1, M_LIN), 6, "+")
     spec = Spectrum(p=2.0, N=1, results={"+": res})
     assert spec.mu(1, "+") == res.values[0]
     with pytest.raises(SpectrumIncomplete) as err:
@@ -227,6 +234,12 @@ def test_spectrum_missing_index_raises_with_stop_reason():
         res.mu(2)
 
 
+def test_eigenvalues_are_searched_on_a_linear_problem():
+    prob = Problem.perturbed(2.0, 1, M1, 1.0, lambda mval, r, u, mu: 0.0)
+    with pytest.raises(PreconditionError, match="linear problem"):
+        find_eigenvalues(prob, 1, "+")
+
+
 def test_compute_spectrum_skips_absent_negative_sequence():
     spec = compute_spectrum(2.0, 1, M1, 1)
     assert list(spec.results) == ["+"]
@@ -234,15 +247,17 @@ def test_compute_spectrum_skips_absent_negative_sequence():
         spec.mu(1, "-")
 
 
-def test_compute_spectrum_keeps_narrow_negative_part():
+def test_compute_spectrum_keeps_narrow_negative_part(monkeypatch):
     # negative only on (0.49999, 0.50001), narrower than a 10,000-point grid's spacing
+    monkeypatch.setattr(spectrum, "DEFAULT_BUDGET", 5)
     hat = Weight((0, 0.49998, 0.5, 0.50002, 1), ((-1,), (-1, 1e5), (1, -1e5), (-1,)))
-    spec = compute_spectrum(2.0, 1, hat.negated(), 1, ("-",), budget=5)
+    spec = compute_spectrum(2.0, 1, hat.negated(), 1, ("-",))
     assert list(spec.results) == ["-"]
 
 
-def test_tiny_weight_keeps_its_negative_sequence():
-    spec = compute_spectrum(2.0, 1, Weight.poly([1e-15, -2e-15]), 1, budget=1)
+def test_tiny_weight_keeps_its_negative_sequence(monkeypatch):
+    monkeypatch.setattr(spectrum, "DEFAULT_BUDGET", 1)
+    spec = compute_spectrum(2.0, 1, Weight.poly([1e-15, -2e-15]), 1)
     assert list(spec.results) == ["+", "-"]
 
 
@@ -308,12 +323,16 @@ def test_shared_shots_repeat_search_shoots_no_probe(monkeypatch):
     assert res.probes_used == alone.probes_used
 
 
-def test_shared_shots_keep_the_probe_budget():
+def test_shared_shots_keep_the_probe_budget(monkeypatch):
     prob = eig_problem(2.0, 1, M_LIN)
-    alone = find_eigenvalues(prob, 6, "+", budget=30)
+    with monkeypatch.context() as mp:
+        mp.setattr(spectrum, "DEFAULT_BUDGET", 30)
+        alone = find_eigenvalues(prob, 6, "+")
     with shared_shots():
         find_eigenvalues(prob, 4, "+")
-        shared = find_eigenvalues(prob, 6, "+", budget=30)
+        with monkeypatch.context() as mp:
+            mp.setattr(spectrum, "DEFAULT_BUDGET", 30)
+            shared = find_eigenvalues(prob, 6, "+")
     assert shared.message.startswith("scan budget of 30 probes exhausted")
     assert summary(shared) == summary(alone)
 
@@ -432,7 +451,7 @@ def test_pointwise_preconditions_see_a_narrow_spike():
     m1 = Weight((0, 0.49998, 0.5, 0.50002, 1), ((1.0,), (1.0, 1e5), (3.0, -1e5), (1.0,)))
     m2 = Weight.constant(2.0)
     with pytest.raises(PreconditionError, match="m1 <= m2"):
-        verify_weight_monotonicity(2.0, 1, m1, m2, 1, budget=3)
+        verify_weight_monotonicity(2.0, 1, m1, m2, 1)
     with pytest.raises(PreconditionError, match="0 < b1"):
         verify_sturm(2.0, 1, m1, m2)
 
