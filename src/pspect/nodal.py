@@ -15,26 +15,25 @@ exactly when gamma lies between those endpoints.
 
 Everything here drives the shooting integrator:
 
-* find_nodal scans initial amplitudes alpha of one sign over a geometric
-  grid, looks for sign changes of the miss u(1; alpha) among shots with
-  the requested interior zero count, and bisects.  The homogeneous
-  degenerate case f = phi_p at an eigenvalue (every amplitude solves) is
-  detected and reported rather than bisected.
-* trace_branch walks the amplitude grid solving the scalar equation
-  u(1; gamma, alpha) = 0 in gamma at every alpha, warm-starting each
-  bracket at the previous point; folds in gamma are handled by the
-  bracket.  The branch is truncated with a diagnostic that names the
-  cause: no bracket changes sign, the root leaves u(1) above the
-  tolerance, or the zero count changed (the continuation beyond a split
-  is not traced).
+* find_nodal probes initial amplitudes alpha of one sign over a
+  geometric grid and solves the miss u(1; alpha) between neighbours.  The
+  homogeneous degenerate case f = phi_p at an eigenvalue (every amplitude
+  solves) is detected and reported rather than solved.
+* trace_branch walks the amplitude grid solving u(1; gamma, alpha) = 0
+  in gamma at every alpha, in widening windows around the previous
+  point; folds in gamma are handled by the windows.  The branch is
+  truncated with a diagnostic that names the cause: no window changes
+  sign, none holds a class-k root, or the shot at the root is rejected.
 * verify_bifurcation_points checks that small-amplitude solutions of the
   perturbed linear problem localize the parameter near mu_k^nu, the
   numerical shadow of bifurcation from the trivial line.
 
 Each root solve is ``radial_ivp.solve_miss`` on a bracket whose ends
 were probed here: one kernel call where f or g is built in.  The policy
-stays here: the amplitude grid, the widening brackets of the gamma and
-mu solves, the class checks at the ends and the acceptance of a root.
+stays here, one rule for the three searches (``_class_root``): a bracket
+is admitted where u(1) changes sign and an end has the k-class count,
+and the root is the one where the count steps from k - 1 to k.  A root's
+shot is accepted by ``_rejection``.
 
 "Unbounded continuum" is operationalized as: traced up to sup-norm 1e3
 without bracket loss.  The topological statement itself is not
@@ -53,7 +52,7 @@ from .errors import PreconditionError
 from .greens import apply_Gp
 from .pfuncs import _pval
 from .radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL, Problem
-from .radial_ivp import Trajectory, _kernel_params, probe, shoot, solve_miss
+from .radial_ivp import Trajectory, _kernel_params, _probe_at, probe, shoot, solve_miss
 from .radial_ivp import brentq  # noqa: F401  (perfbench/tracing.py counts nodal.brentq calls)
 from .report import CheckReport
 from .spectrum import Spectrum, compute_spectrum
@@ -234,7 +233,7 @@ def _amplitude_grid(sigma, alpha_min, alpha_max, ratio):
             f"and alpha_max = {alpha_max:g}"
         )
     n_steps = int(math.ceil(math.log(alpha_max / alpha_min) / math.log(ratio)))
-    return (1 if sigma == "+" else -1) * alpha_min * ratio ** np.arange(n_steps + 1)
+    return ((1 if sigma == "+" else -1) * alpha_min * ratio ** np.arange(n_steps + 1)).tolist()
 
 
 def find_nodal(
@@ -266,15 +265,15 @@ def find_nodal(
     alphas = _amplitude_grid(sigma, alpha_min, alpha_max, 1.25)
     problem = Problem.nonlinear(p, N, m, gamma, f)
 
-    probes = [(a, probe(problem, a, rtol=rtol, atol=atol)) for a in map(float, alphas)]
+    probes = [probe(problem, a, rtol=rtol, atol=atol) for a in alphas]
 
     counts_seen = {}
-    for _, pr in probes:
+    for pr in probes:
         z = -1 if pr.blowup else pr.z  # a truncated count is not comparable
         counts_seen[z] = counts_seen.get(z, 0) + 1
 
     # homogeneous degeneracy: a run of direct hits means every alpha solves
-    hits = [abs(pr.d) <= HOMOGENEOUS_TOL * max(1.0, pr.sup_u) for _, pr in probes]
+    hits = [abs(pr.d) <= HOMOGENEOUS_TOL * max(1.0, pr.sup_u) for pr in probes]
     degenerate = any(
         hits[i] and hits[i + 1] and hits[i + 2] for i in range(len(hits) - 2)
     )
@@ -288,31 +287,24 @@ def find_nodal(
             "(gamma is an eigenvalue of the homogeneous problem); returning the "
             "first amplitude with u(1) = 0"
         )
-        for a, pr in probes:
-            if _solves_bc(pr.d, pr.sup_u) and _in_class(pr, k):
+        for a, pr in zip(alphas, probes):
+            if abs(pr.d) <= _bc_tol(pr.sup_u) and _in_class(pr, k):
                 traj = shoot(problem, a, rtol=rtol, atol=atol)
                 solution = _package_solution(problem, traj, k, sigma, gamma, a)
                 break
 
-    if solution is None:
-        # a zero crosses the boundary exactly at the root, so a valid
-        # bracket shows count k-1 on one side (k or k-2 on the other)
-        for (a1, pr1), (a2, pr2) in zip(probes, probes[1:]):
-            if pr1.blowup or pr2.blowup:  # counts not comparable
-                continue
-            if (pr1.z != k - 1 and pr2.z != k - 1) or pr1.d * pr2.d >= 0:
-                continue
-            root, _ = solve_miss(problem, None, a1, a2, (pr1, pr2), in_alpha=True,
-                                 rtol=rtol, atol=atol, xtol=1e-15, xrtol=8.9e-16)
-            traj = shoot(problem, root, rtol=rtol, atol=atol)
-            z = len(traj.interior_zeros)
-            if z == k - 1 and _solves_bc(traj.terminal_u, traj.sup_u):
-                solution = _package_solution(problem, traj, k, sigma, gamma, root)
-                break
-            diagnostics.append(
-                f"bracket ({a1:g}, {a2:g}) converged to alpha={root:g} but "
-                f"zero count {z} or miss {traj.terminal_u:g} disqualified it"
-            )
+    # neighbouring amplitudes bracket the roots, past a rejected one too
+    brackets = zip(alphas, alphas[1:], probes, probes[1:])
+    while solution is None:
+        root, _ = _class_root(problem, None, brackets, k, 1e-15, 8.9e-16, rtol, atol)
+        if root is None:
+            break
+        traj = shoot(problem, root, rtol=rtol, atol=atol)
+        rejection = _rejection(traj, k)
+        if rejection:
+            diagnostics.append(f"the root alpha = {root:g} {rejection}")
+        else:
+            solution = _package_solution(problem, traj, k, sigma, gamma, root)
 
     if solution is None and not degenerate:
         blown = counts_seen.get(-1, 0)
@@ -325,7 +317,7 @@ def find_nodal(
 
     return NodalSearch(
         solution=solution,
-        scanned=(float(alphas[0]), float(alphas[-1])),
+        scanned=(alphas[0], alphas[-1]),
         counts_seen=counts_seen,
         degenerate_homogeneous=degenerate,
         diagnostics=diagnostics,
@@ -337,14 +329,64 @@ def _bc_tol(sup_u) -> float:
     return max(BOUNDARY_TOL, 1e-12 * sup_u)
 
 
-def _solves_bc(u1, sup_u) -> bool:
-    """u(1) = u1 meets the boundary condition, to the solve tolerance."""
-    return abs(u1) <= _bc_tol(sup_u)
-
-
 def _in_class(pr, k) -> bool:
     """The probe crossed all of [0, 1] with the k-class count of k - 1 zeros."""
     return not pr.blowup and pr.z == k - 1
+
+
+def _rejection(traj, k) -> str:
+    """Why the shot at a root is no k-class solution, or "" where it is one:
+    u(1) above the solve tolerance, or a zero count other than k - 1."""
+    if not abs(traj.terminal_u) <= _bc_tol(traj.sup_u):
+        return f"leaves |u(1)| = {abs(traj.terminal_u):.3g} > {_bc_tol(traj.sup_u):.3g}"
+    z = len(traj.interior_zeros)
+    return "" if z == k - 1 else f"has {z} interior zeros"
+
+
+def _class_root(problem, alpha, brackets, k, xtol, xrtol, rtol, atol):
+    """(root, changed): the first root of the miss D over brackets whose
+    probe is in the k-class, or None; and whether any bracket's D changed
+    sign.  brackets yields (a, b, probe at a, probe at b), a and b values
+    of the parameter of problem at u(0) = alpha, or of u(0) where alpha
+    is None; one is admitted where D changes sign and an end is in class.
+    Where the solve lands outside the class, :func:`_count_step` finds the
+    step of the count from k - 1 to k, where a class-k root sits, between
+    the in-class end and the root, and that pair is solved again."""
+    changed = False
+    for a, b, pr_a, pr_b in brackets:
+        if not pr_a.d * pr_b.d < 0:
+            continue
+        changed = True
+        pair = ((a, pr_a), (b, pr_b)) if _in_class(pr_a, k) or _in_class(pr_b, k) else None
+        while pair is not None:
+            (a, pr_a), (b, pr_b) = pair
+            root, pr = solve_miss(problem, alpha, a, b, (pr_a, pr_b), in_alpha=alpha is None,
+                                  rtol=rtol, atol=atol, xtol=xtol, xrtol=xrtol)
+            if _in_class(pr, k):
+                return root, changed
+            inside = (a, pr_a) if _in_class(pr_a, k) else (b, pr_b)
+            pair = _count_step(problem, alpha, k, inside, (root, pr), rtol, atol)
+    return None, changed
+
+
+def _count_step(problem, alpha, k, inside, outside, rtol, atol):
+    """Bisect on the k-class between inside, an in-class (x, probe), and
+    outside, at least once, until the outside end reads z = k and D changes
+    sign across the pair: the pair (inside, outside) then, or None once the
+    two are adjacent doubles.  Without the first bisection a solve of the
+    pair may land next to the last root again and again."""
+    (x_in, pr_in), (x_out, pr_out) = inside, outside
+    while True:
+        mid = 0.5 * (x_in + x_out)
+        if mid in (x_in, x_out):
+            return None
+        pr = _probe_at(problem, alpha, mid, alpha is None, rtol, atol)
+        if _in_class(pr, k):
+            x_in, pr_in = mid, pr
+        else:
+            x_out, pr_out = mid, pr
+        if not pr_out.blowup and pr_out.z == k and pr_in.d * pr_out.d < 0:
+            return (x_in, pr_in), (x_out, pr_out)
 
 
 def _package_solution(problem, traj, k, sigma, gamma, alpha):
@@ -442,7 +484,7 @@ def trace_branch(
     gamma_prev = mu_k / f.f0
 
     for a in alphas:
-        gamma_a, traj, stop = _solve_gamma(p, N, m, f, float(a), gamma_prev, k, rtol, atol)
+        gamma_a, traj, stop = _solve_gamma(p, N, m, f, a, gamma_prev, k, rtol, atol)
         if stop:
             branch.truncated = True
             branch.diagnostics.append(stop)
@@ -450,7 +492,7 @@ def trace_branch(
         branch.points.append(
             BranchPoint(
                 gamma=gamma_a,
-                alpha=float(a),
+                alpha=a,
                 sup_norm=traj.sup_u,
                 zeros=len(traj.interior_zeros),
             )
@@ -464,49 +506,33 @@ def trace_branch(
 
 
 def _solve_gamma(p, N, m, f, alpha, gamma_center, k, rtol, atol):
-    """Root of gamma -> u(1; gamma, alpha) near a warm-started center.
-
-    The bracket starts at +-10 % of the center and doubles up to 90 %.
-    Returns (gamma, trajectory, stop): stop is "" for a point of the
-    branch, else the diagnostic that ends the branch there, naming why:
-    no bracket changes sign, the root leaves u(1) above the tolerance, or
-    the zero count changed.
-    """
+    """Root of gamma -> u(1; gamma, alpha) in the windows +-10 % to +-80 %
+    of a warm-started center: (gamma, trajectory, stop), stop "" for a
+    point of the branch, else the diagnostic that ends the branch there."""
     problem = Problem.nonlinear(p, N, m, gamma_center, f)
-    roots = _bracketed_roots(problem, alpha, gamma_center, k, 0.1, 0.9, 1e-15, 8.9e-16,
-                             rtol, atol)
-    for root, _ in roots:
-        traj = shoot(problem.at(root), alpha, rtol=rtol, atol=atol)
-        z = len(traj.interior_zeros)
-        u1 = traj.terminal_u
-        if not _solves_bc(u1, traj.sup_u):
-            return root, traj, (
-                f"gamma = {root:.10g} leaves |u(1)| = {abs(u1):.3g} > "
-                f"{_bc_tol(traj.sup_u):.3g} at alpha = {alpha:g} "
-                f"(last gamma {gamma_center:.8g}); branch truncated")
-        if z != k - 1:
-            return root, traj, f"zero count changed to {z} at alpha = {alpha:g}; branch split off"
-        return root, traj, ""
-    return None, None, (
-        f"no gamma bracket within 90 % of {gamma_center:.8g} changes sign at "
-        f"alpha = {alpha:g}; branch truncated")
+    windows = _windows(problem, alpha, gamma_center, 0.1, 0.8, rtol, atol)
+    root, changed = _class_root(problem, alpha, windows, k, 1e-15, 8.9e-16, rtol, atol)
+    if root is None:
+        cause = f"holds a class-{k} root" if changed else "changes sign"
+        return None, None, (
+            f"no gamma bracket within 80 % of {gamma_center:.8g} {cause} at "
+            f"alpha = {alpha:g}; branch truncated")
+    traj = shoot(problem.at(root), alpha, rtol=rtol, atol=atol)
+    rejection = _rejection(traj, k)
+    if rejection:
+        return root, traj, (
+            f"gamma = {root:.10g} {rejection} at alpha = {alpha:g} "
+            f"(last gamma {gamma_center:.8g}); branch truncated")
+    return root, traj, ""
 
 
-def _bracketed_roots(problem, alpha, center, k, w, w_max, xtol, xrtol, rtol, atol):
-    """Roots of u(1) = 0 in the parameter of problem (gamma or mu) at
-    u(0) = alpha, nearest the center first.
-
-    The brackets are center -+ w |center|, w doubling while w <= w_max;
-    each whose ends change sign, one of them in the k-class, is solved.
-    Yields (root, the probe there).
-    """
+def _windows(problem, alpha, center, w, w_max, rtol, atol):
+    """The brackets center -+ w |center|, w doubling up to w_max, with their
+    end probes at u(0) = alpha."""
     while w <= w_max:
         lo, hi = center - w * abs(center), center + w * abs(center)
-        pr_lo = probe(problem.at(lo), alpha, rtol=rtol, atol=atol)
-        pr_hi = probe(problem.at(hi), alpha, rtol=rtol, atol=atol)
-        if pr_lo.d * pr_hi.d < 0 and (_in_class(pr_lo, k) or _in_class(pr_hi, k)):
-            yield solve_miss(problem, alpha, lo, hi, (pr_lo, pr_hi), rtol=rtol, atol=atol,
-                             xtol=xtol, xrtol=xrtol)
+        yield (lo, hi, probe(problem.at(lo), alpha, rtol=rtol, atol=atol),
+               probe(problem.at(hi), alpha, rtol=rtol, atol=atol))
         w *= 2.0
 
 
@@ -593,8 +619,8 @@ def _locate_perturbed_parameter(p, N, m, g, mu_k, k, alpha, rtol, atol):
     """The nearest mu to mu_k within 40 % whose solution at u(0) = alpha
     lies in the k-class, or None."""
     problem = Problem.perturbed(p, N, m, mu_k, g)
-    roots = _bracketed_roots(problem, alpha, mu_k, k, 0.05, 0.45, 1e-14, 1e-13, rtol, atol)
-    return next((root for root, pr in roots if _in_class(pr, k)), None)
+    windows = _windows(problem, alpha, mu_k, 0.05, 0.4, rtol, atol)
+    return _class_root(problem, alpha, windows, k, 1e-14, 1e-13, rtol, atol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -264,15 +264,75 @@ class _ShiftedSpectrum:
 
 
 def test_branch_names_a_missing_bracket():
-    # warm-started at 100 mu_1, no bracket within 90 % has an end in the
+    # warm-started at 100 mu_1, the +-20 % and +-80 % windows change sign,
+    # but their ends count 4 and 5, and 2 and 7 zeros: no end is in the
     # k = 1 class (mu_3 < 0.2 * 100 mu_1), so no root is solved for
     spec = _ShiftedSpectrum(compute_spectrum(2.0, 1, M1, 1, ("+",)), 100.0)
     br = trace_branch(2.0, 1, M1, F_REF, 1, "+", alpha_min=1e-2, alpha_max=1e2,
                       spectrum=spec)
     assert br.truncated and br.points == []
     assert br.diagnostics == [
-        f"no gamma bracket within 90 % of {spec.mu(1, '+'):.8g} changes sign at "
+        f"no gamma bracket within 80 % of {spec.mu(1, '+'):.8g} holds a class-1 root at "
         "alpha = 0.01; branch truncated"
+    ]
+
+
+COS3 = Weight.from_function(lambda r: math.cos(3.0 * math.pi * r))
+F_DOWN = Nonlinearity.rational(2.0, f0=2.0, finf=0.5, q=1.0)
+
+
+def test_branch_walks_to_the_class_root_of_a_bracket_with_three():
+    # at alpha = 6.46235 the +-10 % window of C_2^+ holds three roots of
+    # u(1); Brent's method lands on 206.4125, which has two zeros, and the
+    # bracket is narrowed onto the step of the count from 1 to 2
+    br = trace_branch(2.0, 2, COS3, F_DOWN, 2, "+", alpha_min=1e-2, alpha_max=1e3)
+    assert not br.truncated and len(br.points) == 53
+    assert all(pt.zeros == 1 for pt in br.points)
+    assert br.points[29].alpha == 1e-2 * 1.25**29
+    assert br.points[29].gamma == 205.6671392919584
+
+
+@pytest.mark.kernel
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
+def test_class_root_walk_runs_on_the_kernel_to_the_bits_of_python(monkeypatch, kernel):
+    if not kernel:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    walks = _spy_walks(monkeypatch)
+    gamma, traj, stop = nodal._solve_gamma(2.0, 2, COS3, F_DOWN, 1e-2 * 1.25**29,
+                                           192.89577223740824, 2, 1e-10, 1e-12)
+    assert len(walks) == 1 and walks[0] is not None  # one narrowing, then the solve
+    assert stop == "" and len(traj.interior_zeros) == 1
+    assert gamma == 205.6671392919584
+
+
+def _spy_walks(monkeypatch):
+    """The list of what each _count_step call returns, from here on."""
+    walks, step = [], nodal._count_step
+
+    def spy(*args):
+        walks.append(step(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(nodal, "_count_step", spy)
+    return walks
+
+
+def test_branch_gives_up_a_bracket_without_a_class_root(monkeypatch):
+    # C_3^+ at alpha = 0.01: only the +-80 % window is admitted, its ends
+    # counting 1 and 2 zeros, and Brent's method lands on gamma = 71.23, a
+    # root with one zero.  Between the in-class end and that root no probe
+    # counts 3, and the narrowing gives the bracket up at adjacent doubles.
+    # (u(0) = 0.01 is no small amplitude for this class: the shot's
+    # sup-norm is 0.76, so the class-3 root is far from mu_3 / f0.)
+    spec = compute_spectrum(2.0, 2, COS3, 3, ("+",))
+    walks = _spy_walks(monkeypatch)
+    br = trace_branch(2.0, 2, COS3, F_DOWN, 3, "+", alpha_min=1e-2, alpha_max=1e3,
+                      spectrum=spec)
+    assert walks == [None]
+    assert br.truncated and br.points == []
+    assert br.diagnostics == [
+        f"no gamma bracket within 80 % of {spec.mu(3, '+') / 2:.8g} holds a class-3 root "
+        "at alpha = 0.01; branch truncated"
     ]
 
 
