@@ -27,7 +27,7 @@ from .nodal import (
     verify_bifurcation_points,
 )
 from .pfuncs import pi_p
-from .radial_ivp import Problem, Trajectory, origin_startup, shoot
+from .radial_ivp import Problem, Trajectory, shoot
 from .report import CheckReport
 from .spectrum import (
     Eigenpair,

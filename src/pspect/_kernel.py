@@ -1,60 +1,43 @@
 """Build and load the compiled shot, post-pass, probe and root solve of the
-radial problems.
+radial problems, and raise what they stop on.
 
-``_rk45_kernel.c`` holds seven entry points.  ``pspect_shoot`` is the
-whole of ``radial_ivp.shoot``'s shot in one call (:func:`shoot`): the
-start at the origin, the Dormand-Prince loop of ``_rk45.integrate`` and
-the post-pass.  The loop has the right-hand side of a linear, nonlinear
-(built-in ``Nonlinearity`` families) or perturbed (built-in
-``Perturbation``) shot written into it, operation for operation, so it
-gives the bits of the Python stepper.  The start is
-``radial_ivp.origin_startup`` and the start of ``_rk45.integrate`` ported
-the same way, with a port of CPython's ``math.hypot`` for two values (its
-``vector_norm``; :func:`hypot` exposes it for its test).  The port gives
-``math.hypot``'s bits on zeros and normal numbers under Python 3.10 to
-3.13; on a subnormal or non-finite input it hands the shot back.
-``pspect_scan`` is the post-pass alone over a given block (:func:`scan`),
-as ``radial_ivp._scan_reference`` computes it in numpy and
-``radial_ivp._locate_zeros`` in Python, and to the same bits: the sample
-grid and u, v on it, the running maxima of |u|, u(1), sup |u'| and the
-zeros of u with u' there, each refined by a port of ``radial_ivp.brentq``.
+``_rk45_kernel.c`` holds eight entry points: ``pspect_shoot``, the whole
+of ``radial_ivp.shoot``'s shot (:func:`shoot`: the start at the origin,
+the Dormand-Prince loop and the post-pass); ``pspect_probe``, the whole
+of ``radial_ivp.probe`` (:func:`probe`); ``pspect_solve``, Brent's method
+on the miss of ``pspect_probe`` in the right-hand side's lam or in u(0)
+(:func:`solve`); ``pspect_scan`` and ``pspect_reduce``, the post-pass and
+the probe's reduction of a given block (:func:`scan`, :func:`reduce`);
+``pspect_apply_f``, F of the PHI and RATIONAL families on an array, for
+the fixed-point residual (:func:`apply_f`); ``pspect_hypot``, the port of
+``math.hypot`` the start takes (:func:`hypot`); and ``pspect_follow``,
+which :func:`load` calls to give that port the NaN and the subnormal
+branch of the running Python's ``math.hypot``.  :func:`scan`,
+:func:`reduce` and :func:`hypot` are how the tests reach C on edited
+blocks and chosen inputs.
 
-``pspect_reduce`` reduces a given block to what ``radial_ivp.probe``
-reports, tail filter included (:func:`reduce`), and ``pspect_probe`` is
-the whole probe in one call (:func:`probe`): the start, the march and
-``pspect_reduce``, with no trajectory built.  ``pspect_solve`` runs
-Brent's method, the routine that refines the zeros, on the miss D of
-``pspect_probe`` as a function of the right-hand side's lam (gamma or mu)
-or of u(0), in one call (:func:`solve`).  ``pspect_apply_f`` computes F of
-the PHI and RATIONAL families on an array, for the fixed-point residual
-(:func:`apply_f`).  :func:`scan`, :func:`reduce` and :func:`hypot` are how
-the tests reach C on edited blocks and chosen inputs.
-
-:class:`Rhs` is the right-hand side of a shot in the kernel's terms
-(``radial_ivp``'s RHS classes build it with :func:`rhs`), and
-:class:`Shot` one shot: the right-hand side, u(0), m(0), p', the start
-radius, the tolerances, the blow-up guard and the sample count.
-``pspect_shoot``, ``pspect_probe`` and ``pspect_solve`` each take one
-Shot, which ``radial_ivp._shot`` builds.  A call hands its shot back
-(returns None) where Python would raise on the way: in the start, in the
-march (a power that overflows, a division by zero) and in the refinement
-of a zero.  The caller then takes the Python path, which returns or
-raises as it always has.  A solve is handed back also on a NaN miss and
-on no convergence.
-No buffer outlives a call, as ctypes releases the GIL during one.
+:class:`Shot` is one shot (``radial_ivp._shot`` builds it), with its
+right-hand side :class:`Rhs`: a built-in one is fused into the loop, any
+other is called back (family CALLBACK, :class:`Callback`).  Each call
+gives the bits of the Python reference (``tests/reference.py``) or raises
+what it raises: the kernel returns the status of the first error Python
+would meet (OVERFLOW and after), and :data:`_ERRORS` makes the exception,
+an OverflowError or ZeroDivisionError from the same Python operation, so
+that its message follows the running Python; a callback's own exception
+is raised as it was.  No buffer outlives a call, as ctypes releases the
+GIL during one.
 
 The source is compiled on first use with the C compiler Python was built
 with (``sysconfig``'s ``CC``) and the fixed flags ``FLAGS``, into
-``__pycache__`` next to this file, under a name keyed by a hash of the
-source, the compiler and the flags; later processes load that file.  A
-build removes the libraries of other keys it finds there.  The
-flags are part of the bit-identity: ``-ffp-contract=off`` forbids fused
-multiply-adds and ``-fno-builtin`` keeps ``pow(x, 2.0)`` a libm call, as
-CPython's ``**`` makes it; ``-ffast-math`` and ``-march=native`` stay
-out.  The post-pass takes no numpy array power: it need not round as
-libm's ``pow`` does.  Where no compiler runs or the cache cannot be
-written, :func:`load` returns None and every shot, probe and root solve
-takes the Python path.
+``__pycache__`` next to this file or, where that cannot be written,
+``$XDG_CACHE_HOME/pspect`` (``~/.cache/pspect`` where it is unset), under
+a name keyed by a hash of the source, the compiler and the flags; later
+processes load that file, and a build removes the libraries of other
+keys there.  The flags are part of the bit-identity: ``-ffp-contract=off``
+forbids fused multiply-adds and ``-fno-builtin`` keeps ``pow(x, 2.0)`` a
+libm call, as CPython's ``**`` makes it.  The compiler is required: where
+the build fails, :func:`load` raises an OSError with the command, the
+source and the compiler's output, and raises it again without building.
 """
 
 from __future__ import annotations
@@ -62,25 +45,35 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import math
+import operator
 import os
 import shlex
+import sys
 import sysconfig
 from typing import NamedTuple
 
 import numpy as np
+
+from ._rk45 import _underflow
+from .errors import PreconditionError
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rk45_kernel.c")
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
 FIRST_CAPACITY = 4096  # accepted steps the buffers of a shot hold at first
 
-# status codes of pspect_shoot, pspect_probe and pspect_solve
-END, BLOWUP, UNDERFLOW, FULL, RERUN = range(5)
+# status codes of the entry points: how a march ended, then what Python raises
+(END, BLOWUP, UNDERFLOW, FULL, OVERFLOW, DIV_ZERO, ZERO_POW, RAISED, ALPHA_ZERO, NAN_END,
+ SAME_SIGN, NAN_AT, NO_CONVERGENCE) = range(13)
 
 # right-hand side families (Rhs.family)
-LINEAR, PHI, RATIONAL, PERTURBED = range(4)
+LINEAR, PHI, RATIONAL, PERTURBED, CALLBACK = range(5)
 
 BRENT_MAXITER = 100  # _rk45_kernel.c's, the trials a solve logs at most
+
+# w(lam, r, u) of a CALLBACK right-hand side
+WFUNC = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double)
 
 
 class Rhs(ctypes.Structure):  # struct Rhs of _rk45_kernel.c
@@ -91,27 +84,56 @@ class Rhs(ctypes.Structure):  # struct Rhs of _rk45_kernel.c
         + [(name, ctypes.c_void_p) for name in ("bp", "off", "c")]
         + [(name, ctypes.c_double)
            for name in ("lam", "e", "e_inv", "f0", "finf", "q", "gc", "ge")]
-        + [("bad", ctypes.c_int)]
+        + [("cb", WFUNC), ("raised", ctypes.c_void_p), ("bad", ctypes.c_int)]
     )
 
 
-def rhs(p, n_dim, weight, lam, family, e, f0=0.0, finf=0.0, q=0.0, gc=0.0, ge=0.0) -> Rhs:
+class Callback:
+    """A right-hand side the kernel calls back (family CALLBACK): fn is the
+    C function of w(lam, r, u), which returns float(w(lam, r, u)).  Where w
+    raises, fn keeps the exception in ``errors``, tells the kernel through
+    ``raised`` and returns NaN; the kernel then calls it no more and stops.
+    fn does not refer to the Callback, so that no reference cycle holds a
+    shot."""
+
+    def __init__(self, w):
+        self.errors, self.raised = [], ctypes.c_int(0)
+        errors, raised = self.errors, self.raised
+
+        def call(lam, r, u):
+            try:
+                return float(w(lam, r, u))
+            except BaseException as exc:  # ctypes cannot pass it through C: _raise re-raises it
+                errors.append(exc)
+                raised.value = 1
+                return math.nan
+
+        self.fn = WFUNC(call)
+
+
+def rhs(p, n_dim, weight, lam, family, e, f0=0.0, finf=0.0, q=0.0, gc=0.0, ge=0.0,
+        callback=None) -> Rhs:
     """W = lam m(r) F(u) on the system of exponent p and dimension n_dim,
     m the ``Weight`` weight, with F by family: LINEAR and PERTURBED
     _sgnpow(u, e), PHI and RATIONAL the ``Nonlinearity`` form of that name
     with its exponent e (and f0, finf, q); PERTURBED adds gc m(r) sgn(u)
-    |u|^ge.  The kernel reads the weight through its addresses: it must
-    outlive the calls the Rhs goes to."""
+    |u|^ge; CALLBACK is callback's w (a :class:`Callback`).  The kernel
+    reads the weight through its addresses: it must outlive the calls the
+    Rhs goes to."""
     bp, off, c = weight.flat_addresses
-    return Rhs(family, n_dim, len(weight.coeffs), bp, off, c, lam, e, 1.0 / (p - 1.0), f0,
-               finf, q, gc, ge, 0)
+    out = Rhs(family, n_dim, len(weight.coeffs), bp, off, c, lam, e, 1.0 / (p - 1.0), f0, finf,
+              q, gc, ge)
+    if callback is not None:
+        out.cb, out.raised = callback.fn, ctypes.addressof(callback.raised)
+    return out
 
 
 class Shot(ctypes.Structure):  # struct Shot of _rk45_kernel.c
     """One shot from u(0) = alpha to r = 1 with right-hand side rhs: m0 is
     the weight at 0, p_conj p / (p - 1), eps the start radius, the march
     stops where |u| reaches blowup_limit, and the shot is read on a grid of
-    n_samples uniform points united with its nodes."""
+    n_samples uniform points united with its nodes.  callback is the
+    :class:`Callback` of a CALLBACK right-hand side, kept with the shot."""
 
     _fields_ = (
         [("rhs", Rhs)]
@@ -119,6 +141,7 @@ class Shot(ctypes.Structure):  # struct Shot of _rk45_kernel.c
            for name in ("alpha", "m0", "p_conj", "eps", "rtol", "atol_u", "atol_v")]
         + [("blowup_limit", ctypes.c_double), ("n_samples", ctypes.c_int64)]
     )
+    callback = None
 
 
 _DOUBLES = ctypes.POINTER(ctypes.c_double)
@@ -140,63 +163,128 @@ _ARGTYPES = {
                                                                 _DOUBLES),
     # pspect_apply_f(rhs, u, n, out)
     "apply_f": (ctypes.POINTER(Rhs), _DOUBLES, ctypes.c_int64, _DOUBLES),
-    # pspect_hypot(x, y, out)
-    "hypot": (ctypes.c_double, ctypes.c_double, _DOUBLES),
+    # pspect_hypot(x, y), which returns a double
+    "hypot": (ctypes.c_double, ctypes.c_double),
+    # pspect_follow(nan, rescales), which returns nothing
+    "follow": (ctypes.c_double, ctypes.c_int),
 }
 # a probe's record (pspect_probe's rec): d, sup |u|, Z, blow-up, accepted and rejected steps
 RECORD = 6
 LOG_ROW = 1 + RECORD  # a trial of pspect_solve: x, then its record
 
 
+def _cache_dirs():
+    """Where a library is looked for and built: the package's
+    ``__pycache__``, then the user's cache."""
+    user = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return CACHE_DIR, os.path.join(user, "pspect")
+
+
 def _build() -> str:
     """Path of the compiled library, compiling it if no cached copy exists."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
     if not cc:
-        raise OSError("Python reports no C compiler")
+        raise OSError(f"pspect compiles {SOURCE} on first use, and Python reports no C "
+                      "compiler (sysconfig's CC)")
     with open(SOURCE, "rb") as fh:
         source = fh.read()
     key = hashlib.sha256(source + repr((cc, FLAGS)).encode()).hexdigest()[:16]
-    path = os.path.join(CACHE_DIR, f"_rk45_kernel-{key}.so")
-    if os.path.exists(path):
-        return path
+    name = f"_rk45_kernel-{key}.so"
+    for cache in _cache_dirs():
+        if os.path.exists(os.path.join(cache, name)):
+            return os.path.join(cache, name)
     import glob  # only a build needs them: a few ms of every start-up otherwise
     import subprocess
     import tempfile
 
-    os.makedirs(CACHE_DIR, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=CACHE_DIR)
-    os.close(fd)
-    try:
-        subprocess.run([*cc, *FLAGS, "-o", tmp, SOURCE, "-lm"], check=True,
-                       capture_output=True, timeout=300)
-        os.replace(tmp, path)  # atomic: a concurrent build writes the same file
-    except subprocess.SubprocessError as exc:
-        raise OSError(f"compiling {SOURCE} failed: {exc}") from exc
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    for stale in glob.glob(os.path.join(CACHE_DIR, "_rk45_kernel-*.so")):  # other keys
-        if stale != path:
-            try:
-                os.unlink(stale)
-            except FileNotFoundError:  # a concurrent build removed it first
-                pass
-    return path
+    for cache in _cache_dirs():
+        try:
+            os.makedirs(cache, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        except OSError:  # not writable: the next one
+            continue
+        os.close(fd)
+        cmd, path = [*cc, *FLAGS, "-o", tmp, SOURCE, "-lm"], os.path.join(cache, name)
+        try:
+            subprocess.run(cmd, check=True, capture_output=True, timeout=300)
+        except (OSError, subprocess.SubprocessError) as exc:
+            stderr = getattr(exc, "stderr", None)
+            detail = stderr.decode(errors="replace") if stderr else str(exc)
+            raise OSError(f"pspect needs a C compiler: {shlex.join(cmd)} failed to compile "
+                          f"{SOURCE}:\n{detail}") from exc
+        else:
+            os.replace(tmp, path)  # atomic: a concurrent build writes the same file
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        for stale in glob.glob(os.path.join(cache, "_rk45_kernel-*.so")):  # other keys
+            if stale != path:
+                try:
+                    os.unlink(stale)
+                except FileNotFoundError:  # a concurrent build removed it first
+                    pass
+        return path
+    raise OSError(f"pspect cannot build {SOURCE}: none of {', '.join(_cache_dirs())} can be "
+                  "written")
 
 
 @functools.cache
-def load():
-    """The kernel library with its entry points ready to call, or None
-    where it cannot be built or loaded."""
+def _loaded():
+    """The kernel library with its entry points ready to call, or the
+    OSError of building or loading it."""
     try:
         lib = ctypes.CDLL(_build())
-    except OSError:
-        return None
+    except OSError as exc:
+        return exc
     for name, argtypes in _ARGTYPES.items():
         fn = getattr(lib, f"pspect_{name}")
         fn.argtypes = argtypes
         fn.restype = ctypes.c_int
+    lib.pspect_hypot.restype = ctypes.c_double
+    lib.pspect_follow.restype = None
+    # math.hypot's NaN and its branch for subnormal inputs, as this Python has them
+    lib.pspect_follow(math.hypot(math.nan, 0.0), sys.version_info >= (3, 12))
     return lib
+
+
+def load():
+    """The kernel library; raises the OSError of the first build or load
+    that failed, without building again."""
+    lib = _loaded()
+    if isinstance(lib, OSError):
+        raise lib
+    return lib
+
+
+def _arithmetic(op, *args):
+    """The ArithmeticError that the Python operation op(*args) raises."""
+    try:
+        op(*args)
+    except ArithmeticError as exc:
+        return exc
+
+
+# the exception of the reference where a call stops with a status, of the
+# number x the status carries
+_ERRORS = {
+    UNDERFLOW: _underflow,
+    OVERFLOW: lambda x: _arithmetic(operator.pow, 1e300, 2.0),
+    DIV_ZERO: lambda x: _arithmetic(operator.truediv, 1.0, 0.0),
+    ZERO_POW: lambda x: _arithmetic(operator.pow, 0.0, -1.0),
+    ALPHA_ZERO: lambda x: PreconditionError("initial value alpha must be nonzero"),
+    NAN_END: lambda x: ValueError("f is NaN at an end of the bracket"),
+    SAME_SIGN: lambda x: ValueError("f(a) and f(b) must have different signs"),
+    NAN_AT: lambda x: ValueError(f"f is NaN at x={x}"),
+    NO_CONVERGENCE: lambda x: RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations."),
+}
+
+
+def _raise(status, x, shot=None):
+    """Raise what the reference raises where a call with shot stopped with
+    status: the callback's own exception for RAISED."""
+    if status == RAISED:
+        raise shot.callback.errors.pop()  # popped: no cycle through its traceback
+    raise _ERRORS[status](x)
 
 
 _doubles = ctypes.c_double.from_buffer  # a writable float64 array as a double *
@@ -236,24 +324,19 @@ def shoot(shot: Shot):
     """One shot on the kernel in one call (``pspect_shoot``): the start, the
     march to r = 1 and the post-pass.
 
-    Returns None when the kernel is missing or hands the shot back (Python
-    would raise on the way), else (status, r, accepted, rejected, block,
-    reading): the march's status, the r where it stopped, its step counts,
-    the block of its accepted steps in the layout of ``_rk45.DenseOutput``
-    and what :func:`scan` returns for that block; after UNDERFLOW block and
-    reading are None.  Each call has buffers of its own.
+    Returns (status, r, accepted, rejected, block, reading): the march's
+    status (END or BLOWUP), the r where it stopped, its step counts, the
+    block of its accepted steps in the layout of ``_rk45.DenseOutput`` and
+    what :func:`scan` returns for that block.  Raises what the reference
+    raises.  Each call has buffers of its own.
     """
     lib = load()
-    if lib is None:
-        return None
     r, counts = ctypes.c_double(), (ctypes.c_int64 * 4)()
     status, buf = _grown(_shot_size(shot), lambda buf, cap: lib.pspect_shoot(
         shot, cap, _doubles(buf), ctypes.byref(r), counts))
-    if status == RERUN:
-        return None
     r, (n, rejected, g, k) = r.value, counts
-    if status == UNDERFLOW:
-        return status, r, n, rejected, None, None
+    if status not in (END, BLOWUP):
+        _raise(status, r, shot)
     cap = shot.n_samples + n + 1
     work = buf[12 * n + 1:]
     return (status, r, n, rejected, buf[:12 * n + 1].copy(),
@@ -261,29 +344,29 @@ def shoot(shot: Shot):
 
 
 def _check_block(block, n):
+    if n < 1:
+        raise ValueError(f"a dense block holds one step or more, got {n}")
     if block.dtype != np.float64 or block.shape != (12 * n + 1,):
         raise ValueError(f"a dense block of {n} steps holds {12 * n + 1} float64 values, "
                          f"got {block.dtype} {block.shape}")
 
 
 def scan(block, n, eps, r_end, n_samples, n_dim, e_inv):
-    """``pspect_scan`` over a shot of n steps in the block layout of
-    ``_rk45.DenseOutput``: what ``radial_ivp._scan_reference`` returns, with
-    its sign changes refined as ``radial_ivp._locate_zeros`` refines them,
-    to the same bits: (grid, u, v, tail maxima, (u(1), v(1)), sup |u'|,
-    zeros as (r, u') pairs).  None when the kernel is missing, n < 1,
-    n_samples < 2 or the refinement of a zero would raise in Python."""
+    """``pspect_scan`` over a shot of n >= 1 steps in the block layout of
+    ``_rk45.DenseOutput``: what the reference's post-pass returns, with its
+    sign changes refined as the reference refines them, to the same bits:
+    (grid, u, v, tail maxima, (u(1), v(1)), sup |u'|, zeros as (r, u')
+    pairs).  Raises what the refinement of a zero raises in Python."""
     lib = load()
-    if lib is None or n < 1 or n_samples < 2:
-        return None
     _check_block(block, n)
     cap = n_samples + n + 1
     samples = np.empty(3 * cap)
     scratch = np.empty(cap + 3 + 4 * n)
     counts = (ctypes.c_int64 * 2)()
-    if lib.pspect_scan(_doubles(block), n, eps, r_end, n_samples, n_dim, e_inv,
-                       _doubles(samples), cap, _doubles(scratch), counts):
-        return None
+    status = lib.pspect_scan(_doubles(block), n, eps, r_end, n_samples, n_dim, e_inv,
+                             _doubles(samples), cap, _doubles(scratch), counts)
+    if status:
+        _raise(status, scratch[cap])
     return _read(samples, scratch, cap, *counts)
 
 
@@ -298,19 +381,17 @@ class Reading(NamedTuple):
     z: int
 
 
-def reduce(block, n, eps, r_end, n_samples, n_dim, e_inv) -> Reading | None:
-    """``pspect_reduce`` over a finished shot of n steps in the block layout
-    of ``_rk45.DenseOutput``: the :class:`Reading` ``radial_ivp.probe``
-    makes of it, or None when the kernel is missing, n < 1, n_samples < 2
-    or Python would raise (see ``pspect_reduce``)."""
+def reduce(block, n, eps, r_end, n_samples, n_dim, e_inv) -> Reading:
+    """``pspect_reduce`` over a finished shot of n >= 1 steps in the block
+    layout of ``_rk45.DenseOutput``: the :class:`Reading` ``radial_ivp.probe``
+    makes of it.  Raises what Python raises (see ``pspect_reduce``)."""
     lib = load()
-    if lib is None or n < 1 or n_samples < 2:
-        return None
     _check_block(block, n)
     out = (ctypes.c_double * 4)()
-    if lib.pspect_reduce(_doubles(block), n, eps, r_end, n_samples, n_dim, e_inv,
-                         _doubles(np.empty(_work_size(n, n_samples))), out):
-        return None
+    status = lib.pspect_reduce(_doubles(block), n, eps, r_end, n_samples, n_dim, e_inv,
+                               _doubles(np.empty(_work_size(n, n_samples))), out)
+    if status:
+        _raise(status, out[0])
     u1, u_end, sup_u, z = out
     return Reading(u1, u_end, sup_u, int(z))
 
@@ -319,21 +400,17 @@ def probe(shot: Shot):
     """One probe of the shot on the kernel in one call (``pspect_probe``):
     the start, the march to r = 1 and the reduction.
 
-    Returns None when the kernel is missing or hands the probe back (Python
-    would raise on the way), else (status, record) with the march's status
-    and the :data:`RECORD` values d, sup |u|, Z, blow-up, accepted and
-    rejected steps; after UNDERFLOW the first is the r where the step size
-    underflowed.  Each call has buffers of its own.
+    Returns the :data:`RECORD` values d, sup |u|, Z, blow-up, accepted and
+    rejected steps, or raises what the reference raises.  Each call has
+    buffers of its own.
     """
     lib = load()
-    if lib is None:
-        return None
     rec = (ctypes.c_double * RECORD)()
     status, _ = _grown(_shot_size(shot),
                        lambda buf, cap: lib.pspect_probe(shot, cap, _doubles(buf), rec))
-    if status == RERUN:
-        return None
-    return status, rec[:]
+    if status not in (END, BLOWUP):
+        _raise(status, rec[0], shot)
+    return rec[:]
 
 
 def solve(shot: Shot, in_alpha, a, b, fa, fb, xtol, xrtol):
@@ -342,47 +419,38 @@ def solve(shot: Shot, in_alpha, a, b, fa, fb, xtol, xrtol):
     Brent's method on the kernel in one call (``pspect_solve``); fa and fb
     are D at a and b.
 
-    Returns None when the kernel is missing or hands the solve back, else
-    (root, record) with the record of the trial at the root, as
-    :func:`probe` returns it, or None where the root is an end.  Each call
-    has buffers of its own.
+    Returns (root, record) with the record of the trial at the root, as
+    :func:`probe` returns it, or None where the root is an end; raises what
+    Brent's method over the reference's probe raises.  Each call has
+    buffers of its own.
     """
     lib = load()
-    if lib is None:
-        return None
     out = (ctypes.c_double * 2)()
     size = _shot_size(shot)
     status, buf = _grown(lambda cap: LOG_ROW * BRENT_MAXITER + size(cap),
                          lambda buf, cap: lib.pspect_solve(shot, in_alpha, a, b, fa, fb, xtol,
                                                            xrtol, cap, _doubles(buf), out))
-    if status == RERUN:
-        return None
+    if status:
+        _raise(status, out[0], shot)
     root, k = out[0], int(out[1])
     return root, None if k < 0 else buf[LOG_ROW * k + 1:LOG_ROW * (k + 1)].tolist()
 
 
 def hypot(x, y):
-    """The port of ``math.hypot`` the kernel starts each shot with, or None
-    for the inputs it hands back (a subnormal or non-finite one) or when the
-    kernel is missing."""
-    lib = load()
-    if lib is None:
-        return None
-    out = ctypes.c_double()
-    return None if lib.pspect_hypot(x, y, ctypes.byref(out)) else out.value
+    """The port of ``math.hypot`` the kernel starts each shot with."""
+    return load().pspect_hypot(x, y)
 
 
 def apply_f(params, u):
     """F(u) of a built-in ``nodal.Nonlinearity`` on the float64 array u,
     with its ``kernel_params()`` (family, e, f0, finf, q): the bits of its
-    Python f.  None when the kernel is missing or Python would raise."""
+    Python f, or what the Python f raises on the first u it raises on."""
     lib = load()
-    if lib is None:
-        return None
     family, e, f0, finf, q = (*params, 0.0, 0.0, 0.0)[:5]
     u = np.array(u, dtype=np.float64)  # a writable copy, whatever u is
     out = np.empty_like(u)
-    spec = Rhs(family, 0, 0, None, None, None, 0.0, e, 0.0, f0, finf, q, 0.0, 0.0, 0)
-    if lib.pspect_apply_f(spec, _doubles(u), u.size, _doubles(out)):
-        return None
+    spec = Rhs(family, 0, 0, None, None, None, 0.0, e, 0.0, f0, finf, q, 0.0, 0.0)
+    status = lib.pspect_apply_f(spec, _doubles(u), u.size, _doubles(out))
+    if status:
+        _raise(status, math.nan)
     return out

@@ -7,15 +7,13 @@ polynomial) is stored for every accepted step, so trajectories can be
 evaluated anywhere afterwards; that is what zero location and profile
 resampling run on.
 
-This is the Python stepper.  A shot whose right-hand side has a
-compiled form (the linear problem every eigenvalue search shoots, and
-the nonlinear and perturbed problems with the package's built-in f and
-g) runs whole on the compiled kernel instead (``_kernel``,
-``_rk45_kernel.c``), which ports this module's start and loop operation
-for operation and so gives the same bits; ``radial_ivp`` picks the path.
-The loop here is the reference; it serves any user-supplied f or g,
-and any shot the kernel cannot take (no compiler, or a float operation
-that raises in Python).
+This is the Python stepper, the reference the compiled kernel
+(``_kernel``, ``_rk45_kernel.c``) is held to: the kernel ports its start
+and loop operation for operation and so gives the same bits, and every
+shot of the library runs on the kernel.  The tests' reference
+(``tests/reference.py``) marches here, and ``perfbench/tracing.py`` looks
+:func:`integrate` up by name.  :class:`DenseOutput` reads the kernel's
+shots as well.
 
 The loop deliberately avoids numpy; shots are ~1e2..1e3 steps of
 trivially cheap arithmetic, where array machinery costs more than the
@@ -152,12 +150,6 @@ class DenseOutput:
         """The step each t is evaluated on: the last whose left node is <= t,
         clipped to the first and the last step (``_segment`` for arrays)."""
         return np.clip(np.searchsorted(self._np[0], t, side="right") - 1, 0, self.n - 1)
-
-    def quartics(self, i: np.ndarray) -> np.ndarray:
-        """Rows (left node, step size, u0, the theta^1..theta^4 coefficients
-        of u, v0, those of v) of the steps i."""
-        ts, y0s, hs, coef = self._np
-        return np.column_stack((ts[i], hs[i], y0s[i, 0], coef[i, 0], y0s[i, 1], coef[i, 1]))
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)

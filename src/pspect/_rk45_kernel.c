@@ -11,24 +11,31 @@
  *   pspect_solve    the root of the miss D in lam or u(0): one call per solve
  *   pspect_apply_f  F of the PHI and RATIONAL families on an array
  *
- * and pspect_hypot, the port of math.hypot the start takes, for its test.
+ * and pspect_hypot, the port of math.hypot the start takes, for its test, with
+ * pspect_follow, which sets the NaN and the subnormal branch it follows.
  * pspect_shoot, pspect_probe and pspect_solve each take one struct Shot.
  *
  * The march (march, then dp45) runs the Dormand-Prince 5(4) loop of
- * _rk45.integrate with the right-hand side radial_ivp._system(p, N, w)
- * written into it, for the built-in forms of w (struct Rhs, family):
+ * _rk45.integrate on the first-order system of the radial equation,
+ *
+ *     u' = _sgnpow(v / r^(N-1), 1 / (p - 1)),   v' = -r^(N-1) w(r, u),
+ *
+ * with w written into it for the built-in forms (struct Rhs, family):
  *
  *     LINEAR     w = mu m(r) _sgnpow(u, p - 1)               (LinearRHS)
  *     PHI        w = gamma m(r) F(u), F = Nonlinearity.phi   (NonlinearRHS)
  *     RATIONAL   w = gamma m(r) F(u), F = Nonlinearity.rational
  *     PERTURBED  w = mu m(r) _sgnpow(u, p - 1) + Perturbation (PerturbedRHS)
+ *     CALLBACK   w = cb(lam, r, u), any other right-hand side, computed in
+ *                Python by its own make (radial_ivp._callback)
  *
  * F and the perturbation use the exponents their Python objects captured
  * (e; ge = p - 1 + delta), which need not be the problem's p - 1.  The
  * family is read once per shot: the step loop is inlined once per family.
  *
- * Every floating-point operation is the one the Python stepper performs,
- * in the same order, so both give the same bits:
+ * Every floating-point operation is the one the Python reference
+ * (tests/reference.py: the Python start and _rk45.integrate, then the numpy
+ * post-pass) performs, in the same order, so both give the same bits:
  *   - sums run left to right, as Python evaluates them; the build flag
  *     -ffp-contract=off keeps the compiler from fusing a multiply-add;
  *   - every x ** y is a libm pow call, as in CPython's float_pow; the build
@@ -36,11 +43,10 @@
  *   - math.copysign is copysign, and each family keeps its own u == 0.0
  *     test;
  *   - max and min keep their first argument on ties and NaN, as Python's do.
- * Where a Python float operation would raise (a power that overflows, a
- * division by zero), the kernel stops with PSPECT_RERUN and the caller
- * repeats the shot on the Python path, which raises or not exactly as it
- * always has.  A power that returns inf stops it too, although Python
- * returns inf for an infinite base: the Python stepper decides those shots.
+ * Where the reference raises, the kernel stops with the status of that
+ * error (PSPECT_OVERFLOW and after), and the caller raises it: the first
+ * error of a step wins, as Python stops at it.  A power of an infinite base
+ * is inf without an error, as in Python.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off -fno-builtin (see _kernel.py).
  */
@@ -49,12 +55,21 @@
 #include <stdint.h>
 #include <string.h>
 
+/* the status of a call: how its march ended, or what the reference raises */
 enum {
-    PSPECT_END = 0,       /* reached t_end */
-    PSPECT_BLOWUP = 1,    /* |u| reached the blow-up limit */
-    PSPECT_UNDERFLOW = 2, /* step size fell below h_min */
-    PSPECT_FULL = 3,      /* more accepted steps than the buffers hold */
-    PSPECT_RERUN = 4      /* Python would raise; repeat on the Python stepper */
+    PSPECT_END = 0,           /* reached t_end */
+    PSPECT_BLOWUP = 1,        /* |u| reached the blow-up limit */
+    PSPECT_UNDERFLOW = 2,     /* step size fell below h_min (IntegrationError) */
+    PSPECT_FULL = 3,          /* more accepted steps than the buffers hold */
+    PSPECT_OVERFLOW = 4,      /* OverflowError: a power of finite values overflows */
+    PSPECT_DIV_ZERO = 5,      /* ZeroDivisionError: a division by zero */
+    PSPECT_ZERO_POW = 6,      /* ZeroDivisionError: 0.0 to a negative power */
+    PSPECT_RAISED = 7,        /* the callback of a CALLBACK right-hand side raised */
+    PSPECT_ALPHA_ZERO = 8,    /* PreconditionError: a shot from u(0) = 0 */
+    PSPECT_NAN_END = 9,       /* ValueError of brentq: f is NaN at an end */
+    PSPECT_SAME_SIGN = 10,    /* ValueError of brentq: no sign change */
+    PSPECT_NAN_AT = 11,       /* ValueError of brentq: f is NaN at x */
+    PSPECT_NO_CONVERGENCE = 12 /* RuntimeError of brentq */
 };
 
 /* Dormand-Prince coefficients, as _rk45 spells them */
@@ -111,7 +126,10 @@ enum {
 #define MIN_FACTOR 0.2
 #define MAX_FACTOR 10.0
 
-enum { LINEAR = 0, PHI = 1, RATIONAL = 2, PERTURBED = 3 }; /* Rhs.family */
+enum { LINEAR = 0, PHI = 1, RATIONAL = 2, PERTURBED = 3, CALLBACK = 4 }; /* Rhs.family */
+
+/* w(lam, r, u) of a CALLBACK right-hand side */
+typedef double (*callback)(double lam, double r, double u);
 
 /* the shot's w(r, u); _kernel.Rhs builds it */
 typedef struct {
@@ -124,7 +142,9 @@ typedef struct {
     double e_inv;       /* 1 / (p - 1) of the system */
     double f0, finf, q; /* RATIONAL */
     double gc, ge;      /* PERTURBED: c and p - 1 + delta of the Perturbation */
-    int bad;            /* set where Python would raise */
+    callback cb;        /* CALLBACK: w, which sets *raised where it raises */
+    const int *raised;
+    int bad;            /* the status of the first error Python would raise */
 } Rhs;
 
 /* one shot from u(0) = alpha to r = 1 (radial_ivp._shot builds it): m0 is
@@ -143,18 +163,27 @@ static double py_max(double a, double b) { return b > a ? b : a; }
 
 static double py_min(double a, double b) { return b < a ? b : a; }
 
+/* *bad keeps the first error: Python stops there */
+static void fail(int *bad, int status)
+{
+    if (!*bad)
+        *bad = status;
+}
+
+/* x ** y of CPython's float_pow: an infinite power of finite x and y
+   raises, and an infinite x or y does not */
 static double py_pow(int *bad, double x, double y)
 {
     double z = pow(x, y);
-    if (isinf(z))
-        *bad = 1; /* OverflowError for a finite x */
+    if (isinf(z) && isfinite(x) && isfinite(y))
+        fail(bad, x == 0.0 ? PSPECT_ZERO_POW : PSPECT_OVERFLOW);
     return z;
 }
 
 static double py_div(int *bad, double a, double b)
 {
     if (b == 0.0)
-        *bad = 1; /* ZeroDivisionError */
+        fail(bad, PSPECT_DIV_ZERO);
     return a / b;
 }
 
@@ -256,12 +285,20 @@ INLINE double w_of(Rhs *R, int family, double mval, double u)
     }
 }
 
+/* w(r, u); a CALLBACK w is not called after an error, where Python stopped */
 INLINE double w(Rhs *R, int family, double r, double u)
 {
-    return w_of(R, family, weight(R, r), u);
+    if (family != CALLBACK)
+        return w_of(R, family, weight(R, r), u);
+    if (R->bad)
+        return NAN;
+    double x = R->cb(R->lam, r, u);
+    if (*R->raised)
+        R->bad = PSPECT_RAISED;
+    return x;
 }
 
-/* radial_ivp._system */
+/* the first-order system (tests/reference.py's system) */
 INLINE void rhs(Rhs *R, int family, double r, double u, double v, double *du, double *dv)
 {
     if (R->n_dim == 1) {
@@ -327,11 +364,12 @@ INLINE int dp45(Rhs *R, int family, const Shot *S, const double *state, double h
         double err_v = h * (E1 * k1v + E3 * k3v + E4 * k4v + E5 * k5v + E6 * k6v + E7 * k7v);
         double scale_u = atol_u + rtol * py_max(fabs(u), fabs(u1));
         double scale_v = atol_v + rtol * py_max(fabs(v), fabs(v1));
-        /* float_pow squares |x| for a negative x */
-        double norm = sqrt(0.5 * (py_pow(&R->bad, fabs(py_div(&R->bad, err_u, scale_u)), 2.0)
+        /* float_pow squares |x| for a negative x; the u term raises first */
+        double norm_u = py_pow(&R->bad, fabs(py_div(&R->bad, err_u, scale_u)), 2.0);
+        double norm = sqrt(0.5 * (norm_u
                                   + py_pow(&R->bad, fabs(py_div(&R->bad, err_v, scale_v)), 2.0)));
         if (R->bad) {
-            status = PSPECT_RERUN;
+            status = R->bad;
             break;
         }
 
@@ -386,16 +424,15 @@ INLINE int dp45(Rhs *R, int family, const Shot *S, const double *state, double h
 }
 
 /* ------------------------------------------------------------------------
- * pspect_scan: what radial_ivp.shoot reads off a finished shot, whichever
- * loop ran it, computed as its references (radial_ivp._scan_reference in
- * numpy, then radial_ivp._locate_zeros) compute it, to the same bits.  Each
- * power it takes is a libm pow call, as Python's ** and numpy's scalar
- * power are; none is a numpy array power, which need not round as libm's
- * pow does.
+ * pspect_scan: what radial_ivp.shoot reads off a finished shot, computed as
+ * the reference (tests/reference.py's scan_reference in numpy, then
+ * locate_zeros) computes it, to the same bits.  Each power it takes is a
+ * libm pow call, as Python's ** and numpy's scalar power are; none is a
+ * numpy array power, which need not round as libm's pow does.
  */
 
 #define ZERO_XTOL 1e-12        /* radial_ivp.ZERO_XTOL */
-#define ZERO_RTOL 8.9e-16      /* the rtol of _locate_zeros' brentq */
+#define ZERO_RTOL 8.9e-16      /* radial_ivp.ZERO_RTOL */
 #define BRENT_MAXITER 100      /* radial_ivp.brentq's maxiter */
 #define BOUNDARY_MARGIN 1e-6   /* radial_ivp.BOUNDARY_MARGIN */
 #define TAIL_NOISE_FACTOR 1e-7 /* radial_ivp.TAIL_NOISE_FACTOR */
@@ -423,18 +460,21 @@ static int64_t step_of(const double *ts, int64_t n, int64_t *j, double t)
     return *j == 0 ? 0 : *j - 1;
 }
 
-/* numpy's linspace(start, stop, num)[i] for num >= 2: i * step + start with
-   step = (stop - start) / (num - 1), and the last point stop.  (numpy takes
-   another branch where step underflows to 0; a shot never gets there, as
-   r_end - eps is at least one step of the march.) */
+/* numpy's linspace(start, stop, num)[i]: for num >= 2, i * step + start
+   with step = (stop - start) / (num - 1), and the last point stop; for
+   num = 1, 0 * (stop - start) + start.  (numpy takes another branch where
+   step underflows to 0; a shot never gets there, as r_end - eps is at
+   least one step of the march.) */
 static double linspace_at(int64_t i, int64_t num, double start, double stop)
 {
+    if (num == 1)
+        return (double)i * (stop - start) + start;
     if (i == num - 1)
         return stop;
     return (double)i * ((stop - start) / (double)(num - 1)) + start;
 }
 
-/* radial_ivp._quartic_on_step: on the step q = (t0, h, y0, c0, c1, c2, c3),
+/* the reference's quartic_on_step: on the step q = (t0, h, y0, c0, c1, c2, c3),
    with the value yb at the bracket's right end b */
 static double quartic_on_step(int *bad, double t, double b, double yb, const double *q)
 {
@@ -445,14 +485,17 @@ static double quartic_on_step(int *bad, double t, double b, double yb, const dou
 }
 
 /* A function Brent's method solves: 0 with its value at x in *fx, or the
-   nonzero status that ends the solve. */
+   nonzero status that ends the solve, with the number it carries (the r of
+   PSPECT_UNDERFLOW or the x of PSPECT_NAN_AT) in *fx. */
 typedef int (*brent_fn)(void *ctx, double x, double *fx);
 
 /* radial_ivp.brentq(f, a, b, xtol=xtol, rtol=rtol, fa=fa, fb=fb), step for
    step: the tuple swaps, min keeping its first argument on ties, and sign
-   tests by copysign.  Returns 0 with the zero in *root, the status of f
-   where f returns one, or PSPECT_RERUN where the Python one raises: a NaN
-   value, no sign change, a division by zero or no convergence. */
+   tests by copysign.  Returns 0 with the zero in *root, else the status of
+   what the Python one raises (PSPECT_NAN_END, PSPECT_SAME_SIGN,
+   PSPECT_DIV_ZERO, PSPECT_NAN_AT with the x in *root, or
+   PSPECT_NO_CONVERGENCE), or the status f returns, with its number in
+   *root. */
 static int brentq(brent_fn f, void *ctx, double a, double b, double fa, double fb,
                   double xtol, double rtol, double *root)
 {
@@ -460,7 +503,7 @@ static int brentq(brent_fn f, void *ctx, double a, double b, double fa, double f
     double xpre = a, xcur = b, xblk = 0.0, fblk = 0.0, spre = 0.0, scur = 0.0;
     double fpre = fa, fcur = fb;
     if (isnan(fpre) || isnan(fcur))
-        return PSPECT_RERUN;
+        return PSPECT_NAN_END;
     if (fpre == 0.0) {
         *root = xpre;
         return 0;
@@ -470,7 +513,7 @@ static int brentq(brent_fn f, void *ctx, double a, double b, double fa, double f
         return 0;
     }
     if (copysign(1.0, fpre) == copysign(1.0, fcur))
-        return PSPECT_RERUN;
+        return PSPECT_SAME_SIGN;
     for (int it = 0; it < BRENT_MAXITER; it++) {
         if (fpre != 0.0 && fcur != 0.0 && copysign(1.0, fpre) != copysign(1.0, fcur)) {
             xblk = xpre;
@@ -502,7 +545,7 @@ static int brentq(brent_fn f, void *ctx, double a, double b, double fa, double f
                               dblk * dpre * (fblk - fpre));
             }
             if (bad)
-                return PSPECT_RERUN;
+                return bad;
             if (2 * fabs(stry) < py_min(fabs(spre), 3 * fabs(sbis) - delta)) {
                 spre = scur;
                 scur = stry;
@@ -516,15 +559,19 @@ static int brentq(brent_fn f, void *ctx, double a, double b, double fa, double f
         fpre = fcur;
         xcur += fabs(scur) > delta ? scur : (sbis > 0 ? delta : -delta);
         int status = f(ctx, xcur, &fcur);
-        if (status)
+        if (status) {
+            *root = fcur;
             return status;
-        if (isnan(fcur))
-            return PSPECT_RERUN;
+        }
+        if (isnan(fcur)) {
+            *root = xcur;
+            return PSPECT_NAN_AT;
+        }
     }
-    return PSPECT_RERUN;
+    return PSPECT_NO_CONVERGENCE;
 }
 
-/* u on one step, as radial_ivp._locate_zeros hands it to brentq */
+/* u on one step, as the reference's locate_zeros hands it to brentq */
 typedef struct {
     double b, yb;
     const double *q;
@@ -535,22 +582,22 @@ static int quartic_fn(void *ctx, double t, double *y)
     const Quartic *Q = ctx;
     int bad = 0;
     *y = quartic_on_step(&bad, t, Q->b, Q->yb, Q->q);
-    return bad ? PSPECT_RERUN : 0;
+    return bad;
 }
 
-/* the zero of u in [a, b] on the step q, with u(b) = yb, as _locate_zeros
-   refines it; nonzero where the Python refinement raises */
+/* the zero of u in [a, b] on the step q, with u(b) = yb, as locate_zeros
+   refines it; else the status of what the Python refinement raises, as
+   brentq returns it */
 static int refine_zero(double a, double b, double yb, const double *q, double *root)
 {
     Quartic Q = {b, yb, q};
     double ya;
-    if (quartic_fn(&Q, a, &ya))
-        return PSPECT_RERUN;
-    return brentq(quartic_fn, &Q, a, b, ya, yb, ZERO_XTOL, ZERO_RTOL, root);
+    int status = quartic_fn(&Q, a, &ya);
+    return status ? status : brentq(quartic_fn, &Q, a, b, ya, yb, ZERO_XTOL, ZERO_RTOL, root);
 }
 
 /* The post-pass of radial_ivp.shoot over a shot of n >= 1 steps held in
-   block as dp45 leaves it, with n_samples >= 2 and cap =
+   block as dp45 leaves it, with n_samples >= 0 and cap =
    n_samples + n + 1:
      samples[0..cap)       the grid union1d(linspace(eps, r_end, n_samples), ts)
      samples[cap..2 cap)   u on the grid
@@ -562,11 +609,11 @@ static int refine_zero(double a, double b, double yb, const double *q, double *r
      then the zeros of u, as (r, u'(r)) pairs (at most 2n): each sign change
      of u over the nodes ts and midpoints 0.5 (ts[i] + ts[i + 1]) up to
      r_end, equal neighbours once, taken where u[k] == 0 or u[k] u[k + 1] < 0,
-     refined on the quartic of its left node's step as _locate_zeros refines
+     refined on the quartic of its left node's step as locate_zeros refines
      it, and dropped within 10 ZERO_XTOL of the zero before it.
    counts receives the grid length and the number of zeros.  Returns 0, or
-   PSPECT_RERUN where _locate_zeros would raise (the caller then reads the
-   shot in Python, which raises). */
+   the status of what locate_zeros raises, with the x of PSPECT_NAN_AT in
+   scratch[cap]. */
 static int read_shot(const double *block, int64_t n, double eps, double r_end,
                      int64_t n_samples, int64_t n_dim, double e_inv, double *samples, int64_t cap,
                      double *scratch, int64_t *counts)
@@ -616,15 +663,17 @@ static int read_shot(const double *block, int64_t n, double eps, double r_end,
             const double qu[7] = {ts[ia], hs[ia], y0s[2 * ia], c[0], c[1], c[2], c[3]};
             const double qv[7] = {ts[ia], hs[ia], y0s[2 * ia + 1], c[4], c[5], c[6], c[7]};
             double rz = xa;
-            if (ua != 0.0 && refine_zero(xa, x, ux, qu, &rz))
-                return PSPECT_RERUN;
+            int bad = ua != 0.0 ? refine_zero(xa, x, ux, qu, &rz) : 0;
+            if (bad) {
+                scratch[cap] = rz;
+                return bad;
+            }
             if (!(nz > 0 && fabs(rz - zeros[2 * nz - 2]) < 10 * ZERO_XTOL)) {
-                int bad = 0;
                 double vz = quartic_on_step(&bad, rz, x, vx, qv);
                 double rn = py_pow(&bad, py_max(rz, 1e-300), (double)(n_dim - 1));
                 double up = sgnpow(&bad, py_div(&bad, vz, rn), e_inv);
                 if (bad)
-                    return PSPECT_RERUN;
+                    return bad;
                 zeros[2 * nz] = rz;
                 zeros[2 * nz + 1] = up;
                 nz++;
@@ -644,9 +693,9 @@ static int read_shot(const double *block, int64_t n, double eps, double r_end,
 
 /* sup |u'| over the grid of g points with v on it: pow(M, e_inv), M the
    largest |v_k| / rn_k with rn_k = pow(max(r_k, 1e-300), n_dim - 1) as
-   _locate_zeros takes it.  A NaN quotient makes M NaN, as np.max does, and
-   a power that overflows is inf, with no error; radial_ivp._scan_reference
-   takes the same powers. */
+   locate_zeros takes it.  A NaN quotient makes M NaN, as np.max does, and
+   a power that overflows is inf, with no error; the reference's
+   scan_reference takes the same powers. */
 static double sup_uprime(const double *grid, const double *v, int64_t g, int64_t n_dim,
                          double e_inv)
 {
@@ -664,8 +713,10 @@ int pspect_scan(const double *block, int64_t n, double eps, double r_end, int64_
                 int64_t n_dim, double e_inv, double *samples, int64_t cap, double *scratch,
                 int64_t *counts)
 {
-    if (read_shot(block, n, eps, r_end, n_samples, n_dim, e_inv, samples, cap, scratch, counts))
-        return PSPECT_RERUN;
+    int status = read_shot(block, n, eps, r_end, n_samples, n_dim, e_inv, samples, cap, scratch,
+                           counts);
+    if (status)
+        return status;
     scratch[cap + 2] = sup_uprime(samples, samples + 2 * cap, counts[0], n_dim, e_inv);
     return 0;
 }
@@ -691,7 +742,7 @@ static int64_t search_left(const double *grid, int64_t g, double r)
 }
 
 /* What radial_ivp.probe reads off a finished shot of n >= 1 steps in block:
-   read_shot with n_samples >= 2 samples, then the tail filter of
+   read_shot with n_samples >= 0 samples, then the tail filter of
    radial_ivp._drop_noise_tail_zeros and the count of interior zeros.  work
    holds 4 cap + 3 + 4 n doubles, cap = n_samples + n + 1, laid out as the
    samples and scratch of pspect_scan.  out receives u(1), u at r_end,
@@ -700,14 +751,19 @@ static int64_t search_left(const double *grid, int64_t g, double r)
    The filter drops trailing zeros whose tail maximum is below
    TAIL_NOISE_FACTOR sup |u| and whose slope is below TAIL_SLOPE_FACTOR
    sup |u'|; sup |u'| is computed only where a trailing zero lies under the
-   noise floor.  Returns 0, or PSPECT_RERUN where pspect_scan does. */
+   noise floor.  Returns 0, or the status of read_shot, with its number in
+   out[0]. */
 int pspect_reduce(const double *block, int64_t n, double eps, double r_end, int64_t n_samples,
                   int64_t n_dim, double e_inv, double *work, double *out)
 {
     int64_t cap = n_samples + n + 1, counts[2];
     double *scratch = work + 3 * cap;
-    if (read_shot(block, n, eps, r_end, n_samples, n_dim, e_inv, work, cap, scratch, counts))
-        return PSPECT_RERUN;
+    int status = read_shot(block, n, eps, r_end, n_samples, n_dim, e_inv, work, cap, scratch,
+                           counts);
+    if (status) {
+        out[0] = scratch[cap];
+        return status;
+    }
     int64_t g = counts[0], nz = counts[1], kept = nz;
     const double *grid = work, *tail = scratch, *zeros = scratch + cap + 3;
     double sup_u = tail[0], noise = TAIL_NOISE_FACTOR * sup_u, slope = 0.0;
@@ -731,26 +787,54 @@ int pspect_reduce(const double *block, int64_t n, double eps, double r_end, int6
     return 0;
 }
 
-/* CPython's math.hypot(x, y) (vector_norm of Modules/mathmodule.c), to its
-   bits for x and y each zero or normal.  Returns 1 for a subnormal or
-   non-finite input, where the ports are not held to agree. */
-static int hypot2(double x, double y, double *out)
+/* math.hypot's NaN, and whether it scales a largest input below 2^-1024
+   by DBL_MIN (Python 3.12 on) or divides by it (3.10 and 3.11): they differ
+   between Python versions, and _kernel sets them to the running Python's
+   at load */
+static double hypot_nan = NAN;
+static int hypot_rescales = 0;
+
+void pspect_follow(double nan, int rescales)
+{
+    hypot_nan = nan;
+    hypot_rescales = rescales;
+}
+
+/* CPython's math.hypot(x, y) (math_hypot, then vector_norm of
+   Modules/mathmodule.c), to its bits: inf where either is infinite, else
+   NaN where one is NaN, and the branch above for a largest input below
+   2^-1024. */
+double pspect_hypot(double x, double y)
 {
     const double T27 = 134217729.0; /* ldexp(1.0, 27) + 1.0 */
     double vec[2] = {fabs(x), fabs(y)};
     double mx = 0.0;
+    int found_nan = 0;
     for (int i = 0; i < 2; i++) {
-        if (!isfinite(vec[i]) || (vec[i] != 0.0 && vec[i] < DBL_MIN))
-            return 1;
+        found_nan |= isnan(vec[i]);
         if (vec[i] > mx)
             mx = vec[i];
     }
-    if (mx == 0.0) {
-        *out = mx;
-        return 0;
-    }
+    if (isinf(mx))
+        return mx;
+    if (found_nan)
+        return hypot_nan;
+    if (mx == 0.0)
+        return mx;
     int max_e;
     frexp(mx, &max_e);
+    if (max_e < -1023 && hypot_rescales) /* ldexp(1.0, -max_e) would overflow */
+        return DBL_MIN * pspect_hypot(x / DBL_MIN, y / DBL_MIN);
+    if (max_e < -1023) {
+        double csum = 1.0, frac = 0.0;
+        for (int i = 0; i < 2; i++) {
+            double v = vec[i] / mx, oldcsum = csum;
+            v = v * v;
+            csum += v;
+            frac += (oldcsum - csum) + v;
+        }
+        return mx * sqrt(csum - 1.0 + frac);
+    }
     double scale = ldexp(1.0, -max_e);
     double csum = 1.0, frac1 = 0.0, frac2 = 0.0, frac3 = 0.0, oldcsum, t, hi, lo, v;
     for (int i = 0; i < 2; i++) {
@@ -785,39 +869,38 @@ static int hypot2(double x, double y, double *out)
     csum += v;
     frac3 += (oldcsum - csum) + v;
     v = csum - 1.0 + (frac1 + frac2 + frac3);
-    *out = (h + v / (2.0 * h)) / scale;
-    return 0;
+    return (h + v / (2.0 * h)) / scale;
 }
 
-/* radial_ivp.origin_startup of the shot *S, then the start of
-   _rk45.integrate with its _initial_step: the state (t, u, v, f(t, u, v), h)
-   at t = eps the march starts from, and the smallest step.  Returns 1 where
-   Python would raise or hypot2 hands its inputs back. */
+/* The start of the reference (tests/reference.py's origin_startup) for the
+   shot *S, then the start of _rk45.integrate with its _initial_step: the
+   state (t, u, v, f(t, u, v), h) at t = eps the march starts from, and the
+   smallest step.  w(0, alpha) is that of the weight at 0 (Weight.eval_scalar)
+   or, for a CALLBACK right-hand side, cb(lam, 0, alpha).  Returns 0, or the
+   status of the first error Python would raise. */
 static int startup(Rhs *R, const Shot *S, double *state, double *h_min)
 {
     int *bad = &R->bad, family = (int)R->family;
     double alpha = S->alpha, p_conj = S->p_conj, eps = S->eps, t_end = 1.0, n = (double)R->n_dim;
-    double w0 = w_of(R, family, S->m0, alpha);
+    double w0 = family == CALLBACK ? w(R, family, 0.0, alpha) : w_of(R, family, S->m0, alpha);
     double u = alpha - sgnpow(bad, w0 / n, p_conj - 1.0) * py_pow(bad, eps, p_conj) / p_conj;
     double v = -w0 * py_pow(bad, eps, n) / n;
 
-    double fu, fv, f1u, f1v, d0, d1, d2;
+    double fu, fv, f1u, f1v;
     rhs(R, family, eps, u, v, &fu, &fv);
     double scale_u = S->atol_u + S->rtol * fabs(u);
     double scale_v = S->atol_v + S->rtol * fabs(v);
-    if (hypot2(py_div(bad, u, scale_u), py_div(bad, v, scale_v), &d0)
-        || hypot2(py_div(bad, fu, scale_u), py_div(bad, fv, scale_v), &d1))
-        return 1;
-    d0 = d0 / sqrt(2.0);
-    d1 = d1 / sqrt(2.0);
+    double q = py_div(bad, u, scale_u);
+    double d0 = pspect_hypot(q, py_div(bad, v, scale_v)) / sqrt(2.0);
+    q = py_div(bad, fu, scale_u);
+    double d1 = pspect_hypot(q, py_div(bad, fv, scale_v)) / sqrt(2.0);
     double h0 = (d0 < 1e-5 || d1 < 1e-5) ? 1e-6 : 0.01 * d0 / d1;
     h0 = py_min(h0, t_end - eps);
     rhs(R, family, eps + h0, u + h0 * fu, v + h0 * fv, &f1u, &f1v);
-    if (hypot2(py_div(bad, f1u - fu, scale_u), py_div(bad, f1v - fv, scale_v), &d2))
-        return 1;
-    d2 = d2 / sqrt(2.0) / h0;
+    q = py_div(bad, f1u - fu, scale_u);
+    double d2 = py_div(bad, pspect_hypot(q, py_div(bad, f1v - fv, scale_v)) / sqrt(2.0), h0);
     double h1 = d1 <= 1e-15 && d2 <= 1e-15 ? py_max(1e-6, h0 * 1e-3)
-                                           : py_pow(bad, 0.01 / py_max(d1, d2), 0.2);
+                                           : py_pow(bad, py_div(bad, 0.01, py_max(d1, d2)), 0.2);
     double h = py_min(py_min(100 * h0, h1), t_end - eps);
 
     const double start[6] = {eps, u, v, fu, fv, h};
@@ -829,20 +912,24 @@ static int startup(Rhs *R, const Shot *S, double *state, double *h_min)
 /* The march of the shot *S: startup, then dp45 to r = 1 with the family of
    its right-hand side, into buf (12 cap + 1 doubles).  *t receives the r
    where the march stopped and steps the accepted and the rejected steps.
-   Returns the status of dp45, or PSPECT_RERUN where Python would raise on
-   the way (as at alpha = 0), hypot2 hands its inputs back or n_samples < 2. */
+   Returns the status of dp45, or of the first error Python would raise on
+   the way (PSPECT_ALPHA_ZERO at alpha = 0). */
 static int march(const Shot *S, int64_t cap, double *buf, double *t, int64_t *steps)
 {
     Rhs R = S->rhs;
     R.bad = 0;
     double state[6], h_min;
-    if (S->alpha == 0.0 || S->n_samples < 2 || startup(&R, S, state, &h_min))
-        return PSPECT_RERUN;
+    if (S->alpha == 0.0)
+        return PSPECT_ALPHA_ZERO;
+    int status = startup(&R, S, state, &h_min);
+    if (status)
+        return status;
 #define LOOP(family) dp45(&R, family, S, state, h_min, cap, buf, t, steps)
-    return R.family == LINEAR     ? LOOP(LINEAR)
-           : R.family == PHI      ? LOOP(PHI)
-           : R.family == RATIONAL ? LOOP(RATIONAL)
-                                  : LOOP(PERTURBED);
+    return R.family == LINEAR      ? LOOP(LINEAR)
+           : R.family == PHI       ? LOOP(PHI)
+           : R.family == RATIONAL  ? LOOP(RATIONAL)
+           : R.family == PERTURBED ? LOOP(PERTURBED)
+                                   : LOOP(CALLBACK);
 #undef LOOP
 }
 
@@ -853,19 +940,21 @@ static int march(const Shot *S, int64_t cap, double *buf, double *t, int64_t *st
    and then the scratch of pspect_scan, each for a grid of at most
    n_samples + n + 1 points.  *t receives the r where the march stopped,
    and counts n, the rejected steps, the grid length and the number of
-   zeros.  Returns the status of the march, or PSPECT_RERUN where Python
-   would raise on the way. */
+   zeros.  Returns the status of the march, or of the first error Python
+   would raise on the way; *t then holds the number the status carries. */
 int pspect_shoot(const Shot *S, int64_t cap, double *buf, double *t, int64_t *counts)
 {
     int status = march(S, cap, buf, t, counts);
     if (status != PSPECT_END && status != PSPECT_BLOWUP)
         return status;
     int64_t n = counts[0], cap_s = S->n_samples + n + 1;
-    double *samples = buf + 12 * n + 1;
-    if (pspect_scan(buf, n, S->eps, status == PSPECT_BLOWUP ? *t : 1.0, S->n_samples,
-                    S->rhs.n_dim, S->rhs.e_inv, samples, cap_s, samples + 3 * cap_s,
-                    counts + 2))
-        return PSPECT_RERUN;
+    double *samples = buf + 12 * n + 1, *scratch = samples + 3 * cap_s;
+    int error = pspect_scan(buf, n, S->eps, status == PSPECT_BLOWUP ? *t : 1.0, S->n_samples,
+                            S->rhs.n_dim, S->rhs.e_inv, samples, cap_s, scratch, counts + 2);
+    if (error) {
+        *t = scratch[cap_s];
+        return error;
+    }
     return status;
 }
 
@@ -875,9 +964,10 @@ int pspect_shoot(const Shot *S, int64_t cap, double *buf, double *t, int64_t *co
    cap steps (20 cap + 4 n_samples + 8 in all).  An END or BLOWUP shot
    fills rec: D (u(1), or BLOWUP_MISS signed by u where a shot that blew
    up stopped), sup |u|, Z, 1 for a blow-up, and the accepted and the
-   rejected steps; after UNDERFLOW rec[0] is the r where the step size
-   underflowed.  Returns the status of the march, or PSPECT_RERUN where
-   Python would raise on the way. */
+   rejected steps.  Returns the status of the march, or of the first error
+   Python would raise on the way; rec[0] then holds the number the status
+   carries (the r where the step size underflowed, the x of
+   PSPECT_NAN_AT). */
 int pspect_probe(const Shot *S, int64_t cap, double *buf, double *rec)
 {
     double reading[4];
@@ -887,9 +977,12 @@ int pspect_probe(const Shot *S, int64_t cap, double *buf, double *rec)
         return status;
     int64_t n = steps[0];
     int blowup = status == PSPECT_BLOWUP;
-    if (pspect_reduce(buf, n, S->eps, blowup ? rec[0] : 1.0, S->n_samples, S->rhs.n_dim,
-                      S->rhs.e_inv, buf + 12 * n + 1, reading))
-        return PSPECT_RERUN;
+    int error = pspect_reduce(buf, n, S->eps, blowup ? rec[0] : 1.0, S->n_samples,
+                              S->rhs.n_dim, S->rhs.e_inv, buf + 12 * n + 1, reading);
+    if (error) {
+        rec[0] = reading[0];
+        return error;
+    }
     const double out[6] = {blowup ? copysign(BLOWUP_MISS, reading[1]) : reading[0], reading[2],
                            reading[3], blowup, (double)n, (double)steps[1]};
     memcpy(rec, out, sizeof out);
@@ -918,12 +1011,10 @@ static int trial(void *ctx, double x, double *d)
     double *row = S->log + LOG_ROW * S->n_log;
     *S->x = x;
     int status = pspect_probe(&S->shot, S->cap, S->buf, row + 1);
-    if (status == PSPECT_FULL)
-        return PSPECT_FULL;
-    if (status != PSPECT_END && status != PSPECT_BLOWUP)
-        return PSPECT_RERUN; /* Python raises */
-    row[0] = x;
     *d = row[1];
+    if (status != PSPECT_END && status != PSPECT_BLOWUP)
+        return status;
+    row[0] = x;
     S->n_log++;
     return 0;
 }
@@ -935,41 +1026,35 @@ static int trial(void *ctx, double x, double *d)
    doubles for the trial log and then the 20 cap + 4 n_samples + 8 of
    pspect_probe.  Returns 0 with out[0] the root and out[1] the index of its
    trial in the log at the front of buf (-1 where the root is a bracket
-   end); PSPECT_FULL where a trial takes more than cap steps; PSPECT_RERUN
-   where the Python solve raises or a trial is handed back (the caller then
-   solves in Python). */
+   end); PSPECT_FULL where a trial takes more than cap steps; else the
+   status of what the Python solve raises, with its number in out[0]. */
 int pspect_solve(const Shot *shot, int in_alpha, double a, double b, double fa, double fb,
                  double xtol, double xrtol, int64_t cap, double *buf, double *out)
 {
     Solve S = {*shot, NULL, cap, 0, buf + LOG_ROW * BRENT_MAXITER, buf};
     S.x = in_alpha ? &S.shot.alpha : &S.shot.rhs.lam;
-    double root;
+    double root = NAN;
     int status = brentq(trial, &S, a, b, fa, fb, xtol, xrtol, &root);
+    out[0] = root;
     if (status)
         return status;
     int64_t k = S.n_log - 1;
     while (k >= 0 && S.log[LOG_ROW * k] != root)
         k--;
-    out[0] = root;
     out[1] = (double)k;
     return 0;
 }
 
-/* hypot2 for its test: 0 with math.hypot(x, y) in *out, or 1 */
-int pspect_hypot(double x, double y, double *out)
-{
-    return hypot2(x, y, out);
-}
-
 /* ------------------------------------------------------------------------
  * pspect_apply_f: F of a PHI or RATIONAL right-hand side on n values, as
- * nodal.Nonlinearity computes it.  Returns 1 where Python would raise.
+ * nodal.Nonlinearity computes it.  Returns 0, or the status of the first
+ * error Python raises, where it stops.
  */
 int pspect_apply_f(const Rhs *rhs, const double *u, int64_t n, double *out)
 {
     Rhs R = *rhs;
     R.bad = 0;
-    for (int64_t k = 0; k < n; k++)
+    for (int64_t k = 0; k < n && !R.bad; k++)
         out[k] = R.family == PHI ? phi(&R, u[k]) : rational(&R, u[k]);
     return R.bad;
 }

@@ -415,9 +415,10 @@ def solution_residual(problem: Problem, traj: Trajectory) -> float:
     def source(r):
         r_arr = np.asarray(r, dtype=float)
         uu = traj.dense(np.clip(r_arr, traj.r[0], traj.r[-1]))[0]
-        fv = None if params is None else _kernel.apply_f(params, uu)
-        if fv is None:
+        if params is None:
             fv = np.array([rhs.f(float(x)) for x in np.atleast_1d(uu)]).reshape(np.shape(uu))
+        else:
+            fv = _kernel.apply_f(params, uu)
         return rhs.gamma * m(r_arr) * fv
 
     prof = apply_Gp(problem.p, problem.N, source)

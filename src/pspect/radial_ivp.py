@@ -21,54 +21,44 @@ radius eps = DEFAULT_EPS from the two-term series
     v(eps) = -W(0, alpha) * eps^N / N,
 
 whose error is O(eps^{p'+1}); with eps = 1e-6 the startup is far below
-integrator tolerance.  Stepping is the package's own adaptive
-Dormand-Prince 5(4) with quartic dense output.
+integrator tolerance.  Stepping is adaptive Dormand-Prince 5(4) with
+quartic dense output.
 
-This module picks the path of each shot.  Where the right-hand side has a
-compiled form (``compiled``: the linear problem, the nonlinear one with a
-built-in ``Nonlinearity`` family and the perturbed one with the built-in
-``Perturbation``), :func:`shoot` is one kernel call (``_kernel.shoot``):
-the start, the march with that right-hand side written into the loop and
-the read-out, to the bits of the Python path.  The Python path serves any
-other f or g, a missing compiler and every shot the kernel hands back
-(where Python would raise): the Python start
-(:func:`origin_startup`), the Python stepper (``_rk45.integrate``) on the
-right-hand side ``_system`` builds, then ``_scan_reference`` in numpy and
-``_locate_zeros``.  ``_shot`` builds the one block (``_kernel.Shot``) the
-kernel's shots, probes and root solves take.
+Every shot runs on the compiled kernel (``_kernel``): :func:`shoot`,
+:func:`probe` and :func:`solve_miss` are one kernel call each, which
+finishes or raises.  Where the right-hand side has a fused form
+(``compiled``: the linear problem, the nonlinear one with a built-in
+``Nonlinearity`` family and the perturbed one with the built-in
+``Perturbation``), that form is written into the kernel's loop and no
+Python f runs; any other right-hand side (a hand-built f, a
+``Perturbation`` subclass, an RHS class with ``make`` alone) is called
+back from the loop, its w the closure of its own ``make``
+(:func:`_callback`).  ``_shot`` builds the one block (``_kernel.Shot``)
+the kernel's shots, probes and root solves take.  The kernel gives the
+bits of the Python reference in ``tests/reference.py`` (the Python
+start, ``_rk45.integrate`` and the numpy post-pass), or raises its
+exceptions.
 
 A shot is read off its dense output: the samples on a uniform grid
 united with the accepted steps, the running maxima of |u| behind them,
 u(1), max|u'| and the zeros of u.  Each sign change of u over the step
 nodes and midpoints is refined by Brent's method (:func:`brentq`) to
 1e-12 in r on the quartic of its step.  max|u'| is
-pow(max |v| / r^(N-1), 1/(p-1)) over the grid, each power libm's, in C
-and in the references alike.  A zero is simple when
-|u'(r_z)| >= 1e-8 * max|u'|, and the trajectory is flagged, not
-repaired, when a degenerate (u = u' = 0) point is met, since IVP
-uniqueness can fail there for p != 2.  Every shot runs behind a blow-up
-guard: the march stops where |u| first reaches blowup_limit, which
-math.inf puts off until u overflows.
+pow(max |v| / r^(N-1), 1/(p-1)) over the grid, each power libm's.  A
+zero is simple when |u'(r_z)| >= 1e-8 * max|u'|, and the trajectory is
+flagged, not repaired, when a degenerate (u = u' = 0) point is met,
+since IVP uniqueness can fail there for p != 2.  Every shot runs behind
+a blow-up guard: the march stops where |u| first reaches blowup_limit,
+which math.inf puts off until u overflows.
 
 Searches consume a shot through :func:`probe`, which reduces it to the
 miss D = u(1) and the count Z of ``Trajectory.interior_zeros`` (the one
-interior-zero rule) and owns the one rule for a shot that blew up.
-Where the right-hand side has a compiled form, a probe is one kernel
-call (``_kernel.probe``): the start at the origin, the march, the
-post-pass, the tail filter and the count, with no trajectory built and
-no Python f called.  The kernel hands the probe back where Python would
-raise on the way (a power that overflows, a division by zero); the probe
-is then the reduction of the whole shot (``_shoot_and_reduce``), to the
-same bits.  A shot or probe from alpha = 0 raises before any kernel
-call.
-
-The nodal root solves (the gamma of a branch point, the mu of a
-perturbed solution, the amplitude of a nodal solution) go through
-:func:`solve_miss`: Brent's method on D over a bracket whose ends the
-caller has probed.  Where the right-hand side has a compiled form, the
-whole solve is one kernel call (``_kernel.solve``), each trial a kernel
-probe; else, and where the kernel hands it back, it is :func:`brentq`
-over :func:`probe`, with the same root.
+interior-zero rule), owns the one rule for a shot that blew up and
+builds no trajectory.  The nodal root solves (the gamma of a branch
+point, the mu of a perturbed solution, the amplitude of a nodal
+solution) go through :func:`solve_miss`: Brent's method on D over a
+bracket whose ends the caller has probed, each trial a kernel probe.  A
+shot or probe from alpha = 0 raises before any kernel call.
 """
 
 from __future__ import annotations
@@ -79,7 +69,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernel
-from ._rk45 import DenseOutput, StepCounts, _underflow, integrate
+from ._rk45 import DenseOutput, StepCounts
 from .errors import IntegrationError, PreconditionError
 from .pfuncs import _pval
 from .weights import Weight
@@ -109,9 +99,9 @@ def _sgnpow(x: float, e: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides: make(p, m_eval) builds w(r, u) for ``_system``, and
-# compiled(p, N, m) the same right-hand side as a ``_kernel.Rhs``, or None
-# where only the Python stepper computes it
+# right-hand sides: make(p, m_eval) builds w(r, u), and compiled(p, N, m)
+# the same right-hand side as a fused ``_kernel.Rhs``, or None where the
+# kernel calls make's w back
 
 
 def _kernel_params(fn):
@@ -211,11 +201,6 @@ class Problem:
         name = "gamma" if isinstance(self.rhs, NonlinearRHS) else "mu"
         return replace(self, rhs=replace(self.rhs, **{name: float(lam)}))
 
-    def rhs_at_origin(self, alpha: float) -> float:
-        """W(0, alpha), the coefficient entering the startup series."""
-        w = self.rhs.make(self.p, self.m.eval_scalar)
-        return w(0.0, alpha)
-
 
 # ---------------------------------------------------------------------------
 # trajectories
@@ -277,42 +262,7 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# startup and shooting
-
-
-def origin_startup(problem: Problem, alpha: float, eps: float):
-    """Series values (u(eps), v(eps)) used to step off the singular origin."""
-    if not 0.0 < eps <= 1e-4:
-        raise PreconditionError(f"startup radius must lie in (0, 1e-4], got {eps}")
-    w0 = problem.rhs_at_origin(alpha)
-    n = problem.N
-    pc = problem.p_conj
-    u_eps = alpha - _sgnpow(w0 / n, pc - 1.0) * eps**pc / pc
-    v_eps = -w0 * eps**n / n
-    return u_eps, v_eps
-
-
-def _system(p, n_dim, w):
-    """First-order system (u', v') for any right-hand side W = w(r, u)."""
-    e_inv = 1.0 / (p - 1.0)
-
-    if n_dim == 1:
-
-        def f(r, u, v):
-            return _sgnpow(v, e_inv), -w(r, u)
-
-    elif n_dim == 2:
-
-        def f(r, u, v):
-            return _sgnpow(v / r, e_inv), -r * w(r, u)
-
-    else:
-
-        def f(r, u, v):
-            rn = r ** (n_dim - 1)
-            return _sgnpow(v / rn, e_inv), -rn * w(r, u)
-
-    return f
+# shooting
 
 
 def shoot(
@@ -329,44 +279,24 @@ def shoot(
     The boundary condition at r = 1 is *not* imposed; the terminal value
     u(1) is the miss that eigenvalue and amplitude scans drive to zero.
     The march starts at r = DEFAULT_EPS, read at the call, and stops where
-    |u| first reaches blowup_limit.
-
-    Where the right-hand side has a compiled form, the kernel starts,
-    marches and reads the shot in one call (``_kernel.shoot``), calling no
-    Python f.  It hands a shot back where Python would raise, and then, or
-    without a compiled form, the shot takes the Python path: the Python
-    start and stepper, then ``_scan_reference`` and ``_locate_zeros``, with
-    the same result.
+    |u| first reaches blowup_limit.  The kernel starts, marches and reads
+    the shot in one call (``_kernel.shoot``).
     """
     if alpha == 0.0:
         raise PreconditionError("initial value alpha must be nonzero")
 
-    p, n_dim, eps = problem.p, problem.N, DEFAULT_EPS
-    shot = _shot(problem, alpha, eps, rtol, atol, blowup_limit, n_samples)
-    out = None if shot is None else _kernel.shoot(shot)
-    if out is None:
-        e_inv = 1.0 / (p - 1.0)
-        f = _system(p, n_dim, problem.rhs.make(p, problem.m.scalar_fn()))
-        _, dense, blowup_radius, steps = integrate(
-            f, eps, 1.0, origin_startup(problem, alpha, eps), rtol=rtol, atol=atol,
-            blowup_limit=blowup_limit)
-        r_end = blowup_radius if blowup_radius is not None else 1.0
-        *scan, brackets = _scan_reference(dense, eps, r_end, n_samples, n_dim, e_inv)
-        scan.append(_locate_zeros(brackets, n_dim, e_inv))
-    else:
-        status, r, accepted, rejected, block, scan = out
-        if status == _kernel.UNDERFLOW:
-            raise _underflow(r)
-        dense, steps = DenseOutput(block, accepted), StepCounts.of(accepted, rejected)
-        blowup_radius = r if status == _kernel.BLOWUP else None
+    status, r, accepted, rejected, block, scan = _kernel.shoot(
+        _shot(problem, alpha, rtol, atol, blowup_limit, n_samples))
+    dense, steps = DenseOutput(block, accepted), StepCounts.of(accepted, rejected)
+    blowup_radius = r if status == _kernel.BLOWUP else None
     grid, u_samp, v_samp, tail_max, terminal, sup_uprime, pairs = scan
     sup_u = float(tail_max[0])
     zeros = _drop_noise_tail_zeros(_crossings(pairs, sup_uprime), grid, tail_max, sup_u,
                                    sup_uprime)
 
     return Trajectory(
-        p=p,
-        N=n_dim,
+        p=problem.p,
+        N=problem.N,
         alpha=float(alpha),
         r=grid,
         u=u_samp,
@@ -381,16 +311,48 @@ def shoot(
     )
 
 
-def _shot(problem, alpha, eps, rtol, atol, blowup_limit, n_samples):
+def _shot(problem, alpha, rtol, atol, blowup_limit, n_samples, in_lam=False):
     """The shot of problem from u(0) = alpha as the kernel takes it (a
-    ``_kernel.Shot``), or None where the right-hand side has no compiled
-    form.  atol may be per-component (u, v), as ``integrate`` takes it."""
-    rhs = problem.rhs.compiled(problem.p, problem.N, problem.m)
+    ``_kernel.Shot``): its right-hand side's fused form, or else the
+    callback of its w (:func:`_callback`; for a solve in lam, in_lam).
+    atol may be per-component (u, v), as :func:`shoot` takes it."""
+    if n_samples < 0:  # numpy's linspace, which the reference samples on
+        raise ValueError(f"Number of samples, {n_samples}, must be non-negative.")
+    p, n_dim, m = problem.p, problem.N, problem.m
+    compiled = getattr(problem.rhs, "compiled", None)
+    rhs = None if compiled is None else compiled(p, n_dim, m)
+    callback = None
     if rhs is None:
-        return None
+        callback = _callback(problem, in_lam)
+        rhs = _kernel.rhs(p, n_dim, m, 0.0, _kernel.CALLBACK, 0.0, callback=callback)
     atol_u, atol_v = (atol, atol) if np.isscalar(atol) else atol
-    return _kernel.Shot(rhs, alpha, problem.m.eval_scalar(0.0), problem.p_conj, eps, rtol,
+    shot = _kernel.Shot(rhs, alpha, m.eval_scalar(0.0), problem.p_conj, DEFAULT_EPS, rtol,
                         atol_u, atol_v, blowup_limit, n_samples)
+    shot.callback = callback
+    return shot
+
+
+def _callback(problem, in_lam):
+    """The w of problem's right-hand side as the kernel calls it back
+    (a ``_kernel.Callback``): w(lam, r, u) is the closure of
+    ``rhs.make(p, m)``, with m ``Weight.scalar_fn()`` and, at r = 0 where
+    the start takes it, ``Weight.eval_scalar``.  rhs is problem's own, whose
+    lam the kernel passes as 0.0, or, in a solve in lam (in_lam), that of
+    problem.at(lam); the closures are made again only when lam changes."""
+    p, m = problem.p, problem.m
+
+    def closures(rhs):
+        return rhs.make(p, m.scalar_fn()), rhs.make(p, m.eval_scalar)
+
+    key, (w, w0) = (None, (None, None)) if in_lam else (0.0, closures(problem.rhs))
+
+    def w_at(lam, r, u):
+        nonlocal key, w, w0
+        if lam != key:  # a trial of a solve in lam
+            key, (w, w0) = lam, closures(problem.at(lam).rhs)
+        return w(r, u) if r else w0(r, u)
+
+    return _kernel.Callback(w_at)
 
 
 @dataclass(frozen=True)
@@ -413,23 +375,13 @@ def probe(problem: Problem, alpha: float, *, rtol: float, atol: float,
           blowup_limit: float = BLOWUP_LIMIT) -> Probe:
     """Shoot with u(0) = alpha and reduce the shot to a :class:`Probe`.
 
-    Where the right-hand side has a compiled form, the kernel starts,
-    marches and reduces the shot in one call (``_kernel.probe``), calling
-    no Python f and building no trajectory.  It hands a shot back where
-    Python would raise, and then, or without a compiled form, the probe is
-    the reduction of the whole shot (:func:`_shoot_and_reduce`), with the
-    same result.
+    The kernel starts, marches and reduces the shot in one call
+    (``_kernel.probe``), building no trajectory.
     """
     if alpha == 0.0:
         raise PreconditionError("initial value alpha must be nonzero")
-    shot = _shot(problem, alpha, DEFAULT_EPS, rtol, atol, blowup_limit, PROBE_SAMPLES)
-    out = None if shot is None else _kernel.probe(shot)
-    if out is not None:
-        status, record = out
-        if status == _kernel.UNDERFLOW:
-            raise _underflow(record[0])
-        return _recorded(record)
-    return _shoot_and_reduce(problem, alpha, rtol=rtol, atol=atol, blowup_limit=blowup_limit)
+    return _recorded(_kernel.probe(_shot(problem, alpha, rtol, atol, blowup_limit,
+                                         PROBE_SAMPLES)))
 
 
 def solve_miss(problem: Problem, alpha: float, a: float, b: float, ends, *, in_alpha=False,
@@ -440,33 +392,17 @@ def solve_miss(problem: Problem, alpha: float, a: float, b: float, ends, *, in_a
 
     x is the parameter of problem's right-hand side (mu or gamma) at
     u(0) = alpha, or u(0) itself where in_alpha.  ends are the probes at a
-    and b, which are not shot again.  Where the right-hand side has a
-    compiled form, the whole solve is one kernel call (``_kernel.solve``),
-    every trial a kernel probe, and the probe at the root is read off its
-    trial.  Where the kernel hands the solve back (a trial that Python
-    would raise on, a NaN miss, or no convergence), or without a compiled
-    form, the solve is Brent's method over :func:`probe`, with the same
-    root or the same exception.
+    and b, which are not shot again.  The whole solve is one kernel call
+    (``_kernel.solve``), every trial a kernel probe, and the probe at the
+    root is read off its trial.
     """
     pr_a, pr_b = ends
-    shot = _shot(problem, 0.0 if in_alpha else alpha, DEFAULT_EPS, rtol, atol, BLOWUP_LIMIT,
-                 PROBE_SAMPLES)
-    out = None if shot is None else _kernel.solve(shot, in_alpha, a, b, pr_a.d, pr_b.d, xtol,
-                                                  xrtol)
-    if out is not None:
-        root, record = out
-        if record is None:
-            return root, pr_a if root == a else pr_b
-        return root, _recorded(record)
-
-    seen = {a: pr_a, b: pr_b}
-
-    def miss(x):
-        pr = seen[x] = _probe_at(problem, alpha, x, in_alpha, rtol, atol)
-        return pr.d
-
-    root = brentq(miss, a, b, xtol=xtol, rtol=xrtol, fa=pr_a.d, fb=pr_b.d)
-    return root, seen[root]
+    shot = _shot(problem, 0.0 if in_alpha else alpha, rtol, atol, BLOWUP_LIMIT, PROBE_SAMPLES,
+                 in_lam=not in_alpha)
+    root, record = _kernel.solve(shot, in_alpha, a, b, pr_a.d, pr_b.d, xtol, xrtol)
+    if record is None:
+        return root, pr_a if root == a else pr_b
+    return root, _recorded(record)
 
 
 def _recorded(record) -> Probe:
@@ -480,62 +416,6 @@ def _probe_at(problem, alpha, x, in_alpha, rtol, atol) -> Probe:
     if in_alpha:
         return probe(problem, x, rtol=rtol, atol=atol)
     return probe(problem.at(x), alpha, rtol=rtol, atol=atol)
-
-
-def _shoot_and_reduce(problem, alpha, *, rtol, atol, blowup_limit=BLOWUP_LIMIT) -> Probe:
-    """The probe of the whole shot: the path where the kernel cannot take
-    it, and the reference of ``_kernel.probe``."""
-    traj = shoot(problem, alpha, rtol=rtol, atol=atol, n_samples=PROBE_SAMPLES,
-                 blowup_limit=blowup_limit)
-    blowup = traj.blowup_radius is not None
-    d = math.copysign(BLOWUP_MISS, traj.u[-1]) if blowup else traj.terminal_u
-    return Probe(d, len(traj.interior_zeros), blowup, traj.sup_u, traj.steps)
-
-
-def _scan_reference(dense, eps, r_end, n_samples, n_dim, e_inv):
-    """What ``_kernel.scan`` computes, in numpy; shots take it where the
-    kernel does not load.
-
-    Returns the sample grid (a uniform grid united with the nodes of the
-    accepted steps), u and v on it, the maximum of |u| over the grid from
-    each point on, (u(1), v(1)), sup |u'| and one record per sign change
-    of u over the nodes and the step midpoints up to r_end: the interval's
-    ends a and b, u(a), u(b), v(b), and the quartics of the step that
-    holds a (``DenseOutput.quartics``).
-
-    sup |u'| is pow(M, e_inv), M the largest |v| / rn over the grid, with
-    rn = max(r, 1e-300) ** (n_dim - 1) as :func:`_locate_zeros` takes it: a
-    NaN makes it NaN, and an overflowing power inf.  Both powers are
-    libm's, as in the kernel; numpy's array power need not round alike.
-    """
-    ts = dense.block[:dense.n + 1]
-    grid = np.union1d(np.linspace(eps, r_end, n_samples), ts)
-    u, v = dense(grid)
-    tail_max = np.maximum.accumulate(np.abs(u)[::-1])[::-1]
-
-    nodes = np.union1d(ts, 0.5 * (ts[:-1] + ts[1:]))
-    nodes = nodes[nodes <= r_end]
-    uu, vv = dense(nodes)
-    # u vanishes at the left node, or changes sign across the interval (signs
-    # compared, not multiplied: a product underflows to -0.0 or overflows)
-    ua, ub = uu[:-1], uu[1:]
-    k = np.flatnonzero((ua == 0.0) | ((ua < 0.0) & (ub > 0.0)) | ((ua > 0.0) & (ub < 0.0)))
-    records = np.column_stack((nodes[k], nodes[k + 1], uu[k], uu[k + 1], vv[k + 1],
-                               dense.quartics(dense.segments(nodes[k]))))
-    rn = np.array([max(r, 1e-300) ** (n_dim - 1) for r in grid.tolist()])
-    with np.errstate(all="ignore"):
-        sup_uprime = float(np.max(np.abs(v) / rn) ** e_inv)  # a numpy scalar power is libm's
-    return grid, u, v, tail_max, dense.eval_scalar(1.0), sup_uprime, records.tolist()
-
-
-def _quartic_on_step(t, b, yb, t0, h, y0, c0, c1, c2, c3):
-    """u or v at t in a bracket [a, b] of one step: the step's quartic, and
-    y(b) = yb at the right end, which the dense output evaluates on the
-    next step where b is a node."""
-    if t == b:
-        return yb
-    th = (t - t0) / h
-    return y0 + th * (c0 + th * (c1 + th * (c2 + th * c3)))
 
 
 def brentq(f, a, b, args=(), xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100,
@@ -587,24 +467,6 @@ def brentq(f, a, b, args=(), xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100
         if fcur != fcur:
             raise ValueError(f"f is NaN at x={xcur}")
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
-def _locate_zeros(brackets, n_dim, e_inv):
-    """Refine each sign-change record of ``_scan_reference`` to a zero:
-    (r, u'(r)) pairs, as ``_kernel.scan`` returns them."""
-    zeros = []
-    for a, b, ua, ub, vb, t0, h, u0, c0, c1, c2, c3, v0, d0, d1, d2, d3 in brackets:
-        if ua == 0.0:
-            rz = a
-        else:
-            rz = brentq(_quartic_on_step, a, b, args=(b, ub, t0, h, u0, c0, c1, c2, c3),
-                        xtol=ZERO_XTOL, rtol=ZERO_RTOL)
-        if zeros and abs(rz - zeros[-1][0]) < 10 * ZERO_XTOL:
-            continue
-        vz = _quartic_on_step(rz, b, vb, t0, h, v0, d0, d1, d2, d3)
-        rn = max(rz, 1e-300) ** (n_dim - 1)
-        zeros.append((float(rz), float(_sgnpow(vz / rn, e_inv))))
-    return zeros
 
 
 def _crossings(pairs, sup_uprime):

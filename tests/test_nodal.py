@@ -15,9 +15,10 @@ from pspect.nodal import (
     verify_bifurcation_points,
 )
 from pspect.radial_ivp import Problem, shoot
-
 from pspect.spectrum import compute_spectrum
 from pspect.weights import Weight
+
+import reference
 
 M1 = Weight.constant(1.0)
 M_LIN = Weight.poly([1.0, -2.0])
@@ -69,8 +70,7 @@ def test_rational_family_rejects_bad_parameters():
 
 
 # the kernel computes f of the built-in families to the bits of the Python f
-# (the fixed-point residual evaluates f there); where Python would raise it
-# declines, and the Python f runs
+# (the fixed-point residual evaluates f there), and raises what it raises
 
 F_VALUES = np.array([0.0, -0.0, 1e-300, -3e-9, 0.37, -1.0, 2.5, -41.0, 7e17, -3e120,
                      1e139, -1e140, math.inf, -math.inf, math.nan])
@@ -81,33 +81,30 @@ F_VALUES = np.array([0.0, -0.0, 1e-300, -3e-9, 0.37, -1.0, 2.5, -41.0, 7e17, -3e
                                Nonlinearity.phi(1.3), Nonlinearity.phi(4.0),
                                Nonlinearity.rational(2.0, 1.0, 2.0, 2.2)])
 def test_kernel_f_matches_python_f(f):
-    def python_f(u):
+    def outcome(apply, u):
+        """The bytes of apply(u), or the type and message of what it raises."""
         try:
-            return np.array([f(float(x)) for x in u])
-        except (OverflowError, ZeroDivisionError):
-            return None
+            return apply(u).tobytes()
+        except (OverflowError, ZeroDivisionError) as exc:
+            return type(exc), str(exc)
 
     ran = []
     for k in range(1, len(F_VALUES) + 1):
-        u = F_VALUES[:k]
-        got, want = _kernel.apply_f(f.kernel_params(), u), python_f(u)
-        ran.append(got is not None)
-        if got is not None:
-            assert want is not None and got.tobytes() == want.tobytes()
-    if _kernel.load() is not None:
-        assert ran[:9] == [True] * 9  # up to the first value near overflow
+        got = outcome(lambda u: _kernel.apply_f(f.kernel_params(), u), F_VALUES[:k])
+        assert got == outcome(lambda u: np.array([f(float(x)) for x in u]), F_VALUES[:k])
+        ran.append(isinstance(got, bytes))
+    assert ran[:9] == [True] * 9  # up to the first value near overflow
 
 
 @pytest.mark.kernel
 @pytest.mark.parametrize("f", [F_REF, Nonlinearity.phi(2.5), Nonlinearity.rational(1.5, 2.0, 0.5)])
-def test_residual_on_the_kernel_matches_python_f(monkeypatch, f):
+def test_residual_on_the_kernel_matches_python_f(f):
     prob = Problem.nonlinear(2.0, 2, M_LIN, 30.0, f)
     traj = shoot(prob, 0.8)
     got = solution_residual(prob, traj)
     hand_built = Nonlinearity(fn=f.fn, f0=f.f0, finf=f.finf)
     assert got == solution_residual(Problem.nonlinear(2.0, 2, M_LIN, 30.0, hand_built), traj)
-    monkeypatch.setattr(_kernel, "load", lambda: None)
-    assert got == solution_residual(prob, traj)
+    assert got == solution_residual(prob, reference.shoot(prob, 0.8))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +293,7 @@ def test_branch_walks_to_the_class_root_of_a_bracket_with_three():
 @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
 def test_class_root_walk_runs_on_the_kernel_to_the_bits_of_python(monkeypatch, kernel):
     if not kernel:
-        monkeypatch.setattr(_kernel, "load", lambda: None)
+        reference.route(monkeypatch)
     walks = _spy_walks(monkeypatch)
     gamma, traj, stop = nodal._solve_gamma(2.0, 2, COS3, F_DOWN, 1e-2 * 1.25**29,
                                            192.89577223740824, 2, 1e-10, 1e-12)
@@ -340,12 +337,12 @@ def test_branch_gives_up_a_bracket_without_a_class_root(monkeypatch):
 @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
 def test_nodal_solves_probe_no_shot_twice(monkeypatch, kernel):
     # the bracket ends are probed once, by the caller; the solve and the
-    # in-class check at its root take them as they are.  Without the
-    # kernel every trial of Brent's method is a probe as well; with it the
+    # in-class check at its root take them as they are.  On the reference
+    # every trial of Brent's method is a probe as well; on the kernel the
     # probe at a root is read off the solve, never shot again, also where
     # its tail filter reads sup |u'|.
     if not kernel:
-        monkeypatch.setattr(_kernel, "load", lambda: None)
+        reference.route(monkeypatch)
     keys, real = [], radial_ivp.probe
     roots, solve = [], radial_ivp.solve_miss
 
@@ -358,8 +355,8 @@ def test_nodal_solves_probe_no_shot_twice(monkeypatch, kernel):
         roots.append((problem, root) if in_alpha else (problem.at(root), alpha))
         return root, pr
 
-    monkeypatch.setattr(radial_ivp, "probe", spy)
-    monkeypatch.setattr(nodal, "probe", spy)
+    for module in (radial_ivp, nodal, reference):
+        monkeypatch.setattr(module, "probe", spy)
     monkeypatch.setattr(nodal, "solve_miss", solve_spy)
     spec = compute_spectrum(2.0, 1, M_LIN, 1)
     m_steep = Weight.poly([1.0, -8.0])
@@ -383,7 +380,7 @@ def test_nodal_solves_probe_no_shot_twice(monkeypatch, kernel):
         assert len(at_roots) == (0 if kernel else len(roots))
     problem, alpha = roots[0]  # alpha = 0.1; the odd g's '-' half is read off it
     shot = shoot(problem, alpha, n_samples=radial_ivp.PROBE_SAMPLES)
-    assert shot.zeros == () and len(radial_ivp._scan_reference(
+    assert shot.zeros == () and len(reference.scan_reference(
         shot.dense, radial_ivp.DEFAULT_EPS, 1.0, radial_ivp.PROBE_SAMPLES, 1, 1.0)[-1]) == 1
 
 
@@ -455,7 +452,7 @@ def test_the_constructor_takes_no_family():
 def test_odd_f_gives_the_minus_solution_as_the_negated_plus_one(monkeypatch, kernel, f, p,
                                                                  n_dim):
     if not kernel:
-        monkeypatch.setattr(_kernel, "load", lambda: None)
+        reference.route(monkeypatch)
     mu = compute_spectrum(p, n_dim, M_LIN, 1, ("+",)).mu(1, "+")
     gamma = mu / (0.5 * (f.f0 + f.finf))
     plus = find_nodal(p, n_dim, M_LIN, f, gamma, 1, "+").solution
@@ -469,7 +466,7 @@ def test_odd_f_gives_the_minus_solution_as_the_negated_plus_one(monkeypatch, ker
 @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
 def test_odd_g_gives_the_same_parameter_at_minus_alpha(monkeypatch, kernel):
     if not kernel:
-        monkeypatch.setattr(_kernel, "load", lambda: None)
+        reference.route(monkeypatch)
     p, g = 2.5, Perturbation(2.5, c=1.0, delta=0.5)
     spec = compute_spectrum(p, 1, M_LIN, 2)
     for k, nu in ((1, "+"), (2, "-")):

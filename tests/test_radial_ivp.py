@@ -5,18 +5,18 @@ import inspect
 import math
 import os
 import re
-import shlex
-import shutil
+import subprocess
+import sys
 import sysconfig
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
 
 from pspect import _kernel, _rk45, radial_ivp
-from pspect._rk45 import DenseOutput, integrate
+from pspect._rk45 import DenseOutput
 from pspect.errors import IntegrationError, PreconditionError
 from pspect.nodal import Nonlinearity, Perturbation
 from pspect.pfuncs import pi_p
@@ -25,12 +25,12 @@ from pspect.radial_ivp import (
     NonlinearRHS,
     PerturbedRHS,
     Problem,
-    origin_startup,
     probe,
     shoot,
 )
 from pspect.weights import Weight
 
+import reference
 from oracles import rk4_shot, source_problem
 
 M1 = Weight.constant(1.0)
@@ -71,13 +71,22 @@ def test_shot_sign_changing_weight_against_reference():
     assert len(traj.interior_zeros) == zeros
 
 
-def test_origin_startup_cosine_series():
+def _start(monkeypatch, prob, alpha, eps):
+    """(u(eps), v(eps)) where the kernel's shot of prob starts, at eps."""
+    monkeypatch.setattr(radial_ivp, "DEFAULT_EPS", eps)
+    shot = shoot(prob, alpha)
+    assert shot.r[0] == eps
+    return shot.u[0], shot.v[0]
+
+
+def test_origin_startup_cosine_series(monkeypatch):
     # p=2, N=1, m=1, mu=1: u(eps) = 1 - eps^2/2 + O(eps^3)
     prob = Problem.linear(2.0, 1, M1, 1.0)
     for eps in (1e-6, 1e-5):
-        u_eps, v_eps = origin_startup(prob, 1.0, eps)
+        u_eps, v_eps = _start(monkeypatch, prob, 1.0, eps)
         assert abs(u_eps - (1.0 - eps**2 / 2)) < 2 * eps**3
         assert abs(v_eps + eps) < eps**2
+        assert (u_eps, v_eps) == reference.origin_startup(prob, 1.0, eps)
 
 
 def test_origin_startup_robustness(monkeypatch):
@@ -92,19 +101,20 @@ def test_origin_startup_robustness(monkeypatch):
     assert abs(terminal[0] - terminal[1]) <= 1e-9
 
 
-def test_origin_startup_odd_mirror():
+def test_origin_startup_odd_mirror(monkeypatch):
     prob = Problem.linear(2.5, 1, M1, 7.0)
-    up, vp = origin_startup(prob, 1.0, 1e-5)
-    um, vm = origin_startup(prob, -1.0, 1e-5)
+    up, vp = _start(monkeypatch, prob, 1.0, 1e-5)
+    um, vm = _start(monkeypatch, prob, -1.0, 1e-5)
     assert um == -up and vm == -vp
 
 
 def test_startup_eps_validation():
+    # the reference's start takes eps as an argument, and checks it
     prob = Problem.linear(2.0, 1, M1, 1.0)
     with pytest.raises(PreconditionError):
-        origin_startup(prob, 1.0, 1e-3)
+        reference.origin_startup(prob, 1.0, 1e-3)
     with pytest.raises(PreconditionError):
-        origin_startup(prob, 1.0, 0.0)
+        reference.origin_startup(prob, 1.0, 0.0)
 
 
 def test_shoot_rejects_zero_amplitude():
@@ -201,14 +211,14 @@ def test_brentq_takes_scipys_steps():
             return type(exc)
 
     cases = []
-    for _ in range(400):  # one step's quartic, as _locate_zeros meets it
+    for _ in range(400):  # one step's quartic, as the zero refinement meets it
         t0, h = rng.random(), 10.0 ** rng.uniform(-6, -1)
         a = t0 + 0.5 * h * rng.random()
         b = a + h * rng.uniform(0.01, 0.5)
         c = rng.normal(size=5) * 10.0 ** rng.uniform(-12, 2, size=5)
-        c[0] -= radial_ivp._quartic_on_step(0.5 * (a + b), math.inf, 0.0, t0, h, *c)
-        ub = radial_ivp._quartic_on_step(b, math.inf, 0.0, t0, h, *c)
-        cases.append((radial_ivp._quartic_on_step, a, b, (b, ub, t0, h, *c)))
+        c[0] -= reference.quartic_on_step(0.5 * (a + b), math.inf, 0.0, t0, h, *c)
+        ub = reference.quartic_on_step(b, math.inf, 0.0, t0, h, *c)
+        cases.append((reference.quartic_on_step, a, b, (b, ub, t0, h, *c)))
     for k in (1, 3, 9):  # a root of order k; at orders 3 and 9 it runs out of iterations
         cases += [(lambda x, r, k=k: (x - r) ** k, r - 1.5, r + 0.7, (r,)) for r in (0.3, -2.0)]
     cases += [(lambda x: x, 0.0, 1.0, ()), (lambda x: x - 1.0, 0.0, 1.0, ()),
@@ -265,9 +275,9 @@ def test_trajectory_uprime_consistency():
 
 # ---------------------------------------------------------------------------
 # a shot on the compiled kernel (_kernel.shoot: the start, the step loop with
-# the right-hand side fused into it, and the post-pass) gives the bits of the
-# Python path (the Python start and stepper with the generic closure, then
-# the numpy post-pass)
+# the right-hand side fused into it or called back, and the post-pass) gives
+# the bits of the Python reference (tests/reference.py: the Python start and
+# stepper on the closure of make, then the numpy post-pass)
 
 FUSED_WEIGHTS = {
     "constant": Weight.constant(0.7),
@@ -278,23 +288,16 @@ FUSED_WEIGHTS = {
     "piecewise": Weight.from_function(lambda r: math.cos(3 * math.pi * r), n_pieces=16),
 }
 
-
-@dataclass(frozen=True)
-class _PythonRHS:
-    """A right-hand side under another type with no compiled form, so that
-    shoot takes the Python path."""
-
-    rhs: object
-
-    def make(self, p, m_eval):
-        return self.rhs.make(p, m_eval)
-
-    def compiled(self, p, n_dim, m):
-        return None
+# each right-hand side class under a type whose compiled is None: the kernel
+# calls its w back instead of running its fused form
+_CALLED_BACK = {cls: type(f"{cls.__name__}CalledBack", (cls,), {"compiled": None})
+                for cls in (LinearRHS, NonlinearRHS, PerturbedRHS)}
 
 
-def _on_python_path(prob):
-    return replace(prob, rhs=_PythonRHS(prob.rhs))
+def _called_back(prob):
+    rhs = prob.rhs
+    return replace(prob, rhs=_CALLED_BACK[type(rhs)](*(getattr(rhs, f.name)
+                                                       for f in fields(rhs))))
 
 
 def _same_bits(a, b):
@@ -305,10 +308,10 @@ def _same_bits(a, b):
 
 def assert_kernel_matches_reference(prob, *, alpha=1.0, blowup_limit=math.inf, **kw):
     """The shot of prob from u(0) = alpha is the same on the kernel and on
-    the Python path (with a blow-up guard of inf, which stops the march
-    only where u overflows, unless one is given); returns the shot."""
+    the reference (with a blow-up guard of inf, which stops the march only
+    where u overflows, unless one is given); returns the shot."""
     got = shoot(prob, alpha, blowup_limit=blowup_limit, **kw)
-    assert_same_shot(got, shoot(_on_python_path(prob), alpha, blowup_limit=blowup_limit, **kw))
+    assert_same_shot(got, reference.shoot(prob, alpha, blowup_limit=blowup_limit, **kw))
     assert type(got.steps.accepted) is type(got.steps.rhs_calls) is int
     return got
 
@@ -339,7 +342,7 @@ def test_fused_linear_rhs_matches_generic(p, n_dim, weight):
 def test_fused_shoot_matches_generic(p, n_dim, weight, mu):
     m = FUSED_WEIGHTS[weight]
     fused = shoot(Problem.linear(p, n_dim, m, mu), 1.0)
-    generic = shoot(_on_python_path(Problem.linear(p, n_dim, m, mu)), 1.0)
+    generic = reference.shoot(Problem.linear(p, n_dim, m, mu), 1.0)
     assert np.array_equal(fused.r, generic.r)
     assert np.array_equal(fused.u, generic.u)
     assert np.array_equal(fused.v, generic.v)
@@ -350,7 +353,6 @@ def test_fused_shoot_matches_generic(p, n_dim, weight, mu):
 
 
 COS64 = Weight.from_function(lambda r: math.cos(3 * math.pi * r))
-needs_kernel = pytest.mark.skipif(_kernel.load() is None, reason="no compiled kernel")
 
 
 @pytest.mark.parametrize(
@@ -373,8 +375,8 @@ def test_kernel_matches_reference_at_large_mu(p, n_dim, weight, mu, blowup_limit
 
 
 def _spy(monkeypatch, name):
-    """What each call of ``_kernel.<name>`` returns, as it returns: None
-    means handed back or not loaded."""
+    """What each call of ``_kernel.<name>`` returns, as it returns; a call
+    that raises leaves nothing."""
     seen, fn = [], getattr(_kernel, name)
 
     def spy(*args):
@@ -401,29 +403,34 @@ AMPLITUDES = [s * 10.0**k for k in range(-3, 4) for s in (1.0, -1.0)]  # the bra
 GRID_P, GRID_N = [1.2, 2.0, 2.5, 6.0], [1, 2, 3, 5]
 
 
-@pytest.mark.parametrize("weight", sorted(FUSED_WEIGHTS))
-@pytest.mark.parametrize("n_dim", GRID_N)
-@pytest.mark.parametrize("p", GRID_P)
-def test_kernel_matches_reference_on_nonlinear_and_perturbed_shots(p, n_dim, weight,
-                                                                   shoot_results):
+def _grid_problems(p, n_dim, weight):
+    """The index of (p, n_dim, weight) on the grid, and its rational,
+    phi and perturbed problems at lam 37.5 or -0.3, each with the index of
+    its amplitude."""
     i = (GRID_P.index(p) * len(GRID_N) + GRID_N.index(n_dim)) * len(FUSED_WEIGHTS) \
         + sorted(FUSED_WEIGHTS).index(weight)
     m = FUSED_WEIGHTS[weight]
     f0, finf, q = RATIONAL_PARAMS[i % len(RATIONAL_PARAMS)]
     c, delta = PERTURBATIONS[i % len(PERTURBATIONS)]
     lam = 37.5 if i % 3 else -0.3
-    shots = [
+    return i, [
         (Problem.nonlinear(p, n_dim, m, lam, Nonlinearity.rational(p, f0, finf, q)), i),
         (Problem.nonlinear(p, n_dim, m, lam, Nonlinearity.phi(p)), i + 5),
         (Problem.perturbed(p, n_dim, m, lam, Perturbation(p, c, delta)), i + 9),
     ]
-    for prob, j in shots:
+
+
+@pytest.mark.parametrize("weight", sorted(FUSED_WEIGHTS))
+@pytest.mark.parametrize("n_dim", GRID_N)
+@pytest.mark.parametrize("p", GRID_P)
+def test_kernel_matches_reference_on_nonlinear_and_perturbed_shots(p, n_dim, weight,
+                                                                   shoot_results):
+    for prob, j in _grid_problems(p, n_dim, weight)[1]:
         for tols in ((1e-10, 1e-12), (1e-6, 1e-8)):
             # shoot's guard: a superlinear g blows up in finite r
             assert_kernel_matches_reference(prob, alpha=AMPLITUDES[j % len(AMPLITUDES)],
                                             rtol=tols[0], atol=tols[1], blowup_limit=1e12)
-    if _kernel.load() is not None:
-        assert len(shoot_results) == 6 and None not in shoot_results
+    assert len(shoot_results) == 6
 
 
 def test_kernel_uses_the_exponents_f_and_g_captured(shoot_results):
@@ -434,39 +441,35 @@ def test_kernel_uses_the_exponents_f_and_g_captured(shoot_results):
         for alpha in (1e-3, -1.0, 10.0):
             assert_kernel_matches_reference(make(2.0, 3, M_LIN, 37.5, rhs), alpha=alpha,
                                             blowup_limit=1e12)
-    if _kernel.load() is not None:
-        assert len(shoot_results) == 9 and None not in shoot_results
+    assert len(shoot_results) == 9
 
 
 def _raised_on_both_paths(prob, alpha, **kw):
-    """What shoot raises on the kernel and on the Python path."""
+    """What shoot raises on the kernel and on the reference."""
     return [_raised(lambda: shoot(prob, alpha, **kw)),
-            _raised(lambda: shoot(_on_python_path(prob), alpha, **kw))]
+            _raised(lambda: reference.shoot(prob, alpha, **kw))]
 
 
 @pytest.mark.kernel
-@needs_kernel
 def test_kernel_hands_overflowing_shots_to_the_python_stepper(shoot_results):
-    # with a guard of inf u and v reach inf; Python's inf ** e is inf
-    # without an error, the kernel stops at an infinite power, and the
-    # Python path repeats the shot, whose last samples are NaN
+    # with a guard of inf u and v reach inf; an infinite power of an
+    # infinite base raises nothing in Python, so the kernel marches on, to
+    # the reference's bits: its last samples are NaN
     shot = assert_kernel_matches_reference(Problem.linear(1.2, 1, M1, -1e6), rtol=1e-6,
                                            atol=1e-8)
-    assert shoot_results == [None]
+    assert len(shoot_results) == 1
     assert shot.blowup_radius is not None and math.isnan(shot.sup_u)
 
 
 @pytest.mark.kernel
-@needs_kernel
 def test_kernel_step_underflow_raises_the_python_error(shoot_results):
     errors = _raised_on_both_paths(Problem.linear(2.0, 1, M1, 10.0), 1.0, rtol=1e-100,
                                    atol=1e-150)
     assert errors == [(IntegrationError, "step size underflow at r = 1.000000e-06")] * 2
-    assert [out[0] for out in shoot_results] == [_kernel.UNDERFLOW]
+    assert shoot_results == []
 
 
 @pytest.mark.kernel
-@needs_kernel
 def test_kernel_grows_its_buffers(monkeypatch, shoot_results):
     monkeypatch.setattr(_kernel, "FIRST_CAPACITY", 3)
     assert_kernel_matches_reference(Problem.linear(2.5, 1, M_LIN, 13872.2), rtol=1e-6,
@@ -474,29 +477,67 @@ def test_kernel_grows_its_buffers(monkeypatch, shoot_results):
     assert shoot_results[0][2] > 100  # accepted steps
 
 
+def _fresh_kernel(monkeypatch, cache_dir, xdg):
+    """The kernel built afresh on its next use, into cache_dir or, where
+    that cannot be written, the user cache under XDG_CACHE_HOME = xdg
+    (None: unset)."""
+    monkeypatch.setattr(_kernel, "CACHE_DIR", str(cache_dir))
+    if xdg is None:
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+    _kernel._loaded.cache_clear()
+
+
 @pytest.mark.parametrize("broken", ["no compiler", "unwritable cache"])
 def test_shots_fall_back_to_the_python_stepper(monkeypatch, tmp_path, broken):
+    # the compiler is required: without one the first shot raises an
+    # OSError naming the command and the source, and a failed build is not
+    # tried again; where the package's cache cannot be written, the
+    # library is built into the user's cache
     prob = Problem.linear(2.5, 3, FUSED_WEIGHTS["cubic"], 400.0)
     want = shoot(prob, 1.0)
-    if broken == "no compiler":
-        get = sysconfig.get_config_var
-        fake_cc = str(tmp_path / "no-such-cc")
-        monkeypatch.setattr(sysconfig, "get_config_var",
-                            lambda name: fake_cc if name == "CC" else get(name))
-        monkeypatch.setattr(_kernel, "CACHE_DIR", str(tmp_path))
-    else:
-        (tmp_path / "file").write_text("")
-        monkeypatch.setattr(_kernel, "CACHE_DIR", str(tmp_path / "file" / "cache"))
-    _kernel.load.cache_clear()
     try:
-        assert _kernel.load() is None
-        got = shoot(prob, 1.0)
+        if broken == "no compiler":
+            get = sysconfig.get_config_var
+            fake_cc = str(tmp_path / "no-such-cc")
+            monkeypatch.setattr(sysconfig, "get_config_var",
+                                lambda name: fake_cc if name == "CC" else get(name))
+            _fresh_kernel(monkeypatch, tmp_path, tmp_path / "xdg")
+            with pytest.raises(OSError) as first:
+                shoot(prob, 1.0)
+            message = str(first.value)
+            assert fake_cc in message and _kernel.SOURCE in message
+            assert "No such file or directory" in message  # what running it said
+            runs = []
+            monkeypatch.setattr(subprocess, "run", lambda *a, **kw: runs.append(a))
+            with pytest.raises(OSError) as again:
+                probe(prob, 1.0, rtol=1e-10, atol=1e-12)
+            assert again.value is first.value and runs == []
+            assert not (tmp_path / "xdg").exists()
+        else:
+            (tmp_path / "file").write_text("")
+            _fresh_kernel(monkeypatch, tmp_path / "file" / "cache", tmp_path / "xdg")
+            assert_same_shot(shoot(prob, 1.0), want)
+            assert os.listdir(tmp_path / "xdg" / "pspect") == [os.path.basename(_kernel._build())]
+            monkeypatch.setenv("HOME", str(tmp_path / "home"))
+            for xdg in ("", None):  # unset: the home's cache
+                _fresh_kernel(monkeypatch, tmp_path / "file" / "cache", xdg)
+                assert _kernel._cache_dirs()[1] == str(tmp_path / "home" / ".cache" / "pspect")
     finally:
-        _kernel.load.cache_clear()
-    assert_same_shot(got, want)
+        _kernel._loaded.cache_clear()
 
 
-@needs_kernel
+def test_import_builds_nothing():
+    # the kernel is built, or found, at the first shot, not at import
+    src = os.path.dirname(os.path.dirname(_kernel.__file__))
+    out = subprocess.run([sys.executable, "-c", "import pspect, pspect.cli; from pspect import "
+                          "_kernel; print(_kernel._loaded.cache_info().currsize)"],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout == "0\n"
+
+
 def test_a_build_removes_the_libraries_of_other_keys(monkeypatch, tmp_path):
     stale = tmp_path / "_rk45_kernel-0123456789abcdef.so"
     stale.write_bytes(b"")
@@ -507,6 +548,7 @@ def test_a_build_removes_the_libraries_of_other_keys(monkeypatch, tmp_path):
     listed = glob.glob
     monkeypatch.setattr(glob, "glob", lambda pattern: listed(pattern) + [gone])
     monkeypatch.setattr(_kernel, "CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))  # no library to find there
     path = _kernel._build()
     assert sorted(os.listdir(tmp_path)) == sorted([os.path.basename(path), "other.so"])
     assert _kernel._build() == path  # a cached library is loaded as it is
@@ -514,15 +556,14 @@ def test_a_build_removes_the_libraries_of_other_keys(monkeypatch, tmp_path):
 
 @pytest.mark.kernel
 @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
-def test_a_small_shot_keeps_its_zeros(monkeypatch, kernel):
+def test_a_small_shot_keeps_its_zeros(kernel):
     # the post-pass compares the signs of u at the nodes: their product
     # underflows to -0.0 where |u| is below about 1e-162 on both sides
-    if not kernel:
-        monkeypatch.setattr(_kernel, "load", lambda: None)
+    on = radial_ivp if kernel else reference
     prob = Problem.linear(2.0, 1, M1, (1.5 * math.pi) ** 2)  # u = alpha cos(3 pi r / 2)
     for alpha in (1.0, 1e-150, 1e-170):
-        assert probe(prob, alpha, rtol=radial_ivp.DEFAULT_RTOL, atol=1e-12 * alpha).z == 1
-        zeros = shoot(prob, alpha, atol=1e-12 * alpha).interior_zeros
+        assert on.probe(prob, alpha, rtol=radial_ivp.DEFAULT_RTOL, atol=1e-12 * alpha).z == 1
+        zeros = on.shoot(prob, alpha, atol=1e-12 * alpha).interior_zeros
         assert len(zeros) == 1 and abs(zeros[0].r - 1.0 / 3.0) < 1e-8
 
 
@@ -542,11 +583,11 @@ def assert_same_shot(got, want):
 
 # ---------------------------------------------------------------------------
 # the compiled post-pass of a shot (_kernel.scan, which _kernel.shoot runs
-# after the march) gives the bits of its numpy reference
-# (radial_ivp._scan_reference, then _locate_zeros), on any block; the
+# after the march) gives the bits of the reference's post-pass
+# (reference.scan_reference, then locate_zeros), on any block; the
 # reduction of a shot to its probe on the kernel (_kernel.reduce, which
-# _kernel.probe runs after the march) gives the probe of the whole shot
-# (radial_ivp._shoot_and_reduce)
+# _kernel.probe runs after the march) gives the reference's probe of the
+# whole shot
 
 
 @pytest.fixture
@@ -557,16 +598,6 @@ def scan_results(monkeypatch):
 @pytest.fixture
 def probe_results(monkeypatch):
     return _spy(monkeypatch, "probe")
-
-
-def _on_both_paths(monkeypatch, fn):
-    """fn() with the kernel's shots and probes, then on the Python path."""
-    got = fn()
-    with monkeypatch.context() as mp:
-        for name in ("shoot", "probe"):
-            mp.setattr(_kernel, name, lambda shot: None)
-        want = fn()
-    return got, want
 
 
 def assert_same_probe(got, want):
@@ -581,46 +612,39 @@ def assert_reduction_matches(shot, prob, want):
     e_inv = 1.0 / (prob.p - 1.0)
     reading = _kernel.reduce(shot.dense.block, shot.dense.n, EPS, r_end,
                              radial_ivp.PROBE_SAMPLES, prob.N, e_inv)
-    if reading is not None:
-        blowup = shot.blowup_radius is not None
-        d = math.copysign(radial_ivp.BLOWUP_MISS, reading.u_end) if blowup else reading.u1
-        assert_same_probe(radial_ivp.Probe(d, reading.z, blowup, reading.sup_u, shot.steps),
-                          want)
+    blowup = shot.blowup_radius is not None
+    d = math.copysign(radial_ivp.BLOWUP_MISS, reading.u_end) if blowup else reading.u1
+    assert_same_probe(radial_ivp.Probe(d, reading.z, blowup, reading.sup_u, shot.steps), want)
     return reading
 
 
-def assert_post_pass_matches_reference(monkeypatch, prob, alpha, *, rtol=1e-10, atol=1e-12,
+def assert_post_pass_matches_reference(prob, alpha, *, rtol=1e-10, atol=1e-12,
                                        blowup_limit=radial_ivp.BLOWUP_LIMIT, n_samples=513,
-                                       fused=True):
-    """The shot is the same on both paths, and so is what the post-pass on
-    the kernel and its reference return for its block; the probe of prob is
-    the probe of the whole shot on both paths, fused (unless the march is
-    edited) and reduced from the shot's block on the kernel.  Returns the
-    shot and the kernel's reduction of the probe's shot (None where it hands
-    back)."""
+                                       edited=False):
+    """The shot and the probe of prob are the same on the kernel and on the
+    reference (unless the reference's march is edited), and so is what the
+    post-pass on the kernel and the reference's return for the reference
+    shot's block, and the kernel's reduction of the block of the
+    reference's probe.  Returns the reference's shot and that reduction."""
     tols = dict(rtol=rtol, atol=atol, blowup_limit=blowup_limit)
-    got, want = _on_both_paths(monkeypatch,
-                                lambda: shoot(prob, alpha, n_samples=n_samples, **tols))
-    assert_same_shot(got, want)
-    reduced, reference = _on_both_paths(
-        monkeypatch, lambda: radial_ivp._shoot_and_reduce(prob, alpha, **tols))
-    assert_same_probe(reduced, reference)
-    if fused:
-        assert_same_probe(probe(prob, alpha, **tols), reference)
-    probe_shot = shoot(prob, alpha, n_samples=radial_ivp.PROBE_SAMPLES, **tols)
-    reading = assert_reduction_matches(probe_shot, prob, reference)
-    r_end = 1.0 if got.blowup_radius is None else got.blowup_radius
-    scan = _kernel.scan(got.dense.block, got.dense.n, EPS, r_end, n_samples, prob.N,
-                        1.0 / (prob.p - 1.0))
-    if scan is not None:
-        *samples, brackets = radial_ivp._scan_reference(got.dense, EPS, r_end, n_samples,
-                                                        prob.N, 1.0 / (prob.p - 1.0))
-        assert len(samples) == 6
-        for a, b in zip(scan, samples):  # grid, u, v, tail maxima, u(1), sup |u'|
-            assert _same_bits(a, b)
-        zeros = radial_ivp._locate_zeros(brackets, prob.N, 1.0 / (prob.p - 1.0))
-        assert _same_bits(scan[6], zeros) and len(scan[6]) == len(zeros)
-    return got, reading
+    want = reference.shoot(prob, alpha, n_samples=n_samples, **tols)
+    want_probe = reference.probe(prob, alpha, **tols)
+    if not edited:
+        assert_same_shot(shoot(prob, alpha, n_samples=n_samples, **tols), want)
+        assert_same_probe(probe(prob, alpha, **tols), want_probe)
+    probe_shot = reference.shoot(prob, alpha, n_samples=radial_ivp.PROBE_SAMPLES, **tols)
+    reading = assert_reduction_matches(probe_shot, prob, want_probe)
+    r_end = 1.0 if want.blowup_radius is None else want.blowup_radius
+    e_inv = 1.0 / (prob.p - 1.0)
+    scan = _kernel.scan(want.dense.block, want.dense.n, EPS, r_end, n_samples, prob.N, e_inv)
+    *samples, brackets = reference.scan_reference(want.dense, EPS, r_end, n_samples, prob.N,
+                                                  e_inv)
+    assert len(samples) == 6
+    for a, b in zip(scan, samples):  # grid, u, v, tail maxima, u(1), sup |u'|
+        assert _same_bits(a, b)
+    zeros = reference.locate_zeros(brackets, prob.N, e_inv)
+    assert _same_bits(scan[6], zeros) and len(scan[6]) == len(zeros)
+    return want, reading
 
 
 def _hand_built_rational(p):
@@ -651,12 +675,12 @@ POST_PASS_CASES = {
     "long-shot": (Problem.linear(1.2, 1, M1, 250.0), 1.0, {}),
     "rational-N2": (Problem.nonlinear(2.5, 2, M_LIN, 37.5, Nonlinearity.rational(2.5)), 3.0, {}),
     "perturbed-N3": (Problem.perturbed(2.0, 3, M_LIN, 300.0, Perturbation(2.0)), 0.5, {}),
-    # the Python stepper: u(eps) = alpha - H0 eps^2 / 2 is exactly 0.0, a zero at a node
+    # called back: u(eps) = alpha - H0 eps^2 / 2 is exactly 0.0, a zero at a node
     "source-zero-at-node": (source_problem(2.0, 1, lambda r: H0), H0 * EPS**2 / 2, {}),
     "hand-built-f": (Problem.nonlinear(2.5, 2, M_LIN, 300.0, _hand_built_rational(2.5)), 1.0,
                      {}),
-    # |u|^2.2 passes the largest double: Python raises OverflowError, and the
-    # kernel hands the shot back
+    # |u|^2.2 passes the largest double: Python raises OverflowError, and so
+    # does the kernel
     "rational-handed-back": (Problem.nonlinear(2.0, 1, Weight.constant(-1.0), 50.0,
                                                Nonlinearity.rational(2.0, 1.0, 0.5, 2.2)),
                              1e139, dict(blowup_limit=1e300)),
@@ -664,13 +688,11 @@ POST_PASS_CASES = {
 RAISING = {"rational-handed-back": OverflowError}
 
 
-def assert_raises_alike(monkeypatch, prob, alpha, error, **kw):
-    """Every path raises the same error, and the kernel hands the shot back."""
-    raised = []
-    for fn in (lambda: shoot(prob, alpha, **kw), lambda: probe(prob, alpha, **kw),
-               lambda: radial_ivp._shoot_and_reduce(prob, alpha, **kw)):
-        for run in _on_both_paths(monkeypatch, lambda fn=fn: _raised(fn)):
-            raised.append(run)
+def assert_raises_alike(prob, alpha, error, **kw):
+    """The shot and the probe raise the same error on the kernel and on the
+    reference."""
+    raised = [_raised(lambda fn=fn: fn(prob, alpha, **kw))
+              for fn in (shoot, reference.shoot, probe, reference.probe)]
     assert raised == [raised[0]] * len(raised) and raised[0][0] is error
     return raised[0]
 
@@ -683,50 +705,38 @@ def _raised(fn):
 
 @pytest.mark.kernel
 @pytest.mark.parametrize("case", sorted(POST_PASS_CASES))
-def test_post_pass_matches_reference(monkeypatch, scan_results, probe_results, shoot_results,
-                                     case):
+def test_post_pass_matches_reference(scan_results, probe_results, shoot_results, case):
     prob, alpha, kw = POST_PASS_CASES[case]
     if case in RAISING:
         kw = dict(dict(rtol=1e-10, atol=1e-12), **kw)
-        assert_raises_alike(monkeypatch, prob, alpha, RAISING[case], **kw)
-        if _kernel.load() is not None:
-            # the kernel hands back the shot, the probe and the shot of the
-            # probe's shoot-and-reduce
-            assert probe_results == [None] and shoot_results == [None] * 3
+        assert_raises_alike(prob, alpha, RAISING[case], **kw)
+        assert probe_results == shoot_results == []
         return
-    shot, reading = assert_post_pass_matches_reference(monkeypatch, prob, alpha, **kw)
+    shot, reading = assert_post_pass_matches_reference(prob, alpha, **kw)
     if case.startswith("blowup"):
         assert shot.blowup_radius is not None and shot.terminal is None
     elif case == "noise-tail":
-        brackets = radial_ivp._scan_reference(shot.dense, EPS, 1.0, 65, 1, 1.0)[-1]
+        brackets = reference.scan_reference(shot.dense, EPS, 1.0, 65, 1, 1.0)[-1]
         assert len(brackets) == 1 and shot.zeros == ()
-        assert reading.z == 0 if _kernel.load() else reading is None
+        assert reading.z == 0
     elif case == "source-zero-at-node":
         assert shot.u[0] == 0.0 and shot.zeros[0].r == EPS
     elif case == "long-shot":
         assert shot.steps.accepted > _kernel.FIRST_CAPACITY
     else:
         assert shot.zeros
-    if _kernel.load() is not None:
-        # the fused probe is one kernel call where the right-hand side has a
-        # compiled form, else a shot
-        has_form = prob.rhs.compiled(prob.p, prob.N, prob.m) is not None
-        assert len(probe_results) == has_form and None not in probe_results
-        # so are the shot, the probe's shot in shoot-and-reduce and the shot
-        # for _kernel.reduce; the explicit scan reads the first again
-        assert len(shoot_results) == 3 * has_form and None not in shoot_results
-        assert len(scan_results) == 1 and None not in scan_results
+    # one kernel call each for the shot, the probe and the explicit scan
+    assert len(shoot_results) == len(probe_results) == len(scan_results) == 1
 
 
 @pytest.mark.kernel
 def test_post_pass_on_the_kernel_where_a_compiler_is(shoot_results):
-    shoot(Problem.linear(2.5, 1, M_LIN, 300.0), 1.0)
-    assert len(shoot_results) == 1
-    assert (shoot_results[0] is not None) == _has_compiler()
+    shot = shoot(Problem.linear(2.5, 1, M_LIN, 300.0), 1.0)
+    assert len(shoot_results) == 1 and shoot_results[0][1] == 1.0  # the r where it stopped
+    assert _same_bits(shot.r, shoot_results[0][5][0])  # the kernel's grid
 
 
 @pytest.mark.kernel
-@needs_kernel
 def test_sup_uprime_takes_libm_powers_on_both_passes():
     # numpy's array power need not round as libm's pow does; the kernel and
     # its reference take r^(N-1) and the outer power with libm's, so they
@@ -741,16 +751,17 @@ def test_sup_uprime_takes_libm_powers_on_both_passes():
         starts = np.column_stack((np.ones(n), v))
         block = np.concatenate((nodes, starts.ravel(), np.diff(nodes), np.zeros(8 * n)))
         got = _kernel.scan(block, n, EPS, 1.0, 9, n_dim, e_inv)[5]
-        want = radial_ivp._scan_reference(DenseOutput(block, n), EPS, 1.0, 9, n_dim, e_inv)[5]
+        want = reference.scan_reference(DenseOutput(block, n), EPS, 1.0, 9, n_dim, e_inv)[5]
         assert _same_bits(got, want)
 
 
-@needs_kernel
 def test_post_pass_refuses_a_block_of_another_size():
-    for pass_ in (lambda b: _kernel.scan(b, 1, EPS, 1.0, 65, 1, 1.0),
-                  lambda b: _kernel.reduce(b, 1, EPS, 1.0, 65, 1, 1.0)):
+    for pass_ in (lambda b, n: _kernel.scan(b, n, EPS, 1.0, 65, 1, 1.0),
+                  lambda b, n: _kernel.reduce(b, n, EPS, 1.0, 65, 1, 1.0)):
         with pytest.raises(ValueError, match="dense block of 1 steps holds 13"):
-            pass_(np.zeros(12))
+            pass_(np.zeros(12), 1)
+        with pytest.raises(ValueError, match="one step or more, got 0"):
+            pass_(np.zeros(1), 0)
 
 
 CUT = np.nextafter(1.0, 0.0)  # 1 ulp below r = 1
@@ -837,13 +848,12 @@ def _edited(integrate_fn, edit):
 @pytest.mark.parametrize("edit", [_zero_last_ulp, _nan_inside, _twin_zero, _zero_near_one,
                                   _steep_zero_under_noise])
 def test_post_pass_matches_reference_on_edited_shots(monkeypatch, scan_results, edit, n_dim):
-    # the kernel's shots and probes never see an edited march: every shot
-    # takes the Python path, and the kernel's post-pass and reduction of the
-    # edited block stand in for them
-    monkeypatch.setattr(radial_ivp, "integrate", _edited(radial_ivp.integrate, edit))
-    monkeypatch.setattr(_kernel, "shoot", lambda shot: None)
+    # the kernel's shots and probes never see an edited march: the
+    # reference's march is edited, and the kernel's post-pass and reduction
+    # of the edited block are held to the reference's
+    monkeypatch.setattr(reference, "integrate", _edited(reference.integrate, edit))
     prob = Problem.linear(2.5, n_dim, M_LIN, 300.0)
-    shot, reading = assert_post_pass_matches_reference(monkeypatch, prob, 1.0, fused=False)
+    shot, reading = assert_post_pass_matches_reference(prob, 1.0, edited=True)
     if edit is _zero_last_ulp:
         assert 0.5 * (CUT + 1.0) == 1.0 and shot.dense.block[shot.dense.n - 1] == CUT
         assert shot.terminal[0] == 0.0 and shot.zeros[-1].r == CUT
@@ -851,7 +861,7 @@ def test_post_pass_matches_reference_on_edited_shots(monkeypatch, scan_results, 
         assert math.isnan(shot.sup_u) and not math.isnan(shot.u[-1])
     elif edit is _twin_zero:
         node = shot.dense.block[shot.dense.n // 2 + 1]
-        brackets = radial_ivp._scan_reference(shot.dense, EPS, 1.0, 513, n_dim, 1 / 1.5)[-1]
+        brackets = reference.scan_reference(shot.dense, EPS, 1.0, 513, n_dim, 1 / 1.5)[-1]
         assert sum(abs(a - node) < 1e-9 or abs(b - node) < 1e-9 for a, b, *_ in brackets) == 2
         assert sum(abs(z.r - node) < 10 * radial_ivp.ZERO_XTOL for z in shot.zeros) == 1
     elif edit is _zero_near_one:
@@ -862,20 +872,24 @@ def test_post_pass_matches_reference_on_edited_shots(monkeypatch, scan_results, 
         assert abs(last.r - 0.9995) < 1e-12 and shot.interior_zeros[-1] == last
         assert np.max(np.abs(shot.u[shot.r > last.r])) < radial_ivp.TAIL_NOISE_FACTOR * shot.sup_u
         assert abs(last.uprime) >= radial_ivp.TAIL_SLOPE_FACTOR * shot.sup_uprime
-        assert reading is None or reading.z == len(shot.interior_zeros)
-    if _kernel.load() is not None:
-        assert reading is not None
-        assert len(scan_results) == 1 and None not in scan_results
+        assert reading.z == len(shot.interior_zeros)
+    assert len(scan_results) == 1
 
 
 def assert_probe_matches_shoot_and_reduce(prob, alpha, **kw):
+    """The kernel's probe is the reference's reduction of the kernel's shot
+    (which the shots above hold to the reference's), or raises what the
+    shot raises; returns whether it returned."""
+    def reduced():
+        return reference.reduce(shoot(prob, alpha, n_samples=radial_ivp.PROBE_SAMPLES, **kw))
+
     try:
-        want = radial_ivp._shoot_and_reduce(prob, alpha, **kw)
+        want = reduced()
     except IntegrationError:  # step size underflow
-        assert _raised(lambda: probe(prob, alpha, **kw)) == \
-            _raised(lambda: radial_ivp._shoot_and_reduce(prob, alpha, **kw))
-        return
+        assert _raised(lambda: probe(prob, alpha, **kw)) == _raised(reduced)
+        return False
     assert_same_probe(probe(prob, alpha, **kw), want)
+    return True
 
 
 @pytest.mark.kernel
@@ -887,13 +901,14 @@ def test_probe_matches_shoot_and_reduce(p, n_dim, weight, probe_results):
     i = GRID_P.index(p) * 3 + n_dim
     f0, finf, q = RATIONAL_PARAMS[i % len(RATIONAL_PARAMS)]
     c, delta = PERTURBATIONS[i % len(PERTURBATIONS)]
-    calls = 0
+    returned = 0
     for (rtol, atol), limit in (((1e-10, 1e-12), radial_ivp.BLOWUP_LIMIT),
                                 ((1e-6, 1e-8), 1e100)):  # the tight and the loose tolerances
         for mu in (37.5, -0.3, 900.0, -2500.0):
             for alpha in (1.0, -2.5e-3):
-                assert_probe_matches_shoot_and_reduce(Problem.linear(p, n_dim, m, mu), alpha,
-                                                      rtol=rtol, atol=atol, blowup_limit=limit)
+                returned += assert_probe_matches_shoot_and_reduce(
+                    Problem.linear(p, n_dim, m, mu), alpha, rtol=rtol, atol=atol,
+                    blowup_limit=limit)
         for j, gamma in enumerate((37.5, -0.3)):
             alpha = AMPLITUDES[(i + j) % len(AMPLITUDES)]
             for prob in (
@@ -901,11 +916,9 @@ def test_probe_matches_shoot_and_reduce(p, n_dim, weight, probe_results):
                 Problem.nonlinear(p, n_dim, m, gamma, Nonlinearity.phi(p)),
                 Problem.perturbed(p, n_dim, m, gamma, Perturbation(p, c, delta)),
             ):
-                assert_probe_matches_shoot_and_reduce(prob, alpha, rtol=rtol, atol=atol,
-                                                      blowup_limit=limit)
-        calls += 8 + 6
-    if _kernel.load() is not None:
-        assert len(probe_results) == calls and None not in probe_results
+                returned += assert_probe_matches_shoot_and_reduce(prob, alpha, rtol=rtol,
+                                                                  atol=atol, blowup_limit=limit)
+    assert len(probe_results) == returned > 0
 
 
 @pytest.mark.kernel
@@ -914,51 +927,56 @@ def test_probe_does_not_shoot_where_a_compiler_is(monkeypatch):
     monkeypatch.setattr(radial_ivp, "shoot", lambda *a, **kw: shots.append(a) or shoot(*a, **kw))
     prob = Problem.nonlinear(2.5, 2, M_LIN, 37.5, Nonlinearity.rational(2.5))
     pr = probe(prob, 1.0, rtol=1e-10, atol=1e-12)
-    assert len(shots) == (not _has_compiler())
-    monkeypatch.setattr(_kernel, "load", lambda: None)
-    assert_same_probe(probe(prob, 1.0, rtol=1e-10, atol=1e-12), pr)
-    assert len(shots) == 1 + (not _has_compiler())
+    assert shots == []
+    assert_same_probe(pr, reference.probe(prob, 1.0, rtol=1e-10, atol=1e-12))
+
+
+def _spy_makes(monkeypatch):
+    """The right-hand sides whose make runs, from here on."""
+    made = []
+    for cls in (LinearRHS, NonlinearRHS, PerturbedRHS):
+        monkeypatch.setattr(cls, "make", lambda self, *args, make=cls.make:
+                            made.append(self) or make(self, *args))
+    return made
+
+
+FUSED_PROBLEMS = [Problem.linear(2.5, 2, M_LIN, 37.5),
+                  Problem.nonlinear(2.5, 3, M_LIN, 37.5, Nonlinearity.rational(2.5)),
+                  Problem.nonlinear(2.5, 1, M_LIN, 37.5, Nonlinearity.phi(2.5)),
+                  Problem.perturbed(2.5, 2, M_LIN, 37.5, Perturbation(2.5))]
 
 
 @pytest.mark.kernel
 def test_compiled_probe_calls_no_python_f(monkeypatch):
     # the kernel starts the shot as well: no right-hand side is made in
-    # Python, so no Python f runs; the Python path makes two per probe
-    made = []
-    for cls in (LinearRHS, radial_ivp.NonlinearRHS, radial_ivp.PerturbedRHS):
-        monkeypatch.setattr(cls, "make", lambda self, *args, make=cls.make:
-                            made.append(self) or make(self, *args))
-    probs = [Problem.linear(2.5, 2, M_LIN, 37.5),
-             Problem.nonlinear(2.5, 3, M_LIN, 37.5, Nonlinearity.rational(2.5)),
-             Problem.nonlinear(2.5, 1, M_LIN, 37.5, Nonlinearity.phi(2.5)),
-             Problem.perturbed(2.5, 2, M_LIN, 37.5, Perturbation(2.5))]
-    kernel = [probe(prob, 1.0, rtol=1e-10, atol=1e-12) for prob in probs]
-    assert len(made) == (0 if _has_compiler() else 2 * len(probs))
-    monkeypatch.setattr(_kernel, "load", lambda: None)
-    for prob, pr in zip(probs, kernel):
-        assert_same_probe(probe(prob, 1.0, rtol=1e-10, atol=1e-12), pr)
-    assert len(made) == (2 if _has_compiler() else 4) * len(probs)
+    # Python, so no Python f runs; the reference makes two per probe
+    made = _spy_makes(monkeypatch)
+    kernel = [probe(prob, 1.0, rtol=1e-10, atol=1e-12) for prob in FUSED_PROBLEMS]
+    assert made == []
+    for prob, pr in zip(FUSED_PROBLEMS, kernel):
+        assert_same_probe(reference.probe(prob, 1.0, rtol=1e-10, atol=1e-12), pr)
+    assert len(made) == 2 * len(FUSED_PROBLEMS)
 
 
 @pytest.mark.kernel
-@needs_kernel
 def test_probe_step_underflow_raises_the_python_error(probe_results):
     kw = dict(rtol=1e-100, atol=1e-150)
     prob = Problem.linear(2.0, 1, M1, 10.0)
     errors = [_raised(lambda: probe(prob, 1.0, **kw)),
-              _raised(lambda: radial_ivp._shoot_and_reduce(prob, 1.0, **kw))]
+              _raised(lambda: reference.probe(prob, 1.0, **kw))]
     assert errors == [(IntegrationError, "step size underflow at r = 1.000000e-06")] * 2
-    assert [out[0] for out in probe_results] == [_kernel.UNDERFLOW]
+    assert probe_results == []
 
 
 def test_hand_built_nonlinearity_takes_the_python_stepper(shoot_results):
+    # a hand-built f has no fused form: the kernel calls it back, to the
+    # bits of the reference and of the built-in family it copies
     built_in = Nonlinearity.rational(2.5, f0=1.1, finf=2.3, q=2.2)
     hand_built = Nonlinearity(fn=built_in.fn, f0=built_in.f0, finf=built_in.finf)
-    got = shoot(Problem.nonlinear(2.5, 2, M_LIN, 37.5, hand_built), 1.0)
-    assert shoot_results == []
-    want = shoot(Problem.nonlinear(2.5, 2, M_LIN, 37.5, built_in), 1.0)
-    assert len(shoot_results) == (_kernel.load() is not None) and None not in shoot_results
-    assert_same_shot(got, want)
+    prob = Problem.nonlinear(2.5, 2, M_LIN, 37.5, hand_built)
+    got = assert_kernel_matches_reference(prob, blowup_limit=radial_ivp.BLOWUP_LIMIT)
+    assert len(shoot_results) == 1
+    assert_same_shot(got, shoot(Problem.nonlinear(2.5, 2, M_LIN, 37.5, built_in), 1.0))
 
 
 class _DoubledPerturbation(Perturbation):
@@ -967,31 +985,27 @@ class _DoubledPerturbation(Perturbation):
 
 
 def test_perturbation_subclass_stays_on_the_python_stepper(shoot_results):
+    # a Perturbation subclass is called back, its own __call__ included
     prob = Problem.perturbed(2.0, 1, M_LIN, 30.0, _DoubledPerturbation(2.0))
-    doubled = shoot(prob, 0.5)
-    assert shoot_results == []
+    doubled = assert_kernel_matches_reference(prob, alpha=0.5,
+                                              blowup_limit=radial_ivp.BLOWUP_LIMIT)
+    assert len(shoot_results) == 1
     plain = shoot(Problem.perturbed(2.0, 1, M_LIN, 30.0, Perturbation(2.0)), 0.5)
     assert doubled.terminal != plain.terminal  # its own __call__ ran
 
 
 @pytest.mark.kernel
-@needs_kernel
 def test_kernel_hands_back_a_rational_shot_whose_power_overflows(shoot_results):
     # u starts at 1e139, where |u|^2.2 is finite, and grows like cosh(5 r)
     # under m = -1 until |u|^2.2 passes the largest double; Python raises
-    # OverflowError there, so the kernel hands the shot back.  With
-    # finf = 2, finf |u|^q overflows first, and f stays finite there
+    # OverflowError there, and so does the kernel.  With finf = 2,
+    # finf |u|^q overflows first, and f stays finite there
     for finf in (0.5, 2.0):
         f = Nonlinearity.rational(2.0, f0=1.0, finf=finf, q=2.2)
         prob = Problem.nonlinear(2.0, 1, Weight.constant(-1.0), 50.0, f)
         raised = _raised_on_both_paths(prob, 1e139, blowup_limit=math.inf)
         assert raised[0] == raised[1] and raised[0][0] is OverflowError
-    assert shoot_results == [None, None]
-
-
-def _has_compiler():
-    cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    return bool(cc) and shutil.which(cc[0]) is not None
+    assert shoot_results == []
 
 
 def _c_constants():
@@ -1019,7 +1033,7 @@ def _c_struct_fields(name):
 
 C_TYPES = {"int64_t": ctypes.c_int64, "int": ctypes.c_int, "double": ctypes.c_double,
            "const double *": ctypes.c_void_p, "const int64_t *": ctypes.c_void_p,
-           "Rhs": _kernel.Rhs}
+           "const int *": ctypes.c_void_p, "callback": _kernel.WFUNC, "Rhs": _kernel.Rhs}
 
 
 @pytest.mark.kernel
@@ -1032,10 +1046,14 @@ def test_kernel_structs_match_ctypes():
         assert c == list(struct._fields_)
 
 
+STATUSES = ("END", "BLOWUP", "UNDERFLOW", "FULL", "OVERFLOW", "DIV_ZERO", "ZERO_POW", "RAISED",
+            "ALPHA_ZERO", "NAN_END", "SAME_SIGN", "NAN_AT", "NO_CONVERGENCE")
+
+
 @pytest.mark.kernel
 def test_kernel_constants_match_python():
     # _rk45_kernel.c repeats these; a value changed on one side only would
-    # break the bit-identity of the two paths
+    # break the bit-identity of the kernel and the reference
     c = _c_constants()
     brent_maxiter = inspect.signature(radial_ivp.brentq).parameters["maxiter"].default
     assert _kernel.BRENT_MAXITER == brent_maxiter
@@ -1048,14 +1066,13 @@ def test_kernel_constants_match_python():
         "TAIL_SLOPE_FACTOR": radial_ivp.TAIL_SLOPE_FACTOR,
         "LOG_ROW": _kernel.LOG_ROW,
     }
-    python.update((f"PSPECT_{name}", getattr(_kernel, name))
-                  for name in ("END", "BLOWUP", "UNDERFLOW", "FULL", "RERUN"))
+    python.update((f"PSPECT_{name}", getattr(_kernel, name)) for name in STATUSES)
     python.update((name, getattr(_kernel, name))
-                  for name in ("LINEAR", "PHI", "RATIONAL", "PERTURBED"))
+                  for name in ("LINEAR", "PHI", "RATIONAL", "PERTURBED", "CALLBACK"))
     # the Dormand-Prince coefficients and step-size factors of _rk45
     python.update((name, getattr(_rk45, "_" + name))
                   for name in c if hasattr(_rk45, "_" + name))
-    assert len(python) == 17 + 48 + 3
+    assert len(python) == 26 + 48 + 3
     assert {name: c.get(name) for name in python} == python
     assert sorted(n for n in c if n.startswith("PSPECT_")) == sorted(
         n for n in python if n.startswith("PSPECT_"))
@@ -1063,28 +1080,30 @@ def test_kernel_constants_match_python():
 
 @pytest.mark.kernel
 def test_kernel_in_use_where_a_compiler_is(shoot_results):
-    has_cc = _has_compiler()
-    assert (_kernel.load() is not None) == has_cc
+    assert isinstance(_kernel.load(), ctypes.CDLL)
     assert shoot(Problem.linear(2.0, 1, M1, 120.0), 1.0).steps.accepted > 10
-    assert len(shoot_results) == 1 and (shoot_results[0] is not None) == has_cc
+    assert len(shoot_results) == 1
 
 
 def _marches(monkeypatch):
-    """The calls of the Python stepper from shoot."""
-    calls = []
-    monkeypatch.setattr(radial_ivp, "integrate",
+    """The calls of the Python stepper, from here on."""
+    calls, integrate = [], _rk45.integrate
+    monkeypatch.setattr(_rk45, "integrate",
                         lambda *a, **kw: calls.append(a) or integrate(*a, **kw))
     return calls
 
 
 @pytest.mark.kernel
 def test_nonlinear_and_perturbed_shots_on_the_kernel_where_a_compiler_is(monkeypatch):
-    # no Python f runs: the Python stepper is not called
+    # no Python f runs: the Python stepper is not called, and no library
+    # module holds it
     marches = _marches(monkeypatch)
     for prob in (Problem.nonlinear(2.5, 2, M_LIN, 37.5, Nonlinearity.rational(2.5)),
                  Problem.perturbed(2.5, 2, M_LIN, 37.5, Perturbation(2.5))):
         assert shoot(prob, 1.0).steps.accepted > 10
-    assert len(marches) == (0 if _has_compiler() else 2)
+    assert marches == []
+    assert [name for name, mod in sys.modules.items() if name.startswith("pspect.")
+            and name != "pspect._rk45" and "integrate" in vars(mod)] == []
 
 
 @pytest.mark.kernel
@@ -1092,9 +1111,13 @@ def test_shoot_raises_and_hands_back_alike_on_both_paths(shoot_results):
     prob = Problem.linear(2.5, 2, M_LIN, 37.5)
     assert _raised_on_both_paths(prob, 0.0) == [
         (PreconditionError, "initial value alpha must be nonzero")] * 2
-    # a grid of one sample: the kernel hands the shot back to the Python path
-    assert_kernel_matches_reference(prob, n_samples=1)
-    assert shoot_results == [None]  # the grid
+    # grids of one and of no uniform sample: numpy's linspace on the kernel
+    for n_samples in (1, 0):
+        shot = assert_kernel_matches_reference(prob, n_samples=n_samples)
+        assert len(shot.r) == shot.dense.n + 1  # the nodes alone: the one sample is a node
+    assert len(shoot_results) == 2
+    assert _raised_on_both_paths(prob, 1.0, n_samples=-1) == [
+        (ValueError, "Number of samples, -1, must be non-negative.")] * 2
 
 
 @pytest.mark.kernel
@@ -1102,28 +1125,17 @@ def test_shoot_raises_and_hands_back_alike_on_both_paths(shoot_results):
 def test_compiled_shoot_is_one_kernel_call(monkeypatch, shoot_results, blowup_limit):
     # the kernel starts, marches and reads the shot: no right-hand side is
     # made in Python and the Python stepper is not called
-    made, marches = [], _marches(monkeypatch)
-    for cls in (LinearRHS, NonlinearRHS, PerturbedRHS):
-        monkeypatch.setattr(cls, "make", lambda self, *args, make=cls.make:
-                            made.append(self) or make(self, *args))
-    probs = [Problem.linear(2.5, 2, M_LIN, 37.5),
-             Problem.nonlinear(2.5, 3, M_LIN, 37.5, Nonlinearity.rational(2.5)),
-             Problem.nonlinear(2.5, 1, M_LIN, 37.5, Nonlinearity.phi(2.5)),
-             Problem.perturbed(2.5, 2, M_LIN, 37.5, Perturbation(2.5))]
-    shots = [shoot(prob, 1.0, blowup_limit=blowup_limit) for prob in probs]
-    on_kernel = _has_compiler()
-    assert len(shoot_results) == len(probs) and (None in shoot_results) != on_kernel
-    assert (len(made), len(marches)) == ((0, 0) if on_kernel else (len(probs), len(probs)))
-    monkeypatch.setattr(_kernel, "load", lambda: None)
-    for prob, shot in zip(probs, shots):
-        assert_same_shot(shoot(prob, 1.0, blowup_limit=blowup_limit), shot)
+    made, marches = _spy_makes(monkeypatch), _marches(monkeypatch)
+    shots = [shoot(prob, 1.0, blowup_limit=blowup_limit) for prob in FUSED_PROBLEMS]
+    assert len(shoot_results) == len(FUSED_PROBLEMS)
+    assert (made, marches) == ([], [])
+    for prob, shot in zip(FUSED_PROBLEMS, shots):
+        assert_same_shot(reference.shoot(prob, 1.0, blowup_limit=blowup_limit), shot)
 
 
-def test_discarded_shots_release_their_dense_output():
-    # a shot must leave nothing on a reference cycle, such as the one
-    # scipy's brentq wrapper makes by referring to itself through a closure
-    # cell, or it lives until the cyclic collector runs
-    prob = Problem.linear(2.0, 1, M1, (9 * math.pi / 2) ** 2)  # 4 interior zeros
+def assert_shots_released(prob):
+    """Shots of prob leave nothing on a reference cycle: twenty of them
+    grow the traced memory by less than two kept shots."""
     kw = dict(rtol=1e-6, atol=1e-8, n_samples=65)  # fewer steps: tracing is slow
     assert len(shoot(prob, 1.0, **kw).interior_zeros) == 4
     gc.collect()
@@ -1146,13 +1158,27 @@ def test_discarded_shots_release_their_dense_output():
     assert grown < 2 * one_shot, (grown, one_shot)
 
 
+COSINE_4 = Problem.linear(2.0, 1, M1, (9 * math.pi / 2) ** 2)  # 4 interior zeros
+
+
+def test_discarded_shots_release_their_dense_output():
+    # a shot must leave nothing on a reference cycle, such as the one
+    # scipy's brentq wrapper makes by referring to itself through a closure
+    # cell, or it lives until the cyclic collector runs
+    assert_shots_released(COSINE_4)
+
+
+def test_called_back_shots_release_their_callback():
+    # nor does the callback of a right-hand side without a fused form
+    assert_shots_released(_called_back(COSINE_4))
+
+
 # ---------------------------------------------------------------------------
 # one kernel call per root solve of the miss (radial_ivp.solve_miss), to
-# the bits of Brent's method over probe
+# the bits of Brent's method over the reference's probe
 
 
 @pytest.mark.kernel
-@needs_kernel
 def test_hypot_port_matches_math_hypot():
     rng = np.random.default_rng(20261018)
     n = 100_000
@@ -1164,17 +1190,22 @@ def test_hypot_port_matches_math_hypot():
     pairs += [(float(a), float(b)) for a in range(-12, 13) for b in range(-12, 13)]
     pairs += [(z, x) for z in (0.0, -0.0) for x in (0.0, -0.0, 1.0, -3.5, 1e-300, 1e308)]
     pairs += [(y, x) for x, y in pairs[-12:]]
+    # subnormal magnitudes, alone and with normal ones
+    tiny = (signs[0] * 10.0 ** rng.uniform(-323.5, -308.0, n)).tolist()
+    pairs += list(zip(tiny[:n // 2], tiny[n // 2:])) + [(t, x) for t, (x, _) in
+                                                         zip(tiny, pairs[:1000])]
     mismatched = [(x, y) for x, y in pairs
                   if not _same_bits(_kernel.hypot(x, y), math.hypot(x, y))]
     assert mismatched == []
 
 
 @pytest.mark.kernel
-@needs_kernel
 @pytest.mark.parametrize("x,y", [(5e-324, 1.0), (1.0, -2.2e-308), (math.inf, 1.0),
                                  (1.0, -math.inf), (math.nan, 0.0), (math.inf, math.nan)])
 def test_hypot_port_hands_back_subnormal_and_non_finite_inputs(x, y):
-    assert _kernel.hypot(x, y) is None and _kernel.hypot(y, x) is None
+    # the rest of vector_norm: inf before NaN, and subnormals scaled to normals
+    for a, b in ((x, y), (y, x), (x, 2e-320), (-3e-315, x)):
+        assert _same_bits(_kernel.hypot(a, b), math.hypot(a, b)), (a, b)
 
 
 @pytest.fixture
@@ -1184,6 +1215,7 @@ def solve_results(monkeypatch):
 
 SOLVE_WEIGHTS = {"constant": M1, "linear": M_LIN, "cos64": COS64}
 TIGHT = dict(rtol=1e-10, atol=1e-12)
+LOOSE = dict(rtol=1e-6, atol=1e-8)
 XTOL = dict(xtol=1e-15, xrtol=8.9e-16)  # those of the gamma and amplitude solves
 
 
@@ -1199,34 +1231,35 @@ def _first_bracket(probe_at, xs):
     raise AssertionError("no bracket")
 
 
-def assert_solve_matches_brentq_over_probe(prob, alpha, bracket, in_alpha=False, **xtol):
-    """solve_miss returns the root of Brent's method over probe and the probe
-    there, or raises what it raises."""
+def _solved(solve, prob, alpha, bracket, in_alpha, tols, xtol, **kw):
+    """(root, probe) of solve over the bracket (a, b, probe at a, probe at b),
+    or the (type, message) of what it raises."""
     a, b, pr_a, pr_b = bracket
-    tried = {}
-
-    def miss(x):
-        tried[x] = radial_ivp._probe_at(prob, alpha, x, in_alpha, TIGHT["rtol"], TIGHT["atol"])
-        return tried[x].d
-
-    def want():
-        root = radial_ivp.brentq(miss, a, b, xtol=xtol["xtol"], rtol=xtol["xrtol"],
-                                 fa=pr_a.d, fb=pr_b.d)
-        return root, tried.get(root) or (pr_a if root == a else pr_b)
-
-    def got():
-        return radial_ivp.solve_miss(prob, alpha, a, b, (pr_a, pr_b), in_alpha=in_alpha,
-                                     **TIGHT, **xtol)
-
     try:
-        root_want, pr_want = want()
-    except Exception:
-        assert _raised(got) == _raised(want)
-        return None
-    root, pr = got()
-    assert _same_bits(root, root_want) and type(root) is float
-    assert_same_probe(pr, pr_want)
-    return root
+        return solve(prob, alpha, a, b, (pr_a, pr_b), in_alpha=in_alpha, **tols, **xtol, **kw)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_solve(got, want):
+    if isinstance(want[0], type):  # both raised
+        assert got == want
+        return
+    assert _same_bits(got[0], want[0]) and type(got[0]) is float
+    assert_same_probe(got[1], want[1])
+
+
+def assert_solve_matches_brentq_over_probe(prob, alpha, bracket, in_alpha=False,
+                                           trial=radial_ivp.probe, **xtol):
+    """solve_miss returns the root of the reference's Brent's method over
+    the kernel's probe (which the probes above hold to the reference's), or
+    over the reference's probe where trial is None, and the probe there, or
+    raises what it raises; returns the root."""
+    got = _solved(radial_ivp.solve_miss, prob, alpha, bracket, in_alpha, TIGHT, xtol)
+    want = _solved(reference.solve_miss, prob, alpha, bracket, in_alpha, TIGHT, xtol,
+                   trial=trial)
+    assert_same_solve(got, want)
+    return got[0]
 
 
 @pytest.mark.kernel
@@ -1248,8 +1281,7 @@ def test_solve_matches_brentq_over_probe(p, n_dim, weight, solve_results):
         at_root = prob.at(root)
         bracket = _first_bracket(lambda x: probe(at_root, x, **TIGHT), [alpha / 2, alpha * 2])
         assert_solve_matches_brentq_over_probe(at_root, None, bracket, in_alpha=True, **XTOL)
-    if _kernel.load() is not None:
-        assert len(solve_results) == 5 and None not in solve_results
+    assert len(solve_results) == 5
 
 
 @pytest.mark.kernel
@@ -1259,31 +1291,37 @@ def test_solve_through_shots_that_blow_up(monkeypatch, solve_results):
     # where the sign of the blow-up flips
     prob = Problem.perturbed(2.0, 1, Weight.poly([1.0, -8.0]), 1.0, Perturbation(2.0))
     probes = []
-    monkeypatch.setattr(radial_ivp, "probe", lambda *a, **kw: probes.append(probe(*a, **kw))
-                        or probes[-1])
     bracket = _first_bracket(lambda x: probe(prob.at(x), 0.5, **TIGHT), [2048.0, 4096.0])
-    root = assert_solve_matches_brentq_over_probe(prob, 0.5, bracket, xtol=1e-14, xrtol=1e-13)
+    root = assert_solve_matches_brentq_over_probe(
+        prob, 0.5, bracket, trial=lambda *a, **kw: probes.append(probe(*a, **kw)) or probes[-1],
+        xtol=1e-14, xrtol=1e-13)
     assert 2048.0 < root < 4096.0 and len(probes) > 10
     assert all(pr.blowup and abs(pr.d) == radial_ivp.BLOWUP_MISS for pr in probes)
-    assert len(solve_results) == 1 and (solve_results[0] is None) == (_kernel.load() is None)
+    assert len(solve_results) == 1
 
 
 @pytest.mark.kernel
-@needs_kernel
 def test_solve_grows_its_buffers(monkeypatch, solve_results):
     monkeypatch.setattr(_kernel, "FIRST_CAPACITY", 3)
     prob = Problem.nonlinear(2.5, 2, M_LIN, 1.0, Nonlinearity.rational(2.5))
     bracket = _first_bracket(lambda x: probe(prob.at(x), 1.0, **TIGHT), [2.0, 200.0])
     assert_solve_matches_brentq_over_probe(prob, 1.0, bracket, **XTOL)
-    assert len(solve_results) == 1 and solve_results[0] is not None
+    assert len(solve_results) == 1
 
 
 def _fake_probe(d):
     return radial_ivp.Probe(d, 0, False, 1.0, radial_ivp.StepCounts.of(0, 0))
 
 
+class _NanAbove(Perturbation):
+    """The power perturbation, NaN for mu above 2.5: the miss of a trial
+    there is NaN."""
+
+    def __call__(self, mval, r, u, mu):
+        return math.nan if mu > 2.5 else super().__call__(mval, r, u, mu)
+
+
 @pytest.mark.kernel
-@needs_kernel
 @pytest.mark.parametrize("case", ["nan-end", "no-convergence", "underflow"])
 def test_solve_hands_back_what_python_raises_on(case, solve_results):
     prob = Problem.nonlinear(2.0, 1, M1, 1.0, Nonlinearity.rational(2.0))
@@ -1294,27 +1332,149 @@ def test_solve_hands_back_what_python_raises_on(case, solve_results):
     xtol = dict(XTOL, xtol=0.0, xrtol=0.0) if case == "no-convergence" else XTOL
     if case == "nan-end":
         bracket = (*bracket[:2], _fake_probe(math.nan), bracket[3])
-    a, b, pr_a, pr_b = bracket
-    raised = _raised(lambda: radial_ivp.solve_miss(prob, 1.0, a, b, (pr_a, pr_b), **tols,
-                                                   **xtol))
-    want = _raised(lambda: radial_ivp.brentq(
-        lambda x: probe(prob.at(x), 1.0, **tols).d, a, b, xtol=xtol["xtol"],
-        rtol=xtol["xrtol"], fa=pr_a.d, fb=pr_b.d))
+    raised = _solved(radial_ivp.solve_miss, prob, 1.0, bracket, False, tols, xtol)
+    want = _solved(reference.solve_miss, prob, 1.0, bracket, False, tols, xtol)
     assert raised == want == {
         "nan-end": (ValueError, "f is NaN at an end of the bracket"),
         "no-convergence": (RuntimeError, "Failed to converge after 100 iterations."),
         "underflow": (IntegrationError, "step size underflow at r = 1.000000e-06"),
     }[case]
-    assert solve_results == [None]
+    assert solve_results == []
 
 
-def test_solve_without_a_compiled_form_is_brentq_over_probe(monkeypatch, solve_results):
+@pytest.mark.kernel
+@pytest.mark.parametrize("case", ["same-sign", "nan-trial", "alpha-zero"])
+def test_solve_raises_what_brentq_over_probe_raises(case):
+    prob = Problem.perturbed(2.0, 1, M1, 1.0, Perturbation(2.0))
+    in_alpha, alpha, ends = False, 0.5, (1.0, 4.0, _fake_probe(-1.0), _fake_probe(1.0))
+    if case == "same-sign":
+        ends = (*ends[:3], _fake_probe(-2.0))
+    elif case == "nan-trial":  # the first trial, at mu = 2.5 + 1 / 3, is NaN
+        prob = Problem.perturbed(2.0, 1, M1, 1.0, _NanAbove(2.0))
+        ends = (1.0, 4.0, _fake_probe(-1.0), _fake_probe(0.5))
+    else:  # bisection from (-1, 1) tries u(0) = 0
+        in_alpha, alpha, ends = True, None, (-1.0, 1.0, _fake_probe(-1.0), _fake_probe(1.0))
+    got = _solved(radial_ivp.solve_miss, prob, alpha, ends, in_alpha, TIGHT, XTOL)
+    assert got == _solved(reference.solve_miss, prob, alpha, ends, in_alpha, TIGHT, XTOL)
+    assert got == {
+        "same-sign": (ValueError, "f(a) and f(b) must have different signs"),
+        "nan-trial": (ValueError, f"f is NaN at x={4.0 - 3.0 * 1.5 / 1.5 * (2 / 3) / 2}"),
+        "alpha-zero": (PreconditionError, "initial value alpha must be nonzero"),
+    }[case]
+
+
+def test_solve_without_a_compiled_form_is_brentq_over_probe(solve_results):
     built_in = Nonlinearity.rational(2.5, f0=1.1, finf=2.3, q=2.2)
     hand_built = Nonlinearity(fn=built_in.fn, f0=built_in.f0, finf=built_in.finf)
     roots = []
     for f in (hand_built, built_in):
         prob = Problem.nonlinear(2.5, 2, M_LIN, 1.0, f)
         bracket = _first_bracket(lambda x: probe(prob.at(x), 1.0, **TIGHT), [2.0, 200.0])
-        roots.append(assert_solve_matches_brentq_over_probe(prob, 1.0, bracket, **XTOL))
+        roots.append(assert_solve_matches_brentq_over_probe(prob, 1.0, bracket, trial=None,
+                                                            **XTOL))
     assert roots[0] == roots[1]
-    assert len(solve_results) == 1  # the built-in f only
+    assert len(solve_results) == 2  # the hand-built f is called back from the kernel's solve
+
+
+# ---------------------------------------------------------------------------
+# a right-hand side without a fused form runs on the kernel's CALLBACK
+# family: its shots, probes and solves give the bits of the fused form of
+# the same right-hand side, and what its w raises is raised as it was
+
+
+@pytest.mark.kernel
+@pytest.mark.parametrize("weight", sorted(FUSED_WEIGHTS))
+@pytest.mark.parametrize("n_dim", GRID_N)
+@pytest.mark.parametrize("p", GRID_P)
+def test_called_back_rhs_matches_its_fused_form(p, n_dim, weight):
+    # each cell of the grid shoots and probes all four right-hand sides, and
+    # solves one of them in turn, in lam and, where u(1) is not homogeneous
+    # in u(0), in u(0)
+    i, problems = _grid_problems(p, n_dim, weight)
+    lam = 37.5 if i % 2 else -0.3
+    problems.insert(0, (Problem.linear(p, n_dim, FUSED_WEIGHTS[weight], lam), i + 3))
+    for prob, j in problems:
+        alpha, called_back = AMPLITUDES[j % len(AMPLITUDES)], _called_back(prob)
+        assert_same_shot(shoot(called_back, alpha, blowup_limit=1e12, **TIGHT),
+                         shoot(prob, alpha, blowup_limit=1e12, **TIGHT))
+        assert_same_probe(probe(called_back, alpha, **LOOSE), probe(prob, alpha, **LOOSE))
+    prob = problems[i % len(problems)][0]
+    alpha = 0.5 if isinstance(prob.rhs, PerturbedRHS) else 1.0
+    bracket = _first_bracket(lambda x: probe(prob.at(x), alpha, **LOOSE),
+                             [2.0**k for k in range(-2, 18)])
+    fused = _solved(radial_ivp.solve_miss, prob, alpha, bracket, False, LOOSE, XTOL)
+    assert_same_solve(_solved(radial_ivp.solve_miss, _called_back(prob), alpha, bracket, False,
+                              LOOSE, XTOL), fused)
+    compiled = prob.rhs.compiled(p, n_dim, prob.m)
+    if compiled.family in (_kernel.LINEAR, _kernel.PHI) or isinstance(fused[0], type):
+        return
+    at_root = prob.at(fused[0])
+    bracket = _first_bracket(lambda x: probe(at_root, x, **LOOSE), [alpha / 2, alpha * 2])
+    assert_same_solve(_solved(radial_ivp.solve_miss, _called_back(at_root), None, bracket, True,
+                              LOOSE, XTOL),
+                      _solved(radial_ivp.solve_miss, at_root, None, bracket, True, LOOSE, XTOL))
+
+
+class _Raises:
+    """fn(u) until |u| passes 0.5, then its one ValueError; counts the calls
+    after it raised."""
+
+    def __init__(self, fn):
+        self.fn, self.error, self.raised, self.after = fn, ValueError("|u| > 0.5"), False, 0
+
+    def __call__(self, u):
+        self.after += self.raised
+        if abs(u) > 0.5:
+            self.raised = True
+            raise self.error
+        return self.fn(u)
+
+
+def _raising_problem(kind):
+    """A problem of m = -1 whose shot from u(0) = 0.1 grows past 0.5, with a
+    hand-built f (kind "f") or a Perturbation subclass's g ("g") that raises
+    there, and its _Raises."""
+    raises = _Raises(Nonlinearity.phi(2.0).fn)
+    if kind == "f":
+        return Problem.nonlinear(2.0, 1, Weight.constant(-1.0), 50.0,
+                                 Nonlinearity(fn=raises, f0=1.0, finf=1.0)), raises
+
+    class RaisingPerturbation(Perturbation):
+        def __call__(self, mval, r, u, mu):
+            raises(u)
+            return super().__call__(mval, r, u, mu)
+
+    return Problem.perturbed(2.0, 1, Weight.constant(-1.0), 50.0,
+                             RaisingPerturbation(2.0)), raises
+
+
+@pytest.mark.kernel
+@pytest.mark.parametrize("kind", ["f", "g"])
+@pytest.mark.parametrize("call", ["shoot", "probe", "solve_miss"])
+def test_callback_raises_its_own_exception(kind, call):
+    # the very object f or g raised, and f or g is not called after it
+    prob, raises = _raising_problem(kind)
+    run = {
+        "shoot": lambda: shoot(prob, 0.1),
+        "probe": lambda: probe(prob, 0.1, **TIGHT),
+        "solve_miss": lambda: radial_ivp.solve_miss(
+            prob, 0.1, 40.0, 60.0, (_fake_probe(-1.0), _fake_probe(1.0)), **TIGHT, **XTOL),
+    }[call]
+    with pytest.raises(ValueError) as info:
+        run()
+    assert info.value is raises.error and (raises.raised, raises.after) == (True, 0)
+
+
+@pytest.mark.kernel
+@pytest.mark.parametrize("cast", [int, np.float64], ids=["int", "numpy.float64"])
+def test_callback_takes_the_float_of_what_f_returns(cast):
+    def f(u):  # f of one sign on each side of 0
+        return int(math.copysign(3.0, u)) if cast is int else cast(u) ** 3
+
+    def as_float(u):
+        return float(f(u))
+
+    got, want = (shoot(Problem.nonlinear(2.0, 2, M_LIN, 7.5, Nonlinearity(fn=fn, f0=1.0, finf=1.0)),
+                       0.8) for fn in (f, as_float))
+    assert type(f(0.3)) is cast
+    assert_same_shot(got, want)
