@@ -5,9 +5,10 @@ radial problems, and raise what they stop on.
 of ``radial_ivp.shoot``'s shot (:func:`shoot`: the start at the origin,
 the Dormand-Prince loop and the post-pass); ``pspect_probe``, the whole
 of ``radial_ivp.probe`` (:func:`probe`); ``pspect_solve``, Brent's method
-on the miss of ``pspect_probe`` in the right-hand side's lam or in u(0)
-(:func:`solve`); ``pspect_scan`` and ``pspect_reduce``, the post-pass and
-the probe's reduction of a given block (:func:`scan`, :func:`reduce`);
+on the miss of ``pspect_probe`` in the right-hand side's lam or in u(0),
+and the shot at the root (:func:`solve`); ``pspect_scan`` and
+``pspect_reduce``, the post-pass and the probe's reduction of a given
+block (:func:`scan`, :func:`reduce`);
 ``pspect_apply_f``, F of the PHI and RATIONAL families on an array, for
 the fixed-point residual (:func:`apply_f`); ``pspect_hypot``, the port of
 ``math.hypot`` the start takes (:func:`hypot`); and ``pspect_follow``,
@@ -34,10 +35,14 @@ with (``sysconfig``'s ``CC``) and the fixed flags ``FLAGS``, into
 a name keyed by a hash of the source, the compiler and the flags; later
 processes load that file, and a build removes the libraries of other
 keys there.  The flags are part of the bit-identity: ``-ffp-contract=off``
-forbids fused multiply-adds and ``-fno-builtin`` keeps ``pow(x, 2.0)`` a
-libm call, as CPython's ``**`` makes it.  The compiler is required: where
-the build fails, :func:`load` raises an OSError with the command, the
-source and the compiler's output, and raises it again without building.
+forbids fused multiply-adds and ``-fno-builtin-pow`` keeps ``pow(x, 2.0)``
+a libm call, as CPython's ``**`` makes it (the compiler would make it
+x * x, which differs from libm's pow in the last bit on some x).  The
+other builtins stay: ``fabs``, ``copysign``, ``sqrt``, ``memcpy`` and
+``memmove`` become instructions, with the bits of the libm calls.  The
+compiler is required: where the build fails, :func:`load` raises an
+OSError with the command, the source and the compiler's output, and
+raises it again without building.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from .errors import PreconditionError
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rk45_kernel.c")
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin-pow")
 FIRST_CAPACITY = 4096  # accepted steps the buffers of a shot hold at first
 
 # status codes of the entry points: how a march ended, then what Python raises
@@ -158,9 +163,9 @@ _ARGTYPES = {
     # pspect_reduce(block, n, eps, r_end, n_samples, n_dim, e_inv, work, out)
     "reduce": (_DOUBLES, ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
                ctypes.c_int64, ctypes.c_double, _DOUBLES, _DOUBLES),
-    # pspect_solve(shot, in_alpha, a, b, fa, fb, xtol, xrtol, cap, buf, out)
-    "solve": (_SHOT, ctypes.c_int) + (ctypes.c_double,) * 6 + (ctypes.c_int64, _DOUBLES,
-                                                                _DOUBLES),
+    # pspect_solve(shot, in_alpha, a, b, fa, fb, xtol, xrtol, n_shot, cap, buf, out, counts)
+    "solve": ((_SHOT, ctypes.c_int) + (ctypes.c_double,) * 6
+              + (ctypes.c_int64, ctypes.c_int64, _DOUBLES, _DOUBLES, _INT64S)),
     # pspect_apply_f(rhs, u, n, out)
     "apply_f": (ctypes.POINTER(Rhs), _DOUBLES, ctypes.c_int64, _DOUBLES),
     # pspect_hypot(x, y), which returns a double
@@ -171,6 +176,7 @@ _ARGTYPES = {
 # a probe's record (pspect_probe's rec): d, sup |u|, Z, blow-up, accepted and rejected steps
 RECORD = 6
 LOG_ROW = 1 + RECORD  # a trial of pspect_solve: x, then its record
+RING = 3  # the last trials of pspect_solve whose blocks it keeps
 
 
 def _cache_dirs():
@@ -307,9 +313,10 @@ def _work_size(n, n_samples):
     return 8 * n + 4 * n_samples + 7
 
 
-def _shot_size(shot):
-    """Doubles of the buffer of a shot or probe of cap steps, as a function of cap."""
-    return lambda cap: 12 * cap + 1 + _work_size(cap, shot.n_samples)
+def _shot_size(n_samples):
+    """Doubles of the buffer of a shot or probe of cap steps with n_samples
+    samples, as a function of cap."""
+    return lambda cap: 12 * cap + 1 + _work_size(cap, n_samples)
 
 
 def _read(samples, scratch, cap, g, k):
@@ -332,12 +339,18 @@ def shoot(shot: Shot):
     """
     lib = load()
     r, counts = ctypes.c_double(), (ctypes.c_int64 * 4)()
-    status, buf = _grown(_shot_size(shot), lambda buf, cap: lib.pspect_shoot(
+    status, buf = _grown(_shot_size(shot.n_samples), lambda buf, cap: lib.pspect_shoot(
         shot, cap, _doubles(buf), ctypes.byref(r), counts))
-    r, (n, rejected, g, k) = r.value, counts
     if status not in (END, BLOWUP):
-        _raise(status, r, shot)
-    cap = shot.n_samples + n + 1
+        _raise(status, r.value, shot)
+    return _shot_read(buf, shot.n_samples, status, r.value, *counts)
+
+
+def _shot_read(buf, n_samples, status, r, n, rejected, g, k):
+    """What :func:`shoot` returns, from the buffer of a shot of n steps with
+    n_samples samples as ``pspect_shoot`` leaves it, g grid points and k
+    zeros; the arrays are copies."""
+    cap = n_samples + n + 1
     work = buf[12 * n + 1:]
     return (status, r, n, rejected, buf[:12 * n + 1].copy(),
             _read(work, work[3 * cap:], cap, g, k))
@@ -406,34 +419,50 @@ def probe(shot: Shot):
     """
     lib = load()
     rec = (ctypes.c_double * RECORD)()
-    status, _ = _grown(_shot_size(shot),
+    status, _ = _grown(_shot_size(shot.n_samples),
                        lambda buf, cap: lib.pspect_probe(shot, cap, _doubles(buf), rec))
     if status not in (END, BLOWUP):
         _raise(status, rec[0], shot)
     return rec[:]
 
 
-def solve(shot: Shot, in_alpha, a, b, fa, fb, xtol, xrtol):
+class Solved(NamedTuple):
+    """A root solve of :func:`solve`: the root, the record of its trial (as
+    :func:`probe` returns it; None where the root is a bracket end), the
+    number of trials, whether the shot at the root was marched again, and
+    that shot, as :func:`shoot` returns it."""
+
+    root: float
+    record: list | None
+    trials: int
+    marched: bool
+    shot: tuple
+
+
+def solve(shot: Shot, in_alpha, a, b, fa, fb, xtol, xrtol, n_shot) -> Solved:
     """The root in [a, b] of the miss D of ``pspect_probe`` as a function of
     the lam of the shot's right-hand side (or of its alpha, in_alpha), by
     Brent's method on the kernel in one call (``pspect_solve``); fa and fb
-    are D at a and b.
+    are D at a and b.  The shot at the root, with n_shot samples, is read
+    off the root's trial where it is one of the last :data:`RING`, and
+    marched again only where it is not (a bracket end, an older trial).
 
-    Returns (root, record) with the record of the trial at the root, as
-    :func:`probe` returns it, or None where the root is an end; raises what
-    Brent's method over the reference's probe raises.  Each call has
-    buffers of its own.
+    Raises what Brent's method over the reference's probe raises.  Each
+    call has buffers of its own.
     """
     lib = load()
-    out = (ctypes.c_double * 2)()
-    size = _shot_size(shot)
-    status, buf = _grown(lambda cap: LOG_ROW * BRENT_MAXITER + size(cap),
+    out, counts = (ctypes.c_double * 2)(), (ctypes.c_int64 * 9)()
+    slot = _shot_size(max(shot.n_samples, n_shot))
+    status, buf = _grown(lambda cap: LOG_ROW * BRENT_MAXITER + RING * slot(cap),
                          lambda buf, cap: lib.pspect_solve(shot, in_alpha, a, b, fa, fb, xtol,
-                                                           xrtol, cap, _doubles(buf), out))
+                                                           xrtol, n_shot, cap, _doubles(buf), out,
+                                                           counts))
     if status:
         _raise(status, out[0], shot)
-    root, k = out[0], int(out[1])
-    return root, None if k < 0 else buf[LOG_ROW * k + 1:LOG_ROW * (k + 1)].tolist()
+    k, trials, marched, at, *read = counts
+    record = None if k < 0 else buf[LOG_ROW * k + 1:LOG_ROW * (k + 1)].tolist()
+    return Solved(out[0], record, trials, bool(marched),
+                  _shot_read(buf[at:], n_shot, read[0], out[1], *read[1:]))
 
 
 def hypot(x, y):

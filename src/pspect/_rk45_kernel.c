@@ -8,7 +8,8 @@
  *                   zeros of u
  *   pspect_reduce   a finished shot reduced to a probe (D, Z, sup |u|)
  *   pspect_probe    one probe: the start, the march, then pspect_reduce
- *   pspect_solve    the root of the miss D in lam or u(0): one call per solve
+ *   pspect_solve    the root of the miss D in lam or u(0), and the shot there:
+ *                   one call per solve
  *   pspect_apply_f  F of the PHI and RATIONAL families on an array
  *
  * and pspect_hypot, the port of math.hypot the start takes, for its test, with
@@ -39,7 +40,10 @@
  *   - sums run left to right, as Python evaluates them; the build flag
  *     -ffp-contract=off keeps the compiler from fusing a multiply-add;
  *   - every x ** y is a libm pow call, as in CPython's float_pow; the build
- *     flag -fno-builtin keeps pow(x, 2.0) from being folded into x * x;
+ *     flag -fno-builtin-pow keeps pow(x, 2.0) from being folded into x * x,
+ *     which differs from libm's pow(x, 2.0) in the last bit on some x (fabs,
+ *     copysign, sqrt, memcpy and memmove stay builtins: instructions with the
+ *     bits of the libm calls);
  *   - math.copysign is copysign, and each family keeps its own u == 0.0
  *     test;
  *   - max and min keep their first argument on ties and NaN, as Python's do.
@@ -48,7 +52,7 @@
  * error of a step wins, as Python stops at it.  A power of an infinite base
  * is inf without an error, as in Python.
  *
- * Build: cc -O2 -fPIC -shared -ffp-contract=off -fno-builtin (see _kernel.py).
+ * Build: cc -O2 -fPIC -shared -ffp-contract=off -fno-builtin-pow (see _kernel.py).
  */
 #include <float.h>
 #include <math.h>
@@ -933,20 +937,15 @@ static int march(const Shot *S, int64_t cap, double *buf, double *t, int64_t *st
 #undef LOOP
 }
 
-/* radial_ivp.shoot of the shot *S, to its bits: march, then pspect_scan
-   over the block from eps to r = 1 or to where the shot blew up.  buf holds
-   20 cap + 4 n_samples + 8 doubles, as for pspect_probe.  On return the
-   block of the n accepted steps is at its front, followed by the samples
-   and then the scratch of pspect_scan, each for a grid of at most
-   n_samples + n + 1 points.  *t receives the r where the march stopped,
-   and counts n, the rejected steps, the grid length and the number of
-   zeros.  Returns the status of the march, or of the first error Python
-   would raise on the way; *t then holds the number the status carries. */
-int pspect_shoot(const Shot *S, int64_t cap, double *buf, double *t, int64_t *counts)
+/* The march of the shot *S that left its status, the block of its counts[0]
+   accepted steps at the front of buf, and *t, read as radial_ivp.shoot reads
+   it: pspect_scan over the block from eps to r = 1 or to where the shot blew
+   up, with the samples and then the scratch after the block, each for a
+   grid of at most n_samples + n + 1 points.  counts[2] and counts[3] receive
+   the grid length and the number of zeros.  Returns status, or the status of
+   the error the post-pass raises, with its number in *t. */
+static int read_march(const Shot *S, int status, double *buf, double *t, int64_t *counts)
 {
-    int status = march(S, cap, buf, t, counts);
-    if (status != PSPECT_END && status != PSPECT_BLOWUP)
-        return status;
     int64_t n = counts[0], cap_s = S->n_samples + n + 1;
     double *samples = buf + 12 * n + 1, *scratch = samples + 3 * cap_s;
     int error = pspect_scan(buf, n, S->eps, status == PSPECT_BLOWUP ? *t : 1.0, S->n_samples,
@@ -955,6 +954,44 @@ int pspect_shoot(const Shot *S, int64_t cap, double *buf, double *t, int64_t *co
         *t = scratch[cap_s];
         return error;
     }
+    return status;
+}
+
+/* radial_ivp.shoot of the shot *S, to its bits: march, then read_march.
+   buf holds 20 cap + 4 n_samples + 8 doubles, as for pspect_probe.  *t
+   receives the r where the march stopped, and counts n, the rejected steps,
+   the grid length and the number of zeros.  Returns the status of the
+   march, or of the first error Python would raise on the way; *t then holds
+   the number the status carries. */
+int pspect_shoot(const Shot *S, int64_t cap, double *buf, double *t, int64_t *counts)
+{
+    int status = march(S, cap, buf, t, counts);
+    if (status != PSPECT_END && status != PSPECT_BLOWUP)
+        return status;
+    return read_march(S, status, buf, t, counts);
+}
+
+/* pspect_probe, with the r where the march stopped in *t */
+static int probe(const Shot *S, int64_t cap, double *buf, double *rec, double *t)
+{
+    double reading[4];
+    int64_t steps[2];
+    int status = march(S, cap, buf, t, steps);
+    if (status != PSPECT_END && status != PSPECT_BLOWUP) {
+        rec[0] = *t;
+        return status;
+    }
+    int64_t n = steps[0];
+    int blowup = status == PSPECT_BLOWUP;
+    int error = pspect_reduce(buf, n, S->eps, blowup ? *t : 1.0, S->n_samples, S->rhs.n_dim,
+                              S->rhs.e_inv, buf + 12 * n + 1, reading);
+    if (error) {
+        rec[0] = reading[0];
+        return error;
+    }
+    const double out[6] = {blowup ? copysign(BLOWUP_MISS, reading[1]) : reading[0], reading[2],
+                           reading[3], blowup, (double)n, (double)steps[1]};
+    memcpy(rec, out, sizeof out);
     return status;
 }
 
@@ -970,23 +1007,8 @@ int pspect_shoot(const Shot *S, int64_t cap, double *buf, double *t, int64_t *co
    PSPECT_NAN_AT). */
 int pspect_probe(const Shot *S, int64_t cap, double *buf, double *rec)
 {
-    double reading[4];
-    int64_t steps[2];
-    int status = march(S, cap, buf, rec, steps);
-    if (status != PSPECT_END && status != PSPECT_BLOWUP)
-        return status;
-    int64_t n = steps[0];
-    int blowup = status == PSPECT_BLOWUP;
-    int error = pspect_reduce(buf, n, S->eps, blowup ? rec[0] : 1.0, S->n_samples,
-                              S->rhs.n_dim, S->rhs.e_inv, buf + 12 * n + 1, reading);
-    if (error) {
-        rec[0] = reading[0];
-        return error;
-    }
-    const double out[6] = {blowup ? copysign(BLOWUP_MISS, reading[1]) : reading[0], reading[2],
-                           reading[3], blowup, (double)n, (double)steps[1]};
-    memcpy(rec, out, sizeof out);
-    return status;
+    double t = 0.0;
+    return probe(S, cap, buf, rec, &t);
 }
 
 /* ------------------------------------------------------------------------
@@ -994,23 +1016,27 @@ int pspect_probe(const Shot *S, int64_t cap, double *buf, double *rec)
  * alpha = u(0), by Brent's method over pspect_probe.
  */
 
+#define LOG_ROW 7 /* a trial: x, then the rec of pspect_probe */
+#define RING 3    /* the trials whose blocks a solve keeps, the last ones */
+
 /* the shot of each trial, and x, the lam or alpha of the shot that each
-   trial sets */
+   trial sets; trial i marches in ring slot i % RING, of slot doubles, and
+   stops at r = stop[i % RING] */
 typedef struct {
     Shot shot;
     double *x;
-    int64_t cap, n_log;
-    double *buf, *log;
+    int64_t cap, slot, n_log;
+    double *ring, *log;
+    double stop[RING];
 } Solve;
-
-#define LOG_ROW 7 /* a trial: x, then the rec of pspect_probe */
 
 static int trial(void *ctx, double x, double *d)
 {
     Solve *S = ctx;
     double *row = S->log + LOG_ROW * S->n_log;
+    int64_t i = S->n_log % RING;
     *S->x = x;
-    int status = pspect_probe(&S->shot, S->cap, S->buf, row + 1);
+    int status = probe(&S->shot, S->cap, S->ring + i * S->slot, row + 1, S->stop + i);
     *d = row[1];
     if (status != PSPECT_END && status != PSPECT_BLOWUP)
         return status;
@@ -1022,16 +1048,28 @@ static int trial(void *ctx, double x, double *d)
 /* radial_ivp.brentq(lambda x: radial_ivp.probe(...).d, a, b, xtol=xtol,
    rtol=xrtol, fa=fa, fb=fb) with x the lam of the shot's right-hand side
    (in_alpha == 0) or its u(0) (in_alpha != 0), to the same bits: each trial
-   is pspect_probe, whose D is the miss.  buf holds LOG_ROW BRENT_MAXITER
-   doubles for the trial log and then the 20 cap + 4 n_samples + 8 of
-   pspect_probe.  Returns 0 with out[0] the root and out[1] the index of its
-   trial in the log at the front of buf (-1 where the root is a bracket
-   end); PSPECT_FULL where a trial takes more than cap steps; else the
-   status of what the Python solve raises, with its number in out[0]. */
+   is pspect_probe, whose D is the miss.  Then the shot at the root, as
+   pspect_shoot shoots it with n_shot samples: read off the root's own trial
+   where that is one of the last RING, else marched again (a root at a
+   bracket end, or an older trial).
+
+   buf holds LOG_ROW BRENT_MAXITER doubles for the trial log and then RING
+   slots of 20 cap + 4 max(n_samples, n_shot) + 8, one per trial as for
+   pspect_probe.  Returns 0 with out[0] the root, out[1] the r where the
+   root's shot stopped, and counts the index of the root's trial in the log
+   (-1 where the root is a bracket end), the number of trials, 1 where the
+   root was marched again, the offset in buf of the root's shot (laid out
+   as pspect_shoot leaves it), its status (PSPECT_END or PSPECT_BLOWUP) and
+   the four counts of pspect_shoot; PSPECT_FULL where a march takes more
+   than cap steps; else the status of what the Python solve raises, with
+   its number in out[0]. */
 int pspect_solve(const Shot *shot, int in_alpha, double a, double b, double fa, double fb,
-                 double xtol, double xrtol, int64_t cap, double *buf, double *out)
+                 double xtol, double xrtol, int64_t n_shot, int64_t cap, double *buf,
+                 double *out, int64_t *counts)
 {
-    Solve S = {*shot, NULL, cap, 0, buf + LOG_ROW * BRENT_MAXITER, buf};
+    int64_t samples = shot->n_samples > n_shot ? shot->n_samples : n_shot;
+    Solve S = {*shot, NULL, cap, 20 * cap + 4 * samples + 8, 0, buf + LOG_ROW * BRENT_MAXITER,
+               buf, {0.0}};
     S.x = in_alpha ? &S.shot.alpha : &S.shot.rhs.lam;
     double root = NAN;
     int status = brentq(trial, &S, a, b, fa, fb, xtol, xrtol, &root);
@@ -1041,7 +1079,29 @@ int pspect_solve(const Shot *shot, int in_alpha, double a, double b, double fa, 
     int64_t k = S.n_log - 1;
     while (k >= 0 && S.log[LOG_ROW * k] != root)
         k--;
-    out[1] = (double)k;
+
+    Shot at = S.shot; /* the shot of the last trial, moved to the root */
+    *(in_alpha ? &at.alpha : &at.rhs.lam) = root;
+    at.n_samples = n_shot;
+    int kept = k >= 0 && k >= S.n_log - RING;
+    double *block = S.ring + (kept ? k % RING : 0) * S.slot;
+    int64_t *shot_counts = counts + 5;
+    if (kept) {
+        const double *rec = S.log + LOG_ROW * k + 1;
+        out[1] = S.stop[k % RING];
+        shot_counts[0] = (int64_t)rec[4];
+        shot_counts[1] = (int64_t)rec[5];
+        status = read_march(&at, rec[3] != 0.0 ? PSPECT_BLOWUP : PSPECT_END, block, out + 1,
+                            shot_counts);
+    } else {
+        status = pspect_shoot(&at, cap, block, out + 1, shot_counts);
+    }
+    if (status != PSPECT_END && status != PSPECT_BLOWUP) {
+        out[0] = out[1];
+        return status;
+    }
+    const int64_t head[5] = {k, S.n_log, !kept, block - buf, status};
+    memcpy(counts, head, sizeof head);
     return 0;
 }
 

@@ -20,20 +20,26 @@ Everything here drives the shooting integrator:
   homogeneous degenerate case f = phi_p at an eigenvalue (every amplitude
   solves) is detected and reported rather than solved.
 * trace_branch walks the amplitude grid solving u(1; gamma, alpha) = 0
-  in gamma at every alpha, in widening windows around the previous
-  point; folds in gamma are handled by the windows.  The branch is
-  truncated with a diagnostic that names the cause: no window changes
-  sign, none holds a class-k root, or the shot at the root is rejected.
+  in gamma at every alpha, in widening windows: from the third point on
+  around the secant prediction through the last two points in log
+  |alpha|, the first window as wide as the last step in gamma (1e-4 to
+  10 % of the center), doubling up to 80 %; where that solve would end
+  the branch, once more around the previous gamma from 10 % to 80 %,
+  whose outcome stands.  Folds in gamma are handled by the windows.  The
+  branch is truncated with a diagnostic that names the cause: no window
+  changes sign, none holds a class-k root, or the shot at the root is
+  rejected.
 * verify_bifurcation_points checks that small-amplitude solutions of the
   perturbed linear problem localize the parameter near mu_k^nu, the
   numerical shadow of bifurcation from the trivial line.
 
 Each root solve is ``radial_ivp.solve_miss`` on a bracket whose ends
-were probed here: one kernel call where f or g is built in.  The policy
-stays here, one rule for the three searches (``_class_root``): a bracket
-is admitted where u(1) changes sign and an end has the k-class count,
-and the root is the one where the count steps from k - 1 to k.  A root's
-shot is accepted by ``_rejection``.
+were probed here: one kernel call, which also returns the shot at the
+root, so that the root is not shot again.  The policy stays here, one
+rule for the three searches (``_class_root``): a bracket is admitted
+where u(1) changes sign and an end has the k-class count, and the root
+is the one where the count steps from k - 1 to k.  A root's shot is
+accepted by ``_rejection``.
 
 "Unbounded continuum" is operationalized as: traced up to sup-norm 1e3
 without bracket loss.  The topological statement itself is not
@@ -296,10 +302,9 @@ def find_nodal(
     # neighbouring amplitudes bracket the roots, past a rejected one too
     brackets = zip(alphas, alphas[1:], probes, probes[1:])
     while solution is None:
-        root, _ = _class_root(problem, None, brackets, k, 1e-15, 8.9e-16, rtol, atol)
+        root, traj, _ = _class_root(problem, None, brackets, k, 1e-15, 8.9e-16, rtol, atol)
         if root is None:
             break
-        traj = shoot(problem, root, rtol=rtol, atol=atol)
         rejection = _rejection(traj, k)
         if rejection:
             diagnostics.append(f"the root alpha = {root:g} {rejection}")
@@ -344,14 +349,15 @@ def _rejection(traj, k) -> str:
 
 
 def _class_root(problem, alpha, brackets, k, xtol, xrtol, rtol, atol):
-    """(root, changed): the first root of the miss D over brackets whose
-    probe is in the k-class, or None; and whether any bracket's D changed
-    sign.  brackets yields (a, b, probe at a, probe at b), a and b values
-    of the parameter of problem at u(0) = alpha, or of u(0) where alpha
-    is None; one is admitted where D changes sign and an end is in class.
-    Where the solve lands outside the class, :func:`_count_step` finds the
-    step of the count from k - 1 to k, where a class-k root sits, between
-    the in-class end and the root, and that pair is solved again."""
+    """(root, trajectory, changed): the first root of the miss D over
+    brackets whose probe is in the k-class, and the shot there, or None,
+    None; and whether any bracket's D changed sign.  brackets yields (a, b,
+    probe at a, probe at b), a and b values of the parameter of problem at
+    u(0) = alpha, or of u(0) where alpha is None; one is admitted where D
+    changes sign and an end is in class.  Where the solve lands outside the
+    class, :func:`_count_step` finds the step of the count from k - 1 to k,
+    where a class-k root sits, between the in-class end and the root, and
+    that pair is solved again."""
     changed = False
     for a, b, pr_a, pr_b in brackets:
         if not pr_a.d * pr_b.d < 0:
@@ -360,13 +366,14 @@ def _class_root(problem, alpha, brackets, k, xtol, xrtol, rtol, atol):
         pair = ((a, pr_a), (b, pr_b)) if _in_class(pr_a, k) or _in_class(pr_b, k) else None
         while pair is not None:
             (a, pr_a), (b, pr_b) = pair
-            root, pr = solve_miss(problem, alpha, a, b, (pr_a, pr_b), in_alpha=alpha is None,
-                                  rtol=rtol, atol=atol, xtol=xtol, xrtol=xrtol)
+            root, pr, traj = solve_miss(problem, alpha, a, b, (pr_a, pr_b),
+                                        in_alpha=alpha is None, rtol=rtol, atol=atol, xtol=xtol,
+                                        xrtol=xrtol)
             if _in_class(pr, k):
-                return root, changed
+                return root, traj, changed
             inside = (a, pr_a) if _in_class(pr_a, k) else (b, pr_b)
             pair = _count_step(problem, alpha, k, inside, (root, pr), rtol, atol)
-    return None, changed
+    return None, None, changed
 
 
 def _count_step(problem, alpha, k, inside, outside, rtol, atol):
@@ -470,9 +477,15 @@ def trace_branch(
     """Trace the (gamma, alpha) curve of one nodal class over an amplitude grid.
 
     Parametrized by amplitude with a one-dimensional gamma solve per
-    point (warm-started from the previous point); this follows folds in
-    gamma naturally.  Folds in alpha are not expected for the built-in
-    family; they would surface as bracket loss and truncate the branch.
+    point; this follows folds in gamma naturally.  The first two points
+    are solved in windows around the previous gamma (mu_k / f0 at the
+    first); from the third on, around the secant prediction through the
+    last two points in log |alpha|, in a first window of the last step
+    in gamma (see :func:`_solve_gamma`).  Where the predicted solve would
+    end the branch, the point is solved once more around the previous
+    gamma, and that outcome stands.  Folds in alpha are not expected for
+    the built-in family; they would surface as bracket loss and truncate
+    the branch.
     """
     f.validate(p)
     alphas = _amplitude_grid(sigma, alpha_min, alpha_max, ratio)
@@ -485,7 +498,13 @@ def trace_branch(
     gamma_prev = mu_k / f.f0
 
     for a in alphas:
-        gamma_a, traj, stop = _solve_gamma(p, N, m, f, a, gamma_prev, k, rtol, atol)
+        solved = None
+        if len(branch.points) >= 2:
+            center, step = _secant(branch.points[-2:], a)
+            solved = _solve_gamma(p, N, m, f, a, center, k, rtol, atol, step)
+        if solved is None or solved[2]:  # no prediction, or one that ends the branch
+            solved = _solve_gamma(p, N, m, f, a, gamma_prev, k, rtol, atol)
+        gamma_a, traj, stop = solved
         if stop:
             branch.truncated = True
             branch.diagnostics.append(stop)
@@ -506,19 +525,31 @@ def trace_branch(
     return branch
 
 
-def _solve_gamma(p, N, m, f, alpha, gamma_center, k, rtol, atol):
-    """Root of gamma -> u(1; gamma, alpha) in the windows +-10 % to +-80 %
-    of a warm-started center: (gamma, trajectory, stop), stop "" for a
-    point of the branch, else the diagnostic that ends the branch there."""
+def _secant(points, alpha):
+    """(center, w): the gamma at alpha on the secant through the two branch
+    points, in log |alpha|, and the last step in gamma relative to it,
+    clamped to [1e-4, 0.1]."""
+    before, last = points
+    center = last.gamma + (last.gamma - before.gamma) * (
+        math.log(alpha / last.alpha) / math.log(last.alpha / before.alpha))
+    step = abs(last.gamma - before.gamma) / abs(center) if center else math.inf
+    return center, min(max(step, 1e-4), 0.1)
+
+
+def _solve_gamma(p, N, m, f, alpha, gamma_center, k, rtol, atol, w=0.1):
+    """Root of gamma -> u(1; gamma, alpha) in the windows gamma_center -+
+    w |gamma_center|, w doubling up to 80 % (from 10 % by default):
+    (gamma, trajectory, stop), stop "" for a point of the branch, else the
+    diagnostic that ends the branch there.  The trajectory is the solve's
+    own shot at the root."""
     problem = Problem.nonlinear(p, N, m, gamma_center, f)
-    windows = _windows(problem, alpha, gamma_center, 0.1, 0.8, rtol, atol)
-    root, changed = _class_root(problem, alpha, windows, k, 1e-15, 8.9e-16, rtol, atol)
+    windows = _windows(problem, alpha, gamma_center, w, 0.8, rtol, atol)
+    root, traj, changed = _class_root(problem, alpha, windows, k, 1e-15, 8.9e-16, rtol, atol)
     if root is None:
         cause = f"holds a class-{k} root" if changed else "changes sign"
         return None, None, (
             f"no gamma bracket within 80 % of {gamma_center:.8g} {cause} at "
             f"alpha = {alpha:g}; branch truncated")
-    traj = shoot(problem.at(root), alpha, rtol=rtol, atol=atol)
     rejection = _rejection(traj, k)
     if rejection:
         return root, traj, (

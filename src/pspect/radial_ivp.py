@@ -57,8 +57,9 @@ interior-zero rule), owns the one rule for a shot that blew up and
 builds no trajectory.  The nodal root solves (the gamma of a branch
 point, the mu of a perturbed solution, the amplitude of a nodal
 solution) go through :func:`solve_miss`: Brent's method on D over a
-bracket whose ends the caller has probed, each trial a kernel probe.  A
-shot or probe from alpha = 0 raises before any kernel call.
+bracket whose ends the caller has probed, each trial a kernel probe; it
+returns the trajectory at the root too, read off the root's own trial.
+A shot or probe from alpha = 0 raises before any kernel call.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ ZERO_RTOL = 8.9e-16  # the rtol of a zero's refinement
 TAIL_NOISE_FACTOR = 1e-7
 TAIL_SLOPE_FACTOR = 1e-3
 PROBE_SAMPLES = 65  # grid of the shot a probe reads
+SHOT_SAMPLES = 513  # uniform samples of a trajectory (shoot's default)
 # _rk45_kernel.c repeats BLOWUP_MISS, ZERO_XTOL, ZERO_RTOL, BOUNDARY_MARGIN and the TAIL_ factors
 # (tests/test_radial_ivp.py::test_kernel_constants_match_python compares them)
 
@@ -271,7 +273,7 @@ def shoot(
     *,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    n_samples: int = 513,
+    n_samples: int = SHOT_SAMPLES,
     blowup_limit: float = BLOWUP_LIMIT,
 ) -> Trajectory:
     """Integrate one shot with u(0) = alpha, u'(0) = 0 from the origin to r = 1.
@@ -284,9 +286,14 @@ def shoot(
     """
     if alpha == 0.0:
         raise PreconditionError("initial value alpha must be nonzero")
+    return _trajectory(problem, alpha, _kernel.shoot(
+        _shot(problem, alpha, rtol, atol, blowup_limit, n_samples)))
 
-    status, r, accepted, rejected, block, scan = _kernel.shoot(
-        _shot(problem, alpha, rtol, atol, blowup_limit, n_samples))
+
+def _trajectory(problem, alpha, shot) -> Trajectory:
+    """The :class:`Trajectory` from u(0) = alpha of a shot of problem's p
+    and N, as ``_kernel.shoot`` returns it."""
+    status, r, accepted, rejected, block, scan = shot
     dense, steps = DenseOutput(block, accepted), StepCounts.of(accepted, rejected)
     blowup_radius = r if status == _kernel.BLOWUP else None
     grid, u_samp, v_samp, tail_max, terminal, sup_uprime, pairs = scan
@@ -387,22 +394,25 @@ def probe(problem: Problem, alpha: float, *, rtol: float, atol: float,
 def solve_miss(problem: Problem, alpha: float, a: float, b: float, ends, *, in_alpha=False,
                rtol: float, atol: float, xtol: float, xrtol: float):
     """The root x in [a, b] of the miss D(x) = ``probe(...).d``, by Brent's
-    method (:func:`brentq` with tolerances xtol and xrtol), and the
-    :class:`Probe` there.
+    method (:func:`brentq` with tolerances xtol and xrtol), the
+    :class:`Probe` there and the :class:`Trajectory` there, which is
+    ``shoot(problem.at(x), alpha, rtol=rtol, atol=atol)`` (or
+    ``shoot(problem, x, ...)`` where in_alpha) to its bits.
 
     x is the parameter of problem's right-hand side (mu or gamma) at
     u(0) = alpha, or u(0) itself where in_alpha.  ends are the probes at a
     and b, which are not shot again.  The whole solve is one kernel call
-    (``_kernel.solve``), every trial a kernel probe, and the probe at the
-    root is read off its trial.
+    (``_kernel.solve``), every trial a kernel probe; the probe at the root
+    is read off its trial, and so is the trajectory, unless the root is a
+    bracket end or a trial older than the last three.
     """
     pr_a, pr_b = ends
     shot = _shot(problem, 0.0 if in_alpha else alpha, rtol, atol, BLOWUP_LIMIT, PROBE_SAMPLES,
                  in_lam=not in_alpha)
-    root, record = _kernel.solve(shot, in_alpha, a, b, pr_a.d, pr_b.d, xtol, xrtol)
-    if record is None:
-        return root, pr_a if root == a else pr_b
-    return root, _recorded(record)
+    solved = _kernel.solve(shot, in_alpha, a, b, pr_a.d, pr_b.d, xtol, xrtol, SHOT_SAMPLES)
+    root = solved.root
+    pr = (pr_a if root == a else pr_b) if solved.record is None else _recorded(solved.record)
+    return root, pr, _trajectory(problem, root if in_alpha else alpha, solved.shot)
 
 
 def _recorded(record) -> Probe:

@@ -120,7 +120,8 @@ def solve_miss(problem, alpha, a, b, ends, *, in_alpha=False, rtol, atol, xtol, 
                trial=None):
     """``radial_ivp.solve_miss``: Brent's method over :func:`probe` (or over
     trial, a function of the same arguments), in the parameter of
-    problem's right-hand side at u(0) = alpha, or in u(0)."""
+    problem's right-hand side at u(0) = alpha, or in u(0); then the root,
+    the probe there and :func:`shoot` there."""
     pr_a, pr_b = ends
     seen = {a: pr_a, b: pr_b}
 
@@ -130,7 +131,8 @@ def solve_miss(problem, alpha, a, b, ends, *, in_alpha=False, rtol, atol, xtol, 
         return pr.d
 
     root = brentq(miss, a, b, xtol=xtol, rtol=xrtol, fa=pr_a.d, fb=pr_b.d)
-    return root, seen[root]
+    at = (problem, root) if in_alpha else (problem.at(root), alpha)
+    return root, seen[root], shoot(*at, rtol=rtol, atol=atol)
 
 
 def route(monkeypatch):

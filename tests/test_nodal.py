@@ -279,14 +279,16 @@ F_DOWN = Nonlinearity.rational(2.0, f0=2.0, finf=0.5, q=1.0)
 
 
 def test_branch_walks_to_the_class_root_of_a_bracket_with_three():
-    # at alpha = 6.46235 the +-10 % window of C_2^+ holds three roots of
-    # u(1); Brent's method lands on 206.4125, which has two zeros, and the
-    # bracket is narrowed onto the step of the count from 1 to 2
+    # at alpha = 6.46235 the +-10 % window of C_2^+ around the previous
+    # gamma holds three roots of u(1) (the next test); the window around
+    # the secant prediction, 205.868, is solved onto the class root
+    # directly.  Brackets further up are still narrowed onto the step of
+    # the count from 1 to 2.
     br = trace_branch(2.0, 2, COS3, F_DOWN, 2, "+", alpha_min=1e-2, alpha_max=1e3)
     assert not br.truncated and len(br.points) == 53
     assert all(pt.zeros == 1 for pt in br.points)
     assert br.points[29].alpha == 1e-2 * 1.25**29
-    assert br.points[29].gamma == 205.6671392919584
+    assert br.points[29].gamma == 205.66713929195834
 
 
 @pytest.mark.kernel
@@ -312,6 +314,18 @@ def _spy_walks(monkeypatch):
 
     monkeypatch.setattr(nodal, "_count_step", spy)
     return walks
+
+
+def _spy_kernel_solves(monkeypatch):
+    """The list of what each ``_kernel.solve`` call returns, from here on."""
+    solved, solve = [], _kernel.solve
+
+    def spy(*args):
+        solved.append(solve(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(_kernel, "solve", spy)
+    return solved
 
 
 def test_branch_gives_up_a_bracket_without_a_class_root(monkeypatch):
@@ -340,23 +354,34 @@ def test_nodal_solves_probe_no_shot_twice(monkeypatch, kernel):
     # in-class check at its root take them as they are.  On the reference
     # every trial of Brent's method is a probe as well; on the kernel the
     # probe at a root is read off the solve, never shot again, also where
-    # its tail filter reads sup |u'|.
+    # its tail filter reads sup |u'|.  The trajectory at a root comes with
+    # the solve: on the reference one shot there, and on the kernel none,
+    # as the solve reads it off the root's own trial instead of marching it
+    # again.
     if not kernel:
         reference.route(monkeypatch)
     keys, real = [], radial_ivp.probe
+    shots, real_shoot = [], radial_ivp.shoot
     roots, solve = [], radial_ivp.solve_miss
+    solved = _spy_kernel_solves(monkeypatch)
 
     def spy(problem, alpha, *, rtol, atol, **kw):
         keys.append((problem, alpha, rtol, atol))
         return real(problem, alpha, rtol=rtol, atol=atol, **kw)
 
+    def shoot_spy(problem, alpha, **kw):
+        if "n_samples" not in kw:  # a trajectory's shot, not the reference's probe
+            shots.append((problem, alpha))
+        return real_shoot(problem, alpha, **kw)
+
     def solve_spy(problem, alpha, a, b, ends, *, in_alpha=False, **kw):
-        root, pr = solve(problem, alpha, a, b, ends, in_alpha=in_alpha, **kw)
+        root, pr, traj = solve(problem, alpha, a, b, ends, in_alpha=in_alpha, **kw)
         roots.append((problem, root) if in_alpha else (problem.at(root), alpha))
-        return root, pr
+        return root, pr, traj
 
     for module in (radial_ivp, nodal, reference):
         monkeypatch.setattr(module, "probe", spy)
+        monkeypatch.setattr(module, "shoot", shoot_spy)
     monkeypatch.setattr(nodal, "solve_miss", solve_spy)
     spec = compute_spectrum(2.0, 1, M_LIN, 1)
     m_steep = Weight.poly([1.0, -8.0])
@@ -373,11 +398,15 @@ def test_nodal_solves_probe_no_shot_twice(monkeypatch, kernel):
     )
     for run in runs:
         keys.clear()
+        shots.clear()
         roots.clear()
+        solved.clear()
         run()
         assert keys and roots and len(set(keys)) == len(keys)
         at_roots = [key for key in keys if key[:2] in roots]
         assert len(at_roots) == (0 if kernel else len(roots))
+        assert [key for key in shots if key in roots] == ([] if kernel else roots)
+        assert [s.marched for s in solved] == [False] * (len(roots) if kernel else 0)
     problem, alpha = roots[0]  # alpha = 0.1; the odd g's '-' half is read off it
     shot = shoot(problem, alpha, n_samples=radial_ivp.PROBE_SAMPLES)
     assert shot.zeros == () and len(reference.scan_reference(

@@ -1064,7 +1064,7 @@ def test_kernel_constants_match_python():
         "BOUNDARY_MARGIN": radial_ivp.BOUNDARY_MARGIN,
         "TAIL_NOISE_FACTOR": radial_ivp.TAIL_NOISE_FACTOR,
         "TAIL_SLOPE_FACTOR": radial_ivp.TAIL_SLOPE_FACTOR,
-        "LOG_ROW": _kernel.LOG_ROW,
+        "LOG_ROW": _kernel.LOG_ROW, "RING": _kernel.RING,
     }
     python.update((f"PSPECT_{name}", getattr(_kernel, name)) for name in STATUSES)
     python.update((name, getattr(_kernel, name))
@@ -1072,7 +1072,7 @@ def test_kernel_constants_match_python():
     # the Dormand-Prince coefficients and step-size factors of _rk45
     python.update((name, getattr(_rk45, "_" + name))
                   for name in c if hasattr(_rk45, "_" + name))
-    assert len(python) == 26 + 48 + 3
+    assert len(python) == 27 + 48 + 3
     assert {name: c.get(name) for name in python} == python
     assert sorted(n for n in c if n.startswith("PSPECT_")) == sorted(
         n for n in python if n.startswith("PSPECT_"))
@@ -1247,14 +1247,15 @@ def assert_same_solve(got, want):
         return
     assert _same_bits(got[0], want[0]) and type(got[0]) is float
     assert_same_probe(got[1], want[1])
+    assert_same_shot(got[2], want[2])
 
 
 def assert_solve_matches_brentq_over_probe(prob, alpha, bracket, in_alpha=False,
                                            trial=radial_ivp.probe, **xtol):
     """solve_miss returns the root of the reference's Brent's method over
     the kernel's probe (which the probes above hold to the reference's), or
-    over the reference's probe where trial is None, and the probe there, or
-    raises what it raises; returns the root."""
+    over the reference's probe where trial is None, the probe there and the
+    reference's shot there, or raises what it raises; returns the root."""
     got = _solved(radial_ivp.solve_miss, prob, alpha, bracket, in_alpha, TIGHT, xtol)
     want = _solved(reference.solve_miss, prob, alpha, bracket, in_alpha, TIGHT, xtol,
                    trial=trial)
@@ -1374,6 +1375,75 @@ def test_solve_without_a_compiled_form_is_brentq_over_probe(solve_results):
                                                             **XTOL))
     assert roots[0] == roots[1]
     assert len(solve_results) == 2  # the hand-built f is called back from the kernel's solve
+
+
+# the shot at a root comes with the solve: read off the root's own trial
+# where that is one of the last three, and marched again only where it is
+# not, with the bits of shoot either way
+
+ROOT_SHOT_F = Nonlinearity.rational(2.0, f0=2.0, finf=0.5, q=1.0)
+
+
+def _root_shot_problem(family):
+    """A problem of the fused RATIONAL or PERTURBED family, or of a
+    hand-built f the kernel calls back, and its u(0)."""
+    if family == "perturbed":
+        return Problem.perturbed(2.5, 2, M_LIN, 1.0, Perturbation(2.5)), 0.5
+    f = Nonlinearity.rational(2.5, f0=1.1, finf=2.3, q=2.2)
+    if family == "callback":
+        f = Nonlinearity(fn=f.fn, f0=f.f0, finf=f.finf)
+    return Problem.nonlinear(2.5, 2, M_LIN, 1.0, f), 1.0
+
+
+def assert_root_shot_is_shoot(prob, alpha, bracket, in_alpha, marched, solve_results):
+    """The trajectory solve_miss returns is shoot's at the root, array for
+    array and by bits, and the kernel marched the root again exactly where
+    marched says; returns the root."""
+    root, _, traj = _solved(radial_ivp.solve_miss, prob, alpha, bracket, in_alpha, TIGHT, XTOL)
+    at = (prob, root) if in_alpha else (prob.at(root), alpha)
+    assert_same_shot(traj, shoot(*at, **TIGHT))
+    assert traj.alpha == at[1] and (traj.p, traj.N) == (prob.p, prob.N)
+    assert solve_results[-1].marched is marched
+    return root
+
+
+@pytest.mark.kernel
+@pytest.mark.parametrize("family", ["rational", "perturbed", "callback"])
+def test_solve_reads_the_shot_at_the_root_off_its_trial(family, solve_results):
+    prob, alpha = _root_shot_problem(family)
+    bracket = _first_bracket(lambda x: probe(prob.at(x), alpha, **TIGHT),
+                             [2.0**k for k in range(-2, 18)])
+    root = assert_root_shot_is_shoot(prob, alpha, bracket, False, False, solve_results)
+    if family == "perturbed":
+        return  # the perturbed miss is near-homogeneous in u(0) at this mu
+    at_root = prob.at(root * 1.01)
+    bracket = _first_bracket(lambda x: probe(at_root, x, **TIGHT), [alpha / 8, alpha * 8])
+    assert_root_shot_is_shoot(at_root, None, bracket, True, False, solve_results)
+    assert len(solve_results) == 2
+
+
+@pytest.mark.kernel
+@pytest.mark.parametrize("end", [0, 1])
+def test_solve_marches_a_root_at_a_bracket_end(end, solve_results):
+    # D = 0 at an end is the root, and no trial was shot there
+    prob = Problem.nonlinear(2.0, 1, M_LIN, 1.0, ROOT_SHOT_F)
+    ends = [probe(prob.at(x), 1.0, **TIGHT) for x in (2.0, 40.0)]
+    ends[end] = _fake_probe(0.0)
+    root = assert_root_shot_is_shoot(prob, 1.0, (2.0, 40.0, *ends), False, True,
+                                     solve_results)
+    assert root == (2.0, 40.0)[end] and solve_results[-1].trials == 0
+
+
+@pytest.mark.kernel
+def test_solve_marches_a_root_older_than_three_trials(solve_results):
+    # a point of the 1 - 2r branch of C_2^+: Brent's method returns its
+    # contrapoint, a trial more than three before the last of 17
+    prob = Problem.nonlinear(2.0, 1, M_LIN, 1.0, ROOT_SHOT_F)
+    alpha, a, b = 3.308722450212111, 152.01529603044537, 173.48059116377254
+    bracket = (a, b, *(probe(prob.at(x), alpha, **TIGHT) for x in (a, b)))
+    assert_root_shot_is_shoot(prob, alpha, bracket, False, True, solve_results)
+    solved = solve_results[-1]
+    assert solved.record is not None and solved.trials == 17
 
 
 # ---------------------------------------------------------------------------
