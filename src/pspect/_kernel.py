@@ -66,7 +66,7 @@ from .errors import PreconditionError
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rk45_kernel.c")
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin-pow")
-FIRST_CAPACITY = 4096  # accepted steps the buffers of a shot hold at first
+FIRST_CAPACITY = 4096  # accepted steps the buffers of the first call hold
 
 # status codes of the entry points: how a march ended, then what Python raises
 (END, BLOWUP, UNDERFLOW, FULL, OVERFLOW, DIV_ZERO, ZERO_POW, RAISED, ALPHA_ZERO, NAN_END,
@@ -296,14 +296,23 @@ def _raise(status, x, shot=None):
 _doubles = ctypes.c_double.from_buffer  # a writable float64 array as a double *
 
 
+# accepted steps the buffers of the next call hold: the most a call has needed (a
+# lost update between threads costs one march more, never a result)
+_capacity = FIRST_CAPACITY
+
+
 def _grown(size, call):
     """(status, buf) of call(buf, cap) on a fresh buffer of size(cap) doubles,
-    with cap FIRST_CAPACITY accepted steps, doubled while it returns FULL."""
-    cap = FIRST_CAPACITY
+    with cap the largest capacity a call of this process has needed
+    (FIRST_CAPACITY at first), doubled while it returns FULL: only the first
+    call that outgrows a capacity marches again."""
+    global _capacity
+    cap = _capacity
     while True:
         buf = np.empty(size(cap))
         status = call(buf, cap)
         if status != FULL:
+            _capacity = max(_capacity, cap)
             return status, buf
         cap *= 2
 
@@ -429,14 +438,16 @@ def probe(shot: Shot):
 class Solved(NamedTuple):
     """A root solve of :func:`solve`: the root, the record of its trial (as
     :func:`probe` returns it; None where the root is a bracket end), the
-    number of trials, whether the shot at the root was marched again, and
-    that shot, as :func:`shoot` returns it."""
+    number of trials, whether the shot at the root was marched again, that
+    shot, as :func:`shoot` returns it, and the trials in order, each a row
+    of x and its record."""
 
     root: float
     record: list | None
     trials: int
     marched: bool
     shot: tuple
+    log: list
 
 
 def solve(shot: Shot, in_alpha, a, b, fa, fb, xtol, xrtol, n_shot) -> Solved:
@@ -447,8 +458,9 @@ def solve(shot: Shot, in_alpha, a, b, fa, fb, xtol, xrtol, n_shot) -> Solved:
     off the root's trial where it is one of the last :data:`RING`, and
     marched again only where it is not (a bracket end, an older trial).
 
-    Raises what Brent's method over the reference's probe raises.  Each
-    call has buffers of its own.
+    Raises what Brent's method over the reference's probe raises; where it
+    does not converge, the RuntimeError carries the trials it made as its
+    ``log``.  Each call has buffers of its own.
     """
     lib = load()
     out, counts = (ctypes.c_double * 2)(), (ctypes.c_int64 * 9)()
@@ -457,12 +469,17 @@ def solve(shot: Shot, in_alpha, a, b, fa, fb, xtol, xrtol, n_shot) -> Solved:
                          lambda buf, cap: lib.pspect_solve(shot, in_alpha, a, b, fa, fb, xtol,
                                                            xrtol, n_shot, cap, _doubles(buf), out,
                                                            counts))
+    k, trials, marched, at, *read = counts
+    log = buf[:LOG_ROW * trials].reshape(trials, LOG_ROW).tolist()
+    if status == NO_CONVERGENCE:
+        exc = _ERRORS[status](out[0])
+        exc.log = log
+        raise exc
     if status:
         _raise(status, out[0], shot)
-    k, trials, marched, at, *read = counts
-    record = None if k < 0 else buf[LOG_ROW * k + 1:LOG_ROW * (k + 1)].tolist()
+    record = None if k < 0 else log[k][1:]
     return Solved(out[0], record, trials, bool(marched),
-                  _shot_read(buf[at:], n_shot, read[0], out[1], *read[1:]))
+                  _shot_read(buf[at:], n_shot, read[0], out[1], *read[1:]), log)
 
 
 def hypot(x, y):

@@ -1062,7 +1062,9 @@ static int trial(void *ctx, double x, double *d)
    as pspect_shoot leaves it), its status (PSPECT_END or PSPECT_BLOWUP) and
    the four counts of pspect_shoot; PSPECT_FULL where a march takes more
    than cap steps; else the status of what the Python solve raises, with
-   its number in out[0]. */
+   its number in out[0].  The log holds, in order, each trial whose probe
+   finished (x, then its rec), and counts[1] their number, also where the
+   solve fails. */
 int pspect_solve(const Shot *shot, int in_alpha, double a, double b, double fa, double fb,
                  double xtol, double xrtol, int64_t n_shot, int64_t cap, double *buf,
                  double *out, int64_t *counts)
@@ -1074,6 +1076,7 @@ int pspect_solve(const Shot *shot, int in_alpha, double a, double b, double fa, 
     double root = NAN;
     int status = brentq(trial, &S, a, b, fa, fb, xtol, xrtol, &root);
     out[0] = root;
+    counts[1] = S.n_log;
     if (status)
         return status;
     int64_t k = S.n_log - 1;

@@ -327,12 +327,15 @@ def _write_csv(path, comments, columns, rows, trailer=()):
 
 
 def _write_profile(path, comments, traj):
-    """u and u' of a shot at 513 equally spaced radii from its start to r = 1."""
+    """u and u' of a shot at 513 equally spaced radii from its start to r = 1,
+    as :func:`_write_csv` writes them, formatted in one pass ('%.17g' is
+    ``format(x, '.17g')``, the same conversion of the same double)."""
     rs = np.linspace(traj.r[0], 1.0, 513)
     uu, _ = traj.eval(rs)
-    up = traj.uprime(rs)
-    _write_csv(path, comments, ("r", "u", "uprime"),
-               zip(map(float, rs), map(float, uu), map(float, up)))
+    block = np.column_stack((rs, uu, traj.uprime(rs))).ravel().tolist()
+    rows = "\n".join(("%.17g,%.17g,%.17g",) * len(rs)) % tuple(block)
+    lines = [f"# {c}" for c in comments] + ["r,u,uprime", rows]
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_polyline_svg(path, xs, ys, xlabel, ylabel, title):

@@ -366,9 +366,9 @@ def _class_root(problem, alpha, brackets, k, xtol, xrtol, rtol, atol):
         pair = ((a, pr_a), (b, pr_b)) if _in_class(pr_a, k) or _in_class(pr_b, k) else None
         while pair is not None:
             (a, pr_a), (b, pr_b) = pair
-            root, pr, traj = solve_miss(problem, alpha, a, b, (pr_a, pr_b),
-                                        in_alpha=alpha is None, rtol=rtol, atol=atol, xtol=xtol,
-                                        xrtol=xrtol)
+            root, pr, traj, _ = solve_miss(problem, alpha, a, b, (pr_a, pr_b),
+                                           in_alpha=alpha is None, rtol=rtol, atol=atol,
+                                           xtol=xtol, xrtol=xrtol)
             if _in_class(pr, k):
                 return root, traj, changed
             inside = (a, pr_a) if _in_class(pr_a, k) else (b, pr_b)

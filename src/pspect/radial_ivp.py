@@ -54,11 +54,12 @@ which math.inf puts off until u overflows.
 Searches consume a shot through :func:`probe`, which reduces it to the
 miss D = u(1) and the count Z of ``Trajectory.interior_zeros`` (the one
 interior-zero rule), owns the one rule for a shot that blew up and
-builds no trajectory.  The nodal root solves (the gamma of a branch
-point, the mu of a perturbed solution, the amplitude of a nodal
-solution) go through :func:`solve_miss`: Brent's method on D over a
-bracket whose ends the caller has probed, each trial a kernel probe; it
-returns the trajectory at the root too, read off the root's own trial.
+builds no trajectory.  Every root solve (the loose and the tight mu of
+an eigenvalue, the gamma of a branch point, the mu of a perturbed
+solution, the amplitude of a nodal solution) goes through
+:func:`solve_miss`: Brent's method on D over a bracket whose ends the
+caller has probed, each trial a kernel probe; it returns the trajectory
+at the root too, read off the root's own trial, and the trials.
 A shot or probe from alpha = 0 raises before any kernel call.
 """
 
@@ -392,27 +393,43 @@ def probe(problem: Problem, alpha: float, *, rtol: float, atol: float,
 
 
 def solve_miss(problem: Problem, alpha: float, a: float, b: float, ends, *, in_alpha=False,
-               rtol: float, atol: float, xtol: float, xrtol: float):
+               rtol: float, atol: float, xtol: float, xrtol: float,
+               blowup_limit: float = BLOWUP_LIMIT):
     """The root x in [a, b] of the miss D(x) = ``probe(...).d``, by Brent's
     method (:func:`brentq` with tolerances xtol and xrtol), the
-    :class:`Probe` there and the :class:`Trajectory` there, which is
+    :class:`Probe` there, the :class:`Trajectory` there, which is
     ``shoot(problem.at(x), alpha, rtol=rtol, atol=atol)`` (or
-    ``shoot(problem, x, ...)`` where in_alpha) to its bits.
+    ``shoot(problem, x, ...)`` where in_alpha) to its bits, and the trials
+    of Brent's method in order, as (x, :class:`Probe`) pairs.
 
     x is the parameter of problem's right-hand side (mu or gamma) at
     u(0) = alpha, or u(0) itself where in_alpha.  ends are the probes at a
-    and b, which are not shot again.  The whole solve is one kernel call
+    and b, which are not shot again.  Every probe and the trajectory stop
+    where |u| reaches blowup_limit.  The whole solve is one kernel call
     (``_kernel.solve``), every trial a kernel probe; the probe at the root
     is read off its trial, and so is the trajectory, unless the root is a
-    bracket end or a trial older than the last three.
+    bracket end or a trial older than the last three.  Where Brent's method
+    does not converge, the RuntimeError it raises carries its trials as
+    ``trials``, so that the caller can account for them.
     """
     pr_a, pr_b = ends
-    shot = _shot(problem, 0.0 if in_alpha else alpha, rtol, atol, BLOWUP_LIMIT, PROBE_SAMPLES,
+    shot = _shot(problem, 0.0 if in_alpha else alpha, rtol, atol, blowup_limit, PROBE_SAMPLES,
                  in_lam=not in_alpha)
-    solved = _kernel.solve(shot, in_alpha, a, b, pr_a.d, pr_b.d, xtol, xrtol, SHOT_SAMPLES)
+    try:
+        solved = _kernel.solve(shot, in_alpha, a, b, pr_a.d, pr_b.d, xtol, xrtol, SHOT_SAMPLES)
+    except RuntimeError as exc:
+        if hasattr(exc, "log"):  # Brent's method did not converge
+            exc.trials = _trials(exc.log)
+        raise
     root = solved.root
     pr = (pr_a if root == a else pr_b) if solved.record is None else _recorded(solved.record)
-    return root, pr, _trajectory(problem, root if in_alpha else alpha, solved.shot)
+    return (root, pr, _trajectory(problem, root if in_alpha else alpha, solved.shot),
+            _trials(solved.log))
+
+
+def _trials(log):
+    """The (x, :class:`Probe`) pairs of the rows of a solve's trial log."""
+    return [(row[0], _recorded(row[1:])) for row in log]
 
 
 def _recorded(record) -> Probe:

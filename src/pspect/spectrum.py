@@ -49,7 +49,8 @@ import numpy as np
 from .errors import NegativeSequenceAbsent, PreconditionError, SpectrumIncomplete
 from .pfuncs import pi_p
 from .radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL
-from .radial_ivp import LinearRHS, Problem, Trajectory, brentq, probe, shoot
+from .radial_ivp import LinearRHS, Problem, Trajectory, probe, shoot, solve_miss
+from .radial_ivp import brentq  # noqa: F401  (perfbench/tracing.py counts spectrum.brentq calls)
 from .report import CheckReport
 from .weights import Weight
 
@@ -173,15 +174,23 @@ def shared_shots():
 
 
 class _Prober:
-    """Memoized (D, Z) probes along one sign axis.
+    """Memoized (D, Z) probes and root solves along one sign axis.
 
     Linear shots cannot blow up at a finite radius, they only grow, and
     through a long one-signed stretch the genuine amplitude can dwarf the
     general-purpose guard of :func:`shoot`; probes therefore run with the
     guard moved out of the way (1e100 keeps the flux far from overflow).
-    Outside :func:`shared_shots` the probe memo is private to the search.
-    A search charges its budget once for each (|mu|, rtol, atol) it asks
-    for, whether or not the memo already held the probe.
+
+    A probe is one kernel call (``radial_ivp.probe``), and so is a root
+    solve (:meth:`solve`: ``radial_ivp.solve_miss``, Brent's method on the
+    kernel, each trial a kernel probe).  The memo holds each probe under
+    (|mu|, rtol, atol), the trials of every solve among them, and each
+    solve under (a, b, rtol, atol); outside :func:`shared_shots` it is
+    private to the search.  A search charges its budget once for each
+    (|mu|, rtol, atol) it asks for, whether or not the memo already held
+    the probe: a solve charges its bracket ends, then its trials in their
+    order, as Brent's method over single probes would, so the budget runs
+    out at the same trial.
     """
 
     BLOWUP = 1e100
@@ -201,11 +210,14 @@ class _Prober:
         if self.count > self.budget:
             raise _ScanStopped(f"scan budget of {self.budget} probes exhausted")
 
-    def _probe(self, x, rtol, atol):
-        key = (x, rtol, atol)
+    def _charge_once(self, key):
         if key not in self.charged:
             self._charge()
             self.charged.add(key)
+
+    def _probe(self, x, rtol, atol):
+        key = (x, rtol, atol)
+        self._charge_once(key)
         pr = self.probes.get(key)
         if pr is None:
             pr = self.probes[key] = probe(
@@ -214,18 +226,42 @@ class _Prober:
             )
         return pr
 
-    def _shoot(self, x, rtol, atol):
-        """The whole trajectory, for the eigenfunction at a root (always charged)."""
-        self._charge()
-        return shoot(self.problem.at(self.sgn * x), 1.0, rtol=rtol, atol=atol,
-                     blowup_limit=self.BLOWUP)
-
     def loose(self, x) -> _Node:
         pr = self._probe(x, SCAN_RTOL, SCAN_ATOL)
         return _Node(x, pr.d, pr.z)
 
     def tight(self, x, rtol, atol) -> float:
         return self._probe(x, rtol, atol).d
+
+    def solve(self, a, b, rtol, atol):
+        """(|mu|, trajectory there) of the root of D over [a, b] by Brent's
+        method, probes and trajectory at the tolerances.
+
+        The solve runs in lam = sgn |mu| over [sgn a, sgn b], on the ends'
+        memoized probes; for nu = '-' its iterates are the negatives of
+        those in |mu|, to the bit.  The trajectory is read off the root's
+        trial.  Raises RuntimeError where Brent's method does not converge,
+        after charging the trials it made.
+        """
+        pr_a, pr_b = self._probe(a, rtol, atol), self._probe(b, rtol, atol)
+        key, sgn = (a, b, rtol, atol), self.sgn
+        solved = self.probes.get(key)
+        if solved is None:
+            try:
+                root, _, traj, trials = solve_miss(
+                    self.problem, 1.0, sgn * a, sgn * b, (pr_a, pr_b), rtol=rtol, atol=atol,
+                    xtol=1e-15, xrtol=8.9e-16, blowup_limit=self.BLOWUP)
+                solved = self.probes[key] = (sgn * root, traj, trials, "")
+            except RuntimeError as exc:
+                solved = self.probes[key] = (None, None, exc.trials, str(exc))
+        x, traj, trials, failure = solved
+        for lam, pr in trials:
+            key = (sgn * lam, rtol, atol)
+            self._charge_once(key)
+            self.probes.setdefault(key, pr)
+        if failure:
+            raise RuntimeError(failure)
+        return x, traj
 
 
 class _ScanStopped(Exception):
@@ -486,6 +522,11 @@ def _hunt_sign_bump(prober, a, b):
 def _classify_brackets(nodes, prober, found, K, rtol, atol):
     """Polish every D sign change at tight tolerance and classify its index.
 
+    Each root takes two solves on the kernel (:meth:`_Prober.solve`): the
+    loose one over the bracket, then the tight one of :func:`_polish_root`,
+    whose root's trajectory is the eigenfunction.  The search charges one
+    probe more for that shot, as for a shot of its own.
+
     The index comes from the bracket endpoints' zero counts: across a
     clean bracket the count steps from k-1 to k (the new zero enters
     through r = 1 exactly at the root), so k is determined by integers
@@ -499,20 +540,19 @@ def _classify_brackets(nodes, prober, found, K, rtol, atol):
         if min(a.z, b.z) > K:  # beyond what was asked for
             continue
         try:
-            x_loose = brentq(
-                lambda x: prober.loose(x).d, a.x, b.x, xtol=1e-15, rtol=8.9e-16
-            )
-            x_root = _polish_root(prober, x_loose, a.x, b.x, rtol, atol)
+            x_loose, _ = prober.solve(a.x, b.x, SCAN_RTOL, SCAN_ATOL)
+            polished = _polish_root(prober, x_loose, a.x, b.x, rtol, atol)
         except RuntimeError:  # Brent's method did not converge
             raise _ScanStopped(
                 f"Brent's method did not converge on the bracket |mu| in "
                 f"[{a.x:.10g}, {b.x:.10g}]"
             ) from None
-        if x_root is None:
+        if polished is None:
             continue  # no tight bracket: the index stays unbracketed
+        x_root, traj = polished
         if any(abs(x_root - x_seen) <= 1e-9 * x_seen for x_seen, _ in found.values()):
             continue  # same root reached through a second bracket
-        traj = prober._shoot(x_root, rtol, atol)
+        prober._charge()  # the eigenfunction's shot
         z_lo, z_hi = min(a.z, b.z), max(a.z, b.z)
         if z_hi - z_lo == 1:
             k = z_hi  # unambiguous: root index = lower count + 1
@@ -554,10 +594,13 @@ def _trim_tail_artifacts(traj: Trajectory, k: int):
 
 
 def _polish_root(prober, x0, lo, hi, rtol, atol):
-    """Re-bracket the loose root at tight tolerance and solve to 1e-12 rel.
+    """Re-bracket the loose root at tight tolerance and solve there:
+    (root, its trajectory), both from one tight solve on the kernel
+    (:meth:`_Prober.solve`, Brent's method to xtol 1e-15 and rtol 8.9e-16).
 
-    None when no bracket changes sign at tight tolerance: the loose root
-    is never returned unpolished.
+    The windows widen tenfold from 1e-6 x0 around the loose root, the full
+    loose bracket last.  None when no window changes sign at tight
+    tolerance: the loose root is never returned unpolished.
     """
     windows = []
     w = max(1e-6 * x0, 1e-12)
@@ -567,8 +610,7 @@ def _polish_root(prober, x0, lo, hi, rtol, atol):
     windows.append((lo, hi))  # last resort: the full loose bracket
     for a, b in windows:
         if prober.tight(a, rtol, atol) * prober.tight(b, rtol, atol) < 0:
-            return brentq(lambda x: prober.tight(x, rtol, atol), a, b,
-                          xtol=1e-15, rtol=8.9e-16)
+            return prober.solve(a, b, rtol, atol)
     return None
 
 

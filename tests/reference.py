@@ -117,22 +117,30 @@ def reduce(traj):
 
 
 def solve_miss(problem, alpha, a, b, ends, *, in_alpha=False, rtol, atol, xtol, xrtol,
-               trial=None):
+               blowup_limit=BLOWUP_LIMIT, trial=None):
     """``radial_ivp.solve_miss``: Brent's method over :func:`probe` (or over
     trial, a function of the same arguments), in the parameter of
     problem's right-hand side at u(0) = alpha, or in u(0); then the root,
-    the probe there and :func:`shoot` there."""
+    the probe there, :func:`shoot` there and the trials in order, as
+    (x, probe) pairs.  Where Brent's method does not converge, its
+    RuntimeError carries those trials as ``trials``."""
     pr_a, pr_b = ends
     seen = {a: pr_a, b: pr_b}
+    trials = []
 
     def miss(x):
         at = (problem, x) if in_alpha else (problem.at(x), alpha)
-        pr = seen[x] = (trial or probe)(*at, rtol=rtol, atol=atol)
+        pr = seen[x] = (trial or probe)(*at, rtol=rtol, atol=atol, blowup_limit=blowup_limit)
+        trials.append((x, pr))
         return pr.d
 
-    root = brentq(miss, a, b, xtol=xtol, rtol=xrtol, fa=pr_a.d, fb=pr_b.d)
+    try:
+        root = brentq(miss, a, b, xtol=xtol, rtol=xrtol, fa=pr_a.d, fb=pr_b.d)
+    except RuntimeError as exc:
+        exc.trials = trials
+        raise
     at = (problem, root) if in_alpha else (problem.at(root), alpha)
-    return root, seen[root], shoot(*at, rtol=rtol, atol=atol)
+    return root, seen[root], shoot(*at, rtol=rtol, atol=atol, blowup_limit=blowup_limit), trials
 
 
 def route(monkeypatch):

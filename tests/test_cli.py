@@ -667,3 +667,40 @@ def test_verify_report_is_the_same_with_the_minus_halves_solved(tmp_path, monkey
     solved, calls_solved = report("solved")
     assert solved == read_off
     assert calls_solved == sorted(calls_read_off * 2) and calls_read_off
+
+
+class _Profiled:
+    """A stand-in shot whose u and u' at the profile's radii are given."""
+
+    def __init__(self, u, uprime):
+        self.r, self._u, self._uprime = np.array([1e-6]), u, uprime
+
+    def eval(self, rs):
+        return self._u[:rs.size], None
+
+    def uprime(self, rs):
+        return self._uprime[:rs.size]
+
+
+def test_profile_writes_the_bytes_of_each_value_formatted_alone(tmp_path):
+    # the profile is formatted in one pass; its bytes are those of _fmt on
+    # each value, signed zeros, subnormals, large integers and non-finite
+    # values included
+    special = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308 / 3, 1e16, 1e17,
+               -1e17, 123456789012345678.0, math.inf, -math.inf, math.nan, -math.nan, 0.1]
+    rng = np.random.default_rng(20261019)
+    bits = rng.integers(0, 2**64, 2 * 513, dtype=np.uint64).view(np.float64)
+    u = np.concatenate((special, bits[:513 - len(special)]))
+    uprime = np.concatenate((special[::-1], bits[513:1026 - len(special)]))
+    comments = ["pspect test", "k=1 nu=+ mu=1"]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    cli._write_profile(str(got), comments, _Profiled(u, uprime))
+    rs = np.linspace(1e-6, 1.0, 513)
+    cli._write_csv(str(want), comments, ("r", "u", "uprime"),
+                   zip(map(float, rs), map(float, u), map(float, uprime)))
+    assert got.read_bytes() == want.read_bytes()
+    rows = got.read_text().splitlines()[3:]
+    assert [row.split(",")[1] for row in rows[:len(special)]] == [
+        "-0", "0", "4.9406564584124654e-324", "-2.4999721679567075e-320",
+        "7.4169128616906696e-309", "10000000000000000", "1e+17", "-1e+17",
+        "1.2345678901234568e+17", "inf", "-inf", "nan", "nan", "0.10000000000000001"]

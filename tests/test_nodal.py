@@ -375,16 +375,18 @@ def test_nodal_solves_probe_no_shot_twice(monkeypatch, kernel):
         return real_shoot(problem, alpha, **kw)
 
     def solve_spy(problem, alpha, a, b, ends, *, in_alpha=False, **kw):
-        root, pr, traj = solve(problem, alpha, a, b, ends, in_alpha=in_alpha, **kw)
-        roots.append((problem, root) if in_alpha else (problem.at(root), alpha))
-        return root, pr, traj
+        solved = solve(problem, alpha, a, b, ends, in_alpha=in_alpha, **kw)
+        roots.append((problem, solved[0]) if in_alpha else (problem.at(solved[0]), alpha))
+        return solved
 
     for module in (radial_ivp, nodal, reference):
         monkeypatch.setattr(module, "probe", spy)
         monkeypatch.setattr(module, "shoot", shoot_spy)
     monkeypatch.setattr(nodal, "solve_miss", solve_spy)
+    # the spectra are computed first: the runs spy on the nodal solves alone
     spec = compute_spectrum(2.0, 1, M_LIN, 1)
     m_steep = Weight.poly([1.0, -8.0])
+    spec_steep = compute_spectrum(2.0, 1, m_steep, 1, ("+",))
     runs = (
         lambda: trace_branch(2.0, 1, M_LIN, F_REF, 1, "+", alpha_min=1e-2, alpha_max=1e2,
                              ratio=4.0, spectrum=spec),
@@ -394,7 +396,7 @@ def test_nodal_solves_probe_no_shot_twice(monkeypatch, kernel):
         # the shot at the root, mu = 67.56, has one sign change, under the
         # noise floor with a collapsed slope, which the tail filter drops
         lambda: verify_bifurcation_points(2.0, 1, m_steep, Perturbation(2.0), [1], ("+",),
-                                          alphas=(1e-1,)),
+                                          alphas=(1e-1,), spectrum=spec_steep),
     )
     for run in runs:
         keys.clear()

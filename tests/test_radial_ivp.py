@@ -471,10 +471,36 @@ def test_kernel_step_underflow_raises_the_python_error(shoot_results):
 
 @pytest.mark.kernel
 def test_kernel_grows_its_buffers(monkeypatch, shoot_results):
-    monkeypatch.setattr(_kernel, "FIRST_CAPACITY", 3)
+    monkeypatch.setattr(_kernel, "_capacity", 3)
     assert_kernel_matches_reference(Problem.linear(2.5, 1, M_LIN, 13872.2), rtol=1e-6,
                                     atol=1e-8)
     assert shoot_results[0][2] > 100  # accepted steps
+
+
+@pytest.mark.kernel
+def test_kernel_starts_at_the_largest_capacity_a_call_needed(monkeypatch):
+    # a probe of 5,819 steps outgrows the first buffers (4,096 steps) and
+    # marches again in larger ones; every later call starts at the larger
+    # capacity and marches once, to the same bits
+    monkeypatch.setattr(_kernel, "_capacity", _kernel.FIRST_CAPACITY)
+    lib, calls = _kernel.load(), []
+
+    class Counting:
+        def __getattr__(self, name):
+            def call(*args):
+                calls.append(name)
+                return getattr(lib, name)(*args)
+            return call
+
+    monkeypatch.setattr(_kernel, "load", Counting)
+    prob = Problem.linear(1.2, 1, M1, 250.0)
+    first = probe(prob, 1.0, rtol=1e-10, atol=1e-12)
+    assert first.steps.accepted == 5819 and calls == ["pspect_probe"] * 2
+    second = probe(prob, 1.0, rtol=1e-10, atol=1e-12)
+    assert calls == ["pspect_probe"] * 3
+    assert_same_probe(second, first)
+    assert_same_shot(shoot(prob, 1.0), reference.shoot(prob, 1.0))
+    assert calls == ["pspect_probe"] * 3 + ["pspect_shoot"]
 
 
 def _fresh_kernel(monkeypatch, cache_dir, xdg):
@@ -1248,6 +1274,15 @@ def assert_same_solve(got, want):
     assert _same_bits(got[0], want[0]) and type(got[0]) is float
     assert_same_probe(got[1], want[1])
     assert_same_shot(got[2], want[2])
+    assert_same_trials(got[3], want[3])
+
+
+def assert_same_trials(got, want):
+    """The trials of two solves, (x, probe) pairs in order, are the same to the bits."""
+    assert len(got) == len(want)
+    for (x, pr), (x_want, pr_want) in zip(got, want):
+        assert _same_bits(x, x_want) and type(x) is float
+        assert_same_probe(pr, pr_want)
 
 
 def assert_solve_matches_brentq_over_probe(prob, alpha, bracket, in_alpha=False,
@@ -1303,7 +1338,7 @@ def test_solve_through_shots_that_blow_up(monkeypatch, solve_results):
 
 @pytest.mark.kernel
 def test_solve_grows_its_buffers(monkeypatch, solve_results):
-    monkeypatch.setattr(_kernel, "FIRST_CAPACITY", 3)
+    monkeypatch.setattr(_kernel, "_capacity", 3)
     prob = Problem.nonlinear(2.5, 2, M_LIN, 1.0, Nonlinearity.rational(2.5))
     bracket = _first_bracket(lambda x: probe(prob.at(x), 1.0, **TIGHT), [2.0, 200.0])
     assert_solve_matches_brentq_over_probe(prob, 1.0, bracket, **XTOL)
@@ -1341,6 +1376,15 @@ def test_solve_hands_back_what_python_raises_on(case, solve_results):
         "underflow": (IntegrationError, "step size underflow at r = 1.000000e-06"),
     }[case]
     assert solve_results == []
+    if case == "no-convergence":  # the trials go with the error, as the reference makes them
+        a, b, pr_a, pr_b = bracket
+        trials = []
+        for solve in (radial_ivp.solve_miss, reference.solve_miss):
+            with pytest.raises(RuntimeError) as raised:
+                solve(prob, 1.0, a, b, (pr_a, pr_b), **tols, **xtol)
+            trials.append(raised.value.trials)
+        assert_same_trials(*trials)
+        assert len(trials[0]) == _kernel.BRENT_MAXITER
 
 
 @pytest.mark.kernel
@@ -1399,7 +1443,8 @@ def assert_root_shot_is_shoot(prob, alpha, bracket, in_alpha, marched, solve_res
     """The trajectory solve_miss returns is shoot's at the root, array for
     array and by bits, and the kernel marched the root again exactly where
     marched says; returns the root."""
-    root, _, traj = _solved(radial_ivp.solve_miss, prob, alpha, bracket, in_alpha, TIGHT, XTOL)
+    root, _, traj, _ = _solved(radial_ivp.solve_miss, prob, alpha, bracket, in_alpha, TIGHT,
+                               XTOL)
     at = (prob, root) if in_alpha else (prob.at(root), alpha)
     assert_same_shot(traj, shoot(*at, **TIGHT))
     assert traj.alpha == at[1] and (traj.p, traj.N) == (prob.p, prob.N)

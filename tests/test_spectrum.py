@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from pspect import spectrum
+from pspect import _kernel, spectrum
 from pspect.errors import NegativeSequenceAbsent, PreconditionError, SpectrumIncomplete
 from pspect.radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL, Probe, Problem, probe
 from pspect.spectrum import (
@@ -24,6 +24,7 @@ from pspect.spectrum import (
 )
 from pspect.weights import Weight
 
+import reference
 from oracles import lambda_k_closed, rayleigh_mu1, rk4_shot
 
 M1 = Weight.constant(1.0)
@@ -301,25 +302,32 @@ def test_shared_shots_leave_results_unchanged(nu):
 
 
 def test_shared_shots_repeat_search_shoots_no_probe(monkeypatch):
-    tols = []
+    tols, solves = [], []
 
     def counting_probe(problem, alpha, **kw):
         tols.append(kw["rtol"])
         return probe(problem, alpha, **kw)
 
-    probe = spectrum.probe
+    def counting_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    probe, solve = spectrum.probe, _kernel.solve
     monkeypatch.setattr(spectrum, "probe", counting_probe)
+    monkeypatch.setattr(_kernel, "solve", counting_solve)
     prob = eig_problem(2.0, 1, M_LIN)
     alone = find_eigenvalues(prob, 2, "+")
-    once = len(tols)
+    once, solved_once = len(tols), len(solves)
     assert SCAN_RTOL in tols and DEFAULT_RTOL in tols  # loose and tight probes
+    assert solved_once == 4  # a loose and a tight solve per root
     find_eigenvalues(prob, 2, "+")
-    assert len(tols) == 2 * once  # outside the block each search shoots its own
+    # outside the block each search shoots and solves its own
+    assert (len(tols), len(solves)) == (2 * once, 2 * solved_once)
     with shared_shots():
         find_eigenvalues(prob, 3, "+")
-        before = len(tols)
+        before = (len(tols), len(solves))
         res = find_eigenvalues(prob, 2, "+")
-    assert len(tols) == before
+    assert (len(tols), len(solves)) == before
     assert res.probes_used == alone.probes_used
 
 
@@ -335,6 +343,46 @@ def test_shared_shots_keep_the_probe_budget(monkeypatch):
             shared = find_eigenvalues(prob, 6, "+")
     assert shared.message.startswith("scan budget of 30 probes exhausted")
     assert summary(shared) == summary(alone)
+
+
+COS3 = Weight.from_function(lambda r: math.cos(3.0 * math.pi * r))
+REFERENCE_SEARCHES = {
+    "1-2r+": (2.45, 2, M_LIN, "+", None),
+    "1-2r-": (2.45, 2, M_LIN, "-", None),
+    # Brent's method does not converge on [143.28, 146.54]: the search ends there
+    "cos3-no-convergence": (1.3, 2, COS3, "-", None),
+    # index 6 stays unbracketed after 12 refinement rounds (437 probes)
+    "cos3-unbracketed": (2.25, 1, COS3, "-", None),
+    # the budget runs out among the trials of a solve
+    "1-2r-budget": (2.45, 2, M_LIN, "+", 30),
+    "hard-cubic-ceiling": (2.63, 2, Weight.poly([0.86, -0.18, 0.10, -0.94]), "-", None),
+}
+
+
+@pytest.mark.kernel
+@pytest.mark.parametrize("case", sorted(REFERENCE_SEARCHES))
+def test_search_on_the_kernel_is_the_search_on_the_reference(monkeypatch, case):
+    # the root solves run on the kernel, each trial charged in turn; on the
+    # reference each trial is a probe of its own (reference.route), and
+    # both searches return the same values, zeros, residuals, probe count,
+    # completeness and message
+    p, n_dim, m, nu, budget = REFERENCE_SEARCHES[case]
+    if budget is not None:
+        monkeypatch.setattr(spectrum, "DEFAULT_BUDGET", budget)
+    kernel = find_eigenvalues(eig_problem(p, n_dim, m), 6, nu)
+    reference.route(monkeypatch)
+    python = find_eigenvalues(eig_problem(p, n_dim, m), 6, nu)
+    assert repr(summary(kernel)) == repr(summary(python))
+    assert kernel.complete is (budget is None and case.startswith("1-2r"))
+    assert {
+        "cos3-no-convergence": "Brent's method did not converge on the bracket |mu| in "
+                               "[143.2841414, 146.5405991]; largest validated index 4",
+        "cos3-unbracketed": "index 6 still unbracketed after 12 refinement rounds "
+                            "(437 probes); largest validated index 5",
+        "1-2r-budget": "scan budget of 30 probes exhausted; largest validated index 1",
+        "hard-cubic-ceiling": "scan ceiling |mu| = 3.1663e+09 reached after 31 probes "
+                              "(largest |mu| probed 3.84512e+09); largest validated index 0",
+    }.get(case, "") == kernel.message
 
 
 # ---------------------------------------------------------------------------
