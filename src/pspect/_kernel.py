@@ -330,10 +330,10 @@ def _shot_size(n_samples):
 
 def _read(samples, scratch, cap, g, k):
     """What :func:`scan` returns, from pspect_scan's samples and scratch of
-    cap points, with g grid points and k zeros; the arrays are copies."""
+    cap points, with g grid points and k zeros kept; the arrays are copies."""
     u1, v1, sup_uprime, *zeros = scratch[cap:cap + 3 + 2 * k].tolist()
     return (samples[:g].copy(), samples[cap:cap + g].copy(), samples[2 * cap:2 * cap + g].copy(),
-            scratch[:g].copy(), (u1, v1), sup_uprime, list(zip(zeros[0::2], zeros[1::2])))
+            float(scratch[0]), (u1, v1), sup_uprime, list(zip(zeros[0::2], zeros[1::2])))
 
 
 def shoot(shot: Shot):
@@ -358,7 +358,7 @@ def shoot(shot: Shot):
 def _shot_read(buf, n_samples, status, r, n, rejected, g, k):
     """What :func:`shoot` returns, from the buffer of a shot of n steps with
     n_samples samples as ``pspect_shoot`` leaves it, g grid points and k
-    zeros; the arrays are copies."""
+    zeros kept; the arrays are copies."""
     cap = n_samples + n + 1
     work = buf[12 * n + 1:]
     return (status, r, n, rejected, buf[:12 * n + 1].copy(),
@@ -377,8 +377,10 @@ def scan(block, n, eps, r_end, n_samples, n_dim, e_inv):
     """``pspect_scan`` over a shot of n >= 1 steps in the block layout of
     ``_rk45.DenseOutput``: what the reference's post-pass returns, with its
     sign changes refined as the reference refines them, to the same bits:
-    (grid, u, v, tail maxima, (u(1), v(1)), sup |u'|, zeros as (r, u')
-    pairs).  Raises what the refinement of a zero raises in Python."""
+    (grid, u, v, sup |u|, (u(1), v(1)), sup |u'|, zeros as (r, u') pairs).
+    The zeros are those the kernel's tail filter keeps (``kept_zeros`` of
+    ``_rk45_kernel.c``, which drops trailing noise crossings), as on every
+    shot.  Raises what the refinement of a zero raises in Python."""
     lib = load()
     _check_block(block, n)
     cap = n_samples + n + 1

@@ -5,7 +5,7 @@
  *
  *   pspect_shoot    one shot: the start, the march to r = 1 and pspect_scan
  *   pspect_scan     the post-pass: samples, sup |u|, sup |u'|, u(1) and the
- *                   zeros of u
+ *                   zeros of u the tail filter keeps
  *   pspect_reduce   a finished shot reduced to a probe (D, Z, sup |u|)
  *   pspect_probe    one probe: the start, the march, then pspect_reduce
  *   pspect_solve    the root of the miss D in lam or u(0), and the shot there:
@@ -428,19 +428,19 @@ INLINE int dp45(Rhs *R, int family, const Shot *S, const double *state, double h
 }
 
 /* ------------------------------------------------------------------------
- * pspect_scan: what radial_ivp.shoot reads off a finished shot, computed as
- * the reference (tests/reference.py's scan_reference in numpy, then
- * locate_zeros) computes it, to the same bits.  Each power it takes is a
- * libm pow call, as Python's ** and numpy's scalar power are; none is a
- * numpy array power, which need not round as libm's pow does.
+ * pspect_scan: what radial_ivp.shoot reads off a finished shot, tail filter
+ * included, computed as the reference (tests/reference.py's post_pass)
+ * computes it, to the same bits.  Each power it takes is a libm pow call,
+ * as Python's ** and numpy's scalar power are; none is a numpy array
+ * power, which need not round as libm's pow does.
  */
 
 #define ZERO_XTOL 1e-12        /* radial_ivp.ZERO_XTOL */
 #define ZERO_RTOL 8.9e-16      /* radial_ivp.ZERO_RTOL */
 #define BRENT_MAXITER 100      /* radial_ivp.brentq's maxiter */
 #define BOUNDARY_MARGIN 1e-6   /* radial_ivp.BOUNDARY_MARGIN */
-#define TAIL_NOISE_FACTOR 1e-7 /* radial_ivp.TAIL_NOISE_FACTOR */
-#define TAIL_SLOPE_FACTOR 1e-3 /* radial_ivp.TAIL_SLOPE_FACTOR */
+#define TAIL_NOISE_FACTOR 1e-7 /* kept_zeros' noise floor, a fraction of sup |u| */
+#define TAIL_SLOPE_FACTOR 1e-3 /* kept_zeros' slope floor, a fraction of sup |u'| */
 #define BLOWUP_MISS 1e12       /* radial_ivp.BLOWUP_MISS */
 
 /* DenseOutput.__call__ on step i at t: theta = (t - ts[i]) / hs[i], then
@@ -712,25 +712,6 @@ static double sup_uprime(const double *grid, const double *v, int64_t g, int64_t
     return pow(m, e_inv);
 }
 
-/* read_shot, with sup |u'| in scratch[cap + 2] */
-int pspect_scan(const double *block, int64_t n, double eps, double r_end, int64_t n_samples,
-                int64_t n_dim, double e_inv, double *samples, int64_t cap, double *scratch,
-                int64_t *counts)
-{
-    int status = read_shot(block, n, eps, r_end, n_samples, n_dim, e_inv, samples, cap, scratch,
-                           counts);
-    if (status)
-        return status;
-    scratch[cap + 2] = sup_uprime(samples, samples + 2 * cap, counts[0], n_dim, e_inv);
-    return 0;
-}
-
-/* ------------------------------------------------------------------------
- * pspect_reduce and pspect_probe: radial_ivp.probe, a shot reduced to the
- * miss D, the interior zero count Z and sup |u|, without the trajectory;
- * pspect_shoot: radial_ivp.shoot.
- */
-
 /* numpy's searchsorted(grid[:g], r, side="left"), NaN ordered last */
 static int64_t search_left(const double *grid, int64_t g, double r)
 {
@@ -745,18 +726,74 @@ static int64_t search_left(const double *grid, int64_t g, double r)
     return lo;
 }
 
-/* What radial_ivp.probe reads off a finished shot of n >= 1 steps in block:
-   read_shot with n_samples >= 0 samples, then the tail filter of
-   radial_ivp._drop_noise_tail_zeros and the count of interior zeros.  work
-   holds 4 cap + 3 + 4 n doubles, cap = n_samples + n + 1, laid out as the
-   samples and scratch of pspect_scan.  out receives u(1), u at r_end,
-   sup |u| and the number Z of interior zeros.
+/* The tail filter, which every shot, probe and root shot runs: how many of
+   the zeros read_shot left (with its samples of cap points, scratch and
+   counts) a shot keeps, its trailing noise crossings dropped.
 
-   The filter drops trailing zeros whose tail maximum is below
-   TAIL_NOISE_FACTOR sup |u| and whose slope is below TAIL_SLOPE_FACTOR
-   sup |u'|; sup |u'| is computed only where a trailing zero lies under the
-   noise floor.  Returns 0, or the status of read_shot, with its number in
-   out[0]. */
+   An indefinite weight makes the terminal stretch of a near-eigenvalue
+   shot non-oscillatory with an exponentially small true solution; the
+   parameter sensitivity of that tail is exponential, so at the double-
+   precision resolution of the eigenvalue the computed tail hovers at a
+   noise floor and can flicker in sign.  A flicker crossing shows both
+   signatures at once: |u| never rebounds above a small fraction of the
+   sup-norm afterwards, and the slope at the crossing has collapsed
+   relative to the shot's slope scale.  Genuine nodal zeros fail both
+   tests by orders of magnitude.
+
+   So trailing zeros are dropped while max |u| over the grid from the zero
+   on (searchsorted side "left"; 0 past the grid) is below TAIL_NOISE_FACTOR
+   sup |u| and |u'| at the zero below TAIL_SLOPE_FACTOR sup |u'|: *known,
+   or, where known is NULL, computed only where a trailing zero lies under
+   the noise floor.  Its reference: tests/reference.py's drop_noise_tail_zeros. */
+static int64_t kept_zeros(const double *samples, int64_t cap, const double *scratch,
+                          const int64_t *counts, int64_t n_dim, double e_inv,
+                          const double *known)
+{
+    int64_t g = counts[0], nz = counts[1], kept = nz;
+    const double *tail = scratch, *zeros = scratch + cap + 3, *v = samples + 2 * cap;
+    double noise = TAIL_NOISE_FACTOR * tail[0], slope = 0.0;
+    for (; kept > 0; kept--) {
+        const double *zero = zeros + 2 * (kept - 1);
+        int64_t idx = search_left(samples, g, zero[0]);
+        if (!((idx < g ? tail[idx] : 0.0) < noise))
+            break;
+        if (kept == nz) /* the first test that reads sup |u'| */
+            slope = TAIL_SLOPE_FACTOR * (known ? *known : sup_uprime(samples, v, g, n_dim, e_inv));
+        if (!(fabs(zero[1]) < slope))
+            break;
+    }
+    return kept;
+}
+
+/* read_shot, with sup |u'| in scratch[cap + 2], and counts[1] the number
+   of zeros the tail filter keeps (kept_zeros) */
+int pspect_scan(const double *block, int64_t n, double eps, double r_end, int64_t n_samples,
+                int64_t n_dim, double e_inv, double *samples, int64_t cap, double *scratch,
+                int64_t *counts)
+{
+    int status = read_shot(block, n, eps, r_end, n_samples, n_dim, e_inv, samples, cap, scratch,
+                           counts);
+    if (status)
+        return status;
+    scratch[cap + 2] = sup_uprime(samples, samples + 2 * cap, counts[0], n_dim, e_inv);
+    counts[1] = kept_zeros(samples, cap, scratch, counts, n_dim, e_inv, scratch + cap + 2);
+    return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * pspect_reduce and pspect_probe: radial_ivp.probe, a shot reduced to the
+ * miss D, the interior zero count Z and sup |u|, without the trajectory;
+ * pspect_shoot: radial_ivp.shoot.
+ */
+
+/* What radial_ivp.probe reads off a finished shot of n >= 1 steps in block:
+   read_shot with n_samples >= 0 samples, then the tail filter (kept_zeros,
+   which computes sup |u'| only where a trailing zero lies under the noise
+   floor) and the count of interior zeros.  work holds 4 cap + 3 + 4 n
+   doubles, cap = n_samples + n + 1, laid out as the samples and scratch of
+   pspect_scan.  out receives u(1), u at r_end, sup |u| and the number Z of
+   interior zeros.  Returns 0, or the status of read_shot, with its number
+   in out[0]. */
 int pspect_reduce(const double *block, int64_t n, double eps, double r_end, int64_t n_samples,
                   int64_t n_dim, double e_inv, double *work, double *out)
 {
@@ -768,25 +805,12 @@ int pspect_reduce(const double *block, int64_t n, double eps, double r_end, int6
         out[0] = scratch[cap];
         return status;
     }
-    int64_t g = counts[0], nz = counts[1], kept = nz;
-    const double *grid = work, *tail = scratch, *zeros = scratch + cap + 3;
-    double sup_u = tail[0], noise = TAIL_NOISE_FACTOR * sup_u, slope = 0.0;
-    for (; kept > 0; kept--) {
-        const double *zero = zeros + 2 * (kept - 1);
-        int64_t idx = search_left(grid, g, zero[0]);
-        if (!((idx < g ? tail[idx] : 0.0) < noise))
-            break;
-        if (kept == nz) /* the first test that reads sup |u'| */
-            slope = TAIL_SLOPE_FACTOR * sup_uprime(grid, work + 2 * cap, g, n_dim, e_inv);
-        if (!(fabs(zero[1]) < slope))
-            break;
-    }
-    int64_t z = 0;
+    int64_t kept = kept_zeros(work, cap, scratch, counts, n_dim, e_inv, NULL), z = 0;
     for (int64_t k = 0; k < kept; k++)
-        z += zeros[2 * k] < 1.0 - BOUNDARY_MARGIN;
+        z += scratch[cap + 3 + 2 * k] < 1.0 - BOUNDARY_MARGIN;
     out[0] = scratch[cap];
-    out[1] = work[cap + g - 1];
-    out[2] = sup_u;
+    out[1] = work[cap + counts[0] - 1];
+    out[2] = scratch[0];
     out[3] = (double)z;
     return 0;
 }
@@ -942,8 +966,9 @@ static int march(const Shot *S, int64_t cap, double *buf, double *t, int64_t *st
    it: pspect_scan over the block from eps to r = 1 or to where the shot blew
    up, with the samples and then the scratch after the block, each for a
    grid of at most n_samples + n + 1 points.  counts[2] and counts[3] receive
-   the grid length and the number of zeros.  Returns status, or the status of
-   the error the post-pass raises, with its number in *t. */
+   the grid length and the number of zeros the tail filter keeps.  Returns
+   status, or the status of the error the post-pass raises, with its number
+   in *t. */
 static int read_march(const Shot *S, int status, double *buf, double *t, int64_t *counts)
 {
     int64_t n = counts[0], cap_s = S->n_samples + n + 1;
@@ -960,7 +985,7 @@ static int read_march(const Shot *S, int status, double *buf, double *t, int64_t
 /* radial_ivp.shoot of the shot *S, to its bits: march, then read_march.
    buf holds 20 cap + 4 n_samples + 8 doubles, as for pspect_probe.  *t
    receives the r where the march stopped, and counts n, the rejected steps,
-   the grid length and the number of zeros.  Returns the status of the
+   the grid length and the number of zeros kept.  Returns the status of the
    march, or of the first error Python would raise on the way; *t then holds
    the number the status carries. */
 int pspect_shoot(const Shot *S, int64_t cap, double *buf, double *t, int64_t *counts)

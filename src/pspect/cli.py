@@ -220,7 +220,8 @@ def _check_values(block, path, p, types=_VALUE_TYPES):
                 _fail(where, f"must be {what}")
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str):
+    """The config at path and its problem's weight, validated."""
     try:
         with open(path, "r") as fh:
             text = fh.read()
@@ -232,11 +233,12 @@ def load_config(path: str) -> dict:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
-    validate_config(cfg)
-    return cfg
+    return cfg, validate_config(cfg)
 
 
-def validate_config(cfg: dict):
+def validate_config(cfg: dict) -> Weight:
+    """Raise the ConfigError of the first fault of cfg; else return the
+    problem's weight, which validation builds."""
     _require_keys(
         cfg, {"problem", "task", "tolerances", "output"}, {"problem", "task"}, "config"
     )
@@ -247,7 +249,7 @@ def validate_config(cfg: dict):
         _fail("problem.p", "must be a number > 1")
     if not _is_index(prob["N"]):
         _fail("problem.N", "must be an integer >= 1")
-    _built(Weight.from_spec, "problem.weight", prob["weight"])
+    weight = _built(Weight.from_spec, "problem.weight", prob["weight"])
 
     task = cfg["task"]
     if not isinstance(task, dict) or "kind" not in task:
@@ -275,6 +277,7 @@ def validate_config(cfg: dict):
         if block in cfg:
             _require_keys(cfg[block], keys, set(), block)
             _check_values(cfg[block], block, p)
+    return weight
 
 
 def config_hash(cfg: dict) -> str:
@@ -709,7 +712,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        cfg = load_config(args.config)
+        cfg, weight = load_config(args.config)
         if cfg["task"]["kind"] != args.command:
             raise ConfigError(
                 f"config task kind {cfg['task']['kind']!r} does not match "
@@ -727,8 +730,8 @@ def main(argv=None) -> int:
     header = _header(cfg, args.command, tols)
     try:
         with shared_shots():
-            return command(cfg["task"], float(prob["p"]), prob["N"],
-                           Weight.from_spec(prob["weight"]), tols, header, out_dir)
+            return command(cfg["task"], float(prob["p"]), prob["N"], weight, tols, header,
+                           out_dir)
     except SpectrumIncomplete as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARTIAL

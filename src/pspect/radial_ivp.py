@@ -40,11 +40,13 @@ start, ``_rk45.integrate`` and the numpy post-pass), or raises its
 exceptions.
 
 A shot is read off its dense output: the samples on a uniform grid
-united with the accepted steps, the running maxima of |u| behind them,
-u(1), max|u'| and the zeros of u.  Each sign change of u over the step
-nodes and midpoints is refined by Brent's method (:func:`brentq`) to
-1e-12 in r on the quartic of its step.  max|u'| is
-pow(max |v| / r^(N-1), 1/(p-1)) over the grid, each power libm's.  A
+united with the accepted steps, sup |u| over them, u(1), max|u'| and the
+zeros of u.  Each sign change of u over the step nodes and midpoints is
+refined by Brent's method (:func:`brentq`) to 1e-12 in r on the quartic
+of its step.  max|u'| is pow(max |v| / r^(N-1), 1/(p-1)) over the grid,
+each power libm's.  The tail filter is the kernel's (``kept_zeros``): it
+drops trailing crossings under a noise floor with a collapsed slope, and
+a shot returns only the zeros it keeps.  A
 zero is simple when |u'(r_z)| >= 1e-8 * max|u'|, and the trajectory is
 flagged, not repaired, when a degenerate (u = u' = 0) point is met,
 since IVP uniqueness can fail there for p != 2.  Every shot runs behind
@@ -85,12 +87,10 @@ BOUNDARY_MARGIN = 1e-6  # zeros within this of r = 1 are not interior
 SIMPLICITY_FACTOR = 1e-8
 ZERO_XTOL = 1e-12
 ZERO_RTOL = 8.9e-16  # the rtol of a zero's refinement
-TAIL_NOISE_FACTOR = 1e-7
-TAIL_SLOPE_FACTOR = 1e-3
 PROBE_SAMPLES = 65  # grid of the shot a probe reads
 SHOT_SAMPLES = 513  # uniform samples of a trajectory (shoot's default)
-# _rk45_kernel.c repeats BLOWUP_MISS, ZERO_XTOL, ZERO_RTOL, BOUNDARY_MARGIN and the TAIL_ factors
-# (tests/test_radial_ivp.py::test_kernel_constants_match_python compares them)
+# _rk45_kernel.c repeats BLOWUP_MISS, ZERO_XTOL, ZERO_RTOL and BOUNDARY_MARGIN, and
+# tests/reference.py its TAIL_ factors (test_kernel_constants_match_python compares them)
 
 
 def _sgnpow(x: float, e: float) -> float:
@@ -297,11 +297,7 @@ def _trajectory(problem, alpha, shot) -> Trajectory:
     status, r, accepted, rejected, block, scan = shot
     dense, steps = DenseOutput(block, accepted), StepCounts.of(accepted, rejected)
     blowup_radius = r if status == _kernel.BLOWUP else None
-    grid, u_samp, v_samp, tail_max, terminal, sup_uprime, pairs = scan
-    sup_u = float(tail_max[0])
-    zeros = _drop_noise_tail_zeros(_crossings(pairs, sup_uprime), grid, tail_max, sup_u,
-                                   sup_uprime)
-
+    grid, u_samp, v_samp, sup_u, terminal, sup_uprime, pairs = scan
     return Trajectory(
         p=problem.p,
         N=problem.N,
@@ -309,7 +305,7 @@ def _trajectory(problem, alpha, shot) -> Trajectory:
         r=grid,
         u=u_samp,
         v=v_samp,
-        zeros=zeros,
+        zeros=_crossings(pairs, sup_uprime),
         terminal=terminal if blowup_radius is None else None,
         blowup_radius=blowup_radius,
         sup_u=sup_u,
@@ -498,32 +494,4 @@ def brentq(f, a, b, args=(), xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100
 
 def _crossings(pairs, sup_uprime):
     simple = SIMPLICITY_FACTOR * sup_uprime
-    return [ZeroCrossing(r, up, abs(up) < simple) for r, up in pairs]
-
-
-def _drop_noise_tail_zeros(zeros, grid, tail_max, sup_u, sup_uprime):
-    """Discard trailing crossings the solution never recovers from.
-
-    An indefinite weight makes the terminal stretch of a near-eigenvalue
-    shot non-oscillatory with an exponentially small true solution; the
-    parameter sensitivity of that tail is exponential, so at the double-
-    precision resolution of the eigenvalue the computed tail hovers at a
-    noise floor and can flicker in sign.  A flicker crossing shows both
-    signatures at once: |u| never rebounds above a small fraction of the
-    sup-norm afterwards, and the slope at the crossing has collapsed
-    relative to the shot's slope scale.  Genuine nodal zeros fail both
-    tests by orders of magnitude.
-    """
-    kept = list(zeros)
-    while kept:
-        z = kept[-1]
-        idx = int(np.searchsorted(grid, z.r))
-        tail = tail_max[idx] if idx < len(grid) else 0.0
-        if (
-            tail < TAIL_NOISE_FACTOR * sup_u
-            and abs(z.uprime) < TAIL_SLOPE_FACTOR * sup_uprime
-        ):
-            kept.pop()
-        else:
-            break
-    return tuple(kept)
+    return tuple(ZeroCrossing(r, up, abs(up) < simple) for r, up in pairs)

@@ -7,8 +7,9 @@ operation as the kernel does, from the library's own pieces: the start
 from the origin series (:func:`origin_startup`), the Dormand-Prince march
 of ``pspect._rk45.integrate`` on the first-order system (:func:`system`),
 the post-pass in numpy (:func:`scan_reference`) with each sign change of
-u refined by ``radial_ivp.brentq`` (:func:`locate_zeros`), and the tail
-filter and zero rules of ``radial_ivp``.  :func:`shoot`, :func:`probe`
+u refined by ``radial_ivp.brentq`` (:func:`locate_zeros`), the tail filter
+the kernel runs on every shot (:func:`drop_noise_tail_zeros`) and the zero
+rules of ``radial_ivp``.  :func:`shoot`, :func:`probe`
 and :func:`solve_miss` put them together as ``radial_ivp``'s functions of
 those names do on the kernel, which must give their bits, or raise their
 exceptions with the same type and message.
@@ -39,6 +40,9 @@ from pspect.radial_ivp import (
     _sgnpow,
     brentq,
 )
+
+TAIL_NOISE_FACTOR = 1e-7
+TAIL_SLOPE_FACTOR = 1e-3
 
 
 def origin_startup(problem, alpha: float, eps: float):
@@ -90,12 +94,9 @@ def shoot(problem, alpha, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, n_samples=513
         f, eps, 1.0, origin_startup(problem, alpha, eps), rtol=rtol, atol=atol,
         blowup_limit=blowup_limit)
     r_end = blowup_radius if blowup_radius is not None else 1.0
-    grid, u, v, tail_max, terminal, sup_uprime, brackets = scan_reference(
-        dense, eps, r_end, n_samples, n_dim, e_inv)
-    pairs = locate_zeros(brackets, n_dim, e_inv)
-    sup_u = float(tail_max[0])
-    zeros = radial_ivp._drop_noise_tail_zeros(radial_ivp._crossings(pairs, sup_uprime), grid,
-                                              tail_max, sup_u, sup_uprime)
+    grid, u, v, sup_u, terminal, sup_uprime, pairs = post_pass(dense, eps, r_end, n_samples,
+                                                               n_dim, e_inv)
+    zeros = radial_ivp._crossings(pairs, sup_uprime)
     return Trajectory(p=p, N=n_dim, alpha=float(alpha), r=grid, u=u, v=v, zeros=zeros,
                       terminal=terminal if blowup_radius is None else None,
                       blowup_radius=blowup_radius, sup_u=sup_u, sup_uprime=sup_uprime,
@@ -149,6 +150,37 @@ def route(monkeypatch):
         for name in ("shoot", "probe", "solve_miss"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, globals()[name])
+
+
+def post_pass(dense, eps, r_end, n_samples, n_dim, e_inv):
+    """What ``_kernel.scan`` returns: the grid, u and v on it, sup |u|,
+    (u(1), v(1)), sup |u'| and the zeros the tail filter keeps, as (r, u')
+    pairs (:func:`scan_reference`, :func:`locate_zeros`, then
+    :func:`drop_noise_tail_zeros`)."""
+    grid, u, v, tail_max, terminal, sup_uprime, brackets = scan_reference(
+        dense, eps, r_end, n_samples, n_dim, e_inv)
+    sup_u = float(tail_max[0])
+    pairs = drop_noise_tail_zeros(locate_zeros(brackets, n_dim, e_inv), grid, tail_max, sup_u,
+                                  sup_uprime)
+    return grid, u, v, sup_u, terminal, sup_uprime, pairs
+
+
+def drop_noise_tail_zeros(pairs, grid, tail_max, sup_u, sup_uprime):
+    """The (r, u') pairs of a shot's zeros without its trailing noise
+    crossings: the tail filter ``kept_zeros`` of ``_rk45_kernel.c``, whose
+    comment says why it exists.  A trailing zero goes while the maximum of
+    |u| over the grid from it on is below TAIL_NOISE_FACTOR sup |u| and its
+    slope below TAIL_SLOPE_FACTOR sup |u'|."""
+    kept = list(pairs)
+    while kept:
+        r, uprime = kept[-1]
+        idx = int(np.searchsorted(grid, r))
+        tail = tail_max[idx] if idx < len(grid) else 0.0
+        if tail < TAIL_NOISE_FACTOR * sup_u and abs(uprime) < TAIL_SLOPE_FACTOR * sup_uprime:
+            kept.pop()
+        else:
+            break
+    return kept
 
 
 def quartics(dense, i):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pspect
-from pspect import cli, nodal, spectrum
+from pspect import cli, nodal, spectrum, weights
 from pspect.nodal import Nonlinearity, Perturbation
 from pspect.radial_ivp import Problem
 from pspect.weights import Weight
@@ -106,6 +106,17 @@ def test_eig_determinism_byte_identical(tmp_path):
     b1 = open(os.path.join(out1, "spectrum.csv"), "rb").read()
     b2 = open(os.path.join(out2, "spectrum.csv"), "rb").read()
     assert b1 == b2
+
+
+def test_config_weight_built_once(tmp_path, monkeypatch):
+    # validation builds the problem's weight, and the command runs on that
+    # weight: one sign partition, not one more for the command
+    calls, partition = [], weights._sign_partition
+    monkeypatch.setattr(weights, "_sign_partition",
+                        lambda *args: calls.append(args) or partition(*args))
+    cfg = write_cfg(tmp_path, UNIT_EIG)
+    assert cli.main(["eig", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_eig_profiles_emitted(tmp_path):

@@ -663,13 +663,11 @@ def assert_post_pass_matches_reference(prob, alpha, *, rtol=1e-10, atol=1e-12,
     r_end = 1.0 if want.blowup_radius is None else want.blowup_radius
     e_inv = 1.0 / (prob.p - 1.0)
     scan = _kernel.scan(want.dense.block, want.dense.n, EPS, r_end, n_samples, prob.N, e_inv)
-    *samples, brackets = reference.scan_reference(want.dense, EPS, r_end, n_samples, prob.N,
-                                                  e_inv)
-    assert len(samples) == 6
-    for a, b in zip(scan, samples):  # grid, u, v, tail maxima, u(1), sup |u'|
+    post_pass = reference.post_pass(want.dense, EPS, r_end, n_samples, prob.N, e_inv)
+    assert len(scan) == len(post_pass) == 7
+    # grid, u, v, sup |u|, u(1), sup |u'| and the zeros the tail filter keeps
+    for a, b in zip(scan, post_pass):
         assert _same_bits(a, b)
-    zeros = reference.locate_zeros(brackets, prob.N, e_inv)
-    assert _same_bits(scan[6], zeros) and len(scan[6]) == len(zeros)
     return want, reading
 
 
@@ -745,6 +743,7 @@ def test_post_pass_matches_reference(scan_results, probe_results, shoot_results,
         brackets = reference.scan_reference(shot.dense, EPS, 1.0, 65, 1, 1.0)[-1]
         assert len(brackets) == 1 and shot.zeros == ()
         assert reading.z == 0
+        assert shoot_results[0][5][6] == []  # the kernel hands back no zero to filter
     elif case == "source-zero-at-node":
         assert shot.u[0] == 0.0 and shot.zeros[0].r == EPS
     elif case == "long-shot":
@@ -753,6 +752,24 @@ def test_post_pass_matches_reference(scan_results, probe_results, shoot_results,
         assert shot.zeros
     # one kernel call each for the shot, the probe and the explicit scan
     assert len(shoot_results) == len(probe_results) == len(scan_results) == 1
+
+
+@pytest.mark.kernel
+def test_root_shot_of_a_solve_holds_the_zeros_it_keeps(monkeypatch):
+    # Brent's method over [mu - 1e-8, mu + 1e-8] about the noise-tail
+    # case's mu lands on mu itself, whose shot has one sign change under
+    # the noise floor: the kernel drops it from the root's shot, as the
+    # reference's filter does
+    prob, alpha, kw = POST_PASS_CASES["noise-tail"]
+    mu, tols = prob.rhs.mu, dict(rtol=1e-10, atol=1e-12, blowup_limit=kw["blowup_limit"])
+    ends = [probe(prob.at(x), alpha, **tols) for x in (mu - 1e-8, mu + 1e-8)]
+    solved = _spy(monkeypatch, "solve")
+    root, _, traj, _ = radial_ivp.solve_miss(prob, alpha, mu - 1e-8, mu + 1e-8, ends,
+                                             xtol=2e-12, xrtol=8.881784197001252e-16, **tols)
+    assert root == mu and len(solved) == 1 and solved[0].shot[5][6] == []
+    want = reference.shoot(prob, alpha, **tols)
+    assert traj.zeros == want.zeros == ()
+    assert len(reference.scan_reference(want.dense, EPS, 1.0, 513, 1, 1.0)[-1]) == 1
 
 
 @pytest.mark.kernel
@@ -896,8 +913,8 @@ def test_post_pass_matches_reference_on_edited_shots(monkeypatch, scan_results, 
     else:  # the tail filter reads the slope of the last zero, and keeps it
         last = shot.zeros[-1]
         assert abs(last.r - 0.9995) < 1e-12 and shot.interior_zeros[-1] == last
-        assert np.max(np.abs(shot.u[shot.r > last.r])) < radial_ivp.TAIL_NOISE_FACTOR * shot.sup_u
-        assert abs(last.uprime) >= radial_ivp.TAIL_SLOPE_FACTOR * shot.sup_uprime
+        assert np.max(np.abs(shot.u[shot.r > last.r])) < reference.TAIL_NOISE_FACTOR * shot.sup_u
+        assert abs(last.uprime) >= reference.TAIL_SLOPE_FACTOR * shot.sup_uprime
         assert reading.z == len(shot.interior_zeros)
     assert len(scan_results) == 1
 
@@ -1088,8 +1105,8 @@ def test_kernel_constants_match_python():
         "ZERO_XTOL": radial_ivp.ZERO_XTOL, "ZERO_RTOL": radial_ivp.ZERO_RTOL,
         "BRENT_MAXITER": brent_maxiter,
         "BOUNDARY_MARGIN": radial_ivp.BOUNDARY_MARGIN,
-        "TAIL_NOISE_FACTOR": radial_ivp.TAIL_NOISE_FACTOR,
-        "TAIL_SLOPE_FACTOR": radial_ivp.TAIL_SLOPE_FACTOR,
+        "TAIL_NOISE_FACTOR": reference.TAIL_NOISE_FACTOR,
+        "TAIL_SLOPE_FACTOR": reference.TAIL_SLOPE_FACTOR,
         "LOG_ROW": _kernel.LOG_ROW, "RING": _kernel.RING,
     }
     python.update((f"PSPECT_{name}", getattr(_kernel, name)) for name in STATUSES)
