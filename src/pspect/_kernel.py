@@ -134,16 +134,16 @@ def rhs(p, n_dim, weight, lam, family, e, f0=0.0, finf=0.0, q=0.0, gc=0.0, ge=0.
 
 
 class Shot(ctypes.Structure):  # struct Shot of _rk45_kernel.c
-    """One shot from u(0) = alpha to r = 1 with right-hand side rhs: m0 is
-    the weight at 0, p_conj p / (p - 1), eps the start radius, the march
-    stops where |u| reaches blowup_limit, and the shot is read on a grid of
-    n_samples uniform points united with its nodes.  callback is the
-    :class:`Callback` of a CALLBACK right-hand side, kept with the shot."""
+    """One shot from u(0) = alpha to r = 1 with right-hand side rhs: p_conj
+    is p / (p - 1), eps the start radius, the march stops where |u| reaches
+    blowup_limit, and the shot is read on a grid of n_samples uniform points
+    united with its nodes.  callback is the :class:`Callback` of a CALLBACK
+    right-hand side, kept with the shot."""
 
     _fields_ = (
         [("rhs", Rhs)]
         + [(name, ctypes.c_double)
-           for name in ("alpha", "m0", "p_conj", "eps", "rtol", "atol_u", "atol_v")]
+           for name in ("alpha", "p_conj", "eps", "rtol", "atol_u", "atol_v")]
         + [("blowup_limit", ctypes.c_double), ("n_samples", ctypes.c_int64)]
     )
     callback = None

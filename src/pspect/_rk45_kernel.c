@@ -28,7 +28,7 @@
  *     RATIONAL   w = gamma m(r) F(u), F = Nonlinearity.rational
  *     PERTURBED  w = mu m(r) _sgnpow(u, p - 1) + Perturbation (PerturbedRHS)
  *     CALLBACK   w = cb(lam, r, u), any other right-hand side, computed in
- *                Python by its own make (radial_ivp._callback)
+ *                Python by the w of its own make, passed the shot's lam
  *
  * F and the perturbation use the exponents their Python objects captured
  * (e; ge = p - 1 + delta), which need not be the problem's p - 1.  The
@@ -151,13 +151,13 @@ typedef struct {
     int bad;            /* the status of the first error Python would raise */
 } Rhs;
 
-/* one shot from u(0) = alpha to r = 1 (radial_ivp._shot builds it): m0 is
-   the weight at 0 (Weight.eval_scalar's), p_conj p / (p - 1), eps the start
-   radius, the march stops where |u| reaches blowup_limit, and the shot is
-   read on a grid of n_samples uniform points united with its nodes */
+/* one shot from u(0) = alpha to r = 1 (radial_ivp._shot builds it): p_conj
+   is p / (p - 1), eps the start radius, the march stops where |u| reaches
+   blowup_limit, and the shot is read on a grid of n_samples uniform points
+   united with its nodes */
 typedef struct {
     Rhs rhs;
-    double alpha, m0, p_conj, eps, rtol, atol_u, atol_v, blowup_limit;
+    double alpha, p_conj, eps, rtol, atol_u, atol_v, blowup_limit;
     int64_t n_samples;
 } Shot;
 
@@ -210,25 +210,10 @@ static double horner(const double *c, int64_t n, double t)
     return acc;
 }
 
-/* Weight.scalar_fn(): its specialised forms for one piece of degree <= 3,
-   else Weight.eval_scalar (bisect_right over the breakpoints, clamped) */
+/* Weight.eval_scalar: bisect_right over the breakpoints, clamped, then
+   horner on the piece */
 static double weight(const Rhs *R, double r)
 {
-    const double *c = R->c;
-    if (R->n_pieces == 1) {
-        switch (R->off[1]) {
-        case 1:
-            return c[0];
-        case 2:
-            return c[0] + c[1] * r;
-        case 3:
-            return c[0] + r * (c[1] + r * c[2]);
-        case 4:
-            return c[0] + r * (c[1] + r * (c[2] + r * c[3]));
-        default:
-            return horner(c, R->off[1], r);
-        }
-    }
     int64_t lo = 0, hi = R->n_pieces + 1;
     while (lo < hi) {
         int64_t mid = (lo + hi) / 2;
@@ -242,7 +227,7 @@ static double weight(const Rhs *R, double r)
         i = 0;
     else if (i >= R->n_pieces)
         i = R->n_pieces - 1;
-    return horner(c + R->off[i], R->off[i + 1] - R->off[i], r - R->bp[i]);
+    return horner(R->c + R->off[i], R->off[i + 1] - R->off[i], r - R->bp[i]);
 }
 
 /* nodal.Nonlinearity.phi */
@@ -903,14 +888,13 @@ double pspect_hypot(double x, double y)
 /* The start of the reference (tests/reference.py's origin_startup) for the
    shot *S, then the start of _rk45.integrate with its _initial_step: the
    state (t, u, v, f(t, u, v), h) at t = eps the march starts from, and the
-   smallest step.  w(0, alpha) is that of the weight at 0 (Weight.eval_scalar)
-   or, for a CALLBACK right-hand side, cb(lam, 0, alpha).  Returns 0, or the
-   status of the first error Python would raise. */
+   smallest step.  w(0, alpha) is the family's w at r = 0, as in the loop.
+   Returns 0, or the status of the first error Python would raise. */
 static int startup(Rhs *R, const Shot *S, double *state, double *h_min)
 {
     int *bad = &R->bad, family = (int)R->family;
     double alpha = S->alpha, p_conj = S->p_conj, eps = S->eps, t_end = 1.0, n = (double)R->n_dim;
-    double w0 = family == CALLBACK ? w(R, family, 0.0, alpha) : w_of(R, family, S->m0, alpha);
+    double w0 = w(R, family, 0.0, alpha);
     double u = alpha - sgnpow(bad, w0 / n, p_conj - 1.0) * py_pow(bad, eps, p_conj) / p_conj;
     double v = -w0 * py_pow(bad, eps, n) / n;
 

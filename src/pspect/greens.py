@@ -96,16 +96,16 @@ def as_source(h) -> SourceTerm:
 
 class _Hermite:
     """Piecewise cubic Hermite interpolant through the values y at the nodes
-    x, with slope m0[i] at the left end of panel i and m1[i] at its right
+    x, with slope s0[i] at the left end of panel i and s1[i] at its right
     end; it extends the end panels' cubics beyond [x[0], x[-1]]."""
 
-    def __init__(self, x, y, m0, m1):
+    def __init__(self, x, y, s0, s1):
         dx = np.diff(x)
         secant = np.diff(y) / dx
         self.x = x
         # power-basis coefficients in d = t - x[i], one row per power
-        self.coef = np.stack((y[:-1], m0, (3.0 * secant - 2.0 * m0 - m1) / dx,
-                              (m0 + m1 - 2.0 * secant) / dx**2))
+        self.coef = np.stack((y[:-1], s0, (3.0 * secant - 2.0 * s0 - s1) / dx,
+                              (s0 + s1 - 2.0 * secant) / dx**2))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

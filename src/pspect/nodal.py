@@ -426,7 +426,7 @@ def solution_residual(problem: Problem, traj: Trajectory) -> float:
             fv = np.array([rhs.f(float(x)) for x in np.atleast_1d(uu)]).reshape(np.shape(uu))
         else:
             fv = _kernel.apply_f(params, uu)
-        return rhs.gamma * m(r_arr) * fv
+        return problem.lam * m(r_arr) * fv
 
     prof = apply_Gp(problem.p, problem.N, source)
     rs = np.linspace(traj.r[0], 1.0, 257)

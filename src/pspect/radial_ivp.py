@@ -32,12 +32,14 @@ finishes or raises.  Where the right-hand side has a fused form
 ``Perturbation``), that form is written into the kernel's loop and no
 Python f runs; any other right-hand side (a hand-built f, a
 ``Perturbation`` subclass, an RHS class with ``make`` alone) is called
-back from the loop, its w the closure of its own ``make``
-(:func:`_callback`).  ``_shot`` builds the one block (``_kernel.Shot``)
-the kernel's shots, probes and root solves take.  The kernel gives the
-bits of the Python reference in ``tests/reference.py`` (the Python
-start, ``_rk45.integrate`` and the numpy post-pass), or raises its
-exceptions.
+back from the loop: its ``make`` builds w(lam, r, u) once per kernel
+call, and the kernel passes it the shot's own lam, as it passes the
+fused forms.  The parameter lam (mu or gamma) is the problem's
+(``Problem.lam``), and m(r) is read by ``Weight.eval_scalar`` alone.
+``_shot`` builds the one block (``_kernel.Shot``) the kernel's shots,
+probes and root solves take.  The kernel gives the bits of the Python
+reference in ``tests/reference.py`` (the Python start,
+``_rk45.integrate`` and the numpy post-pass), or raises its exceptions.
 
 A shot is read off its dense output: the samples on a uniform grid
 united with the accepted steps, sup |u| over them, u(1), max|u'| and the
@@ -102,9 +104,9 @@ def _sgnpow(x: float, e: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides: make(p, m_eval) builds w(r, u), and compiled(p, N, m)
-# the same right-hand side as a fused ``_kernel.Rhs``, or None where the
-# kernel calls make's w back
+# right-hand sides: make(p, m_eval) builds w(lam, r, u), and
+# compiled(p, N, m, lam) the same right-hand side as a fused ``_kernel.Rhs``,
+# or None where the kernel calls make's w back
 
 
 def _kernel_params(fn):
@@ -116,71 +118,70 @@ def _kernel_params(fn):
 
 @dataclass(frozen=True)
 class LinearRHS:
-    mu: float
-
     def make(self, p: float, m_eval):
-        mu, e = self.mu, p - 1.0
+        e = p - 1.0
 
-        def w(r, u):
-            return mu * m_eval(r) * _sgnpow(u, e)
+        def w(lam, r, u):
+            return lam * m_eval(r) * _sgnpow(u, e)
 
         return w
 
-    def compiled(self, p, n_dim, m):
-        return _kernel.rhs(p, n_dim, m, self.mu, _kernel.LINEAR, p - 1.0)
+    def compiled(self, p, n_dim, m, lam):
+        return _kernel.rhs(p, n_dim, m, lam, _kernel.LINEAR, p - 1.0)
 
 
 @dataclass(frozen=True)
 class NonlinearRHS:
-    gamma: float
     f: object  # callable u -> f(u), see nodal.Nonlinearity
 
     def make(self, p: float, m_eval):
-        gamma, f = self.gamma, self.f
+        f = self.f
 
-        def w(r, u):
-            return gamma * m_eval(r) * f(u)
+        def w(lam, r, u):
+            return lam * m_eval(r) * f(u)
 
         return w
 
-    def compiled(self, p, n_dim, m):
+    def compiled(self, p, n_dim, m, lam):
         family = _kernel_params(self.f)  # (family, e, f0, finf, q)
-        return None if family is None else _kernel.rhs(p, n_dim, m, self.gamma, *family)
+        return None if family is None else _kernel.rhs(p, n_dim, m, lam, *family)
 
 
 @dataclass(frozen=True)
 class PerturbedRHS:
-    mu: float
-    g: object  # callable (r, u, mu) -> g, see nodal.Perturbation
+    g: object  # callable (m(r), r, u, mu) -> g, see nodal.Perturbation
 
     def make(self, p: float, m_eval):
-        mu, g, e = self.mu, self.g, p - 1.0
+        g, e = self.g, p - 1.0
 
-        def w(r, u):
-            return mu * m_eval(r) * _sgnpow(u, e) + g(m_eval(r), r, u, mu)
+        def w(lam, r, u):
+            return lam * m_eval(r) * _sgnpow(u, e) + g(m_eval(r), r, u, lam)
 
         return w
 
-    def compiled(self, p, n_dim, m):
+    def compiled(self, p, n_dim, m, lam):
         term = _kernel_params(self.g)  # (c, p - 1 + delta)
         return None if term is None else _kernel.rhs(
-            p, n_dim, m, self.mu, _kernel.PERTURBED, p - 1.0, gc=term[0], ge=term[1])
+            p, n_dim, m, lam, _kernel.PERTURBED, p - 1.0, gc=term[0], ge=term[1])
 
 
 @dataclass(frozen=True)
 class Problem:
-    """Geometry (p, N), weight m and right-hand side of one radial problem."""
+    """Geometry (p, N), weight m, right-hand side and its parameter lam (mu
+    or gamma) of one radial problem."""
 
     p: float
     N: int
     m: Weight
     rhs: object
+    lam: float
 
     def __post_init__(self):
         object.__setattr__(self, "p", _pval(self.p))
         if int(self.N) != self.N or self.N < 1:
             raise PreconditionError(f"dimension N must be an integer >= 1, got {self.N}")
         object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "lam", float(self.lam))
 
     @property
     def p_conj(self) -> float:
@@ -188,21 +189,19 @@ class Problem:
 
     @classmethod
     def linear(cls, p, N, m: Weight, mu: float) -> "Problem":
-        return cls(p, N, m, LinearRHS(float(mu)))
+        return cls(p, N, m, LinearRHS(), mu)
 
     @classmethod
     def nonlinear(cls, p, N, m: Weight, gamma: float, f) -> "Problem":
-        return cls(p, N, m, NonlinearRHS(float(gamma), f))
+        return cls(p, N, m, NonlinearRHS(f), gamma)
 
     @classmethod
     def perturbed(cls, p, N, m: Weight, mu: float, g) -> "Problem":
-        return cls(p, N, m, PerturbedRHS(float(mu), g))
+        return cls(p, N, m, PerturbedRHS(g), mu)
 
     def at(self, lam: float) -> "Problem":
-        """This problem with the parameter of its right-hand side (mu or
-        gamma) set to lam."""
-        name = "gamma" if isinstance(self.rhs, NonlinearRHS) else "mu"
-        return replace(self, rhs=replace(self.rhs, **{name: float(lam)}))
+        """This problem with its parameter set to lam."""
+        return replace(self, lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -315,48 +314,26 @@ def _trajectory(problem, alpha, shot) -> Trajectory:
     )
 
 
-def _shot(problem, alpha, rtol, atol, blowup_limit, n_samples, in_lam=False):
+def _shot(problem, alpha, rtol, atol, blowup_limit, n_samples):
     """The shot of problem from u(0) = alpha as the kernel takes it (a
     ``_kernel.Shot``): its right-hand side's fused form, or else the
-    callback of its w (:func:`_callback`; for a solve in lam, in_lam).
-    atol may be per-component (u, v), as :func:`shoot` takes it."""
+    ``_kernel.Callback`` of the w of its ``make`` on ``Weight.eval_scalar``,
+    which the kernel passes the shot's lam.  atol may be per-component
+    (u, v), as :func:`shoot` takes it."""
     if n_samples < 0:  # numpy's linspace, which the reference samples on
         raise ValueError(f"Number of samples, {n_samples}, must be non-negative.")
-    p, n_dim, m = problem.p, problem.N, problem.m
+    p, n_dim, m, lam = problem.p, problem.N, problem.m, problem.lam
     compiled = getattr(problem.rhs, "compiled", None)
-    rhs = None if compiled is None else compiled(p, n_dim, m)
+    rhs = None if compiled is None else compiled(p, n_dim, m, lam)
     callback = None
     if rhs is None:
-        callback = _callback(problem, in_lam)
-        rhs = _kernel.rhs(p, n_dim, m, 0.0, _kernel.CALLBACK, 0.0, callback=callback)
+        callback = _kernel.Callback(problem.rhs.make(p, m.eval_scalar))
+        rhs = _kernel.rhs(p, n_dim, m, lam, _kernel.CALLBACK, 0.0, callback=callback)
     atol_u, atol_v = (atol, atol) if np.isscalar(atol) else atol
-    shot = _kernel.Shot(rhs, alpha, m.eval_scalar(0.0), problem.p_conj, DEFAULT_EPS, rtol,
-                        atol_u, atol_v, blowup_limit, n_samples)
+    shot = _kernel.Shot(rhs, alpha, problem.p_conj, DEFAULT_EPS, rtol, atol_u, atol_v,
+                        blowup_limit, n_samples)
     shot.callback = callback
     return shot
-
-
-def _callback(problem, in_lam):
-    """The w of problem's right-hand side as the kernel calls it back
-    (a ``_kernel.Callback``): w(lam, r, u) is the closure of
-    ``rhs.make(p, m)``, with m ``Weight.scalar_fn()`` and, at r = 0 where
-    the start takes it, ``Weight.eval_scalar``.  rhs is problem's own, whose
-    lam the kernel passes as 0.0, or, in a solve in lam (in_lam), that of
-    problem.at(lam); the closures are made again only when lam changes."""
-    p, m = problem.p, problem.m
-
-    def closures(rhs):
-        return rhs.make(p, m.scalar_fn()), rhs.make(p, m.eval_scalar)
-
-    key, (w, w0) = (None, (None, None)) if in_lam else (0.0, closures(problem.rhs))
-
-    def w_at(lam, r, u):
-        nonlocal key, w, w0
-        if lam != key:  # a trial of a solve in lam
-            key, (w, w0) = lam, closures(problem.at(lam).rhs)
-        return w(r, u) if r else w0(r, u)
-
-    return _kernel.Callback(w_at)
 
 
 @dataclass(frozen=True)
@@ -409,8 +386,7 @@ def solve_miss(problem: Problem, alpha: float, a: float, b: float, ends, *, in_a
     ``trials``, so that the caller can account for them.
     """
     pr_a, pr_b = ends
-    shot = _shot(problem, 0.0 if in_alpha else alpha, rtol, atol, blowup_limit, PROBE_SAMPLES,
-                 in_lam=not in_alpha)
+    shot = _shot(problem, 0.0 if in_alpha else alpha, rtol, atol, blowup_limit, PROBE_SAMPLES)
     try:
         solved = _kernel.solve(shot, in_alpha, a, b, pr_a.d, pr_b.d, xtol, xrtol, SHOT_SAMPLES)
     except RuntimeError as exc:

@@ -152,25 +152,6 @@ class Weight:
             i = len(self.coeffs) - 1
         return _poly_eval(self.coeffs[i], r - self.breakpoints[i])
 
-    def scalar_fn(self):
-        """Fast scalar evaluator, specialized for the common low-degree cases."""
-        if len(self.coeffs) == 1:
-            piece = self.coeffs[0]
-            if len(piece) == 1:
-                c0 = piece[0]
-                return lambda r: c0
-            if len(piece) == 2:
-                c0, c1 = piece
-                return lambda r: c0 + c1 * r
-            if len(piece) == 3:
-                c0, c1, c2 = piece
-                return lambda r: c0 + r * (c1 + r * c2)
-            if len(piece) == 4:
-                c0, c1, c2, c3 = piece
-                return lambda r: c0 + r * (c1 + r * (c2 + r * c3))
-            return lambda r: _poly_eval(piece, r)
-        return self.eval_scalar
-
     @cached_property
     def flat(self):
         """(breakpoints, offsets, coefficients) as contiguous arrays, for

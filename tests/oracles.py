@@ -40,19 +40,19 @@ class SourceRHS:
     def make(self, p: float, m_eval):
         h = self.h
 
-        def w(r, u):
+        def w(lam, r, u):
             return h(r)
 
         return w
 
-    def compiled(self, p, n_dim, m):
+    def compiled(self, p, n_dim, m, lam):
         return None
 
 
 def source_problem(p, N, h) -> Problem:
     """The radial problem (r^{N-1} phi_p(u'))' + r^{N-1} h(r) = 0, whose
     right-hand side does not depend on u."""
-    return Problem(p, N, Weight.constant(0.0), SourceRHS(h))
+    return Problem(p, N, Weight.constant(0.0), SourceRHS(h), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +395,7 @@ def rayleigh_mu1(
 
 
 def problem_with_weight(problem: Problem, m: Weight) -> Problem:
-    return Problem(problem.p, problem.N, m, problem.rhs)
+    return Problem(problem.p, problem.N, m, problem.rhs, problem.lam)
 
 
 def _rayleigh_starts(m: Weight, r):

@@ -47,10 +47,11 @@ TAIL_SLOPE_FACTOR = 1e-3
 
 def origin_startup(problem, alpha: float, eps: float):
     """Series values (u(eps), v(eps)) used to step off the singular origin,
-    with W(0, alpha) of the weight's ``eval_scalar``."""
+    with W(0, alpha) the w(lam, 0, alpha) of the right-hand side's ``make``
+    on the weight's ``eval_scalar``."""
     if not 0.0 < eps <= 1e-4:
         raise PreconditionError(f"startup radius must lie in (0, 1e-4], got {eps}")
-    w0 = problem.rhs.make(problem.p, problem.m.eval_scalar)(0.0, alpha)
+    w0 = problem.rhs.make(problem.p, problem.m.eval_scalar)(problem.lam, 0.0, alpha)
     n = problem.N
     pc = problem.p_conj
     u_eps = alpha - _sgnpow(w0 / n, pc - 1.0) * eps**pc / pc
@@ -58,38 +59,39 @@ def origin_startup(problem, alpha: float, eps: float):
     return u_eps, v_eps
 
 
-def system(p, n_dim, w):
-    """First-order system (u', v') for any right-hand side W = w(r, u)."""
+def system(p, n_dim, w, lam):
+    """First-order system (u', v') for any right-hand side W = w(lam, r, u)
+    (the w of an RHS class's ``make``) at the parameter lam."""
     e_inv = 1.0 / (p - 1.0)
 
     if n_dim == 1:
 
         def f(r, u, v):
-            return _sgnpow(v, e_inv), -w(r, u)
+            return _sgnpow(v, e_inv), -w(lam, r, u)
 
     elif n_dim == 2:
 
         def f(r, u, v):
-            return _sgnpow(v / r, e_inv), -r * w(r, u)
+            return _sgnpow(v / r, e_inv), -r * w(lam, r, u)
 
     else:
 
         def f(r, u, v):
             rn = r ** (n_dim - 1)
-            return _sgnpow(v / rn, e_inv), -rn * w(r, u)
+            return _sgnpow(v / rn, e_inv), -rn * w(lam, r, u)
 
     return f
 
 
 def shoot(problem, alpha, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, n_samples=513,
           blowup_limit=BLOWUP_LIMIT):
-    """``radial_ivp.shoot``: the Python start and stepper on the closure of
-    the right-hand side's ``make``, then the numpy post-pass."""
+    """``radial_ivp.shoot``: the Python start and stepper on the w of the
+    right-hand side's ``make`` at problem's lam, then the numpy post-pass."""
     if alpha == 0.0:
         raise PreconditionError("initial value alpha must be nonzero")
     p, n_dim, eps = problem.p, problem.N, radial_ivp.DEFAULT_EPS
     e_inv = 1.0 / (p - 1.0)
-    f = system(p, n_dim, problem.rhs.make(p, problem.m.scalar_fn()))
+    f = system(p, n_dim, problem.rhs.make(p, problem.m.eval_scalar), problem.lam)
     _, dense, blowup_radius, steps = integrate(
         f, eps, 1.0, origin_startup(problem, alpha, eps), rtol=rtol, atol=atol,
         blowup_limit=blowup_limit)

@@ -105,7 +105,7 @@ def test_agreement_with_shooting():
     p, n_dim = 2.5, 2
     h = Weight.poly([1.0, -2.0])
     prof = apply_Gp(p, n_dim, h)
-    prob = source_problem(p, n_dim, h.scalar_fn())
+    prob = source_problem(p, n_dim, h.eval_scalar)
     traj = shoot(prob, float(prof.u[0]))
     rs = np.linspace(1e-5, 1.0, 300)
     u_shot, _ = traj.eval(rs)

@@ -277,7 +277,7 @@ def test_trajectory_uprime_consistency():
 # a shot on the compiled kernel (_kernel.shoot: the start, the step loop with
 # the right-hand side fused into it or called back, and the post-pass) gives
 # the bits of the Python reference (tests/reference.py: the Python start and
-# stepper on the closure of make, then the numpy post-pass)
+# stepper on the w of make, then the numpy post-pass)
 
 FUSED_WEIGHTS = {
     "constant": Weight.constant(0.7),
@@ -761,7 +761,7 @@ def test_root_shot_of_a_solve_holds_the_zeros_it_keeps(monkeypatch):
     # the noise floor: the kernel drops it from the root's shot, as the
     # reference's filter does
     prob, alpha, kw = POST_PASS_CASES["noise-tail"]
-    mu, tols = prob.rhs.mu, dict(rtol=1e-10, atol=1e-12, blowup_limit=kw["blowup_limit"])
+    mu, tols = prob.lam, dict(rtol=1e-10, atol=1e-12, blowup_limit=kw["blowup_limit"])
     ends = [probe(prob.at(x), alpha, **tols) for x in (mu - 1e-8, mu + 1e-8)]
     solved = _spy(monkeypatch, "solve")
     root, _, traj, _ = radial_ivp.solve_miss(prob, alpha, mu - 1e-8, mu + 1e-8, ends,
@@ -1328,7 +1328,7 @@ def test_solve_matches_brentq_over_probe(p, n_dim, weight, solve_results):
         # in gamma or mu, on the first sign change from below
         bracket = _first_bracket(lambda x: probe(prob.at(x), alpha, **TIGHT), lams)
         root = assert_solve_matches_brentq_over_probe(prob, alpha, bracket, **XTOL)
-        if prob.rhs.compiled(p, n_dim, m).family == _kernel.PHI:
+        if prob.rhs.compiled(p, n_dim, m, prob.lam).family == _kernel.PHI:
             continue  # u(1) is homogeneous in alpha: no root in alpha
         # in alpha, at the parameter that root gives alpha
         at_root = prob.at(root)
@@ -1438,6 +1438,23 @@ def test_solve_without_a_compiled_form_is_brentq_over_probe(solve_results):
     assert len(solve_results) == 2  # the hand-built f is called back from the kernel's solve
 
 
+@pytest.mark.kernel
+def test_called_back_right_hand_side_is_made_once_per_call(monkeypatch):
+    # the kernel passes a called-back w the shot's lam, as it passes it the
+    # fused forms: one make per probe, and one per solve in gamma whatever
+    # its trials
+    built_in = Nonlinearity.rational(2.5)
+    hand_built = Nonlinearity(fn=built_in.fn, f0=built_in.f0, finf=built_in.finf)
+    fused, called_back = (Problem.nonlinear(2.5, 2, M_LIN, 1.0, f) for f in (built_in, hand_built))
+    a, b, *ends = _first_bracket(lambda x: probe(called_back.at(x), 1.0, **TIGHT), [2.0, 200.0])
+    made = _spy_makes(monkeypatch)
+    probe(called_back.at(a), 1.0, **TIGHT)
+    assert len(made) == 1
+    root, _, _, trials = radial_ivp.solve_miss(called_back, 1.0, a, b, ends, **TIGHT, **XTOL)
+    assert len(made) == 2 and len(trials) > 1
+    assert root == radial_ivp.solve_miss(fused, 1.0, a, b, ends, **TIGHT, **XTOL)[0]
+
+
 # the shot at a root comes with the solve: read off the root's own trial
 # where that is one of the last three, and marched again only where it is
 # not, with the bits of shoot either way
@@ -1537,7 +1554,7 @@ def test_called_back_rhs_matches_its_fused_form(p, n_dim, weight):
     fused = _solved(radial_ivp.solve_miss, prob, alpha, bracket, False, LOOSE, XTOL)
     assert_same_solve(_solved(radial_ivp.solve_miss, _called_back(prob), alpha, bracket, False,
                               LOOSE, XTOL), fused)
-    compiled = prob.rhs.compiled(p, n_dim, prob.m)
+    compiled = prob.rhs.compiled(p, n_dim, prob.m, prob.lam)
     if compiled.family in (_kernel.LINEAR, _kernel.PHI) or isinstance(fused[0], type):
         return
     at_root = prob.at(fused[0])

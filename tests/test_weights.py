@@ -125,8 +125,10 @@ def test_fingerprint_deterministic_and_distinct():
     assert a.fingerprint() != c.fingerprint()
 
 
-def test_scalar_fn_matches_eval():
-    # the specialised evaluators run Horner in _poly_eval's order: same bits
+def test_array_eval_matches_eval_scalar():
+    # the array evaluator runs Horner in eval_scalar's order on the same
+    # piece: same bits, the sign of a zero included
+    rs = np.linspace(0, 1, 37)
     for m in (
         Weight.constant(0.7),
         Weight.poly([1.0, -2.0]),
@@ -136,6 +138,5 @@ def test_scalar_fn_matches_eval():
         Weight.poly([1.0, -0.5, -2.0, 0.3, 0.2]),
         Weight.from_function(lambda r: math.cos(3 * math.pi * r), n_pieces=16),
     ):
-        fn = m.scalar_fn()
-        for r in np.linspace(0, 1, 37):
-            assert fn(float(r)) == m.eval_scalar(float(r))
+        want = np.array([m.eval_scalar(float(r)) for r in rs])
+        assert m(rs).tobytes() == want.tobytes()
