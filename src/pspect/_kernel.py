@@ -441,14 +441,14 @@ class Solved(NamedTuple):
     """A root solve of :func:`solve`: the root, the record of its trial (as
     :func:`probe` returns it; None where the root is a bracket end), the
     number of trials, whether the shot at the root was marched again, that
-    shot, as :func:`shoot` returns it, and the trials in order, each a row
-    of x and its record."""
+    shot, as :func:`shoot` returns it (None where the solve asked for none),
+    and the trials in order, each a row of x and its record."""
 
     root: float
     record: list | None
     trials: int
     marched: bool
-    shot: tuple
+    shot: tuple | None
     log: list
 
 
@@ -458,7 +458,8 @@ def solve(shot: Shot, in_alpha, a, b, fa, fb, xtol, xrtol, n_shot) -> Solved:
     Brent's method on the kernel in one call (``pspect_solve``); fa and fb
     are D at a and b.  The shot at the root, with n_shot samples, is read
     off the root's trial where it is one of the last :data:`RING`, and
-    marched again only where it is not (a bracket end, an older trial).
+    marched again only where it is not (a bracket end, an older trial);
+    with n_shot = 0 the solve neither reads nor marches it.
 
     Raises what Brent's method over the reference's probe raises; where it
     does not converge, the RuntimeError carries the trials it made as its
@@ -480,8 +481,8 @@ def solve(shot: Shot, in_alpha, a, b, fa, fb, xtol, xrtol, n_shot) -> Solved:
     if status:
         _raise(status, out[0], shot)
     record = None if k < 0 else log[k][1:]
-    return Solved(out[0], record, trials, bool(marched),
-                  _shot_read(buf[at:], n_shot, read[0], out[1], *read[1:]), log)
+    shot_read = _shot_read(buf[at:], n_shot, read[0], out[1], *read[1:]) if n_shot else None
+    return Solved(out[0], record, trials, bool(marched), shot_read, log)
 
 
 def hypot(x, y):

@@ -1060,16 +1060,16 @@ static int trial(void *ctx, double x, double *d)
    is pspect_probe, whose D is the miss.  Then the shot at the root, as
    pspect_shoot shoots it with n_shot samples: read off the root's own trial
    where that is one of the last RING, else marched again (a root at a
-   bracket end, or an older trial).
+   bracket end, or an older trial); with n_shot = 0, no shot at all.
 
    buf holds LOG_ROW BRENT_MAXITER doubles for the trial log and then RING
    slots of 20 cap + 4 max(n_samples, n_shot) + 8, one per trial as for
    pspect_probe.  Returns 0 with out[0] the root, out[1] the r where the
    root's shot stopped, and counts the index of the root's trial in the log
    (-1 where the root is a bracket end), the number of trials, 1 where the
-   root was marched again, the offset in buf of the root's shot (laid out
-   as pspect_shoot leaves it), its status (PSPECT_END or PSPECT_BLOWUP) and
-   the four counts of pspect_shoot; PSPECT_FULL where a march takes more
+   root was marched again, then, where n_shot > 0, the offset in buf of the
+   root's shot (laid out as pspect_shoot leaves it), its status (PSPECT_END
+   or PSPECT_BLOWUP) and the four counts of pspect_shoot; PSPECT_FULL where a march takes more
    than cap steps; else the status of what the Python solve raises, with
    its number in out[0].  The log holds, in order, each trial whose probe
    finished (x, then its rec), and counts[1] their number, also where the
@@ -1091,6 +1091,11 @@ int pspect_solve(const Shot *shot, int in_alpha, double a, double b, double fa, 
     int64_t k = S.n_log - 1;
     while (k >= 0 && S.log[LOG_ROW * k] != root)
         k--;
+    if (n_shot == 0) { /* no shot at the root */
+        const int64_t head[3] = {k, S.n_log, 0};
+        memcpy(counts, head, sizeof head);
+        return 0;
+    }
 
     Shot at = S.shot; /* the shot of the last trial, moved to the root */
     *(in_alpha ? &at.alpha : &at.rhs.lam) = root;

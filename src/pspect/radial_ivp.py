@@ -63,7 +63,8 @@ an eigenvalue, the gamma of a branch point, the mu of a perturbed
 solution, the amplitude of a nodal solution) goes through
 :func:`solve_miss`: Brent's method on D over a bracket whose ends the
 caller has probed, each trial a kernel probe; it returns the trajectory
-at the root too, read off the root's own trial, and the trials.
+at the root too, read off the root's own trial (or none, for a caller
+that needs only the root: the loose eigenvalue solves), and the trials.
 A shot or probe from alpha = 0 raises before any kernel call.
 """
 
@@ -367,13 +368,14 @@ def probe(problem: Problem, alpha: float, *, rtol: float, atol: float,
 
 def solve_miss(problem: Problem, alpha: float, a: float, b: float, ends, *, in_alpha=False,
                rtol: float, atol: float, xtol: float, xrtol: float,
-               blowup_limit: float = BLOWUP_LIMIT):
+               blowup_limit: float = BLOWUP_LIMIT, n_shot: int = SHOT_SAMPLES):
     """The root x in [a, b] of the miss D(x) = ``probe(...).d``, by Brent's
     method (:func:`brentq` with tolerances xtol and xrtol), the
     :class:`Probe` there, the :class:`Trajectory` there, which is
-    ``shoot(problem.at(x), alpha, rtol=rtol, atol=atol)`` (or
-    ``shoot(problem, x, ...)`` where in_alpha) to its bits, and the trials
-    of Brent's method in order, as (x, :class:`Probe`) pairs.
+    ``shoot(problem.at(x), alpha, rtol=rtol, atol=atol, n_samples=n_shot)``
+    (or ``shoot(problem, x, ...)`` where in_alpha) to its bits, and the
+    trials of Brent's method in order, as (x, :class:`Probe`) pairs.  With
+    n_shot = 0 the solve builds no trajectory and returns None in its place.
 
     x is the parameter of problem's right-hand side (mu or gamma) at
     u(0) = alpha, or u(0) itself where in_alpha.  ends are the probes at a
@@ -386,17 +388,20 @@ def solve_miss(problem: Problem, alpha: float, a: float, b: float, ends, *, in_a
     ``trials``, so that the caller can account for them.
     """
     pr_a, pr_b = ends
+    if n_shot < 0:  # as shoot's n_samples
+        raise ValueError(f"Number of samples, {n_shot}, must be non-negative.")
     shot = _shot(problem, 0.0 if in_alpha else alpha, rtol, atol, blowup_limit, PROBE_SAMPLES)
     try:
-        solved = _kernel.solve(shot, in_alpha, a, b, pr_a.d, pr_b.d, xtol, xrtol, SHOT_SAMPLES)
+        solved = _kernel.solve(shot, in_alpha, a, b, pr_a.d, pr_b.d, xtol, xrtol, n_shot)
     except RuntimeError as exc:
         if hasattr(exc, "log"):  # Brent's method did not converge
             exc.trials = _trials(exc.log)
         raise
     root = solved.root
     pr = (pr_a if root == a else pr_b) if solved.record is None else _recorded(solved.record)
-    return (root, pr, _trajectory(problem, root if in_alpha else alpha, solved.shot),
-            _trials(solved.log))
+    traj = None if solved.shot is None else _trajectory(problem, root if in_alpha else alpha,
+                                                         solved.shot)
+    return root, pr, traj, _trials(solved.log)
 
 
 def _trials(log):

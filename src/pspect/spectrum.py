@@ -22,9 +22,14 @@ weight D need not be monotone between eigenvalues, so the scan records
 (D, Z) on an expanding grid, splits any gap whose zero count jumps by
 more than one, brackets the sign changes of D, polishes each root with
 bracketed root finding, and classifies it by the zero count of the
-eigenfunction.  The grid marches at a loose integrator tolerance; every
-reported eigenvalue is re-bracketed and polished at the tight tolerance,
-so the final values are independent of how the scan got there.
+eigenfunction.  The grid marches at a loose integrator tolerance, and the
+loose root of each bracket is solved only to that tolerance (SCAN_RTOL),
+since it only centres the tight windows; every reported eigenvalue is
+re-bracketed and polished at the tight tolerance, so the final values are
+independent of how the scan got there.  An index is validated only where
+its eigenfunction has exactly k-1 interior zeros and every index below it
+is validated; the first index whose eigenfunction fails that certificate
+ends the search with a partial result.
 
 A caveat that the scan cannot remove: completeness of the computed list
 ("no other eigenvalues") is certified only within the scanned range at
@@ -48,7 +53,7 @@ import numpy as np
 
 from .errors import NegativeSequenceAbsent, PreconditionError, SpectrumIncomplete
 from .pfuncs import pi_p
-from .radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL
+from .radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL, SHOT_SAMPLES
 from .radial_ivp import LinearRHS, Problem, Trajectory, probe, shoot, solve_miss
 from .radial_ivp import brentq  # noqa: F401  (perfbench/tracing.py counts spectrum.brentq calls)
 from .report import CheckReport
@@ -182,15 +187,15 @@ class _Prober:
     guard moved out of the way (1e100 keeps the flux far from overflow).
 
     A probe is one kernel call (``radial_ivp.probe``), and so is a root
-    solve (:meth:`solve`: ``radial_ivp.solve_miss``, Brent's method on the
-    kernel, each trial a kernel probe).  The memo holds each probe under
-    (|mu|, rtol, atol), the trials of every solve among them, and each
-    solve under (a, b, rtol, atol); outside :func:`shared_shots` it is
-    private to the search.  A search charges its budget once for each
-    (|mu|, rtol, atol) it asks for, whether or not the memo already held
-    the probe: a solve charges its bracket ends, then its trials in their
-    order, as Brent's method over single probes would, so the budget runs
-    out at the same trial.
+    solve (:meth:`loose_root` and :meth:`solve`: ``radial_ivp.solve_miss``,
+    Brent's method on the kernel, each trial a kernel probe).  The memo
+    holds each probe under (|mu|, rtol, atol), the trials of every solve
+    among them, and each solve under (a, b, rtol, atol, xrtol); outside
+    :func:`shared_shots` it is private to the search.  A search charges
+    its budget once for each (|mu|, rtol, atol) it asks for, whether or
+    not the memo already held the probe: a solve charges its bracket ends,
+    then its trials in their order, as Brent's method over single probes
+    would, so the budget runs out at the same trial.
     """
 
     BLOWUP = 1e100
@@ -233,24 +238,44 @@ class _Prober:
     def tight(self, x, rtol, atol) -> float:
         return self._probe(x, rtol, atol).d
 
+    def loose_root(self, a, b) -> float:
+        """|mu| of the root of D over [a, b] at the scan tolerances, Brent's
+        method stopped at xrtol = SCAN_RTOL.
+
+        The loose root only centres the windows of :func:`_polish_root`,
+        and the loose shots' own error (integration error of some 1e-8
+        relative) is of that order already, so the solve stops there and
+        builds no trajectory.  Raises RuntimeError where Brent's method does
+        not converge, after charging the trials it made.
+        """
+        return self._solve(a, b, SCAN_RTOL, SCAN_ATOL, SCAN_RTOL, 0)[0]
+
     def solve(self, a, b, rtol, atol):
         """(|mu|, trajectory there) of the root of D over [a, b] by Brent's
-        method, probes and trajectory at the tolerances.
+        method to xtol 1e-15 and xrtol 8.9e-16, probes and trajectory at the
+        tolerances.  The trajectory is read off the root's trial.  Raises
+        RuntimeError where Brent's method does not converge, after charging
+        the trials it made.
+        """
+        return self._solve(a, b, rtol, atol, 8.9e-16, SHOT_SAMPLES)
+
+    def _solve(self, a, b, rtol, atol, xrtol, n_shot):
+        """(|mu|, trajectory) of :func:`radial_ivp.solve_miss` over [a, b]
+        with xtol 1e-15 and xrtol, the trajectory of n_shot samples (None
+        where n_shot is 0).
 
         The solve runs in lam = sgn |mu| over [sgn a, sgn b], on the ends'
         memoized probes; for nu = '-' its iterates are the negatives of
-        those in |mu|, to the bit.  The trajectory is read off the root's
-        trial.  Raises RuntimeError where Brent's method does not converge,
-        after charging the trials it made.
+        those in |mu|, to the bit.
         """
         pr_a, pr_b = self._probe(a, rtol, atol), self._probe(b, rtol, atol)
-        key, sgn = (a, b, rtol, atol), self.sgn
+        key, sgn = (a, b, rtol, atol, xrtol), self.sgn
         solved = self.probes.get(key)
         if solved is None:
             try:
                 root, _, traj, trials = solve_miss(
                     self.problem, 1.0, sgn * a, sgn * b, (pr_a, pr_b), rtol=rtol, atol=atol,
-                    xtol=1e-15, xrtol=8.9e-16, blowup_limit=self.BLOWUP)
+                    xtol=1e-15, xrtol=xrtol, blowup_limit=self.BLOWUP, n_shot=n_shot)
                 solved = self.probes[key] = (sgn * root, traj, trials, "")
             except RuntimeError as exc:
                 solved = self.probes[key] = (None, None, exc.trials, str(exc))
@@ -265,8 +290,9 @@ class _Prober:
 
 
 class _ScanStopped(Exception):
-    """The probe budget, the scan ceiling or a root solve that did not
-    converge ended a search; str() says which."""
+    """The probe budget, the scan ceiling, a root solve that did not
+    converge or a failed index certificate ended a search; str() says
+    which."""
 
 
 def _seed_scale(problem: Problem, sgn: int) -> float:
@@ -295,10 +321,11 @@ def find_eigenvalues(
     at the call.
 
     Raises NegativeSequenceAbsent when nu='-' is requested but the weight
-    has no negative part.  When the probe budget, the scan ceiling or a
-    root solve that does not converge stops the search, or refinement
-    leaves an index unbracketed, the result is returned partial, the
-    message naming that stop reason and the largest validated index.
+    has no negative part.  When the probe budget, the scan ceiling, a root
+    solve that does not converge or an eigenfunction without k-1 interior
+    zeros (the index certificate) stops the search, or refinement leaves an
+    index unbracketed, the result is returned partial, the message naming
+    that stop reason and the largest validated index.
     """
     if K < 1:
         raise PreconditionError("K must be >= 1")
@@ -332,34 +359,27 @@ def find_eigenvalues(
         complete = False
         stop = str(exc)
 
-    ks = sorted(k for k in found if k <= K)
-    if ks != list(range(1, K + 1)):
+    certified, _ = _certificate(found, K)
+    largest = len(certified)
+    if largest < K:
         complete = False
-        largest = 0
-        for k in range(1, K + 1):
-            if k in found:
-                largest = k
-            else:
-                break
         if not stop:
             stop = (
                 f"index {largest + 1} still unbracketed after {rounds} "
                 f"refinement rounds ({prober.count} probes)"
             )
         message = f"{stop}; largest validated index {largest}"
-        ks = [k for k in ks if k <= largest]
 
     pairs = []
-    for k in ks:
+    for k, zeros in enumerate(certified, 1):
         mu_abs, traj = found[k]
-        mu = sgn * mu_abs
         pairs.append(
             Eigenpair(
                 k=k,
                 nu=nu,
-                mu=mu,
+                mu=sgn * mu_abs,
                 trajectory=traj,
-                zeros=_trim_tail_artifacts(traj, k),
+                zeros=zeros,
                 boundary_residual=abs(traj.terminal_u),
             )
         )
@@ -522,17 +542,21 @@ def _hunt_sign_bump(prober, a, b):
 def _classify_brackets(nodes, prober, found, K, rtol, atol):
     """Polish every D sign change at tight tolerance and classify its index.
 
-    Each root takes two solves on the kernel (:meth:`_Prober.solve`): the
-    loose one over the bracket, then the tight one of :func:`_polish_root`,
-    whose root's trajectory is the eigenfunction.  The search charges one
-    probe more for that shot, as for a shot of its own.
+    Each root takes two solves on the kernel: the loose one over the
+    bracket (:meth:`_Prober.loose_root`, which stops at the scan tolerance
+    and builds no shot), then the tight one of :func:`_polish_root`
+    (:meth:`_Prober.solve`), whose root's trajectory is the eigenfunction.
+    The search charges one probe more for that shot, as for a shot of its
+    own.
 
     The index comes from the bracket endpoints' zero counts: across a
     clean bracket the count steps from k-1 to k (the new zero enters
     through r = 1 exactly at the root), so k is determined by integers
     measured safely away from the root.  Counting at the root itself is
     fragile, the entering zero hovers at the boundary margin; the root
-    shot is consulted only when the endpoint counts are ambiguous.
+    shot is consulted only when the endpoint counts are ambiguous.  After
+    each root, :func:`_certificate` checks the eigenfunctions of the
+    indices found so far, and the first that fails ends the search.
     """
     for a, b in zip(nodes, nodes[1:]):
         if not a.d * b.d < 0:
@@ -540,7 +564,7 @@ def _classify_brackets(nodes, prober, found, K, rtol, atol):
         if min(a.z, b.z) > K:  # beyond what was asked for
             continue
         try:
-            x_loose, _ = prober.solve(a.x, b.x, SCAN_RTOL, SCAN_ATOL)
+            x_loose = prober.loose_root(a.x, b.x)
             polished = _polish_root(prober, x_loose, a.x, b.x, rtol, atol)
         except RuntimeError:  # Brent's method did not converge
             raise _ScanStopped(
@@ -565,6 +589,33 @@ def _classify_brackets(nodes, prober, found, K, rtol, atol):
                 found[k] = (x_root, traj)
         else:
             found[k] = (x_root, traj)
+        _, failure = _certificate(found, K)
+        if failure:
+            raise _ScanStopped(failure)
+
+
+def _certificate(found, K):
+    """The zeros of the eigenfunctions of indices 1, 2, ... up to K that
+    found holds, while each has exactly k - 1 interior zeros after
+    :func:`_trim_tail_artifacts`, and the failure of the first that does
+    not ("" where none fails).
+
+    The index is the eigenfunction's nodal class: a root whose
+    eigenfunction has another zero count is not mu_k, whatever its bracket
+    said, so an index is validated only with every index below it.
+    """
+    certified = []
+    for k in range(1, K + 1):
+        if k not in found:
+            break
+        traj = found[k][1]
+        zeros = _trim_tail_artifacts(traj, k)
+        if len(zeros) != k - 1:
+            return certified, (
+                f"index {k} not certified: its eigenfunction's zero count is {len(zeros)}, "
+                f"k - 1 = {k - 1} required (boundary residual {abs(traj.terminal_u):.3e})")
+        certified.append(zeros)
+    return certified, ""
 
 
 def _trim_tail_artifacts(traj: Trajectory, k: int):
@@ -599,8 +650,11 @@ def _polish_root(prober, x0, lo, hi, rtol, atol):
     (:meth:`_Prober.solve`, Brent's method to xtol 1e-15 and rtol 8.9e-16).
 
     The windows widen tenfold from 1e-6 x0 around the loose root, the full
-    loose bracket last.  None when no window changes sign at tight
-    tolerance: the loose root is never returned unpolished.
+    loose bracket last.  The loose root is off by its shots' integration
+    error plus its solve's stop at SCAN_RTOL, both well inside the first
+    window, so the first window almost always holds the root.  None when
+    no window changes sign at tight tolerance: the loose root is never
+    returned unpolished.
     """
     windows = []
     w = max(1e-6 * x0, 1e-12)

@@ -120,13 +120,14 @@ def reduce(traj):
 
 
 def solve_miss(problem, alpha, a, b, ends, *, in_alpha=False, rtol, atol, xtol, xrtol,
-               blowup_limit=BLOWUP_LIMIT, trial=None):
+               blowup_limit=BLOWUP_LIMIT, n_shot=513, trial=None):
     """``radial_ivp.solve_miss``: Brent's method over :func:`probe` (or over
     trial, a function of the same arguments), in the parameter of
     problem's right-hand side at u(0) = alpha, or in u(0); then the root,
-    the probe there, :func:`shoot` there and the trials in order, as
-    (x, probe) pairs.  Where Brent's method does not converge, its
-    RuntimeError carries those trials as ``trials``."""
+    the probe there, :func:`shoot` there (None where n_shot is 0; the
+    library asks for no other n_shot than 0 and shoot's 513) and the trials
+    in order, as (x, probe) pairs.  Where Brent's method does not converge,
+    its RuntimeError carries those trials as ``trials``."""
     pr_a, pr_b = ends
     seen = {a: pr_a, b: pr_b}
     trials = []
@@ -142,6 +143,8 @@ def solve_miss(problem, alpha, a, b, ends, *, in_alpha=False, rtol, atol, xtol, 
     except RuntimeError as exc:
         exc.trials = trials
         raise
+    if n_shot == 0:
+        return root, seen[root], None, trials
     at = (problem, root) if in_alpha else (problem.at(root), alpha)
     return root, seen[root], shoot(*at, rtol=rtol, atol=atol, blowup_limit=blowup_limit), trials
 

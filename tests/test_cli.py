@@ -453,9 +453,39 @@ def test_branch_bracket_loss_exit_2(tmp_path, capsys):
     assert [row[3] for row in read_rows(os.path.join(out, "branch_k1_plus.csv"))] == ["0"] * 9
 
 
-def test_eig_root_solve_that_does_not_converge_is_partial_exit_2(tmp_path, capsys):
-    # cos 3 pi r, N = 2, p = 1.3: Brent's method takes 100 iterations on the
-    # bracket of mu_5^- without converging; the search stops there
+def test_eig_root_solve_that_does_not_converge_is_partial_exit_2(tmp_path, capsys,
+                                                                 monkeypatch):
+    # Brent's method gives up on the bracket of mu_2^- (its RuntimeError
+    # carrying the trials it made): the search stops there
+    brackets, real = [], spectrum.solve_miss
+
+    def solve(problem, alpha, a, b, ends, **kw):
+        solved = real(problem, alpha, a, b, ends, **kw)
+        if kw["rtol"] == spectrum.SCAN_RTOL:
+            brackets.append((a, b))
+            if len(brackets) == 2:
+                exc = RuntimeError("Failed to converge after 100 iterations.")
+                exc.trials = solved[3]
+                raise exc
+        return solved
+
+    monkeypatch.setattr(spectrum, "solve_miss", solve)
+    cfg = write_cfg(tmp_path, {
+        "problem": {"p": 2.0, "N": 1, "weight": {"expr": "poly", "coeffs": [1.0, -2.0]}},
+        "task": {"kind": "eig", "K": 3, "nu": ["-"]},
+    })
+    out = str(tmp_path / "out")
+    assert cli.main(["eig", "--config", cfg, "--out", out]) == 2
+    a, b = (-x for x in brackets[1])
+    assert capsys.readouterr().err == (
+        "partial spectrum for nu=-: Brent's method did not converge on the bracket "
+        f"|mu| in [{a:.10g}, {b:.10g}]; largest validated index 1\n")
+    assert [row[0] for row in read_rows(os.path.join(out, "spectrum.csv"))] == ["1"]
+
+
+def test_eig_index_certificate_failure_is_partial_exit_2(tmp_path, capsys):
+    # cos 3 pi r, N = 2, p = 1.3: the root the search classifies as mu_4^-
+    # has an eigenfunction with 2 interior zeros, that of index 3
     cos = Weight.from_function(lambda r: math.cos(3.0 * math.pi * r))
     weight = {"breakpoints": list(cos.breakpoints), "coeffs": [list(c) for c in cos.coeffs]}
     cfg = write_cfg(tmp_path, {
@@ -465,10 +495,10 @@ def test_eig_root_solve_that_does_not_converge_is_partial_exit_2(tmp_path, capsy
     out = str(tmp_path / "out")
     assert cli.main(["eig", "--config", cfg, "--out", out]) == 2
     assert capsys.readouterr().err == (
-        "partial spectrum for nu=-: Brent's method did not converge on the bracket "
-        "|mu| in [143.2841414, 146.5405991]; largest validated index 4\n")
-    assert [row[0] for row in read_rows(os.path.join(out, "spectrum.csv"))] == \
-        ["1", "2", "3", "4"]
+        "partial spectrum for nu=-: index 4 not certified: its eigenfunction's zero count is "
+        "2, k - 1 = 3 required (boundary residual 4.635e-11); largest validated index 3\n")
+    rows = read_rows(os.path.join(out, "spectrum.csv"))
+    assert [(row[0], row[3]) for row in rows] == [("1", "0"), ("2", "1"), ("3", "2")]
 
 
 @pytest.mark.parametrize("check", [

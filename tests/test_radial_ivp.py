@@ -1525,6 +1525,45 @@ def test_solve_marches_a_root_older_than_three_trials(solve_results):
     assert solved.record is not None and solved.trials == 17
 
 
+@pytest.mark.kernel
+@pytest.mark.parametrize("case", ["trial", "end", "older"])
+def test_solve_without_a_shot_at_the_root(case, solve_results):
+    # n_shot = 0, as the loose eigenvalue solves ask (stopped at xrtol 1e-7):
+    # no shot at the root, neither read off its trial nor marched again
+    # where the root is a bracket end or an older trial; the root, its
+    # probe and the trials are those of the solve with a shot, to the bits
+    prob, alpha = Problem.nonlinear(2.0, 1, M_LIN, 1.0, ROOT_SHOT_F), 1.0
+    xtol = dict(xtol=1e-15, xrtol=1e-7)
+    if case == "trial":
+        bracket = _first_bracket(lambda x: probe(prob.at(x), alpha, **LOOSE),
+                                 [2.0**k for k in range(-2, 18)])
+    elif case == "end":
+        bracket = (2.0, 40.0, _fake_probe(0.0), probe(prob.at(40.0), alpha, **LOOSE))
+    else:  # the contrapoint of test_solve_marches_a_root_older_than_three_trials
+        alpha, a, b = 3.308722450212111, 152.01529603044537, 173.48059116377254
+        bracket, xtol = (a, b, *(probe(prob.at(x), alpha, **TIGHT) for x in (a, b))), XTOL
+    tols = TIGHT if case == "older" else LOOSE
+    got = _solved(radial_ivp.solve_miss, prob, alpha, bracket, False, tols, xtol, n_shot=0)
+    want = _solved(reference.solve_miss, prob, alpha, bracket, False, tols, xtol, n_shot=0)
+    assert got[2] is None and want[2] is None
+    assert solve_results[-1].shot is None and solve_results[-1].marched is False
+    with_shot = _solved(radial_ivp.solve_miss, prob, alpha, bracket, False, tols, xtol)
+    assert solve_results[-1].marched is (case != "trial")
+    for solved in (want, with_shot):
+        assert _same_bits(got[0], solved[0]) and type(got[0]) is float
+        assert_same_probe(got[1], solved[1])
+        assert_same_trials(got[3], solved[3])
+    assert len(solve_results) == 2
+
+
+def test_solve_rejects_a_negative_shot_size(solve_results):
+    prob = Problem.nonlinear(2.0, 1, M_LIN, 1.0, ROOT_SHOT_F)
+    with pytest.raises(ValueError, match=r"Number of samples, -1, must be non-negative"):
+        radial_ivp.solve_miss(prob, 1.0, 2.0, 40.0, (_fake_probe(-1.0), _fake_probe(1.0)),
+                              **TIGHT, **XTOL, n_shot=-1)
+    assert solve_results == []
+
+
 # ---------------------------------------------------------------------------
 # a right-hand side without a fused form runs on the kernel's CALLBACK
 # family: its shots, probes and solves give the bits of the fused form of

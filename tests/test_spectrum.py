@@ -281,6 +281,50 @@ def test_scan_ceiling_stop_named_in_message():
     assert "budget" not in res.message
 
 
+def test_loose_roots_stop_at_the_scan_tolerance(monkeypatch):
+    # a loose root only centres the tight windows: its solve stops at
+    # xrtol = SCAN_RTOL, builds no shot, and still lands within 1e-6 x0 of
+    # the polished root (68 trials when it ran to 8.9e-16)
+    solves, real = [], spectrum.solve_miss
+
+    def spy(*args, **kw):
+        solves.append((kw["rtol"], real(*args, **kw)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(spectrum, "solve_miss", spy)
+    res = find_eigenvalues(eig_problem(2.6, 1, M1), 6, "+")
+    assert res.complete
+    loose = [solved for rtol, solved in solves if rtol == SCAN_RTOL]
+    tight = [solved for rtol, solved in solves if rtol == DEFAULT_RTOL]
+    assert len(loose) == len(tight) == 6 and len(solves) == 12
+    assert sum(len(trials) for *_, trials in loose) <= 35
+    assert all(traj is None for _, _, traj, _ in loose)
+    for (x0, *_), (root, *_), mu in zip(loose, tight, res.values):
+        assert root == mu and abs(x0 - root) <= 1e-6 * x0
+    for k, mu in enumerate(res.values, 1):
+        assert abs(mu - closed_form_mu(2.6, k)) <= 1e-10 * mu
+
+
+COS3 = Weight.from_function(lambda r: math.cos(3.0 * math.pi * r))
+
+
+@pytest.mark.parametrize("p,nu,kept,message", [
+    # complete with zero counts 0, 1, 2, 3, 1, 5 before the certificate
+    (1.2995, "+", 4, "index 5 not certified: its eigenfunction's zero count is 1, "
+                     "k - 1 = 4 required (boundary residual "),
+    # mu_4^- had the eigenfunction of mu_3^- (2 zeros)
+    (1.3, "-", 3, "index 4 not certified: its eigenfunction's zero count is 2, "
+                  "k - 1 = 3 required (boundary residual "),
+])
+def test_index_certificate_ends_the_search(p, nu, kept, message):
+    res = find_eigenvalues(eig_problem(p, 2, COS3), 6, nu)
+    assert not res.complete
+    assert res.message.startswith(message)
+    assert res.message.endswith(f"); largest validated index {kept}")
+    assert [ep.k for ep in res.eigenpairs] == list(range(1, kept + 1))
+    assert [len(ep.zeros) for ep in res.eigenpairs] == list(range(kept))
+
+
 # ---------------------------------------------------------------------------
 # probes shared among the searches of one block
 
@@ -345,13 +389,14 @@ def test_shared_shots_keep_the_probe_budget(monkeypatch):
     assert summary(shared) == summary(alone)
 
 
-COS3 = Weight.from_function(lambda r: math.cos(3.0 * math.pi * r))
 REFERENCE_SEARCHES = {
     "1-2r+": (2.45, 2, M_LIN, "+", None),
     "1-2r-": (2.45, 2, M_LIN, "-", None),
-    # Brent's method does not converge on [143.28, 146.54]: the search ends there
+    # named for the bracket [143.28, 146.54] where Brent's method once did
+    # not converge; the search now ends at mu_4^-, whose eigenfunction fails
+    # its index certificate
     "cos3-no-convergence": (1.3, 2, COS3, "-", None),
-    # index 6 stays unbracketed after 12 refinement rounds (437 probes)
+    # index 6 stays unbracketed after 12 refinement rounds (345 probes)
     "cos3-unbracketed": (2.25, 1, COS3, "-", None),
     # the budget runs out among the trials of a solve
     "1-2r-budget": (2.45, 2, M_LIN, "+", 30),
@@ -375,10 +420,11 @@ def test_search_on_the_kernel_is_the_search_on_the_reference(monkeypatch, case):
     assert repr(summary(kernel)) == repr(summary(python))
     assert kernel.complete is (budget is None and case.startswith("1-2r"))
     assert {
-        "cos3-no-convergence": "Brent's method did not converge on the bracket |mu| in "
-                               "[143.2841414, 146.5405991]; largest validated index 4",
+        "cos3-no-convergence": "index 4 not certified: its eigenfunction's zero count is 2, "
+                               "k - 1 = 3 required (boundary residual 4.635e-11); largest "
+                               "validated index 3",
         "cos3-unbracketed": "index 6 still unbracketed after 12 refinement rounds "
-                            "(437 probes); largest validated index 5",
+                            "(345 probes); largest validated index 5",
         "1-2r-budget": "scan budget of 30 probes exhausted; largest validated index 1",
         "hard-cubic-ceiling": "scan ceiling |mu| = 3.1663e+09 reached after 31 probes "
                               "(largest |mu| probed 3.84512e+09); largest validated index 0",
