@@ -16,19 +16,20 @@ carries two sequences of simple eigenvalues,
 and the eigenfunction of mu_k^nu has exactly k-1 simple interior zeros.
 The solver is a shooting scan: with the normalization u(0) = 1 the miss
 function D(mu) = u(1; mu) vanishes exactly at eigenvalues, and the
-interior zero count Z(mu) of the shot pins the index (an eigenfunction
-with z interior zeros belongs to index k = z + 1).  For an indefinite
+interior zero count Z(mu) of the shot steps from k-1 to k across mu_k
+(the new zero enters through r = 1 at the root).  For an indefinite
 weight D need not be monotone between eigenvalues, so the scan records
 (D, Z) on an expanding grid, splits any gap whose zero count jumps by
-more than one, brackets the sign changes of D, polishes each root with
-bracketed root finding, and classifies it by the zero count of the
-eigenfunction.  The grid marches at a loose integrator tolerance, and the
-loose root of each bracket is solved only to that tolerance (SCAN_RTOL),
-since it only centres the tight windows; every reported eigenvalue is
-re-bracketed and polished at the tight tolerance, so the final values are
-independent of how the scan got there.  An index is validated only where
-its eigenfunction has exactly k-1 interior zeros and every index below it
-is validated; the first index whose eigenfunction fails that certificate
+more than one and brackets the sign changes of D.  One rule gives each
+bracket its index before anything is solved: k = 1 + the smaller zero
+count of its ends.  Only the brackets of k <= K are solved.  The grid
+marches at a loose integrator tolerance, and the loose root of each
+bracket is solved only to that tolerance (SCAN_RTOL), since it only
+centres the tight window; every reported eigenvalue is re-bracketed and
+polished at the tight tolerance, so the final values are independent of
+how the scan got there.  An index is validated only where its
+eigenfunction has exactly k-1 interior zeros and every index below it is
+validated; the first index whose eigenfunction fails that certificate
 ends the search with a partial result.
 
 A caveat that the scan cannot remove: completeness of the computed list
@@ -242,7 +243,7 @@ class _Prober:
         """|mu| of the root of D over [a, b] at the scan tolerances, Brent's
         method stopped at xrtol = SCAN_RTOL.
 
-        The loose root only centres the windows of :func:`_polish_root`,
+        The loose root only centres the window of :func:`_polish_root`,
         and the loose shots' own error (integration error of some 1e-8
         relative) is of that order already, so the solve stops there and
         builds no trajectory.  Raises RuntimeError where Brent's method does
@@ -350,10 +351,10 @@ def find_eigenvalues(
         nodes = _scan(prober, K, _seed_scale(problem, sgn), SCAN_RATIO)
         _classify_brackets(nodes, prober, found, K, rtol, atol)
         # targeted refinement for any missing index
-        while len([k for k in found if k <= K]) < K and rounds < 12:
+        while len(found) < K and rounds < 12:
             rounds += 1
             missing = [k for k in range(1, K + 1) if k not in found]
-            nodes = _refine_for_missing(nodes, prober, missing[0], found)
+            nodes = _refine_for_missing(nodes, prober, missing[0])
             _classify_brackets(nodes, prober, found, K, rtol, atol)
     except _ScanStopped as exc:
         complete = False
@@ -422,14 +423,6 @@ def _first_root_scale(nodes, seed):
     return seed
 
 
-def _midpoint(x1, x2):
-    if x1 == 0.0:
-        return x2 / 3.0
-    if x2 / x1 > 4.0:
-        return math.sqrt(x1 * x2)
-    return 0.5 * (x1 + x2)
-
-
 def _split_gaps(nodes, prober):
     """Insert probes until adjacent zero counts differ by at most one.
 
@@ -450,14 +443,14 @@ def _split_gaps(nodes, prober):
             sign_change = cur.d * nxt.d < 0
             needs_split = abs(dz) >= 2 or (abs(dz) == 1 and not sign_change)
             if needs_split and (nxt.x - cur.x) > 2e-3 * max(1.0, nxt.x):
-                out.append(prober.loose(_midpoint(cur.x, nxt.x)))
+                out.append(prober.loose(0.5 * (cur.x + nxt.x)))
                 done = False
             out.append(nxt)
         nodes = sorted(out, key=lambda n: n.x)
     return nodes
 
 
-def _refine_for_missing(nodes, prober, k_missing, found):
+def _refine_for_missing(nodes, prober, k_missing):
     """Hunt a missing index by count-guided bisection of its gap.
 
     Indefinite weights produce near-degenerate eigenvalue pairs
@@ -483,7 +476,7 @@ def _refine_for_missing(nodes, prober, k_missing, found):
     for _ in range(60):
         if (b.x - a.x) <= 1e-10 * max(1.0, b.x):
             break
-        m = prober.loose(_midpoint(a.x, b.x))
+        m = prober.loose(0.5 * (a.x + b.x))
         out.append(m)
         if m.z <= k_missing - 1:
             a = m
@@ -540,7 +533,16 @@ def _hunt_sign_bump(prober, a, b):
 
 
 def _classify_brackets(nodes, prober, found, K, rtol, atol):
-    """Polish every D sign change at tight tolerance and classify its index.
+    """Solve the root of every D sign change of index k <= K at tight
+    tolerance.
+
+    One rule gives a bracket [a, b] its index before anything is solved:
+    k = min(a.z, b.z) + 1.  Across mu_k the zero count steps from k-1 to
+    k, the new zero entering through r = 1 exactly at the root.  A bracket
+    of index above K is skipped.  Where two roots claim one index, the
+    smaller |mu| is kept.  After each root, :func:`_certificate`, the only
+    other word on the index, checks the eigenfunctions of the indices
+    found so far, and the first that fails ends the search.
 
     Each root takes two solves on the kernel: the loose one over the
     bracket (:meth:`_Prober.loose_root`, which stops at the scan tolerance
@@ -548,20 +550,10 @@ def _classify_brackets(nodes, prober, found, K, rtol, atol):
     (:meth:`_Prober.solve`), whose root's trajectory is the eigenfunction.
     The search charges one probe more for that shot, as for a shot of its
     own.
-
-    The index comes from the bracket endpoints' zero counts: across a
-    clean bracket the count steps from k-1 to k (the new zero enters
-    through r = 1 exactly at the root), so k is determined by integers
-    measured safely away from the root.  Counting at the root itself is
-    fragile, the entering zero hovers at the boundary margin; the root
-    shot is consulted only when the endpoint counts are ambiguous.  After
-    each root, :func:`_certificate` checks the eigenfunctions of the
-    indices found so far, and the first that fails ends the search.
     """
     for a, b in zip(nodes, nodes[1:]):
-        if not a.d * b.d < 0:
-            continue
-        if min(a.z, b.z) > K:  # beyond what was asked for
+        k = min(a.z, b.z) + 1
+        if not a.d * b.d < 0 or k > K:
             continue
         try:
             x_loose = prober.loose_root(a.x, b.x)
@@ -577,17 +569,7 @@ def _classify_brackets(nodes, prober, found, K, rtol, atol):
         if any(abs(x_root - x_seen) <= 1e-9 * x_seen for x_seen, _ in found.values()):
             continue  # same root reached through a second bracket
         prober._charge()  # the eigenfunction's shot
-        z_lo, z_hi = min(a.z, b.z), max(a.z, b.z)
-        if z_hi - z_lo == 1:
-            k = z_hi  # unambiguous: root index = lower count + 1
-        else:
-            z_root = len(traj.interior_zeros)
-            k = z_root + 1 if z_lo <= z_root <= z_hi else z_lo + 1
-        if k in found:
-            # keep the smaller |mu| if two roots claim one index
-            if x_root < found[k][0]:
-                found[k] = (x_root, traj)
-        else:
+        if k not in found or x_root < found[k][0]:
             found[k] = (x_root, traj)
         _, failure = _certificate(found, K)
         if failure:
@@ -649,20 +631,15 @@ def _polish_root(prober, x0, lo, hi, rtol, atol):
     (root, its trajectory), both from one tight solve on the kernel
     (:meth:`_Prober.solve`, Brent's method to xtol 1e-15 and rtol 8.9e-16).
 
-    The windows widen tenfold from 1e-6 x0 around the loose root, the full
-    loose bracket last.  The loose root is off by its shots' integration
+    Two windows: +-max(1e-6 x0, 1e-12) around the loose root, then the
+    full loose bracket.  The loose root is off by its shots' integration
     error plus its solve's stop at SCAN_RTOL, both well inside the first
     window, so the first window almost always holds the root.  None when
-    no window changes sign at tight tolerance: the loose root is never
-    returned unpolished.
+    neither window changes sign at tight tolerance: the loose root is
+    never returned unpolished.
     """
-    windows = []
     w = max(1e-6 * x0, 1e-12)
-    while w < 0.2 * x0:
-        windows.append((max(x0 - w, lo), min(x0 + w, hi)))
-        w *= 10.0
-    windows.append((lo, hi))  # last resort: the full loose bracket
-    for a, b in windows:
+    for a, b in ((max(x0 - w, lo), min(x0 + w, hi)), (lo, hi)):
         if prober.tight(a, rtol, atol) * prober.tight(b, rtol, atol) < 0:
             return prober.solve(a, b, rtol, atol)
     return None

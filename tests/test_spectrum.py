@@ -1,5 +1,6 @@
 import gc
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -268,6 +269,67 @@ def test_polish_root_without_tight_bracket_returns_none():
             return 1.0
 
     assert _polish_root(NoSignChange(), 5.0, 4.0, 6.0, 1e-10, 1e-12) is None
+
+
+def test_polish_root_falls_back_to_the_loose_bracket():
+    # the tight D changes sign over the loose bracket (4, 6) but not within
+    # +-1e-6 x0 of the loose root 5: the polish solves on (4, 6) after the
+    # four tight probes of its two windows
+    class FarRoot:
+        def __init__(self):
+            self.tight_probes, self.solves = [], []
+
+        def tight(self, x, rtol, atol):
+            self.tight_probes.append(x)
+            return 1.0 if x < 5.9 else -1.0
+
+        def solve(self, a, b, rtol, atol):
+            self.solves.append((a, b))
+            return 5.9, "eigenfunction"
+
+    prober = FarRoot()
+    assert _polish_root(prober, 5.0, 4.0, 6.0, 1e-10, 1e-12) == (5.9, "eigenfunction")
+    assert prober.solves == [(4.0, 6.0)]
+    assert len(prober.tight_probes) == 4
+
+
+def test_bracket_index_is_one_more_than_the_smaller_end_count():
+    # D = (0.5 - x)(2.5 - x)(4.5 - x) over hand-made scan nodes (x, D, Z):
+    # (0, 1) steps the count from 0 to 1, (2, 3) keeps it at 1 and so
+    # gets index 2, and (4, 5), between counts K = 2 and K + 1, is never
+    # solved; the eigenfunction at each root has the zeros of its index
+    roots = {0.5: 0, 2.5: 1, 4.5: 2}
+
+    def miss(x):
+        return math.prod(r - x for r in roots)
+
+    class Scripted:
+        def __init__(self):
+            self.asked = []
+
+        def loose_root(self, a, b):
+            self.asked.append((a, b))
+            return next(r for r in roots if a < r < b)
+
+        def tight(self, x, rtol, atol):
+            self.asked.append((x, x))
+            return miss(x)
+
+        def solve(self, a, b, rtol, atol):
+            self.asked.append((a, b))
+            root = next(r for r in roots if a < r < b)
+            zeros = tuple(SimpleNamespace(r=0.1 * (i + 1)) for i in range(roots[root]))
+            return root, SimpleNamespace(interior_zeros=zeros, terminal=None, terminal_u=0.0)
+
+        def _charge(self):
+            pass
+
+    counts = [0, 1, 1, 1, 2, 3]
+    nodes = [spectrum._Node(float(x), miss(x), z) for x, z in enumerate(counts)]
+    prober, found = Scripted(), {}
+    spectrum._classify_brackets(nodes, prober, found, 2, DEFAULT_RTOL, DEFAULT_ATOL)
+    assert {k: x for k, (x, _) in found.items()} == {1: 0.5, 2: 2.5}
+    assert prober.asked and all(b < 4.0 for _, b in prober.asked)
 
 
 def test_scan_ceiling_stop_named_in_message():
