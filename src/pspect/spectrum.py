@@ -25,12 +25,14 @@ bracket its index before anything is solved: k = 1 + the smaller zero
 count of its ends.  Only the brackets of k <= K are solved.  The grid
 marches at a loose integrator tolerance, and the loose root of each
 bracket is solved only to that tolerance (SCAN_RTOL), since it only
-centres the tight window; every reported eigenvalue is re-bracketed and
-polished at the tight tolerance, so the final values are independent of
-how the scan got there.  An index is validated only where its
-eigenfunction has exactly k-1 interior zeros and every index below it is
-validated; the first index whose eigenfunction fails that certificate
-ends the search with a partial result.
+centres the tight window of +-3 SCAN_RTOL; every reported eigenvalue is
+re-bracketed in that window and polished at the tight tolerance, Brent's
+method stopping at 1e-3 of it (the resolution the tight shots support),
+so the final values are independent of how the scan got there.  An
+index is validated only where its eigenfunction has exactly k-1 interior
+zeros and every index below it is validated; the first index whose
+eigenfunction fails that certificate ends the search with a partial
+result.
 
 A caveat that the scan cannot remove: completeness of the computed list
 ("no other eigenvalues") is certified only within the scanned range at
@@ -253,12 +255,16 @@ class _Prober:
 
     def solve(self, a, b, rtol, atol):
         """(|mu|, trajectory there) of the root of D over [a, b] by Brent's
-        method to xtol 1e-15 and xrtol 8.9e-16, probes and trajectory at the
-        tolerances.  The trajectory is read off the root's trial.  Raises
-        RuntimeError where Brent's method does not converge, after charging
-        the trials it made.
+        method to xtol 1e-15 and xrtol max(1e-3 rtol, 8.9e-16) (1e-13 at the
+        default rtol), probes and trajectory at the tolerances.
+
+        The tight shots carry an integration error of some 1e-11 relative
+        in mu, so past 1e-3 rtol the sign of D flips at rounding noise and
+        further trials only chase it.  The trajectory is read off the
+        root's trial.  Raises RuntimeError where Brent's method does not
+        converge, after charging the trials it made.
         """
-        return self._solve(a, b, rtol, atol, 8.9e-16, SHOT_SAMPLES)
+        return self._solve(a, b, rtol, atol, max(1e-3 * rtol, 8.9e-16), SHOT_SAMPLES)
 
     def _solve(self, a, b, rtol, atol, xrtol, n_shot):
         """(|mu|, trajectory) of :func:`radial_ivp.solve_miss` over [a, b]
@@ -629,16 +635,18 @@ def _trim_tail_artifacts(traj: Trajectory, k: int):
 def _polish_root(prober, x0, lo, hi, rtol, atol):
     """Re-bracket the loose root at tight tolerance and solve there:
     (root, its trajectory), both from one tight solve on the kernel
-    (:meth:`_Prober.solve`, Brent's method to xtol 1e-15 and rtol 8.9e-16).
+    (:meth:`_Prober.solve`, Brent's method to xtol 1e-15 and xrtol
+    max(1e-3 rtol, 8.9e-16)).
 
-    Two windows: +-max(1e-6 x0, 1e-12) around the loose root, then the
-    full loose bracket.  The loose root is off by its shots' integration
-    error plus its solve's stop at SCAN_RTOL, both well inside the first
-    window, so the first window almost always holds the root.  None when
+    Two windows: +-max(3 SCAN_RTOL x0, 1e-12) around the loose root, then
+    the full loose bracket.  The loose root is off by its solve's stop at
+    SCAN_RTOL plus its shots' integration error (measured offsets are at
+    most 1.7e-8 relative), so the first window almost always holds the
+    root, and the secant step from its ends lands close to it.  None when
     neither window changes sign at tight tolerance: the loose root is
     never returned unpolished.
     """
-    w = max(1e-6 * x0, 1e-12)
+    w = max(3.0 * SCAN_RTOL * x0, 1e-12)
     for a, b in ((max(x0 - w, lo), min(x0 + w, hi)), (lo, hi)):
         if prober.tight(a, rtol, atol) * prober.tight(b, rtol, atol) < 0:
             return prober.solve(a, b, rtol, atol)

@@ -496,7 +496,7 @@ def test_eig_index_certificate_failure_is_partial_exit_2(tmp_path, capsys):
     assert cli.main(["eig", "--config", cfg, "--out", out]) == 2
     assert capsys.readouterr().err == (
         "partial spectrum for nu=-: index 4 not certified: its eigenfunction's zero count is "
-        "2, k - 1 = 3 required (boundary residual 4.635e-11); largest validated index 3\n")
+        "2, k - 1 = 3 required (boundary residual 1.324e-10); largest validated index 3\n")
     rows = read_rows(os.path.join(out, "spectrum.csv"))
     assert [(row[0], row[3]) for row in rows] == [("1", "0"), ("2", "1"), ("3", "2")]
 

@@ -273,8 +273,8 @@ def test_polish_root_without_tight_bracket_returns_none():
 
 def test_polish_root_falls_back_to_the_loose_bracket():
     # the tight D changes sign over the loose bracket (4, 6) but not within
-    # +-1e-6 x0 of the loose root 5: the polish solves on (4, 6) after the
-    # four tight probes of its two windows
+    # the first window, +-3 SCAN_RTOL x0, of the loose root 5: the polish
+    # solves on (4, 6) after the four tight probes of its two windows
     class FarRoot:
         def __init__(self):
             self.tight_probes, self.solves = [], []
@@ -343,10 +343,8 @@ def test_scan_ceiling_stop_named_in_message():
     assert "budget" not in res.message
 
 
-def test_loose_roots_stop_at_the_scan_tolerance(monkeypatch):
-    # a loose root only centres the tight windows: its solve stops at
-    # xrtol = SCAN_RTOL, builds no shot, and still lands within 1e-6 x0 of
-    # the polished root (68 trials when it ran to 8.9e-16)
+def spy_solves(monkeypatch):
+    """(rtol, result) of every ``solve_miss`` call the search makes."""
     solves, real = [], spectrum.solve_miss
 
     def spy(*args, **kw):
@@ -354,6 +352,15 @@ def test_loose_roots_stop_at_the_scan_tolerance(monkeypatch):
         return solves[-1][1]
 
     monkeypatch.setattr(spectrum, "solve_miss", spy)
+    return solves
+
+
+def test_loose_roots_stop_at_the_scan_tolerance(monkeypatch):
+    # a loose root only centres the tight windows: its solve stops at
+    # xrtol = SCAN_RTOL (29 trials here, 68 when it ran to 8.9e-16), builds
+    # no shot, and still lands within the first window, 3 SCAN_RTOL x0, of
+    # the polished root
+    solves = spy_solves(monkeypatch)
     res = find_eigenvalues(eig_problem(2.6, 1, M1), 6, "+")
     assert res.complete
     loose = [solved for rtol, solved in solves if rtol == SCAN_RTOL]
@@ -362,9 +369,33 @@ def test_loose_roots_stop_at_the_scan_tolerance(monkeypatch):
     assert sum(len(trials) for *_, trials in loose) <= 35
     assert all(traj is None for _, _, traj, _ in loose)
     for (x0, *_), (root, *_), mu in zip(loose, tight, res.values):
-        assert root == mu and abs(x0 - root) <= 1e-6 * x0
+        assert root == mu and abs(x0 - root) <= 3 * SCAN_RTOL * x0
     for k, mu in enumerate(res.values, 1):
         assert abs(mu - closed_form_mu(2.6, k)) <= 1e-10 * mu
+
+
+@pytest.mark.parametrize("rtol,most_trials,error", [
+    # the tight shots carry some 1e-11 relative of integration error, so
+    # the tight solve stops at xrtol = 1e-3 rtol (1e-13) and its window is
+    # +-3 SCAN_RTOL x0: 13 tight trials, against 37 when it ran to
+    # 8.9e-16 in a +-1e-6 x0 window, for the same closed-form error
+    (DEFAULT_RTOL, 15, 2e-11),
+    # at rtol = 1e-13 the stop clamps at 8.9e-16: 31 trials (36 before)
+    (1e-13, 40, 1e-11),
+])
+def test_tight_roots_stop_at_the_resolution_of_their_shots(monkeypatch, rtol, most_trials,
+                                                           error):
+    solves = spy_solves(monkeypatch)
+    res = find_eigenvalues(eig_problem(2.6, 1, M1), 6, "+", rtol=rtol)
+    assert res.complete
+    loose = [solved for tol, solved in solves if tol == SCAN_RTOL]
+    tight = [solved for tol, solved in solves if tol == rtol]
+    assert len(loose) == len(tight) == 6
+    assert sum(len(trials) for *_, trials in tight) <= most_trials
+    for (x0, *_), (root, *_) in zip(loose, tight):
+        assert abs(x0 - root) <= 3 * SCAN_RTOL * x0
+    for k, mu in enumerate(res.values, 1):
+        assert abs(mu - closed_form_mu(2.6, k)) <= error * mu
 
 
 COS3 = Weight.from_function(lambda r: math.cos(3.0 * math.pi * r))
@@ -458,7 +489,7 @@ REFERENCE_SEARCHES = {
     # not converge; the search now ends at mu_4^-, whose eigenfunction fails
     # its index certificate
     "cos3-no-convergence": (1.3, 2, COS3, "-", None),
-    # index 6 stays unbracketed after 12 refinement rounds (345 probes)
+    # index 6 stays unbracketed after 12 refinement rounds (328 probes)
     "cos3-unbracketed": (2.25, 1, COS3, "-", None),
     # the budget runs out among the trials of a solve
     "1-2r-budget": (2.45, 2, M_LIN, "+", 30),
@@ -483,10 +514,10 @@ def test_search_on_the_kernel_is_the_search_on_the_reference(monkeypatch, case):
     assert kernel.complete is (budget is None and case.startswith("1-2r"))
     assert {
         "cos3-no-convergence": "index 4 not certified: its eigenfunction's zero count is 2, "
-                               "k - 1 = 3 required (boundary residual 4.635e-11); largest "
+                               "k - 1 = 3 required (boundary residual 1.324e-10); largest "
                                "validated index 3",
         "cos3-unbracketed": "index 6 still unbracketed after 12 refinement rounds "
-                            "(345 probes); largest validated index 5",
+                            "(328 probes); largest validated index 5",
         "1-2r-budget": "scan budget of 30 probes exhausted; largest validated index 1",
         "hard-cubic-ceiling": "scan ceiling |mu| = 3.1663e+09 reached after 31 probes "
                               "(largest |mu| probed 3.84512e+09); largest validated index 0",
