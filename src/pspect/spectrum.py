@@ -17,22 +17,26 @@ and the eigenfunction of mu_k^nu has exactly k-1 simple interior zeros.
 The solver is a shooting scan: with the normalization u(0) = 1 the miss
 function D(mu) = u(1; mu) vanishes exactly at eigenvalues, and the
 interior zero count Z(mu) of the shot steps from k-1 to k across mu_k
-(the new zero enters through r = 1 at the root).  For an indefinite
-weight D need not be monotone between eigenvalues, so the scan records
-(D, Z) on an expanding grid, splits any gap whose zero count jumps by
-more than one and brackets the sign changes of D.  One rule gives each
-bracket its index before anything is solved: k = 1 + the smaller zero
-count of its ends.  Only the brackets of k <= K are solved.  The grid
-marches at a loose integrator tolerance, and the loose root of each
-bracket is solved only to that tolerance (SCAN_RTOL), since it only
-centres the tight window of +-3 SCAN_RTOL; every reported eigenvalue is
-re-bracketed in that window and polished at the tight tolerance, Brent's
-method stopping at 1e-3 of it (the resolution the tight shots support),
-so the final values are independent of how the scan got there.  An
-index is validated only where its eigenfunction has exactly k-1 interior
-zeros and every index below it is validated; the first index whose
-eigenfunction fails that certificate ends the search with a partial
-result.
+(the new zero enters through r = 1 at the root).  As u(0) = 1, sign D =
+(-1)^Z, so where a zero still within the boundary margin of r = 1 leaves
+the parities at odds the scan counts it: each node's Z is the number of
+eigenvalues below its |mu|, and a step of Z by one carries a sign change
+of D.  For an indefinite weight D need not be monotone between
+eigenvalues, so the scan records (D, Z) on an expanding grid, splits
+every gap whose count steps by two or more down to a floor of 2e-3 (once
+more down to 1e-10 where an index is left unbracketed) and brackets the
+sign changes of D.  One rule gives each bracket its index before
+anything is solved: k = 1 + the smaller zero count of its ends.  Only
+the brackets of k <= K are solved.  The grid marches at a loose
+integrator tolerance, and the loose root of each bracket is solved only
+to that tolerance (SCAN_RTOL), since it only centres the tight window of
++-3 SCAN_RTOL; every reported eigenvalue is re-bracketed in that window
+and polished at the tight tolerance, Brent's method stopping at 1e-3 of
+it (the resolution the tight shots support), so the final values are
+independent of how the scan got there.  An index is validated only where
+its eigenfunction has exactly k-1 interior zeros and every index below
+it is validated; the first index whose eigenfunction fails that
+certificate ends the search with a partial result.
 
 A caveat that the scan cannot remove: completeness of the computed list
 ("no other eigenvalues") is certified only within the scanned range at
@@ -236,7 +240,12 @@ class _Prober:
 
     def loose(self, x) -> _Node:
         pr = self._probe(x, SCAN_RTOL, SCAN_ATOL)
-        return _Node(x, pr.d, pr.z)
+        # u(0) = 1, so sign u(1) = (-1)^(zeros in (0, 1)): where the parity
+        # of z disagrees with D, the zero that entered at the last eigenvalue
+        # is still within BOUNDARY_MARGIN of r = 1, uncounted.  Counting it
+        # makes z the number of eigenvalues below x.  A blown-up probe
+        # agrees already: its D is u where the shot stopped.
+        return _Node(x, pr.d, pr.z + (pr.z % 2 != (pr.d < 0)))
 
     def tight(self, x, rtol, atol) -> float:
         return self._probe(x, rtol, atol).d
@@ -330,9 +339,10 @@ def find_eigenvalues(
     Raises NegativeSequenceAbsent when nu='-' is requested but the weight
     has no negative part.  When the probe budget, the scan ceiling, a root
     solve that does not converge or an eigenfunction without k-1 interior
-    zeros (the index certificate) stops the search, or refinement leaves an
-    index unbracketed, the result is returned partial, the message naming
-    that stop reason and the largest validated index.
+    zeros (the index certificate) stops the search, or an index stays
+    without a tight bracket after the second split of the gaps (down to
+    1e-10), the result is returned partial, the message naming that stop
+    reason and the largest validated index.
     """
     if K < 1:
         raise PreconditionError("K must be >= 1")
@@ -351,16 +361,12 @@ def find_eigenvalues(
     complete = True
     found: dict[int, tuple[float, Trajectory]] = {}
     stop = ""
-    rounds = 0
 
     try:
         nodes = _scan(prober, K, _seed_scale(problem, sgn), SCAN_RATIO)
         _classify_brackets(nodes, prober, found, K, rtol, atol)
-        # targeted refinement for any missing index
-        while len(found) < K and rounds < 12:
-            rounds += 1
-            missing = [k for k in range(1, K + 1) if k not in found]
-            nodes = _refine_for_missing(nodes, prober, missing[0])
+        if len(found) < K:  # a close pair below the scan floor: split to 1e-10
+            nodes = _split_gaps(nodes, prober, 1e-10)
             _classify_brackets(nodes, prober, found, K, rtol, atol)
     except _ScanStopped as exc:
         complete = False
@@ -372,8 +378,8 @@ def find_eigenvalues(
         complete = False
         if not stop:
             stop = (
-                f"index {largest + 1} still unbracketed after {rounds} "
-                f"refinement rounds ({prober.count} probes)"
+                f"index {largest + 1} still unbracketed after refinement "
+                f"({prober.count} probes)"
             )
         message = f"{stop}; largest validated index {largest}"
 
@@ -404,7 +410,8 @@ def find_eigenvalues(
 
 
 def _scan(prober: _Prober, K: int, seed: float, ratio: float):
-    """Expanding (D, Z) grid until Z >= K, with gap splitting to dZ <= 1."""
+    """Expanding (D, Z) grid until Z >= K, its count steps split down to
+    the scan floor of 2e-3."""
     nodes = [_Node(0.0, 1.0, 0)]
     x = 0.25 * seed
     ceiling = 1e4 * (1.0 + seed)
@@ -419,7 +426,7 @@ def _scan(prober: _Prober, K: int, seed: float, ratio: float):
             )
         x *= ratio
         ceiling = 1e4 * (1.0 + _first_root_scale(nodes, seed))
-    return _split_gaps(nodes, prober)
+    return _split_gaps(nodes, prober, 2e-3)
 
 
 def _first_root_scale(nodes, seed):
@@ -429,113 +436,31 @@ def _first_root_scale(nodes, seed):
     return seed
 
 
-def _split_gaps(nodes, prober):
-    """Insert probes until adjacent zero counts differ by at most one.
+def _split_gaps(nodes, prober, floor):
+    """Insert probes until adjacent zero counts differ by at most one, or
+    the gap is narrower than floor relative to max(1, |mu|).
 
-    Splitting stops at a relative gap width floor of 2e-3: an indefinite
-    weight can change the count by two at a single parameter (an interior
-    tangency of the shot), which no amount of splitting resolves into
-    steps of one.  Whatever sign changes exist at the floor resolution
-    are still bracketed and classified.
+    Each count agrees in parity with its D (:meth:`_Prober.loose`), so a
+    count step of one carries a sign change of D; only steps of two or
+    more are split.  The scan's floor is 2e-3; where that leaves an index
+    without a bracket, the search splits again down to 1e-10.  Close pairs
+    of an indefinite weight (eigenfunctions localized on different
+    positivity islands) can lie closer than the first floor; a node
+    strictly between mu_k and mu_k+1 has count k and the sign opposite to
+    both ends, so it brackets both.  A step of two at a single parameter
+    (an interior tangency of the shot) is never resolved; whatever sign
+    changes exist at the floor are still bracketed and classified.
     """
-    nodes = sorted(nodes, key=lambda n: n.x)
-    done = False
-    while not done:
-        done = True
+    while True:
         out = [nodes[0]]
         for nxt in nodes[1:]:
             cur = out[-1]
-            dz = nxt.z - cur.z
-            sign_change = cur.d * nxt.d < 0
-            needs_split = abs(dz) >= 2 or (abs(dz) == 1 and not sign_change)
-            if needs_split and (nxt.x - cur.x) > 2e-3 * max(1.0, nxt.x):
+            if abs(nxt.z - cur.z) >= 2 and (nxt.x - cur.x) > floor * max(1.0, nxt.x):
                 out.append(prober.loose(0.5 * (cur.x + nxt.x)))
-                done = False
             out.append(nxt)
-        nodes = sorted(out, key=lambda n: n.x)
-    return nodes
-
-
-def _refine_for_missing(nodes, prober, k_missing):
-    """Hunt a missing index by count-guided bisection of its gap.
-
-    Indefinite weights produce near-degenerate eigenvalue pairs
-    (eigenfunctions localized on different positivity islands) whose
-    splitting can be far below any fixed scan resolution; across such a
-    pair the zero count jumps by two with no net sign change, so the
-    plain splitter leaves the gap unresolved at its floor.  Bisection
-    steered by the count homes in on the sliver strictly between the two
-    roots (count exactly k_missing) at one probe per bit; a node in that
-    sliver brackets both roots against the gap's ends.  Every probe is
-    kept as a scan node either way.
-    """
-    nodes = sorted(nodes, key=lambda n: n.x)
-    out = list(nodes)
-    a = b = None
-    for cur, nxt in zip(nodes, nodes[1:]):
-        # gaps that already carry a sign change belong to the classifier
-        if cur.z <= k_missing - 1 and nxt.z >= k_missing and cur.d * nxt.d > 0:
-            a, b = cur, nxt
-            break
-    if a is None:
-        return out
-    for _ in range(60):
-        if (b.x - a.x) <= 1e-10 * max(1.0, b.x):
-            break
-        m = prober.loose(0.5 * (a.x + b.x))
-        out.append(m)
-        if m.z <= k_missing - 1:
-            a = m
-        elif m.z >= k_missing + 1:
-            b = m
-        elif m.d * a.d < 0 or m.d * b.d < 0:
-            break  # inside the inter-pair sliver and sign-bracketed: done
-        else:
-            # the count says sliver but the sign disagrees: right after a
-            # boundary entry the new zero hides inside the counting margin
-            # (terminal slopes are huge for stiff shots), so the count is
-            # unreliable here; the D sign is exact, hunt the bump instead
-            out.extend(_hunt_sign_bump(prober, a, b))
-            break
-    dedup = {n.x: n for n in out}
-    return sorted(dedup.values(), key=lambda n: n.x)
-
-
-def _hunt_sign_bump(prober, a, b):
-    """Golden-section extremum hunt for a micro sign bump of D on (a, b).
-
-    A close eigenvalue pair inside the gap shows as a narrow window where
-    D takes the sign opposite to both endpoints; locating one point of
-    that window hands the classifier two sign-change brackets.  Stops as
-    soon as a probe flips sign, or when the window provably cannot be
-    resolved at double precision.
-    """
-    want = -1.0 if a.d > 0 else 1.0  # sign the bump must reach
-    inv_gr = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = a.x, b.x
-    x1 = hi - inv_gr * (hi - lo)
-    x2 = lo + inv_gr * (hi - lo)
-    n1, n2 = prober.loose(x1), prober.loose(x2)
-    probes = [n1, n2]
-    for _ in range(70):
-        if want * n1.d > 0 or want * n2.d > 0:
-            break
-        if hi - lo <= 4e-16 * max(1.0, hi):
-            break
-        # keep the side with the larger D in the wanted direction
-        if want * n1.d > want * n2.d:
-            hi = x2
-            x2, n2 = x1, n1
-            x1 = hi - inv_gr * (hi - lo)
-            n1 = prober.loose(x1)
-            probes.append(n1)
-        else:
-            lo = x1
-            x1, n1 = x2, n2
-            x2 = lo + inv_gr * (hi - lo)
-            n2 = prober.loose(x2)
-            probes.append(n2)
-    return probes
+        if len(out) == len(nodes):
+            return nodes
+        nodes = out
 
 
 def _classify_brackets(nodes, prober, found, K, rtol, atol):
@@ -642,12 +567,16 @@ def _polish_root(prober, x0, lo, hi, rtol, atol):
     the full loose bracket.  The loose root is off by its solve's stop at
     SCAN_RTOL plus its shots' integration error (measured offsets are at
     most 1.7e-8 relative), so the first window almost always holds the
-    root, and the secant step from its ends lands close to it.  None when
-    neither window changes sign at tight tolerance: the loose root is
-    never returned unpolished.
+    root, and the secant step from its ends lands close to it.  The first
+    window is not clipped to the bracket: the bracket's ends carry loose
+    signs of D, wrong within that same error of a root, so a root can lie
+    just outside them.  A window that holds both roots of a close pair
+    shows no sign change and falls back to the bracket.  None when neither
+    window changes sign at tight tolerance: the loose root is never
+    returned unpolished.
     """
     w = max(3.0 * SCAN_RTOL * x0, 1e-12)
-    for a, b in ((max(x0 - w, lo), min(x0 + w, hi)), (lo, hi)):
+    for a, b in ((x0 - w, x0 + w), (lo, hi)):
         if prober.tight(a, rtol, atol) * prober.tight(b, rtol, atol) < 0:
             return prober.solve(a, b, rtol, atol)
     return None

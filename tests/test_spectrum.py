@@ -418,6 +418,45 @@ def test_index_certificate_ends_the_search(p, nu, kept, message):
     assert [len(ep.zeros) for ep in res.eigenpairs] == list(range(kept))
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_scan_count_agrees_with_the_sign_of_D(k):
+    # m = 1, N = 1, p = 2, just past mu_k: the zero that entered through
+    # r = 1 at mu_k lies within BOUNDARY_MARGIN of it, so the probe counts
+    # k - 1 zeros while D already has the sign (-1)^k of k zeros; the scan
+    # node counts k, the number of eigenvalues below |mu|
+    x = closed_form_mu(2.0, k) * (1.0 + 1e-6)
+    prob = eig_problem(2.0, 1, M1)
+    raw = probe(prob.at(x), 1.0, rtol=SCAN_RTOL, atol=SCAN_ATOL, blowup_limit=_Prober.BLOWUP)
+    assert raw.z == k - 1 and (raw.d < 0) == (k % 2 == 1)
+    node = _Prober(prob, 1, 10).loose(x)
+    assert (node.d, node.z) == (raw.d, k)
+
+
+@pytest.mark.parametrize("n_dim,p", [
+    # the pair mu_5^-, mu_6^- at p = 1.39 lies 1.1e-7 apart (relative),
+    # closer than the first window of the polish
+    (1, 1.39), (1, 1.4), (1, 1.85), (1, 2.25), (1, 3.0), (3, 1.9), (3, 2.2),
+    # at p = 2.55 a bracket end just below mu_6^- reads a loose D of the
+    # wrong sign: the polish window, not clipped to the bracket, reaches it
+    (1, 1.5), (1, 1.8), (1, 2.55),
+])
+def test_close_pairs_are_bracketed(n_dim, p):
+    res = find_eigenvalues(eig_problem(p, n_dim, COS3), 6, "-")
+    assert res.complete, res.message
+    assert [len(ep.zeros) for ep in res.eigenpairs] == list(range(6))
+
+
+def test_unbracketed_index_ends_the_search(monkeypatch):
+    # without the splitter the first close pair of cos 3 pi r, N = 1,
+    # p = 2.25 (-), mu_2^- and mu_3^- (610.9 and 616.4), shares one scan gap
+    # whose count steps by two with no sign change of D
+    monkeypatch.setattr(spectrum, "_split_gaps", lambda nodes, prober, floor: nodes)
+    res = find_eigenvalues(eig_problem(2.25, 1, COS3), 6, "-")
+    assert not res.complete
+    assert res.message.startswith("index 2 still unbracketed after refinement (")
+    assert res.message.endswith(" probes); largest validated index 1")
+
+
 # ---------------------------------------------------------------------------
 # probes shared among the searches of one block
 
@@ -489,8 +528,9 @@ REFERENCE_SEARCHES = {
     # not converge; the search now ends at mu_4^-, whose eigenfunction fails
     # its index certificate
     "cos3-no-convergence": (1.3, 2, COS3, "-", None),
-    # index 6 stays unbracketed after 12 refinement rounds (328 probes)
-    "cos3-unbracketed": (2.25, 1, COS3, "-", None),
+    # mu_5^- and mu_6^- lie 6.2e-6 apart (relative), below the scan floor:
+    # the search's second split, down to 1e-10, brackets both
+    "cos3-close-pair": (2.25, 1, COS3, "-", None),
     # the budget runs out among the trials of a solve
     "1-2r-budget": (2.45, 2, M_LIN, "+", 30),
     "hard-cubic-ceiling": (2.63, 2, Weight.poly([0.86, -0.18, 0.10, -0.94]), "-", None),
@@ -511,13 +551,11 @@ def test_search_on_the_kernel_is_the_search_on_the_reference(monkeypatch, case):
     reference.route(monkeypatch)
     python = find_eigenvalues(eig_problem(p, n_dim, m), 6, nu)
     assert repr(summary(kernel)) == repr(summary(python))
-    assert kernel.complete is (budget is None and case.startswith("1-2r"))
+    assert kernel.complete is (case in ("1-2r+", "1-2r-", "cos3-close-pair"))
     assert {
         "cos3-no-convergence": "index 4 not certified: its eigenfunction's zero count is 2, "
                                "k - 1 = 3 required (boundary residual 1.324e-10); largest "
                                "validated index 3",
-        "cos3-unbracketed": "index 6 still unbracketed after 12 refinement rounds "
-                            "(328 probes); largest validated index 5",
         "1-2r-budget": "scan budget of 30 probes exhausted; largest validated index 1",
         "hard-cubic-ceiling": "scan ceiling |mu| = 3.1663e+09 reached after 31 probes "
                               "(largest |mu| probed 3.84512e+09); largest validated index 0",
