@@ -515,7 +515,7 @@ def cmd_gp(task, p, n_dim, m, tols, header, out_dir) -> int:
     prof = apply_Gp(p, n_dim, Weight.from_spec(task["h"]))
     _write_csv(
         os.path.join(out_dir, "gp_profile.csv"),
-        header + [f"quad_error={_fmt(prof.quad_error)}"],
+        header,
         ("r", "u", "uprime"),
         zip(map(float, prof.r), map(float, prof.u), map(float, prof.uprime)),
     )

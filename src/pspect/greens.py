@@ -23,13 +23,8 @@ honoured.  The outer integrand inherits half-power kinks at the roots of
 H (and a corner at the origin for N > 1); the roots are found by Brent's
 method in the panels whose node values of H change sign, and the outer
 panel set is graded geometrically toward those points before the same
-composite rule is applied.  A one-shot refinement doubling the outer
-panel count gives ``quad_error``, the largest difference of a panel's
-integral between the two rules.  It measures the outer quadrature alone
-and leaves out the error of the interpolant of H, so it is no bound on
-the error of the profile: for h = 1 - 2r, p = 2.5, N = 3 it reads
-9.6e-14 while u(0) is 1.8e-10 off.  The near-origin factor
-t^{1-N} H(t) is evaluated from the series
+composite rule is applied to each outer panel's two halves.  The
+near-origin factor t^{1-N} H(t) is evaluated from the series
 H(t) ~ h(0) t^N / N + h'(0) t^{N+1} / (N+1) below t = 1e-4, which is
 cancellation free.  The profile u is carried between its nodes by the
 cubic Hermite interpolant of its values and its exact slopes.
@@ -117,18 +112,14 @@ class _Hermite:
 
 @dataclass(frozen=True)
 class GpProfile:
-    """Profile returned by the solution operator: u, u', the kinks (the
-    interior roots of H) and quad_error, the largest coarse/fine
-    difference of the outer quadrature's panel integrals.  quad_error
-    leaves out the error of the interpolant of H, so it does not bound the
-    error of u (see the module docstring)."""
+    """Profile returned by the solution operator: u, u' and the kinks (the
+    interior roots of H)."""
 
     p: float
     N: int
     r: np.ndarray
     u: np.ndarray
     uprime: np.ndarray
-    quad_error: float
     kinks: tuple = ()
     _spline: _Hermite = field(repr=False, default=None)
 
@@ -178,11 +169,8 @@ def apply_Gp(p, N, h) -> GpProfile:
     kinks = _h_roots(H, H_vals)
     out_nodes = _outer_nodes(src.breakpoints, kinks)
 
-    seg = _composite_segments(g_of, out_nodes)
-    seg2 = _composite_segments(g_of, _bisect_nodes(out_nodes))
-    seg2_paired = seg2[0::2] + seg2[1::2]
-    quad_error = float(np.max(np.abs(seg - seg2_paired)))
-    seg = seg2_paired  # keep the finer answer
+    halves = _composite_segments(g_of, _bisect_nodes(out_nodes))
+    seg = halves[0::2] + halves[1::2]
 
     # u(r_i) = sum of segment integrals from r_i to 1
     u_vals = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
@@ -195,7 +183,6 @@ def apply_Gp(p, N, h) -> GpProfile:
         r=out_nodes,
         u=u_vals,
         uprime=up_vals,
-        quad_error=quad_error,
         kinks=kinks,
         _spline=_Hermite(out_nodes, u_vals, up_vals[:-1], up_vals[1:]),
     )

@@ -23,20 +23,20 @@ the parities at odds the scan counts it: each node's Z is the number of
 eigenvalues below its |mu|, and a step of Z by one carries a sign change
 of D.  For an indefinite weight D need not be monotone between
 eigenvalues, so the scan records (D, Z) on an expanding grid, splits
-every gap whose count steps by two or more down to a floor of 2e-3 (once
-more down to 1e-10 where an index is left unbracketed) and brackets the
-sign changes of D.  One rule gives each bracket its index before
-anything is solved: k = 1 + the smaller zero count of its ends.  Only
-the brackets of k <= K are solved.  The grid marches at a loose
-integrator tolerance, and the loose root of each bracket is solved only
-to that tolerance (SCAN_RTOL), since it only centres the tight window of
-+-3 SCAN_RTOL; every reported eigenvalue is re-bracketed in that window
-and polished at the tight tolerance, Brent's method stopping at 1e-3 of
-it (the resolution the tight shots support), so the final values are
-independent of how the scan got there.  An index is validated only where
-its eigenfunction has exactly k-1 interior zeros and every index below
-it is validated; the first index whose eigenfunction fails that
-certificate ends the search with a partial result.
+every gap whose count steps by two or more down to a floor of 1e-10 and
+brackets the sign changes of D.  One rule gives each bracket its index
+before anything is solved: k = 1 + the smaller zero count of its ends.
+Only the brackets of k <= K are solved, each once.  The grid marches at
+a loose integrator tolerance, and the loose root of each bracket is
+solved only to that tolerance (SCAN_RTOL), since it only centres the
+tight window of +-3 SCAN_RTOL; every reported eigenvalue is re-bracketed
+in that window and polished at the tight tolerance, Brent's method
+stopping at 1e-3 of it (the resolution the tight shots support), so the
+final values are independent of how the scan got there.  An index is
+validated only where its eigenfunction reaches r = 1 with exactly k-1
+interior zeros and every index below it is validated; the first index
+whose eigenfunction fails that certificate ends the search with a
+partial result.
 
 A caveat that the scan cannot remove: completeness of the computed list
 ("no other eigenvalues") is certified only within the scanned range at
@@ -192,17 +192,21 @@ class _Prober:
     through a long one-signed stretch the genuine amplitude can dwarf the
     general-purpose guard of :func:`shoot`; probes therefore run with the
     guard moved out of the way (1e100 keeps the flux far from overflow).
+    A shot that still grows past it stops there: as a probe its D is u
+    at the stop, and as an eigenfunction it fails :func:`_certificate`.
 
     A probe is one kernel call (``radial_ivp.probe``), and so is a root
     solve (:meth:`loose_root` and :meth:`solve`: ``radial_ivp.solve_miss``,
     Brent's method on the kernel, each trial a kernel probe).  The memo
     holds each probe under (|mu|, rtol, atol), the trials of every solve
     among them, and each solve under (a, b, rtol, atol, xrtol); outside
-    :func:`shared_shots` it is private to the search.  A search charges
-    its budget once for each (|mu|, rtol, atol) it asks for, whether or
-    not the memo already held the probe: a solve charges its bracket ends,
-    then its trials in their order, as Brent's method over single probes
-    would, so the budget runs out at the same trial.
+    :func:`shared_shots` it is private to the search.  A search solves
+    each bracket once, so the solve memo serves only the later searches
+    of a :func:`shared_shots` block.  A search charges its budget once
+    for each (|mu|, rtol, atol) it asks for, whether or not the memo
+    already held the probe: a solve charges its bracket ends, then its
+    trials in their order, as Brent's method over single probes would, so
+    the budget runs out at the same trial.
     """
 
     BLOWUP = 1e100
@@ -339,9 +343,9 @@ def find_eigenvalues(
     Raises NegativeSequenceAbsent when nu='-' is requested but the weight
     has no negative part.  When the probe budget, the scan ceiling, a root
     solve that does not converge or an eigenfunction without k-1 interior
-    zeros (the index certificate) stops the search, or an index stays
-    without a tight bracket after the second split of the gaps (down to
-    1e-10), the result is returned partial, the message naming that stop
+    zeros or whose shot blows up (the index certificate) stops the search,
+    or an index stays without a tight bracket after the scan's split of
+    the gaps, the result is returned partial, the message naming that stop
     reason and the largest validated index.
     """
     if K < 1:
@@ -365,9 +369,6 @@ def find_eigenvalues(
     try:
         nodes = _scan(prober, K, _seed_scale(problem, sgn), SCAN_RATIO)
         _classify_brackets(nodes, prober, found, K, rtol, atol)
-        if len(found) < K:  # a close pair below the scan floor: split to 1e-10
-            nodes = _split_gaps(nodes, prober, 1e-10)
-            _classify_brackets(nodes, prober, found, K, rtol, atol)
     except _ScanStopped as exc:
         complete = False
         stop = str(exc)
@@ -410,8 +411,8 @@ def find_eigenvalues(
 
 
 def _scan(prober: _Prober, K: int, seed: float, ratio: float):
-    """Expanding (D, Z) grid until Z >= K, its count steps split down to
-    the scan floor of 2e-3."""
+    """Expanding (D, Z) grid until Z >= K, its count steps split by
+    :func:`_split_gaps`."""
     nodes = [_Node(0.0, 1.0, 0)]
     x = 0.25 * seed
     ceiling = 1e4 * (1.0 + seed)
@@ -426,7 +427,7 @@ def _scan(prober: _Prober, K: int, seed: float, ratio: float):
             )
         x *= ratio
         ceiling = 1e4 * (1.0 + _first_root_scale(nodes, seed))
-    return _split_gaps(nodes, prober, 2e-3)
+    return _split_gaps(nodes, prober)
 
 
 def _first_root_scale(nodes, seed):
@@ -436,26 +437,25 @@ def _first_root_scale(nodes, seed):
     return seed
 
 
-def _split_gaps(nodes, prober, floor):
+def _split_gaps(nodes, prober):
     """Insert probes until adjacent zero counts differ by at most one, or
-    the gap is narrower than floor relative to max(1, |mu|).
+    the gap is narrower than 1e-10 relative to max(1, |mu|).
 
     Each count agrees in parity with its D (:meth:`_Prober.loose`), so a
     count step of one carries a sign change of D; only steps of two or
-    more are split.  The scan's floor is 2e-3; where that leaves an index
-    without a bracket, the search splits again down to 1e-10.  Close pairs
-    of an indefinite weight (eigenfunctions localized on different
-    positivity islands) can lie closer than the first floor; a node
-    strictly between mu_k and mu_k+1 has count k and the sign opposite to
-    both ends, so it brackets both.  A step of two at a single parameter
-    (an interior tangency of the shot) is never resolved; whatever sign
+    more are split.  Close pairs of an indefinite weight (eigenfunctions
+    localized on different positivity islands) can lie 1e-7 apart,
+    relative (cos 3 pi r, N = 1, p = 1.39, nu = '-'); a node strictly
+    between mu_k and mu_k+1 has count k and the sign opposite to both
+    ends, so it brackets both.  A step of two at a single parameter (an
+    interior tangency of the shot) is never resolved; whatever sign
     changes exist at the floor are still bracketed and classified.
     """
     while True:
         out = [nodes[0]]
         for nxt in nodes[1:]:
             cur = out[-1]
-            if abs(nxt.z - cur.z) >= 2 and (nxt.x - cur.x) > floor * max(1.0, nxt.x):
+            if abs(nxt.z - cur.z) >= 2 and (nxt.x - cur.x) > 1e-10 * max(1.0, nxt.x):
                 out.append(prober.loose(0.5 * (cur.x + nxt.x)))
             out.append(nxt)
         if len(out) == len(nodes):
@@ -470,10 +470,12 @@ def _classify_brackets(nodes, prober, found, K, rtol, atol):
     One rule gives a bracket [a, b] its index before anything is solved:
     k = min(a.z, b.z) + 1.  Across mu_k the zero count steps from k-1 to
     k, the new zero entering through r = 1 exactly at the root.  A bracket
-    of index above K is skipped.  Where two roots claim one index, the
-    smaller |mu| is kept.  After each root, :func:`_certificate`, the only
-    other word on the index, checks the eigenfunctions of the indices
-    found so far, and the first that fails ends the search.
+    of index above K is skipped, and so is one whose index is found: the
+    brackets run in ascending |mu| and the counts never fall along the
+    scan, so the root found first is the smaller.  After each root,
+    :func:`_certificate`, the only other word on the index, checks the
+    eigenfunctions of the indices found so far, and the first that fails
+    ends the search.
 
     Each root takes two solves on the kernel: the loose one over the
     bracket (:meth:`_Prober.loose_root`, which stops at the scan tolerance
@@ -484,7 +486,7 @@ def _classify_brackets(nodes, prober, found, K, rtol, atol):
     """
     for a, b in zip(nodes, nodes[1:]):
         k = min(a.z, b.z) + 1
-        if not a.d * b.d < 0 or k > K:
+        if not a.d * b.d < 0 or k > K or k in found:
             continue
         try:
             x_loose = prober.loose_root(a.x, b.x)
@@ -496,12 +498,8 @@ def _classify_brackets(nodes, prober, found, K, rtol, atol):
             ) from None
         if polished is None:
             continue  # no tight bracket: the index stays unbracketed
-        x_root, traj = polished
-        if any(abs(x_root - x_seen) <= 1e-9 * x_seen for x_seen, _ in found.values()):
-            continue  # same root reached through a second bracket
         prober._charge()  # the eigenfunction's shot
-        if k not in found or x_root < found[k][0]:
-            found[k] = (x_root, traj)
+        found[k] = polished
         _, failure = _certificate(found, K)
         if failure:
             raise _ScanStopped(failure)
@@ -509,9 +507,9 @@ def _classify_brackets(nodes, prober, found, K, rtol, atol):
 
 def _certificate(found, K):
     """The zeros of the eigenfunctions of indices 1, 2, ... up to K that
-    found holds, while each has exactly k - 1 interior zeros after
-    :func:`_trim_tail_artifacts`, and the failure of the first that does
-    not ("" where none fails).
+    found holds, while each reaches r = 1 and has exactly k - 1 interior
+    zeros after :func:`_trim_tail_artifacts`, and the failure of the first
+    that does not ("" where none fails).
 
     The index is the eigenfunction's nodal class: a root whose
     eigenfunction has another zero count is not mu_k, whatever its bracket
@@ -522,6 +520,11 @@ def _certificate(found, K):
         if k not in found:
             break
         traj = found[k][1]
+        if traj.blowup_radius is not None:
+            return certified, (
+                f"index {k} not certified: its eigenfunction's shot grows past "
+                f"{_Prober.BLOWUP:.0e} at r = {traj.blowup_radius:.6e} "
+                f"(zero count {len(traj.interior_zeros)} there)")
         zeros = _trim_tail_artifacts(traj, k)
         if len(zeros) != k - 1:
             return certified, (
@@ -544,7 +547,7 @@ def _trim_tail_artifacts(traj: Trajectory, k: int):
     nodal zeros, including weak ones of near-degenerate eigenfunctions,
     rebound far above the terminal noise and survive.
     """
-    noise = 100.0 * abs(traj.terminal_u) if traj.terminal is not None else 0.0
+    noise = 100.0 * abs(traj.terminal_u)
     interior = list(traj.interior_zeros)
     while len(interior) > k - 1:
         z = interior[-1]

@@ -4,10 +4,11 @@ Everything here deliberately avoids the library's own computational
 paths: quadrature by scipy.integrate.quad, the generalized sine by
 inverting the incomplete beta function (scipy.special.betaincinv),
 reference trajectories by a fixed-step classical RK4 loop, closed forms
-assembled from first
-principles, the first eigenvalue by direct minimization of the Rayleigh
-quotient, and the residual of a profile by finite differences of its
-flux.  The library is compared against these, never the other way round.
+assembled from first principles, the first eigenvalue by direct
+minimization of the Rayleigh quotient, the p = 2 eigenvalues by
+Chebyshev collocation, and the residual of a profile by finite
+differences of its flux.  The library is compared against these, never
+the other way round.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, linalg
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solveh_banded
 from scipy.special import betaincinv
@@ -261,6 +262,44 @@ def rk4_shot(p, N, m_eval, mu, alpha, n_steps: int = 40000, eps: float = 1e-6):
         us.append(u)
         rs.append(r)
     return np.asarray(rs), np.asarray(us), zeros
+
+
+# ---------------------------------------------------------------------------
+# p = 2 eigenvalues by Chebyshev collocation
+
+
+def p2_oracle(m, N, n):
+    """The eigenvalues of (r^{N-1} u')' + mu m(r) r^{N-1} u = 0,
+    u'(0) = u(1) = 0, by Chebyshev collocation on [0, 1] with n + 1 nodes
+    (Trefethen, Spectral Methods in MATLAB, ch. 6): (positive ascending,
+    negative descending), the finite real eigenvalues of the pencil.
+
+    No shot is involved.  Each interior node collocates
+    u'' + (N - 1) u' / r = -mu m u.  At r = 0 the limit of u'/r is u''(0),
+    so the row there reads N u''(0) = -mu m(0) u(0) for N >= 2; for N = 1
+    it is the boundary condition u'(0) = 0, which carries no mass.  The
+    node r = 1 is dropped (u(1) = 0).  Only the lowest eigenvalues of each
+    sign are resolved; compare two n to see how far.
+    """
+    j = np.arange(n + 1)
+    x = np.cos(np.pi * j / n)  # x_0 = 1 ... x_n = -1
+    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    dx = x[:, None] - x[None, :]
+    d = np.outer(c, 1.0 / c) / (dx + np.eye(n + 1))
+    d -= np.diag(d.sum(axis=1))
+    r = 0.5 * (1.0 + x)  # r_0 = 1 ... r_n = 0
+    d1 = 2.0 * d
+    d2 = d1 @ d1
+    a = d2.copy()
+    a[1:n] += (N - 1) / r[1:n, None] * d1[1:n]
+    b = -np.diag(np.asarray(m(r), dtype=float))
+    if N >= 2:
+        a[n] = N * d2[n]
+    else:
+        a[n], b[n] = d1[n], 0.0
+    mu = linalg.eig(a[1:, 1:], b[1:, 1:], right=False)
+    mu = mu[np.isfinite(mu) & (np.abs(mu.imag) <= 1e-10 * np.abs(mu))].real
+    return np.sort(mu[mu > 0]), -np.sort(-mu[mu < 0])
 
 
 # ---------------------------------------------------------------------------

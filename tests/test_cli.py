@@ -501,6 +501,21 @@ def test_eig_index_certificate_failure_is_partial_exit_2(tmp_path, capsys):
     assert [(row[0], row[3]) for row in rows] == [("1", "0"), ("2", "1"), ("3", "2")]
 
 
+def test_eig_blown_up_eigenfunction_is_partial_exit_2(tmp_path, capsys):
+    # m = 1 - 8r, p = 2, N = 1: the shot of mu_6^+ grows past the probe
+    # guard on the negative stretch, so index 6 is not certified
+    cfg = write_cfg(tmp_path, {
+        "problem": {"p": 2.0, "N": 1, "weight": {"expr": "poly", "coeffs": [1.0, -8.0]}},
+        "task": {"kind": "eig", "K": 6, "nu": ["+"]},
+    })
+    out = str(tmp_path / "out")
+    assert cli.main(["eig", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "partial spectrum for nu=+: index 6 not certified: its eigenfunction's shot grows "
+        "past 1e+100 at r = 9.093876e-01 (zero count 6 there); largest validated index 5\n")
+    assert [row[0] for row in read_rows(os.path.join(out, "spectrum.csv"))] == list("12345")
+
+
 @pytest.mark.parametrize("check", [
     {"check": "weight_monotonicity", "K": 6,
      "weight2": {"expr": "poly", "coeffs": [1.0, -1.0]}},

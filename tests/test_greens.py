@@ -165,11 +165,6 @@ def test_residual_of_operator_output():
         assert residual(p, n_dim, h, prof) <= 1e-7
 
 
-def test_quadrature_error_reported_small():
-    prof = apply_Gp(2.5, 2, Weight.poly([1.0, -2.0]))
-    assert prof.quad_error < 1e-10
-
-
 def test_source_normalization_forms():
     s1 = as_source(Weight.constant(1.0))
     assert s1.value0() == 1.0

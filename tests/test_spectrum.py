@@ -319,7 +319,7 @@ def test_bracket_index_is_one_more_than_the_smaller_end_count():
             self.asked.append((a, b))
             root = next(r for r in roots if a < r < b)
             zeros = tuple(SimpleNamespace(r=0.1 * (i + 1)) for i in range(roots[root]))
-            return root, SimpleNamespace(interior_zeros=zeros, terminal=None, terminal_u=0.0)
+            return root, SimpleNamespace(interior_zeros=zeros, blowup_radius=None, terminal_u=0.0)
 
         def _charge(self):
             pass
@@ -418,6 +418,17 @@ def test_index_certificate_ends_the_search(p, nu, kept, message):
     assert [len(ep.zeros) for ep in res.eigenpairs] == list(range(kept))
 
 
+def test_blown_up_eigenfunction_ends_the_search():
+    # m = 1 - 8r, p = 2, N = 1: the shot of mu_6^+ grows past the probe
+    # guard on the negative stretch (1/8, 1], so index 6 is not certified
+    res = find_eigenvalues(eig_problem(2.0, 1, Weight.poly([1.0, -8.0])), 6, "+")
+    assert not res.complete
+    assert res.message.startswith(
+        "index 6 not certified: its eigenfunction's shot grows past 1e+100 at r = ")
+    assert res.message.endswith(" there); largest validated index 5")
+    assert [len(ep.zeros) for ep in res.eigenpairs] == list(range(5))
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_scan_count_agrees_with_the_sign_of_D(k):
     # m = 1, N = 1, p = 2, just past mu_k: the zero that entered through
@@ -450,7 +461,7 @@ def test_unbracketed_index_ends_the_search(monkeypatch):
     # without the splitter the first close pair of cos 3 pi r, N = 1,
     # p = 2.25 (-), mu_2^- and mu_3^- (610.9 and 616.4), shares one scan gap
     # whose count steps by two with no sign change of D
-    monkeypatch.setattr(spectrum, "_split_gaps", lambda nodes, prober, floor: nodes)
+    monkeypatch.setattr(spectrum, "_split_gaps", lambda nodes, prober: nodes)
     res = find_eigenvalues(eig_problem(2.25, 1, COS3), 6, "-")
     assert not res.complete
     assert res.message.startswith("index 2 still unbracketed after refinement (")
@@ -528,8 +539,8 @@ REFERENCE_SEARCHES = {
     # not converge; the search now ends at mu_4^-, whose eigenfunction fails
     # its index certificate
     "cos3-no-convergence": (1.3, 2, COS3, "-", None),
-    # mu_5^- and mu_6^- lie 6.2e-6 apart (relative), below the scan floor:
-    # the search's second split, down to 1e-10, brackets both
+    # mu_5^- and mu_6^- lie 6.2e-6 apart (relative): the scan's split of
+    # their gap, down to 1e-10, brackets both
     "cos3-close-pair": (2.25, 1, COS3, "-", None),
     # the budget runs out among the trials of a solve
     "1-2r-budget": (2.45, 2, M_LIN, "+", 30),
