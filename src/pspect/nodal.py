@@ -16,9 +16,12 @@ exactly when gamma lies between those endpoints.
 Everything here drives the shooting integrator:
 
 * find_nodal probes initial amplitudes alpha of one sign over a
-  geometric grid and solves the miss u(1; alpha) between neighbours.  The
-  homogeneous degenerate case f = phi_p at an eigenvalue (every amplitude
-  solves) is detected and reported rather than solved.
+  geometric grid in ascending |alpha| and solves the miss u(1; alpha)
+  between neighbours, shooting each amplitude only when its bracket comes
+  up: it stops at the first class-k root.  The homogeneous degenerate
+  case f = c phi_p at an eigenvalue (every amplitude solves) is detected,
+  where f0 = finf, by a scan of the whole grid, and reported rather than
+  solved.
 * trace_branch walks the amplitude grid solving u(1; gamma, alpha) = 0
   in gamma at every alpha, in widening windows: from the third point on
   around the secant prediction through the last two points in log
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -214,7 +218,13 @@ class NodalSolution:
 
 @dataclass
 class NodalSearch:
-    """Outcome of one amplitude scan: a solution or the scan evidence."""
+    """Outcome of one amplitude scan: a solution or the scan evidence.
+
+    scanned is (first, last) of the amplitudes probed, and counts_seen the
+    interior zero count of each probe (-1 for one that blew up) -> how many
+    probes read it.  A scan that finds a solution probes the grid up to the
+    bracket of that solution only; one that finds none probes all of it.
+    """
 
     solution: NodalSolution | None
     scanned: tuple
@@ -259,7 +269,13 @@ def find_nodal(
     """Search the amplitude axis of one sign for a k-class nodal solution.
 
     The amplitudes form a geometric grid of ratio 1.25 from alpha_min to
-    alpha_max; a solution carries its fixed-point residual.
+    alpha_max.  Neighbours bracket the roots of u(1; alpha) in ascending
+    |alpha|, and an amplitude is shot when its bracket comes up, so the
+    search ends at the first root in the k-class that the shot there
+    accepts; a solution carries its fixed-point residual.  Where f0 = finf,
+    so that f may be homogeneous, the whole grid is probed first: a run of
+    three amplitudes with |u(1)| <= HOMOGENEOUS_TOL * sup |u| is reported
+    as the homogeneous degeneracy.
     """
     if gamma == 0.0:
         raise PreconditionError("gamma must be nonzero")
@@ -270,19 +286,23 @@ def find_nodal(
     f.validate(p)
     alphas = _amplitude_grid(sigma, alpha_min, alpha_max, 1.25)
     problem = Problem.nonlinear(p, N, m, gamma, f)
+    probes = []  # the grid probes shot so far, in the order of alphas
 
-    probes = [probe(problem, a, rtol=rtol, atol=atol) for a in alphas]
+    def grid():
+        """(alpha, probe) along the grid, each amplitude shot once, when first reached."""
+        for i, a in enumerate(alphas):
+            if i == len(probes):
+                probes.append(probe(problem, a, rtol=rtol, atol=atol))
+            yield a, probes[i]
 
-    counts_seen = {}
-    for pr in probes:
-        z = -1 if pr.blowup else pr.z  # a truncated count is not comparable
-        counts_seen[z] = counts_seen.get(z, 0) + 1
-
-    # homogeneous degeneracy: a run of direct hits means every alpha solves
-    hits = [abs(pr.d) <= HOMOGENEOUS_TOL * max(1.0, pr.sup_u) for pr in probes]
-    degenerate = any(
-        hits[i] and hits[i + 1] and hits[i + 2] for i in range(len(hits) - 2)
-    )
+    # homogeneous degeneracy: a run of direct hits means every alpha solves;
+    # only f = c phi_p can do that, and such an f has f0 = finf
+    degenerate = False
+    if f.f0 == f.finf:
+        hits = [abs(pr.d) <= HOMOGENEOUS_TOL * pr.sup_u for _, pr in grid()]
+        degenerate = any(
+            hits[i] and hits[i + 1] and hits[i + 2] for i in range(len(hits) - 2)
+        )
 
     diagnostics = []
     solution = None
@@ -293,14 +313,16 @@ def find_nodal(
             "(gamma is an eigenvalue of the homogeneous problem); returning the "
             "first amplitude with u(1) = 0"
         )
-        for a, pr in zip(alphas, probes):
+        for a, pr in grid():
             if abs(pr.d) <= _bc_tol(pr.sup_u) and _in_class(pr, k):
                 traj = shoot(problem, a, rtol=rtol, atol=atol)
                 solution = _package_solution(problem, traj, k, sigma, gamma, a)
                 break
 
-    # neighbouring amplitudes bracket the roots, past a rejected one too
-    brackets = zip(alphas, alphas[1:], probes, probes[1:])
+    # neighbouring amplitudes bracket the roots, past a rejected one too; an
+    # amplitude is shot when its bracket comes up, so the scan stops at the
+    # first class-k root
+    brackets = ((a, b, pr_a, pr_b) for (a, pr_a), (b, pr_b) in pairwise(grid()))
     while solution is None:
         root, traj, _ = _class_root(problem, None, brackets, k, 1e-15, 8.9e-16, rtol, atol)
         if root is None:
@@ -311,18 +333,24 @@ def find_nodal(
         else:
             solution = _package_solution(problem, traj, k, sigma, gamma, root)
 
+    counts_seen = {}
+    for pr in probes:
+        z = -1 if pr.blowup else pr.z  # a truncated count is not comparable
+        counts_seen[z] = counts_seen.get(z, 0) + 1
+    scanned = (alphas[0], alphas[len(probes) - 1])
+
     if solution is None and not degenerate:
         blown = counts_seen.get(-1, 0)
         blown_note = f", {blown} blew up before r = 1" if blown else ""
         diagnostics.append(
-            f"scanned alpha in [{alphas[0]:g}, {alphas[-1]:g}] "
-            f"({len(alphas)} shots{blown_note}); interior zero counts seen: "
+            f"scanned alpha in [{scanned[0]:g}, {scanned[1]:g}] "
+            f"({len(probes)} shots{blown_note}); interior zero counts seen: "
             f"{sorted(c for c in counts_seen if c >= 0)}"
         )
 
     return NodalSearch(
         solution=solution,
-        scanned=(alphas[0], alphas[-1]),
+        scanned=scanned,
         counts_seen=counts_seen,
         degenerate_homogeneous=degenerate,
         diagnostics=diagnostics,

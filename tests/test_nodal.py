@@ -169,6 +169,101 @@ def test_find_nodal_blown_up_probes_counted_as_minus_one():
     assert "(84 shots, 84 blew up before r = 1)" in search.diagnostics[-1]
 
 
+def full_grid_root(p, n_dim, m, f, gamma, k, sigma):
+    """The first accepted class-k root of the default amplitude grid, as
+    (alpha, trajectory), or None: every amplitude probed first, then
+    nodal._class_root over every bracket, past a rejected root too."""
+    rtol, atol = radial_ivp.DEFAULT_RTOL, radial_ivp.DEFAULT_ATOL
+    alphas = nodal._amplitude_grid(sigma, 1e-4, 1e4, 1.25)
+    problem = Problem.nonlinear(p, n_dim, m, gamma, f)
+    probes = [radial_ivp.probe(problem, a, rtol=rtol, atol=atol) for a in alphas]
+    brackets = zip(alphas, alphas[1:], probes, probes[1:])
+    while True:
+        root, traj, _ = nodal._class_root(problem, None, brackets, k, 1e-15, 8.9e-16,
+                                          rtol, atol)
+        if root is None or not nodal._rejection(traj, k):
+            return None if root is None else (root, traj)
+
+
+def _battery_cases():
+    """(p, N, m, f, gamma) at the middle of each non-empty k = 1 interval of
+    the verify battery's 1 - r/r0 weight, at p = 2.1 and 2.5, N = 1 and 2."""
+    m = Weight.poly([1.0, -1.0 / 0.49])
+    for p in (2.1, 2.5):
+        f = Nonlinearity.rational(p, f0=1.05, finf=2.1, q=1.9)
+        for n_dim in (1, 2):
+            spec = compute_spectrum(p, n_dim, m, 1)
+            for iv in gamma_intervals(spec, f.f0, f.finf, 1):
+                if not iv.empty:
+                    yield p, n_dim, m, f, 0.5 * (iv.lo + iv.hi)
+
+
+def test_lazy_scan_returns_the_full_grid_root_to_the_bit():
+    mu1m = compute_spectrum(2.0, 1, M_LIN, 1).mu(1, "-")
+    cases = [(2.0, 1, M_LIN, F_REF, 4.0, 1, "+"),  # configs/demo_nodal.json
+             (2.0, 1, M1, F_REF, 15.0, 2, "+"),
+             (2.0, 1, M1, F_REF, 15.0, 2, "-"),
+             (2.0, 1, M_LIN, F_REF, 0.7 * mu1m, 1, "+"),
+             (2.0, 1, M_LIN, F_REF, 0.7 * mu1m, 1, "-")]
+    battery = list(_battery_cases())
+    assert len(battery) == 8  # both signs of nu at each (p, N)
+    cases += [(*case, 1, sigma) for case in battery for sigma in "+-"]
+    for case in cases:
+        want = full_grid_root(*case)
+        assert want is not None, case
+        got = find_nodal(*case).solution
+        assert got.alpha == want[0], case
+        traj = want[1]
+        assert got.trajectory.terminal_u == traj.terminal_u, case
+        assert got.zeros == tuple(z.r for z in traj.interior_zeros), case
+        p, n_dim, m, f, gamma = case[:5]
+        problem = Problem.nonlinear(p, n_dim, m, gamma, f)
+        assert got.residual == solution_residual(problem, traj), case
+
+
+def test_lazy_scan_probes_up_to_the_first_class_root_only(monkeypatch):
+    calls = []
+
+    def counted(problem, alpha, **kw):
+        calls.append(alpha)
+        return radial_ivp.probe(problem, alpha, **kw)
+
+    monkeypatch.setattr(nodal, "probe", counted)
+    search = find_nodal(2.0, 1, M_LIN, F_REF, 4.0, 1, "+")  # configs/demo_nodal.json
+    assert search.found and len(calls) == 42
+    assert search.scanned == (1e-4, calls[-1]) and sum(search.counts_seen.values()) == 42
+    # a search that finds nothing still probes the whole grid
+    calls.clear()
+    search = find_nodal(2.0, 1, M1, F_REF, 3.0, 1, "+")
+    assert not search.found and len(calls) == 84
+    assert search.diagnostics == ["scanned alpha in [0.0001, 11054.3] (84 shots); "
+                                  "interior zero counts seen: [1]"]
+
+
+@pytest.mark.parametrize("alpha_min", [1e-8, 1e-10])
+def test_find_nodal_small_alpha_min_is_no_homogeneous_degeneracy(alpha_min):
+    # f0 = 1 and finf = 2: no gamma makes every amplitude solve, yet at tiny
+    # alpha |u(1)| is tiny too, under an absolute hit tolerance and under
+    # the solve tolerance's floor
+    search = find_nodal(2.0, 1, M_LIN, F_REF, 4.0, 1, "+", alpha_min=alpha_min)
+    assert not search.degenerate_homogeneous
+    assert search.found and search.diagnostics == []
+    assert abs(search.solution.alpha - 0.81045160479464) < 1e-12
+
+
+@pytest.mark.parametrize("alpha_min", [1e-9, 1e-12])
+def test_homogeneous_hits_are_relative_to_the_amplitude(alpha_min):
+    f = Nonlinearity.phi(2.0)
+    search = find_nodal(2.0, 1, M1, f, 1.3 * LAM1, 1, "+", alpha_min=alpha_min)
+    assert not search.degenerate_homogeneous and not search.found
+    assert len(search.diagnostics) == 1
+    assert search.diagnostics[0].startswith(f"scanned alpha in [{alpha_min:g}, ")
+    assert search.diagnostics[0].endswith("interior zero counts seen: [1]")
+    # at the eigenvalue every amplitude solves, the smallest ones too
+    search = find_nodal(2.0, 1, M1, f, LAM1, 1, "+", alpha_min=alpha_min)
+    assert search.degenerate_homogeneous and search.found
+
+
 @pytest.mark.parametrize("alpha_min, alpha_max", [(1e2, 1e-2), (1.0, 1.0)])
 def test_amplitude_range_must_increase(alpha_min, alpha_max):
     named = f"alpha_min = {alpha_min:g} and alpha_max = {alpha_max:g}"
