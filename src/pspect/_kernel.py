@@ -9,7 +9,7 @@ on the miss of ``pspect_probe`` in the right-hand side's lam or in u(0),
 and the shot at the root (:func:`solve`); ``pspect_scan`` and
 ``pspect_reduce``, the post-pass and the probe's reduction of a given
 block (:func:`scan`, :func:`reduce`);
-``pspect_apply_f``, F of the PHI and RATIONAL families on an array, for
+``pspect_apply_f``, F of the LINEAR and RATIONAL families on an array, for
 the fixed-point residual (:func:`apply_f`); ``pspect_hypot``, the port of
 ``math.hypot`` the start takes (:func:`hypot`); and ``pspect_follow``,
 which :func:`load` calls to give that port the NaN and the subnormal
@@ -73,7 +73,7 @@ FIRST_CAPACITY = 4096  # accepted steps the buffers of the first call hold
  SAME_SIGN, NAN_AT, NO_CONVERGENCE) = range(13)
 
 # right-hand side families (Rhs.family)
-LINEAR, PHI, RATIONAL, PERTURBED, CALLBACK = range(5)
+LINEAR, RATIONAL, PERTURBED, CALLBACK = range(4)
 
 BRENT_MAXITER = 100  # _rk45_kernel.c's, the trials a solve logs at most
 
@@ -119,12 +119,12 @@ class Callback:
 def rhs(p, n_dim, weight, lam, family, e, f0=0.0, finf=0.0, q=0.0, gc=0.0, ge=0.0,
         callback=None) -> Rhs:
     """W = lam m(r) F(u) on the system of exponent p and dimension n_dim,
-    m the ``Weight`` weight, with F by family: LINEAR and PERTURBED
-    _sgnpow(u, e), PHI and RATIONAL the ``Nonlinearity`` form of that name
-    with its exponent e (and f0, finf, q); PERTURBED adds gc m(r) sgn(u)
-    |u|^ge; CALLBACK is callback's w (a :class:`Callback`).  The kernel
-    reads the weight through its addresses: it must outlive the calls the
-    Rhs goes to."""
+    m the ``Weight`` weight, with F by family: LINEAR (also that of
+    ``Nonlinearity.phi``) and PERTURBED _sgnpow(u, e), RATIONAL
+    ``Nonlinearity.rational`` with its exponent e (and f0, finf, q);
+    PERTURBED adds gc m(r) sgn(u) |u|^ge; CALLBACK is callback's w (a
+    :class:`Callback`).  The kernel reads the weight through its addresses:
+    it must outlive the calls the Rhs goes to."""
     bp, off, c = weight.flat_addresses
     out = Rhs(family, n_dim, len(weight.coeffs), bp, off, c, lam, e, 1.0 / (p - 1.0), f0, finf,
               q, gc, ge)
@@ -491,9 +491,9 @@ def hypot(x, y):
 
 
 def apply_f(params, u):
-    """F(u) of a built-in ``nodal.Nonlinearity`` on the float64 array u,
-    with its ``kernel_params()`` (family, e, f0, finf, q): the bits of its
-    Python f, or what the Python f raises on the first u it raises on."""
+    """F(u) of a built-in ``nodal.Nonlinearity``, LINEAR or RATIONAL, on the
+    float64 array u, with its ``kernel_params()`` (family, e, f0, finf, q):
+    the bits of its Python f, or what it raises on the first u it raises on."""
     lib = load()
     family, e, f0, finf, q = (*params, 0.0, 0.0, 0.0)[:5]
     u = np.array(u, dtype=np.float64)  # a writable copy, whatever u is

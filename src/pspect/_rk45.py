@@ -29,7 +29,6 @@ count or time its evaluations without touching the loop.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -114,11 +113,11 @@ class DenseOutput:
     Built from one flat block of 12 n + 1 floats, as both loops leave it:
     the n + 1 nodes (the left ends of the steps, then the final t), the
     start values (u0, v0 per step), the step sizes, and the
-    theta^1..theta^4 coefficients of u, then of v, per step.  The scalar
-    evaluation reads lists of the same values, made when first needed.
+    theta^1..theta^4 coefficients of u, then of v, per step.  A call reads
+    (u, v) at each t of an array of any shape, 0-d too, as ``dense_at`` does.
     """
 
-    __slots__ = ("block", "n", "_np", "_py")
+    __slots__ = ("block", "n", "_np")
 
     def __init__(self, block: np.ndarray, n: int):
         self.block, self.n = block, n
@@ -128,50 +127,22 @@ class DenseOutput:
             block[3 * n + 1:4 * n + 1],
             block[4 * n + 1:12 * n + 1].reshape(-1, 2, 4),
         )
-        self._py = None
-
-    def _as_lists(self):
-        if self._py is None:
-            self._py = tuple(a.ravel().tolist() for a in self._np)
-        return self._py
-
-    def eval_scalar(self, t: float):
-        ts, y0s, hs, c = self._as_lists()
-        i = _segment(ts, len(hs), t)
-        th = (t - ts[i]) / hs[i]
-        j = 8 * i
-        u = y0s[2 * i] + th * (c[j] + th * (c[j + 1] + th * (c[j + 2] + th * c[j + 3])))
-        v = y0s[2 * i + 1] + th * (
-            c[j + 4] + th * (c[j + 5] + th * (c[j + 6] + th * c[j + 7]))
-        )
-        return u, v
 
     def segments(self, t: np.ndarray) -> np.ndarray:
         """The step each t is evaluated on: the last whose left node is <= t,
-        clipped to the first and the last step (``_segment`` for arrays)."""
-        return np.clip(np.searchsorted(self._np[0], t, side="right") - 1, 0, self.n - 1)
+        or the first step for a t before it."""
+        return np.maximum(np.searchsorted(self._np[0], t, side="right") - 1, 0)
 
     def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim == 0:
-            return np.array(self.eval_scalar(float(t_arr)))
+        shape, t = np.shape(t), np.asarray(t, dtype=float).reshape(-1)
         ts, y0s, hs, coef = self._np
-        idx = self.segments(t_arr)
-        th = (t_arr - ts[idx]) / hs[idx]
+        idx = self.segments(t)
+        th = (t - ts[idx]) / hs[idx]
         c = coef[idx]  # (n, 2, 4)
         acc = c[:, :, 3]
         for j in (2, 1, 0):
             acc = acc * th[:, None] + c[:, :, j]
-        return (y0s[idx] + acc * th[:, None]).T  # shape (2, n)
-
-
-def _segment(ts, n, t: float) -> int:
-    i = bisect_right(ts, t) - 1
-    if i < 0:
-        return 0
-    if i >= n:
-        return n - 1
-    return i
+        return (y0s[idx] + acc * th[:, None]).T.reshape((2, *shape))
 
 
 def _initial_step(f, t0, y0, f0, t_end, rtol, atol_u, atol_v):

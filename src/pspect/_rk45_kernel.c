@@ -10,7 +10,7 @@
  *   pspect_probe    one probe: the start, the march, then pspect_reduce
  *   pspect_solve    the root of the miss D in lam or u(0), and the shot there:
  *                   one call per solve
- *   pspect_apply_f  F of the PHI and RATIONAL families on an array
+ *   pspect_apply_f  F of the LINEAR and RATIONAL families on an array
  *
  * and pspect_hypot, the port of math.hypot the start takes, for its test, with
  * pspect_follow, which sets the NaN and the subnormal branch it follows.
@@ -23,8 +23,8 @@
  *
  * with w written into it for the built-in forms (struct Rhs, family):
  *
- *     LINEAR     w = mu m(r) _sgnpow(u, p - 1)               (LinearRHS)
- *     PHI        w = gamma m(r) F(u), F = Nonlinearity.phi   (NonlinearRHS)
+ *     LINEAR     w = mu m(r) _sgnpow(u, p - 1)               (LinearRHS), also
+ *                w = gamma m(r) F(u), F = Nonlinearity.phi   (NonlinearRHS)
  *     RATIONAL   w = gamma m(r) F(u), F = Nonlinearity.rational
  *     PERTURBED  w = mu m(r) _sgnpow(u, p - 1) + Perturbation (PerturbedRHS)
  *     CALLBACK   w = cb(lam, r, u), any other right-hand side, computed in
@@ -130,7 +130,7 @@ enum {
 #define MIN_FACTOR 0.2
 #define MAX_FACTOR 10.0
 
-enum { LINEAR = 0, PHI = 1, RATIONAL = 2, PERTURBED = 3, CALLBACK = 4 }; /* Rhs.family */
+enum { LINEAR = 0, RATIONAL = 1, PERTURBED = 2, CALLBACK = 3 }; /* Rhs.family */
 
 /* w(lam, r, u) of a CALLBACK right-hand side */
 typedef double (*callback)(double lam, double r, double u);
@@ -142,7 +142,7 @@ typedef struct {
     const int64_t *off; /* piece i: coefficients c[off[i]] .. c[off[i + 1] - 1] */
     const double *c;
     double lam;         /* mu or gamma */
-    double e;           /* exponent of F: p - 1 for LINEAR and PERTURBED */
+    double e;           /* exponent of F: p - 1 for LinearRHS and PERTURBED */
     double e_inv;       /* 1 / (p - 1) of the system */
     double f0, finf, q; /* RATIONAL */
     double gc, ge;      /* PERTURBED: c and p - 1 + delta of the Perturbation */
@@ -230,14 +230,6 @@ static double weight(const Rhs *R, double r)
     return horner(R->c + R->off[i], R->off[i + 1] - R->off[i], r - R->bp[i]);
 }
 
-/* nodal.Nonlinearity.phi */
-static double phi(Rhs *R, double u)
-{
-    if (u == 0.0)
-        return 0.0;
-    return copysign(py_pow(&R->bad, fabs(u), R->e), u);
-}
-
 /* nodal.Nonlinearity.rational, finite where f0 + finf |u|^q overflows */
 static double rational(Rhs *R, double u)
 {
@@ -265,8 +257,6 @@ INLINE double w_of(Rhs *R, int family, double mval, double u)
     switch (family) {
     case LINEAR:
         return R->lam * mval * sgnpow(&R->bad, u, R->e);
-    case PHI:
-        return R->lam * mval * phi(R, u);
     case RATIONAL:
         return R->lam * mval * rational(R, u);
     default:
@@ -938,7 +928,6 @@ static int march(const Shot *S, int64_t cap, double *buf, double *t, int64_t *st
         return status;
 #define LOOP(family) dp45(&R, family, S, state, h_min, cap, buf, t, steps)
     return R.family == LINEAR      ? LOOP(LINEAR)
-           : R.family == PHI       ? LOOP(PHI)
            : R.family == RATIONAL  ? LOOP(RATIONAL)
            : R.family == PERTURBED ? LOOP(PERTURBED)
                                    : LOOP(CALLBACK);
@@ -1123,7 +1112,7 @@ int pspect_solve(const Shot *shot, int in_alpha, double a, double b, double fa, 
 }
 
 /* ------------------------------------------------------------------------
- * pspect_apply_f: F of a PHI or RATIONAL right-hand side on n values, as
+ * pspect_apply_f: F of a LINEAR or RATIONAL right-hand side on n values, as
  * nodal.Nonlinearity computes it.  Returns 0, or the status of the first
  * error Python raises, where it stops.
  */
@@ -1132,6 +1121,6 @@ int pspect_apply_f(const Rhs *rhs, const double *u, int64_t n, double *out)
     Rhs R = *rhs;
     R.bad = 0;
     for (int64_t k = 0; k < n && !R.bad; k++)
-        out[k] = R.family == PHI ? phi(&R, u[k]) : rational(&R, u[k]);
+        out[k] = R.family == LINEAR ? sgnpow(&R.bad, u[k], R.e) : rational(&R, u[k]);
     return R.bad;
 }

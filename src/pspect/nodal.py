@@ -62,7 +62,7 @@ from .errors import PreconditionError
 from .greens import apply_Gp
 from .pfuncs import _pval
 from .radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL, Problem
-from .radial_ivp import Trajectory, _kernel_params, _probe_at, probe, shoot, solve_miss
+from .radial_ivp import Trajectory, _kernel_params, _probe_at, _sgnpow, probe, shoot, solve_miss
 from .radial_ivp import brentq  # noqa: F401  (perfbench/tracing.py counts nodal.brentq calls)
 from .report import CheckReport
 from .spectrum import Spectrum, compute_spectrum
@@ -109,7 +109,7 @@ class Nonlinearity:
     def rational(cls, p, f0: float = 1.0, finf: float = 2.0, q: float = 2.0):
         """The built-in family phi_p(u) * (f0 + finf |u|^q) / (1 + |u|^q)."""
         pv = _pval(p)
-        if f0 <= 0 or finf <= 0 or q <= 0:
+        if not (f0 > 0 and finf > 0 and q > 0):
             raise PreconditionError("rational family needs f0, finf, q > 0")
         e = pv - 1.0
 
@@ -129,16 +129,10 @@ class Nonlinearity:
 
     @classmethod
     def phi(cls, p):
-        """The homogeneous map itself (f0 = finf = 1): the eigenvalue problem."""
-        pv = _pval(p)
-        e = pv - 1.0
-
-        def fn(u):
-            if u == 0.0:
-                return 0.0
-            return math.copysign(abs(u) ** e, u)
-
-        return cls._built_in(fn, 1.0, 1.0, (_kernel.PHI, e))
+        """The homogeneous map itself (f0 = finf = 1): the eigenvalue problem,
+        whose shots at gamma are the kernel's LINEAR ones at mu = gamma."""
+        e = _pval(p) - 1.0
+        return cls._built_in(lambda u: _sgnpow(u, e), 1.0, 1.0, (_kernel.LINEAR, e))
 
     @classmethod
     def _built_in(cls, fn, f0, finf, family):
@@ -177,8 +171,10 @@ class Perturbation:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _pval(self.p))
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise PreconditionError("perturbation exponent delta must be > 0")
+        if not (math.isfinite(self.c) and math.isfinite(self.delta)):
+            raise PreconditionError("perturbation c and delta must be finite")
 
     def __call__(self, mval, r, u, mu) -> float:
         if u == 0.0:
@@ -716,7 +712,7 @@ def gamma_intervals(spectrum: Spectrum, f0: float, finf: float, k: int,
     (including all four when f0 = finf) stay in the list with their
     empty flag set.
     """
-    if f0 <= 0 or finf <= 0:
+    if not (f0 > 0 and finf > 0):
         raise PreconditionError("f0 and finf must be positive")
     if n is None:
         n = k

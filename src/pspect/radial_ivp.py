@@ -240,8 +240,7 @@ class Trajectory:
         return any(z.degenerate for z in self.zeros)
 
     def eval(self, r):
-        y = self.dense(np.asarray(r, dtype=float))
-        return y[0], y[1]
+        return tuple(self.dense(r))
 
     def uprime(self, r):
         r_arr = np.asarray(r, dtype=float)

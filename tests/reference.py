@@ -227,7 +227,7 @@ def scan_reference(dense, eps, r_end, n_samples, n_dim, e_inv):
     rn = np.array([max(r, 1e-300) ** (n_dim - 1) for r in grid.tolist()])
     with np.errstate(all="ignore"):
         sup_uprime = float(np.max(np.abs(v) / rn) ** e_inv)  # a numpy scalar power is libm's
-    return grid, u, v, tail_max, dense.eval_scalar(1.0), sup_uprime, records.tolist()
+    return grid, u, v, tail_max, tuple(dense(1.0).tolist()), sup_uprime, records.tolist()
 
 
 def quartic_on_step(t, b, yb, t0, h, y0, c0, c1, c2, c3):

@@ -738,6 +738,23 @@ class _Profiled:
         return self._uprime[:rs.size]
 
 
+@pytest.mark.parametrize("rows", [
+    [(1, "+", 0.1, 2, np.float64(-2.5e-320)), (2, "-", -0.0, 0, math.nan)],
+    [(True, None, math.inf, np.int64(3), np.float32(0.1)), ("a%sb", (1, 2), 1e17, -7, 5e-324)],
+    [],
+])
+def test_csv_rows_format_a_float_as_fmt_and_any_other_value_as_str(tmp_path, rows):
+    # each float as _fmt writes it (numpy's float64 is one) and str of any
+    # other value, a '%' inside a value included, whether its column holds
+    # floats only ('%.17g') or not ('%s')
+    path = tmp_path / "rows.csv"
+    cli._write_csv(str(path), ["head"], ("a", "b", "c", "d", "e"), iter(rows), ["tail"])
+    want = ["# head", "a,b,c,d,e"]
+    want += [",".join(cli._fmt(v) if isinstance(v, float) else str(v) for v in row)
+             for row in rows]
+    assert path.read_bytes() == ("\n".join(want + ["# tail"]) + "\n").encode()
+
+
 def test_profile_writes_the_bytes_of_each_value_formatted_alone(tmp_path):
     # the profile is formatted in one pass; its bytes are those of _fmt on
     # each value, signed zeros, subnormals, large integers and non-finite
@@ -749,12 +766,12 @@ def test_profile_writes_the_bytes_of_each_value_formatted_alone(tmp_path):
     u = np.concatenate((special, bits[:513 - len(special)]))
     uprime = np.concatenate((special[::-1], bits[513:1026 - len(special)]))
     comments = ["pspect test", "k=1 nu=+ mu=1"]
-    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    got = tmp_path / "got.csv"
     cli._write_profile(str(got), comments, _Profiled(u, uprime))
     rs = np.linspace(1e-6, 1.0, 513)
-    cli._write_csv(str(want), comments, ("r", "u", "uprime"),
-                   zip(map(float, rs), map(float, u), map(float, uprime)))
-    assert got.read_bytes() == want.read_bytes()
+    want = ["# pspect test", "# k=1 nu=+ mu=1", "r,u,uprime"]
+    want += [",".join(map(cli._fmt, row)) for row in zip(rs, u, uprime)]
+    assert got.read_bytes() == ("\n".join(want) + "\n").encode()
     rows = got.read_text().splitlines()[3:]
     assert [row.split(",")[1] for row in rows[:len(special)]] == [
         "-0", "0", "4.9406564584124654e-324", "-2.4999721679567075e-320",

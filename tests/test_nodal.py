@@ -69,6 +69,34 @@ def test_rational_family_rejects_bad_parameters():
         Perturbation(2.0, delta=0.0)
 
 
+# NaN fails every comparison: each check reads "not x > 0", so that a NaN
+# fails it where it is given
+
+
+@pytest.mark.parametrize("name", ["f0", "finf", "q"])
+def test_rational_family_rejects_a_nan_parameter(name):
+    with pytest.raises(PreconditionError, match=r"rational family needs f0, finf, q > 0"):
+        Nonlinearity.rational(2.0, **{name: math.nan})
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"delta": math.nan}, "perturbation exponent delta must be > 0"),
+    ({"delta": math.inf}, "perturbation c and delta must be finite"),
+    ({"c": math.nan}, "perturbation c and delta must be finite"),
+    ({"c": -math.inf}, "perturbation c and delta must be finite"),
+])
+def test_perturbation_rejects_non_finite_parameters(kw, message):
+    with pytest.raises(PreconditionError, match=message):
+        Perturbation(2.0, **kw)
+
+
+@pytest.mark.parametrize("f0, finf", [(math.nan, 2.0), (1.0, math.nan)])
+def test_gamma_intervals_reject_a_nan_limit(f0, finf):
+    spec = compute_spectrum(2.0, 1, M1, 1, nus=("+",))
+    with pytest.raises(PreconditionError, match="f0 and finf must be positive"):
+        gamma_intervals(spec, f0, finf, 1)
+
+
 # the kernel computes f of the built-in families to the bits of the Python f
 # (the fixed-point residual evaluates f there), and raises what it raises
 
@@ -568,7 +596,7 @@ def test_the_constructor_takes_no_family():
         Nonlinearity(fn=lambda u: u**3, f0=1.0, finf=2.0, family=F_REF.family)
     assert Nonlinearity(fn=F_REF.fn, f0=F_REF.f0, finf=F_REF.finf).family is None
     assert F_REF.family[0] == _kernel.RATIONAL
-    assert Nonlinearity.phi(2.5).family == (_kernel.PHI, 1.5)
+    assert Nonlinearity.phi(2.5).family == (_kernel.LINEAR, 1.5)
 
 
 @pytest.mark.kernel

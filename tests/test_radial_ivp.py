@@ -807,13 +807,28 @@ def test_post_pass_refuses_a_block_of_another_size():
             pass_(np.zeros(1), 0)
 
 
+@pytest.mark.kernel
+def test_dense_output_reads_a_0d_t_as_a_one_element_array():
+    shot = shoot(Problem.linear(2.5, 2, FUSED_WEIGHTS["piecewise"], 37.5), 1.0, **TIGHT)
+    dense, nodes = shot.dense, shot.dense.block[:shot.dense.n + 1]
+    ts = np.concatenate(([0.0, -1.0, 1.5, math.nan], nodes, 0.5 * (nodes[:-1] + nodes[1:])))
+    for t in ts.tolist():
+        got = dense(t)
+        assert got.shape == (2,) and _same_bits(got, dense(np.array([t]))[:, 0])
+    # u(1) and v(1) of the kernel's post-pass are the dense output's at r = 1
+    assert _same_bits(dense(1.0), shot.terminal)
+    # and an array of any shape is read value by value
+    grid = ts[:24].reshape(2, 3, 4)
+    assert _same_bits(dense(grid), dense(ts[:24]).reshape(2, 2, 3, 4))
+
+
 CUT = np.nextafter(1.0, 0.0)  # 1 ulp below r = 1
 
 
 def _zero_last_ulp(n, b):
     """The last step ends at CUT, and a step of 1 ulp follows, with u = 0 on
     it: its midpoint rounds to 1, the node after it, and u is 0.0 at both."""
-    u_cut, v_cut = DenseOutput(b, n).eval_scalar(CUT)
+    u_cut, v_cut = DenseOutput(b, n)(CUT).tolist()
     return n + 1, np.concatenate((
         b[:n], [CUT, 1.0],                                  # nodes
         b[n + 1:3 * n + 1], [0.0, v_cut],                   # start values
@@ -847,7 +862,7 @@ def _zero_near_one(n, b):
     """The last step ends at NEAR_ONE, and a step to 1 follows on which
     u = 2 theta - 1 and v is constant: a zero at 1 - 1e-7, which is not
     interior, with |u| back to 1 at r = 1, above the noise floor."""
-    _, v_end = DenseOutput(b, n).eval_scalar(NEAR_ONE)
+    _, v_end = DenseOutput(b, n)(NEAR_ONE).tolist()
     return n + 1, np.concatenate((
         b[:n], [NEAR_ONE, 1.0],                                 # nodes
         b[n + 1:3 * n + 1], [-1.0, v_end],                      # start values
@@ -1111,11 +1126,11 @@ def test_kernel_constants_match_python():
     }
     python.update((f"PSPECT_{name}", getattr(_kernel, name)) for name in STATUSES)
     python.update((name, getattr(_kernel, name))
-                  for name in ("LINEAR", "PHI", "RATIONAL", "PERTURBED", "CALLBACK"))
+                  for name in ("LINEAR", "RATIONAL", "PERTURBED", "CALLBACK"))
     # the Dormand-Prince coefficients and step-size factors of _rk45
     python.update((name, getattr(_rk45, "_" + name))
                   for name in c if hasattr(_rk45, "_" + name))
-    assert len(python) == 27 + 48 + 3
+    assert len(python) == 26 + 48 + 3
     assert {name: c.get(name) for name in python} == python
     assert sorted(n for n in c if n.startswith("PSPECT_")) == sorted(
         n for n in python if n.startswith("PSPECT_"))
@@ -1328,13 +1343,34 @@ def test_solve_matches_brentq_over_probe(p, n_dim, weight, solve_results):
         # in gamma or mu, on the first sign change from below
         bracket = _first_bracket(lambda x: probe(prob.at(x), alpha, **TIGHT), lams)
         root = assert_solve_matches_brentq_over_probe(prob, alpha, bracket, **XTOL)
-        if prob.rhs.compiled(p, n_dim, m, prob.lam).family == _kernel.PHI:
+        if prob.rhs.compiled(p, n_dim, m, prob.lam).family == _kernel.LINEAR:
             continue  # u(1) is homogeneous in alpha: no root in alpha
         # in alpha, at the parameter that root gives alpha
         at_root = prob.at(root)
         bracket = _first_bracket(lambda x: probe(at_root, x, **TIGHT), [alpha / 2, alpha * 2])
         assert_solve_matches_brentq_over_probe(at_root, None, bracket, in_alpha=True, **XTOL)
     assert len(solve_results) == 5
+
+
+@pytest.mark.kernel
+@pytest.mark.parametrize("weight", ["linear", "piecewise"])
+@pytest.mark.parametrize("n_dim", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.2, 2.5, 6.0])
+def test_phi_at_gamma_is_the_linear_problem_at_mu_gamma(p, n_dim, weight):
+    # gamma m phi_p(u) is the linear term at mu = gamma: a shot, a probe and a
+    # solve of the nonlinear problem with f = phi_p are the linear ones
+    m = FUSED_WEIGHTS[weight]
+    phi = Nonlinearity.phi(p)
+    for lam, alpha in ((3.7, 1.0), (-20.0, -0.3), (150.0, 40.0)):
+        nonlinear = Problem.nonlinear(p, n_dim, m, lam, phi)
+        linear = Problem.linear(p, n_dim, m, lam)
+        assert_same_shot(shoot(nonlinear, alpha, blowup_limit=1e12, **TIGHT),
+                         shoot(linear, alpha, blowup_limit=1e12, **TIGHT))
+        assert_same_probe(probe(nonlinear, alpha, **LOOSE), probe(linear, alpha, **LOOSE))
+    bracket = _first_bracket(lambda x: probe(linear.at(x), 1.0, **TIGHT),
+                             [2.0**k for k in range(-2, 18)])
+    assert_same_solve(_solved(radial_ivp.solve_miss, nonlinear, 1.0, bracket, False, TIGHT, XTOL),
+                      _solved(radial_ivp.solve_miss, linear, 1.0, bracket, False, TIGHT, XTOL))
 
 
 @pytest.mark.kernel
@@ -1594,7 +1630,7 @@ def test_called_back_rhs_matches_its_fused_form(p, n_dim, weight):
     assert_same_solve(_solved(radial_ivp.solve_miss, _called_back(prob), alpha, bracket, False,
                               LOOSE, XTOL), fused)
     compiled = prob.rhs.compiled(p, n_dim, prob.m, prob.lam)
-    if compiled.family in (_kernel.LINEAR, _kernel.PHI) or isinstance(fused[0], type):
+    if compiled.family == _kernel.LINEAR or isinstance(fused[0], type):
         return
     at_root = prob.at(fused[0])
     bracket = _first_bracket(lambda x: probe(at_root, x, **LOOSE), [alpha / 2, alpha * 2])
