@@ -9,8 +9,8 @@ on the miss of ``pspect_probe`` in the right-hand side's lam or in u(0),
 and the shot at the root (:func:`solve`); ``pspect_scan`` and
 ``pspect_reduce``, the post-pass and the probe's reduction of a given
 block (:func:`scan`, :func:`reduce`);
-``pspect_apply_f``, F of the LINEAR and RATIONAL families on an array, for
-the fixed-point residual (:func:`apply_f`); ``pspect_hypot``, the port of
+``pspect_apply_w``, the march's w of any family on arrays, for the
+fixed-point residual (:func:`apply_w`); ``pspect_hypot``, the port of
 ``math.hypot`` the start takes (:func:`hypot`); and ``pspect_follow``,
 which :func:`load` calls to give that port the NaN and the subnormal
 branch of the running Python's ``math.hypot``.  :func:`scan`,
@@ -122,7 +122,7 @@ def rhs(p, n_dim, weight, lam, family, e, f0=0.0, finf=0.0, q=0.0, gc=0.0, ge=0.
     m the ``Weight`` weight, with F by family: LINEAR (also that of
     ``Nonlinearity.phi``) and PERTURBED _sgnpow(u, e), RATIONAL
     ``Nonlinearity.rational`` with its exponent e (and f0, finf, q);
-    PERTURBED adds gc m(r) sgn(u) |u|^ge; CALLBACK is callback's w (a
+    PERTURBED adds gc m(r) _sgnpow(u, ge); CALLBACK is callback's w (a
     :class:`Callback`).  The kernel reads the weight through its addresses:
     it must outlive the calls the Rhs goes to."""
     bp, off, c = weight.flat_addresses
@@ -166,8 +166,8 @@ _ARGTYPES = {
     # pspect_solve(shot, in_alpha, a, b, fa, fb, xtol, xrtol, n_shot, cap, buf, out, counts)
     "solve": ((_SHOT, ctypes.c_int) + (ctypes.c_double,) * 6
               + (ctypes.c_int64, ctypes.c_int64, _DOUBLES, _DOUBLES, _INT64S)),
-    # pspect_apply_f(rhs, u, n, out)
-    "apply_f": (ctypes.POINTER(Rhs), _DOUBLES, ctypes.c_int64, _DOUBLES),
+    # pspect_apply_w(rhs, r, u, n, out)
+    "apply_w": (ctypes.POINTER(Rhs), _DOUBLES, _DOUBLES, ctypes.c_int64, _DOUBLES),
     # pspect_hypot(x, y), which returns a double
     "hypot": (ctypes.c_double, ctypes.c_double),
     # pspect_follow(nan, rescales), which returns nothing
@@ -285,11 +285,11 @@ _ERRORS = {
 }
 
 
-def _raise(status, x, shot=None):
-    """Raise what the reference raises where a call with shot stopped with
-    status: the callback's own exception for RAISED."""
+def _raise(status, x, callback=None):
+    """Raise what the reference raises where a call stopped with status:
+    the own exception of the call's :class:`Callback` for RAISED."""
     if status == RAISED:
-        raise shot.callback.errors.pop()  # popped: no cycle through its traceback
+        raise callback.errors.pop()  # popped: no cycle through its traceback
     raise _ERRORS[status](x)
 
 
@@ -351,7 +351,7 @@ def shoot(shot: Shot):
     status, buf = _grown(_shot_size(shot.n_samples), lambda buf, cap: lib.pspect_shoot(
         shot, cap, _doubles(buf), ctypes.byref(r), counts))
     if status not in (END, BLOWUP):
-        _raise(status, r.value, shot)
+        _raise(status, r.value, shot.callback)
     return _shot_read(buf, shot.n_samples, status, r.value, *counts)
 
 
@@ -433,7 +433,7 @@ def probe(shot: Shot):
     status, _ = _grown(_shot_size(shot.n_samples),
                        lambda buf, cap: lib.pspect_probe(shot, cap, _doubles(buf), rec))
     if status not in (END, BLOWUP):
-        _raise(status, rec[0], shot)
+        _raise(status, rec[0], shot.callback)
     return rec[:]
 
 
@@ -479,7 +479,7 @@ def solve(shot: Shot, in_alpha, a, b, fa, fb, xtol, xrtol, n_shot) -> Solved:
         exc.log = log
         raise exc
     if status:
-        _raise(status, out[0], shot)
+        _raise(status, out[0], shot.callback)
     record = None if k < 0 else log[k][1:]
     shot_read = _shot_read(buf[at:], n_shot, read[0], out[1], *read[1:]) if n_shot else None
     return Solved(out[0], record, trials, bool(marched), shot_read, log)
@@ -490,16 +490,13 @@ def hypot(x, y):
     return load().pspect_hypot(x, y)
 
 
-def apply_f(params, u):
-    """F(u) of a built-in ``nodal.Nonlinearity``, LINEAR or RATIONAL, on the
-    float64 array u, with its ``kernel_params()`` (family, e, f0, finf, q):
-    the bits of its Python f, or what it raises on the first u it raises on."""
-    lib = load()
-    family, e, f0, finf, q = (*params, 0.0, 0.0, 0.0)[:5]
-    u = np.array(u, dtype=np.float64)  # a writable copy, whatever u is
+def apply_w(rhs: Rhs, r, u, callback=None):
+    """w(r, u) of rhs (:func:`rhs`; callback its :class:`Callback`, if any)
+    on the float64 arrays r and u of one shape: the bits the march computes,
+    or what the march raises at the first point it raises at."""
+    r, u = (np.array(x, dtype=np.float64) for x in (r, u))  # writable copies
     out = np.empty_like(u)
-    spec = Rhs(family, 0, 0, None, None, None, 0.0, e, 0.0, f0, finf, q, 0.0, 0.0)
-    status = lib.pspect_apply_f(spec, _doubles(u), u.size, _doubles(out))
+    status = load().pspect_apply_w(rhs, _doubles(r), _doubles(u), u.size, _doubles(out))
     if status:
-        _raise(status, math.nan)
+        _raise(status, math.nan, callback)
     return out

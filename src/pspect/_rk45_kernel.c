@@ -10,7 +10,7 @@
  *   pspect_probe    one probe: the start, the march, then pspect_reduce
  *   pspect_solve    the root of the miss D in lam or u(0), and the shot there:
  *                   one call per solve
- *   pspect_apply_f  F of the LINEAR and RATIONAL families on an array
+ *   pspect_apply_w  w(r, u) of any family on arrays, for the fixed-point residual
  *
  * and pspect_hypot, the port of math.hypot the start takes, for its test, with
  * pspect_follow, which sets the NaN and the subnormal branch it follows.
@@ -26,7 +26,7 @@
  *     LINEAR     w = mu m(r) _sgnpow(u, p - 1)               (LinearRHS), also
  *                w = gamma m(r) F(u), F = Nonlinearity.phi   (NonlinearRHS)
  *     RATIONAL   w = gamma m(r) F(u), F = Nonlinearity.rational
- *     PERTURBED  w = mu m(r) _sgnpow(u, p - 1) + Perturbation (PerturbedRHS)
+ *     PERTURBED  w = mu m(r) _sgnpow(u, p - 1) + c m(r) _sgnpow(u, ge)  (PerturbedRHS)
  *     CALLBACK   w = cb(lam, r, u), any other right-hand side, computed in
  *                Python by the w of its own make, passed the shot's lam
  *
@@ -242,14 +242,6 @@ static double rational(Rhs *R, double u)
     return copysign(py_pow(&R->bad, au, R->e) * ratio, u);
 }
 
-/* nodal.Perturbation.__call__ */
-static double perturbation(Rhs *R, double mval, double u)
-{
-    if (u == 0.0)
-        return 0.0;
-    return R->gc * mval * copysign(py_pow(&R->bad, fabs(u), R->ge), u);
-}
-
 /* w(r, u) of the family with m(r) = mval; family is a constant where the
    loop is inlined */
 INLINE double w_of(Rhs *R, int family, double mval, double u)
@@ -260,7 +252,8 @@ INLINE double w_of(Rhs *R, int family, double mval, double u)
     case RATIONAL:
         return R->lam * mval * rational(R, u);
     default:
-        return R->lam * mval * sgnpow(&R->bad, u, R->e) + perturbation(R, mval, u);
+        return R->lam * mval * sgnpow(&R->bad, u, R->e)
+               + R->gc * mval * sgnpow(&R->bad, u, R->ge); /* + nodal.Perturbation */
     }
 }
 
@@ -1112,15 +1105,15 @@ int pspect_solve(const Shot *shot, int in_alpha, double a, double b, double fa, 
 }
 
 /* ------------------------------------------------------------------------
- * pspect_apply_f: F of a LINEAR or RATIONAL right-hand side on n values, as
- * nodal.Nonlinearity computes it.  Returns 0, or the status of the first
- * error Python raises, where it stops.
+ * pspect_apply_w: the w of a right-hand side, any family, at the n points
+ * (r[k], u[k]), as the march computes it.  Returns 0, or the status of the
+ * first error Python raises, where it stops.
  */
-int pspect_apply_f(const Rhs *rhs, const double *u, int64_t n, double *out)
+int pspect_apply_w(const Rhs *rhs, const double *r, const double *u, int64_t n, double *out)
 {
     Rhs R = *rhs;
     R.bad = 0;
     for (int64_t k = 0; k < n && !R.bad; k++)
-        out[k] = R.family == LINEAR ? sgnpow(&R.bad, u[k], R.e) : rational(&R, u[k]);
+        out[k] = w(&R, R.family, r[k], u[k]);
     return R.bad;
 }

@@ -12,8 +12,8 @@ plus rename) and repeated runs with the same config and version produce
 byte-identical bytes.
 
 Exit codes: 0 ok, 1 config or usage error, 2 partial result (including
-an eigenvalue a command needs that its search did not validate),
-3 verification failure.
+an eigenvalue a command needs that its search did not validate, and an
+integration or arithmetic error, printed as one line), 3 verification failure.
 
 Config schema::
 
@@ -40,13 +40,16 @@ Task blocks::
 
 A sign is "+" or "-".  "sigma" and the branch "nu" are one sign; every
 other "nu" is a non-empty list of distinct signs.  "profiles" is a
-boolean and "output.dir" a non-empty string.  Numbers are finite;
+boolean and "output.dir" a non-empty string.  "N" is an integer from 1
+to 52: beyond, r^(N-1) at the start radius 1e-6 of a shot underflows,
+and a command that shoots stops on a precondition.  Numbers are finite;
 "tol_rel", "tol_abs" and --tol-rel are > 0; "f" and "g" must be accepted
-by the library.  "p_grid" is a non-empty list of numbers > 1, "window"
-two numbers a < b, "multipliers" a non-empty, strictly increasing list
-of numbers and "alphas" a non-empty list of numbers > 0.  An optional
-key left out takes the library's default, except the eig "nu" (["+"]),
-"profiles" (true) and the spectrum_structure "nu" (["+", "-"]).
+by the library.  "p_grid" is a non-empty list of distinct numbers > 1,
+"window" two numbers a < b, "multipliers" a non-empty, strictly
+increasing list of numbers and "alphas" a non-empty list of numbers > 0.
+An optional key left out takes the library's default, except the eig
+"nu" (["+"]), "profiles" (true) and the spectrum_structure "nu"
+(["+", "-"]).
 
 Check blocks (each uses the problem block unless stated)::
 
@@ -74,7 +77,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, PreconditionError, SpectrumIncomplete
+from .errors import ConfigError, IntegrationError, PreconditionError, SpectrumIncomplete
 from .nodal import (
     Nonlinearity,
     Perturbation,
@@ -180,8 +183,9 @@ _VALUE_TYPES = {
     "k": ("an integer >= 1", _is_index),
     "ks": ("a non-empty list of integers >= 1", _list_of(_is_index)),
     "window": ("two numbers a < b", lambda x: _increasing(x) and len(x) == 2),
-    "p_grid": ("a non-empty list of numbers > 1",
-               _list_of(lambda x: _is_number(x) and x > 1)),
+    "p_grid": ("a non-empty list of distinct numbers > 1",
+               lambda x: _list_of(lambda y: _is_number(y) and y > 1)(x)
+               and len(set(x)) == len(x)),
     "multipliers": ("a non-empty, strictly increasing list of numbers", _increasing),
     "alphas": ("a non-empty list of numbers > 0", _list_of(_POSITIVE[1])),
     "alpha_min": _POSITIVE,  # the alpha grids are geometric
@@ -342,9 +346,8 @@ def _write_csv(path, comments, columns, rows, trailer=()):
 def _write_profile(path, comments, traj):
     """u and u' of a shot at 513 equally spaced radii from its start to r = 1."""
     rs = np.linspace(traj.r[0], 1.0, 513)
-    uu, _ = traj.eval(rs)
-    _write_csv(path, comments, ("r", "u", "uprime"),
-               zip(rs.tolist(), uu.tolist(), traj.uprime(rs).tolist()))
+    uu, up = traj.eval(rs)
+    _write_csv(path, comments, ("r", "u", "uprime"), zip(rs.tolist(), uu.tolist(), up.tolist()))
 
 
 def write_polyline_svg(path, xs, ys, xlabel, ylabel, title):
@@ -739,6 +742,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_VERIFY if args.command == "verify" else EXIT_CONFIG
+    except (IntegrationError, ArithmeticError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_PARTIAL
 
 
 if __name__ == "__main__":

@@ -62,7 +62,7 @@ from .errors import PreconditionError
 from .greens import apply_Gp
 from .pfuncs import _pval
 from .radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL, Problem
-from .radial_ivp import Trajectory, _kernel_params, _probe_at, _sgnpow, probe, shoot, solve_miss
+from .radial_ivp import Trajectory, _rhs, _sgnpow, probe, shoot, solve_miss
 from .radial_ivp import brentq  # noqa: F401  (perfbench/tracing.py counts nodal.brentq calls)
 from .report import CheckReport
 from .spectrum import Spectrum, compute_spectrum
@@ -148,7 +148,7 @@ class Nonlinearity:
                 raise PreconditionError(f"f(s) s > 0 fails at s = {s:g}")
         for s_abs, target, name in ((1e-6, self.f0, "f0"), (1e6, self.finf, "finf")):
             for s in (s_abs, -s_abs):
-                ratio = self.fn(s) / math.copysign(abs(s) ** (pv - 1.0), s)
+                ratio = self.fn(s) / _sgnpow(s, pv - 1.0)
                 if abs(ratio - target) > 0.05 * target:
                     raise PreconditionError(
                         f"declared {name} = {target:g} but f/phi_p = {ratio:g} "
@@ -177,9 +177,7 @@ class Perturbation:
             raise PreconditionError("perturbation c and delta must be finite")
 
     def __call__(self, mval, r, u, mu) -> float:
-        if u == 0.0:
-            return 0.0
-        return self.c * mval * math.copysign(abs(u) ** (self.p - 1.0 + self.delta), u)
+        return self.c * mval * _sgnpow(u, self.p - 1.0 + self.delta)
 
     def kernel_params(self):
         """(c, p - 1 + delta) for the compiled kernel; None for a subclass,
@@ -411,7 +409,8 @@ def _count_step(problem, alpha, k, inside, outside, rtol, atol):
         mid = 0.5 * (x_in + x_out)
         if mid in (x_in, x_out):
             return None
-        pr = _probe_at(problem, alpha, mid, alpha is None, rtol, atol)
+        pr = (probe(problem, mid, rtol=rtol, atol=atol) if alpha is None
+              else probe(problem.at(mid), alpha, rtol=rtol, atol=atol))
         if _in_class(pr, k):
             x_in, pr_in = mid, pr
         else:
@@ -434,23 +433,17 @@ def _package_solution(problem, traj, k, sigma, gamma, alpha):
 def solution_residual(problem: Problem, traj: Trajectory) -> float:
     """Fixed-point residual through the solution operator.
 
-    Rebuilds the source gamma * m(r) * f(u(r)) from the trajectory,
-    applies the explicit solution operator and returns the relative
-    sup-norm difference.  Independent of the shooting integrator's
-    internals, which is the point.
+    Rebuilds the source gamma * m(r) * f(u(r)) from the trajectory, by
+    the w the march computes (``_kernel.apply_w``), applies the explicit
+    solution operator and returns the relative sup-norm difference.
+    Independent of the shooting integrator's stepping, which is the point.
     """
-    rhs = problem.rhs
-    m = problem.m
-    params = _kernel_params(rhs.f)  # f of a built-in family runs on the kernel
+    rhs, callback = _rhs(problem)  # reads problem's weight, which outlives the calls
 
     def source(r):
         r_arr = np.asarray(r, dtype=float)
         uu = traj.dense(np.clip(r_arr, traj.r[0], traj.r[-1]))[0]
-        if params is None:
-            fv = np.array([rhs.f(float(x)) for x in np.atleast_1d(uu)]).reshape(np.shape(uu))
-        else:
-            fv = _kernel.apply_f(params, uu)
-        return problem.lam * m(r_arr) * fv
+        return _kernel.apply_w(rhs, r_arr, uu, callback)
 
     prof = apply_Gp(problem.p, problem.N, source)
     rs = np.linspace(traj.r[0], 1.0, 257)

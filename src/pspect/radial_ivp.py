@@ -22,7 +22,8 @@ radius eps = DEFAULT_EPS from the two-term series
 
 whose error is O(eps^{p'+1}); with eps = 1e-6 the startup is far below
 integrator tolerance.  Stepping is adaptive Dormand-Prince 5(4) with
-quartic dense output.
+quartic dense output, off which ``Trajectory.eval`` reads u and u' at
+given radii in one pass.
 
 Every shot runs on the compiled kernel (``_kernel``): :func:`shoot`,
 :func:`probe` and :func:`solve_miss` are one kernel call each, which
@@ -36,9 +37,12 @@ back from the loop: its ``make`` builds w(lam, r, u) once per kernel
 call, and the kernel passes it the shot's own lam, as it passes the
 fused forms.  The parameter lam (mu or gamma) is the problem's
 (``Problem.lam``), and m(r) is read by ``Weight.eval_scalar`` alone.
-``_shot`` builds the one block (``_kernel.Shot``) the kernel's shots,
-probes and root solves take.  The kernel gives the bits of the Python
-reference in ``tests/reference.py`` (the Python start,
+``_rhs`` builds the right-hand side (``_kernel.Rhs``), whose w the
+fixed-point residual of ``nodal`` evaluates too (``_kernel.apply_w``),
+and ``_shot`` the one block (``_kernel.Shot``) the kernel's shots,
+probes and root solves take; it rejects an N for which eps^(N-1) is not
+a normal float (N >= 53 at 1e-6).  The kernel gives the bits of the
+Python reference in ``tests/reference.py`` (the Python start,
 ``_rk45.integrate`` and the numpy post-pass), or raises its exceptions.
 
 A shot is read off its dense output: the samples on a uniform grid
@@ -71,6 +75,7 @@ A shot or probe from alpha = 0 raises before any kernel call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -240,14 +245,11 @@ class Trajectory:
         return any(z.degenerate for z in self.zeros)
 
     def eval(self, r):
-        return tuple(self.dense(r))
-
-    def uprime(self, r):
+        """(u, u') at r, from one read of the dense output."""
         r_arr = np.asarray(r, dtype=float)
-        _, v = self.eval(r_arr)
-        e = 1.0 / (self.p - 1.0)
+        u, v = self.dense(r_arr)
         w = v / np.maximum(r_arr, 1e-300) ** (self.N - 1)
-        return np.sign(w) * np.abs(w) ** e
+        return u, np.sign(w) * np.abs(w) ** (1.0 / (self.p - 1.0))
 
     @property
     def terminal_u(self) -> float:
@@ -314,24 +316,37 @@ def _trajectory(problem, alpha, shot) -> Trajectory:
     )
 
 
-def _shot(problem, alpha, rtol, atol, blowup_limit, n_samples):
-    """The shot of problem from u(0) = alpha as the kernel takes it (a
-    ``_kernel.Shot``): its right-hand side's fused form, or else the
+def _rhs(problem):
+    """(rhs, callback): problem's right-hand side as the kernel takes it (a
+    ``_kernel.Rhs``): its fused form and None, or else that of the
     ``_kernel.Callback`` of the w of its ``make`` on ``Weight.eval_scalar``,
-    which the kernel passes the shot's lam.  atol may be per-component
-    (u, v), as :func:`shoot` takes it."""
-    if n_samples < 0:  # numpy's linspace, which the reference samples on
-        raise ValueError(f"Number of samples, {n_samples}, must be non-negative.")
+    and the callback.  The Rhs reads problem's weight: keep problem alive."""
     p, n_dim, m, lam = problem.p, problem.N, problem.m, problem.lam
     compiled = getattr(problem.rhs, "compiled", None)
     rhs = None if compiled is None else compiled(p, n_dim, m, lam)
-    callback = None
-    if rhs is None:
-        callback = _kernel.Callback(problem.rhs.make(p, m.eval_scalar))
-        rhs = _kernel.rhs(p, n_dim, m, lam, _kernel.CALLBACK, 0.0, callback=callback)
+    if rhs is not None:
+        return rhs, None
+    callback = _kernel.Callback(problem.rhs.make(p, m.eval_scalar))
+    return _kernel.rhs(p, n_dim, m, lam, _kernel.CALLBACK, 0.0, callback=callback), callback
+
+
+def _shot(problem, alpha, rtol, atol, blowup_limit, n_samples):
+    """The shot of problem from u(0) = alpha as the kernel takes it (a
+    ``_kernel.Shot``, with the right-hand side of :func:`_rhs`).  atol may
+    be per-component (u, v), as :func:`shoot` takes it.  Raises a
+    PreconditionError where eps^(N-1) is not a normal float."""
+    if n_samples < 0:  # numpy's linspace, which the reference samples on
+        raise ValueError(f"Number of samples, {n_samples}, must be non-negative.")
+    eps = DEFAULT_EPS
+    if eps ** (problem.N - 1) < sys.float_info.min:
+        n_max = 1 + int(math.log(sys.float_info.min) / math.log(eps))
+        raise PreconditionError(
+            f"dimension N = {problem.N} takes r^(N-1) at the start radius {eps:g} below the "
+            f"smallest normal float: N <= {n_max} is supported")
+    rhs, callback = _rhs(problem)
     atol_u, atol_v = (atol, atol) if np.isscalar(atol) else atol
-    shot = _kernel.Shot(rhs, alpha, problem.p_conj, DEFAULT_EPS, rtol, atol_u, atol_v,
-                        blowup_limit, n_samples)
+    shot = _kernel.Shot(rhs, alpha, problem.p_conj, eps, rtol, atol_u, atol_v, blowup_limit,
+                        n_samples)
     shot.callback = callback
     return shot
 
@@ -412,13 +427,6 @@ def _recorded(record) -> Probe:
     """The :class:`Probe` of a kernel probe's record (``_kernel.probe``)."""
     d, sup_u, z, blowup, accepted, rejected = record
     return Probe(d, int(z), bool(blowup), sup_u, StepCounts.of(int(accepted), int(rejected)))
-
-
-def _probe_at(problem, alpha, x, in_alpha, rtol, atol) -> Probe:
-    """The probe at u(0) = x (in_alpha) or at parameter x and u(0) = alpha."""
-    if in_alpha:
-        return probe(problem, x, rtol=rtol, atol=atol)
-    return probe(problem.at(x), alpha, rtol=rtol, atol=atol)
 
 
 def brentq(f, a, b, args=(), xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100,

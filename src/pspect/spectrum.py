@@ -646,6 +646,8 @@ def verify_p_continuity(N, m: Weight, K: int, p_grid, *, nus=("+",),
     p_grid = [float(p) for p in p_grid]
     if any(p <= 1.0 for p in p_grid):
         raise PreconditionError("p grid must lie in (1, inf)")
+    if len(set(p_grid)) < len(p_grid):
+        raise PreconditionError("p grid must not repeat a point")
     rep = CheckReport("p_continuity", True)
     if len(p_grid) <= 1:
         rep.add("single-point grid: trivially continuous")

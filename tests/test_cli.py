@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import pspect
-from pspect import cli, nodal, spectrum, weights
+from pspect import _rk45, cli, nodal, spectrum, weights
 from pspect.nodal import Nonlinearity, Perturbation
-from pspect.radial_ivp import Problem
+from pspect.radial_ivp import Problem, shoot
 from pspect.weights import Weight
 
 from oracles import rayleigh_mu1
@@ -287,6 +287,9 @@ MALFORMED_VALUES = [
     (dict(VERIFY_LIN, task={"kind": "verify", "checks": [
         {"check": "p_continuity", "p_grid": [0.9, 2.0], "K": 1}]}),
      "task.checks[0].p_grid", "p-le-1"),
+    (dict(VERIFY_LIN, task={"kind": "verify", "checks": [
+        {"check": "p_continuity", "p_grid": [2.0, 2.0], "K": 1}]}),
+     "task.checks[0].p_grid", "repeated"),
     (dict(VERIFY_LIN, task={"kind": "verify", "checks": [
         {"check": "zero_proliferation", "window": [0.4, 0.1], "multipliers": [1, 2]}]}),
      "task.checks[0].window", "decreasing"),
@@ -725,6 +728,35 @@ def test_verify_report_is_the_same_with_the_minus_halves_solved(tmp_path, monkey
     assert calls_solved == sorted(calls_read_off * 2) and calls_read_off
 
 
+@pytest.mark.parametrize("problem, tolerances, code, line", [
+    ({"p": 2.0, "N": 60}, {}, 1, "precondition violation: dimension N = 60 takes r^(N-1) at the "
+     "start radius 1e-06 below the smallest normal float: N <= 52 is supported"),
+    ({"p": 1.001, "N": 1}, {}, 2, "OverflowError: "),
+    ({"p": 2.0, "N": 1}, {"tol_rel": 1e-30, "tol_abs": 1e-300}, 2,
+     "IntegrationError: step size underflow at r = "),
+])
+def test_a_run_stopped_by_an_error_prints_one_line(tmp_path, capsys, problem, tolerances, code,
+                                                   line):
+    # configs the CLI accepts whose runs used to end in a traceback
+    cfg = {"problem": {**problem, "weight": {"expr": "poly", "coeffs": [1.0]}},
+           "task": {"kind": "eig", "K": 2}, "tolerances": tolerances}
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["eig", "--config", path, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(line) and err.count("\n") == 1
+
+
+def test_a_profile_reads_its_shot_once(tmp_path, monkeypatch):
+    calls = []
+    read = _rk45.DenseOutput.__call__
+    monkeypatch.setattr(_rk45.DenseOutput, "__call__",
+                        lambda self, t: calls.append(np.shape(t)) or read(self, t))
+    traj = shoot(Problem.linear(2.5, 2, Weight.poly([1.0, -2.0]), 40.0), 1.0)
+    calls.clear()
+    cli._write_profile(str(tmp_path / "profile.csv"), ["head"], traj)
+    assert calls == [(513,)]
+
+
 class _Profiled:
     """A stand-in shot whose u and u' at the profile's radii are given."""
 
@@ -732,10 +764,7 @@ class _Profiled:
         self.r, self._u, self._uprime = np.array([1e-6]), u, uprime
 
     def eval(self, rs):
-        return self._u[:rs.size], None
-
-    def uprime(self, rs):
-        return self._uprime[:rs.size]
+        return self._u[:rs.size], self._uprime[:rs.size]
 
 
 @pytest.mark.parametrize("rows", [

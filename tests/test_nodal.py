@@ -90,6 +90,14 @@ def test_perturbation_rejects_non_finite_parameters(kw, message):
         Perturbation(2.0, **kw)
 
 
+def test_perturbation_takes_the_power_of_sgnpow():
+    # 0.0 at a NaN u, as the kernel's PERTURBED w and phi_p have it
+    g = Perturbation(2.5, c=3.0, delta=0.5)
+    assert math.copysign(1.0, g(0.7, 0.2, math.nan, 1.0)) == 1.0
+    assert g(0.7, 0.2, math.nan, 1.0) == 0.0
+    assert g(0.7, 0.2, -2.0, 1.0) == 3.0 * 0.7 * -(2.0 ** 2.0)
+
+
 @pytest.mark.parametrize("f0, finf", [(math.nan, 2.0), (1.0, math.nan)])
 def test_gamma_intervals_reject_a_nan_limit(f0, finf):
     spec = compute_spectrum(2.0, 1, M1, 1, nus=("+",))
@@ -104,24 +112,81 @@ F_VALUES = np.array([0.0, -0.0, 1e-300, -3e-9, 0.37, -1.0, 2.5, -41.0, 7e17, -3e
                      1e139, -1e140, math.inf, -math.inf, math.nan])
 
 
+def outcome(apply, *args):
+    """The bytes of apply(*args), or the type and message of what it raises."""
+    try:
+        return np.asarray(apply(*args), dtype=np.float64).tobytes()
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.kernel
 @pytest.mark.parametrize("f", [F_REF, Nonlinearity.rational(2.5, 1.1, 2.3, 2.2),
                                Nonlinearity.phi(1.3), Nonlinearity.phi(4.0),
                                Nonlinearity.rational(2.0, 1.0, 2.0, 2.2)])
 def test_kernel_f_matches_python_f(f):
-    def outcome(apply, u):
-        """The bytes of apply(u), or the type and message of what it raises."""
-        try:
-            return apply(u).tobytes()
-        except (OverflowError, ZeroDivisionError) as exc:
-            return type(exc), str(exc)
-
+    prob = Problem.nonlinear(2.0, 1, M1, 1.0, f)  # lam = m = 1: w is f, to the bit
+    rhs, _ = radial_ivp._rhs(prob)  # reads prob's weight, which prob keeps alive
     ran = []
     for k in range(1, len(F_VALUES) + 1):
-        got = outcome(lambda u: _kernel.apply_f(f.kernel_params(), u), F_VALUES[:k])
+        got = outcome(lambda u: _kernel.apply_w(rhs, np.zeros_like(u), u), F_VALUES[:k])
         assert got == outcome(lambda u: np.array([f(float(x)) for x in u]), F_VALUES[:k])
         ran.append(isinstance(got, bytes))
     assert ran[:9] == [True] * 9  # up to the first value near overflow
+
+
+# the residual's source is the march's w (_kernel.apply_w), of every family:
+# the bits of the w of make, on Weight.eval_scalar, or what it raises
+
+COS3 = Weight.from_function(lambda r: math.cos(3.0 * math.pi * r), n_pieces=16)
+W_PROBLEMS = {
+    "linear": lambda m: Problem.linear(2.5, 2, m, 7.0),
+    "rational": lambda m: Problem.nonlinear(1.7, 1, m, -3.0,
+                                            Nonlinearity.rational(1.7, 1.1, 2.3, 2.2)),
+    "perturbed": lambda m: Problem.perturbed(3.0, 3, m, 5.0, Perturbation(3.0, -2.0, 0.5)),
+    "callback": lambda m: Problem.nonlinear(
+        2.0, 1, m, 4.0, Nonlinearity(fn=lambda u: u * abs(u) - 0.5 * u, f0=1.0, finf=1.0)),
+}
+
+
+@pytest.mark.kernel
+@pytest.mark.parametrize("m", [M_LIN, COS3], ids=["linear", "cos3"])
+@pytest.mark.parametrize("name", list(W_PROBLEMS))
+def test_apply_w_is_the_w_of_make(name, m):
+    prob = W_PROBLEMS[name](m)
+    rhs, callback = radial_ivp._rhs(prob)  # reads m, which the test keeps alive
+    assert (callback is not None) == (name == "callback") == (rhs.family == _kernel.CALLBACK)
+    w = prob.rhs.make(prob.p, m.eval_scalar)
+    rs = np.concatenate((np.linspace(0.0, 1.0, len(F_VALUES)), COS3.breakpoints[1:6]))
+    us = np.concatenate((F_VALUES, [0.3, -0.2, 1e-5, -4.0, 1e3]))
+    ran = []
+    for k in range(1, len(rs) + 1):
+        got = outcome(_kernel.apply_w, rhs, rs[:k], us[:k], callback)
+        want = outcome(lambda: [w(prob.lam, r, u) for r, u in zip(rs[:k].tolist(),
+                                                                  us[:k].tolist())])
+        assert got == want
+        ran.append(isinstance(got, bytes))
+    assert ran[:9] == [True] * 9
+
+
+class _Raised(Exception):
+    pass
+
+
+def _f_raising_below_zero(u):
+    if u < 0.0:
+        raise _Raised(u)
+    return u
+
+
+@pytest.mark.kernel
+def test_apply_w_raises_the_callbacks_own_exception():
+    prob = Problem.nonlinear(2.0, 1, M_LIN, 1.0,
+                             Nonlinearity(fn=_f_raising_below_zero, f0=1.0, finf=1.0))
+    rhs, callback = radial_ivp._rhs(prob)
+    with pytest.raises(_Raised) as info:
+        _kernel.apply_w(rhs, np.full(4, 0.5), np.array([1.0, -2.0, -3.0, 4.0]), callback)
+    assert info.value.args == (-2.0,)  # the first u it raises on
 
 
 @pytest.mark.kernel

@@ -269,7 +269,7 @@ def test_trajectory_uprime_consistency():
     prob = Problem.linear(2.0, 1, M1, 4.0)
     traj = shoot(prob, 1.0)
     rs = np.linspace(0.1, 0.9, 17)
-    up = traj.uprime(rs)
+    up = traj.eval(rs)[1]
     assert np.max(np.abs(up + 2 * np.sin(2 * rs))) < 1e-8
 
 

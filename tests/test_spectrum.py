@@ -134,6 +134,25 @@ def test_unit_weight_planar_disc_bessel():
         assert abs(got - want) <= 1e-9 * want
 
 
+def test_largest_dimension_matches_the_bessel_zeros():
+    # N = 52, p = 2, m = 1: u = r^(-25) J_25(sqrt(mu) r), so mu_k = j_{25,k}^2
+    from scipy.special import jn_zeros
+
+    res = find_eigenvalues(eig_problem(2.0, 52, M1), 2, "+")
+    assert res.complete
+    for got, want in zip(res.values, jn_zeros(25, 2) ** 2):
+        assert abs(got - want) <= 1e-8 * want
+
+
+@pytest.mark.parametrize("n_dim", [53, 60])
+def test_dimension_whose_start_radius_power_is_subnormal_raises(n_dim):
+    # 1e-6 ** (N - 1) is below the smallest normal float from N = 53 on
+    with pytest.raises(PreconditionError, match=f"dimension N = {n_dim} .* N <= 52 is"):
+        find_eigenvalues(eig_problem(2.0, n_dim, M1), 2, "+")
+    with pytest.raises(PreconditionError, match="N <= 52 is supported"):
+        probe(eig_problem(2.0, n_dim, M1).at(1.0), 1.0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
+
+
 def test_low_p_and_high_dimension():
     res = find_eigenvalues(eig_problem(1.2, 1, M1), 2, "+")
     assert res.complete
@@ -778,6 +797,13 @@ def test_p_continuity_sign_changing_weight():
 def test_p_continuity_rejects_bad_grid():
     with pytest.raises(PreconditionError):
         verify_p_continuity(1, M1, 1, [0.9, 1.5])
+
+
+@pytest.mark.parametrize("grid", [[2.0, 2.0], [1.5, 2.0, 1.5]])
+def test_p_continuity_rejects_a_repeated_point(grid):
+    # a repeated neighbour used to divide by a zero step
+    with pytest.raises(PreconditionError, match="p grid must not repeat a point"):
+        verify_p_continuity(1, M1, 1, grid)
 
 
 # ---------------------------------------------------------------------------
