@@ -10,8 +10,9 @@ and the shot at the root (:func:`solve`); ``pspect_scan`` and
 ``pspect_reduce``, the post-pass and the probe's reduction of a given
 block (:func:`scan`, :func:`reduce`);
 ``pspect_apply_w``, the march's w of any family on arrays, for the
-fixed-point residual (:func:`apply_w`); ``pspect_hypot``, the port of
-``math.hypot`` the start takes (:func:`hypot`); and ``pspect_follow``,
+fixed-point residual (:func:`apply_w`) and m(r) (:func:`weight`);
+``pspect_hypot``, the port of ``math.hypot`` the start takes
+(:func:`hypot`); and ``pspect_follow``,
 which :func:`load` calls to give that port the NaN and the subnormal
 branch of the running Python's ``math.hypot``.  :func:`scan`,
 :func:`reduce` and :func:`hypot` are how the tests reach C on edited
@@ -77,8 +78,8 @@ LINEAR, RATIONAL, PERTURBED, CALLBACK = range(4)
 
 BRENT_MAXITER = 100  # _rk45_kernel.c's, the trials a solve logs at most
 
-# w(lam, r, u) of a CALLBACK right-hand side
-WFUNC = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double)
+# w(lam, m(r), r, u) of a CALLBACK right-hand side
+WFUNC = ctypes.CFUNCTYPE(ctypes.c_double, *(ctypes.c_double,) * 4)
 
 
 class Rhs(ctypes.Structure):  # struct Rhs of _rk45_kernel.c
@@ -95,9 +96,10 @@ class Rhs(ctypes.Structure):  # struct Rhs of _rk45_kernel.c
 
 class Callback:
     """A right-hand side the kernel calls back (family CALLBACK): fn is the
-    C function of w(lam, r, u), which returns float(w(lam, r, u)).  Where w
-    raises, fn keeps the exception in ``errors``, tells the kernel through
-    ``raised`` and returns NaN; the kernel then calls it no more and stops.
+    C function of w(lam, m, r, u), m the kernel's m(r), which returns
+    float(w(lam, m, r, u)).  Where w raises, fn keeps the exception in
+    ``errors``, tells the kernel through ``raised`` and returns NaN; the
+    kernel then calls it no more and stops.
     fn does not refer to the Callback, so that no reference cycle holds a
     shot."""
 
@@ -105,9 +107,9 @@ class Callback:
         self.errors, self.raised = [], ctypes.c_int(0)
         errors, raised = self.errors, self.raised
 
-        def call(lam, r, u):
+        def call(lam, m, r, u):
             try:
-                return float(w(lam, r, u))
+                return float(w(lam, m, r, u))
             except BaseException as exc:  # ctypes cannot pass it through C: _raise re-raises it
                 errors.append(exc)
                 raised.value = 1
@@ -494,9 +496,16 @@ def apply_w(rhs: Rhs, r, u, callback=None):
     """w(r, u) of rhs (:func:`rhs`; callback its :class:`Callback`, if any)
     on the float64 arrays r and u of one shape: the bits the march computes,
     or what the march raises at the first point it raises at."""
-    r, u = (np.array(x, dtype=np.float64) for x in (r, u))  # writable copies
+    r, u = (np.array(x, dtype=np.float64, order="C") for x in (r, u))  # writable copies
     out = np.empty_like(u)
     status = load().pspect_apply_w(rhs, _doubles(r), _doubles(u), u.size, _doubles(out))
     if status:
         _raise(status, math.nan, callback)
     return out
+
+
+def weight(m, r):
+    """m(r) of the ``Weight`` m on the array r, of any shape, as the march
+    reads it: the LINEAR w at lam = 1, exponent 1 and u = 1, 1.0 * m(r) *
+    pow(1.0, 1.0), is m(r) to the bit."""
+    return apply_w(rhs(2.0, 1, m, 1.0, LINEAR, 1.0), r, np.ones(np.shape(r)))

@@ -11,6 +11,7 @@
  *   pspect_solve    the root of the miss D in lam or u(0), and the shot there:
  *                   one call per solve
  *   pspect_apply_w  w(r, u) of any family on arrays, for the fixed-point residual
+ *                   and m(r) (the LINEAR w at lam = e = u = 1, for Weight.__call__)
  *
  * and pspect_hypot, the port of math.hypot the start takes, for its test, with
  * pspect_follow, which sets the NaN and the subnormal branch it follows.
@@ -27,8 +28,9 @@
  *                w = gamma m(r) F(u), F = Nonlinearity.phi   (NonlinearRHS)
  *     RATIONAL   w = gamma m(r) F(u), F = Nonlinearity.rational
  *     PERTURBED  w = mu m(r) _sgnpow(u, p - 1) + c m(r) _sgnpow(u, ge)  (PerturbedRHS)
- *     CALLBACK   w = cb(lam, r, u), any other right-hand side, computed in
- *                Python by the w of its own make, passed the shot's lam
+ *     CALLBACK   w = cb(lam, m(r), r, u), any other right-hand side, computed
+ *                in Python by the w of its own make, passed the shot's lam
+ *                and the kernel's m(r)
  *
  * F and the perturbation use the exponents their Python objects captured
  * (e; ge = p - 1 + delta), which need not be the problem's p - 1.  The
@@ -132,8 +134,8 @@ enum {
 
 enum { LINEAR = 0, RATIONAL = 1, PERTURBED = 2, CALLBACK = 3 }; /* Rhs.family */
 
-/* w(lam, r, u) of a CALLBACK right-hand side */
-typedef double (*callback)(double lam, double r, double u);
+/* w(lam, m(r), r, u) of a CALLBACK right-hand side */
+typedef double (*callback)(double lam, double m, double r, double u);
 
 /* the shot's w(r, u); _kernel.Rhs builds it */
 typedef struct {
@@ -210,8 +212,8 @@ static double horner(const double *c, int64_t n, double t)
     return acc;
 }
 
-/* Weight.eval_scalar: bisect_right over the breakpoints, clamped, then
-   horner on the piece */
+/* m(r), pspect's one evaluator of it (Weight.__call__ reads it through
+   pspect_apply_w): bisect_right over the breakpoints, clamped, then horner */
 static double weight(const Rhs *R, double r)
 {
     int64_t lo = 0, hi = R->n_pieces + 1;
@@ -260,11 +262,12 @@ INLINE double w_of(Rhs *R, int family, double mval, double u)
 /* w(r, u); a CALLBACK w is not called after an error, where Python stopped */
 INLINE double w(Rhs *R, int family, double r, double u)
 {
+    double mval = weight(R, r);
     if (family != CALLBACK)
-        return w_of(R, family, weight(R, r), u);
+        return w_of(R, family, mval, u);
     if (R->bad)
         return NAN;
-    double x = R->cb(R->lam, r, u);
+    double x = R->cb(R->lam, mval, r, u);
     if (*R->raised)
         R->bad = PSPECT_RAISED;
     return x;

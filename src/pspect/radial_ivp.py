@@ -33,10 +33,10 @@ finishes or raises.  Where the right-hand side has a fused form
 ``Perturbation``), that form is written into the kernel's loop and no
 Python f runs; any other right-hand side (a hand-built f, a
 ``Perturbation`` subclass, an RHS class with ``make`` alone) is called
-back from the loop: its ``make`` builds w(lam, r, u) once per kernel
-call, and the kernel passes it the shot's own lam, as it passes the
+back from the loop: its ``make`` builds w(lam, m, r, u) once per kernel
+call, and the kernel passes it the shot's lam and m(r), as it passes the
 fused forms.  The parameter lam (mu or gamma) is the problem's
-(``Problem.lam``), and m(r) is read by ``Weight.eval_scalar`` alone.
+(``Problem.lam``), and m(r) is the kernel's ``weight()`` alone.
 ``_rhs`` builds the right-hand side (``_kernel.Rhs``), whose w the
 fixed-point residual of ``nodal`` evaluates too (``_kernel.apply_w``),
 and ``_shot`` the one block (``_kernel.Shot``) the kernel's shots,
@@ -110,7 +110,7 @@ def _sgnpow(x: float, e: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides: make(p, m_eval) builds w(lam, r, u), and
+# right-hand sides: make(p) builds w(lam, m, r, u) of m = m(r), and
 # compiled(p, N, m, lam) the same right-hand side as a fused ``_kernel.Rhs``,
 # or None where the kernel calls make's w back
 
@@ -124,11 +124,11 @@ def _kernel_params(fn):
 
 @dataclass(frozen=True)
 class LinearRHS:
-    def make(self, p: float, m_eval):
+    def make(self, p: float):
         e = p - 1.0
 
-        def w(lam, r, u):
-            return lam * m_eval(r) * _sgnpow(u, e)
+        def w(lam, m, r, u):
+            return lam * m * _sgnpow(u, e)
 
         return w
 
@@ -140,11 +140,11 @@ class LinearRHS:
 class NonlinearRHS:
     f: object  # callable u -> f(u), see nodal.Nonlinearity
 
-    def make(self, p: float, m_eval):
+    def make(self, p: float):
         f = self.f
 
-        def w(lam, r, u):
-            return lam * m_eval(r) * f(u)
+        def w(lam, m, r, u):
+            return lam * m * f(u)
 
         return w
 
@@ -157,11 +157,11 @@ class NonlinearRHS:
 class PerturbedRHS:
     g: object  # callable (m(r), r, u, mu) -> g, see nodal.Perturbation
 
-    def make(self, p: float, m_eval):
+    def make(self, p: float):
         g, e = self.g, p - 1.0
 
-        def w(lam, r, u):
-            return lam * m_eval(r) * _sgnpow(u, e) + g(m_eval(r), r, u, lam)
+        def w(lam, m, r, u):
+            return lam * m * _sgnpow(u, e) + g(m, r, u, lam)
 
         return w
 
@@ -319,14 +319,14 @@ def _trajectory(problem, alpha, shot) -> Trajectory:
 def _rhs(problem):
     """(rhs, callback): problem's right-hand side as the kernel takes it (a
     ``_kernel.Rhs``): its fused form and None, or else that of the
-    ``_kernel.Callback`` of the w of its ``make`` on ``Weight.eval_scalar``,
-    and the callback.  The Rhs reads problem's weight: keep problem alive."""
+    ``_kernel.Callback`` of the w of its ``make``, and the callback.  The
+    Rhs reads problem's weight: keep problem alive."""
     p, n_dim, m, lam = problem.p, problem.N, problem.m, problem.lam
     compiled = getattr(problem.rhs, "compiled", None)
     rhs = None if compiled is None else compiled(p, n_dim, m, lam)
     if rhs is not None:
         return rhs, None
-    callback = _kernel.Callback(problem.rhs.make(p, m.eval_scalar))
+    callback = _kernel.Callback(problem.rhs.make(p))
     return _kernel.rhs(p, n_dim, m, lam, _kernel.CALLBACK, 0.0, callback=callback), callback
 
 

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NegativeSequenceAbsent, PreconditionError, SpectrumIncomplete
+from .errors import IntegrationError, NegativeSequenceAbsent, PreconditionError, SpectrumIncomplete
 from .pfuncs import pi_p
 from .radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL, SHOT_SAMPLES
 from .radial_ivp import LinearRHS, Problem, Trajectory, probe, shoot, solve_miss
@@ -342,11 +342,12 @@ def find_eigenvalues(
 
     Raises NegativeSequenceAbsent when nu='-' is requested but the weight
     has no negative part.  When the probe budget, the scan ceiling, a root
-    solve that does not converge or an eigenfunction without k-1 interior
-    zeros or whose shot blows up (the index certificate) stops the search,
-    or an index stays without a tight bracket after the scan's split of
-    the gaps, the result is returned partial, the message naming that stop
-    reason and the largest validated index.
+    solve that does not converge, an eigenfunction without k-1 interior
+    zeros or whose shot blows up (the index certificate) or a shot's
+    ArithmeticError or IntegrationError stops the search, or an index
+    stays without a tight bracket after the scan's split of the gaps, the
+    result is returned partial, the message naming that stop reason and
+    the largest validated index.
     """
     if K < 1:
         raise PreconditionError("K must be >= 1")
@@ -372,6 +373,9 @@ def find_eigenvalues(
     except _ScanStopped as exc:
         complete = False
         stop = str(exc)
+    except (ArithmeticError, IntegrationError) as exc:
+        complete = False
+        stop = f"{type(exc).__name__}: {exc}"
 
     certified, _ = _certificate(found, K)
     largest = len(certified)

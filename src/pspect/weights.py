@@ -10,7 +10,9 @@ can be formed freely for the mirror reductions.
 The sign partition, computed once from the polynomial roots on each
 piece, gives exact interval lists for {m > 0} and {m < 0}.  It alone
 decides admissibility (``in_M``) and whether the negative sequence
-exists (a non-empty ``negative_intervals``).
+exists (a non-empty ``negative_intervals``).  m(r) is read by the shots'
+own evaluator, the kernel's (``_kernel.weight``), which building a weight
+does not load.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+from . import _kernel
 
 _CONTINUITY_TOL = 1e-12
 
@@ -125,32 +129,9 @@ class Weight:
     # -- evaluation ---------------------------------------------------
 
     def __call__(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        if r_arr.ndim == 0:
-            return self.eval_scalar(float(r_arr))
-        idx = np.clip(
-            np.searchsorted(self.breakpoints, r_arr, side="right") - 1,
-            0,
-            len(self.coeffs) - 1,
-        )
-        out = np.zeros_like(r_arr)
-        for i, piece in enumerate(self.coeffs):
-            mask = idx == i
-            if mask.any():
-                t = r_arr[mask] - self.breakpoints[i]
-                acc = np.zeros_like(t)
-                for c in reversed(piece):
-                    acc = acc * t + c
-                out[mask] = acc
-        return out
-
-    def eval_scalar(self, r: float) -> float:
-        i = bisect_right(self.breakpoints, r) - 1
-        if i < 0:
-            i = 0
-        elif i >= len(self.coeffs):
-            i = len(self.coeffs) - 1
-        return _poly_eval(self.coeffs[i], r - self.breakpoints[i])
+        """m(r) on r of any shape (a float for a 0-d r): ``_kernel.weight``."""
+        out = _kernel.weight(self, r)
+        return float(out) if out.ndim == 0 else out
 
     @cached_property
     def flat(self):

@@ -38,10 +38,10 @@ from pspect.weights import Weight
 class SourceRHS:
     h: object  # callable r -> h(r)
 
-    def make(self, p: float, m_eval):
+    def make(self, p: float):
         h = self.h
 
-        def w(lam, r, u):
+        def w(lam, m, r, u):
             return h(r)
 
         return w

@@ -3,8 +3,9 @@ bit-identity battery.
 
 pspect runs every shot, probe and root solve on its compiled kernel
 (``pspect._kernel``).  This module computes them in Python, operation for
-operation as the kernel does, from the library's own pieces: the start
-from the origin series (:func:`origin_startup`), the Dormand-Prince march
+operation as the kernel does, from the library's own pieces: m(r)
+(:func:`weight_at`), the start from the origin series
+(:func:`origin_startup`), the Dormand-Prince march
 of ``pspect._rk45.integrate`` on the first-order system (:func:`system`),
 the post-pass in numpy (:func:`scan_reference`) with each sign change of
 u refined by ``radial_ivp.brentq`` (:func:`locate_zeros`), the tail filter
@@ -21,6 +22,7 @@ whole searches on the reference with :func:`route`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -40,18 +42,27 @@ from pspect.radial_ivp import (
     _sgnpow,
     brentq,
 )
+from pspect.weights import _poly_eval
 
 TAIL_NOISE_FACTOR = 1e-7
 TAIL_SLOPE_FACTOR = 1e-3
 
 
+def weight_at(m, r: float) -> float:
+    """m(r) of the ``Weight`` m at the float r, as the kernel's ``weight()``
+    reads it: bisect_right over the breakpoints, clamped to a piece, then
+    Horner on that piece."""
+    i = min(max(bisect_right(m.breakpoints, r) - 1, 0), len(m.coeffs) - 1)
+    return _poly_eval(m.coeffs[i], r - m.breakpoints[i])
+
+
 def origin_startup(problem, alpha: float, eps: float):
     """Series values (u(eps), v(eps)) used to step off the singular origin,
-    with W(0, alpha) the w(lam, 0, alpha) of the right-hand side's ``make``
-    on the weight's ``eval_scalar``."""
+    with W(0, alpha) the w(lam, m(0), 0, alpha) of the right-hand side's
+    ``make``."""
     if not 0.0 < eps <= 1e-4:
         raise PreconditionError(f"startup radius must lie in (0, 1e-4], got {eps}")
-    w0 = problem.rhs.make(problem.p, problem.m.eval_scalar)(problem.lam, 0.0, alpha)
+    w0 = problem.rhs.make(problem.p)(problem.lam, weight_at(problem.m, 0.0), 0.0, alpha)
     n = problem.N
     pc = problem.p_conj
     u_eps = alpha - _sgnpow(w0 / n, pc - 1.0) * eps**pc / pc
@@ -59,26 +70,27 @@ def origin_startup(problem, alpha: float, eps: float):
     return u_eps, v_eps
 
 
-def system(p, n_dim, w, lam):
-    """First-order system (u', v') for any right-hand side W = w(lam, r, u)
-    (the w of an RHS class's ``make``) at the parameter lam."""
+def system(p, n_dim, w, lam, m):
+    """First-order system (u', v') for any right-hand side
+    W = w(lam, m(r), r, u) (the w of an RHS class's ``make``) at the
+    parameter lam, on the ``Weight`` m."""
     e_inv = 1.0 / (p - 1.0)
 
     if n_dim == 1:
 
         def f(r, u, v):
-            return _sgnpow(v, e_inv), -w(lam, r, u)
+            return _sgnpow(v, e_inv), -w(lam, weight_at(m, r), r, u)
 
     elif n_dim == 2:
 
         def f(r, u, v):
-            return _sgnpow(v / r, e_inv), -r * w(lam, r, u)
+            return _sgnpow(v / r, e_inv), -r * w(lam, weight_at(m, r), r, u)
 
     else:
 
         def f(r, u, v):
             rn = r ** (n_dim - 1)
-            return _sgnpow(v / rn, e_inv), -rn * w(lam, r, u)
+            return _sgnpow(v / rn, e_inv), -rn * w(lam, weight_at(m, r), r, u)
 
     return f
 
@@ -91,7 +103,7 @@ def shoot(problem, alpha, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, n_samples=513
         raise PreconditionError("initial value alpha must be nonzero")
     p, n_dim, eps = problem.p, problem.N, radial_ivp.DEFAULT_EPS
     e_inv = 1.0 / (p - 1.0)
-    f = system(p, n_dim, problem.rhs.make(p, problem.m.eval_scalar), problem.lam)
+    f = system(p, n_dim, problem.rhs.make(p), problem.lam, problem.m)
     _, dense, blowup_radius, steps = integrate(
         f, eps, 1.0, origin_startup(problem, alpha, eps), rtol=rtol, atol=atol,
         blowup_limit=blowup_limit)

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pspect.spectrum import find_eigenvalues
 from pspect.weights import Weight
 
 from oracles import residual, source_problem
+from reference import weight_at
 
 
 def test_laplace_closed_form():
@@ -105,7 +107,7 @@ def test_agreement_with_shooting():
     p, n_dim = 2.5, 2
     h = Weight.poly([1.0, -2.0])
     prof = apply_Gp(p, n_dim, h)
-    prob = source_problem(p, n_dim, h.eval_scalar)
+    prob = source_problem(p, n_dim, partial(weight_at, h))
     traj = shoot(prob, float(prof.u[0]))
     rs = np.linspace(1e-5, 1.0, 300)
     u_shot, _ = traj.eval(rs)

@@ -136,7 +136,7 @@ def test_kernel_f_matches_python_f(f):
 
 
 # the residual's source is the march's w (_kernel.apply_w), of every family:
-# the bits of the w of make, on Weight.eval_scalar, or what it raises
+# the bits of the w of make, on the reference's m(r), or what it raises
 
 COS3 = Weight.from_function(lambda r: math.cos(3.0 * math.pi * r), n_pieces=16)
 W_PROBLEMS = {
@@ -156,14 +156,14 @@ def test_apply_w_is_the_w_of_make(name, m):
     prob = W_PROBLEMS[name](m)
     rhs, callback = radial_ivp._rhs(prob)  # reads m, which the test keeps alive
     assert (callback is not None) == (name == "callback") == (rhs.family == _kernel.CALLBACK)
-    w = prob.rhs.make(prob.p, m.eval_scalar)
+    w = prob.rhs.make(prob.p)
     rs = np.concatenate((np.linspace(0.0, 1.0, len(F_VALUES)), COS3.breakpoints[1:6]))
     us = np.concatenate((F_VALUES, [0.3, -0.2, 1e-5, -4.0, 1e3]))
     ran = []
     for k in range(1, len(rs) + 1):
         got = outcome(_kernel.apply_w, rhs, rs[:k], us[:k], callback)
-        want = outcome(lambda: [w(prob.lam, r, u) for r, u in zip(rs[:k].tolist(),
-                                                                  us[:k].tolist())])
+        want = outcome(lambda: [w(prob.lam, reference.weight_at(m, r), r, u)
+                                for r, u in zip(rs[:k].tolist(), us[:k].tolist())])
         assert got == want
         ran.append(isinstance(got, bytes))
     assert ran[:9] == [True] * 9

@@ -10,6 +10,7 @@ import sys
 import sysconfig
 import tracemalloc
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def test_shot_against_fixed_step_reference():
     # independent fixed-step RK4 oracle at high resolution
     p, n_dim, mu = 3.0, 2, 10.0
     traj = shoot(Problem.linear(p, n_dim, M1, mu), 1.0)
-    _, us, zeros = rk4_shot(p, n_dim, M1.eval_scalar, mu, 1.0, n_steps=60000)
+    _, us, zeros = rk4_shot(p, n_dim, partial(reference.weight_at, M1), mu, 1.0, n_steps=60000)
     assert abs(traj.terminal_u - us[-1]) < 1e-7
     assert len(traj.interior_zeros) == zeros
 
@@ -66,7 +67,8 @@ def test_shot_against_fixed_step_reference():
 def test_shot_sign_changing_weight_against_reference():
     p, n_dim, mu = 2.5, 3, 50.0
     traj = shoot(Problem.linear(p, n_dim, M_LIN, mu), 1.0)
-    _, us, zeros = rk4_shot(p, n_dim, M_LIN.eval_scalar, mu, 1.0, n_steps=60000)
+    _, us, zeros = rk4_shot(p, n_dim, partial(reference.weight_at, M_LIN), mu, 1.0,
+                          n_steps=60000)
     assert abs(traj.terminal_u - us[-1]) < 1e-7
     assert len(traj.interior_zeros) == zeros
 
@@ -555,13 +557,45 @@ def test_shots_fall_back_to_the_python_stepper(monkeypatch, tmp_path, broken):
 
 
 def test_import_builds_nothing():
-    # the kernel is built, or found, at the first shot, not at import
+    # the kernel is built, or found, at the first shot or read of m(r), not
+    # at import, nor where a Weight is built, combined or partitioned by sign
     src = os.path.dirname(os.path.dirname(_kernel.__file__))
-    out = subprocess.run([sys.executable, "-c", "import pspect, pspect.cli; from pspect import "
-                          "_kernel; print(_kernel._loaded.cache_info().currsize)"],
-                         capture_output=True, text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout == "0\n"
+    code = ("import math, pspect, pspect.cli; from pspect import _kernel, Weight; "
+            "m = Weight.from_function(lambda r: math.cos(3 * math.pi * r)); "
+            "d = (m - Weight.poly([1.0, -2.0])).negated().scaled(2.0).shifted(0.5); "
+            "d.in_M(); d.fingerprint(); print(_kernel._loaded.cache_info().currsize); "
+            "d(0.5); print(_kernel._loaded.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout == "0\n1\n"
+
+
+class _RecordingLinearRHS:
+    """LinearRHS with no fused form, so that the kernel calls its w back; w
+    records each (r, m) it is passed."""
+
+    def __init__(self):
+        self.seen = []
+
+    def make(self, p):
+        seen, w_linear = self.seen, LinearRHS().make(p)
+
+        def w(lam, m, r, u):
+            seen.append((r, m))
+            return w_linear(lam, m, r, u)
+
+        return w
+
+
+@pytest.mark.kernel
+@pytest.mark.parametrize("m", [M_LIN, COS64], ids=["1-2r", "cos3"])
+def test_a_called_back_rhs_receives_the_kernels_weight(m):
+    rhs = _RecordingLinearRHS()
+    traj = shoot(Problem(2.5, 2, m, rhs, 30.0), 1.0)
+    assert len(rhs.seen) > 100
+    assert all(float.hex(got) == float.hex(reference.weight_at(m, r)) for r, got in rhs.seen)
+    fused = shoot(Problem.linear(2.5, 2, m, 30.0), 1.0)
+    assert traj.u.tobytes() == fused.u.tobytes() and traj.v.tobytes() == fused.v.tobytes()
 
 
 def test_a_build_removes_the_libraries_of_other_keys(monkeypatch, tmp_path):

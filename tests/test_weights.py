@@ -5,6 +5,8 @@ import pytest
 
 from pspect.weights import Weight
 
+from reference import weight_at
+
 
 def test_constant_and_poly_eval():
     m = Weight.constant(2.5)
@@ -12,7 +14,7 @@ def test_constant_and_poly_eval():
     m2 = Weight.poly([1.0, -2.0])
     rs = np.linspace(0, 1, 11)
     assert np.allclose(m2(rs), 1 - 2 * rs, rtol=0, atol=0)
-    assert m2.eval_scalar(0.25) == 0.5
+    assert m2(0.25) == 0.5
 
 
 def test_piecewise_continuity_enforced():
@@ -125,18 +127,34 @@ def test_fingerprint_deterministic_and_distinct():
     assert a.fingerprint() != c.fingerprint()
 
 
-def test_array_eval_matches_eval_scalar():
-    # the array evaluator runs Horner in eval_scalar's order on the same
-    # piece: same bits, the sign of a zero included
-    rs = np.linspace(0, 1, 37)
-    for m in (
-        Weight.constant(0.7),
-        Weight.poly([1.0, -2.0]),
-        Weight.poly([0.5, 1.0, -3.0]),
-        Weight.poly([0.3, 0.0, 2.0, -1.0]),
-        Weight.poly([0.86, -0.18, 0.10, -0.94]),
-        Weight.poly([1.0, -0.5, -2.0, 0.3, 0.2]),
-        Weight.from_function(lambda r: math.cos(3 * math.pi * r), n_pieces=16),
-    ):
-        want = np.array([m.eval_scalar(float(r)) for r in rs])
-        assert m(rs).tobytes() == want.tobytes()
+# Weight.__call__ reads the kernel's weight(), which runs Horner in the
+# reference's order on the same piece: same bits, the sign of a zero
+# included, on any shape of r, outside [0, 1] and at NaN
+COS3 = Weight.from_function(lambda r: math.cos(3 * math.pi * r))
+R_READS = np.concatenate((np.linspace(0.0, 1.0, 37), COS3.breakpoints[1:9],
+                          [-0.0, -1e-300, -0.25, -3.0, 1.0 + 2**-52, 1.5, 40.0, math.nan]))
+
+
+@pytest.mark.parametrize("m", [
+    Weight.constant(0.7),
+    Weight.poly([1.0, -2.0]),
+    Weight.poly([0.5, 1.0, -3.0]),
+    Weight.poly([0.3, 0.0, 2.0, -1.0]),
+    Weight.poly([0.86, -0.18, 0.10, -0.94]),
+    Weight.poly([1.0, -0.5, -2.0, 0.3, 0.2]),
+    Weight.from_function(lambda r: math.cos(3 * math.pi * r), n_pieces=16),
+    COS3,
+], ids=["constant", "1-2r", "quadratic", "cubic", "cubic2", "quartic", "cos3-16", "cos3-64"])
+def test_call_is_the_reference_weight_on_any_shape(m):
+    want = np.array([weight_at(m, r) for r in R_READS.tolist()])
+    got = m(R_READS)
+    assert got.shape == R_READS.shape and got.tobytes() == want.tobytes()
+    grid = R_READS[:48].reshape(6, 8)
+    assert m(grid).shape == (6, 8) and m(grid).tobytes() == want[:48].tobytes()
+    assert m(grid.T).tobytes() == want[:48].reshape(6, 8).T.copy().tobytes()
+    for r, v in zip(R_READS.tolist(), want.tolist()):
+        for arg in (r, np.float64(r), np.array(r)):
+            got = m(arg)
+            assert type(got) is float
+            assert np.array(got).tobytes() == np.array(v).tobytes()
+    assert np.isnan(m(math.nan))
