@@ -542,6 +542,10 @@ def cmd_verify(task, p, n_dim, m, tols, header, out_dir) -> int:
             lines.append(f"[PRECONDITION VIOLATION] {name}: {exc}")
             any_fail = True
             continue
+        except (ArithmeticError, IntegrationError) as exc:  # a shot the check makes itself
+            lines.append(f"[FAIL] {name}: {type(exc).__name__}: {exc}")
+            any_fail = True
+            continue
         lines.append(rep.render())
         if not rep.passed and not rep.not_applicable:
             any_fail = True

@@ -26,17 +26,22 @@ eigenvalues, so the scan records (D, Z) on an expanding grid, splits
 every gap whose count steps by two or more down to a floor of 1e-10 and
 brackets the sign changes of D.  One rule gives each bracket its index
 before anything is solved: k = 1 + the smaller zero count of its ends.
-Only the brackets of k <= K are solved, each once.  The grid marches at
-a loose integrator tolerance, and the loose root of each bracket is
-solved only to that tolerance (SCAN_RTOL), since it only centres the
-tight window of +-3 SCAN_RTOL; every reported eigenvalue is re-bracketed
-in that window and polished at the tight tolerance, Brent's method
-stopping at 1e-3 of it (the resolution the tight shots support), so the
-final values are independent of how the scan got there.  An index is
-validated only where its eigenfunction reaches r = 1 with exactly k-1
-interior zeros and every index below it is validated; the first index
-whose eigenfunction fails that certificate ends the search with a
-partial result.
+Only the brackets of k <= K are solved, each once.  Once the scan is
+done the brackets are independent, and the first of each index is
+solved ahead on lanes, one per CPU the process may run on (no option
+sets their number): the lanes fill the search's memo of probes and
+solves, largest index first, and the search then runs its own solves in
+order on that memo, charging its budget and meeting every stop as it
+would alone.  The grid marches at a loose integrator tolerance, and the
+loose root of each bracket is solved only to that tolerance (SCAN_RTOL),
+since it only centres the tight window of +-3 SCAN_RTOL; every reported
+eigenvalue is re-bracketed in that window and polished at the tight
+tolerance, Brent's method stopping at 1e-3 of it (the resolution the
+tight shots support), so the final values are independent of how the
+scan got there.  An index is validated only where its eigenfunction
+reaches r = 1 with exactly k-1 interior zeros and every index below it
+is validated; the first index whose eigenfunction fails that
+certificate ends the search with a partial result.
 
 A caveat that the scan cannot remove: completeness of the computed list
 ("no other eigenvalues") is certified only within the scanned range at
@@ -52,6 +57,8 @@ degree crossing index.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -207,6 +214,11 @@ class _Prober:
     already held the probe: a solve charges its bracket ends, then its
     trials in their order, as Brent's method over single probes would, so
     the budget runs out at the same trial.
+
+    :meth:`fill` solves brackets ahead on lanes that fill the memo and
+    charge nothing; the search's own solves then read them from the memo
+    and charge them in its order, so what it returns, its probe count and
+    where it stops do not depend on the lanes.
     """
 
     BLOWUP = 1e100
@@ -307,6 +319,69 @@ class _Prober:
         if failure:
             raise RuntimeError(failure)
         return x, traj
+
+    def fill(self, brackets, rtol, atol):
+        """Solve ahead, into the memo, the loose root and its polish of
+        each bracket (a, b) the memo holds no loose solve of, on
+        min(usable CPUs, brackets) lanes, the calling thread one of them;
+        nothing where fewer than two lanes would run.
+
+        The brackets are listed in ascending index, and the lanes take
+        them from the last, the largest and costliest first.  A lane runs
+        :meth:`loose_root` and :func:`_polish_root` on a :class:`_Lane`
+        view of this prober, which charges nothing, and drops whatever
+        they raise: the search's own solve of the bracket replays the
+        memo, charges it and raises the same at the same point.  Every
+        lane has ended when fill returns.
+        """
+        todo = [(a, b) for a, b in brackets
+                if (a, b, SCAN_RTOL, SCAN_ATOL, SCAN_RTOL) not in self.probes]
+        lanes = min(_usable_cpus(), len(todo))
+        if lanes < 2:
+            return
+        view = _Lane(self)
+
+        def lane():
+            while True:
+                try:
+                    a, b = todo.pop()
+                except IndexError:  # another lane took the last
+                    return
+                try:
+                    _polish_root(view, view.loose_root(a, b), a, b, rtol, atol)
+                except Exception:  # the search's to raise, where its own order gets there
+                    pass
+
+        threads = [threading.Thread(target=lane) for _ in range(lanes - 1)]
+        try:
+            for thread in threads:
+                thread.start()  # RuntimeError where the system starts no more threads
+            lane()
+        except RuntimeError:  # the search solves what no lane did
+            pass
+        finally:
+            todo.clear()
+            for thread in threads:
+                if thread.ident is not None:  # started
+                    thread.join()
+
+
+class _Lane(_Prober):
+    """A lane's view of a search's :class:`_Prober`: the same memo, no
+    budget."""
+
+    def __init__(self, prober):
+        self.problem, self.sgn, self.probes = prober.problem, prober.sgn, prober.probes
+
+    def _charge_once(self, key):
+        pass
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class _ScanStopped(Exception):
@@ -486,8 +561,15 @@ def _classify_brackets(nodes, prober, found, K, rtol, atol):
     and builds no shot), then the tight one of :func:`_polish_root`
     (:meth:`_Prober.solve`), whose root's trajectory is the eigenfunction.
     The search charges one probe more for that shot, as for a shot of its
-    own.
+    own.  :meth:`_Prober.fill` first solves the first bracket of each index
+    on lanes, and the loop below finds those solves in the memo.
     """
+    firsts = {}
+    for a, b in zip(nodes, nodes[1:]):
+        k = min(a.z, b.z) + 1
+        if a.d * b.d < 0 and k <= K:
+            firsts.setdefault(k, (a.x, b.x))
+    prober.fill(list(firsts.values()), rtol, atol)
     for a, b in zip(nodes, nodes[1:]):
         k = min(a.z, b.z) + 1
         if not a.d * b.d < 0 or k > K or k in found:

@@ -460,16 +460,17 @@ def test_eig_root_solve_that_does_not_converge_is_partial_exit_2(tmp_path, capsy
                                                                  monkeypatch):
     # Brent's method gives up on the bracket of mu_2^- (its RuntimeError
     # carrying the trials it made): the search stops there
+    weight = Weight.poly([1.0, -2.0])
+    mu_2 = spectrum.find_eigenvalues(Problem.linear(2.0, 1, weight, math.nan), 3, "-").mu(2)
     brackets, real = [], spectrum.solve_miss
 
     def solve(problem, alpha, a, b, ends, **kw):
         solved = real(problem, alpha, a, b, ends, **kw)
-        if kw["rtol"] == spectrum.SCAN_RTOL:
+        if kw["rtol"] == spectrum.SCAN_RTOL and min(a, b) < mu_2 < max(a, b):
             brackets.append((a, b))
-            if len(brackets) == 2:
-                exc = RuntimeError("Failed to converge after 100 iterations.")
-                exc.trials = solved[3]
-                raise exc
+            exc = RuntimeError("Failed to converge after 100 iterations.")
+            exc.trials = solved[3]
+            raise exc
         return solved
 
     monkeypatch.setattr(spectrum, "solve_miss", solve)
@@ -479,7 +480,7 @@ def test_eig_root_solve_that_does_not_converge_is_partial_exit_2(tmp_path, capsy
     })
     out = str(tmp_path / "out")
     assert cli.main(["eig", "--config", cfg, "--out", out]) == 2
-    a, b = (-x for x in brackets[1])
+    a, b = (-x for x in brackets[-1])
     assert capsys.readouterr().err == (
         "partial spectrum for nu=-: Brent's method did not converge on the bracket "
         f"|mu| in [{a:.10g}, {b:.10g}]; largest validated index 1\n")
@@ -540,6 +541,19 @@ def test_verify_unvalidated_eigenvalue_reported(tmp_path, check):
     assert any(line.endswith("] sturm_comparison") for line in lines)
     assert lines[-1].startswith(f"[PRECONDITION VIOLATION] {check['check']}: mu_")
     assert " not validated: scan ceiling |mu| = " in lines[-1]
+
+
+def test_verify_shot_error_is_the_checks_failed_line(tmp_path):
+    # at p = 1.001 the sturm and zero_proliferation checks' own shots
+    # overflow: each reads as its failed line, and the battery runs on
+    cfg = json.load(open(os.path.join(CONFIGS, "verify_default.json")))
+    cfg["problem"]["p"] = 1.001
+    out = str(tmp_path / "out")
+    assert cli.main(["verify", "--config", write_cfg(tmp_path, cfg), "--out", out]) == 3
+    lines = open(os.path.join(out, "report.txt")).read().splitlines()
+    for check in ("sturm", "zero_proliferation"):
+        assert any(line.startswith(f"[FAIL] {check}: OverflowError: ") for line in lines)
+    assert lines[-1].startswith("[PRECONDITION VIOLATION] bifurcation_points: mu_1^+ ")
 
 
 def test_verify_incomplete_spectrum_structure_fails(tmp_path):

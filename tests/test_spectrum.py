@@ -1,5 +1,8 @@
 import gc
 import math
+import os
+import sys
+import threading
 from functools import partial
 from types import SimpleNamespace
 
@@ -389,6 +392,9 @@ def test_bracket_index_is_one_more_than_the_smaller_end_count():
         def _charge(self):
             pass
 
+        def fill(self, brackets, rtol, atol):
+            pass
+
     counts = [0, 1, 1, 1, 2, 3]
     nodes = [spectrum._Node(float(x), miss(x), z) for x, z in enumerate(counts)]
     prober, found = Scripted(), {}
@@ -420,6 +426,12 @@ def spy_solves(monkeypatch):
     return solves
 
 
+def by_root(solved):
+    """Solves in the order of their roots, that is of their indices: the
+    lanes of a search solve its brackets in no fixed order."""
+    return sorted(solved, key=lambda s: s[0])
+
+
 def test_loose_roots_stop_at_the_scan_tolerance(monkeypatch):
     # a loose root only centres the tight windows: its solve stops at
     # xrtol = SCAN_RTOL (29 trials here, 68 when it ran to 8.9e-16), builds
@@ -428,8 +440,8 @@ def test_loose_roots_stop_at_the_scan_tolerance(monkeypatch):
     solves = spy_solves(monkeypatch)
     res = find_eigenvalues(eig_problem(2.6, 1, M1), 6, "+")
     assert res.complete
-    loose = [solved for rtol, solved in solves if rtol == SCAN_RTOL]
-    tight = [solved for rtol, solved in solves if rtol == DEFAULT_RTOL]
+    loose = by_root(solved for rtol, solved in solves if rtol == SCAN_RTOL)
+    tight = by_root(solved for rtol, solved in solves if rtol == DEFAULT_RTOL)
     assert len(loose) == len(tight) == 6 and len(solves) == 12
     assert sum(len(trials) for *_, trials in loose) <= 35
     assert all(traj is None for _, _, traj, _ in loose)
@@ -453,8 +465,8 @@ def test_tight_roots_stop_at_the_resolution_of_their_shots(monkeypatch, rtol, mo
     solves = spy_solves(monkeypatch)
     res = find_eigenvalues(eig_problem(2.6, 1, M1), 6, "+", rtol=rtol)
     assert res.complete
-    loose = [solved for tol, solved in solves if tol == SCAN_RTOL]
-    tight = [solved for tol, solved in solves if tol == rtol]
+    loose = by_root(solved for tol, solved in solves if tol == SCAN_RTOL)
+    tight = by_root(solved for tol, solved in solves if tol == rtol)
     assert len(loose) == len(tight) == 6
     assert sum(len(trials) for *_, trials in tight) <= most_trials
     for (x0, *_), (root, *_) in zip(loose, tight):
@@ -492,6 +504,116 @@ def test_blown_up_eigenfunction_ends_the_search():
         "index 6 not certified: its eigenfunction's shot grows past 1e+100 at r = ")
     assert res.message.endswith(" there); largest validated index 5")
     assert [len(ep.zeros) for ep in res.eigenpairs] == list(range(5))
+
+
+# ---------------------------------------------------------------------------
+# lanes: the first bracket of each index solved ahead on threads
+
+
+def overflow_near(mu):
+    """spectrum.probe, but raising the OverflowError of a shot for a tight
+    probe within 1e-6 relative of |mu|: a polish window of that root."""
+    def raising(problem, alpha, *, rtol, atol, **kw):
+        if rtol == DEFAULT_RTOL and abs(abs(problem.lam) - mu) <= 1e-6 * mu:
+            raise OverflowError("math range error")
+        return probe(problem, alpha, rtol=rtol, atol=atol, **kw)
+
+    return raising
+
+
+def no_convergence_around(mu):
+    """spectrum.solve_miss, but with Brent's method giving up, after its
+    trials, on the loose solve of the bracket that holds |mu|."""
+    real = spectrum.solve_miss
+
+    def solve(problem, alpha, a, b, ends, **kw):
+        solved = real(problem, alpha, a, b, ends, **kw)
+        if kw["rtol"] == SCAN_RTOL and min(a, b) < mu < max(a, b):
+            exc = RuntimeError("Failed to converge after 100 iterations.")
+            exc.trials = solved[3]
+            raise exc
+        return solved
+
+    return solve
+
+
+def unit_search():
+    return [find_eigenvalues(eig_problem(2.6, 1, M1), 6, "+")]
+
+
+def shared_battery():
+    with shared_shots():
+        return [find_eigenvalues(eig_problem(2.0, 1, M_LIN), K, nu)
+                for K, nu in ((3, "+"), (6, "+"), (3, "-"), (6, "-"), (6, "+"))]
+
+
+# case -> (attributes of spectrum patched, the searches, how the first one stops)
+LANE_CASES = {
+    "unit_weight": ({}, unit_search, ""),
+    "certificate_stop": (
+        {}, lambda: [find_eigenvalues(eig_problem(1.3, 2, COS3), 6, "-")],
+        "index 4 not certified: its eigenfunction's zero count is 2"),
+    "blowup_stop": (
+        {}, lambda: [find_eigenvalues(eig_problem(2.0, 1, Weight.poly([1.0, -8.0])), 6, "+")],
+        "index 6 not certified: its eigenfunction's shot grows past 1e+100"),
+    "budget_stop": ({"DEFAULT_BUDGET": 60}, unit_search, "scan budget of 60 probes exhausted"),
+    "overflow_partial": (
+        {}, lambda: [find_eigenvalues(eig_problem(1.006, 1, M1), 6, "+")], "OverflowError: "),
+    "tight_overflow": ({"probe": overflow_near(closed_form_mu(2.6, 4))}, unit_search,
+                       "OverflowError: math range error; largest validated index 3"),
+    "no_convergence": (
+        {"solve_miss": no_convergence_around(closed_form_mu(2.6, 3))}, unit_search,
+        "Brent's method did not converge on the bracket |mu| in ["),
+    "shared_battery": ({}, shared_battery, ""),
+}
+
+
+def outcome(res):
+    """What a search returns, its values and zeros to the bit."""
+    return ([(ep.k, ep.mu.hex(), [z.hex() for z in ep.zeros]) for ep in res.eigenpairs],
+            res.message, res.complete, res.probes_used)
+
+
+@pytest.mark.parametrize("case", LANE_CASES)
+def test_one_lane_and_many_give_the_same_bits(monkeypatch, case):
+    # the search decides everything in its own order on the memo the lanes
+    # fill, so its values, zeros, stop and probe count are those of one lane
+    patches, searches, stop = LANE_CASES[case]
+    for name, value in patches.items():
+        monkeypatch.setattr(spectrum, name, value)
+    threads = set(threading.enumerate())
+    outcomes, interval = [], sys.getswitchinterval()
+    for lanes in (1, 4):  # more lanes than cores, switching threads often
+        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: lanes)
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes.append([outcome(res) for res in searches()])
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(threading.enumerate()) == threads  # every lane has ended
+    assert outcomes[0] == outcomes[1]
+    message = outcomes[0][0][1]
+    assert message.startswith(stop) if stop else message == ""
+
+
+def test_lanes_solve_on_threads_of_their_own(monkeypatch):
+    solvers, real = set(), spectrum.solve_miss
+
+    def solve(*args, **kw):
+        solvers.add(threading.get_ident())
+        return real(*args, **kw)
+
+    monkeypatch.setattr(spectrum, "solve_miss", solve)
+    monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+    assert find_eigenvalues(eig_problem(2.6, 1, M1), 6, "+").complete
+    assert len(solvers) == 2
+
+
+def test_usable_cpus_are_those_the_process_may_run_on():
+    cpus = spectrum._usable_cpus()
+    assert 1 <= cpus <= (os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        assert cpus == len(os.sched_getaffinity(0))
 
 
 @pytest.mark.parametrize("k", range(1, 7))
