@@ -564,15 +564,15 @@ def _classify_brackets(nodes, prober, found, K, rtol, atol):
     own.  :meth:`_Prober.fill` first solves the first bracket of each index
     on lanes, and the loop below finds those solves in the memo.
     """
-    firsts = {}
+    brackets, firsts = [], {}  # (k, a, b) of each sign change of index k <= K; k -> first
     for a, b in zip(nodes, nodes[1:]):
         k = min(a.z, b.z) + 1
         if a.d * b.d < 0 and k <= K:
+            brackets.append((k, a, b))
             firsts.setdefault(k, (a.x, b.x))
     prober.fill(list(firsts.values()), rtol, atol)
-    for a, b in zip(nodes, nodes[1:]):
-        k = min(a.z, b.z) + 1
-        if not a.d * b.d < 0 or k > K or k in found:
+    for k, a, b in brackets:
+        if k in found:
             continue
         try:
             x_loose = prober.loose_root(a.x, b.x)

@@ -1,6 +1,5 @@
 import gc
 import math
-import os
 import sys
 import threading
 from functools import partial
@@ -607,13 +606,6 @@ def test_lanes_solve_on_threads_of_their_own(monkeypatch):
     monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
     assert find_eigenvalues(eig_problem(2.6, 1, M1), 6, "+").complete
     assert len(solvers) == 2
-
-
-def test_usable_cpus_are_those_the_process_may_run_on():
-    cpus = spectrum._usable_cpus()
-    assert 1 <= cpus <= (os.cpu_count() or 1)
-    if hasattr(os, "sched_getaffinity"):
-        assert cpus == len(os.sched_getaffinity(0))
 
 
 @pytest.mark.parametrize("k", range(1, 7))
