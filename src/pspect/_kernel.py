@@ -57,6 +57,7 @@ import os
 import shlex
 import sys
 import sysconfig
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -255,10 +256,18 @@ def _loaded():
     return lib
 
 
+# "lock" lets one thread build and load the library while the others wait;
+# made by the first caller (setdefault keeps one), not at import
+_loading = {}
+
+
 def load():
     """The kernel library; raises the OSError of the first build or load
-    that failed, without building again."""
-    lib = _loaded()
+    that failed, without building again.  Threads that ask for it at the
+    same time get the one library, built and loaded once."""
+    lock = _loading.get("lock") or _loading.setdefault("lock", threading.Lock())
+    with lock:  # functools.cache alone would let each first caller build
+        lib = _loaded()
     if isinstance(lib, OSError):
         raise lib
     return lib

@@ -72,6 +72,7 @@ import json
 import math
 import os
 import sys
+from functools import cache, partial
 from itertools import chain, repeat
 
 import numpy as np
@@ -90,6 +91,7 @@ from .greens import apply_Gp
 from .radial_ivp import DEFAULT_ATOL, DEFAULT_RTOL
 from .report import CheckReport
 from .spectrum import (
+    _on_lanes,
     compute_spectrum,
     crossing_index,
     shared_shots,
@@ -532,20 +534,35 @@ def cmd_gp(task, p, n_dim, m, tols, header, out_dir) -> int:
 
 
 def cmd_verify(task, p, n_dim, m, tols, header, out_dir) -> int:
+    """Run the battery's checks and write report.txt, their reports in
+    check order.
+
+    The checks run as jobs on lanes (``spectrum._on_lanes``: the calling
+    thread and one thread per idle CPU), sharing the command's probes.
+    Each check's report, or the exception it raised, is read in check
+    order once every lane has ended: a precondition violation and a
+    check's own shot error are that check's line, and any other exception
+    is raised there, before report.txt is written, as it would be by the
+    first check that raised it when they ran one after another.  So the
+    report, the exit code and stderr do not depend on the lanes.
+    """
     lines = [f"pspect v{__version__} verification report", *header[1:], ""]
     any_fail = False
-    for chk in task["checks"]:
+    checks = task["checks"]
+    outcomes = _on_lanes([partial(_CHECKS[chk["check"]][2], chk, p, n_dim, m, tols)
+                          for chk in checks])
+    for chk, (rep, exc) in zip(checks, outcomes):
         name = chk["check"]
-        try:
-            rep = _CHECKS[name][2](chk, p, n_dim, m, tols)
-        except PreconditionError as exc:
+        if isinstance(exc, PreconditionError):
             lines.append(f"[PRECONDITION VIOLATION] {name}: {exc}")
             any_fail = True
             continue
-        except (ArithmeticError, IntegrationError) as exc:  # a shot the check makes itself
+        if isinstance(exc, (ArithmeticError, IntegrationError)):  # a shot the check makes itself
             lines.append(f"[FAIL] {name}: {type(exc).__name__}: {exc}")
             any_fail = True
             continue
+        if exc is not None:
+            raise exc
         lines.append(rep.render())
         if not rep.passed and not rep.not_applicable:
             any_fail = True
@@ -699,7 +716,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built at the first :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="pspect",
         description="spectrum, nodal solutions and branches of the radial "
@@ -711,8 +730,12 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
         sp.add_argument("--tol-rel", type=float, default=None)
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         if exc.code == 0:  # --help
             raise

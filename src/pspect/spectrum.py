@@ -28,10 +28,10 @@ brackets the sign changes of D.  One rule gives each bracket its index
 before anything is solved: k = 1 + the smaller zero count of its ends.
 Only the brackets of k <= K are solved, each once.  Once the scan is
 done the brackets are independent, and the first of each index is
-solved ahead on lanes, one per CPU the process may run on (no option
-sets their number): the lanes fill the search's memo of probes and
-solves, largest index first, and the search then runs its own solves in
-order on that memo, charging its budget and meeting every stop as it
+solved ahead on lanes, one per idle CPU the process may run on (no
+option sets their number): the lanes fill the search's memo of probes
+and solves, largest index first, and the search then runs its own solves
+in order on that memo, charging its budget and meeting every stop as it
 would alone.  The grid marches at a loose integrator tolerance, and the
 loose root of each bracket is solved only to that tolerance (SCAN_RTOL),
 since it only centres the tight window of +-3 SCAN_RTOL; every reported
@@ -52,16 +52,26 @@ Every eigenvalue here comes from that one search, through
 operations (weight monotonicity, continuity in p, Sturm comparison, zero
 proliferation), which read their eigenvalues from such spectra, and the
 degree crossing index.
+
+Lanes are threads: the kernel releases the GIL for each shot.  One
+helper, :func:`_on_lanes`, runs them, for a search's brackets and for
+the checks of ``pspect verify`` alike.  It counts the lanes busy in the
+process, so that a search inside a check takes a lane only where a CPU
+is idle, and the lanes never outnumber the usable CPUs.  The memo of a
+search, and the one :func:`shared_shots` keeps for a block of searches,
+computes each probe and solve once, however many lanes ask for it at
+the same time.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import threading
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -171,8 +181,8 @@ class _Node:
     z: int
 
 
-# axis (p, N, weight, sign) -> {(|mu|, rtol, atol): Probe}, inside shared_shots()
-_shared_probes: ContextVar = ContextVar("shared_probes", default=None)
+# axis (p, N, weight, sign) -> _Memo of its probes and solves, inside shared_shots()
+_shared_probes = contextvars.ContextVar("shared_probes", default=None)
 
 
 @contextmanager
@@ -180,16 +190,67 @@ def shared_shots():
     """Share (D, Z) probes among the eigenvalue searches run inside the block.
 
     A search reuses every probe an earlier search of the block shot on
-    the same axis (p, N, weight, sign) at the same |mu| and tolerances.
-    Probes are deterministic, so each search returns what it returns
-    alone, charges its budget for every probe it asks for and reports
-    the same probe count.  The probes are dropped when the block ends.
+    the same axis (p, N, weight, sign) at the same |mu| and tolerances,
+    and every root solve.  Probes are deterministic, so each search
+    returns what it returns alone, charges its budget for every probe it
+    asks for and reports the same probe count.  Searches that run at the
+    same time on lanes (:func:`_on_lanes`, which hands each lane the
+    block) share the memo too, and each probe and solve is computed once
+    (:class:`_Memo`).  The probes are dropped when the block ends.
     """
-    token = _shared_probes.set({})
+    token = _shared_probes.set(_Memo())
     try:
         yield
     finally:
         _shared_probes.reset(token)
+
+
+class _Memo:
+    """Values by key, each computed once, also where threads ask for it
+    at the same time (a single-flight memo).
+
+    The first thread that asks for a key it does not hold computes it;
+    until the value is in, the key is pending, and the threads that ask
+    for it meanwhile wait for that value.  Where the computation raises,
+    the waiting threads compute it themselves, each raising as it would
+    alone; nothing is held for the key.
+    """
+
+    def __init__(self):
+        self._values = {}
+        self._pending = {}  # key -> lock its computing thread holds
+        self._lock = threading.Lock()
+
+    def __contains__(self, key):
+        return key in self._values
+
+    def add(self, key, value):
+        """Hold value for key unless a value is held already."""
+        self._values.setdefault(key, value)
+
+    def get(self, key, compute):
+        """The value of key, compute() run for it where no thread has it."""
+        while True:
+            try:
+                return self._values[key]
+            except KeyError:
+                pass
+            with self._lock:
+                if key in self._values:
+                    continue
+                flight = self._pending.get(key)
+                if flight is None:
+                    flight = self._pending[key] = threading.Lock()
+                    flight.acquire()
+                    break
+            with flight:  # the value is in, or its computation raised
+                pass
+        try:
+            return self._values.setdefault(key, compute())
+        finally:
+            with self._lock:
+                del self._pending[key]
+            flight.release()
 
 
 class _Prober:
@@ -205,15 +266,16 @@ class _Prober:
     A probe is one kernel call (``radial_ivp.probe``), and so is a root
     solve (:meth:`loose_root` and :meth:`solve`: ``radial_ivp.solve_miss``,
     Brent's method on the kernel, each trial a kernel probe).  The memo
-    holds each probe under (|mu|, rtol, atol), the trials of every solve
-    among them, and each solve under (a, b, rtol, atol, xrtol); outside
-    :func:`shared_shots` it is private to the search.  A search solves
-    each bracket once, so the solve memo serves only the later searches
-    of a :func:`shared_shots` block.  A search charges its budget once
-    for each (|mu|, rtol, atol) it asks for, whether or not the memo
-    already held the probe: a solve charges its bracket ends, then its
-    trials in their order, as Brent's method over single probes would, so
-    the budget runs out at the same trial.
+    (a :class:`_Memo`, which computes each entry once however many lanes
+    ask for it) holds each probe under (|mu|, rtol, atol), the trials of
+    every solve among them, and each solve under (a, b, rtol, atol,
+    xrtol); outside :func:`shared_shots` it is private to the search.  A
+    search solves each bracket once, so the solve memo serves only the
+    later searches of a :func:`shared_shots` block.  A search charges its
+    budget once for each (|mu|, rtol, atol) it asks for, whether or not
+    the memo already held the probe: a solve charges its bracket ends,
+    then its trials in their order, as Brent's method over single probes
+    would, so the budget runs out at the same trial.
 
     :meth:`fill` solves brackets ahead on lanes that fill the memo and
     charge nothing; the search's own solves then read them from the memo
@@ -231,7 +293,7 @@ class _Prober:
         self.charged = set()  # (|mu|, rtol, atol) keys this search has paid for
         shared = _shared_probes.get()
         axis = (problem.p, problem.N, problem.m, sgn)
-        self.probes = {} if shared is None else shared.setdefault(axis, {})
+        self.probes = _Memo() if shared is None else shared.get(axis, _Memo)
 
     def _charge(self):
         self.count += 1
@@ -246,13 +308,8 @@ class _Prober:
     def _probe(self, x, rtol, atol):
         key = (x, rtol, atol)
         self._charge_once(key)
-        pr = self.probes.get(key)
-        if pr is None:
-            pr = self.probes[key] = probe(
-                self.problem.at(self.sgn * x), 1.0, rtol=rtol, atol=atol,
-                blowup_limit=self.BLOWUP,
-            )
-        return pr
+        return self.probes.get(key, lambda: probe(
+            self.problem.at(self.sgn * x), 1.0, rtol=rtol, atol=atol, blowup_limit=self.BLOWUP))
 
     def loose(self, x) -> _Node:
         pr = self._probe(x, SCAN_RTOL, SCAN_ATOL)
@@ -301,69 +358,47 @@ class _Prober:
         those in |mu|, to the bit.
         """
         pr_a, pr_b = self._probe(a, rtol, atol), self._probe(b, rtol, atol)
-        key, sgn = (a, b, rtol, atol, xrtol), self.sgn
-        solved = self.probes.get(key)
-        if solved is None:
+        sgn = self.sgn
+
+        def solved():
             try:
                 root, _, traj, trials = solve_miss(
                     self.problem, 1.0, sgn * a, sgn * b, (pr_a, pr_b), rtol=rtol, atol=atol,
                     xtol=1e-15, xrtol=xrtol, blowup_limit=self.BLOWUP, n_shot=n_shot)
-                solved = self.probes[key] = (sgn * root, traj, trials, "")
+                return sgn * root, traj, trials, ""
             except RuntimeError as exc:
-                solved = self.probes[key] = (None, None, exc.trials, str(exc))
-        x, traj, trials, failure = solved
+                return None, None, exc.trials, str(exc)
+
+        x, traj, trials, failure = self.probes.get((a, b, rtol, atol, xrtol), solved)
         for lam, pr in trials:
             key = (sgn * lam, rtol, atol)
             self._charge_once(key)
-            self.probes.setdefault(key, pr)
+            self.probes.add(key, pr)
         if failure:
             raise RuntimeError(failure)
         return x, traj
 
     def fill(self, brackets, rtol, atol):
         """Solve ahead, into the memo, the loose root and its polish of
-        each bracket (a, b) the memo holds no loose solve of, on
-        min(usable CPUs, brackets) lanes, the calling thread one of them;
-        nothing where fewer than two lanes would run.
+        each bracket (a, b) the memo holds no loose solve of, on lanes
+        (:func:`_on_lanes`): the calling thread and one thread for each
+        idle CPU, nothing where no CPU is idle.
 
         The brackets are listed in ascending index, and the lanes take
         them from the last, the largest and costliest first.  A lane runs
         :meth:`loose_root` and :func:`_polish_root` on a :class:`_Lane`
-        view of this prober, which charges nothing, and drops whatever
-        they raise: the search's own solve of the bracket replays the
-        memo, charges it and raises the same at the same point.  Every
-        lane has ended when fill returns.
+        view of this prober, which charges nothing, and what they raise is
+        dropped: the search's own solve of the bracket replays the memo,
+        charges it and raises the same at the same point.  Every lane has
+        ended when fill returns.
         """
-        todo = [(a, b) for a, b in brackets
-                if (a, b, SCAN_RTOL, SCAN_ATOL, SCAN_RTOL) not in self.probes]
-        lanes = min(_usable_cpus(), len(todo))
-        if lanes < 2:
-            return
         view = _Lane(self)
+        _on_lanes([partial(_fill_one, view, a, b, rtol, atol) for a, b in reversed(brackets)
+                   if (a, b, SCAN_RTOL, SCAN_ATOL, SCAN_RTOL) not in self.probes], least=2)
 
-        def lane():
-            while True:
-                try:
-                    a, b = todo.pop()
-                except IndexError:  # another lane took the last
-                    return
-                try:
-                    _polish_root(view, view.loose_root(a, b), a, b, rtol, atol)
-                except Exception:  # the search's to raise, where its own order gets there
-                    pass
 
-        threads = [threading.Thread(target=lane) for _ in range(lanes - 1)]
-        try:
-            for thread in threads:
-                thread.start()  # RuntimeError where the system starts no more threads
-            lane()
-        except RuntimeError:  # the search solves what no lane did
-            pass
-        finally:
-            todo.clear()
-            for thread in threads:
-                if thread.ident is not None:  # started
-                    thread.join()
+def _fill_one(view, a, b, rtol, atol):
+    _polish_root(view, view.loose_root(a, b), a, b, rtol, atol)
 
 
 class _Lane(_Prober):
@@ -382,6 +417,74 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+# "busy": threads of _on_lanes running jobs, process-wide; "lock" guards it,
+# made by the first call (setdefault keeps one), not at import
+_lanes = {"busy": 0}
+
+
+def _on_lanes(jobs, least=1):
+    """Run jobs (callables of no argument) on lanes: the calling thread
+    and one thread for each idle CPU, at most one lane per job.  Returns
+    the (value, exception) of each job in job order, the exception None
+    where the job returned; a job's ``Exception`` does not end its lane.
+
+    The lanes take the jobs in their order.  A CPU is idle where fewer
+    threads of this helper are busy, process-wide, than the usable CPUs
+    (:func:`_usable_cpus`, read at each call) less the calling thread's
+    own; a call from inside a job thus gets a thread only where a CPU is
+    free.  Each thread runs in a copy of the caller's context, so jobs
+    see the caller's :func:`shared_shots` block.  Where fewer than least
+    lanes can run, nothing runs and None is returned; where a thread
+    cannot be started, the lanes already running do its share.  Every
+    lane has ended when this returns.
+    """
+    lock = _lanes.get("lock") or _lanes.setdefault("lock", threading.Lock())
+    with lock:
+        threads = max(0, min(len(jobs), _usable_cpus() - _lanes["busy"]) - 1)
+        if threads + 1 < least:
+            return None
+        _lanes["busy"] += threads
+    todo = list(reversed(range(len(jobs))))
+    outcomes = [None] * len(jobs)
+
+    def lane():
+        while todo:
+            try:
+                i = todo.pop()
+            except IndexError:  # another lane took the last
+                return
+            try:
+                outcomes[i] = (jobs[i](), None)
+            except Exception as exc:  # the caller's to raise or drop
+                outcomes[i] = (None, exc)
+
+    def thread_lane():
+        try:
+            lane()
+        finally:
+            with lock:
+                _lanes["busy"] -= 1
+
+    started = []
+    try:
+        for _ in range(threads):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(thread_lane,))
+            thread.start()  # RuntimeError where the system starts no more threads
+            started.append(thread)
+    except RuntimeError:
+        pass
+    finally:
+        with lock:
+            _lanes["busy"] -= threads - len(started)
+    try:
+        lane()
+    finally:
+        todo.clear()
+        for thread in started:
+            thread.join()
+    return outcomes
 
 
 class _ScanStopped(Exception):

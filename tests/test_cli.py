@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -554,6 +555,96 @@ def test_verify_shot_error_is_the_checks_failed_line(tmp_path):
     for check in ("sturm", "zero_proliferation"):
         assert any(line.startswith(f"[FAIL] {check}: OverflowError: ") for line in lines)
     assert lines[-1].startswith("[PRECONDITION VIOLATION] bifurcation_points: mu_1^+ ")
+
+
+def shipped(name):
+    with open(os.path.join(CONFIGS, name)) as fh:
+        return json.load(fh)
+
+
+def default_battery(**problem):
+    cfg = shipped("verify_default.json")
+    cfg["problem"].update(problem)
+    return cfg
+
+
+def raising_checks(monkeypatch):
+    # p_continuity, the third check, raises what cmd_verify does not catch
+    # after its searches; zero_proliferation, a later one, raises such an
+    # error at once, before p_continuity gets there on another lane
+    checks = dict(cli._CHECKS)
+    run = checks["p_continuity"][2]
+
+    def late_runtime_error(*args):
+        run(*args)
+        raise RuntimeError("p_continuity broke")
+
+    def early_runtime_error(*args):
+        raise RuntimeError("zero_proliferation broke")
+
+    checks["p_continuity"] = checks["p_continuity"][:2] + (late_runtime_error,)
+    checks["zero_proliferation"] = checks["zero_proliferation"][:2] + (early_runtime_error,)
+    monkeypatch.setattr(cli, "_CHECKS", checks)
+    return default_battery()
+
+
+# case -> its config, made with the case's patches in place
+VERIFY_LANE_CASES = {
+    "default": lambda mp: shipped("verify_default.json"),
+    "sturm_bad": lambda mp: shipped("verify_sturm_bad.json"),
+    "p_1.001": lambda mp: default_battery(p=1.001),
+    "uncaught_mid_battery": raising_checks,
+}
+
+
+@pytest.mark.parametrize("case", VERIFY_LANE_CASES)
+def test_verify_is_the_same_on_one_lane_and_on_many(tmp_path, monkeypatch, capsys, case):
+    # the checks run on lanes, and cmd_verify reads their reports and
+    # exceptions in check order once every lane has ended: the report,
+    # the exit code and stderr are those of one lane
+    cfg = write_cfg(tmp_path, VERIFY_LANE_CASES[case](monkeypatch))
+    threads = set(threading.enumerate())
+    outcomes, interval = [], sys.getswitchinterval()
+    for lanes in (1, 4):  # more lanes than cores, switching threads often
+        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: lanes)
+        out = tmp_path / f"out{lanes}"
+        sys.setswitchinterval(1e-6)
+        try:
+            code = cli.main(["verify", "--config", cfg, "--out", str(out)])
+        except RuntimeError as exc:
+            code = f"RuntimeError: {exc}"
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(threading.enumerate()) == threads  # every lane has ended
+        report = out / "report.txt"
+        outcomes.append((code, capsys.readouterr().err,
+                         report.read_bytes() if report.exists() else None))
+    assert outcomes[0] == outcomes[1]
+    code, err, report = outcomes[0]
+    if case == "default":
+        assert code == 0 and err == ""
+    elif case == "sturm_bad":
+        assert code == 3 and b"[PRECONDITION VIOLATION] sturm: " in report
+    elif case == "p_1.001":
+        assert code == 3 and b"\n[FAIL] sturm: OverflowError: " in report
+    else:
+        assert (code, err, report) == ("RuntimeError: p_continuity broke", "", None)
+
+
+def test_verify_checks_run_on_threads_of_their_own(tmp_path, monkeypatch):
+    runners, checks = set(), dict(cli._CHECKS)
+    for name, (keys, required, run) in checks.items():
+        def spy(*args, run=run):
+            runners.add(threading.get_ident())
+            return run(*args)
+
+        checks[name] = (keys, required, spy)
+    monkeypatch.setattr(cli, "_CHECKS", checks)
+    monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+    out = str(tmp_path / "out")
+    assert cli.main(["verify", "--config", os.path.join(CONFIGS, "verify_default.json"),
+                     "--out", out]) == 0
+    assert len(runners) == 2
 
 
 def test_verify_incomplete_spectrum_structure_fails(tmp_path):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import sysconfig
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 from functools import partial
@@ -552,6 +553,37 @@ def test_shots_fall_back_to_the_python_stepper(monkeypatch, tmp_path, broken):
             for xdg in ("", None):  # unset: the home's cache
                 _fresh_kernel(monkeypatch, tmp_path / "file" / "cache", xdg)
                 assert _kernel._cache_dirs()[1] == str(tmp_path / "home" / ".cache" / "pspect")
+    finally:
+        _kernel._loaded.cache_clear()
+
+
+def test_threads_that_load_the_kernel_at_once_build_it_once(monkeypatch, tmp_path):
+    # the first shots of a verify command come from several lanes at once:
+    # one builds and loads the library, the others wait for it
+    builds, build = [], _kernel._build
+
+    def counted():
+        builds.append(threading.get_ident())
+        return build()
+
+    monkeypatch.setattr(_kernel, "_build", counted)
+    _fresh_kernel(monkeypatch, tmp_path / "cache", tmp_path / "xdg")
+    start, libs = threading.Barrier(4, timeout=60), []
+
+    def load():
+        start.wait()
+        libs.append(_kernel.load())
+
+    threads = [threading.Thread(target=load) for _ in range(4)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)  # one build
+            assert not thread.is_alive()
+        assert len(builds) == 1 and len(libs) == 4
+        assert all(lib is libs[0] for lib in libs)
+        assert os.listdir(tmp_path / "cache") == [os.path.basename(build())]
     finally:
         _kernel._loaded.cache_clear()
 

@@ -608,6 +608,115 @@ def test_lanes_solve_on_threads_of_their_own(monkeypatch):
     assert len(solvers) == 2
 
 
+def slow_counting_probe(monkeypatch, seconds=0.05):
+    """spectrum.probe, held for the given seconds; returns the list of the
+    |mu| it was called at."""
+    calls, real = [], spectrum.probe
+
+    def slow(problem, alpha, **kw):
+        calls.append(abs(problem.lam))
+        threading.Event().wait(seconds)  # the other asker arrives meanwhile
+        return real(problem, alpha, **kw)
+
+    monkeypatch.setattr(spectrum, "probe", slow)
+    return calls
+
+
+def ask_at_once(n, ask):
+    """ask() from n threads released together; what each got or raised."""
+    start, got = threading.Barrier(n, timeout=60), [None] * n
+
+    def run(i):
+        start.wait()
+        try:
+            got[i] = ask()
+        except Exception as exc:
+            got[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    return got
+
+
+def test_probe_asked_by_two_threads_at_once_is_shot_once(monkeypatch):
+    # the memo holds a probe being shot as pending: the second asker waits
+    # for that shot instead of shooting its own
+    calls = slow_counting_probe(monkeypatch)
+    prober = _Prober(eig_problem(2.0, 1, M1), 1, 100)
+    got = ask_at_once(2, lambda: prober.tight(3.0, DEFAULT_RTOL, DEFAULT_ATOL))
+    assert calls == [3.0]
+    assert got[0] == got[1] == probe(eig_problem(2.0, 1, M1).at(3.0), 1.0, rtol=DEFAULT_RTOL,
+                                     atol=DEFAULT_ATOL, blowup_limit=_Prober.BLOWUP).d
+
+
+def test_probe_that_raises_is_shot_again_by_each_asker(monkeypatch):
+    # nothing is held for a shot that raised: the waiting asker shoots it
+    # itself and raises as it would alone
+    calls = slow_counting_probe(monkeypatch)
+    prober = _Prober(eig_problem(1.001, 1, M1), 1, 100)
+    got = ask_at_once(2, lambda: prober.tight(1e5, DEFAULT_RTOL, DEFAULT_ATOL))
+    assert calls == [1e5, 1e5]
+    assert [type(exc) for exc in got] == [OverflowError, OverflowError]
+
+
+def test_lanes_never_outnumber_the_usable_cpus(monkeypatch):
+    # checks on lanes whose searches ask for lanes of their own: a nested
+    # call gets a thread only where a CPU is idle, and the count of busy
+    # threads loses no update
+    monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 3)
+    threads, busy, interval = set(threading.enumerate()), [], sys.getswitchinterval()
+
+    def leaf():
+        busy.append(spectrum._lanes["busy"])  # the threads running jobs
+        threading.Event().wait(0.002)
+
+    def check():
+        return spectrum._on_lanes([leaf] * 4)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        outcomes = spectrum._on_lanes([check] * 40)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(exc is None for _, exc in outcomes)
+    assert max(busy) == 2  # and the calling thread: three lanes
+    assert set(threading.enumerate()) == threads
+    assert spectrum._lanes["busy"] == 0
+
+
+def test_lanes_return_each_jobs_value_or_exception_in_job_order(monkeypatch):
+    monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 4)
+
+    def fails():
+        raise ZeroDivisionError("job 1")
+
+    outcomes = spectrum._on_lanes([lambda: "job 0", fails, lambda: "job 2"])
+    assert [value for value, _ in outcomes] == ["job 0", None, "job 2"]
+    assert outcomes[0][1] is None and str(outcomes[1][1]) == "job 1"
+    assert spectrum._on_lanes([lambda: 0], least=2) is None  # one lane where two are asked
+
+
+def test_lanes_see_the_callers_shared_shots(monkeypatch):
+    # a thread starts in an empty context; each lane runs in a copy of
+    # the caller's, so the searches of a command's checks share its probes
+    monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+    both = threading.Barrier(2, timeout=60)  # one job on each lane
+
+    def job():
+        both.wait()
+        return threading.get_ident(), spectrum._shared_probes.get()
+
+    with shared_shots():
+        memo = spectrum._shared_probes.get()
+        seen = [value for value, _ in spectrum._on_lanes([job, job])]
+    assert seen[0][0] != seen[1][0]
+    assert [memo_seen for _, memo_seen in seen] == [memo, memo]
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_scan_count_agrees_with_the_sign_of_D(k):
     # m = 1, N = 1, p = 2, just past mu_k: the zero that entered through
