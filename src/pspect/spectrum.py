@@ -430,12 +430,12 @@ def _on_lanes(jobs, least=1):
     the (value, exception) of each job in job order, the exception None
     where the job returned; a job's ``Exception`` does not end its lane.
 
-    The lanes take the jobs in their order.  A CPU is idle where fewer
-    threads of this helper are busy, process-wide, than the usable CPUs
-    (:func:`_usable_cpus`, read at each call) less the calling thread's
-    own; a call from inside a job thus gets a thread only where a CPU is
-    free.  Each thread runs in a copy of the caller's context, so jobs
-    see the caller's :func:`shared_shots` block.  Where fewer than least
+    The lanes take the jobs in their order.  The threads of this helper
+    busy in the process, with the calling thread, never outnumber the
+    usable CPUs (:func:`_usable_cpus`, read at each call), so a call from
+    inside a job gets a thread only where a CPU is free.  Each thread
+    runs in a copy of the caller's context, so jobs see the caller's
+    :func:`shared_shots` block.  Where fewer than least
     lanes can run, nothing runs and None is returned; where a thread
     cannot be started, the lanes already running do its share.  Every
     lane has ended when this returns.
