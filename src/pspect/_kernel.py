@@ -256,17 +256,15 @@ def _loaded():
     return lib
 
 
-# "lock" lets one thread build and load the library while the others wait;
-# made by the first caller (setdefault keeps one), not at import
-_loading = {}
+# lets one thread build and load the library while the others wait
+_loading_lock = threading.Lock()
 
 
 def load():
     """The kernel library; raises the OSError of the first build or load
     that failed, without building again.  Threads that ask for it at the
     same time get the one library, built and loaded once."""
-    lock = _loading.get("lock") or _loading.setdefault("lock", threading.Lock())
-    with lock:  # functools.cache alone would let each first caller build
+    with _loading_lock:  # functools.cache alone would let each first caller build
         lib = _loaded()
     if isinstance(lib, OSError):
         raise lib

@@ -72,6 +72,7 @@ import json
 import math
 import os
 import sys
+import threading
 from functools import cache, partial
 from itertools import chain, repeat
 
@@ -534,24 +535,20 @@ def cmd_gp(task, p, n_dim, m, tols, header, out_dir) -> int:
 
 
 def cmd_verify(task, p, n_dim, m, tols, header, out_dir) -> int:
-    """Run the battery's checks and write report.txt, their reports in
-    check order.
+    """Run the battery's checks (:func:`_run_checks`) and write
+    report.txt, their reports in check order.
 
-    The checks run as jobs on lanes (``spectrum._on_lanes``: the calling
-    thread and one thread per idle CPU), sharing the command's probes.
     Each check's report, or the exception it raised, is read in check
-    order once every lane has ended: a precondition violation and a
-    check's own shot error are that check's line, and any other exception
-    is raised there, before report.txt is written, as it would be by the
-    first check that raised it when they ran one after another.  So the
-    report, the exit code and stderr do not depend on the lanes.
+    order: a precondition violation and a check's own shot error are
+    that check's line, and any other exception is raised there, before
+    report.txt is written, as it would be by the first check that raised
+    it when they ran one after another.  So the report, the exit code and
+    stderr do not depend on the lanes the checks ran on.
     """
     lines = [f"pspect v{__version__} verification report", *header[1:], ""]
     any_fail = False
     checks = task["checks"]
-    outcomes = _on_lanes([partial(_CHECKS[chk["check"]][2], chk, p, n_dim, m, tols)
-                          for chk in checks])
-    for chk, (rep, exc) in zip(checks, outcomes):
+    for chk, (rep, exc) in zip(checks, _run_checks(checks, p, n_dim, m, tols)):
         name = chk["check"]
         if isinstance(exc, PreconditionError):
             lines.append(f"[PRECONDITION VIOLATION] {name}: {exc}")
@@ -568,6 +565,78 @@ def cmd_verify(task, p, n_dim, m, tols, header, out_dir) -> int:
             any_fail = True
     _atomic_write(os.path.join(out_dir, "report.txt"), "\n".join(lines) + "\n")
     return EXIT_VERIFY if any_fail else EXIT_OK
+
+
+def _run_checks(checks, p, n_dim, m, tols) -> list:
+    """The (report, exception) of each check, in check order.
+
+    The checks run on lanes (``spectrum._on_lanes``: the calling thread
+    and one thread per idle CPU) in two rounds: those that read no
+    spectrum (``_SPECTRA``), which shoot themselves, and then the others.
+    In the second the lanes also search each spectrum those checks read,
+    once, at the largest K any of them asks for, into the command's memo
+    of probes and solves (``shared_shots``).  A lane takes the first
+    check whose spectra are all in, in check order, and otherwise the
+    next search, the largest K first; a check's own searches replay the
+    memo.  So no two lanes search one spectrum, the first search of each
+    asks for the largest K, and no check shoots while a search runs:
+    ``perfbench/tracing.py`` counts a shot to whatever search is open, on
+    any thread, and reads the same counts on one lane and on many.
+    """
+    reads = [_SPECTRA.get(chk["check"]) for chk in checks]  # None: the check searches none
+    runs = [partial(_CHECKS[chk["check"]][2], chk, p, n_dim, m, tols) for chk in checks]
+    alone = iter(_on_lanes([run for run, spectra in zip(runs, reads) if not spectra]))
+    readers = [run for run, spectra in zip(runs, reads) if spectra]
+    largest, axes = {}, []  # (p, weight, sign) -> the largest K asked for; each reader's
+    for chk, spectra in zip(checks, reads):
+        if spectra:
+            asked = [((float(q), weight, nu), K)
+                     for q, weight, K, nus in spectra(chk, p, m) for nu in nus]
+            for axis, K in asked:
+                largest[axis] = max(K, largest.get(axis, 0))
+            axes.append({axis for axis, _ in asked})
+    searches = sorted(largest, key=lambda axis: -largest[axis])  # not yet taken
+    waiting = list(range(len(readers)))  # the readers not yet taken
+    searched, outcomes = set(), [None] * len(readers)
+    taken = threading.Condition()
+
+    def search(axis):
+        q, weight, nu = axis
+        try:
+            compute_spectrum(q, n_dim, weight, largest[axis], (nu,), **tols)
+        except Exception:  # the check's own search raises it again, in its turn
+            pass
+        finally:
+            with taken:
+                searched.add(axis)
+                taken.notify_all()
+
+    def read(i):
+        try:
+            outcomes[i] = (readers[i](), None)
+        except Exception as exc:  # cmd_verify's to report or raise
+            outcomes[i] = (None, exc)
+
+    def next_task():
+        with taken:
+            while True:
+                i = next((i for i in waiting if axes[i] <= searched), None)
+                if i is not None:
+                    waiting.remove(i)
+                    return partial(read, i)
+                if searches:
+                    return partial(search, searches.pop(0))
+                if not waiting:
+                    return None
+                taken.wait()  # for a search another lane runs
+
+    def lane():
+        for task in iter(next_task, None):
+            task()
+
+    _on_lanes([lane] * (len(readers) + len(searches)))  # a lane per task at most
+    ordered = iter(outcomes)
+    return [next(ordered if spectra else alone) for spectra in reads]
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +760,22 @@ _CHECKS = {
             p, n_dim, m, Perturbation(p, **chk["g"]), chk["ks"],
             **_given(chk, "alphas", nus="nu"), **tols),
     ),
+}
+
+
+# check -> the spectra its searches read, (chk, p, m) -> [(p, weight, K, signs)],
+# a sign the weight lacks skipped as compute_spectrum skips it; a check not
+# listed searches none
+_BOTH = ("+", "-")
+_SPECTRA = {
+    "spectrum_structure": lambda chk, p, m: [(p, m, chk["K"], chk.get("nu", _BOTH))],
+    "weight_monotonicity": lambda chk, p, m: [
+        (p, Weight.from_spec(chk["weight2"]), chk["K"], _BOTH), (p, m, chk["K"], _BOTH)],
+    "p_continuity": lambda chk, p, m: [(q, m, chk["K"], chk.get("nu", ("+",)))
+                                       for q in chk["p_grid"]],
+    "crossing_index": lambda chk, p, m: [(p, m, chk["K"] + 1, _BOTH)],
+    "nodal_intervals": lambda chk, p, m: [(p, m, chk["k"], _BOTH)],
+    "bifurcation_points": lambda chk, p, m: [(p, m, max(chk["ks"]), chk.get("nu", _BOTH))],
 }
 
 

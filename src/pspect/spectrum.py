@@ -55,12 +55,12 @@ degree crossing index.
 
 Lanes are threads: the kernel releases the GIL for each shot.  One
 helper, :func:`_on_lanes`, runs them, for a search's brackets and for
-the checks of ``pspect verify`` alike.  It counts the lanes busy in the
-process, so that a search inside a check takes a lane only where a CPU
-is idle, and the lanes never outnumber the usable CPUs.  The memo of a
-search, and the one :func:`shared_shots` keeps for a block of searches,
-computes each probe and solve once, however many lanes ask for it at
-the same time.
+the checks and searches of ``pspect verify`` alike.  It counts the
+threads running lanes in the process, callers included, so that a
+search inside a check takes a lane only where a CPU is idle, and the
+lanes never outnumber the usable CPUs.  The memo of a search, and the
+one :func:`shared_shots` keeps for a block of searches, computes each
+probe and solve once, however many lanes ask for it at the same time.
 """
 
 from __future__ import annotations
@@ -419,33 +419,41 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# "busy": threads of _on_lanes running jobs, process-wide; "lock" guards it,
-# made by the first call (setdefault keeps one), not at import
-_lanes = {"busy": 0}
+_lanes_lock = threading.Lock()
+_lanes_busy = 0  # threads running lanes of _on_lanes, process-wide; _lanes_lock guards it
+# True in a thread while it runs a lane, and so is counted in _lanes_busy
+_in_lane = contextvars.ContextVar("in_lane", default=False)
 
 
 def _on_lanes(jobs, least=1):
     """Run jobs (callables of no argument) on lanes: the calling thread
-    and one thread for each idle CPU, at most one lane per job.  Returns
-    the (value, exception) of each job in job order, the exception None
-    where the job returned; a job's ``Exception`` does not end its lane.
+    and one thread for each other idle CPU, at most one lane per job.
+    Returns the (value, exception) of each job in job order, the
+    exception None where the job returned; a job's ``Exception`` does not
+    end its lane.
 
-    The lanes take the jobs in their order.  The threads of this helper
-    busy in the process, with the calling thread, never outnumber the
-    usable CPUs (:func:`_usable_cpus`, read at each call), so a call from
-    inside a job gets a thread only where a CPU is free.  Each thread
-    runs in a copy of the caller's context, so jobs see the caller's
-    :func:`shared_shots` block.  Where fewer than least
-    lanes can run, nothing runs and None is returned; where a thread
-    cannot be started, the lanes already running do its share.  Every
-    lane has ended when this returns.
+    The lanes take the jobs in their order.  A process-wide count holds
+    the threads running lanes, the callers' own included, and a call
+    starts threads only for CPUs (:func:`_usable_cpus`, read at each
+    call) that no counted thread holds: a call from inside a job gets
+    one only where a CPU is idle, and the threads started never
+    outnumber the usable CPUs.  A caller that runs no job of another
+    call is counted only until its own lane has run out of jobs, so that
+    a job still running on another lane may take its CPU while it waits.
+    Each thread runs in a copy of the caller's context, so jobs see the
+    caller's :func:`shared_shots` block.  Where fewer than least lanes
+    can run, nothing runs and None is returned; where a thread cannot be
+    started, the lanes already running do its share.  Every lane has
+    ended when this returns.
     """
-    lock = _lanes.get("lock") or _lanes.setdefault("lock", threading.Lock())
-    with lock:
-        threads = max(0, min(len(jobs), _usable_cpus() - _lanes["busy"]) - 1)
+    global _lanes_busy
+    counted = _in_lane.get()  # the caller runs a job of another call's lane
+    with _lanes_lock:
+        idle = _usable_cpus() - _lanes_busy + counted  # the caller's own CPU among them
+        threads = max(0, min(len(jobs), idle) - 1)
         if threads + 1 < least:
             return None
-        _lanes["busy"] += threads
+        _lanes_busy += threads + (not counted)
     todo = list(reversed(range(len(jobs))))
     outcomes = [None] * len(jobs)
 
@@ -461,11 +469,13 @@ def _on_lanes(jobs, least=1):
                 outcomes[i] = (None, exc)
 
     def thread_lane():
+        global _lanes_busy
+        _in_lane.set(True)  # in this thread's copy of the caller's context
         try:
             lane()
         finally:
-            with lock:
-                _lanes["busy"] -= 1
+            with _lanes_lock:
+                _lanes_busy -= 1
 
     started = []
     try:
@@ -476,12 +486,17 @@ def _on_lanes(jobs, least=1):
     except RuntimeError:
         pass
     finally:
-        with lock:
-            _lanes["busy"] -= threads - len(started)
+        with _lanes_lock:
+            _lanes_busy -= threads - len(started)
+    token = _in_lane.set(True)
     try:
         lane()
     finally:
+        _in_lane.reset(token)
         todo.clear()
+        if not counted:  # the caller only waits now
+            with _lanes_lock:
+                _lanes_busy -= 1
         for thread in started:
             thread.join()
     return outcomes

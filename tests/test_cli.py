@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -571,7 +572,8 @@ def default_battery(**problem):
 def raising_checks(monkeypatch):
     # p_continuity, the third check, raises what cmd_verify does not catch
     # after its searches; zero_proliferation, a later one, raises such an
-    # error at once, before p_continuity gets there on another lane
+    # error at once, in the round of checks that read no spectrum, before
+    # p_continuity runs
     checks = dict(cli._CHECKS)
     run = checks["p_continuity"][2]
 
@@ -632,19 +634,80 @@ def test_verify_is_the_same_on_one_lane_and_on_many(tmp_path, monkeypatch, capsy
 
 
 def test_verify_checks_run_on_threads_of_their_own(tmp_path, monkeypatch):
-    runners, checks = set(), dict(cli._CHECKS)
+    # the checks, and the searches of the spectra they read, run on lanes
+    runners, checks, search = set(), dict(cli._CHECKS), cli.compute_spectrum
     for name, (keys, required, run) in checks.items():
         def spy(*args, run=run):
             runners.add(threading.get_ident())
             return run(*args)
 
         checks[name] = (keys, required, spy)
+
+    def searching(*args, **kw):
+        runners.add(threading.get_ident())
+        return search(*args, **kw)
+
     monkeypatch.setattr(cli, "_CHECKS", checks)
+    monkeypatch.setattr(cli, "compute_spectrum", searching)
     monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
     out = str(tmp_path / "out")
     assert cli.main(["verify", "--config", os.path.join(CONFIGS, "verify_default.json"),
                      "--out", out]) == 0
     assert len(runners) == 2
+
+
+def test_verify_searches_each_spectrum_first_at_its_largest_K(tmp_path, monkeypatch):
+    # cli._SPECTRA names the spectra each check reads: the battery searches
+    # each once, at the largest K any check asks for, before a check's own
+    # search of it, which then asks for no larger K and replays the memo
+    searches, find = [], spectrum.find_eigenvalues
+
+    def spy(problem, K, nu="+", **kw):
+        searches.append(((problem.p, problem.N, problem.m, nu), K))
+        return find(problem, K, nu, **kw)
+
+    monkeypatch.setattr(spectrum, "find_eigenvalues", spy)
+    assert cli.main(["verify", "--config", os.path.join(CONFIGS, "verify_default.json"),
+                     "--out", str(tmp_path)]) == 0
+    first = {}
+    for axis, K in searches:
+        first.setdefault(axis, K)
+    assert len(searches) > 2 * len(first)  # the checks' own searches follow
+    assert all(K <= first[axis] for axis, K in searches)
+
+
+def perfbench_tracer():
+    """The Tracer of perfbench/tracing.py, the benchmark's per-layer counts."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(HERE, "..", "perfbench", "tracing.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+@pytest.mark.parametrize("case", ["default", "p_1.001"])
+def test_verify_traces_the_same_counts_on_one_lane_and_on_many(tmp_path, monkeypatch, case):
+    # the tracer counts a shot to whatever search is open, on any thread,
+    # and a search as a repeat where one of no smaller K came first: as no
+    # check shoots while a search runs and each spectrum is searched first
+    # at its largest K, every count is the same however the lanes run
+    cfg = write_cfg(tmp_path, VERIFY_LANE_CASES[case](monkeypatch))
+    tracer, counts, interval = perfbench_tracer()().install(), [], sys.getswitchinterval()
+    try:
+        for lanes in (1, 4, 4):  # the first run counts on one lane, and meets every key
+            monkeypatch.setattr(spectrum, "_usable_cpus", lambda: lanes)
+            tracer.begin_task()
+            before = tracer.counts()
+            sys.setswitchinterval(1e-6)
+            try:
+                cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")])
+            finally:
+                sys.setswitchinterval(interval)
+            counts.append({key: n - before[key] for key, n in tracer.counts().items()})
+    finally:
+        tracer.uninstall()
+    assert counts[0]["spectrum.searches"] > 0
+    assert counts[1] == counts[0] and counts[2] == counts[0]
 
 
 def test_verify_incomplete_spectrum_structure_fails(tmp_path):

@@ -666,13 +666,19 @@ def test_probe_that_raises_is_shot_again_by_each_asker(monkeypatch):
 def test_lanes_never_outnumber_the_usable_cpus(monkeypatch):
     # checks on lanes whose searches ask for lanes of their own: a nested
     # call gets a thread only where a CPU is idle, and the count of busy
-    # threads loses no update
+    # threads, the callers' own lanes among them, loses no update
     monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 3)
-    threads, busy, interval = set(threading.enumerate()), [], sys.getswitchinterval()
+    threads, interval = set(threading.enumerate()), sys.getswitchinterval()
+    busy, running, most, count = [], set(), [0], threading.Lock()
 
     def leaf():
-        busy.append(spectrum._lanes["busy"])  # the threads running jobs
+        with count:
+            running.add(threading.get_ident())
+            most[0] = max(most[0], len(running))
+        busy.append(spectrum._lanes_busy)
         threading.Event().wait(0.002)
+        with count:
+            running.discard(threading.get_ident())
 
     def check():
         return spectrum._on_lanes([leaf] * 4)
@@ -683,9 +689,32 @@ def test_lanes_never_outnumber_the_usable_cpus(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all(exc is None for _, exc in outcomes)
-    assert max(busy) == 2  # and the calling thread: three lanes
+    assert max(busy) == 3 and most[0] <= 3
     assert set(threading.enumerate()) == threads
-    assert spectrum._lanes["busy"] == 0
+    assert spectrum._lanes_busy == 0
+
+
+def test_a_waiting_callers_cpu_goes_to_a_job_still_running(monkeypatch):
+    # the calling thread's lane runs out of jobs while another lane runs a
+    # long one: a call from inside that job gets the caller's CPU
+    monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+    short_done, both = threading.Event(), threading.Barrier(2, timeout=60)
+
+    def short():
+        short_done.set()
+
+    def long():
+        short_done.wait(60)
+        for _ in range(6000):  # until the caller has left its lane
+            if spectrum._lanes_busy == 1:
+                break
+            threading.Event().wait(0.01)
+        return spectrum._on_lanes([both.wait, both.wait])  # two lanes at once, or a timeout
+
+    outcomes = spectrum._on_lanes([short, long])
+    assert [exc for _, exc in outcomes] == [None, None]
+    assert all(exc is None for _, exc in outcomes[1][0])
+    assert spectrum._lanes_busy == 0
 
 
 def test_lanes_return_each_jobs_value_or_exception_in_job_order(monkeypatch):
