@@ -571,7 +571,7 @@ def _run_checks(checks, p, n_dim, m, tols) -> list:
     """The (report, exception) of each check, in check order.
 
     The checks run on lanes (``spectrum._on_lanes``: the calling thread
-    and one thread per idle CPU) in two rounds: those that read no
+    and one thread per other usable CPU) in two rounds: those that read no
     spectrum (``_SPECTRA``), which shoot themselves, and then the others.
     In the second the lanes also search each spectrum those checks read,
     once, at the largest K any of them asks for, into the command's memo
@@ -767,10 +767,17 @@ _CHECKS = {
 # a sign the weight lacks skipped as compute_spectrum skips it; a check not
 # listed searches none
 _BOTH = ("+", "-")
+
+
+def _monotonicity_spectra(p, m, m2, K):
+    # verify_weight_monotonicity searches m only for the signs m2 has
+    return [(p, m2, K, _BOTH), (p, m, K, _BOTH if m2.negative_intervals else ("+",))]
+
+
 _SPECTRA = {
     "spectrum_structure": lambda chk, p, m: [(p, m, chk["K"], chk.get("nu", _BOTH))],
-    "weight_monotonicity": lambda chk, p, m: [
-        (p, Weight.from_spec(chk["weight2"]), chk["K"], _BOTH), (p, m, chk["K"], _BOTH)],
+    "weight_monotonicity": lambda chk, p, m: _monotonicity_spectra(
+        p, m, Weight.from_spec(chk["weight2"]), chk["K"]),
     "p_continuity": lambda chk, p, m: [(q, m, chk["K"], chk.get("nu", ("+",)))
                                        for q in chk["p_grid"]],
     "crossing_index": lambda chk, p, m: [(p, m, chk["K"] + 1, _BOTH)],

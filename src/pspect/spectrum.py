@@ -28,7 +28,7 @@ brackets the sign changes of D.  One rule gives each bracket its index
 before anything is solved: k = 1 + the smaller zero count of its ends.
 Only the brackets of k <= K are solved, each once.  Once the scan is
 done the brackets are independent, and the first of each index is
-solved ahead on lanes, one per idle CPU the process may run on (no
+solved ahead on lanes, one per CPU the process may run on (no
 option sets their number): the lanes fill the search's memo of probes
 and solves, largest index first, and the search then runs its own solves
 in order on that memo, charging its budget and meeting every stop as it
@@ -55,10 +55,9 @@ degree crossing index.
 
 Lanes are threads: the kernel releases the GIL for each shot.  One
 helper, :func:`_on_lanes`, runs them, for a search's brackets and for
-the checks and searches of ``pspect verify`` alike.  It counts the
-threads running lanes in the process, callers included, so that a
-search inside a check takes a lane only where a CPU is idle, and the
-lanes never outnumber the usable CPUs.  The memo of a search, and the
+the checks and searches of ``pspect verify`` alike.  Lanes are one level
+deep: a search inside a check runs on its check's lane, and the lanes
+never outnumber the usable CPUs.  The memo of a search, and the
 one :func:`shared_shots` keeps for a block of searches, computes each
 probe and solve once, however many lanes ask for it at the same time.
 """
@@ -195,7 +194,8 @@ def shared_shots():
     returns what it returns alone, charges its budget for every probe it
     asks for and reports the same probe count.  Searches that run at the
     same time on lanes (:func:`_on_lanes`, which hands each lane the
-    block) share the memo too, and each probe and solve is computed once
+    block), as the checks of ``pspect verify`` do, each on its check's
+    lane, share the memo too, and each probe and solve is computed once
     (:class:`_Memo`).  The probes are dropped when the block ends.
     """
     token = _shared_probes.set(_Memo())
@@ -382,7 +382,8 @@ class _Prober:
         """Solve ahead, into the memo, the loose root and its polish of
         each bracket (a, b) the memo holds no loose solve of, on lanes
         (:func:`_on_lanes`): the calling thread and one thread for each
-        idle CPU, nothing where no CPU is idle.
+        other usable CPU, nothing where one CPU is usable or where the
+        search itself runs on a lane (a verify check's, say).
 
         The brackets are listed in ascending index, and the lanes take
         them from the last, the largest and costliest first.  A lane runs
@@ -419,84 +420,59 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_lanes_lock = threading.Lock()
-_lanes_busy = 0  # threads running lanes of _on_lanes, process-wide; _lanes_lock guards it
-# True in a thread while it runs a lane, and so is counted in _lanes_busy
+# True while a thread runs a lane of _on_lanes, the caller's own among them
 _in_lane = contextvars.ContextVar("in_lane", default=False)
 
 
 def _on_lanes(jobs, least=1):
     """Run jobs (callables of no argument) on lanes: the calling thread
-    and one thread for each other idle CPU, at most one lane per job.
-    Returns the (value, exception) of each job in job order, the
-    exception None where the job returned; a job's ``Exception`` does not
-    end its lane.
+    and one thread for each other usable CPU (:func:`_usable_cpus`, read
+    at each call), at most one lane per job.  Returns the (value,
+    exception) of each job in job order, the exception None where the
+    job returned; a job's ``Exception`` does not end its lane.
 
-    The lanes take the jobs in their order.  A process-wide count holds
-    the threads running lanes, the callers' own included, and a call
-    starts threads only for CPUs (:func:`_usable_cpus`, read at each
-    call) that no counted thread holds: a call from inside a job gets
-    one only where a CPU is idle, and the threads started never
-    outnumber the usable CPUs.  A caller that runs no job of another
-    call is counted only until its own lane has run out of jobs, so that
-    a job still running on another lane may take its CPU while it waits.
+    Lanes are one level deep: a call made inside a lane, by a job, runs
+    its jobs on the calling thread, so the threads of a call never
+    outnumber the usable CPUs.  The lanes take the jobs in their order.
     Each thread runs in a copy of the caller's context, so jobs see the
     caller's :func:`shared_shots` block.  Where fewer than least lanes
     can run, nothing runs and None is returned; where a thread cannot be
     started, the lanes already running do its share.  Every lane has
     ended when this returns.
     """
-    global _lanes_busy
-    counted = _in_lane.get()  # the caller runs a job of another call's lane
-    with _lanes_lock:
-        idle = _usable_cpus() - _lanes_busy + counted  # the caller's own CPU among them
-        threads = max(0, min(len(jobs), idle) - 1)
-        if threads + 1 < least:
-            return None
-        _lanes_busy += threads + (not counted)
+    threads = 0 if _in_lane.get() else max(0, min(len(jobs), _usable_cpus()) - 1)
+    if threads + 1 < least:
+        return None
     todo = list(reversed(range(len(jobs))))
     outcomes = [None] * len(jobs)
 
     def lane():
-        while todo:
-            try:
-                i = todo.pop()
-            except IndexError:  # another lane took the last
-                return
-            try:
-                outcomes[i] = (jobs[i](), None)
-            except Exception as exc:  # the caller's to raise or drop
-                outcomes[i] = (None, exc)
-
-    def thread_lane():
-        global _lanes_busy
-        _in_lane.set(True)  # in this thread's copy of the caller's context
+        token = _in_lane.set(True)
         try:
-            lane()
+            while todo:
+                try:
+                    i = todo.pop()
+                except IndexError:  # another lane took the last
+                    return
+                try:
+                    outcomes[i] = (jobs[i](), None)
+                except Exception as exc:  # the caller's to raise or drop
+                    outcomes[i] = (None, exc)
         finally:
-            with _lanes_lock:
-                _lanes_busy -= 1
+            _in_lane.reset(token)
 
     started = []
     try:
         for _ in range(threads):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(thread_lane,))
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(lane,))
             thread.start()  # RuntimeError where the system starts no more threads
             started.append(thread)
     except RuntimeError:
         pass
-    finally:
-        with _lanes_lock:
-            _lanes_busy -= threads - len(started)
-    token = _in_lane.set(True)
     try:
         lane()
     finally:
-        _in_lane.reset(token)
         todo.clear()
-        if not counted:  # the caller only waits now
-            with _lanes_lock:
-                _lanes_busy -= 1
         for thread in started:
             thread.join()
     return outcomes

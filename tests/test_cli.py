@@ -676,6 +676,42 @@ def test_verify_searches_each_spectrum_first_at_its_largest_K(tmp_path, monkeypa
     assert all(K <= first[axis] for axis, K in searches)
 
 
+def searched_ahead(frame):
+    """Whether the frame runs inside a search the verify battery makes
+    ahead of its checks (the search of cli._run_checks)."""
+    while frame is not None:
+        if frame.f_code.co_name == "search" and frame.f_globals is vars(cli):
+            return True
+        frame = frame.f_back
+    return False
+
+
+def monotonicity_battery(mp):
+    cfg = shipped("verify_default.json")
+    cfg["task"]["checks"] = [chk for chk in cfg["task"]["checks"]
+                             if chk["check"] == "weight_monotonicity"]
+    return cfg
+
+
+@pytest.mark.parametrize("battery", [monotonicity_battery, VERIFY_LANE_CASES["default"]],
+                         ids=["weight_monotonicity", "default"])
+def test_verify_searches_ahead_only_the_spectra_its_checks_read(tmp_path, monkeypatch, battery):
+    # a spectrum searched ahead is worth its shots only where a check's
+    # own search replays it; m = 1 - 2r has both signs, weight2 = 1 - r
+    # only +, and weight_monotonicity searches m for weight2's signs alone
+    ahead, read, find = set(), set(), spectrum.find_eigenvalues
+
+    def spy(problem, K, nu="+", **kw):
+        axis = (problem.p, problem.N, problem.m, nu)
+        (ahead if searched_ahead(sys._getframe(1)) else read).add(axis)
+        return find(problem, K, nu, **kw)
+
+    monkeypatch.setattr(spectrum, "find_eigenvalues", spy)
+    cfg = write_cfg(tmp_path, battery(monkeypatch))
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert ahead and ahead <= read
+
+
 def perfbench_tracer():
     """The Tracer of perfbench/tracing.py, the benchmark's per-layer counts."""
     spec = importlib.util.spec_from_file_location(
